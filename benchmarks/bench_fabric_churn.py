@@ -20,7 +20,12 @@ Gates:
   to their steady share afterwards;
 * **migration gate** — the migrated tenant's traffic exits on the new
   leaf after the move, and the abandoned leaf's module slot is
-  released.
+  released;
+* **host-cost gate** — Fig. 10 in host work rather than simulated
+  time: on every switch, each untouched tenant's classifier rebuilds,
+  flow-cache invalidations and per-packet hit/miss sequence equal the
+  churn-free control run exactly (counts, no timing) — a neighbour's
+  update or migration costs it nothing.
 
 (The engine-throughput gate guarding the serving path itself lives in
 ``benchmarks/bench_engine_throughput.py`` and must stay within its
@@ -89,23 +94,33 @@ def _steady_reference(result, vid, spans):
     return sum(bins) / len(bins)
 
 
-def test_fabric_churn_isolation():
+def _run(churn, observe=None):
+    """One timeline run, with or without the update + migration;
+    ``observe(fabric)`` may hook the freshly built fabric first."""
     fabric, tenants = _build()
-    schedule = ChurnSchedule()
-    schedule.update(UPDATED_VID, at_s=UPDATE_AT, duration_s=WINDOW_S)
-    schedule.migrate(MIGRATED_VID, at_s=MIGRATE_AT, duration_s=WINDOW_S)
-
-    def apply(event):
-        if event.kind == "update":
-            tenants[event.vid].update(calc.P4_SOURCE)
-        elif event.kind == "migrate":
-            tenants[event.vid].migrate(dst=("leaf2", event.vid - 1))
-
+    if observe is not None:
+        observe(fabric)
     experiment = FabricTimelineExperiment(
         fabric, _matrix([1, 2, UPDATED_VID, MIGRATED_VID]),
         duration_s=DURATION_S, bin_s=BIN_S)
-    experiment.schedule_churn(schedule, apply)
-    result = experiment.run()
+    if churn:
+        schedule = ChurnSchedule()
+        schedule.update(UPDATED_VID, at_s=UPDATE_AT, duration_s=WINDOW_S)
+        schedule.migrate(MIGRATED_VID, at_s=MIGRATE_AT,
+                         duration_s=WINDOW_S)
+
+        def apply(event):
+            if event.kind == "update":
+                tenants[event.vid].update(calc.P4_SOURCE)
+            elif event.kind == "migrate":
+                tenants[event.vid].migrate(dst=("leaf2", event.vid - 1))
+
+        experiment.schedule_churn(schedule, apply)
+    return fabric, tenants, experiment.run()
+
+
+def test_fabric_churn_isolation():
+    fabric, tenants, result = _run(churn=True)
 
     spans = [(UPDATE_AT, UPDATE_AT + WINDOW_S),
              (MIGRATE_AT, MIGRATE_AT + WINDOW_S)]
@@ -172,10 +187,7 @@ def test_fabric_churn_isolation():
 def test_churn_free_baseline_is_steady_everywhere():
     """Control: without churn, every tenant holds its share in every
     interior bin — the gate's tolerance is not hiding noise."""
-    fabric, _tenants = _build()
-    result = FabricTimelineExperiment(
-        fabric, _matrix([1, 2, 3, 4]),
-        duration_s=DURATION_S, bin_s=BIN_S).run()
+    _fabric, _tenants, result = _run(churn=False)
     for vid in (1, 2, 3, 4):
         steady = _steady_reference(result, vid, spans=[])
         interior = [
@@ -184,3 +196,53 @@ def test_churn_free_baseline_is_steady_everywhere():
         assert max(abs(t - steady) / steady for t in interior) \
             <= TOLERANCE, (vid, steady, interior)
         assert result.drops.get(vid, 0) == 0
+
+
+def _untouched_host_cost(churn):
+    """Per (switch, untouched vid): classifier rebuilds, flow-cache
+    invalidations, and the served-from-cache flag of every packet in
+    serving order."""
+    served = {}
+
+    def observe(fabric):
+        for member in fabric.switches():
+            def spy(packets, name=member.name,
+                    serve=member.engine.process_batch):
+                results = serve(packets)
+                for r in results:
+                    if r.module_id in UNTOUCHED:
+                        served.setdefault((name, r.module_id),
+                                          []).append(r.cache_hit)
+                return results
+            member.engine.process_batch = spy
+
+    fabric, _tenants, _result = _run(churn, observe)
+    cost = {}
+    for member in fabric.switches():
+        engine = member.engine
+        for vid in UNTOUCHED:
+            cost[member.name, vid] = {
+                "compile_rebuilds":
+                    engine.counters.tenant(vid).compile_rebuilds,
+                "invalidations": engine.shard(vid).stats.invalidations,
+                "hit_sequence": served.get((member.name, vid), []),
+            }
+    return cost
+
+
+def test_untouched_tenants_pay_no_host_cost_for_neighbour_churn():
+    control = _untouched_host_cost(churn=False)
+    churned = _untouched_host_cost(churn=True)
+    rows = [{"switch": name, "tenant": vid,
+             "packets": len(cost["hit_sequence"]),
+             "compile_rebuilds": cost["compile_rebuilds"],
+             "invalidations": cost["invalidations"],
+             "equals_control": cost == control[name, vid]}
+            for (name, vid), cost in sorted(churned.items())]
+    report("fabric_churn_host_cost",
+           "Fabric churn: untouched tenants' host-side work vs the "
+           "churn-free control", rows)
+    # Not vacuous: the untouched tenants were served on their route.
+    assert sum(r["packets"] for r in rows) > 0
+    assert all(r["compile_rebuilds"] == 1 for r in rows if r["packets"])
+    assert churned == control, rows

@@ -2,7 +2,7 @@
 
 :func:`certify_classifier` takes a
 :class:`~repro.engine.classifier.CompiledClassifier` plus the installed
-pipeline state at the same ``config_epoch`` and statically *proves* —
+pipeline state at the same tenant epoch and statically *proves* —
 with zero traffic — that the compiled artifact is equivalent to the
 scalar stage-by-stage walk, or produces a concrete counterexample
 packet. Every proof obligation re-derives its ground truth from the
@@ -10,8 +10,10 @@ installed tables (CAM entries, extractor words, VLIW words), never from
 the compiler's own intermediate claims:
 
 ``epoch``
-    the classifier was compiled at the pipeline's current
-    ``config_epoch`` (certifying a stale artifact proves nothing);
+    the classifier was compiled at its tenant's current epoch,
+    ``pipeline.epoch_of(vid)`` — no write its data path can observe has
+    landed since (certifying a stale artifact proves nothing; a
+    neighbour's write does not make it stale);
 ``refusal-reason``
     an ``ok=False`` classifier refuses for a reason that reproduces
     when the same configuration is recompiled;
@@ -280,8 +282,7 @@ def certify_classifier(pipeline: MenshenPipeline,
         if vid is None:
             raise ValueError(
                 "certify_classifier needs a classifier or a vid")
-        classifier = compile_classifier(pipeline, vid,
-                                        pipeline.config_epoch)
+        classifier = compile_classifier(pipeline, vid)
     return _Certifier(pipeline, classifier).run()
 
 
@@ -362,11 +363,12 @@ class _Certifier:
     def run(self) -> Certificate:
         clf = self.clf
         pipeline = self.pipeline
-        if clf.epoch != pipeline.config_epoch:
+        current = pipeline.epoch_of(clf.vid)
+        if clf.epoch != current:
             self._violated(
                 "epoch",
-                f"classifier compiled at epoch {clf.epoch}; pipeline is at "
-                f"{pipeline.config_epoch} — a stale artifact cannot be "
+                f"classifier compiled at epoch {clf.epoch}; vid {clf.vid} "
+                f"is at {current} — a stale artifact cannot be "
                 f"certified against the installed state")
         else:
             self._proved("epoch", detail=f"epoch {clf.epoch}")
@@ -395,7 +397,7 @@ class _Certifier:
 
     def _check_refusal(self) -> None:
         clf = self.clf
-        fresh = compile_classifier(self.pipeline, clf.vid, clf.epoch)
+        fresh = compile_classifier(self.pipeline, clf.vid)
         if fresh.ok:
             self._violated(
                 "refusal-reason",

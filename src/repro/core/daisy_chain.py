@@ -69,22 +69,38 @@ class DaisyChain:
         traverse the chain — exactly the signal the software polls to
         detect loss.
         """
+        payload = self.accept(packet)
+        if payload is not None:
+            self.apply(payload)
+        return payload
+
+    def accept(self, packet: Packet) -> Optional[ReconfigPayload]:
+        """First half of :meth:`deliver`: lose or decode the packet.
+
+        Nothing is written yet, so a caller that must see the addressed
+        row as it was *before* the write (the pipeline's tenant
+        attribution) can look between this and :meth:`apply`.
+        """
         if self._drop_budget > 0:
             self._drop_budget -= 1
             self.lost += 1
             return None
         payload = parse_reconfig_packet(packet, self.params)
-        sink = self._sinks.get((payload.resource.rtype,
-                                payload.resource.stage))
-        if sink is None:
+        key = (payload.resource.rtype, payload.resource.stage)
+        if key not in self._sinks:
             raise ReconfigurationError(
                 f"no hop for {payload.resource.rtype.name} "
                 f"stage {payload.resource.stage}")
+        return payload
+
+    def apply(self, payload: ReconfigPayload) -> None:
+        """Second half of :meth:`deliver`: hand an accepted payload to
+        the hop owning its resource and count the delivery."""
+        sink = self._sinks[payload.resource.rtype, payload.resource.stage]
         sink(payload.index, payload.entry)
         self.delivered += 1
         if self.packet_filter is not None:
             self.packet_filter.count_reconfig_packet()
-        return payload
 
     def hops(self) -> List[Tuple[ResourceType, int]]:
         """Registered hops in registration (chain) order."""

@@ -26,7 +26,7 @@ modules own the stages in between.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ReconfigurationError
 from ..net.packet import Packet
@@ -39,7 +39,7 @@ from ..rmt.traffic_manager import TrafficManager
 from .daisy_chain import DaisyChain
 from .overlay import OverlayTable, overlay_factory
 from .packet_filter import PacketClass, PacketFilter
-from .reconfig import ReconfigPayload, ResourceType
+from .reconfig import ReconfigPayload, ResourceId, ResourceType
 from .resources import PartitionLedger
 from .segment_table import SegmentTable, SegmentedAccess
 from .stats import PipelineStats
@@ -47,6 +47,14 @@ from .stats import PipelineStats
 #: Module ID reserved for the system-level module (§3.3). VID 0 is
 #: reserved by 802.1Q anyway, so no tenant can carry it.
 SYSTEM_MODULE_ID = 0
+
+#: Overlay resources: one row per module, indexed by the module's VID,
+#: so a write is visible to exactly the tenant that is the row index.
+_OVERLAY_ROWS = frozenset({
+    ResourceType.PARSER_TABLE, ResourceType.DEPARSER_TABLE,
+    ResourceType.KEY_EXTRACTOR, ResourceType.KEY_MASK,
+    ResourceType.SEGMENT, ResourceType.DEFAULT_VLIW,
+})
 
 
 class _CamInvalidateHop:
@@ -111,11 +119,18 @@ class MenshenPipeline:
         self.loaded_modules: Set[int] = set()
         #: Stages owned by the system-level module (empty until one loads).
         self.system_stages: Set[int] = set()
-        #: Monotonic configuration version. Every write that lands through
-        #: the daisy chain — and every module load/unload — bumps it, so
-        #: result caches (``repro.engine``) can validate memoized results
-        #: against the configuration they were learned under.
+        #: Plain count of configuration changes: every write that lands
+        #: through the daisy chain and every lifecycle hook adds one. No
+        #: cache or proof is keyed on it — it only supplies the fresh
+        #: stamps behind :meth:`epoch_of`, the tenant-scoped version that
+        #: result caches (``repro.engine``) and the certifier validate
+        #: against.
         self.config_epoch = 0
+        #: Stamp of the last change each tenant's data path could observe;
+        #: tenants absent here sit at ``_shared_epoch``, the stamp of the
+        #: last change attributed to everyone.
+        self._tenant_epochs: Dict[int, int] = {}
+        self._shared_epoch = 0
 
     # -- daisy-chain wiring ----------------------------------------------------
 
@@ -150,11 +165,11 @@ class MenshenPipeline:
 
     def mark_loaded(self, module_id: int) -> None:
         self.loaded_modules.add(module_id)
-        self.config_epoch += 1
+        self._bump((module_id,))
 
     def mark_unloaded(self, module_id: int) -> None:
         self.loaded_modules.discard(module_id)
-        self.config_epoch += 1
+        self._bump((module_id,))
 
     def set_system_stages(self, stages: Set[int]) -> None:
         """Declare which stages the system-level module occupies."""
@@ -162,7 +177,80 @@ class MenshenPipeline:
             if not 0 <= s < self.params.num_stages:
                 raise ReconfigurationError(f"no such stage: {s}")
         self.system_stages = set(stages)
+        self._bump(())
+
+    # -- tenant-scoped configuration epochs ----------------------------------------
+
+    def epoch_of(self, vid: int) -> int:
+        """Version of the configuration tenant ``vid``'s packets observe.
+
+        Moves exactly when a change lands that ``vid``'s data path can
+        read (see :meth:`_observers`); a neighbour's load, update, evict
+        or rule churn leaves it alone, so anything memoized or compiled
+        for ``vid`` under this value is still valid while it holds.
+        """
+        return self._tenant_epochs.get(vid, self._shared_epoch)
+
+    def _bump(self, observers: Iterable[int]) -> None:
+        """Record one configuration change seen by ``observers``.
+
+        Nobody named, or the system module among them (its stages process
+        every tenant's packets), means every tenant.
+        """
         self.config_epoch += 1
+        if not observers or SYSTEM_MODULE_ID in observers:
+            self._shared_epoch = self.config_epoch
+            self._tenant_epochs.clear()
+        else:
+            for vid in observers:
+                self._tenant_epochs[vid] = self.config_epoch
+
+    def _observers(self, resource: ResourceId, index: int) -> Set[int]:
+        """Tenants whose data path reads row ``index`` of ``resource`` as
+        it is installed right now.
+
+        Overlay rows belong to the VID that indexes them. CAM/VLIW rows
+        are physically shared: the ledger names the row's grantee, but a
+        packet hits the row only through the module ID stored in its CAM
+        word, so that ID counts too (a raw write may plant tenant B's ID
+        in a row granted to A). A stateful word belongs to its grantee.
+        """
+        rtype = resource.rtype
+        if rtype in _OVERLAY_ROWS:
+            return {index}
+        if rtype == ResourceType.STATEFUL_WORD:
+            owner = self.ledger.stateful_owner(resource.stage, index)
+            return set() if owner is None else {owner}
+        observers = set()
+        owner = self.ledger.match_owner(resource.stage, index)
+        if owner is not None:
+            observers.add(owner)
+        table = self.stages[resource.stage].match_table
+        if index < table.depth:
+            entry = table.read(index)
+            if entry is not None:
+                observers.add(entry.module_id)
+        return observers
+
+    def _reconfigure(self, packet: Packet) -> Optional[ReconfigPayload]:
+        """Run one reconfiguration packet down the daisy chain and bump
+        the epochs of the tenants that can observe the write.
+
+        The addressed row is inspected on both sides of the write because
+        a CAM write can change whose module ID the row carries: the
+        previous holder loses an entry, the new one gains it. A lost
+        packet changes nothing, so it bumps nothing.
+        """
+        chain = self.daisy_chain
+        payload = chain.accept(packet)
+        if payload is None:
+            return None
+        observers = self._observers(payload.resource, payload.index)
+        chain.apply(payload)
+        observers |= self._observers(payload.resource, payload.index)
+        self.stats.record_reconfig()
+        self._bump(observers)
+        return payload
 
     # -- reconfiguration paths ------------------------------------------------------
 
@@ -176,11 +264,7 @@ class MenshenPipeline:
         if not self.packet_filter.is_reconfig_packet(packet):
             raise ReconfigurationError(
                 "not a reconfiguration packet (wrong UDP port or shape)")
-        payload = self.daisy_chain.deliver(packet)
-        if payload is not None:
-            self.stats.record_reconfig()
-            self.config_epoch += 1
-        return payload
+        return self._reconfigure(packet)
 
     # -- data plane ------------------------------------------------------------------
     #
@@ -205,10 +289,7 @@ class MenshenPipeline:
 
         if verdict == PacketClass.RECONFIG:
             if self.reconfig_from_dataplane:
-                payload = self.daisy_chain.deliver(packet)
-                if payload is not None:
-                    self.stats.record_reconfig()
-                    self.config_epoch += 1
+                self._reconfigure(packet)
                 return (PipelineResult(packet=None, phv=None, dropped=True,
                                        drop_reason="reconfig_consumed"), 0)
             # Switch mode: data ports must never reach the config path.

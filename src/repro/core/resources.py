@@ -63,6 +63,11 @@ class PartitionLedger:
     def __init__(self, params: HardwareParams = DEFAULT_PARAMS):
         self.params = params
         self._allocations: Dict[int, ModuleAllocation] = {}
+        #: (stage, row/word) -> owning module, kept in step with
+        #: grant/revoke so the per-write ownership queries below are one
+        #: dict lookup instead of a scan over every allocation.
+        self._match_owner: Dict[Tuple[int, int], int] = {}
+        self._stateful_owner: Dict[Tuple[int, int], int] = {}
 
     # -- admission ----------------------------------------------------------------
 
@@ -111,17 +116,38 @@ class PartitionLedger:
                 f"{self.params.max_modules}")
         self._check_overlap(alloc)
         self._allocations[alloc.module_id] = alloc
+        for stage_idx, s in alloc.stages.items():
+            for row in range(s.match_start, s.match_end):
+                self._match_owner[stage_idx, row] = alloc.module_id
+            for addr in range(s.stateful_base, s.stateful_end):
+                self._stateful_owner[stage_idx, addr] = alloc.module_id
 
     def revoke(self, module_id: int) -> ModuleAllocation:
         if module_id not in self._allocations:
             raise AdmissionError(f"module {module_id} has no allocation")
-        return self._allocations.pop(module_id)
+        alloc = self._allocations.pop(module_id)
+        for stage_idx, s in alloc.stages.items():
+            for row in range(s.match_start, s.match_end):
+                del self._match_owner[stage_idx, row]
+            for addr in range(s.stateful_base, s.stateful_end):
+                del self._stateful_owner[stage_idx, addr]
+        return alloc
 
     def allocation_of(self, module_id: int) -> Optional[ModuleAllocation]:
         return self._allocations.get(module_id)
 
     def loaded_modules(self) -> List[int]:
         return sorted(self._allocations)
+
+    # -- ownership queries ---------------------------------------------------------
+
+    def match_owner(self, stage: int, index: int) -> Optional[int]:
+        """The module granted CAM/VLIW row ``index`` of ``stage``, if any."""
+        return self._match_owner.get((stage, index))
+
+    def stateful_owner(self, stage: int, addr: int) -> Optional[int]:
+        """The module granted stateful word ``addr`` of ``stage``, if any."""
+        return self._stateful_owner.get((stage, addr))
 
     # -- ownership checks (write-path guards) ------------------------------------
 

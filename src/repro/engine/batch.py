@@ -13,21 +13,25 @@ per-packet costs:
   is observationally identical to interleaved scalar execution.
 * **Flow caching.** Each shard owns a :class:`~repro.engine.flow_cache.
   FlowCache` memoizing pure flow transformations, keyed on the bytes the
-  module's parse program reads and validated against the pipeline's
-  ``config_epoch``. Any configuration write that lands through the daisy
-  chain — every ``repro.api`` table insert/delete, transaction, module
-  load/update/evict — bumps the epoch and thereby invalidates stale
-  entries before the next packet can observe them.
+  module's parse program reads and validated against the tenant's
+  configuration epoch, ``pipeline.epoch_of(vid)``. Any configuration
+  write that lands through the daisy chain — every ``repro.api`` table
+  insert/delete, transaction, module load/update/evict — bumps the epoch
+  of exactly the tenants whose data path can observe it and thereby
+  invalidates their stale entries before the next packet can see them;
+  a neighbour's churn leaves a tenant's entries, layout and compiled
+  classifier untouched.
 * **Compiled classification (flow cache v2).** On an exact-match miss,
   the packet is run through the tenant's
   :class:`~repro.engine.classifier.CompiledClassifier` — the installed
-  configuration flattened at the current epoch into parse-plan copies,
-  per-stage interval/hash match structures, and pre-decoded ALU op
-  tuples. A compiled hit produces the same ``(merged, phv)`` the scalar
+  configuration flattened at the tenant's current epoch into parse-plan
+  copies, per-stage interval/hash match structures, and pre-decoded ALU
+  op tuples. A compiled hit produces the same ``(merged, phv)`` the scalar
   walk would, seeds the exact-match cache (when enabled), and skips the
   interpreted pipeline entirely, so cache-hostile traffic no longer
   degrades to the scalar walk. Classifiers are rebuilt lazily when the
-  epoch moves and purged by :meth:`invalidate` alongside the shards.
+  tenant's epoch moves and purged by :meth:`invalidate` alongside the
+  shards.
 * **Certification (``check_compiled``).** Every lazy classifier rebuild
   can be statically certified equivalent to the installed tables by
   :func:`repro.analysis.equiv.certify_classifier` — ``enforce`` refuses
@@ -50,14 +54,6 @@ compiled classification → scalar pipeline fallback — with
 :class:`EngineCounters` attributing every packet to one level
 (``cache_hits`` / ``compiled_hits`` / ``classifier_fallbacks`` by
 reason) and ``compile_rebuilds`` counting epoch-driven recompiles.
-
-Epoch granularity is a deliberate tradeoff: ``config_epoch`` is
-pipeline-global because CAM/VLIW rows are physically shared (the
-pipeline cannot attribute a row write to a tenant; only the controller's
-partitioning makes rows tenant-owned). One tenant's rule churn therefore
-re-validates — i.e. re-learns, never corrupts — other tenants' cached
-flows; the API-level :meth:`invalidate` calls scope the *eager* flush
-per VID, and the global epoch is the conservative backstop.
 
 Mid-batch reconfiguration (Corundum mode, where configuration packets
 arrive on the shared ingress) is honored exactly: the engine flushes all
@@ -163,6 +159,7 @@ class EngineTenantCounters:
     uncacheable: int = 0
     drops: int = 0
     bytes_out: int = 0
+    compile_rebuilds: int = 0
 
 
 @dataclass
@@ -176,7 +173,9 @@ class EngineCounters:
     ``cache_hits``/``compiled_hits`` attribute each served packet to the
     hot-path level that produced its result; ``classifier_fallbacks``
     histograms (by reason) the packets the classifier handed back to the
-    scalar pipeline.
+    scalar pipeline. ``compile_rebuilds`` is the sum of the per-tenant
+    ``compile_rebuilds`` — a tenant's count moves only when its own
+    configuration epoch did.
 
     Aggregation (:meth:`merge_from` / :meth:`delta_since` /
     :meth:`assign_from`) is introspected from the dataclass fields by
@@ -348,9 +347,10 @@ class BatchEngine:
     def _classifier(self, vid: int, epoch: int) -> CompiledClassifier:
         clf = self._classifiers.get(vid)
         if clf is None or clf.epoch != epoch:
-            clf = compile_classifier(self.pipeline, vid, epoch)
+            clf = compile_classifier(self.pipeline, vid)
             self._classifiers[vid] = clf
             self.counters.compile_rebuilds += 1
+            self.counters.tenant(vid).compile_rebuilds += 1
             if self.check_compiled != "off":
                 self._certify(vid, clf)
         return clf
@@ -380,9 +380,8 @@ class BatchEngine:
         fallbacks = self.counters.classifier_fallbacks
         fallbacks[reason] = fallbacks.get(reason, 0) + 1
 
-    def _layout(self, vid: int) -> _ModuleLayout:
+    def _layout(self, vid: int, epoch: int) -> _ModuleLayout:
         layout = self._layouts.get(vid)
-        epoch = self.pipeline.config_epoch
         if layout is None or layout.epoch != epoch:
             parse = self.pipeline.parser.read_program(vid)
             deparse = self.pipeline.deparser.read_program(vid)
@@ -477,12 +476,12 @@ class BatchEngine:
                      slot: int) -> Tuple[Optional[Packet], object, int, bool]:
         """Serve one admitted packet: cache hit -> compiled -> scalar."""
         pipeline = self.pipeline
-        epoch = pipeline.config_epoch
+        epoch = pipeline.epoch_of(vid)
         key = None
         layout = None
         fits_window = False
         if self.enable_cache or self.enable_classifier:
-            layout = self._layout(vid)
+            layout = self._layout(vid, epoch)
             window = min(len(packet), pipeline.params.parse_window_bytes)
             fits_window = layout.max_end <= window
 

@@ -5,7 +5,7 @@ helps traffic that *repeats* flows: uniform or adversarial flow churn
 degrades every packet to the scalar stage-by-stage RMT walk. This module
 follows the NuevoMatchUp direction ("Scaling Open vSwitch with a
 Computational Cache", NSDI '22): compile each tenant's *installed
-configuration* at one ``config_epoch`` into a flat decision structure,
+configuration* at one tenant epoch into a flat decision structure,
 so cache **misses** — and ternary matches — also skip the interpreted
 pipeline walk.
 
@@ -45,7 +45,8 @@ packet takes the interpreted walk, exactly as before. Compilation never
 widens behavior; ``tests/test_engine_differential.py`` pins the
 compiled path packet-for-packet against the oracle.
 
-Classifiers are rebuilt lazily when ``config_epoch`` moves and purged by
+Classifiers are rebuilt lazily when ``pipeline.epoch_of(vid)`` moves —
+a neighbour's reconfiguration does not move it — and purged by
 :meth:`BatchEngine.invalidate` alongside the flow-cache shards.
 """
 
@@ -223,7 +224,7 @@ def _compact(key: int, segments: Tuple[Tuple[int, int, int], ...]) -> int:
 
 
 class CompiledClassifier:
-    """One tenant's data path, compiled at one ``config_epoch``.
+    """One tenant's data path, compiled at one ``pipeline.epoch_of(vid)``.
 
     Build via :func:`compile_classifier`. ``ok`` is ``False`` when the
     installed configuration could not be compiled faithfully — the
@@ -395,9 +396,10 @@ class CompiledClassifier:
         return merged, phv
 
 
-def compile_classifier(pipeline: MenshenPipeline, vid: int,
-                       epoch: int) -> CompiledClassifier:
-    """Compile ``vid``'s installed configuration at ``epoch``.
+def compile_classifier(pipeline: MenshenPipeline,
+                       vid: int) -> CompiledClassifier:
+    """Compile ``vid``'s installed configuration, stamped with the
+    tenant's current epoch (``pipeline.epoch_of(vid)``).
 
     Never raises: a configuration that cannot be compiled faithfully
     (undecodable words, metadata-addressing operands — everything the
@@ -405,6 +407,7 @@ def compile_classifier(pipeline: MenshenPipeline, vid: int,
     engine routes those packets to the scalar oracle, which reproduces
     the original behavior — faults included — exactly.
     """
+    epoch = pipeline.epoch_of(vid)
     try:
         return _compile(pipeline, vid, epoch)
     except _Uncompilable as exc:

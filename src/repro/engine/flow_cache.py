@@ -4,8 +4,9 @@ A :class:`FlowCache` memoizes the *transformation* a module applies to a
 flow: the final PHV and the exact byte rewrites the deparser performed.
 Entries are keyed on the bytes the module's parse program actually reads
 (plus packet length and ingress port — the only other packet inputs the
-pipeline consumes) and stamped with the pipeline's ``config_epoch``; an
-entry learned under an older configuration never hits.
+pipeline consumes) and stamped with the tenant's configuration epoch
+(``pipeline.epoch_of(vid)``); an entry learned under an older
+configuration of *that tenant* never hits.
 
 Only *pure* results are admitted: a packet whose execution touched
 stateful memory (``LOAD``/``STORE``/``LOADD``) is not memoizable, because

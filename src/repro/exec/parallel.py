@@ -65,6 +65,8 @@ import math
 import multiprocessing
 import os
 import pickle
+import queue
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -97,6 +99,9 @@ PARALLEL_INFO = {
 }
 
 _GET_TIMEOUT_S = 600.0
+#: How long the parent blocks on the result queue between liveness
+#: checks of the worker processes.
+_POLL_S = 0.2
 
 
 def default_backend() -> str:
@@ -386,7 +391,29 @@ class _WorkerPool:
             proc.start()
 
     def get(self):
-        msg = self.to_parent.get(timeout=_GET_TIMEOUT_S)
+        """Next worker message, or a typed error within seconds of a
+        worker dying silently (SIGKILL, OOM-kill: no ``"error"`` frame is
+        ever sent, so only the exit code tells)."""
+        deadline = time.monotonic() + _GET_TIMEOUT_S
+        while True:
+            try:
+                msg = self.to_parent.get(timeout=_POLL_S)
+                break
+            except queue.Empty:
+                pass
+            for i, proc in enumerate(self.procs):
+                # A worker that finished its message loop exits 0; any
+                # other exit code means it died without reporting.
+                if proc.exitcode:
+                    raise ParallelExecError(
+                        f"worker {i} ({proc.name}, pid {proc.pid}) died "
+                        f"with exit code {proc.exitcode} without "
+                        f"reporting an error")
+            if time.monotonic() >= deadline:
+                raise ParallelExecError(
+                    f"no worker message for {_GET_TIMEOUT_S:.0f}s; "
+                    f"workers still alive: "
+                    f"{[p.name for p in self.procs if p.is_alive()]}")
         if msg[0] == "error":
             raise ParallelExecError(f"worker {msg[1]} died:\n{msg[2]}")
         return msg
@@ -417,9 +444,9 @@ class _WorkerPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=10.0)
-        for queue in [self.to_parent, *self.inboxes]:
-            queue.cancel_join_thread()
-            queue.close()
+        for channel in [self.to_parent, *self.inboxes]:
+            channel.cancel_join_thread()
+            channel.close()
 
 
 # ====================== untimed waves (process backend) ======================

@@ -77,8 +77,7 @@ def _assert_differential(scalar, engine, packets, context=""):
 class TestCompilerStructure:
     def test_exact_module_compiles_to_hash(self):
         switch, _ = _firewall_switch()
-        clf = compile_classifier(switch.pipeline, 3,
-                                 switch.pipeline.config_epoch)
+        clf = compile_classifier(switch.pipeline, 3)
         stats = clf.stats()
         assert stats.ok and stats.reason == ""
         assert stats.stages >= 1
@@ -94,7 +93,7 @@ class TestCompilerStructure:
                 blocked_prefixes=[("10.66.0.0", 16)], default_port=3)
 
         _scalar, batched, _ctl, engine = _ternary_pair(install)
-        clf = compile_classifier(batched, 2, batched.config_epoch)
+        clf = compile_classifier(batched, 2)
         stats = clf.stats()
         assert stats.ok
         assert stats.intervals >= 2        # blocked range + default pieces
@@ -117,7 +116,7 @@ class TestCompilerStructure:
             firewall.install_prefix(Tenant.attach(ctl, 2), default_port=5)
 
         scalar, batched, _ctl, engine = _ternary_pair(install)
-        clf = compile_classifier(batched, 2, batched.config_epoch)
+        clf = compile_classifier(batched, 2)
         stats = clf.stats()
         assert stats.ok
         assert stats.residual_entries >= 2
@@ -148,8 +147,7 @@ class TestCompilerStructure:
     def test_stateful_leaves_are_counted_and_bail(self):
         switch = Switch.build().create()
         workload("netcache").admit(switch, vid=4)
-        clf = compile_classifier(switch.pipeline, 4,
-                                 switch.pipeline.config_epoch)
+        clf = compile_classifier(switch.pipeline, 4)
         assert clf.ok
         assert clf.stats().stateful_leaves >= 1
 
@@ -161,7 +159,7 @@ class TestCompilerStructure:
             cmp_op=CmpOp.EQ,
             cmp_a=ContainerRef(ContainerType.META, 0), cmp_b=0)
         pipeline.stages[stage].key_extract_table.write(3, entry.encode())
-        clf = compile_classifier(pipeline, 3, pipeline.config_epoch)
+        clf = compile_classifier(pipeline, 3)
         assert not clf.ok
         assert "metadata" in clf.reason
 
@@ -256,7 +254,7 @@ class TestRebuildAndPurge:
         engine.process(spec.flow_packet(3, 1))
         assert engine.counters.compile_rebuilds == 2
         (stats,) = engine.classifier_stats().values()
-        assert stats.epoch == switch.pipeline.config_epoch
+        assert stats.epoch == switch.pipeline.epoch_of(3)
 
     def test_invalidate_purges_classifiers(self):
         _switch, engine = _firewall_switch(enable_classifier=True)
@@ -422,7 +420,7 @@ class TestMidBatchLayoutStaleness:
         # The layout served after the barrier is the rewritten one, not
         # the one cached when the batch started.
         layout = engine._layouts[3]
-        assert layout.epoch == batched.pipeline.config_epoch
+        assert layout.epoch == batched.pipeline.epoch_of(3)
         assert len(layout.regions) == 1
         # And the rewrite is observable: some flow that appears on both
         # sides of the barrier changed its scalar verdict, so the

@@ -218,7 +218,8 @@ def test_api_reconfig_mid_stream_invalidates():
 
 
 def test_module_update_and_evict_invalidate():
-    """tenant.update()/evict() flush the tenant's cached flows."""
+    """tenant.update()/evict() flush that tenant's cached flows and
+    nobody else's."""
     fw = workload("firewall")
     qos = workload("qos")
     scalar, batched, engine = build_pair([(1, fw), (2, qos)])
@@ -230,6 +231,8 @@ def test_module_update_and_evict_invalidate():
         scalar.process(pkt_qos.copy())
         engine.process_batch([pkt_fw.copy(), pkt_qos.copy()])
     assert engine.shard(1).stats.hits > 0
+    epoch_1_before = batched.pipeline.epoch_of(1)
+    epoch_2_before = batched.pipeline.epoch_of(2)
 
     # Replace tenant 1's program with the same source but no rules:
     # every flow now takes the default path.
@@ -239,6 +242,7 @@ def test_module_update_and_evict_invalidate():
     b = engine.process(pkt_fw.copy())
     assert_equivalent([a], [b], "post-update")
     assert a.egress_port == 0  # the allow rule is gone
+    assert not b.cache_hit     # tenant 1's old entries are unreachable
 
     # Evicting drops the module: packets become unknown_module drops.
     for switch in (scalar, batched):
@@ -248,13 +252,22 @@ def test_module_update_and_evict_invalidate():
     assert_equivalent([a], [b], "post-evict")
     assert b.drop_reason == "unknown_module"
     assert len(engine.shard(1)) == 0
-    # The untouched tenant's entries survive the eviction (only the
-    # evicted VID's shard was flushed). They were stamped under an older
-    # global epoch, so they re-validate lazily: next packet re-learns.
-    assert len(engine.shard(2)) > 0
+    # The evicted tenant's own artifacts are unreachable: its epoch moved
+    # past anything that was ever compiled or memoized for it.
+    assert 1 not in engine.classifier_stats()
+    assert batched.pipeline.epoch_of(1) != epoch_1_before
+    # The untouched tenant never noticed: its epoch did not move, so its
+    # entries are still live — a hit, not a re-learn — and still agree
+    # with the scalar oracle byte for byte.
+    assert batched.pipeline.epoch_of(2) == epoch_2_before
+    rebuilds = engine.counters.tenant(2).compile_rebuilds
+    invalidations = engine.shard(2).stats.invalidations
+    a = scalar.process(pkt_qos.copy())
     c = engine.process(pkt_qos.copy())
-    assert not c.cache_hit                      # re-learned, not stale
-    assert engine.process(pkt_qos.copy()).cache_hit  # and hot again
+    assert c.cache_hit
+    assert_equivalent([a], [c], "untouched-tenant")
+    assert engine.counters.tenant(2).compile_rebuilds == rebuilds
+    assert engine.shard(2).stats.invalidations == invalidations
 
 
 # ---------------------------------------------------------------------------

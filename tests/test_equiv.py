@@ -121,7 +121,7 @@ MUTATION_CASES = [
 
 
 def _compile(pipeline, vid):
-    return compile_classifier(pipeline, vid, pipeline.config_epoch)
+    return compile_classifier(pipeline, vid)
 
 
 def _oracle_disagrees(pipeline, clf, vid, packet_hex):
@@ -157,7 +157,7 @@ class TestStockModulesCertify:
                  pipeline.config_epoch)
         assert certificate.ok, certificate.render()
         assert certificate.vid == vid
-        assert certificate.epoch == pipeline.config_epoch
+        assert certificate.epoch == pipeline.epoch_of(vid)
         assert before == after, "certification must be zero-traffic"
 
     @pytest.mark.parametrize("fixture", sorted(FIXTURES))
@@ -177,6 +177,38 @@ class TestStockModulesCertify:
         assert names == sorted(names, key=order.__getitem__)
         statuses = {o.status for o in certificate.obligations}
         assert statuses <= {"proved", "skipped"}
+
+    def test_epoch_obligation_tracks_the_tenants_own_writes_only(self):
+        """An artifact goes stale when its *own* tenant is written, and
+        stays provable through any amount of neighbour churn."""
+        fw, qos = workload("firewall"), workload("qos")
+        switch = Switch.build().create()
+        own = fw.admit(switch, vid=3)
+        neighbour = qos.admit(switch, vid=5)
+        pipeline = switch.pipeline
+        clf = _compile(pipeline, 3)
+
+        table = neighbour.table(neighbour.tables()[0])
+        table.delete(table.handles()[0])
+        neighbour.update(qos.source)
+        neighbour.evict()
+        certificate = certify_classifier(pipeline, clf)
+        assert certificate.ok, certificate.render()
+        by_name = {o.name: o for o in certificate.obligations}
+        assert by_name["epoch"].status == "proved"
+
+        acl = own.table("acl")
+        acl.delete(acl.handles()[0])
+        certificate = certify_classifier(pipeline, clf)
+        assert not certificate.ok
+        by_name = {o.name: o for o in certificate.obligations}
+        assert by_name["epoch"].status == "violated"
+        assert "vid 3" in by_name["epoch"].detail
+        # Only ``epoch`` is judged on a stale artifact; a recompile at
+        # the tenant's new epoch certifies again.
+        assert {o.name for o in certificate.obligations
+                if o.status == "violated"} == {"epoch"}
+        assert certify_classifier(pipeline, vid=3).ok
 
     def test_uncompilable_classifier_gets_reason_checked(self):
         """A refused compile is certified for *refusal accuracy*, not

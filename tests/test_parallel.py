@@ -19,7 +19,11 @@ Four contracts lock the backend to the serial oracle:
 """
 
 import dataclasses
+import multiprocessing
+import os
 import pickle
+import signal
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -34,6 +38,7 @@ from repro.engine.batch import EngineCounters
 from repro.errors import ParallelExecError
 from repro.exec import LostRecord
 from repro.exec.parallel import (
+    FabricOp,
     LinkStateOp,
     TenantUpdateOp,
     WorkerShard,
@@ -520,3 +525,37 @@ class TestTimelineParity:
         out_p = fp.process_batch([("leaf0", p.copy()) for p in batch])
         assert [p.tobytes() for p in out_p.delivered_for(1)] == \
             [p.tobytes() for p in out_s.delivered_for(1)]
+
+
+# -- worker death ---------------------------------------------------------------
+
+
+@dataclass
+class _KillWorkerOp(FabricOp):
+    """SIGKILLs whichever worker owns ``switch`` — the OOM-killer's
+    view of a shard: no traceback, no ``"error"`` frame, just gone."""
+
+    switch: str
+
+    def apply_worker(self, shard):
+        if self.switch in shard.by_name:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestWorkerDeath:
+    def test_sigkilled_worker_is_a_prompt_typed_error(self):
+        """The parent must notice the dead worker's exit code within
+        seconds instead of blocking on the result queue, and tear the
+        rest of the fleet down."""
+        experiment = FabricTimelineExperiment(
+            build_fabric(), build_matrix(), duration_s=1e-3,
+            backend="process", workers=2)
+        experiment.schedule_reconfig(
+            1, start_s=5e-4, op=_KillWorkerOp(switch="spine0"))
+        started = time.monotonic()
+        with pytest.raises(ParallelExecError, match=r"worker 1 .*-9"):
+            experiment.run()
+        assert time.monotonic() - started < 10.0
+        # shutdown() ran in the backend's ``finally``: nobody left behind.
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-exec-")]
