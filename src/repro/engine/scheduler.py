@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
 from ..net.packet import Packet
@@ -117,18 +117,17 @@ class _PortState:
 
     Each FIFO entry is ``(rank, seq, packet)``; ``seq`` is a port-wide
     arrival counter so equal ranks stay FIFO-stable, like the hardware
-    PIFO block.
+    PIFO block. ``queued`` is the number of entries across all FIFOs,
+    kept in step by the scheduler so the port's backlog is one read.
     """
 
-    __slots__ = ("ranker", "fifos", "seq")
+    __slots__ = ("ranker", "fifos", "seq", "queued")
 
     def __init__(self, ranker: StfqRanker):
         self.ranker = ranker
         self.fifos: Dict[int, Deque[Tuple[float, int, Packet]]] = {}
         self.seq = 0
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self.fifos.values())
+        self.queued = 0
 
 
 #: ``(vid, rank, packet, serve_time)`` — one scheduling decision.
@@ -174,6 +173,12 @@ class EgressScheduler:
         self.port_rate_bps: Dict[int, float] = {}
         self._weights: Dict[int, float] = {}
         self._ports = [_PortState(StfqRanker({})) for _ in range(num_ports)]
+        #: Ports with at least one queued packet. Timed service and the
+        #: next-departure query walk this index (in ascending port
+        #: order), never every port: an idle port has nothing to choose.
+        self._backlogged: Set[int] = set()
+        #: vid -> packets queued across all ports (the depth gauge).
+        self._depth: Dict[int, int] = {}
         self._mcast_groups: Dict[int, List[int]] = {}
         self._buckets: Dict[int, TokenBucket] = {}
         self._stats = stats
@@ -241,11 +246,15 @@ class EgressScheduler:
             fifo = state.fifos.pop(vid, None)
             if fifo:
                 purged.extend(packet for _rank, _seq, packet in fifo)
+                state.queued -= len(fifo)
+                if not state.queued:
+                    self._backlogged.discard(port)
             state.ranker.weights.pop(vid, None)
             state.ranker._last_finish.pop(vid, None)
             self._throttle_marks.pop((port, vid), None)
         self._weights.pop(vid, None)
         self._buckets.pop(vid, None)
+        self._depth.pop(vid, None)
         self._feed_depth(vid)
         self.per_tenant.pop(vid, None)
         return purged
@@ -274,12 +283,15 @@ class EgressScheduler:
             entries.sort()
             dropped.extend((port, vid, packet)
                            for _seq, vid, packet in entries)
-            vids = sorted(state.fifos)
             state.fifos.clear()
+            state.queued = 0
             state.ranker._last_finish.clear()
             state.seq = 0
-            for vid in vids:
-                self._feed_depth(vid)
+        self._backlogged.clear()
+        scrubbed = [vid for vid, depth in self._depth.items() if depth]
+        self._depth.clear()
+        for vid in scrubbed:
+            self._feed_depth(vid)
         self._throttle_marks.clear()
         return dropped
 
@@ -327,14 +339,14 @@ class EgressScheduler:
 
     def queue_len(self, port: int) -> int:
         self._check_port(port)
-        return len(self._ports[port])
+        return self._ports[port].queued
 
     def total_queued(self) -> int:
-        return sum(len(p) for p in self._ports)
+        return sum(self._ports[port].queued for port in self._backlogged)
 
     def queue_depth(self, vid: int) -> int:
         """Packets of one tenant currently queued, across all ports."""
-        return sum(len(p.fifos.get(vid, ())) for p in self._ports)
+        return self._depth.get(vid, 0)
 
     def transmitted_bytes(self, vid: int) -> int:
         return self.tenant(vid).transmitted_bytes
@@ -353,7 +365,7 @@ class EgressScheduler:
     def _enqueue_one(self, packet: Packet, port: int, vid: int) -> bool:
         state = self._ports[port]
         if (self.queue_capacity is not None
-                and len(state) >= self.queue_capacity):
+                and state.queued >= self.queue_capacity):
             self.dropped += 1
             self.tenant(vid).dropped += 1
             return False
@@ -363,6 +375,9 @@ class EgressScheduler:
             fifo = state.fifos[vid] = deque()
         fifo.append((rank, state.seq, packet))
         state.seq += 1
+        state.queued += 1
+        self._backlogged.add(port)
+        self._depth[vid] = self._depth.get(vid, 0) + 1
         self.enqueued += 1
         self.tenant(vid).enqueued += 1
         self._feed_depth(vid)
@@ -398,18 +413,18 @@ class EgressScheduler:
             return 0.0
         return nbytes * 8.0 / rate
 
-    def _choose(self, port: int, now: float,
-                wait_for_tokens: bool) -> Optional[_Choice]:
-        """The next packet to serve on ``port`` at ``now``.
+    def _choose(self, port: int, now: float) -> _Choice:
+        """The next packet to serve on backlogged ``port`` at ``now``.
 
         PIFO pop with rate gating: among queue heads whose tenant has
         tokens, the smallest ``(rank, seq)``; throttled tenants are
         overtaken (work conservation). When *every* backlogged tenant is
-        throttled and ``wait_for_tokens`` is set, the choice is the head
-        that becomes eligible first — its serve time is in the future,
-        and serving it idles the link until then (that is how a rate cap
-        below link speed actually caps throughput). Mutates nothing but
-        the ``throttled_waits`` telemetry (one count per delayed packet,
+        throttled, the choice is the head that becomes eligible first —
+        its serve time is in the future, and serving it idles the link
+        until then (that is how a rate cap below link speed actually
+        caps throughput). Callers check the port's queued count first:
+        an idle port has no choice to make. Mutates nothing but the
+        ``throttled_waits`` telemetry (one count per delayed packet,
         deduplicated across scans via ``_throttle_marks``).
         """
         state = self._ports[port]
@@ -432,10 +447,10 @@ class EgressScheduler:
         if best is not None:
             rank, _seq, vid, at = best
             return (vid, rank, state.fifos[vid][0][2], now)
-        if waiting is not None and wait_for_tokens:
-            at, rank, _seq, vid = waiting
-            return (vid, rank, state.fifos[vid][0][2], at)
-        return None
+        if waiting is None:
+            raise ConfigError(f"port {port} has nothing queued")
+        at, rank, _seq, vid = waiting
+        return (vid, rank, state.fifos[vid][0][2], at)
 
     def _serve(self, choice: _Choice, port: int) -> Departure:
         vid, rank, packet, at = choice
@@ -444,23 +459,29 @@ class EgressScheduler:
         fifo.popleft()
         if not fifo:
             del state.fifos[vid]
+        state.queued -= 1
+        if not state.queued:
+            self._backlogged.discard(port)
+        self._depth[vid] -= 1
         state.ranker.on_dequeue(rank)
         self._throttle_marks.pop((port, vid), None)
+        nbytes = len(packet)
         start = max(at, self.port_clock[port])
         bucket = self._buckets.get(vid)
         if bucket is not None:
-            bucket.consume(len(packet), start)
-        self.port_clock[port] = start + self._tx_seconds(len(packet), port)
+            bucket.consume(nbytes, start)
+        finish = start + self._tx_seconds(nbytes, port)
+        self.port_clock[port] = finish
         self.dequeued += 1
-        self.bytes_out[port] += len(packet)
+        self.bytes_out[port] += nbytes
         counters = self.tenant(vid)
         counters.transmitted += 1
-        counters.transmitted_bytes += len(packet)
+        counters.transmitted_bytes += nbytes
         if self._stats is not None:
-            self._stats.record_egress_tx(vid, len(packet))
+            self._stats.record_egress_tx(vid, nbytes)
         self._feed_depth(vid)
         return Departure(packet=packet, port=port, module_id=vid,
-                         time=self.port_clock[port])
+                         time=finish)
 
     # -- service (TrafficManager-compatible + scheduled extensions) --------------
 
@@ -473,10 +494,9 @@ class EgressScheduler:
         drain-everything callers.
         """
         self._check_port(port)
-        choice = self._choose(port, self.port_clock[port],
-                              wait_for_tokens=True)
-        if choice is None:
+        if not self._ports[port].queued:
             return None
+        choice = self._choose(port, self.port_clock[port])
         return self._serve(choice, port).packet
 
     def drain(self, port: int) -> List[Packet]:
@@ -496,11 +516,9 @@ class EgressScheduler:
         bytes served — the measurement the fairness assertions use."""
         self._check_port(port)
         served: Dict[int, int] = {}
-        while budget_bytes > 0:
-            choice = self._choose(port, self.port_clock[port],
-                                  wait_for_tokens=True)
-            if choice is None:
-                break
+        state = self._ports[port]
+        while budget_bytes > 0 and state.queued:
+            choice = self._choose(port, self.port_clock[port])
             departure = self._serve(choice, port)
             size = len(departure.packet)
             served[departure.module_id] = (
@@ -511,19 +529,31 @@ class EgressScheduler:
     def next_departure_at(self, port: int) -> Optional[float]:
         """When the next packet on ``port`` would finish transmitting.
 
-        ``None`` when the port is idle. This is the event-driven hook
-        the fabric timeline (:mod:`repro.sim.fabric_timeline`) uses to
-        schedule its next service event exactly, instead of polling the
-        scheduler on a fixed tick. Pure query: mutates nothing but the
-        ``throttled_waits`` telemetry (same caveat as scheduling scans).
+        ``None`` when the port is idle (answered from the port's queued
+        count, without a scheduling scan). This is the event-driven
+        hook the fabric timeline (:mod:`repro.sim.fabric_timeline`)
+        uses to schedule its next service event exactly, instead of
+        polling the scheduler on a fixed tick. Pure query: mutates
+        nothing but the ``throttled_waits`` telemetry (same caveat as
+        scheduling scans).
         """
         self._check_port(port)
-        choice = self._choose(port, self.port_clock[port],
-                              wait_for_tokens=True)
-        if choice is None:
+        if not self._ports[port].queued:
             return None
+        choice = self._choose(port, self.port_clock[port])
         start = max(choice[3], self.port_clock[port])
         return start + self._tx_seconds(len(choice[2]), port)
+
+    def next_departures(self) -> List[Tuple[int, float]]:
+        """``(port, next_departure_at(port))`` for every backlogged
+        port, in ascending port order — idle ports are not visited.
+
+        Every backlogged port is asked, not only ports touched since
+        the last call: token buckets are per tenant, so a service on
+        one port moves that tenant's eligibility on another.
+        """
+        return [(port, at) for port in sorted(self._backlogged)
+                if (at := self.next_departure_at(port)) is not None]
 
     def advance_to(self, now: float) -> List[Departure]:
         """Serve every packet whose transmission completes by ``now``.
@@ -535,20 +565,19 @@ class EgressScheduler:
         :class:`Departure` carries its timestamp, so latency under
         contention is measurable. Without a line rate, everything
         eligible departs instantaneously. Departures are returned in
-        timestamp order across ports.
+        timestamp order across ports. Only backlogged ports are
+        scheduled (ascending port order); a port with nothing to send
+        just idles forward to ``now``.
         """
         departures: List[Departure] = []
-        for port in range(self.num_ports):
-            if now < self.port_clock[port]:
+        clocks = self.port_clock
+        for port in sorted(self._backlogged):
+            if now < clocks[port]:
                 continue
-            while True:
-                choice = self._choose(port, self.port_clock[port],
-                                      wait_for_tokens=True)
-                if choice is None:
-                    self.port_clock[port] = max(self.port_clock[port],
-                                                now)
-                    break
-                start = max(choice[3], self.port_clock[port])
+            state = self._ports[port]
+            while state.queued:
+                choice = self._choose(port, clocks[port])
+                start = max(choice[3], clocks[port])
                 if start + self._tx_seconds(len(choice[2]), port) > now:
                     # The next transmission is committed to begin at
                     # ``start`` (it finishes past ``now``); the port
@@ -557,11 +586,15 @@ class EgressScheduler:
                     # transmission would re-delay its start, and a
                     # busy port fed by frequent events would slip
                     # unboundedly below line rate.
-                    self.port_clock[port] = max(self.port_clock[port],
-                                                min(now, start))
+                    clocks[port] = max(clocks[port], min(now, start))
                     break
                 departures.append(self._serve(choice, port))
+        backlogged = self._backlogged
+        for port, clock in enumerate(clocks):
+            if clock < now and port not in backlogged:
+                clocks[port] = now
         for bucket in self._buckets.values():
             bucket.refill(now)
-        departures.sort(key=lambda dep: dep.time)
+        if len(departures) > 1:
+            departures.sort(key=lambda dep: dep.time)
         return departures

@@ -19,13 +19,13 @@ members — a whole :class:`~repro.fabric.topology.Fabric`, or one
 switch wrapped in :class:`SwitchMember`) and by **timing policy**
 (``sim=None`` runs untimed waves in service order; passing a
 :class:`~repro.sim.kernel.Simulator` runs exact event-driven service
-from :meth:`~repro.engine.scheduler.EgressScheduler.next_departure_at`).
+from :meth:`~repro.engine.scheduler.EgressScheduler.next_departures`).
 Frontends shrink to result shaping: they feed arrivals in and observe
 outcomes through an :class:`ExecutionSink`.
 
 A *member* is anything with the fabric-switch surface: ``name``,
 ``engine`` (``process_batch``), ``scheduler`` (drain / ``advance_to`` /
-``next_departure_at``), ``links`` (port -> link; absent ports face
+``next_departures``), ``links`` (port -> link; absent ports face
 hosts), ``num_ports``. A *link* needs ``up``, ``name``, ``delay_s``,
 ``record(vid, nbytes)``, and ``other_end(name)``.
 
@@ -307,20 +307,20 @@ class ExecutionCore:
 
     # -- event-driven policy: exact service on the simulation kernel -------------
 
-    def schedule_services(self, member) -> None:
-        """Schedule each port's next service event exactly, from
-        :meth:`~repro.engine.scheduler.EgressScheduler.
-        next_departure_at` — transmission finish times are the event
-        times, never a polling tick."""
-        scheduler = member.scheduler
-        for port in range(member.num_ports):
-            at = scheduler.next_departure_at(port)
-            if at is None:
-                continue
+    def schedule_services(self, member, scheduler) -> None:
+        """Schedule each backlogged port's next service event exactly,
+        from :meth:`~repro.engine.scheduler.EgressScheduler.
+        next_departures` — transmission finish times are the event
+        times, never a polling tick, and idle ports are not asked.
+        ``scheduler`` is ``member.scheduler``, resolved once by the
+        event that calls this."""
+        pending = self._pending
+        for port, at in scheduler.next_departures():
             key = (member.name, port)
-            if key in self._pending and self._pending[key] <= at + 1e-15:
+            held = pending.get(key)
+            if held is not None and held <= at + 1e-15:
                 continue
-            self._pending[key] = at
+            pending[key] = at
             self.sim.schedule(max(0.0, at - self.sim.now),
                               lambda m=member, p=port, t=at:
                               self._service(m, p, t))
@@ -328,8 +328,11 @@ class ExecutionCore:
     def _service(self, member, port: int, t: float) -> None:
         if self._pending.get((member.name, port), None) == t:
             del self._pending[(member.name, port)]
-        self.route_departures(member, member.scheduler.advance_to(t))
-        self.schedule_services(member)
+        scheduler = member.scheduler
+        departures = scheduler.advance_to(t)
+        if departures:
+            self.route_departures(member, departures)
+        self.schedule_services(member, scheduler)
 
     def route_departures(self, member, departures) -> None:
         """Route :class:`~repro.engine.scheduler.Departure` records —
@@ -367,9 +370,12 @@ class ExecutionCore:
                               vid_of(packet), packet,
                               f"switch:{member.name}", t)
             return
-        self.route_departures(member, member.scheduler.advance_to(t))
+        scheduler = member.scheduler
+        departures = scheduler.advance_to(t)
+        if departures:
+            self.route_departures(member, departures)
         self._serve_batch(member, [packet])
-        self.schedule_services(member)
+        self.schedule_services(member, scheduler)
 
     # -- clock-driven policy: explicit advance (single-switch timeline) ----------
 
@@ -389,10 +395,7 @@ class ExecutionCore:
         """
         scheduler = member.scheduler
         while scheduler.total_queued():
-            horizon = scheduler.clock + step_s
-            nexts = [scheduler.next_departure_at(port)
-                     for port in range(scheduler.num_ports)]
-            nexts = [t for t in nexts if t is not None]
-            if nexts:
-                horizon = max(horizon, min(nexts))
+            horizon = max(
+                scheduler.clock + step_s,
+                min(at for _port, at in scheduler.next_departures()))
             self.advance_member(member, horizon)

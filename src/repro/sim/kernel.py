@@ -1,16 +1,16 @@
 """A minimal discrete-event simulation kernel.
 
-Classic event-queue design: events are (time, sequence, callback)
-triples in a heap; :meth:`Simulator.run` pops them in time order. The
-sequence number makes simultaneous events deterministic (FIFO) and keeps
-heap comparisons away from unorderable callbacks.
+Classic event-queue design: the heap holds ``(time, sequence, event)``
+tuples; :meth:`Simulator.run` pops them in time order. The sequence
+number makes simultaneous events deterministic (FIFO), and because it
+is unique the tuple comparison is decided on the first two fields, in
+C — it never reaches the :class:`Event` or its unorderable callback.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ReproError
 
@@ -19,12 +19,18 @@ class SimulationError(ReproError):
     """Scheduling into the past or other kernel misuse."""
 
 
-@dataclass(order=True)
 class Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """The handle :meth:`Simulator.schedule` returns: cancel it and the
+    kernel skips it when its time comes."""
+
+    __slots__ = ("time", "seq", "callback", "cancelled")
+
+    def __init__(self, time: float, seq: int,
+                 callback: Callable[[], None]) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -35,7 +41,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self.events_processed = 0
 
@@ -44,10 +50,9 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
-        event = Event(time=self.now + delay, seq=self._seq,
-                      callback=callback)
+        event = Event(self.now + delay, self._seq, callback)
         self._seq += 1
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
 
     def schedule_at(self, time: float,
@@ -60,17 +65,18 @@ class Simulator:
         """Process events until the queue empties, ``until`` passes, or
         ``max_events`` fire. Returns the final clock value."""
         processed = 0
-        while self._queue:
+        queue = self._queue
+        while queue:
             if max_events is not None and processed >= max_events:
                 break
-            event = self._queue[0]
-            if until is not None and event.time > until:
+            time, _seq, event = queue[0]
+            if until is not None and time > until:
                 self.now = until
                 break
-            heapq.heappop(self._queue)
+            heapq.heappop(queue)
             if event.cancelled:
                 continue
-            self.now = event.time
+            self.now = time
             event.callback()
             processed += 1
             self.events_processed += 1
@@ -80,4 +86,5 @@ class Simulator:
         return self.now
 
     def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _time, _seq, event in self._queue
+                   if not event.cancelled)

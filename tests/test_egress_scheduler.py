@@ -11,6 +11,7 @@ order preservation, the real-time statistics feed, `Tenant.set_weight`
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Switch, Tenant
 from repro.core import MenshenPipeline, PipelineStats
@@ -462,3 +463,211 @@ class TestEventDrivenClockSemantics:
         assert sched.port_rate_of(1) == 1e6
         with pytest.raises(ConfigError):
             sched.set_port_rate(0, -1.0)
+
+
+# ------------------------------------------- backlogged-port index model
+
+class _AllPortsReference(EgressScheduler):
+    """The scheduler without its indexes, as the model to test against.
+
+    Every answer is derived from the per-port FIFOs by walking *all*
+    ports: nothing here reads the backlogged-port set, the per-port
+    queued count or the per-tenant depth count, so an index that drifts
+    from the queues shows up as a disagreement. Ranking, rate gating
+    and the serve bookkeeping are the shared ``_choose`` / ``_serve``.
+    """
+
+    def _queued(self, port):
+        return sum(len(fifo) for fifo in self._ports[port].fifos.values())
+
+    def queue_len(self, port):
+        self._check_port(port)
+        return self._queued(port)
+
+    def total_queued(self):
+        return sum(self._queued(port) for port in range(self.num_ports))
+
+    def queue_depth(self, vid):
+        return sum(len(state.fifos.get(vid, ())) for state in self._ports)
+
+    def _enqueue_one(self, packet, port, vid):
+        if (self.queue_capacity is not None
+                and self._queued(port) >= self.queue_capacity):
+            self.dropped += 1
+            self.tenant(vid).dropped += 1
+            return False
+        # capacity decided here; the shared tail only appends
+        capacity, self.queue_capacity = self.queue_capacity, None
+        try:
+            return super()._enqueue_one(packet, port, vid)
+        finally:
+            self.queue_capacity = capacity
+
+    def dequeue(self, port):
+        self._check_port(port)
+        if not self._ports[port].fifos:
+            return None
+        return self._serve(
+            self._choose(port, self.port_clock[port]), port).packet
+
+    def drain_bytes(self, port, budget_bytes):
+        self._check_port(port)
+        served = {}
+        while budget_bytes > 0 and self._ports[port].fifos:
+            dep = self._serve(
+                self._choose(port, self.port_clock[port]), port)
+            served[dep.module_id] = \
+                served.get(dep.module_id, 0) + len(dep.packet)
+            budget_bytes -= len(dep.packet)
+        return served
+
+    def next_departure_at(self, port):
+        self._check_port(port)
+        if not self._ports[port].fifos:
+            return None
+        choice = self._choose(port, self.port_clock[port])
+        start = max(choice[3], self.port_clock[port])
+        return start + self._tx_seconds(len(choice[2]), port)
+
+    def next_departures(self):
+        nexts = [(port, self.next_departure_at(port))
+                 for port in range(self.num_ports)]
+        return [(port, at) for port, at in nexts if at is not None]
+
+    def advance_to(self, now):
+        departures = []
+        for port in range(self.num_ports):
+            if now < self.port_clock[port]:
+                continue
+            while True:
+                if not self._ports[port].fifos:
+                    self.port_clock[port] = max(self.port_clock[port], now)
+                    break
+                choice = self._choose(port, self.port_clock[port])
+                start = max(choice[3], self.port_clock[port])
+                if start + self._tx_seconds(len(choice[2]), port) > now:
+                    self.port_clock[port] = max(self.port_clock[port],
+                                                min(now, start))
+                    break
+                departures.append(self._serve(choice, port))
+        for bucket in self._buckets.values():
+            bucket.refill(now)
+        departures.sort(key=lambda dep: dep.time)
+        return departures
+
+
+_MODEL_PORTS = 3
+_MODEL_VIDS = (1, 2, 3)
+_MODEL_PACKETS = {(size, vid): pkt(size, vid)
+                  for size in (64, 200, 1000) for vid in _MODEL_VIDS}
+
+_port = st.integers(0, _MODEL_PORTS - 1)
+_vid = st.sampled_from(_MODEL_VIDS)
+_model_op = st.one_of(
+    st.tuples(st.just("enqueue"), _port, _vid,
+              st.sampled_from((64, 200, 1000)), st.sampled_from((0, 0, 1))),
+    st.tuples(st.just("advance"),
+              st.sampled_from((0.0, 1e-6, 1e-4, 1.6e-3, 8e-3, 0.05))),
+    st.tuples(st.just("dequeue"), _port),
+    st.tuples(st.just("drain_bytes"), _port,
+              st.sampled_from((1, 300, 1500))),
+    st.tuples(st.just("set_weight"), _vid,
+              st.sampled_from((0.5, 1.0, 4.0))),
+    st.tuples(st.just("set_rate_limit"), _vid,
+              st.sampled_from((2e4, 1e5, 1e6)),
+              st.sampled_from((None, 100.0, 1500.0))),
+    st.tuples(st.just("clear_rate_limit"), _vid),
+    st.tuples(st.just("set_port_rate"), _port,
+              st.sampled_from((1e5, 1e6, 1e8))),
+    st.tuples(st.just("purge"), _vid),
+    st.tuples(st.just("drop_queued")),
+)
+
+
+def _tags(packets):
+    return [packet.arrival_time for packet in packets]
+
+
+class TestBackloggedPortIndexModel:
+    """Random operation interleavings: the indexed scheduler and the
+    all-ports reference must stay indistinguishable."""
+
+    @staticmethod
+    def _apply(sched, op, serial, now):
+        """Run one op; returns what a caller could observe from it."""
+        kind = op[0]
+        if kind == "enqueue":
+            _, port, vid, size, group = op
+            packet = _MODEL_PACKETS[(size, vid)].copy()
+            packet.arrival_time = float(serial)  # identity tag
+            return sched.enqueue(packet, port, mcast_group=group,
+                                 module_id=vid)
+        if kind == "advance":
+            return [(dep.port, dep.module_id, dep.time,
+                     dep.packet.arrival_time)
+                    for dep in sched.advance_to(now)]
+        if kind == "dequeue":
+            packet = sched.dequeue(op[1])
+            return None if packet is None else packet.arrival_time
+        if kind == "drain_bytes":
+            return sched.drain_bytes(op[1], op[2])
+        if kind == "purge":
+            return _tags(sched.purge(op[1]))
+        if kind == "drop_queued":
+            return [(port, vid, packet.arrival_time)
+                    for port, vid, packet in sched.drop_queued()]
+        return getattr(sched, kind)(*op[1:])
+
+    @staticmethod
+    def _observe(sched, stats):
+        return {
+            "clock": list(sched.port_clock),
+            "next": [sched.next_departure_at(port)
+                     for port in range(_MODEL_PORTS)],
+            "nexts": sched.next_departures(),
+            "queue_len": [sched.queue_len(port)
+                          for port in range(_MODEL_PORTS)],
+            "depth": {vid: sched.queue_depth(vid) for vid in _MODEL_VIDS},
+            "total": sched.total_queued(),
+            "gauge": dict(stats.egress_queue_depth),
+            "tenants": {vid: vars(counters).copy()
+                        for vid, counters in sched.per_tenant.items()},
+            "totals": (sched.enqueued, sched.dequeued, sched.dropped,
+                       list(sched.bytes_out)),
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((None, 2)), st.sampled_from((None, 1e6)),
+           st.lists(_model_op, min_size=1, max_size=40))
+    def test_indexed_scheduler_matches_all_ports_reference(
+            self, capacity, line_rate, ops):
+        pairs = []
+        for cls in (EgressScheduler, _AllPortsReference):
+            stats = PipelineStats()
+            sched = cls(num_ports=_MODEL_PORTS, queue_capacity=capacity,
+                        line_rate_bps=line_rate, stats=stats)
+            sched.set_mcast_group(1, [0, 2])
+            pairs.append((sched, stats))
+        now = 0.0
+        for serial, op in enumerate(ops):
+            if op[0] == "advance":
+                now += op[1]
+            results = [self._apply(sched, op, serial, now)
+                       for sched, _stats in pairs]
+            assert results[0] == results[1], op
+            seen = [self._observe(sched, stats) for sched, stats in pairs]
+            assert seen[0] == seen[1], op
+        # and the index itself agrees with the queues it summarises
+        sched = pairs[0][0]
+        assert sched._backlogged == {
+            port for port, state in enumerate(sched._ports) if state.fifos}
+
+    def test_next_departures_lists_backlogged_ports_in_port_order(self):
+        sched = EgressScheduler(num_ports=4, line_rate_bps=1e6)
+        assert sched.next_departures() == []
+        sched.enqueue(pkt(1000, vid=2), 3, module_id=2)
+        sched.enqueue(pkt(200, vid=1), 1, module_id=1)
+        assert sched.next_departures() == [
+            (1, pytest.approx(1.6e-3)), (3, pytest.approx(8e-3))]
+        sched.advance_to(2e-3)
+        assert [port for port, _at in sched.next_departures()] == [3]

@@ -193,3 +193,76 @@ class TestLostRecordUnification:
             [("leaf0", _packet(i=i)) for i in range(4)])
         assert result.lost_records() == []
         assert len(result.delivered_for(1)) == 4
+
+# ------------------------------------------------ event-list count gate
+
+class TestEventListDiscipline:
+    """A timeline event costs what it changed, not one poll per port.
+
+    Counts only (no wall clock): on a 2-leaf/1-spine fabric whose
+    leaves have three idle ports each and whose one uplink is contended
+    (tenants 1 and 2 offer 8 Mb/s each into a 10 Mb/s link, tenant 3
+    runs the other way, uncontended), scheduling scans stay bounded per
+    switch-hop. Polling every port of the member on every arrival and
+    service event costs 8.0 ``next_departure_at`` and 17.0 ``_choose``
+    calls per hop on this very run. The simulated outcome is pinned to
+    the all-ports scan's, so the bound cannot be met by serving less.
+    """
+
+    ROUTES = {1: (("leaf0", 0), ("leaf1", 0)),
+              2: (("leaf0", 1), ("leaf1", 1)),
+              3: (("leaf1", 2), ("leaf0", 2))}
+    OFFERED_BPS = {1: 8e6, 2: 8e6, 3: 1e6}
+
+    def _run(self, monkeypatch):
+        from repro.engine import EgressScheduler
+
+        fabric = leaf_spine(leaves=2, spines=1, hosts_per_leaf=HOSTS,
+                            link_capacity_bps=10e6, link_delay_s=1e-4)
+        matrix = TrafficMatrix()
+        for vid, (src, dst) in self.ROUTES.items():
+            fabric.tenant(
+                f"calc{vid}", calc.P4_SOURCE, vid=vid,
+                installer=lambda t, port: calc.install(t, port=port)
+            ).place(src, dst)
+            matrix.add(vid, src, dst, offered_bps=self.OFFERED_BPS[vid],
+                       packet_size=PACKET_SIZE,
+                       make_packet=lambda vid=vid: _packet(vid))
+        calls = {}
+
+        def count(cls, name):
+            inner = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+
+        count(EgressScheduler, "next_departure_at")
+        count(EgressScheduler, "_choose")
+        count(ExecutionCore, "inject")  # one per switch-hop
+        result = FabricTimelineExperiment(fabric, matrix,
+                                          duration_s=0.05).run()
+        return calls, result
+
+    def test_scans_per_hop_are_bounded_and_outcome_unchanged(
+            self, monkeypatch):
+        calls, result = self._run(monkeypatch)
+        hops = calls["inject"]
+        assert hops == 312
+        assert calls["next_departure_at"] <= 2 * hops
+        assert calls["_choose"] <= 4 * hops
+
+        assert result.delivered == {1: 49, 2: 49, 3: 6}
+        assert result.drops == {} and result.lost == {}
+        assert result.elapsed_s == pytest.approx(0.080456, rel=1e-9)
+        assert {vid: (result.mean_latency_s(vid),
+                      result.max_latency_s(vid))
+                for vid in self.ROUTES} == {
+            1: (pytest.approx(0.016424, rel=1e-9),
+                pytest.approx(0.030248, rel=1e-9)),
+            2: (pytest.approx(0.016968, rel=1e-9),
+                pytest.approx(0.030792, rel=1e-9)),
+            3: (pytest.approx(0.0026, rel=1e-9),
+                pytest.approx(0.0026, rel=1e-9)),
+        }
