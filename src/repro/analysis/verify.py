@@ -21,10 +21,7 @@ import warnings
 from typing import Any, Dict, List, Optional
 
 from ..compiler.backend import CompiledModule
-from ..compiler.compile import CompilerOptions, compile_module
-from ..compiler.ir import ModuleIR, lower
-from ..compiler.parser import parse_source
-from ..compiler.typecheck import typecheck
+from ..compiler.compile import CompilerOptions, analyse, compile_module
 from ..errors import CompilerError, ReproError
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
 from .findings import AnalysisReport, Finding, Severity
@@ -80,12 +77,10 @@ def analyze_source(source: str, name: str = "<module>",
     params = options.resolved_target().params
     report = AnalysisReport()
     try:
-        env = typecheck(parse_source(source, name))
-        ir: ModuleIR = lower(env)
+        ir = analyse(source, name, run_static_checks=False)
     except CompilerError as exc:
         report.add(_compiler_finding(exc, name))
         return report
-    ir.name = name
     module: Optional[CompiledModule] = None
     try:
         module = compile_module(source, name, options)

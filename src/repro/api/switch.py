@@ -39,6 +39,7 @@ from ..compiler.target import TargetDescription
 from ..core.pipeline import SYSTEM_MODULE_ID, MenshenPipeline
 from ..analysis.findings import AnalysisReport
 from ..analysis.verify import analyze_switch, check_mode
+from ..compiler import SourceOrIR
 from ..engine.batch import BatchEngine
 from ..engine.scheduler import EgressScheduler, SchedulerTenantCounters
 from ..errors import (
@@ -312,10 +313,14 @@ class Switch:
         raise AdmissionError(
             f"all {self.params.max_modules - 1} tenant VIDs are in use")
 
-    def admit(self, name: str, source: str,
+    def admit(self, name: str, source: SourceOrIR,
               vid: Optional[int] = None) -> "Tenant":
         """Compile, admission-check, and install a tenant's program.
 
+        ``source`` is P4 text or a program already through
+        :func:`repro.compiler.analyse` (what a multi-switch fan-out
+        passes, so the frontend runs once for the whole route; the
+        backend, admission verify and §4.1 writes stay per switch).
         ``vid`` defaults to the lowest free VID. Returns the tenant
         handle that scopes all further operations.
         """
@@ -657,8 +662,10 @@ class Tenant:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def update(self, source: str) -> "Tenant":
-        """Replace this tenant's program (hitless for other tenants)."""
+    def update(self, source: SourceOrIR) -> "Tenant":
+        """Replace this tenant's program (hitless for other tenants);
+        ``source`` is P4 text or an analysed program, as in
+        :meth:`Switch.admit`."""
         if self._vid == SYSTEM_MODULE_ID:
             raise RuntimeInterfaceError(
                 "the system module cannot be replaced at runtime")

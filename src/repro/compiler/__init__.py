@@ -16,25 +16,31 @@ a Menshen backend. This package is a self-contained equivalent:
   extractor entries, masks, and VLIW action templates,
 * :mod:`~repro.compiler.resource_checker` — usage vs. an operator
   resource allocation,
-* :mod:`~repro.compiler.compile` — the `compile_module` driver.
+* :mod:`~repro.compiler.compile` — the `compile_module` driver, split
+  at :func:`analyse` (target-independent, once per program) and the
+  per-target backend.
 
 The output, :class:`~repro.compiler.backend.CompiledModule`, is
 position-independent: module ID, absolute stages, CAM rows, and stateful
 bases are bound at load time by :mod:`repro.runtime.controller`.
 """
 
-from .compile import compile_module, CompilerOptions
+from .compile import SourceOrIR, analyse, compile_module, CompilerOptions
 from .compose import compile_module_group
 from .backend import CompiledModule, CompiledTable, CompiledAction
+from .ir import ModuleIR
 from .target import TargetDescription, DEFAULT_TARGET
 
 __all__ = [
+    "analyse",
     "compile_module",
     "compile_module_group",
     "CompilerOptions",
     "CompiledModule",
     "CompiledTable",
     "CompiledAction",
+    "ModuleIR",
+    "SourceOrIR",
     "TargetDescription",
     "DEFAULT_TARGET",
 ]

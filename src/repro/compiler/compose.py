@@ -20,13 +20,9 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import AllocationError, CompilerError
 from .allocator import allocate
 from .backend import CompiledModule, emit
-from .compile import CompilerOptions
-from .ir import lower
-from .parser import parse_source
-from .static_checker import check_module
+from .compile import CompilerOptions, analyse
 from .resource_checker import check_against_hardware
 from .target import TargetDescription
-from .typecheck import typecheck
 
 
 def compile_module_group(sources: List[Tuple[str, str]],
@@ -48,13 +44,7 @@ def compile_module_group(sources: List[Tuple[str, str]],
     # Frontend every member first so stage budgeting knows table counts.
     irs = []
     for name, source in sources:
-        program = parse_source(source, name)
-        env = typecheck(program)
-        if options.run_static_checks:
-            check_module(env)
-        ir = lower(env)
-        ir.name = name
-        irs.append(ir)
+        irs.append(analyse(source, name, options.run_static_checks))
 
     total_tables = sum(len(ir.tables) for ir in irs)
     if total_tables > len(base_target.stage_map):

@@ -7,9 +7,9 @@ operators, and keywords; skips ``//`` and ``/* */`` comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
-from typing import Iterator, List
+from typing import List, NamedTuple
 
 from ..errors import LexerError
 
@@ -34,9 +34,20 @@ KEYWORDS = {
 PUNCT2 = ["==", "!=", ">=", "<=", "&&", "||"]
 PUNCT1 = list("{}()[]<>;:,.=+-*/!&|")
 
+#: One alternative per lexeme class, tried in this order at each offset:
+#: whitespace and comments (``skip``), a ``/*`` no ``*/`` follows
+#: (``open``), a run of word characters (``word`` — a number, an
+#: identifier or a keyword, told apart by its first character), then
+#: punctuation, two-character operators first.
+_LEXEME = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)"
+    r"|(?P<open>/\*)"
+    r"|(?P<word>\w+)"
+    r"|(?P<punct>" + "|".join(map(re.escape, PUNCT2 + PUNCT1)) + ")",
+    re.DOTALL)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: TokenKind
     value: str
     line: int
@@ -49,82 +60,41 @@ class Token:
 def tokenize(source: str) -> List[Token]:
     """Tokenize P4 source; raises :class:`LexerError` on bad input."""
     tokens: List[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-
-        # whitespace
-        if ch in " \t\r\n":
-            advance(1)
+    line_start = 0   # offset of the first character of ``line``
+    pos = 0          # every offset before this one has been consumed
+    for match in _LEXEME.finditer(source):
+        start, end = match.span()
+        if start != pos:
+            break    # finditer skipped a character no alternative takes
+        pos = end
+        group = match.lastgroup
+        if group == "skip":
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", start, end) + 1
             continue
-
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise LexerError("unterminated block comment", line, col)
-            advance(end + 2 - i)
-            continue
-
-        start_line, start_col = line, col
-
-        # numbers: hex, width-prefixed (8w255, 4w0x3), decimal
-        if ch.isdigit():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            tokens.append(Token(TokenKind.NUMBER, text, start_line, start_col))
-            advance(j - i)
-            continue
-
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+        column = start - line_start + 1
+        text = match.group()
+        if group == "punct":
+            kind = TokenKind.PUNCT
+        elif group == "open":
+            raise LexerError("unterminated block comment", line, column)
+        elif text[0].isdigit():
+            # hex, width-prefixed (8w255, 4w0x3), decimal
+            kind = TokenKind.NUMBER
+        elif text[0].isalpha() or text[0] == "_":
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            advance(j - i)
-            continue
-
-        # punctuation
-        matched = False
-        for p in PUNCT2:
-            if source.startswith(p, i):
-                tokens.append(Token(TokenKind.PUNCT, p, start_line, start_col))
-                advance(len(p))
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in PUNCT1:
-            tokens.append(Token(TokenKind.PUNCT, ch, start_line, start_col))
-            advance(1)
-            continue
-
-        raise LexerError(f"unexpected character {ch!r}", line, col)
-
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+        else:
+            pos = start   # a word character that can start no token
+            break
+        tokens.append(Token(kind, text, line, column))
+    column = pos - line_start + 1
+    if pos != len(source):
+        raise LexerError(f"unexpected character {source[pos]!r}",
+                         line, column)
+    tokens.append(Token(TokenKind.EOF, "", line, column))
     return tokens
 
 

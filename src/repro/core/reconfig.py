@@ -23,16 +23,55 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from ..errors import ReconfigurationError
-from ..net.builder import PacketBuilder
+from ..errors import FieldRangeError, ReconfigurationError
+from ..net.builder import COMMON_HEADER_LEN, PacketBuilder
+from ..net.checksum import internet_checksum, pseudo_header_ipv4
+from ..net.ipv4 import IPV4_HEADER_LEN, PROTO_UDP
 from ..net.packet import Packet
-from ..net.udp_ import MENSHEN_RECONFIG_DPORT
+from ..net.udp_ import MENSHEN_RECONFIG_DPORT, UDP_HEADER_LEN
+from ..net.vlan import MAX_VID, VLAN_TAG_LEN
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
 
 #: Offset of the reconfiguration payload within the packet (after the
 #: 46-byte common header).
-_PAYLOAD_OFFSET = 46
-_HEADER_LEN = 2 + 1 + 15  # resource-id word + index + padding
+_PAYLOAD_OFFSET = COMMON_HEADER_LEN
+_PADDING = bytes(15)
+_HEADER_LEN = 2 + 1 + len(_PADDING)  # resource-id word + index + padding
+
+# Where the fields that vary per packet sit in the common header.
+_IP_OFFSET = _PAYLOAD_OFFSET - UDP_HEADER_LEN - IPV4_HEADER_LEN
+_VLAN_TCI = _IP_OFFSET - VLAN_TAG_LEN
+_IP_TOTAL_LENGTH = _IP_OFFSET + 2
+_IP_CHECKSUM = _IP_OFFSET + 10
+_UDP_OFFSET = _PAYLOAD_OFFSET - UDP_HEADER_LEN
+_UDP_LENGTH = _UDP_OFFSET + 4
+_UDP_CHECKSUM = _UDP_OFFSET + 6
+
+
+def _common_header() -> bytes:
+    """Fig. 7's common header as every reconfiguration packet carries
+    it — fixed addresses and ports, VID 0, lengths for an empty payload
+    — with both checksum fields zeroed, ready to be summed over."""
+    header = (PacketBuilder()
+              .ethernet(src="02:00:00:00:00:10", dst="02:00:00:00:00:11")
+              .vlan(vid=0)
+              .ipv4(src="10.255.0.1", dst="10.255.0.2")
+              .udp(sport=0xF1F1, dport=MENSHEN_RECONFIG_DPORT)
+              .build())
+    header.write_int(_IP_CHECKSUM, 2, 0)
+    header.write_int(_UDP_CHECKSUM, 2, 0)
+    return header.tobytes()
+
+
+#: Built once: :func:`build_reconfig_packet` copies it and patches the
+#: five fields that vary (VLAN VID, IPv4 total length and header
+#: checksum, UDP length and checksum).
+_COMMON_HEADER = _common_header()
+#: The UDP pseudo-header's addresses, as the template carries them.
+_IP_SRC = int.from_bytes(_COMMON_HEADER[_IP_OFFSET + 12:_IP_OFFSET + 16],
+                         "big")
+_IP_DST = int.from_bytes(_COMMON_HEADER[_IP_OFFSET + 16:_IP_OFFSET + 20],
+                         "big")
 
 
 class ResourceType(IntEnum):
@@ -54,20 +93,7 @@ class ResourceType(IntEnum):
 def entry_payload_bytes(rtype: ResourceType,
                         params: HardwareParams = DEFAULT_PARAMS) -> int:
     """Payload width in bytes for each resource type."""
-    widths_bits = {
-        ResourceType.PARSER_TABLE: params.parser_entry_bits,
-        ResourceType.DEPARSER_TABLE: params.parser_entry_bits,
-        ResourceType.KEY_EXTRACTOR: params.key_extractor_entry_bits,
-        ResourceType.KEY_MASK: params.key_bits,
-        ResourceType.CAM: params.cam_entry_bits,
-        ResourceType.VLIW: params.vliw_entry_bits,
-        ResourceType.SEGMENT: params.segment_entry_bits,
-        ResourceType.CAM_INVALIDATE: 0,
-        ResourceType.STATEFUL_WORD: params.stateful_word_bits,
-        ResourceType.TCAM: 2 * params.key_bits + params.module_id_bits,
-        ResourceType.DEFAULT_VLIW: params.vliw_entry_bits,
-    }
-    return (widths_bits[rtype] + 7) // 8
+    return params.reconfig_entry_bytes[rtype]
 
 
 @dataclass(frozen=True)
@@ -137,22 +163,23 @@ def build_reconfig_packet(resource: ResourceId, index: int, entry: int,
     if nbytes == 0 and entry:
         raise ReconfigurationError(
             f"{resource.rtype.name} carries no payload, got entry {entry:#x}")
+    if not 0 <= vid <= MAX_VID:
+        raise FieldRangeError(f"VID out of range: {vid}")
 
-    rid = resource.encode()
-    payload = bytearray()
-    payload += ((rid << 4).to_bytes(2, "big"))  # 12b id | 4b reserved
-    payload.append(index)
-    payload += b"\x00" * 15
-    if nbytes:
-        payload += entry.to_bytes(nbytes, "big")
-
-    return (PacketBuilder()
-            .ethernet(src="02:00:00:00:00:10", dst="02:00:00:00:00:11")
-            .vlan(vid=vid)
-            .ipv4(src="10.255.0.1", dst="10.255.0.2")
-            .udp(sport=0xF1F1, dport=MENSHEN_RECONFIG_DPORT)
-            .payload(bytes(payload))
-            .build())
+    body = ((resource.encode() << 4).to_bytes(2, "big")  # 12b id | 4b rsvd
+            + bytes((index,)) + _PADDING + entry.to_bytes(nbytes, "big"))
+    packet = Packet(_COMMON_HEADER + body)
+    udp_length = UDP_HEADER_LEN + len(body)
+    packet.write_int(_VLAN_TCI, 2, vid)
+    packet.write_int(_IP_TOTAL_LENGTH, 2, IPV4_HEADER_LEN + udp_length)
+    packet.write_int(_UDP_LENGTH, 2, udp_length)
+    # RFC 768: a computed UDP checksum of 0 is transmitted as 0xFFFF.
+    packet.write_int(_UDP_CHECKSUM, 2, internet_checksum(
+        pseudo_header_ipv4(_IP_SRC, _IP_DST, PROTO_UDP, udp_length)
+        + packet.buf[_UDP_OFFSET:]) or 0xFFFF)
+    packet.write_int(_IP_CHECKSUM, 2, internet_checksum(
+        packet.read_bytes(_IP_OFFSET, IPV4_HEADER_LEN)))
+    return packet
 
 
 def parse_reconfig_packet(packet: Packet,

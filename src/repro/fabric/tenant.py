@@ -28,6 +28,15 @@ and evicting the abandoned tail. All three compose with the
 event-driven timeline's
 :class:`~repro.sim.fabric_timeline.FabricReconfigEvent`, so churn can
 fire inside a running experiment.
+
+A fan-out does the target-independent work once: ``place``,
+``update``, ``migrate`` and the update rollback each run the compiler
+frontend (:func:`repro.compiler.analyse`) once and hand every switch
+the same analysed program. What depends on the switch stays per
+switch: the backend against its own target and stage window, its own
+admission verify, its own §4.1 write sequence. The IR lives for the
+one call and is not retained (a caller that hands ``update`` a program
+it analysed itself keeps it alive, as it would the text).
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.passes import loop_findings
 from ..api.switch import Tenant, TenantCounters
+from ..compiler import ModuleIR, SourceOrIR, analyse
 from ..errors import PlacementError
 from .placement import choose_path, validate_host_port
 from .topology import Fabric, Link, PortRef
@@ -50,7 +60,8 @@ class FabricTenant:
                  installer: Installer):
         self.fabric = fabric
         self.name = name
-        self.source = source
+        #: P4 text (or the analysed program :meth:`update` was given)
+        self.source: SourceOrIR = source
         self.vid = vid
         self.installer = installer
         #: switch name -> per-switch tenant handle, in placement order
@@ -111,8 +122,9 @@ class FabricTenant:
                     f"{egress} there — overlapping placements must "
                     f"agree, or use an installer that discriminates")
         self._prove_loop_free({**self._egress, **plan})
+        program = analyse(self.source, self.name)
         for name in path:
-            handle = self._admit_on(name)
+            handle = self._admit_on(name, program)
             if name not in self._egress:
                 self.installer(handle, plan[name])
                 self._egress[name] = plan[name]
@@ -138,7 +150,7 @@ class FabricTenant:
             raise PlacementError(
                 f"tenant VID {self.vid}: {finding.message}")
 
-    def _admit_on(self, name: str) -> Tenant:
+    def _admit_on(self, name: str, program: ModuleIR) -> Tenant:
         handle = self._handles.get(name)
         if handle is not None:
             return handle
@@ -149,7 +161,7 @@ class FabricTenant:
             raise PlacementError(
                 f"switch {name!r} has no free module slot for "
                 f"tenant VID {self.vid}")
-        handle = member.switch.admit(self.name, self.source, vid=self.vid)
+        handle = member.switch.admit(self.name, program, vid=self.vid)
         self._handles[name] = handle
         if self._weight is not None:
             handle.set_weight(self._weight)
@@ -159,9 +171,13 @@ class FabricTenant:
 
     # -- lifecycle (fabric-wide §4.1 fan-out) ------------------------------------
 
-    def update(self, source: str,
+    def update(self, source: SourceOrIR,
                installer: Optional[Installer] = None) -> "FabricTenant":
         """Replace this tenant's program on every placed switch.
+
+        ``source`` is P4 text, analysed here once for the whole route,
+        or a program the caller already analysed (which the tenant then
+        keeps as its source, as it would the text).
 
         Runs the controller's §4.1 update procedure per switch (bitmap
         bit set, configuration rewritten through the daisy chain,
@@ -179,30 +195,35 @@ class FabricTenant:
                 f"place() it before update()")
         install = installer if installer is not None else self.installer
         # Commit self.source/self.installer only after the fan-out
-        # succeeds: a program that fails to compile raises out of the
-        # first handle.update (before any teardown), leaving both the
-        # switches and this object on the old program. A *mid-route*
-        # failure (the source compiles, but one switch's reinstall is
-        # rejected — §4.1 update is teardown + install, and the
-        # install half can fail on fragmentation) is rolled back:
-        # switches already moved to the new program are updated back,
-        # and a switch left empty by the failed install re-admits the
-        # old program, so the route never stays mixed.
+        # succeeds: a program the frontend rejects raises here, before
+        # any switch is touched, leaving both the switches and this
+        # object on the old program. A *mid-route* failure (the source
+        # compiles, but one switch's reinstall is rejected — §4.1
+        # update is teardown + install, and the install half can fail
+        # on fragmentation — or its installer raises) is rolled back:
+        # every switch whose program was replaced, the failing one
+        # included, is updated back, and a switch left empty by the
+        # failed install re-admits the old program, so the route never
+        # stays mixed.
+        program = analyse(source, self.name)
         updated: List[str] = []
         try:
             for name, handle in self._handles.items():
-                handle.update(source)
-                install(handle, self._egress[name])
+                handle.update(program)
+                # On the new program from here on, entries or not: an
+                # installer that raises must still be rolled back.
                 updated.append(name)
+                install(handle, self._egress[name])
         except BaseException:
+            old = analyse(self.source, self.name)
             for name in list(self._handles):
                 member = self.fabric.switch(name)
                 if self.vid not in member.switch.controller.modules:
                     del self._handles[name]   # dead handle
-                    restored = self._admit_on(name)
+                    restored = self._admit_on(name, old)
                     self.installer(restored, self._egress[name])
                 elif name in updated:
-                    self._handles[name].update(self.source)
+                    self._handles[name].update(old)
                     self.installer(self._handles[name],
                                    self._egress[name])
             raise
@@ -282,11 +303,12 @@ class FabricTenant:
         # one fails (a free VID slot does not guarantee admission —
         # fragmented CAM can still reject the program), so a failed
         # migration leaves the old placement intact.
+        program = analyse(self.source, self.name)
         admitted: List[str] = []
         try:
             for name in path:
                 if name not in self._handles:
-                    self._admit_on(name)
+                    self._admit_on(name, program)
                     admitted.append(name)
         except BaseException:
             for name in admitted:
@@ -304,7 +326,7 @@ class FabricTenant:
             elif prev != want:
                 # Re-steer: §4.1 update clears the module's entries,
                 # then the installer points them at the new next hop.
-                handle.update(self.source)
+                handle.update(program)
                 self.installer(handle, want)
                 self._egress[name] = want
         # Unload phase: evict the abandoned tail of the old route.

@@ -10,7 +10,8 @@ a dimension (e.g. the module-packing bench) construct modified copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
+from functools import cached_property
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,30 @@ class HardwareParams:
     def vliw_entry_bits(self) -> int:
         """VLIW instruction width: one ALU action per container (625)."""
         return self.num_containers * self.alu_action_bits
+
+    @cached_property
+    def reconfig_entry_bytes(self) -> Tuple[int, ...]:
+        """Payload bytes of a reconfiguration packet (Fig. 7), indexed
+        by the 4-bit resource-type code
+        (:class:`repro.core.reconfig.ResourceType`; code 0 is unused).
+        Derived once per params object — the daisy chain reads it for
+        every configuration write it frames or parses. Not a field, so
+        equality, hashing and ``replace`` ignore it."""
+        bits = (
+            0,
+            self.parser_entry_bits,            # 1 PARSER_TABLE
+            self.parser_entry_bits,            # 2 DEPARSER_TABLE
+            self.key_extractor_entry_bits,     # 3 KEY_EXTRACTOR
+            self.key_bits,                     # 4 KEY_MASK
+            self.cam_entry_bits,               # 5 CAM
+            self.vliw_entry_bits,              # 6 VLIW
+            self.segment_entry_bits,           # 7 SEGMENT
+            0,                                 # 8 CAM_INVALIDATE
+            self.stateful_word_bits,           # 9 STATEFUL_WORD
+            2 * self.key_bits + self.module_id_bits,   # 10 TCAM
+            self.vliw_entry_bits,              # 11 DEFAULT_VLIW
+        )
+        return tuple((width + 7) // 8 for width in bits)
 
     @property
     def max_modules(self) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.verify import check_mode, verify_admission
-from ..compiler import CompilerOptions, compile_module
+from ..compiler import CompilerOptions, SourceOrIR, analyse, compile_module
 from ..compiler.backend import CompiledModule
 from ..compiler.resource_checker import ResourceRequest
 from ..compiler.target import TargetDescription, system_target, user_target
@@ -174,9 +174,15 @@ class MenshenController:
 
     # ------------------------------------------------------------------ loading
 
-    def load_module(self, module_id: int, source: str,
+    def load_module(self, module_id: int, source: SourceOrIR,
                     name: str = "") -> LoadedModule:
         """Compile, admit, and install a user module.
+
+        ``source`` is P4 text or an already-analysed program
+        (:func:`repro.compiler.analyse`) — a fan-out over many switches
+        analyses once and hands every controller the same IR. Either
+        way the frontend runs at most once here; only the per-target
+        backend is repeated per stage window.
 
         Placement is load-balanced: if the module does not fit starting
         at the first user stage (its tables would collide with already
@@ -195,6 +201,7 @@ class MenshenController:
                 f"module id {module_id} is already loaded; use "
                 f"update_module()")
         name = name or f"module{module_id}"
+        program = analyse(source, name)
         base_target = self.compile_target()
         stage_map = base_target.stage_map
         # Prefer windows whose first stage has the most free CAM rows.
@@ -219,7 +226,7 @@ class MenshenController:
             )
             try:
                 compiled = compile_module(
-                    source, name, CompilerOptions(target=target))
+                    program, name, CompilerOptions(target=target))
                 loaded = self._install(module_id, name, compiled)
             except (AdmissionError, AllocationError) as exc:
                 last_error = exc  # window too small or rows taken: shift
@@ -239,8 +246,10 @@ class MenshenController:
         self.modules[module_id] = loaded
         return loaded
 
-    def update_module(self, module_id: int, source: str) -> LoadedModule:
-        """Replace a module's program; other modules keep running."""
+    def update_module(self, module_id: int,
+                      source: SourceOrIR) -> LoadedModule:
+        """Replace a module's program (P4 text or an analysed program,
+        as in :meth:`load_module`); other modules keep running."""
         if module_id not in self.modules:
             raise RuntimeInterfaceError(
                 f"module {module_id} is not loaded")

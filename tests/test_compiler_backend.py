@@ -1,16 +1,26 @@
 """Tests for static checks, allocation, and backend emission."""
 
+import copy
+import pickle
+from dataclasses import replace
+
 import pytest
 
-from repro.compiler import CompilerOptions, compile_module
+from repro.api import Switch
+from repro.compiler import CompilerOptions, analyse, compile_module
 from repro.compiler.static_checker import check_loop_free
-from repro.compiler.target import TargetDescription, system_target
+from repro.compiler.target import (
+    TargetDescription,
+    system_target,
+    user_target,
+)
 from repro.errors import (
     AllocationError,
     CompilerError,
     ResourceError,
     StaticCheckError,
 )
+from repro.modules.registry import ALL_MODULES
 from repro.rmt.action import AluOp
 from repro.rmt.key_extractor import CmpOp
 from repro.rmt.phv import ContainerRef, ContainerType
@@ -417,3 +427,77 @@ class TestSharedFieldTarget:
         base = compile_control(SIMPLE_CONTROL)
         target = base.target.with_system_reservations({}, {})
         assert target.stage_map == [1, 2, 3]
+
+
+def _system_derived_target() -> TargetDescription:
+    switch = Switch.build().create()
+    switch.install_system()
+    return switch.controller.compile_target()
+
+
+class TestAnalyseBackendSeam:
+    """``compile_module`` is ``analyse`` + the per-target backend: one
+    analysed program, compiled for many targets, gives what compiling
+    the text afresh per target gives — and is only read, never
+    written, so a control-plane fan-out may share it."""
+
+    @pytest.mark.parametrize("module", ALL_MODULES, ids=lambda m: m.NAME)
+    @pytest.mark.parametrize("base", [user_target(),
+                                      _system_derived_target()],
+                             ids=["user", "system-derived"])
+    def test_shared_ir_compiles_like_fresh_source_in_every_window(
+            self, module, base):
+        ir = analyse(module.P4_SOURCE, module.NAME)
+        before, pickled = copy.deepcopy(ir), pickle.dumps(ir)
+        outcomes = set()
+        for offset in range(len(base.stage_map)):
+            options = CompilerOptions(
+                target=replace(base, stage_map=base.stage_map[offset:]))
+
+            def attempt(program):
+                try:
+                    return compile_module(program, module.NAME, options)
+                except CompilerError as exc:
+                    return type(exc), str(exc)
+
+            fresh, shared = attempt(module.P4_SOURCE), attempt(ir)
+            assert fresh == shared, f"window {offset}"
+            if not isinstance(fresh, tuple):
+                assert pickle.dumps(fresh) == pickle.dumps(shared)
+            outcomes.add(isinstance(fresh, tuple))
+        assert False in outcomes    # the full window always fits
+        # The backend left the IR as it found it, by value and by
+        # structure (same object, so the pickles are comparable).
+        assert ir == before
+        assert pickle.dumps(ir) == pickled
+
+    def test_some_window_fails_and_fails_identically(self):
+        # Guard the parametrised test's failing-window half against
+        # vacuity: netcache's two tables do not fit a one-stage window.
+        from repro.modules import netcache
+        base = user_target()
+        options = CompilerOptions(
+            target=replace(base, stage_map=base.stage_map[-1:]))
+        ir = analyse(netcache.P4_SOURCE, "netcache")
+        with pytest.raises(AllocationError) as shared:
+            compile_module(ir, "netcache", options)
+        with pytest.raises(AllocationError) as fresh:
+            compile_module(netcache.P4_SOURCE, "netcache", options)
+        assert str(shared.value) == str(fresh.value)
+
+    def test_analyse_is_the_identity_on_an_analysed_program(self):
+        src = minimal_module(SIMPLE_CONTROL)
+        ir = analyse(src, "once")
+        assert analyse(ir, "ignored") is ir
+        assert compile_module(ir).name == "once"
+
+    def test_static_checks_belong_to_analyse(self):
+        evil = minimal_module("""
+    action evil() { hdr.vlan.tci = 99; }
+    table t { key = { hdr.udp.dstPort: exact; } actions = { evil; } size = 2; }
+    apply { t.apply(); }
+""")
+        with pytest.raises(StaticCheckError, match="VID"):
+            analyse(evil, "evil")
+        ir = analyse(evil, "evil", run_static_checks=False)
+        assert compile_module(ir).name == "evil"

@@ -1,11 +1,15 @@
 """Tests for the compiler frontend: lexer, parser, typecheck."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.compiler.lexer import Token, TokenKind, parse_number, tokenize
+from repro.compiler.lexer import KEYWORDS, PUNCT1, PUNCT2, Token, \
+    TokenKind, parse_number, tokenize
 from repro.compiler.parser import parse_source
 from repro.compiler.typecheck import typecheck
 from repro.errors import LexerError, ParseError, TypeCheckError
+from repro.modules.registry import ALL_MODULES
+from repro.sysmod.system_module import SYSTEM_P4_SOURCE
 
 COMMON_HEADERS = """
 header ethernet_t { bit<48> dstAddr; bit<48> srcAddr; bit<16> etherType; }
@@ -88,6 +92,116 @@ class TestLexer:
         assert tokens[1].line == 2
         assert tokens[2].line == 3
         assert tokens[2].column == 3
+
+
+def _reference_tokenize(source):
+    """The character-at-a-time tokenizer the master regex replaced,
+    kept as the golden reference: ``(kind, value, line, column)`` per
+    token."""
+    tokens = []
+    i, line, col, n = 0, 1, 1, len(source)
+
+    def advance(count):
+        nonlocal i, line, col
+        for _ in range(count):
+            if i < n and source[i] == "\n":
+                line, col = line + 1, 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance(1)
+        elif source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                advance(1)
+        elif source.startswith("/*", i):
+            end = source.find("*/", i + 2)
+            if end == -1:
+                raise LexerError("unterminated block comment", line, col)
+            advance(end + 2 - i)
+        elif ch.isdigit() or ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            kind = (TokenKind.NUMBER if ch.isdigit() else
+                    TokenKind.KEYWORD if text in KEYWORDS else
+                    TokenKind.IDENT)
+            tokens.append((kind, text, line, col))
+            advance(j - i)
+        else:
+            for punct in PUNCT2 + PUNCT1:
+                if source.startswith(punct, i):
+                    tokens.append((TokenKind.PUNCT, punct, line, col))
+                    advance(len(punct))
+                    break
+            else:
+                raise LexerError(f"unexpected character {ch!r}", line, col)
+    tokens.append((TokenKind.EOF, "", line, col))
+    return tokens
+
+
+def _outcome(tokenizer, source):
+    """The token tuples, or the LexerError's text and position."""
+    try:
+        return [tuple(token) for token in tokenizer(source)]
+    except LexerError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _agree(source):
+    got = _outcome(tokenize, source)
+    assert got == _outcome(_reference_tokenize, source)
+    return got
+
+
+class TestLexerGolden:
+    SOURCES = {m.NAME: m.P4_SOURCE for m in ALL_MODULES}
+    SOURCES["system"] = SYSTEM_P4_SOURCE
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_stock_sources_tokenize_identically(self, name):
+        source = self.SOURCES[name]
+        assert len(_agree(source)) > 100
+
+    @pytest.mark.parametrize("source", [
+        "", "\n", "a", "a\n", "a /* never ends", "/*", "/*/", "/**/",
+        "a\n  /* x\n*/ /* y", "a @ b", "a\n\n  @", "a // c @", "a // c\n@",
+        "a\r\nb\tc", "x\f", "x\v", "\u00bd", "a\u00bd", "1\u00bd",
+        "\u00b2", "\u0663", "_x 9_ 0x1F 8w42 16w0xF1F2", "a==b<=c&&d||e",
+        "a = = b", "a/b//c\n/d", "/ * */", "hdr.x\"", "\\",
+    ])
+    def test_edges_and_errors_match_the_reference(self, source):
+        _agree(source)
+
+    @given(st.sampled_from(sorted(SOURCES)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_sources_match_the_reference(self, name, data):
+        source = self.SOURCES[name]
+        splice = st.sampled_from(
+            ["/*", "*/", "//", "\n", "\r", "\t", "\f", " ", "@", "#", "$",
+             "\u00bd", "\u00b2", "_", "0", "9w", "x", "==", "=", "!", "|",
+             "/", "*", "\"", "\\"])
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(source)))
+            kind = data.draw(st.sampled_from(["insert", "delete", "cut"]))
+            if kind == "insert":
+                source = source[:at] + data.draw(splice) + source[at:]
+            elif kind == "delete":
+                source = source[:at] + source[at + data.draw(
+                    st.integers(1, 5)):]
+            else:
+                source = source[:at]
+        _agree(source)
+
+    def test_token_is_a_plain_tuple_with_named_fields(self):
+        token = tokenize("x")[0]
+        assert token == (TokenKind.IDENT, "x", 1, 1)
+        assert (token.kind, token.value, token.line, token.column) == token
+        assert repr(token) == "Token(IDENT, 'x', L1)"
 
 
 class TestParser:

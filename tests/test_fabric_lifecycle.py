@@ -14,10 +14,12 @@ a packet or a share.
 
 import pytest
 
+import repro.compiler.compile as compiler_driver
+from repro.compiler import analyse
 from repro.errors import AdmissionError, CompilerError, ConfigError, \
     PlacementError
 from repro.fabric import leaf_spine
-from repro.modules import calc
+from repro.modules import calc, netcache
 from repro.sim import FabricTimelineExperiment
 from repro.traffic import ChurnSchedule, TrafficMatrix
 
@@ -130,12 +132,140 @@ class TestUpdate:
             assert 1 in member.switch.controller.modules
         assert _delivers(fabric, 1)
 
+    def test_installer_failure_mid_route_rolls_back_that_switch_too(self):
+        # The update itself lands on spine0 — new program, entries
+        # wiped — and then its *installer* raises. spine0 is as much on
+        # the new program as leaf0 is, and must be rolled back with it;
+        # left behind it would hold the program with zero entries and
+        # black-hole the route.
+        fabric = make_fabric()
+        tenant = place_calc(fabric, 1, ("leaf0", 0), ("leaf1", 1))
+        entries = {name: handle.table("calc_table").occupancy()
+                   for name, handle in tenant.handles().items()}
+        assert list(entries) == ["leaf0", "spine0", "leaf1"]
+        assert all(entries.values())
+        calls = []
+
+        def raises_on_second_switch(handle, port):
+            calls.append(handle.switch)
+            if len(calls) == 2:
+                raise ConfigError("installer rejected on the spine")
+            calc.install(handle, port=port)
+
+        with pytest.raises(ConfigError, match="rejected on the spine"):
+            tenant.update(calc.P4_SOURCE, installer=raises_on_second_switch)
+        assert len(calls) == 2      # leaf1 was never reached
+        assert tenant.source == calc.P4_SOURCE
+        assert tenant.installer is installer
+        assert tenant.switches() == ["leaf0", "spine0", "leaf1"]
+        for name, handle in tenant.handles().items():
+            assert 1 in fabric.switch(name).switch.controller.modules
+            assert handle.table("calc_table").occupancy() == entries[name]
+        assert _delivers(fabric, 1)
+
     def test_update_before_place_is_a_typed_error(self):
         fabric = make_fabric()
         tenant = fabric.tenant("calc", calc.P4_SOURCE, vid=1,
                                installer=installer)
         with pytest.raises(PlacementError, match="not placed"):
             tenant.update(calc.P4_SOURCE)
+
+
+# ------------------------------------------------------------------ fan-out
+
+class TestFanOutAnalysesOnce:
+    """Counts only: one compiler frontend pass per fan-out call, however
+    many switches (or stage windows) the program lands on — the backend,
+    the admission verify and the §4.1 writes are what repeat."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Frontend passes (program names) and backend runs (stage
+        windows) as the compiler driver performs them."""
+        frontend, backend = [], []
+        parse_source, emit = compiler_driver.parse_source, \
+            compiler_driver.emit
+
+        def counted_parse(source, name="<module>"):
+            frontend.append(name)
+            return parse_source(source, name)
+
+        def counted_emit(ir, target, *alloc):
+            backend.append(list(target.stage_map))
+            return emit(ir, target, *alloc)
+
+        monkeypatch.setattr(compiler_driver, "parse_source", counted_parse)
+        monkeypatch.setattr(compiler_driver, "emit", counted_emit)
+
+        def take():
+            counts = len(frontend), len(backend)
+            del frontend[:], backend[:]
+            return counts
+        return take
+
+    def test_place_update_migrate_and_rollback(self, passes):
+        fabric = make_fabric(leaves=3)
+        tenant = fabric.tenant("calc1", calc.P4_SOURCE, vid=1,
+                               installer=installer)
+        tenant.place(("leaf0", 0), ("leaf1", 1))
+        assert tenant.switches() == ["leaf0", "spine0", "leaf1"]
+        assert passes() == (1, 3)
+
+        tenant.update(calc.P4_SOURCE)
+        assert passes() == (1, 3)
+        assert _delivers(fabric, 1)
+
+        # A caller that analysed already is not analysed again.
+        analysed = analyse(calc.P4_SOURCE, "calc1")
+        assert passes() == (1, 0)
+        tenant.update(analysed).update(calc.P4_SOURCE)
+        assert passes() == (1, 6)
+        assert _delivers(fabric, 1)
+
+        # New leaf2 is loaded, shared spine0 re-steered by an update,
+        # abandoned leaf1 unloaded — one analysis between them.
+        tenant.migrate(dst=("leaf2", 2))
+        assert tenant.switches() == ["leaf0", "spine0", "leaf2"]
+        assert passes() == (1, 2)
+
+        # A failed update with rollback analyses the new program once
+        # and the old program once more to restore it.
+        calls = []
+
+        def raises_on_second_switch(handle, port):
+            calls.append(handle.switch)
+            if len(calls) == 2:
+                raise ConfigError("installer rejected on the spine")
+            calc.install(handle, port=port)
+
+        with pytest.raises(ConfigError):
+            tenant.update(calc.P4_SOURCE, installer=raises_on_second_switch)
+        frontend, backend = passes()
+        assert 1 <= frontend <= 2
+        assert backend == 4     # two switches forward, the same two back
+        result = fabric.process_batch([("leaf0", _packet(1, 7))])
+        assert [(d.switch, d.port) for d in result.delivered
+                if d.vid == 1] == [("leaf2", 2)]
+
+    def test_load_shifting_stage_windows_analyses_once(self, passes):
+        # Stage 0 has the most free CAM rows, so its window is tried
+        # first — and netcache's second table finds stage 1 full. The
+        # load shifts to the window starting at stage 2 and is admitted:
+        # two backend runs, one frontend pass.
+        fabric = make_fabric()
+        controller = fabric.switch("leaf0").switch.controller
+        assert controller.compile_target().stage_map == [0, 1, 2, 3, 4]
+        for vid in range(1, 21):        # four fillers per stage
+            controller.load_module(vid, calc.P4_SOURCE)
+        for vid in (1, 6, 11, 16, 3, 8, 4, 9):
+            controller.unload_module(vid)
+        ledger = controller.pipeline.ledger
+        assert [ledger.free_match_rows(stage) for stage in range(5)] == \
+            [16, 0, 8, 8, 0]
+        passes()
+        loaded = controller.load_module(30, netcache.P4_SOURCE, "netcache")
+        assert passes() == (1, 2)
+        assert loaded.compiled.stages_used() == [2, 3]
 
 
 # ------------------------------------------------------------------ unload

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and the
 isolation invariants."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Tenant
@@ -13,8 +14,13 @@ from repro.core.reconfig import (
     entry_payload_bytes,
     parse_reconfig_packet,
 )
-from repro.errors import SegmentFaultError
-from repro.net.checksum import internet_checksum
+from repro.core.packet_filter import PacketFilter
+from repro.errors import FieldRangeError, ReconfigurationError, \
+    SegmentFaultError
+from repro.net import PacketBuilder, parse_layers
+from repro.net.checksum import internet_checksum, pseudo_header_ipv4, \
+    verify_checksum
+from repro.net.udp_ import MENSHEN_RECONFIG_DPORT
 from repro.rmt import (
     AluAction,
     AluOp,
@@ -33,6 +39,7 @@ from repro.rmt.encodings import (
     encode_parse_action,
     encode_parser_entry,
 )
+from repro.rmt.params import DEFAULT_PARAMS
 from repro.rmt.phv import PHV, ContainerRef, ContainerType
 
 # ---------------------------------------------------------------------------
@@ -287,6 +294,119 @@ class TestReconfigProperties:
         assert payload.resource == resource
         assert payload.index == index
         assert payload.entry == entry
+
+    @given(st.sampled_from(list(ResourceType)), st.integers(0, 255),
+           st.integers(0, 255), st.sampled_from([0, 1, 17, 4095]),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reconfig_packet_is_byte_identical_to_packet_builder(
+            self, rtype, stage, index, vid, data):
+        # build_reconfig_packet frames from a constant header; the
+        # fluent PacketBuilder chain it replaced stays here as the
+        # reference, so the bytes stay Fig. 7's.
+        nbytes = entry_payload_bytes(rtype)
+        entry = data.draw(st.one_of(
+            st.integers(0, (1 << (8 * nbytes)) - 1),
+            st.sampled_from([0, (1 << (8 * nbytes)) - 1]))) if nbytes else 0
+        resource = ResourceId(rtype, stage)
+        packet = build_reconfig_packet(resource, index, entry, vid=vid)
+        reference = _packet_builder_reconfig_packet(resource, index, entry,
+                                                    vid=vid)
+        assert packet.tobytes() == reference.tobytes()
+        assert (packet.ingress_port, packet.arrival_time) == \
+            (reference.ingress_port, reference.arrival_time)
+        assert parse_reconfig_packet(packet) == parse_reconfig_packet(
+            reference)
+        assert parse_reconfig_packet(packet).entry == entry
+        assert PacketFilter.is_reconfig_packet(packet)
+        layers = parse_layers(packet)
+        assert layers["vlan"].vid == vid
+        ip, udp = layers["ipv4"], layers["udp"]
+        assert ip.total_length == len(packet) - ip.offset
+        assert udp.length == len(packet) - udp.offset
+        assert verify_checksum(packet.read_bytes(ip.offset, ip.HEADER_LEN))
+        assert verify_checksum(
+            pseudo_header_ipv4(int(ip.src), int(ip.dst), 17, udp.length)
+            + packet.read_bytes(udp.offset, udp.length))
+
+    @pytest.mark.parametrize("rtype, index, entry, vid, error", [
+        (ResourceType.SEGMENT, 256, 0, 0, ReconfigurationError),
+        (ResourceType.SEGMENT, -1, 0, 0, ReconfigurationError),
+        (ResourceType.SEGMENT, 0, 1 << 16, 0, ReconfigurationError),
+        (ResourceType.SEGMENT, 0, -1, 0, ReconfigurationError),
+        (ResourceType.CAM_INVALIDATE, 0, 5, 0, ReconfigurationError),
+        (ResourceType.SEGMENT, 0, 0, 4096, FieldRangeError),
+        (ResourceType.SEGMENT, 0, 0, -1, FieldRangeError),
+        # several bad at once: the first check in order reports
+        (ResourceType.SEGMENT, 256, 1 << 16, 4096, ReconfigurationError),
+    ])
+    def test_reconfig_packet_errors_match_packet_builder(
+            self, rtype, index, entry, vid, error):
+        resource = ResourceId(rtype, 0)
+        with pytest.raises(error) as got:
+            build_reconfig_packet(resource, index, entry, vid=vid)
+        with pytest.raises(error) as want:
+            _packet_builder_reconfig_packet(resource, index, entry, vid=vid)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_payload_width_table_matches_the_named_widths(self):
+        # The per-params tuple is indexed by the resource-type code;
+        # pin it to widths looked up by *name*, on the prototype and on
+        # a geometry where every width differs from it.
+        for params in (DEFAULT_PARAMS, DEFAULT_PARAMS.with_overrides(
+                containers_per_type=6, key_containers_per_type=1,
+                parse_actions_per_entry=7, key_extractor_entry_bits=41,
+                segment_entry_bits=24, stateful_word_bits=64,
+                module_id_bits=9)):
+            bits = {
+                "PARSER_TABLE": params.parser_entry_bits,
+                "DEPARSER_TABLE": params.parser_entry_bits,
+                "KEY_EXTRACTOR": params.key_extractor_entry_bits,
+                "KEY_MASK": params.key_bits,
+                "CAM": params.cam_entry_bits,
+                "VLIW": params.vliw_entry_bits,
+                "SEGMENT": params.segment_entry_bits,
+                "CAM_INVALIDATE": 0,
+                "STATEFUL_WORD": params.stateful_word_bits,
+                "TCAM": 2 * params.key_bits + params.module_id_bits,
+                "DEFAULT_VLIW": params.vliw_entry_bits,
+            }
+            assert sorted(bits) == sorted(r.name for r in ResourceType)
+            for rtype in ResourceType:
+                assert entry_payload_bytes(rtype, params) == \
+                    (bits[rtype.name] + 7) // 8, (rtype, params)
+            assert len(params.reconfig_entry_bytes) == \
+                max(ResourceType) + 1
+
+
+def _packet_builder_reconfig_packet(resource, index, entry,
+                                    params=DEFAULT_PARAMS, vid=0):
+    """How reconfiguration packets were framed before the constant
+    header: every layer through the fluent builder, per packet."""
+    if not 0 <= index < 256:
+        raise ReconfigurationError(f"index {index} exceeds 1 byte")
+    nbytes = entry_payload_bytes(resource.rtype, params)
+    if entry < 0 or (nbytes and entry >= (1 << (8 * nbytes))):
+        raise ReconfigurationError(
+            f"entry {entry:#x} does not fit {nbytes} payload bytes for "
+            f"{resource.rtype.name}")
+    if nbytes == 0 and entry:
+        raise ReconfigurationError(
+            f"{resource.rtype.name} carries no payload, got entry {entry:#x}")
+    payload = bytearray()
+    payload += (resource.encode() << 4).to_bytes(2, "big")
+    payload.append(index)
+    payload += b"\x00" * 15
+    if nbytes:
+        payload += entry.to_bytes(nbytes, "big")
+    return (PacketBuilder()
+            .ethernet(src="02:00:00:00:00:10", dst="02:00:00:00:00:11")
+            .vlan(vid=vid)
+            .ipv4(src="10.255.0.1", dst="10.255.0.2")
+            .udp(sport=0xF1F1, dport=MENSHEN_RECONFIG_DPORT)
+            .payload(bytes(payload))
+            .build())
 
 
 # ---------------------------------------------------------------------------
