@@ -30,6 +30,12 @@ unsafe to fork:
     being checked in optimized deployments — raise a typed
     :mod:`repro.errors` exception instead. (Tests are not linted;
     pytest asserts are fine where they live.)
+``env-read``
+    ``os.environ`` (subscript, ``.get``, any other use), ``os.getenv``
+    and their bytes twins ``os.environb`` / ``os.getenvb`` in library
+    code, including ``from os import environ``. Ambient configuration
+    makes a replay depend on the shell it ran in; every path the
+    library can take is chosen by an explicit argument instead.
 
 Suppression is per-line via a pragma comment::
 
@@ -63,7 +69,7 @@ from typing import (
 from .findings import AnalysisReport, Finding, Severity
 
 RULES = ("mutable-global", "unseeded-random", "wall-clock", "set-iteration",
-         "bare-assert")
+         "bare-assert", "env-read")
 
 _PRAGMA_RE = re.compile(
     r"#\s*repro-lint:\s*disable(?:=([\w\-, ]+))?")
@@ -83,6 +89,9 @@ _GLOBAL_RANDOM_FNS = {"random", "randint", "randrange", "uniform", "choice",
                       "expovariate", "betavariate", "getrandbits",
                       "triangular", "vonmisesvariate", "paretovariate",
                       "random_sample", "rand", "randn"}
+
+#: ``os`` members that read the process environment.
+_ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 #: Consumers that make set iteration order-insensitive.
 _ORDER_NEUTRALIZERS = {"sorted", "len", "sum", "min", "max", "any", "all",
@@ -418,6 +427,27 @@ def _check_bare_assert(tree: ast.Module, path: str) -> Iterator[Finding]:
                 pass_name="lint", subject=path, line=node.lineno)
 
 
+def _check_env_read(tree: ast.Module, path: str) -> Iterator[Finding]:
+    for node in ast.walk(tree):
+        what = ""
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in _ENV_READERS):
+            what = f"os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = sorted(a.name for a in node.names
+                           if a.name in _ENV_READERS)
+            if names:
+                what = "from os import " + ", ".join(names)
+        if what:
+            yield Finding(
+                code="env-read", severity=Severity.ERROR,
+                message=(f"{what} reads the process environment; ambient "
+                         f"configuration makes a replay depend on its "
+                         f"shell — take an explicit argument instead"),
+                pass_name="lint", subject=path, line=node.lineno)
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -449,6 +479,8 @@ def lint_source(source: str, path: str = "<string>",
         raw.extend(_check_set_iteration(tree, path))
     if "bare-assert" in rules:
         raw.extend(_check_bare_assert(tree, path))
+    if "env-read" in rules:
+        raw.extend(_check_env_read(tree, path))
     raw.sort(key=lambda f: (f.line, f.code))
     for finding in raw:
         if not _suppressed(pragmas, finding.line, finding.code):

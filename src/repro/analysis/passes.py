@@ -21,10 +21,8 @@ what the controller must re-prove at admission time:
 
 Loop freedom is a function (:func:`find_loop`) rather than a pass
 class because it runs over whatever next-hop relation the caller has —
-a module's route entries (the legacy
-:func:`repro.compiler.static_checker.check_loop_free` shim) or a
-fabric tenant's inter-switch steering; :func:`loop_findings` wraps it
-in the findings vocabulary.
+a module's route entries or a fabric tenant's inter-switch steering;
+:func:`loop_findings` wraps it in the findings vocabulary.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ from ..errors import (
     TenantIsolationError,
     TransactionError,
 )
+from ..exec.core import vid_of
 from ..net.packet import Packet
 from ..rmt.entry_types import ActionCall, FieldSpec, Match, TableEntry
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
@@ -362,8 +363,8 @@ class Switch:
                enable_cache: bool = True, scheduled: bool = True,
                line_rate_bps: Optional[float] = None,
                egress_queue_capacity: Optional[int] = None,
-               enable_classifier: Optional[bool] = None,
-               check_compiled: Optional[str] = None) -> BatchEngine:
+               enable_classifier: bool = True,
+               check_compiled: str = "off") -> BatchEngine:
         """A batched execution engine over this switch's pipeline.
 
         Engines obtained here are registered with the switch, so every
@@ -374,12 +375,10 @@ class Switch:
         invalidates stale entries.
 
         ``enable_classifier`` controls the compiled-classification level
-        of the engine's hot path (flow cache v2); ``None`` defers to the
-        ``REPRO_ENGINE_CLASSIFIER`` environment variable (default on).
+        of the engine's hot path (flow cache v2).
         ``check_compiled`` (``"enforce"`` / ``"warn"`` / ``"off"``)
         certifies every classifier rebuild against the installed tables
-        (:mod:`repro.analysis.equiv`); ``None`` defers to
-        ``REPRO_ENGINE_CERTIFY`` (default off).
+        (:mod:`repro.analysis.equiv`).
 
         By default (``scheduled=True``) the switch's egress is routed
         through a weighted-fair :class:`~repro.engine.scheduler.
@@ -429,16 +428,6 @@ class Switch:
                                 else old.queue_capacity),
                 line_rate_bps=line_rate_bps,
                 stats=self.pipeline.stats)
-            from ..rmt.parser import extract_module_id
-
-            def vid_of(packet) -> int:
-                # Everything the pipeline forwarded carries a VLAN tag;
-                # hand-enqueued odd packets fall back to the system VID.
-                try:
-                    return extract_module_id(packet)
-                except Exception:
-                    return 0
-
             for group_id, ports in old.mcast_groups().items():
                 scheduler.set_mcast_group(group_id, ports)
             for port, packets in old.drain_all().items():
@@ -478,9 +467,9 @@ class Tenant:
 
     Obtained from :meth:`Switch.admit`. Holding a handle is holding
     the authority over exactly that VID's tables, registers, egress
-    configuration, and lifecycle. (:meth:`Tenant.attach` exists only
-    as a compatibility shim for code still loading modules through the
-    layered :class:`~repro.runtime.controller.MenshenController`.)
+    configuration, and lifecycle. (:meth:`Tenant.attach` is the bridge
+    from a bare :class:`~repro.runtime.controller.MenshenController`
+    to the same handle.)
     """
 
     def __init__(self, switch: Switch, vid: int, name: str = ""):
@@ -493,9 +482,11 @@ class Tenant:
 
     @classmethod
     def attach(cls, controller: MenshenController, vid: int) -> "Tenant":
-        """Compatibility shim: adopt a module loaded through the
-        layered API. New code should build a :class:`Switch` and use
-        :meth:`Switch.admit` / :meth:`Switch.tenant` instead."""
+        """The typed handle for a module already loaded through a bare
+        :class:`~repro.runtime.controller.MenshenController` — the one
+        bridge from the layered API (which tests and benches drive
+        directly) to the facade. Code that owns a :class:`Switch` uses
+        :meth:`Switch.admit` / :meth:`Switch.tenant`."""
         return Switch(controller=controller).tenant(vid)
 
     def __repr__(self) -> str:

@@ -9,13 +9,13 @@ a Menshen backend. This package is a self-contained equivalent:
   byte offsets, check widths,
 * :mod:`~repro.compiler.ir` — the lowered module IR,
 * :mod:`~repro.compiler.static_checker` — the §3.4 safety rules (no VID
-  writes, no stats writes, no recirculation, loop-free routes),
+  writes, no stats writes, no recirculation),
 * :mod:`~repro.compiler.allocator` — PHV container allocation and table →
   stage placement with dependency checking,
 * :mod:`~repro.compiler.backend` — emission of parse actions, key
   extractor entries, masks, and VLIW action templates,
-* :mod:`~repro.compiler.resource_checker` — usage vs. an operator
-  resource allocation,
+* :mod:`~repro.compiler.resource_checker` — usage vs. the raw hardware
+  limits (the §3.4 backstop),
 * :mod:`~repro.compiler.compile` — the `compile_module` driver, split
   at :func:`analyse` (target-independent, once per program) and the
   per-target backend.

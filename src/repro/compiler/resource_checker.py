@@ -4,13 +4,12 @@ Menshen checks allocations *statically*: reassigning a resource from one
 module to another would disrupt both, so a module whose requirements
 cannot be met is simply not admitted (admission control). This module
 computes a compiled module's resource demand and validates it against
-either the raw hardware limits or an operator-granted allowance.
+the raw hardware limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from ..errors import ResourceError
 from ..rmt.params import HardwareParams
@@ -39,34 +38,10 @@ class ResourceRequest:
         )
 
 
-def _raise_quota_findings(module: CompiledModule, params: HardwareParams,
-                          codes: frozenset,
-                          granted_match_entries: Optional[int] = None,
-                          granted_stateful_words: Optional[int] = None
-                          ) -> None:
-    """Run the quota pass and convert its findings back to the legacy
-    exception. Imported lazily: :mod:`repro.analysis` depends on the
-    compiler package, not the other way around."""
-    from ..analysis.passes import ModuleContext, ResourceQuotaPass
-
-    ctx = ModuleContext(
-        name=module.name, params=params, module=module,
-        granted_match_entries=granted_match_entries,
-        granted_stateful_words=granted_stateful_words)
-    for finding in ResourceQuotaPass().run(ctx):
-        if finding.code in codes:
-            where = (f"stage {finding.stage}: "
-                     if finding.stage is not None else "")
-            raise ResourceError(f"{where}{finding.message}")
-
-
 #: Findings enforced as raw hardware limits (per-module dimensions).
 _HARDWARE_CODES = frozenset({
     "quota-parse-actions", "quota-containers", "quota-match-entries",
     "quota-stateful-words", "quota-stage", "quota-key-width"})
-
-#: Findings enforced as operator-granted allowances.
-_GRANT_CODES = frozenset({"quota-grant-match", "quota-grant-stateful"})
 
 
 def check_against_hardware(module: CompiledModule,
@@ -75,21 +50,17 @@ def check_against_hardware(module: CompiledModule,
 
     (The allocator already guarantees most of these; this re-validation
     is the backstop the paper's resource checker provides, and it also
-    covers artifacts constructed without the allocator.) Since PR 6 this
-    is a shim over :class:`repro.analysis.passes.ResourceQuotaPass`.
+    covers artifacts constructed without the allocator.) Runs
+    :class:`repro.analysis.passes.ResourceQuotaPass` and raises its
+    first hardware-limit finding as :class:`ResourceError`.
     """
-    _raise_quota_findings(module, params, _HARDWARE_CODES)
+    # Imported lazily: repro.analysis depends on the compiler package,
+    # not the other way around.
+    from ..analysis.passes import ModuleContext, ResourceQuotaPass
 
-
-def check_against_grant(module: CompiledModule,
-                        granted_match_entries: Optional[int] = None,
-                        granted_stateful_words: Optional[int] = None) -> None:
-    """Validate the module stays within an operator-granted allowance.
-
-    A shim over :class:`repro.analysis.passes.ResourceQuotaPass`, kept
-    for callers that want the legacy :class:`ResourceError` contract.
-    """
-    _raise_quota_findings(
-        module, module.target.params, _GRANT_CODES,
-        granted_match_entries=granted_match_entries,
-        granted_stateful_words=granted_stateful_words)
+    ctx = ModuleContext(name=module.name, params=params, module=module)
+    for finding in ResourceQuotaPass().run(ctx):
+        if finding.code in _HARDWARE_CODES:
+            where = (f"stage {finding.stage}: "
+                     if finding.stage is not None else "")
+            raise ResourceError(f"{where}{finding.message}")

@@ -14,13 +14,11 @@ Three properties are analyzed on the typed AST before lowering:
    other modules.
 
 Loop freedom of routing tables is a control-plane check
-(:func:`check_loop_free`), run by the runtime against the actual route
-entries a module installs.
+(:func:`repro.analysis.passes.find_loop`), run against the actual
+next-hop relation a placement installs.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Hashable
 
 from ..errors import StaticCheckError
 from .ast_nodes import AssignStmt, PrimitiveCall
@@ -66,19 +64,3 @@ def check_module(env: Env) -> None:
                     f"(bytes [{lo}, {hi})), overlapping the VLAN TCI "
                     f"bytes {VID_BYTE_RANGE}: modules may not modify "
                     f"their VID", stmt.line)
-
-
-def check_loop_free(next_hop: Dict[Hashable, Hashable]) -> None:
-    """Control-plane routing-loop check: ``next_hop`` maps node -> node.
-
-    Raises :class:`StaticCheckError` if following the mapping from any
-    node revisits a node (a forwarding loop). Terminal nodes simply do
-    not appear as keys.
-    """
-    # Shim over the analysis pass (imported lazily: repro.analysis
-    # depends on the compiler package, not the other way around).
-    from ..analysis.passes import find_loop
-    walk = find_loop(next_hop)
-    if walk is not None:
-        path = " -> ".join(str(node) for node in walk)
-        raise StaticCheckError(f"routing loop detected: {path}")

@@ -33,7 +33,6 @@ from .batch import (
     BatchEngine,
     EngineCounters,
     EngineTenantCounters,
-    certify_default_mode,
 )
 from .classifier import (
     ClassifierStats,
@@ -53,7 +52,6 @@ __all__ = [
     "BatchEngine",
     "CERTIFY_MODES",
     "FALLBACK_REASONS",
-    "certify_default_mode",
     "EngineCounters",
     "EngineTenantCounters",
     "ClassifierStats",

@@ -38,8 +38,8 @@ per-packet costs:
   an uncertified compiled path (packets take the scalar oracle, counted
   under the ``uncertified`` fallback reason), ``warn`` emits an
   :class:`~repro.analysis.verify.AnalysisWarning`, ``off`` (default)
-  skips the check. The mode defaults from ``REPRO_ENGINE_CERTIFY``;
-  certificates are kept in :attr:`BatchEngine.certificates` per VID.
+  skips the check. Certificates are kept in
+  :attr:`BatchEngine.certificates` per VID.
 * **Stateful bypass.** A packet whose execution touches stateful memory
   is never memoized, and its module stops probing the cache until the
   next reconfiguration (state-carrying modules like NetCache/NetChain
@@ -80,7 +80,6 @@ guaranteed.
 from __future__ import annotations
 
 import copy
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -108,44 +107,6 @@ CERTIFY_MODES = ("enforce", "warn", "off")
 #: scalar oracle (the keys of ``EngineCounters.classifier_fallbacks``).
 FALLBACK_REASONS = ("stateful", "unsupported-action", "uncompilable",
                     "parse-window", "uncertified")
-
-
-def certify_default_mode() -> str:
-    """Default for ``BatchEngine(check_compiled=None)``.
-
-    The ``REPRO_ENGINE_CERTIFY`` environment variable selects the
-    certification mode for compiled classifiers: ``enforce`` (also
-    ``on``/``1``/``true``/``yes``) certifies on every lazy rebuild and
-    refuses the compiled path on a violated certificate; ``warn``
-    certifies but only emits an ``AnalysisWarning``; unset or
-    ``off``/``0``/``false``/``no`` skips certification entirely.
-    """
-    value = os.environ.get("REPRO_ENGINE_CERTIFY")
-    if value is None:
-        return "off"
-    normalized = value.strip().lower()
-    if normalized in ("", "0", "off", "false", "no"):
-        return "off"
-    if normalized in ("1", "on", "true", "yes", "enforce"):
-        return "enforce"
-    if normalized == "warn":
-        return "warn"
-    raise ValueError(
-        f"REPRO_ENGINE_CERTIFY={value!r} is not one of {CERTIFY_MODES}")
-
-
-def classifier_default_enabled() -> bool:
-    """Default for ``BatchEngine(enable_classifier=None)``.
-
-    The ``REPRO_ENGINE_CLASSIFIER`` environment variable turns the
-    compiled-classification level off (``off``/``0``/``false``/``no``)
-    or on (anything else, including ``on``); unset means on. CI uses it
-    to pin the differential suites with the classifier force-enabled.
-    """
-    value = os.environ.get("REPRO_ENGINE_CLASSIFIER")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "off", "false", "no")
 
 
 @dataclass
@@ -259,8 +220,8 @@ class BatchEngine:
     def __init__(self, pipeline: MenshenPipeline,
                  cache_capacity: int = 4096,
                  enable_cache: bool = True,
-                 enable_classifier: Optional[bool] = None,
-                 check_compiled: Optional[str] = None):
+                 enable_classifier: bool = True,
+                 check_compiled: str = "off"):
         """``check_compiled`` selects the certification mode for the
         compiled-classification level: every lazy rebuild is certified
         against the installed tables by
@@ -268,8 +229,7 @@ class BatchEngine:
         refuses the compiled path on a violated certificate (packets
         fall back to the scalar oracle, counted under ``uncertified``);
         ``warn`` emits an ``AnalysisWarning`` instead; ``off`` (the
-        default) skips certification. ``None`` defers to the
-        ``REPRO_ENGINE_CERTIFY`` environment variable.
+        default) skips certification.
         """
         if not isinstance(pipeline, MenshenPipeline):
             raise TypeError(
@@ -278,11 +238,7 @@ class BatchEngine:
         self.pipeline = pipeline
         self.cache_capacity = cache_capacity
         self.enable_cache = enable_cache
-        if enable_classifier is None:
-            enable_classifier = classifier_default_enabled()
         self.enable_classifier = enable_classifier
-        if check_compiled is None:
-            check_compiled = certify_default_mode()
         if check_compiled not in CERTIFY_MODES:
             raise ValueError(
                 f"unknown check_compiled mode {check_compiled!r}; "

@@ -1,35 +1,30 @@
 """``repro.exec`` — the unified execution core.
 
 One :class:`ExecutionCore` owns the engine-drain / departure-routing
-loop every serving frontend used to re-implement: untimed multi-hop
-waves (:func:`repro.fabric.forwarding.process_batch`), exact
-event-driven fabric service
-(:class:`repro.sim.fabric_timeline.FabricTimelineExperiment`), and the
-clock-driven single-switch Fig. 10 timeline
-(:class:`repro.sim.timeline.ReconfigTimelineExperiment`). The core is
-parameterized by topology (a fabric's members, or one switch wrapped
-in :class:`SwitchMember`) and timing policy (waves, a
-:class:`repro.sim.kernel.Simulator`, or explicit clock advances);
-frontends are result shaping over an :class:`ExecutionSink`.
+loop both fabric serving frontends share, under one of two timing
+policies: untimed multi-hop waves
+(:func:`repro.fabric.forwarding.process_batch`) and exact event-driven
+service where a :class:`repro.sim.kernel.Simulator`'s event list is the
+only clock
+(:class:`repro.sim.fabric_timeline.FabricTimelineExperiment`). The core
+is parameterized by topology (a fabric's members, or a worker's shard
+of them); frontends are result shaping over an :class:`ExecutionSink`.
 
 :class:`~repro.exec.records.LostRecord` is the shared typed currency
 for link-down losses, so the untimed and timed paths report dropped
 traffic in one comparable shape.
 
-:mod:`repro.exec.parallel` shards either policy across worker
-processes — one worker per switch, conservative time-sync on the
-timeline path — selected per call (``backend="process"``) or via
-``REPRO_EXEC_BACKEND``.
+:mod:`repro.exec.parallel` shards the event-driven policy across worker
+processes — one worker per switch, conservative time-sync — selected at
+one call site, ``FabricTimelineExperiment(backend="process")``.
 """
 
-from .core import ExecutionCore, ExecutionSink, SwitchMember, vid_of
+from .core import ExecutionCore, ExecutionSink, vid_of
 from .parallel import (
     EXEC_BACKENDS,
     FabricOp,
     LinkStateOp,
     TenantUpdateOp,
-    default_backend,
-    default_workers,
     resolve_backend,
 )
 from .records import LostRecord, summarize_lost
@@ -37,7 +32,6 @@ from .records import LostRecord, summarize_lost
 __all__ = [
     "ExecutionCore",
     "ExecutionSink",
-    "SwitchMember",
     "vid_of",
     "LostRecord",
     "summarize_lost",
@@ -45,7 +39,5 @@ __all__ = [
     "FabricOp",
     "TenantUpdateOp",
     "LinkStateOp",
-    "default_backend",
-    "default_workers",
     "resolve_backend",
 ]

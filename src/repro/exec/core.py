@@ -1,27 +1,27 @@
 """The unified execution core: one engine-drain / departure-routing loop.
 
-Three serving frontends used to re-implement the same inner loop —
-push packets through a switch's :class:`~repro.engine.batch.BatchEngine`,
-drain its egress in the scheduler's service order, and route each
-departed packet (host-port exit, downed-link loss, or cross-link hop to
-the neighbor's ingress):
+Both fabric serving frontends share one inner loop — push packets
+through a switch's :class:`~repro.engine.batch.BatchEngine`, drain its
+egress in the scheduler's service order, and route each departed packet
+(host-port exit, downed-link loss, or cross-link hop to the neighbor's
+ingress):
 
 * :func:`repro.fabric.forwarding.process_batch` — untimed waves;
 * :class:`repro.sim.fabric_timeline.FabricTimelineExperiment` — exact
-  event-driven service on :class:`repro.sim.kernel.Simulator`;
-* :class:`repro.sim.timeline.ReconfigTimelineExperiment` — the timed
-  single-switch Fig. 10 harness (a degenerate topology: every port is
-  a host port).
+  event-driven service on :class:`repro.sim.kernel.Simulator`.
 
 :class:`ExecutionCore` centralizes that loop, classic discrete-event-
 harness style: it is parameterized by **topology** (an ordered set of
-members — a whole :class:`~repro.fabric.topology.Fabric`, or one
-switch wrapped in :class:`SwitchMember`) and by **timing policy**
+members — a whole :class:`~repro.fabric.topology.Fabric`, or a
+worker's shard of one) and by one of two **timing policies**
 (``sim=None`` runs untimed waves in service order; passing a
-:class:`~repro.sim.kernel.Simulator` runs exact event-driven service
-from :meth:`~repro.engine.scheduler.EgressScheduler.next_departures`).
+:class:`~repro.sim.kernel.Simulator` makes its event list the only
+clock: exact event-driven service from
+:meth:`~repro.engine.scheduler.EgressScheduler.next_departures`).
 Frontends shrink to result shaping: they feed arrivals in and observe
-outcomes through an :class:`ExecutionSink`.
+outcomes through an :class:`ExecutionSink`. (The single-switch Fig. 10
+harness, :class:`repro.sim.timeline.ReconfigTimelineExperiment`, has no
+links to route over and drives its scheduler directly.)
 
 A *member* is anything with the fabric-switch surface: ``name``,
 ``engine`` (``process_batch``), ``scheduler`` (drain / ``advance_to`` /
@@ -57,8 +57,8 @@ class ExecutionSink:
 
     Frontends subclass this to build their result objects
     (:class:`~repro.fabric.forwarding.FabricResult`,
-    :class:`~repro.sim.fabric_timeline.FabricTimelineResult`, the
-    timeline's latency dict) out of the core's uniform event stream.
+    :class:`~repro.sim.fabric_timeline.FabricTimelineResult`) out of
+    the core's uniform event stream.
     ``time`` is the virtual departure/delivery instant under a timed
     policy and ``0.0`` under waves.
     """
@@ -78,46 +78,18 @@ class ExecutionSink:
         """One packet blackholed by a downed link."""
 
 
-class SwitchMember:
-    """Adapter: one switch's serving path as a (degenerate) topology.
-
-    Wraps a data path (anything with ``process_batch`` — a
-    :class:`~repro.engine.batch.BatchEngine` or a bare pipeline) and
-    its egress scheduler as a member with no fabric links, so the
-    single-switch timeline runs on the same core as the fabric: every
-    departure is a host-port delivery.
-    """
-
-    def __init__(self, name: str, engine, scheduler,
-                 links: Optional[Dict[int, object]] = None):
-        self.name = name
-        self.engine = engine
-        self.scheduler = scheduler
-        self.links: Dict[int, object] = dict(links or {})
-
-    @property
-    def num_ports(self) -> int:
-        return self.scheduler.num_ports
-
-    def __repr__(self) -> str:
-        return f"SwitchMember({self.name!r}, {self.num_ports} host ports)"
-
-
 class ExecutionCore:
     """One run's engine-drain / departure-routing state machine.
 
-    Construct per run (:meth:`for_fabric` / :meth:`for_switch`), then
-    drive it with exactly one timing policy:
+    Construct per run (:meth:`for_fabric`, or directly over a shard's
+    members), then drive it with exactly one of two timing policies:
 
     * **untimed** — :meth:`run_waves` pushes arrival waves to exit in
       the schedulers' service order (``sim`` must be ``None``);
     * **event-driven** — construct with a
       :class:`~repro.sim.kernel.Simulator`, schedule
       :meth:`inject` calls (and let :meth:`route_departures` /
-      :meth:`schedule_services` cascade), then ``sim.run()``;
-    * **clock-driven single switch** — :meth:`advance_member` /
-      :meth:`drain_member_backlog` advance one member's egress clock
-      explicitly (the Fig. 10 timeline's policy).
+      :meth:`schedule_services` cascade), then ``sim.run()``.
     """
 
     def __init__(self, members: Sequence, sink: Optional[ExecutionSink] = None,
@@ -151,18 +123,7 @@ class ExecutionCore:
         return cls(fabric.switches(), sink=sink, sim=sim,
                    member_lookup=fabric.switch)
 
-    @classmethod
-    def for_switch(cls, engine, scheduler, name: str = "switch",
-                   sink: Optional[ExecutionSink] = None,
-                   sim=None) -> "ExecutionCore":
-        """A core over one switch's serving path (no fabric links)."""
-        return cls([SwitchMember(name, engine, scheduler)],
-                   sink=sink, sim=sim)
-
     # -- topology ---------------------------------------------------------------
-
-    def members(self) -> List:
-        return list(self._members)
 
     def member(self, name: str):
         if self._lookup is not None:
@@ -182,7 +143,7 @@ class ExecutionCore:
     @staticmethod
     def member_up(member) -> bool:
         """Whether a member is serving (members without an ``up`` flag
-        — e.g. :class:`SwitchMember` — always are)."""
+        always are)."""
         return bool(getattr(member, "up", True))
 
     # -- fault accounting ---------------------------------------------------------
@@ -376,26 +337,3 @@ class ExecutionCore:
             self.route_departures(member, departures)
         self._serve_batch(member, [packet])
         self.schedule_services(member, scheduler)
-
-    # -- clock-driven policy: explicit advance (single-switch timeline) ----------
-
-    def advance_member(self, member, t: float) -> None:
-        """Advance one member's egress clock to ``t``, routing every
-        departure that completes by then."""
-        self.route_departures(member, member.scheduler.advance_to(t))
-
-    def drain_member_backlog(self, member, step_s: float) -> None:
-        """Let a member's egress backlog finish transmitting.
-
-        A fixed clock+``step_s`` step is not enough to guarantee
-        progress (a transmission longer than one step — low line rate,
-        big packet — completes past the horizon and the clock holds at
-        its committed start), so each round advances at least to the
-        earliest next departure; the loop cannot spin.
-        """
-        scheduler = member.scheduler
-        while scheduler.total_queued():
-            horizon = max(
-                scheduler.clock + step_s,
-                min(at for _port, at in scheduler.next_departures()))
-            self.advance_member(member, horizon)

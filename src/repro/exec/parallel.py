@@ -11,32 +11,25 @@ BatchEngine`, :class:`~repro.engine.scheduler.EgressScheduler`, and
 classifiers warm locally — and ships results home as typed per-switch
 frames (counter *deltas* via the introspected algebra in
 :mod:`repro.core.stats`, plus the sink's event records), which the
-parent merges so ``FabricResult`` / ``FabricTimelineResult`` match the
-serial oracle.
+parent merges so ``FabricTimelineResult`` matches the serial oracle.
 
-Two timing policies, mirroring :class:`~repro.exec.core.ExecutionCore`:
-
-* **Untimed waves** (:func:`run_fabric_batch`) — the wave barrier *is*
-  the synchronization: the parent partitions each wave's arrivals by
-  owning worker, collects every worker's emissions tagged (global
-  switch index, port, drain order), and re-sorts them into the serial
-  forwarder's exact order before feeding the next wave.
-* **Event-driven timeline** (:func:`run_fabric_timeline`) —
-  conservative discrete-event synchronization in the
-  Chandy-Misra-Bryant style, paced by parent-coordinated rounds. Each
-  round a worker consumes one message per in-peer (cross-link packets
-  plus the sender's **promise**: its processed-through horizon),
-  services local events up to the safe bound — ``min`` over in-edges
-  of (promise + that edge's lookahead, the minimum link propagation
-  delay) — and sends its own packets + promise to every out-peer. An
-  idle edge still carries its promise every round: the **null
-  message** that keeps bounds advancing and the worker graph
-  deadlock-free. The parent collects one status line per worker per
-  round and stops the fleet on the first globally quiescent round
-  (zero pending events and zero emitted packets everywhere — with the
-  barrier, nothing can be in flight). Zero-delay cross-worker links
-  are rejected (:class:`~repro.errors.ParallelExecError`): without
-  positive lookahead the bound cannot advance.
+One timing policy is sharded — the **event-driven timeline**
+(:func:`run_fabric_timeline`); untimed waves run serially only. The
+workers keep conservative discrete-event synchronization in the
+Chandy-Misra-Bryant style, paced by parent-coordinated rounds. Each
+round a worker consumes one message per in-peer (cross-link packets
+plus the sender's **promise**: its processed-through horizon),
+services local events up to the safe bound — ``min`` over in-edges
+of (promise + that edge's lookahead, the minimum link propagation
+delay) — and sends its own packets + promise to every out-peer. An
+idle edge still carries its promise every round: the **null
+message** that keeps bounds advancing and the worker graph
+deadlock-free. The parent collects one status line per worker per
+round and stops the fleet on the first globally quiescent round
+(zero pending events and zero emitted packets everywhere — with the
+barrier, nothing can be in flight). Zero-delay cross-worker links
+are rejected (:class:`~repro.errors.ParallelExecError`): without
+positive lookahead the bound cannot advance.
 
 Reconfiguration inside a parallel timeline cannot ride an opaque
 callable (it would have to execute in another process), so the process
@@ -63,7 +56,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import pickle
 import queue
 import time
@@ -71,19 +63,17 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import FabricError, ParallelExecError
+from ..errors import ParallelExecError
 from ..net.packet import Packet
-from .core import ExecutionCore, ExecutionSink, vid_of
+from .core import ExecutionCore, ExecutionSink
 
-#: The execution backends every fabric serving frontend accepts.
+#: The execution backends the fabric timeline accepts.
 EXEC_BACKENDS = ("serial", "process")
 
 #: Machine-readable backend description (surfaced by
 #: ``repro-info --json`` under the ``"exec"`` section).
 PARALLEL_INFO = {
     "backends": list(EXEC_BACKENDS),
-    "env": {"backend": "REPRO_EXEC_BACKEND",
-            "workers": "REPRO_EXEC_WORKERS"},
     "worker_policy": ("one worker per switch by default; fewer workers "
                       "own contiguous shards of the fabric's switch "
                       "order"),
@@ -104,35 +94,8 @@ _GET_TIMEOUT_S = 600.0
 _POLL_S = 0.2
 
 
-def default_backend() -> str:
-    """Backend selected by ``REPRO_EXEC_BACKEND`` (default ``serial``)."""
-    value = os.environ.get("REPRO_EXEC_BACKEND")
-    if value is None or not value.strip():
-        return "serial"
-    normalized = value.strip().lower()
-    if normalized not in EXEC_BACKENDS:
-        raise ValueError(
-            f"REPRO_EXEC_BACKEND={value!r} is not one of {EXEC_BACKENDS}")
-    return normalized
-
-
-def default_workers() -> Optional[int]:
-    """Worker count from ``REPRO_EXEC_WORKERS`` (``None`` = one per
-    switch)."""
-    value = os.environ.get("REPRO_EXEC_WORKERS")
-    if value is None or not value.strip():
-        return None
-    count = int(value)
-    if count < 1:
-        raise ValueError(
-            f"REPRO_EXEC_WORKERS={value!r} must be a positive integer")
-    return count
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """An explicit ``backend=`` argument, else the environment default."""
-    if backend is None:
-        return default_backend()
+def resolve_backend(backend: str) -> str:
+    """``backend`` itself, or ``ValueError`` if it names no backend."""
     if backend not in EXEC_BACKENDS:
         raise ValueError(
             f"backend={backend!r} is not one of {EXEC_BACKENDS}")
@@ -257,8 +220,6 @@ def partition_names(names: Sequence[str], workers: int) -> List[List[str]]:
 
 
 def _resolve_worker_count(fabric, workers: Optional[int]) -> int:
-    if workers is None:
-        workers = default_workers()
     members = fabric.switches()
     if workers is None:
         workers = len(members)
@@ -422,9 +383,6 @@ class _WorkerPool:
         for inbox in self.inboxes:
             inbox.put(msg)
 
-    def send(self, worker_id: int, msg) -> None:
-        self.inboxes[worker_id].put(msg)
-
     def collect_frames(self, count: int) -> List:
         frames: Dict[int, object] = {}
         while len(frames) < count:
@@ -449,219 +407,7 @@ class _WorkerPool:
             channel.close()
 
 
-# ====================== untimed waves (process backend) ======================
-
-
-class _WavesWorkerSink(ExecutionSink):
-    """Tags every delivery/loss with (wave, global switch index, seq)
-    so the parent can re-create the serial forwarder's fabric-wide
-    service order exactly."""
-
-    def __init__(self, member_index: Dict[str, int]):
-        self.member_index = member_index
-        self.wave = 0
-        self.seq = 0
-        self.results: Dict[str, List] = {}
-        self.delivered: List[Tuple] = []
-        self.lost: List[Tuple] = []
-        self.dropped: Dict[int, int] = {}
-
-    def begin(self, wave: int) -> None:
-        self.wave = wave
-        self.seq = 0
-
-    def _tag(self, member: str) -> Tuple[int, int, int]:
-        tag = (self.wave, self.member_index[member], self.seq)
-        self.seq += 1
-        return tag
-
-    def on_result(self, member: str, result) -> None:
-        self.results.setdefault(member, []).append(result)
-
-    def on_drop(self, vid: int) -> None:
-        self.dropped[vid] = self.dropped.get(vid, 0) + 1
-
-    def on_deliver(self, member: str, port: int, vid: int,
-                   packet: Packet, time: float) -> None:
-        self.delivered.append((*self._tag(member), member, port, vid,
-                               packet))
-
-    def on_lost(self, member: str, port: int, vid: int, packet: Packet,
-                link: str, time: float) -> None:
-        self.lost.append((*self._tag(member), member, port, vid, packet,
-                          link))
-
-
-@dataclass
-class _WavesPlan:
-    worker_id: int
-    spec: bytes
-    #: switch name -> global index in the fabric's switch order
-    member_index: Dict[str, int]
-
-
-@dataclass
-class _WavesFrame:
-    switches: List[SwitchFrame]
-    link_deltas: Dict[str, Tuple[int, Dict[int, int]]]
-    results: Dict[str, List]
-    delivered: List[Tuple]
-    lost: List[Tuple]
-    dropped: Dict[int, int]
-
-
-def run_waves_shard(plan: _WavesPlan, shard: WorkerShard, recv, send) -> None:
-    """One waves worker's message loop (drivable in-process for tests:
-    ``recv`` is a zero-arg message source, ``send`` a one-arg sink).
-
-    Per ``("wave", n, arrivals)`` message the shard's members serve
-    their arrivals in global switch order and drain every port in
-    weighted-fair service order — the serial wave body, scoped to the
-    shard. Cross-link targets (local *or* remote: waves are globally
-    barriered, so even an in-shard hop belongs to the next wave) go
-    back to the parent tagged (global switch index, port, seq)."""
-    baseline = _baseline(shard.members)
-    sink = _WavesWorkerSink(plan.member_index)
-    core = ExecutionCore(shard.members, sink=sink)
-    while True:
-        msg = recv()
-        if msg[0] != "wave":
-            break
-        _, wave_no, items = msg
-        sink.begin(wave_no)
-        by_member: Dict[str, List[Packet]] = {}
-        for name, packet in items:
-            by_member.setdefault(name, []).append(packet)
-        emissions: List[Tuple] = []
-        for member in shard.members:
-            pkts = by_member.get(member.name)
-            if not pkts:
-                continue
-            if not core.member_up(member):
-                for packet in pkts:
-                    sink.on_lost(member.name, packet.ingress_port or 0,
-                                 vid_of(packet), packet,
-                                 f"switch:{member.name}", 0.0)
-                continue
-            core._serve_batch(member, pkts)
-            seq = 0
-            for port in range(member.num_ports):
-                for packet in member.scheduler.drain(port):
-                    target = core.route(member, port, packet,
-                                        vid_of(packet))
-                    if target is None:
-                        continue
-                    emissions.append((plan.member_index[member.name],
-                                      port, seq, target[0], target[1]))
-                    seq += 1
-        send(("wave_done", plan.worker_id, emissions))
-    if msg[0] == "finish":
-        frame = _WavesFrame(
-            switches=_switch_frames(shard.members, baseline),
-            link_deltas=_link_deltas(shard.members, baseline),
-            results=sink.results, delivered=sink.delivered,
-            lost=sink.lost, dropped=sink.dropped)
-        send(("frame", plan.worker_id,
-              pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)))
-
-
-def _waves_worker_entry(worker_id: int, plan_blob: bytes, inboxes,
-                        to_parent) -> None:  # pragma: no cover — subprocess
-    try:
-        plan = pickle.loads(plan_blob)
-        shard = WorkerShard(pickle.loads(plan.spec))
-        run_waves_shard(plan, shard, inboxes[worker_id].get, to_parent.put)
-    except BaseException:
-        to_parent.put(("error", worker_id, traceback.format_exc()))
-
-
-def run_fabric_batch(fabric, arrivals, max_hops: Optional[int] = None,
-                     workers: Optional[int] = None):
-    """The process backend behind
-    :func:`repro.fabric.forwarding.process_batch`.
-
-    The parent is the wave barrier: it partitions each wave's arrivals
-    by owning worker, collects every worker's tagged emissions, sorts
-    them into the serial forwarder's order (global switch index, port,
-    drain order), and feeds them back as the next wave. Bit-identical
-    to the serial result, including delivery order; the caller's
-    arrival packets are not mutated (workers operate on pickled
-    copies)."""
-    from ..fabric.forwarding import Delivery, FabricResult, LostPacket
-
-    members = fabric.switches()
-    names = [member.name for member in members]
-    member_index = {name: i for i, name in enumerate(names)}
-    count = _resolve_worker_count(fabric, workers)
-    blocks = partition_names(names, count)
-    owner: Dict[str, int] = {}
-    for wid, block in enumerate(blocks):
-        for name in block:
-            owner[name] = wid
-    if max_hops is None:
-        max_hops = max(1, len(members))
-    blobs = _shard_blobs(fabric, blocks)
-    plans = [_WavesPlan(worker_id=i, spec=blobs[i],
-                        member_index=member_index)
-             for i in range(count)]
-    pool = _WorkerPool(_waves_worker_entry, plans)
-    try:
-        waves = 0
-        wave: List[Tuple[str, Packet]] = [(name, packet)
-                                          for name, packet in arrivals]
-        overflowed = True
-        for _ in range(max_hops + 1):
-            if not wave:
-                overflowed = False
-                break
-            waves += 1
-            per_worker: Dict[int, List] = {i: [] for i in range(count)}
-            for name, packet in wave:
-                fabric.switch(name)  # typed error for unknown names
-                per_worker[owner[name]].append((name, packet))
-            for wid in range(count):
-                pool.send(wid, ("wave", waves, per_worker[wid]))
-            emissions: List[Tuple] = []
-            done = 0
-            while done < count:
-                msg = pool.get()
-                if msg[0] == "wave_done":
-                    done += 1
-                    emissions.extend(msg[2])
-            emissions.sort(key=lambda e: (e[0], e[1], e[2]))
-            wave = [(dst, packet) for _, _, _, dst, packet in emissions]
-        if overflowed:
-            raise FabricError(
-                f"batch still in flight after {max_hops} hops — "
-                f"forwarding loop? in-flight: "
-                f"{[(name, vid_of(p)) for name, p in wave[:8]]}")
-        pool.broadcast(("finish",))
-        frames = pool.collect_frames(count)
-    finally:
-        pool.shutdown()
-
-    _merge_frames(fabric, frames)
-    result = FabricResult(waves=waves)
-    for frame in frames:
-        for name, outcomes in frame.results.items():
-            result.results[name] = outcomes
-        for vid, n in frame.dropped.items():
-            result.dropped[vid] = result.dropped.get(vid, 0) + n
-    delivered = sorted((entry for frame in frames
-                        for entry in frame.delivered),
-                       key=lambda e: (e[0], e[1], e[2]))
-    result.delivered = [Delivery(switch=member, port=port, vid=vid,
-                                 packet=packet)
-                        for _, _, _, member, port, vid, packet in delivered]
-    lost = sorted((entry for frame in frames for entry in frame.lost),
-                  key=lambda e: (e[0], e[1], e[2]))
-    result.lost = [LostPacket(link=link, switch=member, port=port,
-                              vid=vid, packet=packet)
-                   for _, _, _, member, port, vid, packet, link in lost]
-    return result
-
-
-# =================== event-driven timeline (process backend) =================
+# -- event-driven timeline ----------------------------------------------------
 
 
 class _TimelineWorkerSink(ExecutionSink):

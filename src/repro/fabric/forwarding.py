@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exec import ExecutionCore, ExecutionSink, LostRecord, summarize_lost
-from ..exec import vid_of as _vid_of  # noqa: F401  (compat re-export)
 from ..net.packet import Packet
 from ..rmt.pipeline import PipelineResult
 from .topology import Fabric
@@ -128,30 +127,14 @@ class _ResultSink(ExecutionSink):
 
 def process_batch(fabric: Fabric,
                   arrivals: Sequence[Tuple[str, Packet]],
-                  max_hops: Optional[int] = None,
-                  backend: Optional[str] = None,
-                  workers: Optional[int] = None) -> FabricResult:
+                  max_hops: Optional[int] = None) -> FabricResult:
     """Drive one batch of ``(switch_name, packet)`` arrivals to exit.
 
     ``max_hops`` bounds the wave count (default: number of switches,
     the longest loop-free route); exceeding it raises
     :class:`~repro.errors.FabricError` instead of looping forever on a
     misconfigured forwarding cycle.
-
-    ``backend`` selects the execution backend (default: the
-    ``REPRO_EXEC_BACKEND`` environment variable, else ``"serial"``):
-    ``"serial"`` is the in-process oracle; ``"process"`` shards the
-    fabric across worker processes (``workers``, default one per
-    switch) via :func:`repro.exec.parallel.run_fabric_batch` with a
-    bit-identical result. The serial path mutates the arrival packets
-    in place (ingress rewrites); the process path leaves them
-    untouched and returns pickled copies.
     """
-    from ..exec.parallel import resolve_backend, run_fabric_batch
-
-    if resolve_backend(backend) == "process":
-        return run_fabric_batch(fabric, arrivals, max_hops=max_hops,
-                                workers=workers)
     result = FabricResult()
     core = ExecutionCore.for_fabric(fabric, sink=_ResultSink(result))
     result.waves = core.run_waves(arrivals, max_hops=max_hops)

@@ -404,14 +404,11 @@ class Fabric:
 
     # -- data plane --------------------------------------------------------------
 
-    def process_batch(self, arrivals, max_hops: Optional[int] = None,
-                      backend: Optional[str] = None,
-                      workers: Optional[int] = None):
+    def process_batch(self, arrivals, max_hops: Optional[int] = None):
         """Batched multi-hop forwarding; see
         :func:`repro.fabric.forwarding.process_batch`."""
         from .forwarding import process_batch
-        return process_batch(self, arrivals, max_hops=max_hops,
-                             backend=backend, workers=workers)
+        return process_batch(self, arrivals, max_hops=max_hops)
 
 
 def leaf_spine(leaves: int = 2, spines: int = 1,

@@ -10,7 +10,6 @@ containers.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, List, Tuple
 
 from ..net import PacketBuilder
@@ -89,17 +88,3 @@ def apply_entries(tenant, entries: Iterable[Tuple[str, TableEntry]]) -> None:
     """Install typed ``(table, entry)`` pairs through a tenant handle."""
     for table, entry in entries:
         tenant.table(table).insert(entry)
-
-
-def attach_tenant(controller, module_id: int):
-    """Wrap a bare (controller, module_id) pair in a tenant handle."""
-    from ..api import Tenant
-    return Tenant.attach(controller, module_id)
-
-
-def warn_deprecated_installer(old: str, new: str) -> None:
-    """One DeprecationWarning format for every legacy install helper."""
-    warnings.warn(
-        f"{old}(controller, module_id, ...) is deprecated; admit the "
-        f"module through repro.api.Switch and call {new}(tenant, ...)",
-        DeprecationWarning, stacklevel=3)

@@ -16,10 +16,8 @@ from .base import (
     COMMON_HEADER_DECLS,
     EntryList,
     apply_entries,
-    attach_tenant,
     common_packet,
     parser_chain,
-    warn_deprecated_installer,
 )
 
 NAME = "firewall"
@@ -104,24 +102,6 @@ def install_prefix(tenant, blocked_prefixes: Iterable[Tuple[str, int]] = (),
                    default_port: int = 1) -> None:
     """Install the ternary (Appendix B) ACL through a tenant handle."""
     apply_entries(tenant, prefix_entries(blocked_prefixes, default_port))
-
-
-def install_prefix_entries(controller, module_id: int,
-                           blocked_prefixes: Iterable[Tuple[str, int]] = (),
-                           default_port: int = 1) -> None:
-    """Deprecated: use :func:`install_prefix` with a tenant handle."""
-    warn_deprecated_installer("firewall.install_prefix_entries",
-                              "firewall.install_prefix")
-    install_prefix(attach_tenant(controller, module_id), blocked_prefixes,
-                   default_port)
-
-
-def install_entries(controller, module_id: int,
-                    blocked: Iterable[Tuple[str, int]] = (),
-                    allowed: Iterable[Tuple[str, int, int]] = ()) -> None:
-    """Deprecated: use :func:`install` with a :class:`repro.api.Tenant`."""
-    warn_deprecated_installer("firewall.install_entries", "firewall.install")
-    install(attach_tenant(controller, module_id), blocked, allowed)
 
 
 def make_packet(vid: int, src: str, dport: int, pad_to: int = 0) -> Packet:

@@ -16,10 +16,8 @@ from .base import (
     COMMON_HEADER_DECLS,
     EntryList,
     apply_entries,
-    attach_tenant,
     common_packet,
     parser_chain,
-    warn_deprecated_installer,
 )
 
 NAME = "load_balancer"
@@ -57,14 +55,6 @@ def entries(flows: Iterable[Tuple[str, int, int, int]] = ()) -> EntryList:
 def install(tenant, flows: Iterable[Tuple[str, int, int, int]] = ()) -> None:
     """Install flow steering through a tenant handle."""
     apply_entries(tenant, entries(flows))
-
-
-def install_entries(controller, module_id: int,
-                    flows: Iterable[Tuple[str, int, int, int]] = ()) -> None:
-    """Deprecated: use :func:`install` with a :class:`repro.api.Tenant`."""
-    warn_deprecated_installer("load_balancer.install_entries",
-                              "load_balancer.install")
-    install(attach_tenant(controller, module_id), flows)
 
 
 def make_packet(vid: int, src: str, sport: int, pad_to: int = 0) -> Packet:

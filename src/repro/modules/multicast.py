@@ -15,11 +15,9 @@ from .base import (
     COMMON_HEADER_DECLS,
     EntryList,
     apply_entries,
-    attach_tenant,
     common_packet,
     ip_halves,
     parser_chain,
-    warn_deprecated_installer,
 )
 
 NAME = "multicast"
@@ -57,14 +55,6 @@ def entries(groups: Iterable[Tuple[str, int]] = ()) -> EntryList:
 def install(tenant, groups: Iterable[Tuple[str, int]] = ()) -> None:
     """Install multicast groups through a tenant handle."""
     apply_entries(tenant, entries(groups))
-
-
-def install_entries(controller, module_id: int,
-                    groups: Iterable[Tuple[str, int]] = ()) -> None:
-    """Deprecated: use :func:`install` with a :class:`repro.api.Tenant`."""
-    warn_deprecated_installer("multicast.install_entries",
-                              "multicast.install")
-    install(attach_tenant(controller, module_id), groups)
 
 
 def make_packet(vid: int, dst: str, pad_to: int = 0) -> Packet:

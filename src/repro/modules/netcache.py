@@ -17,11 +17,9 @@ from .base import (
     COMMON_HEADER_DECLS,
     EntryList,
     apply_entries,
-    attach_tenant,
     common_packet,
     parser_chain,
     read_module_field,
-    warn_deprecated_installer,
 )
 
 NAME = "netcache"
@@ -92,14 +90,6 @@ def install(tenant, cached: Iterable[Tuple[int, int, int]] = ()) -> None:
     for _key, idx, value in cached:
         values.write(idx, value)
     apply_entries(tenant, entries(cached))
-
-
-def install_entries(controller, module_id: int,
-                    cached: Iterable[Tuple[int, int, int]] = ()) -> None:
-    """Deprecated: use :func:`install` with a :class:`repro.api.Tenant`."""
-    warn_deprecated_installer("netcache.install_entries",
-                              "netcache.install")
-    install(attach_tenant(controller, module_id), cached)
 
 
 def make_get(vid: int, key: int, pad_to: int = 0) -> Packet:

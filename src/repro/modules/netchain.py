@@ -15,11 +15,9 @@ from .base import (
     COMMON_HEADER_DECLS,
     EntryList,
     apply_entries,
-    attach_tenant,
     common_packet,
     parser_chain,
     read_module_field,
-    warn_deprecated_installer,
 )
 
 NAME = "netchain"
@@ -65,13 +63,6 @@ def entries(port: int = 1) -> EntryList:
 def install(tenant, port: int = 1) -> None:
     """Install the sequencer rule through a tenant handle."""
     apply_entries(tenant, entries(port))
-
-
-def install_entries(controller, module_id: int, port: int = 1) -> None:
-    """Deprecated: use :func:`install` with a :class:`repro.api.Tenant`."""
-    warn_deprecated_installer("netchain.install_entries",
-                              "netchain.install")
-    install(attach_tenant(controller, module_id), port)
 
 
 def make_packet(vid: int, pad_to: int = 0) -> Packet:

@@ -16,10 +16,8 @@ from .base import (
     COMMON_HEADER_DECLS,
     EntryList,
     apply_entries,
-    attach_tenant,
     common_packet,
     parser_chain,
-    warn_deprecated_installer,
 )
 
 NAME = "qos"
@@ -68,14 +66,6 @@ def install(tenant,
             classes: Iterable[Tuple[int, int]] = DEFAULT_CLASSES) -> None:
     """Install traffic classes through a tenant handle."""
     apply_entries(tenant, entries(classes))
-
-
-def install_entries(controller, module_id: int,
-                    classes: Iterable[Tuple[int, int]] = DEFAULT_CLASSES
-                    ) -> None:
-    """Deprecated: use :func:`install` with a :class:`repro.api.Tenant`."""
-    warn_deprecated_installer("qos.install_entries", "qos.install")
-    install(attach_tenant(controller, module_id), classes)
 
 
 def make_packet(vid: int, dport: int, pad_to: int = 0) -> Packet:

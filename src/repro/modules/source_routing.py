@@ -15,11 +15,9 @@ from .base import (
     COMMON_HEADER_DECLS,
     EntryList,
     apply_entries,
-    attach_tenant,
     common_packet,
     parser_chain,
     read_module_field,
-    warn_deprecated_installer,
 )
 
 NAME = "source_routing"
@@ -64,14 +62,6 @@ def entries(valid_tags: Iterable[int] = (VALID_TAG,)) -> EntryList:
 def install(tenant, valid_tags: Iterable[int] = (VALID_TAG,)) -> None:
     """Install valid tags through a tenant handle."""
     apply_entries(tenant, entries(valid_tags))
-
-
-def install_entries(controller, module_id: int,
-                    valid_tags: Iterable[int] = (VALID_TAG,)) -> None:
-    """Deprecated: use :func:`install` with a :class:`repro.api.Tenant`."""
-    warn_deprecated_installer("source_routing.install_entries",
-                              "source_routing.install")
-    install(attach_tenant(controller, module_id), valid_tags)
 
 
 def make_packet(vid: int, port: int, tag: int = VALID_TAG,

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..exec import ExecutionCore, ExecutionSink, LostRecord
+from ..exec.parallel import resolve_backend, run_fabric_timeline
 from ..net.packet import Packet
 from ..traffic.matrix import Demand, TrafficMatrix
 from .kernel import Simulator
@@ -184,18 +185,18 @@ class FabricTimelineExperiment:
 
     def __init__(self, fabric, matrix: TrafficMatrix,
                  duration_s: float = 0.01, bin_s: Optional[float] = None,
-                 scale: float = 1.0, backend: Optional[str] = None,
+                 scale: float = 1.0, backend: str = "serial",
                  workers: Optional[int] = None):
         self.fabric = fabric
         self.matrix = matrix
         self.duration_s = duration_s
         self.bin_s = bin_s if bin_s is not None else duration_s / 10
         self.scale = scale
-        #: execution backend (default: ``REPRO_EXEC_BACKEND``, else
-        #: serial); ``"process"`` shards the run one worker per switch
-        #: with conservative time-sync —
-        #: :func:`repro.exec.parallel.run_fabric_timeline`.
-        self.backend = backend
+        #: execution backend; ``"process"`` shards the run one worker
+        #: per switch (``workers=None``) with conservative time-sync —
+        #: :func:`repro.exec.parallel.run_fabric_timeline`. Checked
+        #: here, before the caller schedules anything against the run.
+        self.backend = resolve_backend(backend)
         self.workers = workers
         self.reconfigs: List[FabricReconfigEvent] = []
         #: the live :class:`~repro.exec.ExecutionCore` while (and
@@ -293,9 +294,7 @@ class FabricTimelineExperiment:
     # ------------------------------------------------------------------ run
 
     def run(self) -> FabricTimelineResult:
-        from ..exec.parallel import resolve_backend, run_fabric_timeline
-
-        if resolve_backend(self.backend) == "process":
+        if self.backend == "process":
             # The sharded conservative-sync backend; bit-identical
             # counters, deliveries, and loss records (the chaos layer's
             # post-run ``self.core`` hook stays serial-only).

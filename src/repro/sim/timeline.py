@@ -155,7 +155,6 @@ class ReconfigTimelineExperiment:
 
     def run(self) -> TimelineResult:
         from ..engine.scheduler import EgressScheduler
-        from ..exec import ExecutionCore, ExecutionSink
 
         num_bins = int(round(self.duration_s / self.bin_s))
         bins = [i * self.bin_s for i in range(num_bins)]
@@ -163,26 +162,20 @@ class ReconfigTimelineExperiment:
             t.module_id: [0.0] * num_bins for t in self.traffic}
         drops: Dict[int, int] = {t.module_id: 0 for t in self.traffic}
         # Egress departures: when the pipeline's TM is a scheduler with
-        # a transmission clock, drive it alongside the arrivals through
-        # the unified execution core (clock-driven policy over a
-        # degenerate one-switch topology: every departure is a host
-        # exit) and collect per-module (departure − arrival) latencies.
+        # a transmission clock, advance it alongside the arrivals (one
+        # switch, no links: every departure is a host exit) and collect
+        # per-module (departure − arrival) latencies.
         tm = self.pipeline.traffic_manager
         scheduler = tm if isinstance(tm, EgressScheduler) else None
         latencies: Dict[int, List[float]] = {}
 
-        class _LatencySink(ExecutionSink):
-            def on_deliver(self, member, port, vid, packet, time):
-                latencies.setdefault(vid, []).append(
-                    time - packet.arrival_time)
+        def advance_egress(t: float) -> None:
+            for dep in scheduler.advance_to(t):
+                latencies.setdefault(dep.module_id, []).append(
+                    dep.time - dep.packet.arrival_time)
 
         data_path = self.engine if self.engine is not None \
             else self.pipeline
-        core = member = None
-        if scheduler is not None:
-            core = ExecutionCore.for_switch(data_path, scheduler,
-                                            sink=_LatencySink())
-            member = core.members()[0]
 
         # Reconfiguration windows, expanded for the Tofino baseline.
         windows: List[Tuple[float, float, Optional[int], ReconfigEvent]] = []
@@ -226,8 +219,8 @@ class ReconfigTimelineExperiment:
             # delivering the packet: transmissions that complete by ``t``
             # depart, and the new arrival can never be served at a clock
             # earlier than its own arrival time.
-            if core is not None:
-                core.advance_member(member, t)
+            if scheduler is not None:
+                advance_egress(t)
             result = data_path.process(packet)
             if result.forwarded:
                 bits[traffic.module_id][bin_idx] += (
@@ -242,11 +235,17 @@ class ReconfigTimelineExperiment:
                 self.pipeline.packet_filter.clear_module_updating(target)
 
         # Let the egress backlog finish transmitting so tail latencies
-        # are measured, not truncated (the core's Zeno-safe drain: each
-        # round advances at least to the earliest next departure).
-        if core is not None:
-            core.advance_member(member, self.duration_s)
-            core.drain_member_backlog(member, self.bin_s)
+        # are measured, not truncated. A fixed clock + bin step cannot
+        # guarantee progress (a transmission longer than one bin — low
+        # line rate, big packet — completes past the horizon and the
+        # clock holds at its committed start), so each round advances at
+        # least to the earliest next departure; the loop cannot spin.
+        if scheduler is not None:
+            advance_egress(self.duration_s)
+            while scheduler.total_queued():
+                advance_egress(max(
+                    scheduler.clock + self.bin_s,
+                    min(at for _port, at in scheduler.next_departures())))
 
         throughput = {
             m: [b / self.bin_s / 1e9 for b in series]

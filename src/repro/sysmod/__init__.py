@@ -1,15 +1,8 @@
 """The Menshen system-level module (§3.3)."""
 
-from .system_module import (
-    SYSTEM_P4_SOURCE,
-    install_system_entries,
-    setup_system_module,
-    system_entries,
-)
+from .system_module import SYSTEM_P4_SOURCE, system_entries
 
 __all__ = [
     "SYSTEM_P4_SOURCE",
     "system_entries",
-    "install_system_entries",
-    "setup_system_module",
 ]

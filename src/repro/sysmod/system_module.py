@@ -18,7 +18,6 @@ the system module's effects.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..modules.base import COMMON_HEADER_DECLS, ip_halves, parser_chain
@@ -105,36 +104,3 @@ def system_entries(vip_map: Dict[str, str],
             match=_dst_match(pip),
             action=ActionCall("to_mcast", {"grp": grp}))))
     return entries
-
-
-def install_system_entries(
-        controller,
-        vip_map: Dict[str, str],
-        routes: Dict[str, int],
-        mcast_routes: Iterable[Tuple[str, int]] = (),
-        counter_index: Dict[str, int] = None) -> None:
-    """Deprecated: use :meth:`repro.api.Switch.install_system`."""
-    warnings.warn(
-        "install_system_entries(controller, ...) is deprecated; use "
-        "switch.install_system(...) from repro.api",
-        DeprecationWarning, stacklevel=2)
-    from ..core.pipeline import SYSTEM_MODULE_ID
-    for table, entry in system_entries(vip_map, routes, mcast_routes,
-                                       counter_index):
-        controller.insert_entry(SYSTEM_MODULE_ID, table, entry)
-
-
-def setup_system_module(controller, vip_map: Dict[str, str] = None,
-                        routes: Dict[str, int] = None,
-                        mcast_routes: Iterable[Tuple[str, int]] = ()):
-    """Deprecated: use :meth:`repro.api.Switch.install_system`."""
-    warnings.warn(
-        "setup_system_module(controller, ...) is deprecated; use "
-        "switch.install_system(...) from repro.api",
-        DeprecationWarning, stacklevel=2)
-    from ..core.pipeline import SYSTEM_MODULE_ID
-    loaded = controller.load_system_module(SYSTEM_P4_SOURCE)
-    for table, entry in system_entries(vip_map or {}, routes or {},
-                                       mcast_routes):
-        controller.insert_entry(SYSTEM_MODULE_ID, table, entry)
-    return loaded

@@ -39,7 +39,6 @@ def _analysis_info() -> dict:
             "obligations": list(OBLIGATIONS),
             "certificate_schema_version": CERTIFICATE_SCHEMA_VERSION,
             "modes": list(CERTIFY_MODES),
-            "env_var": "REPRO_ENGINE_CERTIFY",
         },
     }
 

@@ -26,14 +26,12 @@ from repro.analysis import (
 )
 from repro.api import Switch
 from repro.compiler import compile_module
-from repro.compiler.static_checker import check_loop_free
 from repro.core import MenshenPipeline
 from repro.core.resources import ModuleAllocation, StageAllocation
 from repro.errors import (
     AdmissionError,
     AnalysisError,
     PlacementError,
-    StaticCheckError,
 )
 from repro.modules.registry import ALL_MODULES
 from repro.rmt.params import DEFAULT_PARAMS
@@ -269,14 +267,12 @@ class TestLoopFreedom:
         findings = list(loop_findings({"a": "b", "b": "a"}, subject="t"))
         assert [f.code for f in findings] == ["forwarding-loop"]
 
-    def test_static_checker_shim_is_deterministic(self):
+    def test_loop_message_is_deterministic(self):
         messages = set()
         for _ in range(20):
-            with pytest.raises(StaticCheckError) as excinfo:
-                check_loop_free({1: 2, 2: 3, 3: 1})
-            messages.add(str(excinfo.value))
-        assert len(messages) == 1
-        assert "routing loop detected" in messages.pop()
+            (finding,) = loop_findings({1: 2, 2: 3, 3: 1})
+            messages.add(finding.message)
+        assert messages == {"routing loop detected: 1 -> 2 -> 3 -> 1"}
 
 
 def _corrupt_onto(controller, victim_id, attacker_id):

@@ -114,6 +114,12 @@ class TestTenantSessions:
         t3 = switch.admit("c", calc.P4_SOURCE)
         assert t3.vid == 1  # lowest free VID is recycled
 
+    def test_admission_error_when_full(self):
+        switch = Switch.build().max_modules(2).create()
+        switch.admit("only", calc.P4_SOURCE)  # VID 1 of [1]
+        with pytest.raises(AdmissionError):
+            switch.admit("overflow", calc.P4_SOURCE)
+
     def test_tenant_lookup_by_name(self):
         switch, fw, _nc = two_tenant_switch()
         assert switch.tenant("fw") is fw
@@ -348,28 +354,3 @@ class TestTransactions:
                                     action="block")
         hit = switch.process(netcache.make_get(2, 0xFEED))
         assert hit.forwarded
-
-
-class TestDeprecationShims:
-    def test_module_installers_warn_but_work(self):
-        pipeline = MenshenPipeline()
-        controller = MenshenController(pipeline)
-        controller.load_module(3, calc.P4_SOURCE, "calc")
-        with pytest.deprecated_call():
-            calc.install_entries(controller, 3, port=2)
-        result = pipeline.process(calc.make_packet(3, calc.OP_ADD, 1, 1))
-        assert calc.read_result(result.packet) == 2
-
-    def test_sysmod_installers_warn_but_work(self):
-        pipeline = MenshenPipeline()
-        controller = MenshenController(pipeline)
-        with pytest.deprecated_call():
-            from repro.sysmod import setup_system_module
-            setup_system_module(controller, routes={"10.0.0.2": 1})
-        assert controller.system_module is not None
-
-    def test_admission_error_when_full(self):
-        switch = Switch.build().max_modules(2).create()
-        switch.admit("only", calc.P4_SOURCE)  # VID 1 of [1]
-        with pytest.raises(AdmissionError):
-            switch.admit("overflow", calc.P4_SOURCE)

@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.passes import find_loop
 from repro.api import Switch
 from repro.compiler import CompilerOptions, analyse, compile_module
-from repro.compiler.static_checker import check_loop_free
 from repro.compiler.target import (
     TargetDescription,
     system_target,
@@ -76,15 +76,13 @@ class TestStaticChecker:
         assert module.table_order == ["t"]
 
     def test_loop_free_accepts_dag(self):
-        check_loop_free({"a": "b", "b": "c"})
+        assert find_loop({"a": "b", "b": "c"}) is None
 
     def test_loop_free_detects_cycle(self):
-        with pytest.raises(StaticCheckError, match="loop"):
-            check_loop_free({"a": "b", "b": "a"})
+        assert find_loop({"a": "b", "b": "a"}) == ["a", "b", "a"]
 
     def test_loop_free_self_loop(self):
-        with pytest.raises(StaticCheckError):
-            check_loop_free({"a": "a"})
+        assert find_loop({"a": "a"}) == ["a", "a"]
 
 
 class TestAllocator:

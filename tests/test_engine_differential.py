@@ -105,12 +105,15 @@ def assert_same_observable_state(scalar, batched):
 # ---------------------------------------------------------------------------
 
 #: Engine configurations the equivalence contract is pinned under:
-#: the full three-level hot path, and classifier-only (exact-match
-#: cache off), which forces *every* pure packet through the compiled
-#: path instead of letting warm flows hide behind cache hits.
+#: the full three-level hot path; classifier-only (exact-match cache
+#: off), which forces *every* pure packet through the compiled path
+#: instead of letting warm flows hide behind cache hits; and certified,
+#: the full path with every classifier rebuild proven against the
+#: installed tables and refused if the proof fails.
 ENGINE_MODES = {
     "cached": {"enable_classifier": True},
     "classifier-only": {"enable_cache": False, "enable_classifier": True},
+    "certified": {"enable_classifier": True, "check_compiled": "enforce"},
 }
 
 
@@ -131,6 +134,13 @@ def test_batched_equals_scalar(spec, mode):
     assert_same_observable_state(scalar, batched)
 
     counters = engine.counters
+    if mode == "certified":
+        # Enforcement must not cost a single compiled packet: every
+        # rebuild certifies, so nothing is refused onto the oracle.
+        assert "uncertified" not in counters.classifier_fallbacks
+        assert engine.certificates
+        assert all(c.ok for c in engine.certificates.values()), \
+            engine.certificates
     if spec.stateful:
         # State-carrying modules must never be served from the cache or
         # the compiled path: every packet hits a stateful leaf, bails,

@@ -56,9 +56,6 @@ SPECS = {A: FW, B: FW, C: NC}
 #: system module's last stage flips every tenant's egress port.
 SHARED_DST = "10.0.0.2"
 
-MODES = dict(ENGINE_MODES)
-MODES["certified"] = {"enable_classifier": True, "check_compiled": "enforce"}
-
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
 
 OVERLAY = {ResourceType.PARSER_TABLE, ResourceType.DEPARSER_TABLE,
@@ -345,11 +342,11 @@ traffic = st.lists(st.tuples(user_vids, st.integers(0, 6)),
 scripts = st.lists(st.tuples(ops, traffic), min_size=2, max_size=7)
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
 @SETTINGS
 @given(scripts)
 def test_engine_never_serves_stale_and_attribution_is_exact(mode, script):
-    world = _World(MODES[mode])
+    world = _World(ENGINE_MODES[mode])
     pipeline = world.pipeline
     # Warm every tenant so there is something to go stale.
     world.traffic([SPECS[vid].flow_packet(vid, fid)
@@ -389,12 +386,12 @@ def test_engine_never_serves_stale_and_attribution_is_exact(mode, script):
             "uncertified"), world.engine.certificates
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
 def test_foreign_id_is_observed_when_planted_and_when_scrubbed(mode):
     """The row's holder on *both* sides of a write counts: B gains an
     entry when its ID lands in A's row and loses it when the row is
     cleared, and C never notices either."""
-    world = _World(MODES[mode])
+    world = _World(ENGINE_MODES[mode])
     probe = [SPECS[vid].flow_packet(vid, fid)
              for vid in USER_VIDS for fid in range(4)]
     world.traffic(probe * 2)

@@ -11,11 +11,11 @@ Four layers of guarantees:
   leaves, mislabelled fallback reasons) is caught, and for every
   behaviorally observable corruption the synthesized counterexample
   packet makes the mutant *actually disagree* with the scalar oracle.
-* **Engine integration** — ``BatchEngine(check_compiled=...)`` /
-  ``REPRO_ENGINE_CERTIFY`` certifies on every lazy rebuild: ``enforce``
-  refuses the compiled path (counted under the ``uncertified`` fallback
-  reason), ``warn`` emits an :class:`AnalysisWarning`, and
-  ``invalidate`` clears the stored certificates.
+* **Engine integration** — ``BatchEngine(check_compiled=...)``
+  certifies on every lazy rebuild: ``enforce`` refuses the compiled
+  path (counted under the ``uncertified`` fallback reason), ``warn``
+  emits an :class:`AnalysisWarning`, and ``invalidate`` clears the
+  stored certificates.
 * **Property coverage** — Hypothesis pins the interval utilities the
   compiler and certifier both build on (``_mask_segments`` compaction
   round-trip, ``subtract``/``merge`` partition algebra).
@@ -41,11 +41,7 @@ from repro.analysis.verify import AnalysisWarning
 from repro.core import MenshenPipeline
 from repro.core.intervals import merge, subtract
 from repro.engine import BatchEngine, Fallback, compile_classifier
-from repro.engine.batch import (
-    CERTIFY_MODES,
-    FALLBACK_REASONS,
-    certify_default_mode,
-)
+from repro.engine.batch import CERTIFY_MODES, FALLBACK_REASONS
 from repro.engine.classifier import _compact, _mask_segments
 from repro.modules import firewall
 from repro.net.packet import Packet
@@ -330,7 +326,7 @@ class TestCertificateModel:
 
 
 # ---------------------------------------------------------------------------
-# Engine integration: check_compiled / REPRO_ENGINE_CERTIFY
+# Engine integration: check_compiled
 # ---------------------------------------------------------------------------
 
 def _firewall_engine(**kw):
@@ -400,30 +396,6 @@ class TestEngineIntegration:
         engine.process_batch(packets)
         assert engine.certificates == {}
         assert engine.counters.compiled_hits == len(packets)
-
-    @pytest.mark.parametrize("raw,expected", [
-        (None, "off"), ("", "off"), ("0", "off"), ("off", "off"),
-        ("false", "off"), ("no", "off"), ("1", "enforce"),
-        ("on", "enforce"), ("true", "enforce"), ("enforce", "enforce"),
-        ("WARN", "warn"), ("warn", "warn"),
-    ])
-    def test_certify_default_mode_env(self, raw, expected, monkeypatch):
-        if raw is None:
-            monkeypatch.delenv("REPRO_ENGINE_CERTIFY", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_ENGINE_CERTIFY", raw)
-        assert certify_default_mode() == expected
-
-    def test_certify_default_mode_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CERTIFY", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_ENGINE_CERTIFY"):
-            certify_default_mode()
-
-    def test_env_var_drives_engine_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CERTIFY", "enforce")
-        switch = Switch.build().create()
-        engine = BatchEngine(switch.pipeline)
-        assert engine.check_compiled == "enforce"
 
     def test_mode_constants(self):
         assert CERTIFY_MODES == ("enforce", "warn", "off")

@@ -19,7 +19,6 @@ from repro.exec import (
     ExecutionCore,
     ExecutionSink,
     LostRecord,
-    SwitchMember,
     summarize_lost,
     vid_of,
 )
@@ -119,13 +118,6 @@ class TestRouting:
 
 
 class TestAdapters:
-    def test_switch_member_is_a_degenerate_topology(self):
-        scheduler = SimpleNamespace(num_ports=6)
-        member = SwitchMember("sw", engine=None, scheduler=scheduler)
-        assert member.num_ports == 6
-        assert member.links == {}
-        assert "sw" in repr(member)
-
     def test_default_sink_observes_nothing(self):
         sink = ExecutionSink()  # every hook is a no-op
         sink.on_result("m", None)

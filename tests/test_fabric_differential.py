@@ -12,23 +12,11 @@ Two equivalence contracts anchor the fabric layer to the layers below:
    scheduler service order, re-ingress at the next switch). The
    fabric's wave forwarder is bookkeeping over the same engine and
    scheduler calls, nothing more.
-
-Both contracts hold for every execution backend — the whole file is
-parametrized over :data:`repro.exec.EXEC_BACKENDS`, so the sharded
-process backend (:mod:`repro.exec.parallel`, two workers here) must
-reproduce the hand-chained results bit-for-bit too.
 """
 
-import pytest
-
-from repro.api import EXEC_BACKENDS, Switch
+from repro.api import Switch
 from repro.fabric import Fabric, leaf_spine
 from repro.modules import calc
-
-pytestmark = pytest.mark.parametrize("backend", EXEC_BACKENDS)
-
-#: two workers on the 3-switch fabric: shards [leaf0, leaf1] | [spine0]
-WORKERS = {"serial": None, "process": 2}
 
 WEIGHTS = {1: 1.0, 2: 3.0}
 HOSTS = 4          # host ports per leaf
@@ -52,7 +40,7 @@ def mixed_batch(rounds=40):
 
 
 class TestSingleSwitchDegeneracy:
-    def test_fabric_of_one_equals_plain_switch(self, backend):
+    def test_fabric_of_one_equals_plain_switch(self):
         # fabric side: one switch, tenant "routed" host port -> host port
         fabric = Fabric()
         fabric.add_switch("sw0")
@@ -69,8 +57,7 @@ class TestSingleSwitchDegeneracy:
         batch = [calc.make_packet(1, calc.OP_ADD, i, 2 * i)
                  for i in range(32)]
         fabric_result = fabric.process_batch(
-            [("sw0", p.copy()) for p in batch],
-            backend=backend, workers=WORKERS[backend])
+            [("sw0", p.copy()) for p in batch])
         plain_results = engine.process_batch([p.copy() for p in batch])
         plain_out = plain.pipeline.traffic_manager.drain(2)
 
@@ -87,7 +74,7 @@ class TestSingleSwitchDegeneracy:
 
 
 class TestManualChainingEquivalence:
-    def _fabric_outputs(self, batch, backend):
+    def _fabric_outputs(self, batch):
         fabric = leaf_spine(leaves=2, spines=1, hosts_per_leaf=HOSTS)
         tenants = {}
         for vid, weight in WEIGHTS.items():
@@ -97,8 +84,7 @@ class TestManualChainingEquivalence:
             tenant.set_weight(weight)
             tenants[vid] = tenant
         result = fabric.process_batch(
-            [("leaf0", p.copy()) for p in batch],
-            backend=backend, workers=WORKERS[backend])
+            [("leaf0", p.copy()) for p in batch])
         return {vid: [p.tobytes() for p in result.delivered_for(vid)]
                 for vid in WEIGHTS}, result
 
@@ -134,18 +120,18 @@ class TestManualChainingEquivalence:
                       leaf1.pipeline.traffic_manager.drain(vid - 1)]
                 for vid in WEIGHTS}
 
-    def test_two_tenant_fabric_equals_hand_chained_engines(self, backend):
+    def test_two_tenant_fabric_equals_hand_chained_engines(self):
         batch = mixed_batch()
-        fabric_out, result = self._fabric_outputs(batch, backend)
+        fabric_out, result = self._fabric_outputs(batch)
         chained_out = self._chained_outputs(batch)
         assert result.waves == 3
         for vid in WEIGHTS:
             assert fabric_out[vid], f"tenant {vid} delivered nothing"
             assert fabric_out[vid] == chained_out[vid]
 
-    def test_results_carry_correct_computation_end_to_end(self, backend):
+    def test_results_carry_correct_computation_end_to_end(self):
         batch = mixed_batch(rounds=10)
-        fabric_out, _ = self._fabric_outputs(batch, backend)
+        fabric_out, _ = self._fabric_outputs(batch)
         from repro.net.packet import Packet
         adds = [calc.read_result(Packet(raw)) for raw in fabric_out[1]]
         assert adds == [i + (i + 1) for i in range(10)]

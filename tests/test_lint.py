@@ -228,6 +228,49 @@ class TestBareAssert:
             """) == []
 
 
+class TestEnvRead:
+    @pytest.mark.parametrize("expr", [
+        'os.environ["REPRO_MODE"]',
+        'os.environ.get("REPRO_MODE", "off")',
+        'os.getenv("REPRO_MODE")',
+        'os.environb[b"REPRO_MODE"]',
+        '"REPRO_MODE" in os.environ',
+    ])
+    def test_each_form_flagged(self, expr):
+        assert codes(f"""
+            import os
+            def mode():
+                return {expr}
+            """) == ["env-read"]
+
+    def test_from_import_flagged(self):
+        assert codes("""
+            from os import environ, getenv, path
+            """) == ["env-read"]
+
+    def test_other_os_use_clean(self):
+        assert codes("""
+            import os
+            def here(name):
+                return os.path.join(os.getcwd(), name), os.getpid()
+            """) == []
+
+    def test_explicit_argument_clean(self):
+        # A local that happens to be called ``environ`` is not the
+        # process environment.
+        assert codes("""
+            def mode(environ):
+                return environ.get("REPRO_MODE")
+            """) == []
+
+    def test_pragma_suppresses(self):
+        assert codes("""
+            import os
+            def mode():
+                return os.getenv("X")  # repro-lint: disable=env-read
+            """) == []
+
+
 class TestDriver:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown lint rule"):
@@ -281,4 +324,5 @@ class TestRepoIsClean:
 
     def test_all_rules_documented_in_rules_tuple(self):
         assert RULES == ("mutable-global", "unseeded-random",
-                         "wall-clock", "set-iteration", "bare-assert")
+                         "wall-clock", "set-iteration", "bare-assert",
+                         "env-read")

@@ -9,13 +9,13 @@ Four contracts lock the backend to the serial oracle:
 2. **Picklability** — everything that crosses a worker boundary
    (packets, entries, loss records, whole switch specs) round-trips
    through ``pickle`` unchanged.
-3. **Shard drivers** — ``run_waves_shard`` / ``run_timeline_shard``
-   are plain callables drivable in-process (no subprocess), and a
-   single shard reproduces the serial result exactly.
+3. **Shard driver** — ``run_timeline_shard`` is a plain callable
+   drivable in-process (no subprocess), and a single shard reproduces
+   the serial result exactly.
 4. **Backend parity** — the process backend is bit-identical to
-   serial for waves and timeline runs, including a mid-run tenant
-   update whose hosting switches span a worker boundary and a link
-   flap that blackholes traffic on a cross-worker link.
+   serial for timeline runs, including a mid-run tenant update whose
+   hosting switches span a worker boundary and a link flap that
+   blackholes traffic on a cross-worker link.
 """
 
 import dataclasses
@@ -42,14 +42,10 @@ from repro.exec.parallel import (
     LinkStateOp,
     TenantUpdateOp,
     WorkerShard,
-    _WavesPlan,
     build_timeline_plans,
-    default_backend,
-    default_workers,
     partition_names,
     resolve_backend,
     run_timeline_shard,
-    run_waves_shard,
 )
 from repro.fabric import Fabric, leaf_spine
 from repro.modules import calc
@@ -266,26 +262,17 @@ class TestPicklability:
 
 
 class TestBackendSelection:
-    def test_defaults_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
-        assert default_backend() == "serial"
-        assert default_workers() is None
-        assert resolve_backend(None) == "serial"
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "process")
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
-        assert default_backend() == "process"
-        assert default_workers() == 2
-        assert resolve_backend(None) == "process"
-        # An explicit argument beats the environment.
-        assert resolve_backend("serial") == "serial"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="thread"):
             resolve_backend("thread")
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "gpu")
-        with pytest.raises(ValueError, match="gpu"):
-            default_backend()
+
+    def test_unknown_backend_rejected_at_construction(self):
+        """A bad name fails before the caller schedules churn, chaos
+        or reconfigurations against the experiment — not inside
+        ``run()``."""
+        with pytest.raises(ValueError, match="backend='gpu' is not one of"):
+            FabricTimelineExperiment(build_fabric(), build_matrix(),
+                                     backend="gpu")
 
     def test_partition_is_contiguous_and_balanced(self):
         names = [f"sw{i}" for i in range(7)]
@@ -308,46 +295,10 @@ class TestBackendSelection:
             build_timeline_plans(experiment, 2)
 
 
-# -- 3. in-process shard drivers ----------------------------------------------
+# -- 3. in-process shard driver -----------------------------------------------
 
 
 class TestShardDrivers:
-    def test_waves_shard_single_worker_matches_serial(self):
-        serial = build_fabric().process_batch(
-            [("leaf0", p.copy()) for p in mixed_batch()])
-
-        fabric = build_fabric()
-        members = fabric.switches()
-        index = {m.name: i for i, m in enumerate(members)}
-        plan = _WavesPlan(worker_id=0, spec=b"", member_index=index)
-        sent = []
-        # A mini-parent: each wave_done's emissions, sorted into
-        # serial order, become the next wave until the batch drains.
-        state = {"wave": 0,
-                 "items": [("leaf0", p.copy()) for p in mixed_batch()]}
-
-        def recv():
-            if state["items"]:
-                msg = ("wave", state["wave"], state["items"])
-                state["wave"] += 1
-                state["items"] = []
-                return msg
-            return ("finish",)
-
-        def send(msg):
-            sent.append(msg)
-            if msg[0] == "wave_done":
-                emissions = sorted(msg[2], key=lambda e: e[:3])
-                state["items"] = [(name, packet) for _, _, _, name,
-                                  packet in emissions]
-
-        run_waves_shard(plan, WorkerShard(members), recv, send)
-        assert state["wave"] == serial.waves
-        frame = pickle.loads(sent[-1][2])
-        delivered = sorted(frame.delivered, key=lambda d: d[:3])
-        assert [d[6].tobytes() for d in delivered] == \
-            [d.packet.tobytes() for d in serial.delivered]
-
     def test_timeline_shard_single_worker_matches_serial(self):
         serial = FabricTimelineExperiment(
             build_fabric(), build_matrix(), duration_s=2e-4).run()
@@ -373,61 +324,6 @@ class TestShardDrivers:
 
 
 # -- 4. backend parity --------------------------------------------------------
-
-
-class TestWavesParity:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_process_backend_bit_identical(self, workers):
-        batch = mixed_batch()
-        fs = build_fabric()
-        rs = fs.process_batch([("leaf0", p.copy()) for p in batch],
-                              backend="serial")
-        fp = build_fabric()
-        rp = fp.process_batch([("leaf0", p.copy()) for p in batch],
-                              backend="process", workers=workers)
-        assert rp.waves == rs.waves
-        assert rp.dropped == rs.dropped
-        assert rp.lost_records() == rs.lost_records()
-        for vid in (1, 2):
-            assert [p.tobytes() for p in rp.delivered_for(vid)] == \
-                [p.tobytes() for p in rs.delivered_for(vid)]
-        assert [(d.switch, d.port, d.vid) for d in rp.delivered] == \
-            [(d.switch, d.port, d.vid) for d in rs.delivered]
-        for name in SWITCHES:
-            assert [r.egress_port for r in rp.results[name]] == \
-                [r.egress_port for r in rs.results[name]]
-            assert fp.switch(name).switch.pipeline.stats.snapshot() \
-                == fs.switch(name).switch.pipeline.stats.snapshot()
-            assert fp.switch(name).engine.counters.snapshot() \
-                == fs.switch(name).engine.counters.snapshot()
-        for vid in (1, 2):
-            assert fp.tenant_counters(vid) == fs.tenant_counters(vid)
-
-    def test_arrival_packets_not_mutated(self):
-        """The serial path rewrites ingress ports in place; the process
-        path works on pickled copies and leaves the caller's packets
-        alone — documented, and locked in here."""
-        batch = [calc.make_packet(1, calc.OP_ADD, i, 1) for i in range(4)]
-        before = [(p.tobytes(), p.ingress_port) for p in batch]
-        build_fabric().process_batch([("leaf0", p) for p in batch],
-                                     backend="process", workers=2)
-        assert [(p.tobytes(), p.ingress_port) for p in batch] == before
-
-    def test_env_selects_process_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "process")
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
-        batch = mixed_batch(rounds=4)
-        result = build_fabric().process_batch(
-            [("leaf0", p.copy()) for p in batch])
-        assert result.waves == 3
-
-    def test_forwarding_cycle_still_a_typed_error(self):
-        fabric = build_fabric()
-        with pytest.raises(Exception) as exc_info:
-            fabric.process_batch(
-                [("leaf0", p.copy()) for p in mixed_batch(rounds=2)],
-                max_hops=1, backend="process", workers=2)
-        assert "in flight after 1 hops" in str(exc_info.value)
 
 
 class TestTimelineParity:
