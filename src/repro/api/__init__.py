@@ -45,15 +45,7 @@ from ..chaos import (
     ReplacedTenant,
 )
 from ..engine import BatchEngine, EgressScheduler, EngineCounters
-from ..errors import ParallelExecError
-from ..exec import (
-    EXEC_BACKENDS,
-    ExecutionCore,
-    ExecutionSink,
-    LinkStateOp,
-    LostRecord,
-    TenantUpdateOp,
-)
+from ..exec import ExecutionCore, ExecutionSink, LostRecord
 from ..rmt.entry_types import ActionCall, Exact, Match, TableEntry, Ternary
 from .diagnostics import CompileResult, Diagnostic, StageUsage, compile
 from .switch import (
@@ -103,11 +95,6 @@ __all__ = [
     "ExecutionCore",
     "ExecutionSink",
     "LostRecord",
-    # sharded parallel execution backend
-    "EXEC_BACKENDS",
-    "TenantUpdateOp",
-    "LinkStateOp",
-    "ParallelExecError",
     # chaos & recovery
     "ChaosEvent",
     "ChaosSchedule",

@@ -57,23 +57,6 @@ _OVERLAY_ROWS = frozenset({
 })
 
 
-class _CamInvalidateHop:
-    """Daisy-chain handler invalidating one stage's CAM row.
-
-    A named callable (not a lambda) so a configured pipeline stays
-    picklable — the parallel execution backend ships whole switches to
-    worker processes as pickled specs.
-    """
-
-    __slots__ = ("stage",)
-
-    def __init__(self, stage: Stage):
-        self.stage = stage
-
-    def __call__(self, index: int, _entry) -> None:
-        self.stage.match_table.invalidate(index)
-
-
 class MenshenPipeline:
     """A multi-module RMT pipeline with Menshen's isolation mechanisms."""
 
@@ -149,7 +132,8 @@ class MenshenPipeline:
                 chain.register(ResourceType.CAM, i,
                                stage.match_table.write_word)
             chain.register(ResourceType.CAM_INVALIDATE, i,
-                           _CamInvalidateHop(stage))
+                           lambda index, _entry, table=stage.match_table:
+                           table.invalidate(index))
             chain.register(ResourceType.VLIW, i, stage.write_vliw_word)
             if stage.default_vliw_table is not None:
                 chain.register(ResourceType.DEFAULT_VLIW, i,

@@ -6,14 +6,16 @@ this class is where those numbers live in the simulation. The static
 checker forbids modules from *writing* them (§3.4) — in the model they
 are simply not reachable from the data path.
 
-``PipelineStats`` is a dataclass on purpose: every aggregation the
-multi-switch layers need — fabric-wide sums (:meth:`merge_from`),
-parallel-worker result frames (:meth:`delta_since` /
-:meth:`assign_from`) — is **introspected from the dataclass fields**
+``PipelineStats`` is a dataclass on purpose: every aggregation over
+it — fabric-wide sums (:meth:`merge_from`, behind
+:meth:`repro.fabric.topology.Fabric.stats`) and deltas since a
+snapshot (:meth:`delta_since`; ``perf/workloads.py`` accounts each
+benchmark pass with :class:`~repro.engine.batch.EngineCounters`' use
+of the same helper) — is **introspected from the dataclass fields**
 by the generic helpers below, so adding a counter can never silently
 drop it from a merge. A field whose type the helpers cannot merge
 raises ``TypeError`` at merge time instead of being skipped
-(``tests/test_parallel.py`` locks this in).
+(``tests/test_stats_and_tm.py::TestCounterAlgebra`` locks this in).
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ def _int_dict() -> Dict:
 #
 # Shared by ``PipelineStats`` and ``repro.engine.batch.EngineCounters``:
 # any counter dataclass whose fields are numbers, dicts of numbers, or
-# dicts of further counter dataclasses can be merged (add), diffed
-# (worker delta frames), and overwritten in place (snapshot restore)
-# without enumerating a single field by hand.
+# dicts of further counter dataclasses can be merged (add) and diffed
+# (delta since a snapshot) without enumerating a single field by hand.
 
 
 def _unmergeable(obj, name: str) -> TypeError:
@@ -78,11 +79,11 @@ def merge_counters(dst, src) -> None:
 def diff_counters(current, baseline):
     """A fresh instance holding ``current - baseline`` per field.
 
-    The worker-frame primitive of the parallel backend: a worker
-    snapshots its counters at start, runs, and ships the delta; the
-    parent then :func:`merge_counters` the delta into its own objects.
-    Keys present in ``current`` stay present (even at delta 0) so the
-    merged parent ends with exactly the key set a serial run creates.
+    What one interval added to a live counter object: snapshot it,
+    run, diff (``perf/workloads.py`` accounts each benchmark pass's
+    engine counters this way). Keys present in ``current`` stay
+    present (even at delta 0), so :func:`merge_counters` of the deltas
+    rebuilds exactly the key set of the live object.
     """
     out = type(current)()
     for f in dataclasses.fields(current):
@@ -105,24 +106,6 @@ def diff_counters(current, baseline):
         else:
             setattr(out, f.name, value - getattr(baseline, f.name))
     return out
-
-
-def assign_counters(dst, src) -> None:
-    """Overwrite ``dst``'s fields with deep copies of ``src``'s.
-
-    In place — object identity is preserved, which matters because
-    live references exist (an ``EgressScheduler`` holds the very
-    ``PipelineStats`` it feeds). Used to restore a snapshot after the
-    parent replays declarative lifecycle ops post-run.
-    """
-    for f in dataclasses.fields(src):
-        value = getattr(src, f.name)
-        if isinstance(value, dict):
-            mine = getattr(dst, f.name)
-            mine.clear()
-            mine.update(copy.deepcopy(value))
-        else:
-            setattr(dst, f.name, value)
 
 
 @dataclass
@@ -191,26 +174,21 @@ class PipelineStats:
         """Accumulate another pipeline's counters into this one.
 
         Used by the fabric layer to present fabric-wide per-tenant
-        counters, and by the parallel backend to fold worker delta
-        frames back into the parent's switches. Counters add; the
-        queue-depth gauge also adds (total packets of the tenant
-        queued anywhere in the fabric). Introspected from the
-        dataclass fields — a new counter is merged automatically or
-        raises, never skipped."""
+        counters. Counters add; the queue-depth gauge also adds (total
+        packets of the tenant queued anywhere in the fabric).
+        Introspected from the dataclass fields — a new counter is
+        merged automatically or raises, never skipped."""
         merge_counters(self, other)
 
     def snapshot(self) -> "PipelineStats":
-        """An independent deep copy (a worker's start-of-run baseline)."""
+        """An independent deep copy (a baseline for
+        :meth:`delta_since`)."""
         return copy.deepcopy(self)
 
     def delta_since(self, baseline: "PipelineStats") -> "PipelineStats":
-        """A fresh ``PipelineStats`` holding ``self - baseline`` — the
-        typed per-switch result frame a parallel worker ships home."""
+        """A fresh ``PipelineStats`` holding ``self - baseline`` — what
+        the interval since the snapshot added."""
         return diff_counters(self, baseline)
-
-    def assign_from(self, other: "PipelineStats") -> None:
-        """Overwrite this object's counters in place (snapshot restore)."""
-        assign_counters(self, other)
 
     @classmethod
     def aggregate(cls, many: Iterable["PipelineStats"]) -> "PipelineStats":

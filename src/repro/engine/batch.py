@@ -85,7 +85,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.pipeline import MenshenPipeline
-from ..core.stats import assign_counters, diff_counters, merge_counters
+from ..core.stats import diff_counters, merge_counters
 from ..net.packet import Packet
 from ..rmt.pipeline import PipelineResult
 from .classifier import (
@@ -138,11 +138,11 @@ class EngineCounters:
     ``compile_rebuilds`` — a tenant's count moves only when its own
     configuration epoch did.
 
-    Aggregation (:meth:`merge_from` / :meth:`delta_since` /
-    :meth:`assign_from`) is introspected from the dataclass fields by
-    :mod:`repro.core.stats`'s generic counter algebra — used by the
-    parallel execution backend's per-switch result frames, and
-    guaranteed by construction never to drop a newly added counter.
+    Aggregation (:meth:`merge_from` / :meth:`delta_since`) is
+    introspected from the dataclass fields by :mod:`repro.core.stats`'s
+    generic counter algebra — the benchmark (``perf/workloads.py``)
+    accounts each pass as a delta since a snapshot — and guaranteed by
+    construction never to drop a newly added counter.
     """
 
     batches: int = 0
@@ -177,17 +177,14 @@ class EngineCounters:
         merge_counters(self, other)
 
     def snapshot(self) -> "EngineCounters":
-        """An independent deep copy (a worker's start-of-run baseline)."""
+        """An independent deep copy (a baseline for
+        :meth:`delta_since`)."""
         return copy.deepcopy(self)
 
     def delta_since(self, baseline: "EngineCounters") -> "EngineCounters":
-        """A fresh ``EngineCounters`` holding ``self - baseline`` — the
-        engine slice of a parallel worker's result frame."""
+        """A fresh ``EngineCounters`` holding ``self - baseline`` — what
+        the interval since the snapshot added."""
         return diff_counters(self, baseline)
-
-    def assign_from(self, other: "EngineCounters") -> None:
-        """Overwrite this object's counters in place (snapshot restore)."""
-        assign_counters(self, other)
 
 
 class _ModuleLayout:

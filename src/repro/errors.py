@@ -100,14 +100,6 @@ class PlacementError(FabricError):
     host the tenant."""
 
 
-class ParallelExecError(FabricError):
-    """The sharded process backend cannot run this configuration:
-    a cross-worker link with zero propagation delay (conservative
-    time-sync needs positive lookahead), an opaque reconfiguration
-    callable that cannot cross a process boundary (use the declarative
-    ops in :mod:`repro.exec.parallel`), or a worker that died mid-run."""
-
-
 # ---------------------------------------------------------------------------
 # Compiler
 # ---------------------------------------------------------------------------

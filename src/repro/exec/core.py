@@ -12,8 +12,8 @@ ingress):
 
 :class:`ExecutionCore` centralizes that loop, classic discrete-event-
 harness style: it is parameterized by **topology** (an ordered set of
-members — a whole :class:`~repro.fabric.topology.Fabric`, or a
-worker's shard of one) and by one of two **timing policies**
+members — a whole :class:`~repro.fabric.topology.Fabric`) and by one
+of two **timing policies**
 (``sim=None`` runs untimed waves in service order; passing a
 :class:`~repro.sim.kernel.Simulator` makes its event list the only
 clock: exact event-driven service from
@@ -81,8 +81,8 @@ class ExecutionSink:
 class ExecutionCore:
     """One run's engine-drain / departure-routing state machine.
 
-    Construct per run (:meth:`for_fabric`, or directly over a shard's
-    members), then drive it with exactly one of two timing policies:
+    Construct per run (:meth:`for_fabric`, or directly over a sequence
+    of members), then drive it with exactly one of two timing policies:
 
     * **untimed** — :meth:`run_waves` pushes arrival waves to exit in
       the schedulers' service order (``sim`` must be ``None``);
@@ -93,7 +93,7 @@ class ExecutionCore:
     """
 
     def __init__(self, members: Sequence, sink: Optional[ExecutionSink] = None,
-                 sim=None, member_lookup=None, remote_handler=None):
+                 sim=None, member_lookup=None):
         self._members = list(members)
         self._by_name = {member.name: member for member in self._members}
         #: optional typed-error lookup (``Fabric.switch`` raises
@@ -102,12 +102,6 @@ class ExecutionCore:
         self._lookup = member_lookup
         self.sink = sink if sink is not None else ExecutionSink()
         self.sim = sim
-        #: Shard hook for the parallel backend
-        #: (:mod:`repro.exec.parallel`): a core holding only part of a
-        #: fabric hands departures toward non-local members to
-        #: ``remote_handler(member_name, packet, arrive_at)`` instead
-        #: of scheduling a local inject.
-        self._remote = remote_handler
         #: earliest pending service event per (member, port) — dedupe
         #: so the event queue stays linear in departures, not scans.
         self._pending: Dict[Tuple[str, int], float] = {}
@@ -305,9 +299,6 @@ class ExecutionCore:
             if target is None:
                 continue
             name, packet, arrive_at = target
-            if self._remote is not None and name not in self._by_name:
-                self._remote(name, packet, arrive_at)
-                continue
             if self.sim is None:
                 raise FabricError(
                     f"packet crossed a link toward {name!r} but this "

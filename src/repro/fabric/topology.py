@@ -367,16 +367,6 @@ class Fabric:
     def tenants(self) -> List["FabricTenant"]:
         return list(self._tenants.values())
 
-    def tenant_by_vid(self, vid: int) -> "FabricTenant":
-        """The fabric tenant owning ``vid`` — the lookup the parallel
-        backend's declarative ops (:class:`repro.exec.parallel.
-        TenantUpdateOp`) resolve against when the parent replays them
-        after a process-backend run."""
-        tenant = self._tenants.get(vid)
-        if tenant is None:
-            raise TopologyError(f"no fabric tenant with VID {vid}")
-        return tenant
-
     def _release_tenant(self, vid: int) -> None:
         """Return a VID to the fabric pool (FabricTenant.unload calls
         this after evicting every per-switch instance)."""

@@ -43,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..errors import ConfigError
 from ..exec import ExecutionCore, ExecutionSink, LostRecord
-from ..exec.parallel import resolve_backend, run_fabric_timeline
 from ..net.packet import Packet
 from ..traffic.matrix import Demand, TrafficMatrix
 from .kernel import Simulator
@@ -70,14 +70,7 @@ class FabricReconfigEvent:
     duration_s: float
     #: Optional callable performing the actual lifecycle action
     #: (update/migrate/unload/placement); invoked once at start.
-    #: Serial-backend only — an opaque callable cannot cross a process
-    #: boundary.
     apply: Optional[Callable[[], None]] = None
-    #: Optional declarative lifecycle action
-    #: (:class:`repro.exec.parallel.FabricOp`) — works on *both*
-    #: backends: applied via ``apply_serial`` here, shipped to workers
-    #: on the process backend. Mutually exclusive with ``apply``.
-    op: Optional[object] = None
 
 
 @dataclass
@@ -185,19 +178,25 @@ class FabricTimelineExperiment:
 
     def __init__(self, fabric, matrix: TrafficMatrix,
                  duration_s: float = 0.01, bin_s: Optional[float] = None,
-                 scale: float = 1.0, backend: str = "serial",
-                 workers: Optional[int] = None):
+                 scale: float = 1.0, backend: str = "serial"):
+        # ``backend`` has one value. It survives only because
+        # ``perf/workloads.py:234`` passes ``backend="serial"`` and
+        # only a benchmark PR may edit ``perf/`` (ROADMAP 1e): once
+        # that call site drops the argument, delete the parameter.
+        if backend != "serial":
+            raise ValueError(
+                f"backend={backend!r} is not one of ('serial',)")
+        if duration_s <= 0:
+            raise ConfigError(
+                f"duration must be positive, got {duration_s}")
         self.fabric = fabric
         self.matrix = matrix
         self.duration_s = duration_s
         self.bin_s = bin_s if bin_s is not None else duration_s / 10
+        if self.bin_s <= 0:
+            raise ConfigError(
+                f"bin width must be positive, got {self.bin_s}")
         self.scale = scale
-        #: execution backend; ``"process"`` shards the run one worker
-        #: per switch (``workers=None``) with conservative time-sync —
-        #: :func:`repro.exec.parallel.run_fabric_timeline`. Checked
-        #: here, before the caller schedules anything against the run.
-        self.backend = resolve_backend(backend)
-        self.workers = workers
         self.reconfigs: List[FabricReconfigEvent] = []
         #: the live :class:`~repro.exec.ExecutionCore` while (and
         #: after) :meth:`run` — the chaos layer reports crash-scrubbed
@@ -208,22 +207,19 @@ class FabricTimelineExperiment:
 
     def schedule_reconfig(self, vid: int, start_s: float,
                           duration_s: float = 0.0,
-                          apply: Optional[Callable[[], None]] = None,
-                          op=None) -> FabricReconfigEvent:
-        """Fire a tenant-lifecycle action at ``start_s`` into the run,
-        holding the tenant's §4.1 drop window for ``duration_s``.
-
-        Pass either ``apply`` (an opaque callable — serial backend
-        only) or ``op`` (a declarative
-        :class:`repro.exec.parallel.FabricOp`, which also works on the
-        process backend), not both."""
-        if apply is not None and op is not None:
-            raise ValueError(
-                "pass either apply= (opaque callable) or op= "
-                "(declarative FabricOp), not both")
+                          apply: Optional[Callable[[], None]] = None
+                          ) -> FabricReconfigEvent:
+        """Fire a tenant-lifecycle action (``apply``, if given) at
+        ``start_s`` into the run, holding the tenant's §4.1 drop window
+        for ``duration_s`` (``0.0``: no window)."""
+        if start_s < 0:
+            raise ConfigError(
+                f"reconfiguration time must be >= 0, got {start_s}")
+        if duration_s < 0:
+            raise ConfigError(
+                f"reconfiguration window must be >= 0, got {duration_s}")
         event = FabricReconfigEvent(vid=vid, start_s=start_s,
-                                    duration_s=duration_s, apply=apply,
-                                    op=op)
+                                    duration_s=duration_s, apply=apply)
         self.reconfigs.append(event)
         return event
 
@@ -264,8 +260,6 @@ class FabricTimelineExperiment:
         holds the window on its *new* route too)."""
         if event.apply is not None:
             event.apply()
-        if event.op is not None:
-            event.op.apply_serial(self.fabric)
         if event.duration_s <= 0:
             return
         for member in self.fabric.switches():
@@ -294,11 +288,6 @@ class FabricTimelineExperiment:
     # ------------------------------------------------------------------ run
 
     def run(self) -> FabricTimelineResult:
-        if self.backend == "process":
-            # The sharded conservative-sync backend; bit-identical
-            # counters, deliveries, and loss records (the chaos layer's
-            # post-run ``self.core`` hook stays serial-only).
-            return run_fabric_timeline(self, workers=self.workers)
         fabric = self.fabric
         sim = Simulator()
         sink = _TimelineSink(self.scale)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.pipeline import MenshenPipeline
+from ..errors import ConfigError
 from ..net.packet import Packet
 from .perf_model import L1_OVERHEAD_BYTES
 
@@ -115,6 +116,8 @@ class ReconfigTimelineExperiment:
         self.engine = engine
         if engine is not None and engine.pipeline is not pipeline:
             raise ValueError("engine drives a different pipeline")
+        if bin_s <= 0:
+            raise ConfigError(f"bin width must be positive, got {bin_s}")
         self.duration_s = duration_s
         self.bin_s = bin_s
         self.scale = scale

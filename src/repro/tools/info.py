@@ -76,24 +76,12 @@ def _engine_info() -> dict:
     }
 
 
-def _exec_info() -> dict:
-    """The execution-backend surface: available backends, worker
-    policy, and the parallel backend's time-sync algorithm —
-    introspected from :data:`repro.exec.parallel.PARALLEL_INFO` so
-    this section can never drift from it.
-    """
-    from ..exec.parallel import PARALLEL_INFO
-
-    return dict(PARALLEL_INFO)
-
-
 def info_dict() -> dict:
     """The Table-5 parameters and table inventory, as plain data."""
     p = DEFAULT_PARAMS
     return {
         "analysis": _analysis_info(),
         "engine": _engine_info(),
-        "exec": _exec_info(),
         "params": {
             "containers_per_type": p.containers_per_type,
             "container_sizes": list(p.container_sizes),

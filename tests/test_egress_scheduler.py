@@ -406,6 +406,13 @@ class TestTimelineLatency:
         result = exp.run()
         assert result.latencies_s == {}
 
+    @pytest.mark.parametrize("bin_s", [0, -0.1])
+    def test_non_positive_bin_rejected_at_construction(self, bin_s):
+        """``run()`` divides by the bin width; a bad one is a typed
+        error where it is given, not a ``ZeroDivisionError`` later."""
+        with pytest.raises(ConfigError, match="bin width must be positive"):
+            ReconfigTimelineExperiment(MenshenPipeline(), bin_s=bin_s)
+
 
 class TestEventDrivenClockSemantics:
     """The advance_to / next_departure_at contract the fabric timeline

@@ -11,6 +11,7 @@ import pytest
 
 from repro.api import Switch
 from repro.errors import (
+    ConfigError,
     FabricError,
     LinkDownError,
     PlacementError,
@@ -364,7 +365,6 @@ class TestTrafficMatrix:
         assert by_vid[2] == 2 * by_vid[1]
 
     def test_invalid_demands_rejected(self):
-        from repro.errors import ConfigError
         matrix = TrafficMatrix()
         mk = lambda: calc.make_packet(1, calc.OP_ADD, 1, 2)
         with pytest.raises(ConfigError):
@@ -380,7 +380,7 @@ class TestTrafficMatrix:
 
 
 class TestFabricTimeline:
-    def _run(self, link_delay_s=1e-6, offered_bps=1e9):
+    def _experiment(self, link_delay_s=1e-6, offered_bps=1e9, **kwargs):
         fabric = make_fabric(link_delay_s=link_delay_s)
         tenant = place_calc(fabric, 1, ("leaf0", 0), ("leaf1", 1))
         matrix = TrafficMatrix()
@@ -388,8 +388,12 @@ class TestFabricTimeline:
                    offered_bps=offered_bps, packet_size=1000,
                    make_packet=lambda: calc.make_packet(
                        1, calc.OP_ADD, 1, 2, pad_to=1000))
-        exp = FabricTimelineExperiment(fabric, matrix,
-                                       duration_s=0.0005, scale=1.0)
+        kwargs.setdefault("duration_s", 0.0005)
+        return tenant, FabricTimelineExperiment(fabric, matrix,
+                                                scale=1.0, **kwargs)
+
+    def _run(self, **kwargs):
+        tenant, exp = self._experiment(**kwargs)
         return tenant, exp.run()
 
     def test_delivers_offered_load_uncontended(self):
@@ -413,3 +417,50 @@ class TestFabricTimeline:
         nbytes, util = result.link_utilization[spine]
         assert nbytes > 0
         assert 0.0 < util <= 1.0
+
+    @pytest.mark.parametrize("backend", ["gpu", "process"])
+    def test_unknown_backend_rejected_at_construction(self, backend):
+        """A bad name fails before the caller schedules churn, chaos
+        or reconfigurations against the experiment — not inside
+        ``run()``. The timeline runs in one process: ``"process"`` is
+        as unknown as ``"gpu"``."""
+        with pytest.raises(ValueError,
+                           match=f"backend='{backend}' is not one of"):
+            self._experiment(backend=backend)
+
+    def test_serial_is_the_only_backend_and_the_default(self):
+        _t, default = self._run()
+        _t, serial = self._run(backend="serial")
+        assert default == serial
+        with pytest.raises(TypeError):
+            self._experiment(workers=2)
+        _t, exp = self._experiment()
+        with pytest.raises(TypeError):
+            exp.schedule_reconfig(1, 1e-4, op=object())
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"bin_s": 0}, "bin width must be positive, got 0"),
+        ({"bin_s": -1e-3}, "bin width must be positive, got -0.001"),
+        ({"duration_s": 0.0}, "duration must be positive, got 0.0"),
+    ], ids=["bin-zero", "bin-negative", "duration-zero"])
+    def test_bad_duration_or_bin_rejected_at_construction(self, kwargs,
+                                                          message):
+        """Typed, and before the run is simulated: ``bin_s=0`` used to
+        end the finished run in a raw ``ZeroDivisionError`` and a
+        negative one returned negative throughput."""
+        with pytest.raises(ConfigError, match=message):
+            self._experiment(**kwargs)
+
+    def test_bad_reconfig_times_rejected_where_given(self):
+        """A negative start used to surface only inside ``run()`` (as
+        the kernel's "cannot schedule into the past") and a negative
+        duration silently meant "no window"."""
+        _t, exp = self._experiment()
+        with pytest.raises(ConfigError, match="time must be >= 0, got -0.0001"):
+            exp.schedule_reconfig(1, start_s=-1e-4, duration_s=1e-4)
+        with pytest.raises(ConfigError, match="window must be >= 0, got -0.0001"):
+            exp.schedule_reconfig(1, start_s=1e-4, duration_s=-1e-4)
+        assert exp.reconfigs == []
+        # The chaos path: time 0, no window.
+        event = exp.schedule_reconfig(0, start_s=0.0, duration_s=0.0)
+        assert exp.reconfigs == [event]

@@ -1,6 +1,8 @@
 """Tests for the determinism lint: every rule, pragma suppression, the
 baseline mechanism, and the guarantee that src/repro itself is clean."""
 
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -326,3 +328,18 @@ class TestRepoIsClean:
         assert RULES == ("mutable-global", "unseeded-random",
                          "wall-clock", "set-iteration", "bare-assert",
                          "env-read")
+
+
+def test_importing_the_library_leaves_multiprocessing_unloaded():
+    """The timeline runs in one process. A fresh interpreter that
+    imports every layer must not have pulled ``multiprocessing`` in,
+    so a process fork cannot come back through an import nobody
+    reads."""
+    probe = ("import sys; "
+             "import repro.api, repro.sim, repro.fabric, repro.chaos, "
+             "repro.tools.info; "
+             "sys.exit('multiprocessing' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, (
+        result.stderr[-2000:] or "multiprocessing was imported")

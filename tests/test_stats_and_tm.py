@@ -1,9 +1,14 @@
 """Tests for pipeline statistics and traffic-manager telemetry — the
 numbers the system-level module exposes to tenants (§3.3)."""
 
+from dataclasses import dataclass, field
+from typing import Dict, List
+
 import pytest
 
 from repro.core import PipelineStats
+from repro.core.stats import diff_counters, merge_counters
+from repro.engine.batch import EngineCounters
 from repro.net import PacketBuilder
 from repro.rmt import TrafficManager
 
@@ -49,6 +54,78 @@ class TestPipelineStats:
         stats = PipelineStats()
         stats.record_out(1, 100)
         assert stats.link_utilization(1, 1.0, 0.0) == 0.0
+
+
+@dataclass
+class _ExtendedStats(PipelineStats):
+    """PipelineStats plus a counter the merge code has never seen."""
+
+    brand_new_counter: int = 0
+    brand_new_map: Dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
+class _BadStats(PipelineStats):
+    """A field type the introspected algebra must refuse to merge."""
+
+    history: List[int] = field(default_factory=list)
+
+
+class TestCounterAlgebra:
+    def test_merge_covers_every_field_without_enumeration(self):
+        """A counter added to the dataclass merges with zero changes to
+        the merge code — the introspection satellite's contract."""
+        src = _ExtendedStats()
+        src.record_in(7)
+        src.record_out(7, 128)
+        src.record_drop(7, "window")
+        src.record_egress_tx(7, 64)
+        src.brand_new_counter = 5
+        src.brand_new_map["x"] = 3
+        dst = _ExtendedStats()
+        dst.merge_from(src)
+        dst.merge_from(src)
+        assert dst.packets_in == 2
+        assert dst.per_module_bytes_out[7] == 256
+        assert dst.drop_reasons["window"] == 2
+        assert dst.brand_new_counter == 10
+        assert dst.brand_new_map == {"x": 6}
+
+    def test_unmergeable_field_raises_instead_of_skipping(self):
+        with pytest.raises(TypeError, match="history"):
+            merge_counters(_BadStats(), _BadStats())
+        with pytest.raises(TypeError, match="history"):
+            diff_counters(_BadStats(), _BadStats())
+
+    def test_delta_since_keeps_zero_delta_keys(self):
+        """A delta keeps keys at delta 0, so merging deltas rebuilds
+        exactly the live object's key set."""
+        stats = PipelineStats()
+        stats.record_in(3)
+        baseline = stats.snapshot()
+        stats.record_in(5)
+        delta = stats.delta_since(baseline)
+        assert delta.per_module_in == {3: 0, 5: 1}
+
+    def test_engine_counters_share_the_algebra(self):
+        """EngineCounters' nested per-tenant dataclasses merge and diff
+        through the same introspected helpers."""
+        src = EngineCounters()
+        src.cache_hits += 1
+        src.tenant(1).cache_hits += 1
+        src.classifier_fallbacks["stateful"] = 2
+        baseline = src.snapshot()
+        src.cache_hits += 1
+        src.tenant(2).cache_hits += 1
+        delta = src.delta_since(baseline)
+        assert delta.cache_hits == 1
+        assert delta.per_tenant[1].cache_hits == 0
+        assert delta.per_tenant[2].cache_hits == 1
+        assert delta.classifier_fallbacks == {"stateful": 0}
+        dst = EngineCounters()
+        dst.merge_from(delta)
+        assert dst.per_tenant[2].cache_hits == 1
+        assert dst.per_tenant[1].cache_hits == 0
 
 
 class TestTrafficManagerTelemetry:

@@ -83,20 +83,10 @@ def test_json_analysis_section(capsys):
 
 
 def test_json_exec_section(capsys):
-    """The exec section mirrors the live backend registry, so
-    downstream tooling can discover the parallel backend's knobs
-    without importing the library."""
-    from repro.exec.parallel import EXEC_BACKENDS, PARALLEL_INFO
-
+    """There is one execution backend and nothing to select, so the
+    JSON advertises no backend registry."""
     assert main(["--json"]) == 0
-    exec_info = json.loads(capsys.readouterr().out)["exec"]
-
-    assert exec_info["backends"] == list(EXEC_BACKENDS)
-    assert "env" not in exec_info
-    assert "one worker per switch" in exec_info["worker_policy"]
-    assert "Chandy-Misra-Bryant" in exec_info["sync_algorithm"]
-    assert "propagation delay" in exec_info["lookahead_source"]
-    assert exec_info == PARALLEL_INFO
+    assert "exec" not in json.loads(capsys.readouterr().out)
 
 
 def test_json_matches_info_dict(capsys):
