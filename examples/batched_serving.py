@@ -4,7 +4,7 @@
 Serves zipf-distributed flow traffic from two tenants through the
 batched execution engine (`repro.engine`), showing:
 
-* per-VID sharded dispatch and per-tenant engine counters,
+* batched dispatch and per-tenant engine counters,
 * the flow cache turning skewed traffic into mostly cache hits,
 * transactional invalidation — a `tenant.transaction()` commit flushes
   the tenant's cached flows, so the very next packet observes the new

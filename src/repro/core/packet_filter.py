@@ -19,6 +19,7 @@ The filter sits before the parser and
 from __future__ import annotations
 
 from enum import Enum
+from typing import Optional, Tuple
 
 from ..errors import ConfigError
 from ..net.ethernet import ETHERTYPE_VLAN
@@ -30,9 +31,34 @@ _ETHERTYPE_OFFSET = 12
 _VLAN_TCI_OFFSET = 14
 _IP_PROTO_OFFSET = 18 + 9
 _UDP_DPORT_OFFSET = 18 + 20 + 2
+#: Fewest bytes that hold the tag, and the UDP destination port.
+_TAGGED_LEN = _VLAN_TCI_OFFSET + 2
+_UDP_DPORT_END = _UDP_DPORT_OFFSET + 2
+#: The two 16-bit constants the filter compares, as they sit on the wire.
+_TPID_HI, _TPID_LO = ETHERTYPE_VLAN >> 8, ETHERTYPE_VLAN & 0xFF
+_DPORT_HI, _DPORT_LO = (MENSHEN_RECONFIG_DPORT >> 8,
+                        MENSHEN_RECONFIG_DPORT & 0xFF)
+_IP_PROTO_UDP = 17
 
 COUNTER_BITS = 32
 BITMAP_BITS = 32
+
+
+def tagged_vid(packet: Packet) -> Optional[int]:
+    """The 12-bit VID of an 802.1Q-tagged frame; ``None`` for a frame
+    the filter calls untagged (no 0x8100 at offset 12, or too short to
+    hold the tag).
+
+    Indexes ``packet.buf`` itself: one length comparison proves every
+    offset below it, where the bounds-checked ``Packet.read_int``
+    re-proves (and copies) per field.
+    """
+    buf = packet.buf
+    if (len(buf) < _TAGGED_LEN
+            or buf[_ETHERTYPE_OFFSET] != _TPID_HI
+            or buf[_ETHERTYPE_OFFSET + 1] != _TPID_LO):
+        return None
+    return (buf[_VLAN_TCI_OFFSET] << 8 | buf[_VLAN_TCI_OFFSET + 1]) & 0xFFF
 
 
 class PacketClass(Enum):
@@ -96,29 +122,37 @@ class PacketFilter:
     @staticmethod
     def is_reconfig_packet(packet: Packet) -> bool:
         """UDP destination port == 0xf1f2 (a simple combinational check)."""
-        if len(packet) < _UDP_DPORT_OFFSET + 2:
-            return False
-        if packet.read_int(_ETHERTYPE_OFFSET, 2) != ETHERTYPE_VLAN:
-            return False
-        if packet.read_int(_IP_PROTO_OFFSET, 1) != 17:
-            return False
-        return packet.read_int(_UDP_DPORT_OFFSET, 2) == MENSHEN_RECONFIG_DPORT
+        buf = packet.buf
+        return (len(buf) >= _UDP_DPORT_END
+                and buf[_ETHERTYPE_OFFSET] == _TPID_HI
+                and buf[_ETHERTYPE_OFFSET + 1] == _TPID_LO
+                and buf[_IP_PROTO_OFFSET] == _IP_PROTO_UDP
+                and buf[_UDP_DPORT_OFFSET] == _DPORT_HI
+                and buf[_UDP_DPORT_OFFSET + 1] == _DPORT_LO)
 
-    def classify(self, packet: Packet) -> PacketClass:
-        """Classify one ingress packet, updating filter statistics."""
+    def look(self, packet: Packet) -> Tuple[PacketClass, int]:
+        """Classify one ingress packet, updating filter statistics.
+
+        Returns the verdict and the VID it was reached on: the tag's
+        for ``DATA`` / ``DROP_UPDATING``, 0 where the verdict names no
+        tenant (``CONTROL``, ``RECONFIG``).
+        """
+        vid = tagged_vid(packet)
+        if vid is None:
+            self.dropped_untagged += 1
+            return PacketClass.CONTROL, 0
         if self.is_reconfig_packet(packet):
             self.reconfig_packets += 1
-            return PacketClass.RECONFIG
-        if (len(packet) < _VLAN_TCI_OFFSET + 2
-                or packet.read_int(_ETHERTYPE_OFFSET, 2) != ETHERTYPE_VLAN):
-            self.dropped_untagged += 1
-            return PacketClass.CONTROL
-        vid = packet.read_int(_VLAN_TCI_OFFSET, 2) & 0xFFF
-        if vid < BITMAP_BITS and self.is_module_updating(vid):
+            return PacketClass.RECONFIG, 0
+        if vid < BITMAP_BITS and self.update_bitmap >> vid & 1:
             self.dropped_updating += 1
-            return PacketClass.DROP_UPDATING
+            return PacketClass.DROP_UPDATING, vid
         self.data_packets += 1
-        return PacketClass.DATA
+        return PacketClass.DATA, vid
+
+    def classify(self, packet: Packet) -> PacketClass:
+        """The verdict of :meth:`look` alone."""
+        return self.look(packet)[0]
 
     # -- §3.2 optimization tags ----------------------------------------------
 

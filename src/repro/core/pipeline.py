@@ -32,7 +32,7 @@ from ..errors import ReconfigurationError
 from ..net.packet import Packet
 from ..rmt.deparser import Deparser
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
-from ..rmt.parser import ProgrammableParser, extract_module_id
+from ..rmt.parser import ProgrammableParser
 from ..rmt.pipeline import PipelineResult
 from ..rmt.stage import Stage
 from ..rmt.traffic_manager import TrafficManager
@@ -269,9 +269,18 @@ class MenshenPipeline:
         module); otherwise it is ``None`` and ``module_id`` names the
         admitted tenant.
         """
-        verdict = self.packet_filter.classify(packet)
+        verdict, module_id = self.packet_filter.look(packet)
 
-        if verdict == PacketClass.RECONFIG:
+        if verdict is PacketClass.DATA:
+            self.stats.record_in(module_id)
+            if module_id in self.loaded_modules:
+                return (None, module_id)
+            self.stats.record_drop(module_id, "unknown_module")
+            return (PipelineResult(packet=None, phv=None, dropped=True,
+                                   module_id=module_id,
+                                   drop_reason="unknown_module"), module_id)
+
+        if verdict is PacketClass.RECONFIG:
             if self.reconfig_from_dataplane:
                 self._reconfigure(packet)
                 return (PipelineResult(packet=None, phv=None, dropped=True,
@@ -281,27 +290,17 @@ class MenshenPipeline:
             return (PipelineResult(packet=None, phv=None, dropped=True,
                                    drop_reason="reconfig_on_dataplane"), 0)
 
-        if verdict == PacketClass.CONTROL:
+        if verdict is PacketClass.CONTROL:
             self.stats.record_drop(0, "untagged")
             return (PipelineResult(packet=None, phv=None, dropped=True,
                                    drop_reason="untagged"), 0)
 
-        module_id = extract_module_id(packet)
-
-        if verdict == PacketClass.DROP_UPDATING:
-            self.stats.record_in(module_id)
-            self.stats.record_drop(module_id, "module_updating")
-            return (PipelineResult(packet=None, phv=None, dropped=True,
-                                   module_id=module_id,
-                                   drop_reason="module_updating"), module_id)
-
+        # DROP_UPDATING: the module's bit is set in the update bitmap.
         self.stats.record_in(module_id)
-        if module_id not in self.loaded_modules:
-            self.stats.record_drop(module_id, "unknown_module")
-            return (PipelineResult(packet=None, phv=None, dropped=True,
-                                   module_id=module_id,
-                                   drop_reason="unknown_module"), module_id)
-        return (None, module_id)
+        self.stats.record_drop(module_id, "module_updating")
+        return (PipelineResult(packet=None, phv=None, dropped=True,
+                               module_id=module_id,
+                               drop_reason="module_updating"), module_id)
 
     def execute(self, packet: Packet, module_id: int,
                 buffer_slot: Optional[int] = None
@@ -335,8 +334,9 @@ class MenshenPipeline:
             return PipelineResult(packet=None, phv=phv, dropped=True,
                                   module_id=module_id, drop_reason="discard",
                                   cache_hit=cache_hit)
-        egress = phv.metadata.dst_port
-        mcast = phv.metadata.mcast_group
+        meta = phv.metadata.buf  # dst_port at 2-3, mcast_group at 8-9
+        egress = meta[2] << 8 | meta[3]
+        mcast = meta[8] << 8 | meta[9]
         self.traffic_manager.enqueue(merged, egress, mcast,
                                      module_id=module_id)
         self.stats.record_out(module_id, len(merged))

@@ -4,7 +4,7 @@ The scalar path (``pipeline.process`` / ``switch.process``) pushes one
 packet at a time through parser, stages, and deparser. This package adds
 the serving layer a production deployment needs:
 
-* :class:`~repro.engine.batch.BatchEngine` — batched, per-VID-sharded
+* :class:`~repro.engine.batch.BatchEngine` — batched, flat-phase
   execution over an existing :class:`~repro.core.pipeline.MenshenPipeline`,
   packet-for-packet identical to the scalar path;
 * :class:`~repro.engine.flow_cache.FlowCache` — exact-match memoization

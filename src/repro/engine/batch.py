@@ -2,25 +2,35 @@
 
 :class:`BatchEngine` drives packets through an existing
 :class:`~repro.core.pipeline.MenshenPipeline` in batches, preserving the
-scalar path's observable behavior packet-for-packet while amortizing the
+scalar path's observable behavior packet-for-packet while cutting the
 per-packet costs:
 
-* **Per-VID sharded dispatch.** A batch is admitted in arrival order
-  (filter verdicts, statistics, §3.2 packet-buffer slots), then executed
-  shard-by-shard — one shard per tenant VID — and committed back to the
-  traffic manager in arrival order. Tenants share no data-plane state
-  (overlay config, segmented stateful memory), so per-shard execution
-  is observationally identical to interleaved scalar execution.
-* **Flow caching.** Each shard owns a :class:`~repro.engine.flow_cache.
-  FlowCache` memoizing pure flow transformations, keyed on the bytes the
-  module's parse program reads and validated against the tenant's
-  configuration epoch, ``pipeline.epoch_of(vid)``. Any configuration
-  write that lands through the daisy chain — every ``repro.api`` table
-  insert/delete, transaction, module load/update/evict — bumps the epoch
-  of exactly the tenants whose data path can observe it and thereby
-  invalidates their stale entries before the next packet can see them;
-  a neighbour's churn leaves a tenant's entries, layout and compiled
-  classifier untouched.
+* **Flat phases, arrival order.** A run of data packets is admitted
+  (filter verdicts, statistics, §3.2 packet-buffer slots), then served,
+  then committed to the traffic manager — three passes over flat lists,
+  each in arrival order, so execution order is exactly the scalar
+  path's. The phases stay because they measure: one interleaved
+  admit→serve→commit loop per packet cost ``engine_uniform`` −12 % at
+  batch 256, while regrouping a run per VID on top of the phases bought
+  nothing and is gone. A batch of one packet — every fabric-timeline
+  hop — takes the same three steps as straight-line code through the
+  same serve function (≈ +3 % on ``fabric_steady``); that length test
+  is the only size-dependent selection.
+* **One serving context per tenant.** What the engine knows about a VID
+  — parse/deparse byte spans, compiled classifier, certificate,
+  exact-match cache, counters — is one slotted record, found with one
+  dict lookup per packet and re-derived when the tenant's configuration
+  epoch, ``pipeline.epoch_of(vid)``, has moved. Every configuration
+  write that lands through the daisy chain bumps the epoch of exactly
+  the tenants whose data path can observe it, so their stale cache
+  entries, layout and classifier die before the next packet can see
+  them; a neighbour's churn leaves a tenant's context untouched. The
+  context proves one bound per packet (its furthest parsed or deparsed
+  byte fits the parse window); under it the hot path slices and splices
+  ``packet.buf`` directly.
+* **Flow caching.** The context's :class:`~repro.engine.flow_cache.
+  FlowCache` memoizes pure flow transformations, keyed on the bytes the
+  module's parse program reads and stamped with the tenant's epoch.
 * **Compiled classification (flow cache v2).** On an exact-match miss,
   the packet is run through the tenant's
   :class:`~repro.engine.classifier.CompiledClassifier` — the installed
@@ -29,17 +39,16 @@ per-packet costs:
   op tuples. A compiled hit produces the same ``(merged, phv)`` the scalar
   walk would, seeds the exact-match cache (when enabled), and skips the
   interpreted pipeline entirely, so cache-hostile traffic no longer
-  degrades to the scalar walk. Classifiers are rebuilt lazily when the
-  tenant's epoch moves and purged by :meth:`invalidate` alongside the
-  shards.
+  degrades to the scalar walk. A classifier is compiled when the first
+  packet of an epoch reaches this level, and dropped with the rest of
+  the context's derived state by :meth:`BatchEngine.invalidate`.
 * **Certification (``check_compiled``).** Every lazy classifier rebuild
   can be statically certified equivalent to the installed tables by
   :func:`repro.analysis.equiv.certify_classifier` — ``enforce`` refuses
   an uncertified compiled path (packets take the scalar oracle, counted
   under the ``uncertified`` fallback reason), ``warn`` emits an
   :class:`~repro.analysis.verify.AnalysisWarning`, ``off`` (default)
-  skips the check. Certificates are kept in
-  :attr:`BatchEngine.certificates` per VID.
+  skips the check. :attr:`BatchEngine.certificates` reads them per VID.
 * **Stateful bypass.** A packet whose execution touches stateful memory
   is never memoized, and its module stops probing the cache until the
   next reconfiguration (state-carrying modules like NetCache/NetChain
@@ -56,10 +65,11 @@ compiled classification → scalar pipeline fallback — with
 reason) and ``compile_rebuilds`` counting epoch-driven recompiles.
 
 Mid-batch reconfiguration (Corundum mode, where configuration packets
-arrive on the shared ingress) is honored exactly: the engine flushes all
-pending shards before delivering a reconfiguration packet, so packets
-behind it in the batch observe the new configuration and packets ahead
-of it the old one — same as scalar processing.
+arrive on the shared ingress) is honored exactly: the run of data
+packets ahead of a reconfiguration packet is served to completion
+before the write is delivered, so packets behind it in the batch observe
+the new configuration and packets ahead of it the old one — same as
+scalar processing.
 
 Equivalence contract: for any packet sequence, ``process_batch`` yields
 results equal field-for-field (output bytes, PHV, drop reason, egress,
@@ -72,9 +82,11 @@ the queue contents are identical; with the weighted-fair
 multisets and per-(port, tenant) orderings are identical — exactly
 what ``tests/test_engine_differential.py`` enforces across all eight
 evaluated modules. The only exception is error paths: if execution
-raises (e.g. a parse fault), the batch aborts mid-flight and
+raises (e.g. a parse fault), the error is the scalar path's own, but
+the engine has already drawn the packet's buffer slot (the scalar path
+draws it after parsing) and a multi-packet run aborts mid-flight, so
 packet-buffer round-robin parity with the scalar path is not
-guaranteed.
+guaranteed from there on.
 """
 
 from __future__ import annotations
@@ -187,28 +199,46 @@ class EngineCounters:
         return diff_counters(self, baseline)
 
 
-class _ModuleLayout:
-    """Decoded parse/deparse geometry of one module at one epoch.
+class _TenantContext:
+    """Everything the engine holds to serve one tenant.
 
-    ``regions`` are the (offset, size) byte ranges the module's parse
-    program reads — the complete packet-derived input of its execution
-    (besides length and ingress port, which the key carries separately).
-    ``deparse`` are the ranges its deparse program writes back.
-    ``stateful`` flips once a packet of this module touches stateful
-    memory; the shard then bypasses the cache until the epoch moves.
+    ``cache`` and ``counters`` (the tenant's slice of
+    :class:`EngineCounters`) live as long as the engine, so their
+    statistics survive :meth:`BatchEngine.invalidate`. The rest is
+    derived by :meth:`BatchEngine._bind` from the configuration at
+    ``epoch`` (``None`` until bound — never current): ``parse`` are the
+    ``(offset, end)`` byte spans the module's parse program reads — the
+    complete packet-derived input of its execution (besides length and
+    ingress port, which the key carries separately); ``deparse`` the
+    spans its deparse program writes back; ``max_end`` the furthest
+    byte either reaches. ``stateful`` flips once a packet of this
+    module touches stateful memory; the tenant then bypasses the cache
+    until the epoch moves. ``classifier`` is compiled when the first
+    packet reaches that level; ``certificate`` is what certification
+    last said of it.
     """
 
-    __slots__ = ("epoch", "regions", "deparse", "max_end", "stateful")
+    __slots__ = ("vid", "cache", "counters", "epoch", "parse", "deparse",
+                 "max_end", "stateful", "classifier", "certificate")
 
-    def __init__(self, epoch: int, regions: Tuple[Tuple[int, int], ...],
-                 deparse: Tuple[Tuple[int, int], ...]):
-        self.epoch = epoch
-        self.regions = regions
-        self.deparse = deparse
-        ends = [off + size for off, size in regions]
-        ends += [off + size for off, size in deparse]
-        self.max_end = max(ends, default=0)
+    def __init__(self, vid: int, cache: FlowCache,
+                 counters: EngineTenantCounters):
+        self.vid = vid
+        self.cache = cache
+        self.counters = counters
+        self.parse: Tuple[Tuple[int, int], ...] = ()
+        self.deparse: Tuple[Tuple[int, int], ...] = ()
+        self.max_end = 0
         self.stateful = False
+        self.purge()
+
+    def purge(self) -> int:
+        """Forget the configuration (the next packet rebinds) and flush
+        the cache; returns the number of flows flushed."""
+        self.epoch: Optional[int] = None
+        self.classifier: Optional[CompiledClassifier] = None
+        self.certificate: Optional["Certificate"] = None
+        return self.cache.clear()
 
 
 class BatchEngine:
@@ -242,110 +272,105 @@ class BatchEngine:
                 f"expected one of {CERTIFY_MODES}")
         self.check_compiled = check_compiled
         self.counters = EngineCounters()
-        self.certificates: Dict[int, "Certificate"] = {}
-        self._refused: Dict[int, bool] = {}
-        self._shards: Dict[int, FlowCache] = {}
-        self._layouts: Dict[int, _ModuleLayout] = {}
-        self._classifiers: Dict[int, CompiledClassifier] = {}
+        self._contexts: Dict[int, _TenantContext] = {}
 
-    # -- cache management -------------------------------------------------------
+    # -- per-tenant contexts ----------------------------------------------------
+
+    def _context(self, vid: int) -> _TenantContext:
+        """One tenant's context (created unbound on first use)."""
+        ctx = self._contexts.get(vid)
+        if ctx is None:
+            ctx = self._contexts[vid] = _TenantContext(
+                vid, FlowCache(self.cache_capacity),
+                self.counters.tenant(vid))
+        return ctx
 
     def shard(self, vid: int) -> FlowCache:
         """The flow-cache shard for one tenant VID (created on demand)."""
-        cache = self._shards.get(vid)
-        if cache is None:
-            cache = self._shards[vid] = FlowCache(self.cache_capacity)
-        return cache
+        return self._context(vid).cache
 
     def cache_stats(self) -> Dict[int, FlowCacheStats]:
         """Per-VID cache statistics."""
-        return {vid: cache.stats for vid, cache in self._shards.items()}
+        return {vid: ctx.cache.stats for vid, ctx in self._contexts.items()}
+
+    def classifier_stats(self) -> Dict[int, ClassifierStats]:
+        """Shape summaries of the currently compiled classifiers."""
+        return {vid: ctx.classifier.stats()
+                for vid, ctx in self._contexts.items()
+                if ctx.classifier is not None}
+
+    @property
+    def certificates(self) -> Dict[int, "Certificate"]:
+        """What certification last said of each compiled classifier
+        (a fresh dict per read; empty under ``check_compiled="off"``)."""
+        return {vid: ctx.certificate for vid, ctx in self._contexts.items()
+                if ctx.certificate is not None}
 
     def invalidate(self, vid: Optional[int] = None) -> int:
-        """Flush cached flows (one tenant's shard, or everything).
+        """Flush cached flows (one tenant's, or everything).
 
         ``repro.api`` calls this when a tenant commits a transaction, is
         updated, or is evicted — making invalidation transactional at the
         API layer. The epoch check makes stale entries unreachable even
-        without this call; flushing additionally frees their memory,
-        their layouts, and their compiled classifiers immediately.
+        without this call; flushing additionally frees their memory and
+        the tenant's layout, compiled classifier and certificate
+        immediately.
 
         ``counters.invalidations`` grows by the number of entries
         actually flushed (matching ``FlowCacheStats.invalidations``);
         ``counters.invalidation_calls`` grows by one per call.
         """
-        flushed = 0
         if vid is None:
-            for cache in self._shards.values():
-                flushed += cache.clear()
-            self._layouts.clear()
-            self._classifiers.clear()
-            self.certificates.clear()
-            self._refused.clear()
+            flushed = sum(ctx.purge() for ctx in self._contexts.values())
         else:
-            if vid in self._shards:
-                flushed = self._shards[vid].clear()
-            self._layouts.pop(vid, None)
-            self._classifiers.pop(vid, None)
-            self.certificates.pop(vid, None)
-            self._refused.pop(vid, None)
+            ctx = self._contexts.get(vid)
+            flushed = ctx.purge() if ctx is not None else 0
         self.counters.invalidation_calls += 1
         self.counters.invalidations += flushed
         return flushed
 
-    def classifier_stats(self) -> Dict[int, ClassifierStats]:
-        """Shape summaries of the currently compiled classifiers."""
-        return {vid: clf.stats() for vid, clf in self._classifiers.items()}
+    def _bind(self, ctx: _TenantContext, epoch: int) -> None:
+        """Re-derive ``ctx`` from the configuration installed at
+        ``epoch``; the classifier is left for the first packet that
+        needs it (:meth:`_compile`)."""
+        vid = ctx.vid
+        parse = self.pipeline.parser.read_program(vid)
+        deparse = self.pipeline.deparser.read_program(vid)
+        ctx.parse = tuple(sorted({
+            (a.bytes_from_head, a.bytes_from_head + a.container.size_bytes)
+            for a in parse}))
+        ctx.deparse = tuple(
+            (a.bytes_from_head, a.bytes_from_head + a.container.size_bytes)
+            for a in deparse)
+        ctx.max_end = max([end for _off, end in ctx.parse + ctx.deparse],
+                          default=0)
+        ctx.stateful = False
+        ctx.classifier = None
+        ctx.epoch = epoch
 
-    def _classifier(self, vid: int, epoch: int) -> CompiledClassifier:
-        clf = self._classifiers.get(vid)
-        if clf is None or clf.epoch != epoch:
-            clf = compile_classifier(self.pipeline, vid)
-            self._classifiers[vid] = clf
-            self.counters.compile_rebuilds += 1
-            self.counters.tenant(vid).compile_rebuilds += 1
-            if self.check_compiled != "off":
-                self._certify(vid, clf)
+    def _compile(self, ctx: _TenantContext) -> CompiledClassifier:
+        clf = ctx.classifier = compile_classifier(self.pipeline, ctx.vid)
+        self.counters.compile_rebuilds += 1
+        ctx.counters.compile_rebuilds += 1
+        if self.check_compiled != "off":
+            self._certify(ctx)
         return clf
 
-    def _certify(self, vid: int, clf: CompiledClassifier) -> None:
+    def _certify(self, ctx: _TenantContext) -> None:
         # Lazy import: the engine must stay importable without dragging
         # the analysis layer in — only certifying engines pay for it.
         from ..analysis.equiv import certify_classifier
 
-        certificate = certify_classifier(self.pipeline, clf, vid=vid)
-        self.certificates[vid] = certificate
-        if certificate.ok:
-            self._refused.pop(vid, None)
-            return
-        if self.check_compiled == "enforce":
-            self._refused[vid] = True
-        elif self.check_compiled == "warn":
+        certificate = ctx.certificate = certify_classifier(
+            self.pipeline, ctx.classifier, vid=ctx.vid)
+        if not certificate.ok and self.check_compiled == "warn":
             from ..analysis.verify import AnalysisWarning
 
             warnings.warn(
                 AnalysisWarning(
-                    f"compiled classifier for vid {vid} failed "
+                    f"compiled classifier for vid {ctx.vid} failed "
                     f"certification:\n{certificate.render()}"),
                 stacklevel=3)
-
-    def _count_fallback(self, reason: str) -> None:
-        fallbacks = self.counters.classifier_fallbacks
-        fallbacks[reason] = fallbacks.get(reason, 0) + 1
-
-    def _layout(self, vid: int, epoch: int) -> _ModuleLayout:
-        layout = self._layouts.get(vid)
-        if layout is None or layout.epoch != epoch:
-            parse = self.pipeline.parser.read_program(vid)
-            deparse = self.pipeline.deparser.read_program(vid)
-            regions = tuple(sorted({(a.bytes_from_head,
-                                     a.container.size_bytes)
-                                    for a in parse}))
-            writes = tuple((a.bytes_from_head, a.container.size_bytes)
-                           for a in deparse)
-            layout = _ModuleLayout(epoch, regions, writes)
-            self._layouts[vid] = layout
-        return layout
 
     def _stateful_ops(self) -> int:
         return sum(stage.stateful_memory.op_count
@@ -361,159 +386,166 @@ class BatchEngine:
                       ) -> List[PipelineResult]:
         """Process a batch; results are in submission order.
 
-        Reconfiguration packets act as barriers: pending shards flush
-        before the configuration write is delivered.
+        Reconfiguration packets act as barriers: the run of data
+        packets ahead of one is served to completion before the
+        configuration write is delivered.
         """
-        self.counters.batches += 1
-        self.counters.packets += len(packets)
-        results: List[Optional[PipelineResult]] = [None] * len(packets)
-        run: List[int] = []
+        counters = self.counters
+        counters.batches += 1
+        counters.packets += len(packets)
         is_reconfig = self.pipeline.packet_filter.is_reconfig_packet
-        for i, packet in enumerate(packets):
+        if len(packets) == 1 and not is_reconfig(packets[0]):
+            # A run of one (every fabric-timeline hop): the three
+            # phases are the packet's own straight line.
+            early, ctx, slot = self._admit(packets[0])
+            if ctx is None:
+                return [early]
+            return [self._commit(ctx, *self._serve(ctx, packets[0], slot))]
+        results: List[Optional[PipelineResult]] = []
+        run: List[Packet] = []
+        for packet in packets:
             if is_reconfig(packet):
-                self._flush(run, packets, results)
+                self._flush(run, results)
                 run = []
-                self.counters.reconfig_flushes += 1
-                early, _vid = self.pipeline.admit(packet)
-                results[i] = early
+                counters.reconfig_flushes += 1
+                results.append(self.pipeline.admit(packet)[0])
             else:
-                run.append(i)
-        self._flush(run, packets, results)
+                run.append(packet)
+        self._flush(run, results)
         return results  # type: ignore[return-value]
 
     # -- the three phases -------------------------------------------------------
 
-    def _flush(self, run: List[int], packets: Sequence[Packet],
+    def _flush(self, run: List[Packet],
                results: List[Optional[PipelineResult]]) -> None:
-        """Admit (in order) -> execute (per shard) -> commit (in order)."""
-        if not run:
-            return
-        pipeline = self.pipeline
-        assign_buffer = pipeline.packet_filter.assign_buffer
+        """Admit all -> serve all -> commit all, each in arrival order,
+        appending the run's results to ``results``."""
+        admitted = [self._admit(packet) for packet in run]
+        served = [None if ctx is None else self._serve(ctx, packet, slot)
+                  for packet, (_early, ctx, slot) in zip(run, admitted)]
+        results += [early if ctx is None else self._commit(ctx, *outcome)
+                    for (early, ctx, _slot), outcome in zip(admitted, served)]
 
-        shards: Dict[int, List[Tuple[int, Packet, int]]] = {}
-        for i in run:
-            packet = packets[i]
-            early, vid = pipeline.admit(packet)
-            if early is not None:
-                results[i] = early
-                self.counters.early_drops += 1
-                if vid:
-                    tenant = self.counters.tenant(vid)
-                    tenant.packets += 1
-                    tenant.drops += 1
-                continue
-            shards.setdefault(vid, []).append((i, packet, assign_buffer()))
-
-        executed: Dict[int, Tuple[Optional[Packet], object, int, bool]] = {}
-        for vid, items in shards.items():
-            cache = self.shard(vid)
-            for i, packet, slot in items:
-                executed[i] = self._execute_one(vid, cache, packet, slot)
-
-        for i in run:
-            if results[i] is not None:
-                continue
-            merged, phv, vid, hit = executed[i]
-            result = pipeline.commit(merged, phv, vid, cache_hit=hit)
-            results[i] = result
+    def _admit(self, packet: Packet
+               ) -> Tuple[Optional[PipelineResult],
+                          Optional[_TenantContext], int]:
+        """Admit one data packet: ``(early result, None, 0)``, or
+        ``(None, its tenant's context, its §3.2 packet-buffer slot)``."""
+        early, vid = self.pipeline.admit(packet)
+        if early is None:
+            return (None, self._context(vid),
+                    self.pipeline.packet_filter.assign_buffer())
+        self.counters.early_drops += 1
+        if vid:
             tenant = self.counters.tenant(vid)
             tenant.packets += 1
-            if result.forwarded:
-                tenant.bytes_out += len(result.packet)
-            else:
-                tenant.drops += 1
-                self.counters.drops += 1
+            tenant.drops += 1
+        return early, None, 0
 
-    def _execute_one(self, vid: int, cache: FlowCache, packet: Packet,
-                     slot: int) -> Tuple[Optional[Packet], object, int, bool]:
-        """Serve one admitted packet: cache hit -> compiled -> scalar."""
+    def _commit(self, ctx: _TenantContext, merged: Optional[Packet],
+                phv: object, hit: bool) -> PipelineResult:
+        result = self.pipeline.commit(merged, phv, ctx.vid, cache_hit=hit)
+        tenant = ctx.counters
+        tenant.packets += 1
+        if result.dropped:
+            tenant.drops += 1
+            self.counters.drops += 1
+        else:
+            tenant.bytes_out += len(result.packet)
+        return result
+
+    def _serve(self, ctx: _TenantContext, packet: Packet, slot: int
+               ) -> Tuple[Optional[Packet], object, bool]:
+        """Serve one admitted packet: cache hit -> compiled -> scalar.
+
+        Returns ``(merged, phv, cache_hit)``.
+        """
         pipeline = self.pipeline
-        epoch = pipeline.epoch_of(vid)
+        counters = self.counters
+        epoch = pipeline.epoch_of(ctx.vid)
+        if ctx.epoch != epoch and (self.enable_cache
+                                   or self.enable_classifier):
+            self._bind(ctx, epoch)
+        # The one bound every raw slice and splice below relies on.
+        fits_window = ctx.max_end <= min(
+            len(packet.buf), pipeline.params.parse_window_bytes)
         key = None
-        layout = None
-        fits_window = False
-        if self.enable_cache or self.enable_classifier:
-            layout = self._layout(vid, epoch)
-            window = min(len(packet), pipeline.params.parse_window_bytes)
-            fits_window = layout.max_end <= window
 
         # Level 1: exact-match flow-cache hit.
-        if self.enable_cache and fits_window and not layout.stateful:
-            key = (len(packet), packet.ingress_port,
-                   *(packet.read_bytes(off, size)
-                     for off, size in layout.regions))
-            entry = cache.lookup(key, epoch)
+        if self.enable_cache and fits_window and not ctx.stateful:
+            raw = bytes(packet.buf)
+            key = (len(raw), packet.ingress_port,
+                   *[raw[off:end] for off, end in ctx.parse])
+            entry = ctx.cache.lookup(key, epoch)
             if entry is not None:
-                self.counters.cache_hits += 1
-                self.counters.tenant(vid).cache_hits += 1
+                counters.cache_hits += 1
+                ctx.counters.cache_hits += 1
                 phv = entry.phv.copy()
-                phv.metadata.buffer_tag = 1 << slot
+                phv.metadata.buf[1] = 1 << slot  # buffer_tag
                 if entry.dropped:
-                    return (None, phv, vid, True)
+                    return None, phv, True
                 merged = packet.copy()
+                out = merged.buf
                 for off, data in entry.writes:
-                    merged.write_bytes(off, data)
-                return (merged, phv, vid, True)
+                    out[off:off + len(data)] = data
+                return merged, phv, True
 
         # Level 2: compiled classification (flow cache v2).
         if self.enable_classifier:
-            if fits_window:
-                clf = self._classifier(vid, epoch)
-                if self._refused.get(vid):
+            if not fits_window:
+                reason = "parse-window"
+            else:
+                clf = ctx.classifier
+                if clf is None:
+                    clf = self._compile(ctx)
+                certificate = ctx.certificate
+                if (certificate is not None and not certificate.ok
+                        and self.check_compiled == "enforce"):
                     # Certification (enforce mode) found the compiled
                     # artifact inequivalent: refuse the compiled path
                     # entirely and let the scalar oracle serve.
-                    self._count_fallback("uncertified")
-                elif clf.ok:
+                    reason = "uncertified"
+                elif not clf.ok:
+                    reason = "uncompilable"
+                else:
                     outcome = clf.classify(packet, slot)
-                    if type(outcome) is Fallback:
-                        self._count_fallback(outcome.reason)
-                    else:
+                    if type(outcome) is not Fallback:
                         merged, phv = outcome
-                        self.counters.compiled_hits += 1
-                        tenant = self.counters.tenant(vid)
-                        tenant.compiled_hits += 1
+                        counters.compiled_hits += 1
+                        ctx.counters.compiled_hits += 1
                         if key is not None:
                             # Seed the exact-match level: the compiled
                             # result is pure by construction, exactly
                             # what the scalar miss path would memoize.
-                            self.counters.cache_misses += 1
-                            tenant.cache_misses += 1
-                            if merged is None:
-                                writes: Tuple[Tuple[int, bytes], ...] = ()
-                            else:
-                                writes = tuple(
-                                    (off, merged.read_bytes(off, size))
-                                    for off, size in layout.deparse)
-                            cache.insert(key, FlowEntry(
-                                epoch=epoch, phv=phv.copy(), writes=writes,
-                                dropped=merged is None))
-                        return (merged, phv, vid, False)
-                else:
-                    self._count_fallback("uncompilable")
-            else:
-                self._count_fallback("parse-window")
+                            self._learn(ctx, key, merged, phv)
+                        return merged, phv, False
+                    reason = outcome.reason
+            fallbacks = counters.classifier_fallbacks
+            fallbacks[reason] = fallbacks.get(reason, 0) + 1
 
         # Level 3: the scalar pipeline walk (the differential oracle).
         before = self._stateful_ops()
-        merged, phv = pipeline.execute(packet, vid, buffer_slot=slot)
-        pure = self._stateful_ops() == before
+        merged, phv = pipeline.execute(packet, ctx.vid, buffer_slot=slot)
+        if self._stateful_ops() != before:
+            counters.uncacheable += 1
+            ctx.counters.uncacheable += 1
+            ctx.stateful = True
+        elif key is not None:
+            self._learn(ctx, key, merged, phv)
+        return merged, phv, False
 
-        if key is not None and pure:
-            self.counters.cache_misses += 1
-            self.counters.tenant(vid).cache_misses += 1
-            if merged is None:
-                writes: Tuple[Tuple[int, bytes], ...] = ()
-            else:
-                writes = tuple((off, merged.read_bytes(off, size))
-                               for off, size in layout.deparse)
-            cache.insert(key, FlowEntry(epoch=epoch, phv=phv.copy(),
+    def _learn(self, ctx: _TenantContext, key: Tuple,
+               merged: Optional[Packet], phv) -> None:
+        """Memoize one pure result at the exact-match level (``key``
+        exists, so the window bound holds for ``merged`` too — the
+        deparser never resizes)."""
+        self.counters.cache_misses += 1
+        ctx.counters.cache_misses += 1
+        writes: Tuple[Tuple[int, bytes], ...] = ()
+        if merged is not None:
+            out = merged.buf
+            writes = tuple([(off, bytes(out[off:end]))
+                            for off, end in ctx.deparse])
+        ctx.cache.insert(key, FlowEntry(epoch=ctx.epoch, phv=phv.copy(),
                                         writes=writes,
                                         dropped=merged is None))
-        elif not pure:
-            self.counters.uncacheable += 1
-            self.counters.tenant(vid).uncacheable += 1
-            if layout is not None:
-                layout.stateful = True
-        return (merged, phv, vid, False)

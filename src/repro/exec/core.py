@@ -39,17 +39,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.packet_filter import tagged_vid
 from ..errors import FabricError
 from ..net.packet import Packet
-from ..rmt.parser import extract_module_id
 
 
 def vid_of(packet: Packet) -> int:
-    """Owner VID from the 802.1Q tag (0 for odd untagged strays)."""
-    try:
-        return extract_module_id(packet)
-    except Exception:
-        return 0
+    """Owner VID from the 802.1Q tag; 0 — the system VID, which no
+    tenant carries — for a frame the packet filter calls untagged."""
+    return tagged_vid(packet) or 0
 
 
 class ExecutionSink:

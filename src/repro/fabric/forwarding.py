@@ -4,7 +4,7 @@ One fabric batch is processed as repeated *waves* by the unified
 execution core (:class:`repro.exec.ExecutionCore` under its untimed
 policy). A wave pushes each switch's pending packets through its
 :class:`~repro.engine.BatchEngine` (the real batched serving path —
-flow cache, sharded dispatch, egress scheduler), then drains every
+flow cache, compiled classifier, egress scheduler), then drains every
 output port in the scheduler's weighted-fair service order:
 
 * a packet leaving a **host port** exits the fabric — a

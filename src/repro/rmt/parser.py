@@ -64,10 +64,10 @@ class ParseAction:
 
 def extract_module_id(packet: Packet) -> int:
     """Read the 12-bit VID (module ID) from the fixed VLAN TCI offset."""
-    if len(packet) < VLAN_TCI_OFFSET + 2:
+    buf = packet.buf
+    if len(buf) < VLAN_TCI_OFFSET + 2:
         raise PacketError("packet too short to carry a VLAN tag")
-    tci = packet.read_int(VLAN_TCI_OFFSET, 2)
-    return tci & 0xFFF
+    return (buf[VLAN_TCI_OFFSET] << 8 | buf[VLAN_TCI_OFFSET + 1]) & 0xFFF
 
 
 class ProgrammableParser:

@@ -224,7 +224,7 @@ class Metadata:
         self._set("module_id", value)
 
     def copy(self) -> "Metadata":
-        dup = Metadata()
+        dup = Metadata.__new__(Metadata)  # no zeroed buffer to discard
         dup.buf = bytearray(self.buf)
         return dup
 
@@ -253,10 +253,12 @@ class PHV:
         """Build a PHV from 24 flat container values (B2: 0-7, B4: 8-15,
         B6: 16-23), with zeroed metadata. The caller guarantees each
         value fits its container width."""
-        phv = cls(params)
-        phv._values[ContainerType.B2] = list(vals[0:8])
-        phv._values[ContainerType.B4] = list(vals[8:16])
-        phv._values[ContainerType.B6] = list(vals[16:24])
+        phv = cls.__new__(cls)  # every field is set below
+        phv.params = params
+        phv._values = {ContainerType.B2: list(vals[0:8]),
+                       ContainerType.B4: list(vals[8:16]),
+                       ContainerType.B6: list(vals[16:24])}
+        phv.metadata = Metadata()
         return phv
 
     # -- container access ------------------------------------------------------
@@ -297,9 +299,10 @@ class PHV:
         return data_zero and all(b == 0 for b in self.metadata.buf)
 
     def copy(self) -> "PHV":
-        dup = PHV(self.params)
-        for ctype, vals in self._values.items():
-            dup._values[ctype] = list(vals)
+        dup = PHV.__new__(PHV)  # no zeroed containers to discard
+        dup.params = self.params
+        dup._values = {ctype: list(vals)
+                       for ctype, vals in self._values.items()}
         dup.metadata = self.metadata.copy()
         return dup
 

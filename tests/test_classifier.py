@@ -298,19 +298,23 @@ class TestInvalidationAccounting:
 
     def test_invalidate_vid_with_layout_but_no_shard(self):
         # A VID whose layout (and classifier) exist but whose shard
-        # does not: invalidate must not trip over the missing shard and
-        # must still purge the layout and classifier. (The engine only
-        # grows shards alongside layouts, so the state is constructed.)
+        # holds nothing: invalidate must flush zero entries and must
+        # still purge the layout and classifier. (Layout, classifier
+        # and shard are one per-tenant context, so "no shard" is an
+        # empty one; the shard object itself outlives the purge.)
         _switch, engine = _firewall_switch(enable_cache=False,
                                            enable_classifier=True)
         engine.process(workload("firewall").flow_packet(3, 1))
-        assert 3 in engine._layouts
-        del engine._shards[3]
+        context = engine._contexts[3]
+        assert context.epoch is not None and context.parse
+        shard = engine.shard(3)
+        assert len(shard) == 0
         assert engine.invalidate(3) == 0
         assert engine.counters.invalidations == 0
         assert engine.counters.invalidation_calls == 1
-        assert 3 not in engine._layouts
+        assert context.epoch is None and context.classifier is None
         assert not engine.classifier_stats()
+        assert engine.shard(3) is shard
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +423,9 @@ class TestMidBatchLayoutStaleness:
 
         # The layout served after the barrier is the rewritten one, not
         # the one cached when the batch started.
-        layout = engine._layouts[3]
+        layout = engine._contexts[3]
         assert layout.epoch == batched.pipeline.epoch_of(3)
-        assert len(layout.regions) == 1
+        assert len(layout.parse) == 1
         # And the rewrite is observable: some flow that appears on both
         # sides of the barrier changed its scalar verdict, so the
         # equivalence above really did exercise a stale-layout hazard.

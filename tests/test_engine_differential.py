@@ -317,3 +317,175 @@ def test_reconfig_packet_inside_batch():
                fw.flow_packet(3, 0).tobytes()]
     if blocked:  # zipf rank 1 appears on both sides of the barrier
         assert True in blocked and False in blocked
+
+
+# ---------------------------------------------------------------------------
+# per-hop overhead gates: what one hop reads, every batch size, the error path
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, cls, names, calls):
+    for name in names:
+        def counted(self, *args, _inner=getattr(cls, name), _name=name,
+                    **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+
+def test_warm_hop_looks_at_the_header_once(monkeypatch):
+    """Counts only (no wall clock): a warmed ``calc`` flow served from
+    the exact-match level goes through none of ``Packet``'s
+    bounds-checked accessors — filter, VID and flow key are read off
+    ``packet.buf`` behind one length comparison each — and copies the
+    packet once. Re-sniffing the header per layer cost 9 ``read_int``,
+    13 ``read_bytes`` and 14 ``_check_range`` calls on this very hop.
+    The compiled level and the scalar fallback read nothing that way
+    either before the oracle's own ``execute``. Outcomes are pinned to
+    ``switch.process`` on a twin, so the bound cannot be met by
+    checking less."""
+    from repro.core import MenshenPipeline
+    from repro.net.packet import Packet
+
+    calc, netcache = workload("calc"), workload("netcache")
+    specs = [(1, calc), (2, netcache)]
+    packet = calc.flow_packet(1, 5)
+    stateful = netcache.flow_packet(2, 5)
+    engines = {}
+    for level, kw in (("cache", {}), ("compiled", {"enable_cache": False})):
+        scalar, _batched, engine = build_pair(specs, engine_kw=kw)
+        for warm in (packet, packet, stateful):
+            assert_equivalent([scalar.process(warm.copy())],
+                              engine.process_batch([warm.copy()]), level)
+        engines[level] = (scalar, engine)
+
+    calls = {}
+    _count_calls(monkeypatch, Packet,
+                 ("read_int", "read_bytes", "_check_range", "copy"), calls)
+    at_execute = []
+    inner_execute = MenshenPipeline.execute
+
+    def execute(self, *args, **kwargs):
+        at_execute.append(dict(calls))
+        return inner_execute(self, *args, **kwargs)
+    monkeypatch.setattr(MenshenPipeline, "execute", execute)
+
+    def hop(level, pkt):
+        scalar, engine = engines[level]
+        expected, fresh = scalar.process(pkt.copy()), pkt.copy()
+        calls.clear()
+        del at_execute[:]
+        (result,) = engine.process_batch([fresh])
+        counted = dict(at_execute[0]) if at_execute else dict(calls)
+        assert_equivalent([expected], [result], level)
+        return result, counted, len(at_execute)
+
+    result, counted, executed = hop("cache", packet)
+    assert result.cache_hit and not executed
+    assert counted in ({}, {"copy": 1}), counted
+
+    result, counted, executed = hop("compiled", packet)
+    assert not result.cache_hit and not executed
+    assert engines["compiled"][1].counters.compiled_hits == 3
+    assert counted.get("read_int", 0) == 0, counted
+
+    for level in ("cache", "compiled"):
+        _result, counted, executed = hop(level, stateful)
+        assert executed == 1              # the scalar oracle served it
+        assert counted.get("read_int", 0) == 0, (level, counted)
+
+
+def _three_tenant_stream(reconfig_params, mask_stage):
+    """calc, firewall and stateful netcache interleaved; mid-stream a
+    dataplane write that wipes the firewall's key mask, then a packet
+    of a VID nobody loaded (dropped before the parser)."""
+    specs = [(1, workload("calc")), (2, workload("firewall")),
+             (3, workload("netcache"))]
+    rng = make_rng(180)
+    streams = [flow_stream(spec, vid, rng, 60,
+                           ZipfFlows(spec.n_flows, skew=0.9))
+               for vid, spec in specs]
+    packets = [p for trio in zip(*streams) for p in trio]
+    wipe_mask = build_reconfig_packet(
+        ResourceId(ResourceType.KEY_MASK, mask_stage), index=2, entry=0,
+        params=reconfig_params)
+    stranger = workload("calc").flow_packet(9, 1)
+    return specs, packets[:90] + [wipe_mask, stranger] + packets[90:]
+
+
+@pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
+def test_every_batch_size_equals_scalar(mode):
+    """Batch sizes 1 (the straight-line path every fabric hop takes), 7
+    (runs cut mid-tenant-cycle and by the barrier) and 64 serve one
+    stream identically: results, pipeline statistics, per-(port,
+    tenant) queue order — and, between sizes, every engine counter but
+    the batch count."""
+    import dataclasses
+
+    probe = build_pair([(2, workload("firewall"))])[0]
+    stage = probe.controller._loaded(2).compiled.stages_used()[0]
+    specs, stream = _three_tenant_stream(probe.params, stage)
+    totals = {}
+    for size in (1, 7, 64):
+        scalar, batched, engine = build_pair(
+            specs, engine_kw=ENGINE_MODES[mode],
+            reconfig_from_dataplane=True)
+        scalar_results = [scalar.process(p.copy()) for p in stream]
+        engine_results = TraceReplayer(stream).replay(engine,
+                                                      batch_size=size)
+        assert_equivalent(scalar_results, engine_results,
+                          f"{mode}/batch {size}")
+        assert_same_observable_state(scalar, batched)
+        assert scalar_results[90].drop_reason == "reconfig_consumed"
+        assert scalar_results[91].drop_reason == "unknown_module"
+        counters = engine.counters
+        assert counters.reconfig_flushes == 1
+        assert counters.early_drops == 1
+        assert counters.batches == -(-len(stream) // size)
+        totals[size] = dataclasses.replace(counters, batches=0)
+    assert totals[1] == totals[7] == totals[64]
+    # Every level served something, so the sizes agree on all of them.
+    assert totals[1].uncacheable == 60          # netcache, every packet
+    assert totals[1].compiled_hits > 0
+    if ENGINE_MODES[mode].get("enable_cache", True):
+        assert totals[1].cache_hits > 0
+
+
+def test_parse_fault_is_the_scalar_paths_own():
+    """A ``calc`` packet cut off inside its own header raises from the
+    engine exactly what the scalar path raises, and leaves both
+    switches serving every tenant identically afterwards."""
+    from repro.errors import PacketError
+    from repro.net.packet import Packet
+
+    specs = [(1, workload("calc")), (2, workload("firewall")),
+             (3, workload("netcache"))]
+    scalar, batched, engine = build_pair(specs)
+    for vid, spec in specs:             # warm: the fault hits a live cache
+        assert_equivalent([scalar.process(spec.flow_packet(vid, 1))],
+                          engine.process_batch([spec.flow_packet(vid, 1)]))
+    cut = workload("calc").flow_packet(1, 1).tobytes()[:40]
+
+    with pytest.raises(PacketError) as scalar_fault:
+        scalar.pipeline.process(Packet(cut))
+    with pytest.raises(PacketError) as engine_fault:
+        engine.process_batch([Packet(cut)])
+    assert type(engine_fault.value) is type(scalar_fault.value)
+    assert str(engine_fault.value) == str(scalar_fault.value)
+    assert "past the 40-byte parse window" in str(scalar_fault.value)
+    assert scalar.pipeline.stats.summary() == \
+        batched.pipeline.stats.summary()
+
+    # Not the same PHV: the engine drew the faulting packet's §3.2
+    # buffer slot before executing it, the scalar path draws it after
+    # parsing and never got there, so the round-robin ``buffer_tag``s
+    # are out of step from here on (the error-path caveat in
+    # repro.engine.batch's docstring). Everything a tenant can observe
+    # is not.
+    for vid, spec in specs:
+        a = scalar.process(spec.flow_packet(vid, 2))
+        (b,) = engine.process_batch([spec.flow_packet(vid, 2)])
+        assert a.forwarded and a.packet.tobytes() == b.packet.tobytes(), vid
+        assert (a.egress_port, a.drop_reason) == \
+            (b.egress_port, b.drop_reason), vid
+    assert scalar.pipeline.stats.summary() == \
+        batched.pipeline.stats.summary()

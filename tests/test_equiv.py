@@ -338,6 +338,16 @@ def _firewall_engine(**kw):
     return switch, engine, packets
 
 
+def _corrupt_classifier(engine, vid=3):
+    """Swap a mutant into the tenant's serving context and re-certify
+    it, as a lazy rebuild would; returns the mutation's description."""
+    context = engine._contexts[vid]
+    context.classifier, description = apply_mutation(
+        context.classifier, "swapped-exact-leaves")
+    engine._certify(context)
+    return description
+
+
 class TestEngineIntegration:
     def test_clean_classifier_serves_compiled_under_enforce(self):
         _switch, engine, packets = _firewall_engine(
@@ -351,11 +361,8 @@ class TestEngineIntegration:
         _switch, engine, packets = _firewall_engine(
             check_compiled="enforce")
         engine.process_batch(packets)
-        mutant, description = apply_mutation(
-            engine._classifiers[3], "swapped-exact-leaves")
+        description = _corrupt_classifier(engine)
         assert description is not None
-        engine._classifiers[3] = mutant
-        engine._certify(3, mutant)
         before = engine.counters.compiled_hits
         engine.process_batch(packets)
         assert engine.counters.compiled_hits == before
@@ -366,16 +373,16 @@ class TestEngineIntegration:
     def test_warn_mode_warns_and_keeps_serving(self):
         _switch, engine, packets = _firewall_engine(check_compiled="warn")
         engine.process_batch(packets)
-        mutant, _ = apply_mutation(engine._classifiers[3],
-                                   "swapped-exact-leaves")
-        engine._classifiers[3] = mutant
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            engine._certify(3, mutant)
+            _corrupt_classifier(engine)
         assert len(caught) == 1
         assert issubclass(caught[0].category, AnalysisWarning)
         assert "failed certification" in str(caught[0].message)
-        assert not engine._refused  # warn mode never refuses
+        before = engine.counters.compiled_hits
+        engine.process_batch(packets)        # warn mode never refuses
+        assert engine.counters.compiled_hits == before + len(packets)
+        assert "uncertified" not in engine.counters.classifier_fallbacks
 
     def test_invalidate_clears_certificates(self):
         _switch, engine, packets = _firewall_engine(
@@ -383,8 +390,7 @@ class TestEngineIntegration:
         engine.process_batch(packets)
         assert engine.certificates
         engine.invalidate(3)
-        assert engine.certificates == {}
-        assert engine._refused == {}
+        assert engine.certificates == {}   # and with it any refusal
 
     def test_bad_mode_rejected(self):
         switch = Switch.build().create()
@@ -410,10 +416,7 @@ class TestEngineIntegration:
         _switch, engine, packets = _firewall_engine(
             check_compiled="enforce")
         engine.process_batch(packets)
-        mutant, _ = apply_mutation(engine._classifiers[3],
-                                   "swapped-exact-leaves")
-        engine._classifiers[3] = mutant
-        engine._certify(3, mutant)
+        _corrupt_classifier(engine)
         engine.process_batch(packets)
         histogram = engine.counters.classifier_fallbacks
         assert histogram["uncertified"] == len(packets)

@@ -24,6 +24,7 @@ from repro.exec import (
 )
 from repro.fabric import leaf_spine
 from repro.modules import calc
+from repro.net import PacketBuilder
 from repro.net.packet import Packet
 from repro.sim import FabricTimelineExperiment
 from repro.traffic import TrafficMatrix
@@ -115,6 +116,13 @@ class TestRouting:
     def test_vid_of_falls_back_to_system_vid(self):
         assert vid_of(Packet(bytes(64))) == 0
         assert vid_of(_packet(vid=9)) == 9
+        # An untagged IPv4/UDP frame has 0x4500 where a tag's TCI would
+        # sit; it must not be charged to tenant 0x500.
+        untagged = PacketBuilder().ethernet().ipv4().udp().build()
+        assert len(untagged) == 42
+        assert vid_of(untagged) == 0
+        # A tagged frame cut off inside its tag carries no VID either.
+        assert vid_of(Packet(_packet(vid=9).tobytes()[:15])) == 0
 
 
 class TestAdapters:

@@ -4,9 +4,11 @@ recovery behavior of the control protocols."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Tenant
+from repro.api import Switch, Tenant
 from repro.core import (
     MenshenPipeline,
+    PacketClass,
+    PacketFilter,
     ResourceId,
     ResourceType,
     build_reconfig_packet,
@@ -14,11 +16,16 @@ from repro.core import (
 from repro.errors import (
     PacketError,
     ReconfigurationError,
+    ReproError,
     TruncatedPacketError,
 )
 from repro.modules import calc, netchain
+from repro.net import PacketBuilder
+from repro.net.ethernet import ETHERTYPE_VLAN
 from repro.net.packet import Packet
+from repro.net.udp_ import MENSHEN_RECONFIG_DPORT
 from repro.runtime import MenshenController
+from repro.traffic import workload
 
 
 class TestReconfigLossRecovery:
@@ -76,6 +83,112 @@ class TestReconfigLossRecovery:
         netchain.install(Tenant.attach(ctl, 3))
         result = pipe.process(netchain.make_packet(3))
         assert netchain.read_seq(result.packet) == 1  # fresh state
+
+
+def _reference_verdict(packet, update_bitmap):
+    """The packet filter as it was written on the bounds-checked
+    ``Packet.read_int`` (one range check and one copy per field), kept
+    here as the reference for the version that indexes ``packet.buf``
+    behind one length comparison."""
+    def is_reconfig():
+        if len(packet) < 18 + 20 + 2 + 2:
+            return False
+        if packet.read_int(12, 2) != ETHERTYPE_VLAN:
+            return False
+        if packet.read_int(18 + 9, 1) != 17:
+            return False
+        return packet.read_int(18 + 20 + 2, 2) == MENSHEN_RECONFIG_DPORT
+
+    if is_reconfig():
+        return PacketClass.RECONFIG
+    if len(packet) < 14 + 2 or packet.read_int(12, 2) != ETHERTYPE_VLAN:
+        return PacketClass.CONTROL
+    vid = packet.read_int(14, 2) & 0xFFF
+    if vid < 32 and update_bitmap >> vid & 1:
+        return PacketClass.DROP_UPDATING
+    return PacketClass.DATA
+
+
+class TestTruncatedFrameBoundaries:
+    """Every prefix of a tagged data frame, a reconfiguration frame and
+    an untagged frame: the 14/15/16 (tag) and 27/40/41/42 (UDP port)
+    length edges included."""
+
+    VID = 3
+    COUNTER = {PacketClass.DATA: "data_packets",
+               PacketClass.RECONFIG: "reconfig_packets",
+               PacketClass.CONTROL: "dropped_untagged",
+               PacketClass.DROP_UPDATING: "dropped_updating"}
+
+    def _prefixes(self):
+        frames = {
+            "data": workload("calc").flow_packet(self.VID, 5),
+            # 64 bytes: the last prefix is the whole, valid write.
+            "reconfig": build_reconfig_packet(
+                ResourceId(ResourceType.CAM_INVALIDATE, 0), index=15,
+                entry=0, vid=self.VID),
+            "untagged": PacketBuilder().ethernet().ipv4().udp()
+            .payload(b"x" * 30).build(),
+        }
+        for kind, frame in frames.items():
+            raw = frame.tobytes()
+            assert len(raw) >= 60, kind
+            for size in range(0, min(len(raw), 64) + 1):
+                yield f"{kind}[:{size}]", raw[:size]
+
+    @pytest.mark.parametrize("bitmap", [0, 1 << VID])
+    def test_filter_matches_the_bounds_checked_reference(self, bitmap):
+        seen = set()
+        for where, raw in self._prefixes():
+            filt = PacketFilter()
+            filt.write_bitmap(bitmap)
+            expected = _reference_verdict(Packet(raw), bitmap)
+            assert filt.classify(Packet(raw)) == expected, where
+            assert PacketFilter.is_reconfig_packet(Packet(raw)) == \
+                (expected == PacketClass.RECONFIG), where
+            assert {name: getattr(filt, name)
+                    for name in self.COUNTER.values()} == \
+                {name: int(name == self.COUNTER[expected])
+                 for name in self.COUNTER.values()}, where
+            seen.add(expected)
+        assert seen == ({PacketClass.CONTROL, PacketClass.RECONFIG}
+                        | ({PacketClass.DROP_UPDATING} if bitmap
+                           else {PacketClass.DATA}))
+
+    @pytest.mark.parametrize("from_dataplane", [False, True])
+    def test_scalar_and_engine_agree_on_every_prefix(self, from_dataplane):
+        def build():
+            builder = Switch.build()
+            if from_dataplane:
+                builder = builder.reconfig_from_dataplane()
+            switch = builder.create()
+            workload("calc").admit(switch, vid=self.VID)
+            return switch
+
+        def outcome(serve, raw):
+            try:
+                result = serve(Packet(raw))
+            except ReproError as exc:
+                return type(exc), str(exc)
+            return result.dropped, result.drop_reason, result.module_id
+
+        scalar, batched = build(), build()
+        engine = batched.engine()
+        outcomes = set()
+        for where, raw in self._prefixes():
+            expected = outcome(scalar.pipeline.process, raw)
+            assert outcome(engine.process, raw) == expected, where
+            outcomes.add(expected[:2] if isinstance(expected[0], bool)
+                         else expected[0])
+        assert scalar.pipeline.stats.summary() == \
+            batched.pipeline.stats.summary()
+        # The sweep reached the forwarded frame, every early verdict
+        # and the typed error of a frame that ends inside its own
+        # parsed headers (or, for a write, inside its payload).
+        assert outcomes == (
+            {(False, ""), (True, "untagged"), PacketError}
+            | ({(True, "reconfig_consumed"), ReconfigurationError}
+               if from_dataplane else {(True, "reconfig_on_dataplane")}))
 
 
 class TestMalformedInputs:
