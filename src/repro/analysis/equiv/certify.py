@@ -509,17 +509,16 @@ class _Certifier:
     def _check_stage(self, index: int, stage: Any, module: int,
                      addresses: List[int], default_word: int,
                      plan: _StagePlan) -> None:
-        entry = KeyExtractEntry.decode(
-            stage.key_extract_table.read(module))
+        entry = stage.key_extractor.read_entry(module)
         mask = stage.key_mask_table.read(module)
         if not self._check_key_recipe(index, entry, mask, plan):
             return  # a wrong key recipe makes every deeper proof unsound
 
         try:
-            leaves_ref = {
-                addr: VliwInstruction.decode(stage.vliw_table.read(addr))
-                for addr in addresses}
-            default_instr = VliwInstruction.decode(default_word)
+            leaves_ref = {addr: stage.vliw_table.read_decoded(addr)
+                          for addr in addresses}
+            default_instr = (stage.default_action(module)
+                             or VliwInstruction())
         except Exception as exc:
             self._violated(
                 "priority-actions",

@@ -16,7 +16,7 @@ runtime — the embedded-systems "overlay" idea applied to a pipeline.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..rmt.config_table import ConfigTable
@@ -25,8 +25,9 @@ from ..rmt.config_table import ConfigTable
 class OverlayTable(ConfigTable):
     """A config table whose index *is* the module ID."""
 
-    def __init__(self, name: str, width_bits: int, depth: int):
-        super().__init__(name, width_bits, depth)
+    def __init__(self, name: str, width_bits: int, depth: int,
+                 decode: Optional[Callable[[int], Any]] = None):
+        super().__init__(name, width_bits, depth, decode)
         #: (module_id, value) tuples, in write order.
         self.write_log: List[Tuple[int, int]] = []
 
@@ -58,8 +59,3 @@ class OverlayTable(ConfigTable):
     @property
     def log_position(self) -> int:
         return len(self.write_log)
-
-
-def overlay_factory(name: str, width_bits: int, depth: int) -> OverlayTable:
-    """Table factory handed to :class:`repro.rmt.stage.Stage` by Menshen."""
-    return OverlayTable(name, width_bits, depth)

@@ -32,12 +32,12 @@ from ..errors import ReconfigurationError
 from ..net.packet import Packet
 from ..rmt.deparser import Deparser
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
-from ..rmt.parser import ProgrammableParser
+from ..rmt.parser import ProgrammableParser, decode_parse_program
 from ..rmt.pipeline import PipelineResult
 from ..rmt.stage import Stage
 from ..rmt.traffic_manager import TrafficManager
 from .daisy_chain import DaisyChain
-from .overlay import OverlayTable, overlay_factory
+from .overlay import OverlayTable
 from .packet_filter import PacketClass, PacketFilter
 from .reconfig import ReconfigPayload, ResourceId, ResourceType
 from .resources import PartitionLedger
@@ -71,16 +71,18 @@ class MenshenPipeline:
         depth = params.max_modules
 
         self.parser_table = OverlayTable("parser_table",
-                                         params.parser_entry_bits, depth)
+                                         params.parser_entry_bits, depth,
+                                         decode=decode_parse_program)
         self.deparser_table = OverlayTable("deparser_table",
-                                           params.parser_entry_bits, depth)
+                                           params.parser_entry_bits, depth,
+                                           decode=decode_parse_program)
         self.parser = ProgrammableParser(self.parser_table, params)
         self.deparser = Deparser(self.deparser_table, params)
 
         self.stages: List[Stage] = []
         self.segment_tables: List[SegmentTable] = []
         for i in range(params.num_stages):
-            stage = Stage(i, params, table_factory=overlay_factory,
+            stage = Stage(i, params, table_factory=OverlayTable,
                           config_depth=depth, match_mode=match_mode,
                           enable_default_actions=enable_default_actions)
             segment = SegmentTable(f"stage{i}.segment", depth)

@@ -25,7 +25,8 @@ class SegmentTable:
     """Per-module (offset, range) entries over one stage's memory."""
 
     def __init__(self, name: str, depth: int = 32):
-        self.table = OverlayTable(name, 16, depth)
+        self.table = OverlayTable(name, 16, depth,
+                                  decode=decode_segment_entry)
 
     def set_segment(self, module_id: int, offset: int, range_: int) -> None:
         """Install a module's segment (control-plane path)."""
@@ -37,7 +38,7 @@ class SegmentTable:
 
     def segment_of(self, module_id: int) -> tuple:
         """Return the module's ``(offset, range)``."""
-        return decode_segment_entry(self.table.lookup(module_id))
+        return self.table.read_decoded(module_id)
 
     def translate(self, module_id: int, addr: int) -> int:
         """Per-module address -> physical address, or fault.

@@ -61,7 +61,7 @@ from ..core.intervals import subtract as _subtract
 from ..core.pipeline import SYSTEM_MODULE_ID, MenshenPipeline
 from ..net.packet import Packet
 from ..rmt.action import AluOp, VliwInstruction
-from ..rmt.key_extractor import CmpOp, KeyExtractEntry
+from ..rmt.key_extractor import CmpOp
 from ..rmt.match_table import ExactMatchTable
 from ..rmt.phv import PHV, ContainerRef, ContainerType
 
@@ -463,7 +463,7 @@ def _compile(pipeline: MenshenPipeline, vid: int,
 def _compile_stage(stage, module: int) -> Optional[_StagePlan]:
     """Compile one stage for ``module``; ``None`` when the stage is a
     guaranteed no-op for it (no entries, no default action)."""
-    entry = KeyExtractEntry.decode(stage.key_extract_table.read(module))
+    entry = stage.key_extractor.read_entry(module)
     mask = stage.key_mask_table.read(module)
 
     plan = _StagePlan()
@@ -498,19 +498,17 @@ def _compile_stage(stage, module: int) -> Optional[_StagePlan]:
         plan.pred = (int(entry.cmp_op), a_flat, a_imm, b_flat, b_imm)
 
     # Default action (P4 default_action extension): runs on every miss.
-    if stage.default_vliw_table is not None:
-        word = stage.default_vliw_table.read(module)
-        if word:
-            plan.miss_ops = _compile_ops(VliwInstruction.decode(word))
+    default = stage.default_action(module)
+    if default is not None:
+        plan.miss_ops = _compile_ops(default)
 
     table = stage.match_table
     addresses = table.entries_of(module)
     if not addresses and plan.miss_ops is None:
         return None  # provably a no-op stage for this module
 
-    leaves = {addr: _compile_ops(
-        VliwInstruction.decode(stage.vliw_table.read(addr)))
-        for addr in addresses}
+    leaves = {addr: _compile_ops(stage.vliw_table.read_decoded(addr))
+              for addr in addresses}
 
     if isinstance(table, ExactMatchTable):
         plan.kind = 0

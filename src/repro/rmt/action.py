@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import EncodingError
 from .encodings import (
@@ -129,6 +129,8 @@ class AluAction:
 
     @classmethod
     def decode(cls, word: int) -> "AluAction":
+        if not word:
+            return NOP_ACTION  # most slots of most instructions
         try:
             op = AluOp((word >> 21) & 0xF)
         except ValueError as exc:
@@ -152,13 +154,15 @@ NOP_ACTION = AluAction()
 class VliwInstruction:
     """25 ALU actions, one per container slot (flat index order)."""
 
-    def __init__(self, actions: Optional[List[AluAction]] = None):
+    def __init__(self, actions: Optional[Sequence[AluAction]] = None):
         if actions is None:
             actions = [NOP_ACTION] * NUM_ALUS
         if len(actions) != NUM_ALUS:
             raise EncodingError(
                 f"VLIW instruction needs {NUM_ALUS} actions, got {len(actions)}")
-        self.actions = list(actions)
+        #: Immutable: a decoded instruction is shared by every packet
+        #: and compile that reads its row.
+        self.actions: Tuple[AluAction, ...] = tuple(actions)
 
     @classmethod
     def from_sparse(cls, sparse: dict) -> "VliwInstruction":

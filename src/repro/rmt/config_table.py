@@ -8,7 +8,7 @@ with Menshen's per-module indexing and isolation bookkeeping.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..bits import check_fits
 from ..errors import ConfigError
@@ -25,9 +25,20 @@ class ConfigTable:
         Bit width of each entry; writes are validated against it.
     depth:
         Number of entries.
+    decode:
+        Turns a row's word into the object its consumer works with (a
+        parse program, a :class:`~repro.rmt.action.VliwInstruction`, …);
+        tables whose word *is* the value (key masks) pass none.
+
+    The words are the only state. :meth:`read_decoded` is a view of
+    them: each row remembers the last word it decoded and the result,
+    and answers from that only while the row still holds that word.
+    Nothing is decoded at a write, so any word of the right width is
+    accepted and a malformed one raises where it is read.
     """
 
-    def __init__(self, name: str, width_bits: int, depth: int):
+    def __init__(self, name: str, width_bits: int, depth: int,
+                 decode: Optional[Callable[[int], Any]] = None):
         if depth <= 0:
             raise ConfigError(f"{name}: depth must be positive, got {depth}")
         if width_bits <= 0:
@@ -36,8 +47,8 @@ class ConfigTable:
         self.width_bits = width_bits
         self.depth = depth
         self._entries: List[int] = [0] * depth
-        self.write_count = 0
-        self.read_count = 0
+        self.decode = decode
+        self._decoded: List[Optional[Tuple[int, Any]]] = [None] * depth
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.depth:
@@ -47,8 +58,22 @@ class ConfigTable:
     def read(self, index: int) -> int:
         """Read the entry at ``index``."""
         self._check_index(index)
-        self.read_count += 1
         return self._entries[index]
+
+    def read_decoded(self, index: int) -> Any:
+        """The entry at ``index`` as its consumer's object, decoded on
+        the first read of each word the row holds. Callers share the
+        result and must not mutate it; a word that fails to decode
+        raises on every read."""
+        word = self.read(index)
+        cached = self._decoded[index]
+        if cached is not None and cached[0] == word:
+            return cached[1]
+        if self.decode is None:
+            raise ConfigError(f"{self.name}: table has no row decoder")
+        decoded = self.decode(word)
+        self._decoded[index] = (word, decoded)
+        return decoded
 
     def write(self, index: int, value: int) -> None:
         """Write ``value`` at ``index`` (validates width)."""
@@ -58,7 +83,6 @@ class ConfigTable:
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
         self._entries[index] = value
-        self.write_count += 1
 
     def clear(self, index: int) -> None:
         """Zero the entry at ``index``."""

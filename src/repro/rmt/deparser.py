@@ -10,11 +10,12 @@ this is why the prototype gets away with only 25 containers (§4.1).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, PacketError
 from ..net.packet import Packet
 from .config_table import ConfigTable
+from .encodings import encode_parser_entry
 from .params import DEFAULT_PARAMS, HardwareParams
 from .parser import ParseAction
 from .phv import PHV, ContainerType
@@ -35,16 +36,13 @@ class Deparser:
             raise ConfigError(
                 f"module {module_id}: {len(actions)} deparse actions exceed "
                 f"the limit of {self.params.parse_actions_per_entry}")
-        from .encodings import encode_parser_entry
         entry = encode_parser_entry([a.encode() for a in actions])
         self.table.write(module_id, entry)
         return entry
 
-    def read_program(self, module_id: int) -> List[ParseAction]:
-        from .encodings import decode_parser_entry
-        entry = self.table.read(module_id)
-        actions = [ParseAction.decode(w) for w in decode_parser_entry(entry)]
-        return [a for a in actions if a.valid]
+    def read_program(self, module_id: int) -> Tuple[ParseAction, ...]:
+        """A module's installed deparse program (valid actions only)."""
+        return self.table.read_decoded(module_id)
 
     def deparse(self, phv: PHV, packet: Packet,
                 module_id: int) -> Optional[Packet]:

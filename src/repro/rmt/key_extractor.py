@@ -12,9 +12,11 @@ overlay state; the extractor only reads them via ``table.read(module_id)``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Tuple, Union
+from functools import cached_property
+from typing import Callable, Optional, Tuple, Union
 
 from ..errors import EncodingError
 from .config_table import ConfigTable
@@ -42,18 +44,16 @@ class CmpOp(IntEnum):
     ALWAYS = 7    #: predicate bit is always 1
 
     def evaluate(self, a: int, b: int) -> bool:
-        if self == CmpOp.DISABLED:
-            return False
-        if self == CmpOp.ALWAYS:
-            return True
-        return {
-            CmpOp.EQ: a == b,
-            CmpOp.NE: a != b,
-            CmpOp.GT: a > b,
-            CmpOp.LT: a < b,
-            CmpOp.GE: a >= b,
-            CmpOp.LE: a <= b,
-        }[self]
+        return _CMP_EVALUATORS[self](a, b)
+
+
+#: Indexed by opcode value.
+_CMP_EVALUATORS: Tuple[Callable[[int, int], bool], ...] = (
+    lambda a, b: False,  # DISABLED
+    operator.eq, operator.ne, operator.gt,
+    operator.lt, operator.ge, operator.le,
+    lambda a, b: True,   # ALWAYS
+)
 
 
 #: A comparison operand: a PHV container or a small immediate.
@@ -90,6 +90,16 @@ class KeyExtractEntry:
     cmp_op: CmpOp = CmpOp.DISABLED
     cmp_a: CmpOperand = 0
     cmp_b: CmpOperand = 0
+
+    @cached_property
+    def key_refs(self) -> Tuple[ContainerRef, ...]:
+        """The containers filling the six key slots, in key order."""
+        return (ContainerRef(ContainerType.B6, self.idx_6b_1),
+                ContainerRef(ContainerType.B6, self.idx_6b_2),
+                ContainerRef(ContainerType.B4, self.idx_4b_1),
+                ContainerRef(ContainerType.B4, self.idx_4b_2),
+                ContainerRef(ContainerType.B2, self.idx_2b_1),
+                ContainerRef(ContainerType.B2, self.idx_2b_2))
 
     def encode(self) -> int:
         return KEY_EXTRACT_LAYOUT.pack(
@@ -130,7 +140,7 @@ class KeyExtractor:
         self.mask_table.write(module_id, mask)
 
     def read_entry(self, module_id: int) -> KeyExtractEntry:
-        return KeyExtractEntry.decode(self.extract_table.read(module_id))
+        return self.extract_table.read_decoded(module_id)
 
     def read_mask(self, module_id: int) -> int:
         return self.mask_table.read(module_id)
@@ -149,14 +159,7 @@ class KeyExtractor:
     def extract(self, phv: PHV, module_id: int) -> int:
         """Assemble, flag, and mask the 193-bit key for this packet."""
         entry = self.read_entry(module_id)
-        parts = [
-            phv.get(ContainerRef(ContainerType.B6, entry.idx_6b_1)),
-            phv.get(ContainerRef(ContainerType.B6, entry.idx_6b_2)),
-            phv.get(ContainerRef(ContainerType.B4, entry.idx_4b_1)),
-            phv.get(ContainerRef(ContainerType.B4, entry.idx_4b_2)),
-            phv.get(ContainerRef(ContainerType.B2, entry.idx_2b_1)),
-            phv.get(ContainerRef(ContainerType.B2, entry.idx_2b_2)),
-        ]
+        parts = [phv.get(ref) for ref in entry.key_refs]
         flag = 1 if self.evaluate_predicate(phv, entry) else 0
         key = encode_key(parts, flag)
         return key & self.read_mask(module_id)

@@ -17,7 +17,7 @@ container contents leaking between modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..errors import ConfigError, PacketError
 from ..net.packet import Packet
@@ -62,6 +62,13 @@ class ParseAction:
         )
 
 
+def decode_parse_program(entry: int) -> Tuple[ParseAction, ...]:
+    """Row decoder of the parser and deparser tables: the valid actions
+    of a 160-bit entry, in slot order."""
+    actions = [ParseAction.decode(w) for w in decode_parser_entry(entry)]
+    return tuple(a for a in actions if a.valid)
+
+
 def extract_module_id(packet: Packet) -> int:
     """Read the 12-bit VID (module ID) from the fixed VLAN TCI offset."""
     buf = packet.buf
@@ -73,9 +80,10 @@ def extract_module_id(packet: Packet) -> int:
 class ProgrammableParser:
     """Executes per-module parse programs stored in a parser table.
 
-    The table is any object exposing ``read(index) -> int`` over 160-bit
-    entries — a plain :class:`~repro.rmt.config_table.ConfigTable` for a
-    single-module RMT baseline or a Menshen overlay table.
+    The table holds 160-bit entries and decodes them with
+    :func:`decode_parse_program` — a plain
+    :class:`~repro.rmt.config_table.ConfigTable` for a single-module RMT
+    baseline or a Menshen overlay table.
     """
 
     def __init__(self, table: ConfigTable,
@@ -94,11 +102,9 @@ class ProgrammableParser:
         self.table.write(module_id, entry)
         return entry
 
-    def read_program(self, module_id: int) -> List[ParseAction]:
-        """Decode a module's installed parse program (valid actions only)."""
-        entry = self.table.read(module_id)
-        actions = [ParseAction.decode(w) for w in decode_parser_entry(entry)]
-        return [a for a in actions if a.valid]
+    def read_program(self, module_id: int) -> Tuple[ParseAction, ...]:
+        """A module's installed parse program (valid actions only)."""
+        return self.table.read_decoded(module_id)
 
     def parse(self, packet: Packet, module_id: int) -> PHV:
         """Run the module's parse program over the packet; returns a PHV.

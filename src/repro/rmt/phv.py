@@ -28,8 +28,11 @@ class ContainerType(IntEnum):
 
     @property
     def size_bytes(self) -> int:
-        return {ContainerType.B2: 2, ContainerType.B4: 4,
-                ContainerType.B6: 6, ContainerType.META: 32}[self]
+        return _CONTAINER_BYTES[self]
+
+
+#: Indexed by type code.
+_CONTAINER_BYTES = (2, 4, 6, 32)
 
 
 class ContainerRef:

@@ -19,7 +19,7 @@ from ..net.packet import Packet
 from .config_table import ConfigTable
 from .deparser import Deparser
 from .params import DEFAULT_PARAMS, HardwareParams
-from .parser import ProgrammableParser
+from .parser import ProgrammableParser, decode_parse_program
 from .phv import PHV
 from .stage import Stage
 from .traffic_manager import TrafficManager
@@ -58,9 +58,10 @@ class RmtPipeline:
         self.params = params
         depth = 1  # single program — no per-module overlay storage
         self.parser_table = ConfigTable("parser", params.parser_entry_bits,
-                                        depth)
+                                        depth, decode=decode_parse_program)
         self.deparser_table = ConfigTable("deparser",
-                                          params.parser_entry_bits, depth)
+                                          params.parser_entry_bits, depth,
+                                          decode=decode_parse_program)
         self.parser = ProgrammableParser(self.parser_table, params)
         self.deparser = Deparser(self.deparser_table, params)
         self.stages: List[Stage] = [

@@ -11,22 +11,20 @@ storage*, not from different processing logic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 from .action import VliwInstruction
 from .action_engine import ActionEngine, StatefulAccess
 from .config_table import ConfigTable
-from .key_extractor import KeyExtractor
+from .key_extractor import KeyExtractEntry, KeyExtractor
 from .match_table import ExactMatchTable
 from .params import DEFAULT_PARAMS, HardwareParams
 from .phv import PHV
 from .stateful import StatefulMemory
 
-TableFactory = Callable[[str, int, int], ConfigTable]
-
-
-def default_table_factory(name: str, width_bits: int, depth: int) -> ConfigTable:
-    return ConfigTable(name, width_bits, depth)
+#: ``(name, width_bits, depth, decode=None) -> table``; the table classes
+#: themselves are the factories in use.
+TableFactory = Callable[..., ConfigTable]
 
 
 class Stage:
@@ -39,8 +37,8 @@ class Stage:
     params:
         Hardware dimensions.
     table_factory:
-        Creates the stage's config tables; Menshen passes an
-        overlay-table factory here.
+        Creates the stage's config tables; Menshen passes
+        :class:`~repro.core.overlay.OverlayTable` here.
     config_depth:
         Depth of the per-module config tables (1 for baseline RMT,
         32 for Menshen).
@@ -51,7 +49,7 @@ class Stage:
 
     def __init__(self, index: int,
                  params: HardwareParams = DEFAULT_PARAMS,
-                 table_factory: TableFactory = default_table_factory,
+                 table_factory: TableFactory = ConfigTable,
                  config_depth: Optional[int] = None,
                  stateful_access_cls: type = StatefulAccess,
                  match_mode: str = "exact",
@@ -64,19 +62,21 @@ class Stage:
 
         prefix = f"stage{index}"
         self.key_extract_table = table_factory(
-            f"{prefix}.key_extractor", params.key_extractor_entry_bits, depth)
+            f"{prefix}.key_extractor", params.key_extractor_entry_bits, depth,
+            decode=KeyExtractEntry.decode)
         self.key_mask_table = table_factory(
             f"{prefix}.key_mask", params.key_bits, depth)
         self.vliw_table = table_factory(
             f"{prefix}.vliw_action", params.vliw_entry_bits,
-            params.vliw_entries_per_stage)
+            params.vliw_entries_per_stage, decode=VliwInstruction.decode)
         # Extension beyond the paper's prototype: an optional per-module
         # default-action table executed on CAM miss (P4's
         # default_action). A zero word is all-NOPs, i.e. "no default".
         self.default_vliw_table: Optional[ConfigTable] = None
         if enable_default_actions:
             self.default_vliw_table = table_factory(
-                f"{prefix}.default_vliw", params.vliw_entry_bits, depth)
+                f"{prefix}.default_vliw", params.vliw_entry_bits, depth,
+                decode=VliwInstruction.decode)
 
         self.key_extractor = KeyExtractor(self.key_extract_table,
                                           self.key_mask_table, params)
@@ -97,9 +97,6 @@ class Stage:
         self.stateful_access = stateful_access_cls(self.stateful_memory)
         self.engine = ActionEngine(self.stateful_access)
 
-        # Decode cache: VLIW decoding is hot in packet-rate experiments.
-        self._vliw_cache: Dict[int, Tuple[int, VliwInstruction]] = {}
-
         self.packets_processed = 0
         self.misses = 0
 
@@ -114,40 +111,36 @@ class Stage:
     def install_vliw(self, index: int, instruction: VliwInstruction) -> None:
         """Write a VLIW instruction at action-table address ``index``."""
         self.vliw_table.write(index, instruction.encode())
-        self._vliw_cache.pop(index, None)
 
     def write_vliw_word(self, index: int, word: int) -> None:
         """Raw word write (reconfiguration-packet path)."""
         self.vliw_table.write(index, word)
-        self._vliw_cache.pop(index, None)
 
-    def _decode_vliw(self, index: int) -> VliwInstruction:
-        word = self.vliw_table.read(index)
-        cached = self._vliw_cache.get(index)
-        if cached is not None and cached[0] == word:
-            return cached[1]
-        instruction = VliwInstruction.decode(word)
-        self._vliw_cache[index] = (word, instruction)
-        return instruction
+    def default_action(self, module_id: int) -> Optional[VliwInstruction]:
+        """The module's default instruction, or ``None`` when the stage
+        has no default-action table or the module's row there is zero
+        (all-NOPs, i.e. "no default")."""
+        table = self.default_vliw_table
+        if table is None or not table.read(module_id):
+            return None
+        return table.read_decoded(module_id)
 
     # -- data plane ------------------------------------------------------------
 
     def process(self, phv: PHV, module_id: int) -> PHV:
         """Run one PHV through this stage for ``module_id``.
 
-        A CAM miss leaves the PHV unchanged (no default actions in the
-        prototype).
+        A CAM miss runs the module's :meth:`default_action` if it has
+        one; otherwise it leaves the PHV unchanged.
         """
         self.packets_processed += 1
         key = self.key_extractor.extract(phv, module_id)
         hit = self.match_table.lookup(key, module_id)
         if hit is None:
             self.misses += 1
-            if self.default_vliw_table is not None:
-                word = self.default_vliw_table.read(module_id)
-                if word:
-                    return self.engine.execute(
-                        VliwInstruction.decode(word), phv, module_id)
+            default = self.default_action(module_id)
+            if default is not None:
+                return self.engine.execute(default, phv, module_id)
             return phv
-        instruction = self._decode_vliw(hit)
-        return self.engine.execute(instruction, phv, module_id)
+        return self.engine.execute(
+            self.vliw_table.read_decoded(hit), phv, module_id)

@@ -10,6 +10,10 @@ batch (Corundum mode), where the engine must flush pending shards before
 the configuration write lands.
 """
 
+import importlib
+import re
+import traceback
+
 import pytest
 
 from repro.api import Switch
@@ -40,6 +44,8 @@ def _build_with(**kw):
     builder = Switch.build()
     if kw.get("reconfig_from_dataplane"):
         builder = builder.reconfig_from_dataplane()
+    if kw.get("default_actions"):
+        builder = builder.default_actions()
     return builder.create()
 
 
@@ -489,3 +495,288 @@ def test_parse_fault_is_the_scalar_paths_own():
             (b.egress_port, b.drop_reason), vid
     assert scalar.pipeline.stats.summary() == \
         batched.pipeline.stats.summary()
+
+
+# ---------------------------------------------------------------------------
+# decode-once gates: what a warm row costs, and a hostile word under the memo
+# ---------------------------------------------------------------------------
+
+def decode_on_every_read(switch):
+    """Turn ``switch`` into the memo-less reference: each
+    ``read_decoded`` applies the table's decoder to the row's current
+    word, which is what every consumer did before rows kept a decoded
+    view. A decoded row that outlives its word cannot hide here."""
+    pipeline = switch.pipeline
+    tables = [pipeline.parser_table, pipeline.deparser_table]
+    for stage, segment in zip(pipeline.stages, pipeline.segment_tables):
+        tables += [stage.key_extract_table, stage.vliw_table, segment.table]
+        if stage.default_vliw_table is not None:
+            tables.append(stage.default_vliw_table)
+    for table in tables:
+        table.read_decoded = \
+            lambda index, _t=table: _t.decode(_t.read(index))
+    return switch
+
+
+def _count_row_decodes(monkeypatch):
+    """Count every bit-level row decode from here on: ``WordLayout.unpack``
+    and the three entry splitters, patched where their callers look them
+    up. Call before building a switch — a segment table takes its
+    decoder when it is constructed."""
+    from repro.bits import WordLayout
+
+    calls = {}
+    _count_calls(monkeypatch, WordLayout, ("unpack",), calls)
+    for module_name, name in (
+            ("repro.rmt.parser", "decode_parser_entry"),
+            ("repro.rmt.action", "decode_vliw_entry"),
+            ("repro.core.segment_table", "decode_segment_entry")):
+        module = importlib.import_module(module_name)
+
+        def counted(word, _inner=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(word)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_warm_rows_are_not_decoded_again(monkeypatch):
+    """Counts only (no wall clock): a warm scalar-path packet of a
+    stateful module and a second ``compile_classifier`` of an unchanged
+    tenant unpack no configuration word — the parent made 20
+    ``ParseAction.decode`` + 5 ``KeyExtractEntry.decode`` calls per
+    packet and 25 ``AluAction.decode`` per installed row per compile. A
+    raw write to one tenant's row costs that row's decode on its next
+    read and nothing for a neighbour (§3 no-disruption, for the decoded
+    view too); writing the word a row already holds costs nothing.
+    Every packet is pinned to a memo-less twin, so the bound cannot be
+    met by serving a stale row."""
+    from repro.engine.classifier import compile_classifier
+    from repro.rmt.encodings import decode_parser_entry, encode_parser_entry
+
+    calls = _count_row_decodes(monkeypatch)
+    calc, netcache = workload("calc"), workload("netcache")
+    specs = {1: calc, 2: netcache, 3: netcache}
+    scalar, batched, engine = build_pair(sorted(specs.items()),
+                                         reconfig_from_dataplane=True)
+    reference = decode_on_every_read(
+        build_pair(sorted(specs.items()), reconfig_from_dataplane=True)[0])
+    pipelines = (scalar.pipeline, batched.pipeline)
+
+    def serve(vid, flows=range(4)):
+        for fid in flows:
+            expected = reference.process(specs[vid].flow_packet(vid, fid))
+            counted = dict(calls)
+            got = scalar.process(specs[vid].flow_packet(vid, fid))
+            (batch,) = engine.process_batch([specs[vid].flow_packet(vid, fid)])
+            spent = {name: count - counted.get(name, 0)
+                     for name, count in calls.items()
+                     if count != counted.get(name, 0)}
+            assert_equivalent([expected], [got], f"vid {vid}")
+            assert_equivalent([expected], [batch], f"vid {vid}")
+            yield spent
+
+    def raw_write(rtype, stage, index, word):
+        for switch in (reference, scalar, batched):
+            switch.pipeline.inject_reconfig(build_reconfig_packet(
+                ResourceId(rtype, stage), index, word))
+
+    for vid in specs:
+        assert any(list(serve(vid)))      # cold rows do decode: not vacuous
+    for vid in specs:
+        assert list(serve(vid)) == [{}] * 4, vid
+    for again in (False, True):     # the first compile reads cold rows too
+        calls.clear()
+        for pipeline in pipelines:
+            for vid in specs:
+                assert compile_classifier(pipeline, vid).epoch == \
+                    pipeline.epoch_of(vid)
+    assert calls == {}
+
+    # One tenant's parse program, cut to its first action: that row
+    # decodes once per switch (10 action words each), nobody else's does.
+    stock = scalar.pipeline.parser_table.read(2)
+    cut = encode_parser_entry([decode_parser_entry(stock)[0]])
+    raw_write(ResourceType.PARSER_TABLE, 0, 2, cut)
+    assert list(serve(3)) == [{}] * 4
+    first, *rest = serve(2)
+    assert first == {"decode_parser_entry": 2, "unpack": 20}
+    assert rest == [{}] * 3
+    raw_write(ResourceType.PARSER_TABLE, 0, 2, cut)       # same word again
+    assert list(serve(2)) == [{}] * 4
+
+    # One VLIW row of the same tenant, overwritten with its neighbour
+    # row's word: the next compile decodes that row and no other.
+    table = scalar.controller._loaded(2).tables["cache"]
+    vliw = scalar.pipeline.stages[table.stage].vliw_table
+    donor = vliw.read(table.cam_start + 1)
+    assert donor != vliw.read(table.cam_start)
+    raw_write(ResourceType.VLIW, table.stage, table.cam_start, donor)
+    calls.clear()
+    for pipeline in pipelines:
+        compile_classifier(pipeline, 3)
+    assert calls == {}
+    for pipeline in pipelines:
+        compile_classifier(pipeline, 2)
+    assert calls.pop("decode_vliw_entry") == 2
+    assert set(calls) == {"unpack"}       # the row's non-NOP slots
+    calls.clear()
+    for pipeline in pipelines:
+        compile_classifier(pipeline, 2)
+    assert calls == {}
+    for vid in specs:
+        assert list(serve(vid)) == [{}] * 4, vid
+
+
+#: kind -> (resource type, word, error type, message pattern, the oracle
+#: call the fault surfaces in, the engine call it surfaces in). Every
+#: 16-bit segment word decodes, so that row's hostile word is the one the
+#: range check refuses: an empty segment. The engine reads parse and
+#: deparse programs when it binds a tenant, before the oracle runs.
+HOSTILE_ROWS = {
+    "parser": (ResourceType.PARSER_TABLE, (3 << 4) | (1 << 1),
+               "FieldRangeError", "container index 1 out of range for META",
+               "parse", "_bind"),
+    "deparser": (ResourceType.DEPARSER_TABLE, (3 << 4) | (1 << 1),
+                 "FieldRangeError", "container index 1 out of range for META",
+                 "deparse", "_bind"),
+    "key-extract": (ResourceType.KEY_EXTRACTOR, 8 << 16,
+                    "ValueError", "8 is not a valid CmpOp",
+                    "extract", "extract"),
+    "vliw": (ResourceType.VLIW, 15 << 21,
+             "EncodingError", "unknown ALU opcode in word 0x1e00000",
+             "process", "process"),
+    "default-vliw": (ResourceType.DEFAULT_VLIW, 15 << 21,
+                     "EncodingError", "unknown ALU opcode in word 0x1e00000",
+                     "process", "process"),
+    "segment": (ResourceType.SEGMENT, 0,
+                "SegmentFaultError",
+                r"stage1\.segment: module 2 address \d+ outside its range 0",
+                "translate", "translate"),
+}
+
+
+def _hostile_target(pipeline, table, rtype, vid):
+    """(stage, row index, the table object) of ``vid``'s live row."""
+    last = pipeline.params.num_stages - 1
+    stage = pipeline.stages[table.stage]
+    return {
+        ResourceType.PARSER_TABLE: (0, vid, pipeline.parser_table),
+        ResourceType.DEPARSER_TABLE: (0, vid, pipeline.deparser_table),
+        ResourceType.KEY_EXTRACTOR: (table.stage, vid,
+                                     stage.key_extract_table),
+        ResourceType.VLIW: (table.stage, table.cam_start, stage.vliw_table),
+        # No stock module sits in the last stage: every packet misses
+        # there, so the default row is read by every packet.
+        ResourceType.DEFAULT_VLIW: (last, vid,
+                                    pipeline.stages[last].default_vliw_table),
+        ResourceType.SEGMENT: (table.stage, vid,
+                               pipeline.segment_tables[table.stage].table),
+    }[rtype]
+
+
+def _outcome(fn):
+    """What one call did: the result's observable fields, or the error
+    with the names of the frames it crossed."""
+    try:
+        (result,) = fn()
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc),
+                [f.name for f in traceback.extract_tb(exc.__traceback__)])
+    return ("served", result.dropped, result.drop_reason,
+            result.egress_port, result.module_id,
+            None if result.packet is None else result.packet.tobytes())
+
+
+@pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
+@pytest.mark.parametrize("kind,target", [
+    (kind, target) for kind in sorted(HOSTILE_ROWS)
+    for target in ("calc", "netcache")
+    if (kind, target) != ("segment", "calc")])   # calc holds no segment
+def test_hostile_word_faults_where_it_is_read_and_is_not_remembered(
+        kind, target, mode):
+    """A live row overwritten through the raw path with a word that
+    does not decode: accepted (the raw word reads back), and every
+    packet that reaches the row raises the typed error the row's
+    decoder raises, from the same call, on the scalar path and on every
+    engine mode — again on the next read, because a failed decode is
+    not kept. A good word put back restores service. A pure tenant
+    (``calc``, compiled level) and a stateful one (``netcache``, oracle)
+    take it alike, neighbours never notice, and all of it is pinned
+    packet for packet to a twin that decodes on every read."""
+    from repro.rmt.action import AluAction, AluOp, VliwInstruction
+
+    specs = {1: workload("calc"), 2: workload("netcache"),
+             3: workload("firewall")}
+    build_kw = dict(reconfig_from_dataplane=True, default_actions=True)
+    scalar, batched, engine = build_pair(
+        sorted(specs.items()), engine_kw=ENGINE_MODES[mode], **build_kw)
+    reference = decode_on_every_read(
+        build_pair(sorted(specs.items()), **build_kw)[0])
+    vid = 1 if target == "calc" else 2
+    rtype, bad, error, message, oracle_call, engine_call = HOSTILE_ROWS[kind]
+    first_table = next(iter(scalar.controller._loaded(vid).tables.values()))
+    stage, index, table = _hostile_target(scalar.pipeline, first_table,
+                                          rtype, vid)
+
+    # One asymmetry, the parent's own: the engine reads a tenant's
+    # deparse program when it binds the tenant, so a bad deparser row
+    # faults there, before the oracle ran; the scalar path faults in
+    # ``deparse``, after its stages bumped netcache's hit counter, which
+    # netcache writes into every later packet.
+    bytes_agree = (kind, target) != ("deparser", "netcache")
+
+    def raw_write(word):
+        for switch in (reference, scalar, batched):
+            switch.pipeline.inject_reconfig(build_reconfig_packet(
+                ResourceId(rtype, stage), index, word))
+        assert table.read(index) == word
+
+    def sweep():
+        """Six flows of the target, two of each neighbour; every packet
+        must end the same way on all three switches."""
+        outcomes = []
+        for v in specs:
+            for fid in range(6 if v == vid else 2):
+                pkt = specs[v].flow_packet(v, fid)
+                expected = _outcome(lambda: [reference.process(pkt.copy())])
+                oracle = _outcome(lambda: [scalar.process(pkt.copy())])
+                batch = _outcome(lambda: engine.process_batch([pkt.copy()]))
+                assert oracle[:3] == expected[:3] == batch[:3], (v, fid)
+                if oracle[0] == "served":
+                    assert oracle == expected, (v, fid)
+                    assert batch[:5] == oracle[:5], (v, fid)
+                    assert batch == oracle or not bytes_agree, (v, fid)
+                outcomes.append((v, oracle, batch))
+        return outcomes
+
+    def faults(outcomes):
+        return [(v, oracle[1:3]) for v, oracle, _batch in outcomes
+                if oracle[0] == "raised"]
+
+    good = table.read(index)
+    if rtype == ResourceType.DEFAULT_VLIW:
+        # Nothing stock installs a default action; bring the row to life.
+        good = VliwInstruction.from_sparse(
+            {3: AluAction(AluOp.SET, immediate=7)}).encode()
+        raw_write(good)
+    before = sweep()
+    assert not faults(before)
+
+    raw_write(bad)
+    hostile, again = sweep(), sweep()
+    assert faults(hostile) and {v for v, _ in faults(hostile)} == {vid}
+    assert faults(again) == faults(hostile)       # not remembered
+    for _v, oracle, batch in hostile:
+        if oracle[0] == "raised":
+            assert oracle[1] == error and re.fullmatch(message, oracle[2])
+            assert oracle_call in oracle[3] and engine_call in batch[3]
+
+    raw_write(good)
+    after = sweep()
+    assert not faults(after)
+    if target == "calc":                          # pure: same service
+        assert [o for o in after if o[0] == vid] == \
+            [o for o in before if o[0] == vid]
+    assert scalar.pipeline.stats.summary() == \
+        batched.pipeline.stats.summary() == reference.pipeline.stats.summary()

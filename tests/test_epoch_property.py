@@ -8,9 +8,13 @@ two properties carry the whole design:
   and *raw* configuration writes lands (including hostile ones the
   controller would never issue: another tenant's module ID planted in
   a row the ledger granted elsewhere, a VLIW rewrite under a live CAM
-  row, writes to rows nobody owns, system-module writes), the batched
+  row, writes to rows nobody owns, system-module writes, a live row of
+  every table kind swapped for another well-formed word), the batched
   engine equals the scalar oracle packet for packet after every step,
-  in every engine mode and with certification enforced.
+  in every engine mode and with certification enforced. The scalar
+  side decodes every row on every read, so a decoded row outliving its
+  word on the batched side (its oracle fallback or its compiles) is a
+  mismatch, not a shared mistake.
 * **Exact attribution** — each single write moves ``epoch_of`` for
   exactly the tenants the attribution rule names (re-derived here from
   the ledger's allocations and the CAM row's contents on both sides of
@@ -33,6 +37,13 @@ from repro.core.reconfig import (
 from repro.errors import ReconfigurationError
 from repro.modules import firewall
 from repro.net.packet import Packet
+from repro.rmt.action import AluAction, AluOp, VliwInstruction
+from repro.rmt.encodings import (
+    decode_parser_entry,
+    decode_segment_entry,
+    encode_parser_entry,
+    encode_segment_entry,
+)
 from repro.rmt.match_table import CamEntry
 from repro.rmt.params import DEFAULT_PARAMS
 from repro.sysmod import system_entries
@@ -41,6 +52,7 @@ from test_engine_differential import (
     ENGINE_MODES,
     assert_equivalent,
     assert_same_observable_state,
+    decode_on_every_read,
 )
 
 FW = workload("firewall")
@@ -73,7 +85,8 @@ def _install(vid, tenant):
 
 
 def _build():
-    switch = Switch.build().reconfig_from_dataplane().create()
+    switch = (Switch.build().reconfig_from_dataplane().default_actions()
+              .create())
     switch.install_system(routes={"10.0.9.9": 6})
     for vid in USER_VIDS:
         _install(vid, switch.admit(f"t{vid}", SPECS[vid].source, vid=vid))
@@ -157,11 +170,14 @@ class _World:
     """A scalar switch, its batched twin, and the ops applied to both."""
 
     def __init__(self, engine_kw):
-        self.scalar = _build()
+        self.scalar = decode_on_every_read(_build())
         self.batched = _build()
         self.engine = self.batched.engine(**engine_kw)
         self.switches = (self.scalar, self.batched)
         self.pipeline = self.batched.pipeline
+        #: (resource type, stage, vid) -> the word the tenant's own
+        #: program installs there, read before the first swap.
+        self.stock = {}
 
     # -- control-plane ops (same call on both switches) -----------------------
 
@@ -285,7 +301,55 @@ class _World:
             return _Write(ResourceType.KEY_MASK, stage, B, flipped)
         if kind == "stateful-word":
             return _Write(ResourceType.STATEFUL_WORD, 1, choice % 16, choice)
+        if kind in OVERLAY_SWAPS:
+            return self._overlay_swap(kind, choice)
         raise AssertionError(kind)
+
+    def _overlay_swap(self, kind, choice):
+        """A live overlay row toggled between the word its tenant's
+        program installs and another well-formed one, so every table
+        kind that keeps a decoded view has its row rewritten under
+        traffic — the way to be wrong is to go on serving the view of
+        the word that was there before."""
+        pipeline = self.pipeline
+        vid = C if kind == "segment-row" else USER_VIDS[choice % 3]
+        if not self.loaded(vid):
+            return None
+        module = self.batched.controller._loaded(vid)
+        own_stage = next(iter(module.tables.values())).stage
+        if kind in ("parser-row", "deparser-row"):
+            rtype, stage, table = (
+                (ResourceType.PARSER_TABLE, 0, pipeline.parser_table)
+                if kind == "parser-row" else
+                (ResourceType.DEPARSER_TABLE, 0, pipeline.deparser_table))
+            # The program cut to its first action (later fields stay 0).
+            other = lambda stock: encode_parser_entry(
+                decode_parser_entry(stock)[:1])
+        elif kind == "key-extract-row":
+            rtype, stage = ResourceType.KEY_EXTRACTOR, own_stage
+            table = pipeline.stages[stage].key_extract_table
+            other = lambda stock: 0      # first containers, no predicate
+        elif kind == "segment-row":
+            rtype = ResourceType.SEGMENT
+            stage = next(s for s, a in sorted(module.allocation.stages.items())
+                         if a.stateful_words)
+            table = pipeline.segment_tables[stage].table
+
+            def other(stock):            # same range, the window next door
+                offset, range_ = decode_segment_entry(stock)
+                return encode_segment_entry(offset + range_, range_)
+        else:
+            rtype = ResourceType.DEFAULT_VLIW
+            free = sorted(set(range(pipeline.params.num_stages))
+                          - pipeline.system_stages)
+            stage = free[(choice // 3) % len(free)]
+            table = pipeline.stages[stage].default_vliw_table
+            other = lambda stock: VliwInstruction.from_sparse(
+                {3: AluAction(AluOp.SET, immediate=7)}).encode()
+        stock = self.stock.setdefault((rtype, stage, vid), table.read(vid))
+        swapped = other(stock)
+        return _Write(rtype, stage, vid,
+                      stock if table.read(vid) == swapped else swapped)
 
     def land(self, write, packets, inband):
         """Deliver ``write`` to both switches and check its attribution.
@@ -322,9 +386,12 @@ class _World:
         return b
 
 
+#: One raw-write kind per overlay table that keeps a decoded view.
+OVERLAY_SWAPS = ("parser-row", "deparser-row", "key-extract-row",
+                 "segment-row", "default-vliw-row")
 RAW_KINDS = ("foreign-id", "vliw-under-live-row", "scrub-owned-row",
              "unowned-invalidate", "unowned-cam", "system-mask", "own-mask",
-             "stateful-word")
+             "stateful-word") + OVERLAY_SWAPS
 
 user_vids = st.sampled_from(USER_VIDS)
 ops = st.one_of(
@@ -412,6 +479,35 @@ def test_foreign_id_is_observed_when_planted_and_when_scrubbed(mode):
     world.land(scrub, probe, inband=True)
     assert _moved(world.pipeline, epochs) == {A, B}
     assert b_drops() == before
+
+
+@pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
+def test_every_decoded_table_kind_is_rewritten_under_traffic(mode):
+    """The random scripts above reach a few raw-write kinds per run;
+    this walks all of the ones that rewrite a row with a decoded view —
+    each overlay table for each tenant, and a VLIW row under a live CAM
+    entry — there and back, in band and out of band, with every
+    tenant's traffic checked against the decode-on-every-read scalar
+    side after each write."""
+    world = _World(ENGINE_MODES[mode])
+    probe = [SPECS[vid].flow_packet(vid, fid)
+             for vid in USER_VIDS for fid in range(4)]
+    world.traffic(probe * 2)
+    landed = set()
+    for kind in OVERLAY_SWAPS + ("vliw-under-live-row",):
+        for choice in range(6):          # every tenant, two free stages
+            for inband in (False, True):  # swap, then swap back
+                write = world.raw(kind, choice)
+                world.land(write, probe, inband=inband)
+                landed.add((write.rtype, write.index))
+                world.traffic(probe)
+    assert {rtype for rtype, _ in landed} == {
+        ResourceType.PARSER_TABLE, ResourceType.DEPARSER_TABLE,
+        ResourceType.KEY_EXTRACTOR, ResourceType.SEGMENT,
+        ResourceType.DEFAULT_VLIW, ResourceType.VLIW}
+    if mode == "certified":
+        assert not world.engine.counters.classifier_fallbacks.get(
+            "uncertified"), world.engine.certificates
 
 
 # ---------------------------------------------------------------------------

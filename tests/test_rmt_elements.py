@@ -20,7 +20,7 @@ from repro.rmt.config_table import ConfigTable
 from repro.rmt.deparser import Deparser
 from repro.rmt.encodings import FULL_KEY_MASK, encode_key
 from repro.rmt.key_extractor import build_mask
-from repro.rmt.parser import extract_module_id
+from repro.rmt.parser import decode_parse_program, extract_module_id
 from repro.rmt.params import DEFAULT_PARAMS
 from repro.rmt.phv import PHV, ContainerRef, ContainerType
 
@@ -59,14 +59,40 @@ class TestConfigTable:
         with pytest.raises(ConfigError):
             ConfigTable("t", 0, 8)
 
-    def test_counters(self):
+    def test_clear(self):
         table = ConfigTable("t", 8, 4)
         table.write(0, 1)
-        table.read(0)
         table.clear(0)
-        assert table.write_count == 2
-        assert table.read_count == 1
         assert table.read(0) == 0
+
+    def test_read_decoded_follows_the_word(self):
+        calls = []
+
+        def decode(word):
+            calls.append(word)
+            if word == 0xBAD:
+                raise FieldRangeError("bad row")
+            return ("row", word)
+
+        table = ConfigTable("t", 12, 4, decode=decode)
+        assert table.read_decoded(1) == ("row", 0)
+        table.write(1, 7)                      # nothing decodes at a write
+        assert calls == [0]
+        first = table.read_decoded(1)
+        assert first == ("row", 7) and table.read_decoded(1) is first
+        table.write(2, 9)                      # a neighbour's write
+        assert table.read_decoded(1) is first and calls == [0, 7]
+        table.write(1, 0xBAD)                  # accepted; faults where read
+        for _ in range(2):                     # ... every time: not memoised
+            with pytest.raises(FieldRangeError, match="bad row"):
+                table.read_decoded(1)
+        assert calls == [0, 7, 0xBAD, 0xBAD] and table.read(1) == 0xBAD
+        table.clear(1)
+        assert table.read_decoded(1) == ("row", 0)
+        with pytest.raises(ConfigError):
+            table.read_decoded(4)
+        with pytest.raises(ConfigError, match="no row decoder"):
+            ConfigTable("plain", 8, 4).read_decoded(0)
 
 
 class TestModuleIdExtraction:
@@ -81,7 +107,8 @@ class TestModuleIdExtraction:
 
 class TestParser:
     def parser(self):
-        table = ConfigTable("parser", DEFAULT_PARAMS.parser_entry_bits, 32)
+        table = ConfigTable("parser", DEFAULT_PARAMS.parser_entry_bits, 32,
+                            decode=decode_parse_program)
         return ProgrammableParser(table)
 
     def test_extracts_fields_into_containers(self):
@@ -144,13 +171,15 @@ class TestParser:
         actions = [ParseAction(46, ContainerRef(ContainerType.B2, 1)),
                    ParseAction(48, ContainerRef(ContainerType.B4, 2))]
         parser.install_program(9, actions)
-        assert parser.read_program(9) == actions
+        assert list(parser.read_program(9)) == actions
 
 
 class TestDeparser:
     def build(self):
-        ptable = ConfigTable("parser", DEFAULT_PARAMS.parser_entry_bits, 32)
-        dtable = ConfigTable("deparser", DEFAULT_PARAMS.parser_entry_bits, 32)
+        ptable = ConfigTable("parser", DEFAULT_PARAMS.parser_entry_bits, 32,
+                             decode=decode_parse_program)
+        dtable = ConfigTable("deparser", DEFAULT_PARAMS.parser_entry_bits, 32,
+                             decode=decode_parse_program)
         return (ProgrammableParser(ptable), Deparser(dtable))
 
     def test_writeback_modified_container(self):
@@ -192,7 +221,8 @@ class TestDeparser:
 
 class TestKeyExtractor:
     def extractor(self):
-        et = ConfigTable("ke", DEFAULT_PARAMS.key_extractor_entry_bits, 32)
+        et = ConfigTable("ke", DEFAULT_PARAMS.key_extractor_entry_bits, 32,
+                         decode=KeyExtractEntry.decode)
         mt = ConfigTable("km", DEFAULT_PARAMS.key_bits, 32)
         return KeyExtractor(et, mt)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, EncodingError
 from repro.rmt import (
     ActionEngine,
     AluAction,
@@ -214,20 +214,37 @@ class TestStage:
         # ...but cannot hit module 4's entry.
         assert out.get(B2(1)) == 0
 
-    def test_vliw_cache_invalidation(self):
+    def test_decoded_vliw_row_follows_every_write(self):
+        """The row's decoded view is what the hit path executes; both
+        write paths replace it, and a packet in between sees the new
+        instruction, never the one decoded before."""
         stage = self.stage()
-        vliw1 = VliwInstruction.from_sparse({
-            1: AluAction(AluOp.SET, immediate=1),
-        })
-        self.install_match(stage, 4, 0x42, vliw1)
+        vliws = [VliwInstruction.from_sparse({
+            1: AluAction(AluOp.SET, immediate=value),
+        }) for value in (1, 2, 3)]
+        self.install_match(stage, 4, 0x42, vliws[0])
         phv = PHV()
         phv.set(B2(0), 0x42)
         assert stage.process(phv, 4).get(B2(1)) == 1
-        vliw2 = VliwInstruction.from_sparse({
-            1: AluAction(AluOp.SET, immediate=2),
-        })
-        stage.install_vliw(0, vliw2)
+        first = stage.vliw_table.read_decoded(0)
+        assert first == vliws[0]
+        assert stage.vliw_table.read_decoded(0) is first   # decoded once
+
+        stage.install_vliw(0, vliws[1])
+        assert stage.vliw_table.read_decoded(0) == vliws[1]
         assert stage.process(phv, 4).get(B2(1)) == 2
+
+        stage.write_vliw_word(0, vliws[2].encode())
+        assert stage.process(phv, 4).get(B2(1)) == 3
+        assert stage.vliw_table.read_decoded(0) == vliws[2]
+
+        # The raw path takes any word of the width; it faults when read.
+        stage.write_vliw_word(0, 15 << 21)
+        for _ in range(2):
+            with pytest.raises(EncodingError, match="unknown ALU opcode"):
+                stage.process(phv, 4)
+        stage.write_vliw_word(0, vliws[0].encode())
+        assert stage.process(phv, 4).get(B2(1)) == 1
 
     def test_predicate_differentiates_entries(self):
         # Same container key, two entries distinguished by the flag bit:
