@@ -16,13 +16,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import report
+from repro.engine.scheduler import EgressScheduler
 from repro.net import PacketBuilder
-from repro.rmt import (
-    CuckooExactTable,
-    CuckooInsertError,
-    PifoTrafficManager,
-    TrafficManager,
-)
+from repro.rmt import CuckooExactTable, CuckooInsertError, TrafficManager
 
 
 def _packet(size=200, vid=1):
@@ -34,8 +30,8 @@ def test_pifo_bandwidth_isolation(benchmark):
     """Per-module output shares when module 9 floods 10:1."""
     def run(tm_kind):
         if tm_kind == "pifo":
-            tm = PifoTrafficManager(num_ports=1,
-                                    weights={1: 1.0, 2: 1.0, 9: 1.0})
+            tm = EgressScheduler(num_ports=1,
+                                 weights={1: 1.0, 2: 1.0, 9: 1.0})
             enq = lambda vid: tm.enqueue(_packet(200, vid), 0, module_id=vid)
         else:
             tm = TrafficManager(num_ports=1)

@@ -26,10 +26,6 @@ Gates:
   flow-cache invalidations and per-packet hit/miss sequence equal the
   churn-free control run exactly (counts, no timing) — a neighbour's
   update or migration costs it nothing.
-
-(The engine-throughput gate guarding the serving path itself lives in
-``benchmarks/bench_engine_throughput.py`` and must stay within its
-existing bound after the execution-core refactor.)
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ Each bench regenerates one table or figure from the paper's evaluation
 ``benchmarks/results/<name>.txt`` so ``--benchmark-only`` runs leave
 artifacts regardless of capture settings. Rows are additionally
 persisted as machine-readable ``benchmarks/results/<name>.json``
-(``{"title": ..., "rows": [...]}``) so downstream tooling — regression
-dashboards, the engine-throughput gate — can consume results without
-screen-scraping the table.
+(``{"title": ..., "rows": [...]}``) so downstream tooling (regression
+dashboards) can consume results without screen-scraping the table.
 
 Every gate also lands one line in ``benchmarks/results/
 BENCH_SUMMARY.json``: its title, row count, and — when the bench

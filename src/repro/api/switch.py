@@ -44,6 +44,7 @@ from ..engine.batch import BatchEngine
 from ..engine.scheduler import EgressScheduler, SchedulerTenantCounters
 from ..errors import (
     AdmissionError,
+    ConfigError,
     RuntimeInterfaceError,
     TenantIsolationError,
     TransactionError,
@@ -68,7 +69,7 @@ class TenantCounters:
 
     The egress fields are fed by the
     :class:`~repro.engine.scheduler.EgressScheduler` when one is
-    installed (``switch.engine()`` does so by default) and stay zero on
+    installed (``switch.engine()`` does so) and stay zero on
     a pure-FIFO switch: ``egress_bytes_tx`` counts bytes actually
     transmitted on output links (dequeue-time semantics — queued is not
     transmitted), ``egress_queue_depth`` is the live §3.3 queue-length
@@ -232,11 +233,6 @@ class Switch:
         self._controller = controller
         self._tenants: Dict[int, Tenant] = {}
         self._engines: List[BatchEngine] = []
-        #: Per-tenant egress configuration, kept here so weights and
-        #: rate limits set before the scheduler exists apply the moment
-        #: one is installed (and survive a scheduler swap).
-        self._egress_weights: Dict[int, float] = {}
-        self._egress_rates: Dict[int, Tuple[float, Optional[float]]] = {}
 
     @staticmethod
     def build() -> SwitchBuilder:
@@ -356,14 +352,10 @@ class Switch:
     def process(self, packet: Packet) -> PipelineResult:
         return self.pipeline.process(packet)
 
-    def process_many(self, packets: List[Packet]) -> List[PipelineResult]:
-        return self.pipeline.process_many(packets)
-
     def engine(self, cache_capacity: int = 4096,
-               enable_cache: bool = True, scheduled: bool = True,
+               enable_cache: bool = True,
                line_rate_bps: Optional[float] = None,
                egress_queue_capacity: Optional[int] = None,
-               enable_classifier: bool = True,
                check_compiled: str = "off") -> BatchEngine:
         """A batched execution engine over this switch's pipeline.
 
@@ -374,29 +366,25 @@ class Switch:
         moment it commits, on top of the epoch check that already
         invalidates stale entries.
 
-        ``enable_classifier`` controls the compiled-classification level
-        of the engine's hot path (flow cache v2).
         ``check_compiled`` (``"enforce"`` / ``"warn"`` / ``"off"``)
         certifies every classifier rebuild against the installed tables
         (:mod:`repro.analysis.equiv`).
 
-        By default (``scheduled=True``) the switch's egress is routed
-        through a weighted-fair :class:`~repro.engine.scheduler.
-        EgressScheduler` instead of per-port FIFOs, so one bursty tenant
-        can no longer starve the others on a shared output link.
-        Configure it per tenant via :meth:`Tenant.set_weight` /
+        The switch's egress runs through a weighted-fair
+        :class:`~repro.engine.scheduler.EgressScheduler`
+        (:meth:`install_egress_scheduler`), so one bursty tenant cannot
+        starve the others on a shared output link. Configure it per
+        tenant via :meth:`Tenant.set_weight` /
         :meth:`Tenant.set_rate_limit`; ``line_rate_bps`` gives the
         scheduler a transmission clock (needed for rate caps and the
-        timeline's latency measurements). ``scheduled=False`` keeps the
-        legacy FIFO path.
+        timeline's latency measurements) and ``egress_queue_capacity``
+        bounds each port's queue.
         """
-        if scheduled:
-            self.install_egress_scheduler(
-                line_rate_bps=line_rate_bps,
-                queue_capacity=egress_queue_capacity)
+        self.install_egress_scheduler(
+            line_rate_bps=line_rate_bps,
+            queue_capacity=egress_queue_capacity)
         engine = BatchEngine(self.pipeline, cache_capacity=cache_capacity,
                              enable_cache=enable_cache,
-                             enable_classifier=enable_classifier,
                              check_compiled=check_compiled)
         self._engines.append(engine)
         return engine
@@ -413,36 +401,44 @@ class Switch:
         """Swap the pipeline's FIFO traffic manager for a weighted-fair
         :class:`~repro.engine.scheduler.EgressScheduler`.
 
-        Idempotent: an already-installed scheduler is kept (its line
-        rate is upgraded if one is supplied here and none was set).
-        Multicast groups and any queued packets carry over; pending
-        per-tenant weights and rate limits recorded through tenant
-        handles are applied.
+        Idempotent: an already-installed scheduler is kept, and a line
+        rate supplied here fills in one it lacks. A value that disagrees
+        with what the installed scheduler runs with raises
+        :class:`~repro.errors.ConfigError` (an omitted or equal value is
+        accepted). Multicast groups and any queued packets carry over
+        from the FIFO, which also supplies the queue capacity when none
+        is given.
         """
-        old = self.pipeline.traffic_manager
         scheduler = self.egress_scheduler
-        if scheduler is None:
-            scheduler = EgressScheduler(
-                num_ports=old.num_ports,
-                queue_capacity=(queue_capacity if queue_capacity is not None
-                                else old.queue_capacity),
-                line_rate_bps=line_rate_bps,
-                stats=self.pipeline.stats)
-            for group_id, ports in old.mcast_groups().items():
-                scheduler.set_mcast_group(group_id, ports)
-            for port, packets in old.drain_all().items():
-                for packet in packets:
-                    # Re-attribute from the 802.1Q tag so carried-over
-                    # packets keep their owner's weight, rate limit,
-                    # and queue-depth accounting.
-                    scheduler.enqueue(packet, port, module_id=vid_of(packet))
-            self.pipeline.traffic_manager = scheduler
-        elif line_rate_bps is not None and scheduler.line_rate_bps is None:
-            scheduler.line_rate_bps = line_rate_bps
-        for vid, weight in self._egress_weights.items():
-            scheduler.set_weight(vid, weight)
-        for vid, (rate, burst) in self._egress_rates.items():
-            scheduler.set_rate_limit(vid, rate, burst)
+        if scheduler is not None:
+            if scheduler.line_rate_bps is None:
+                scheduler.line_rate_bps = line_rate_bps
+            for knob, running, asked in (
+                    ("line_rate_bps", scheduler.line_rate_bps, line_rate_bps),
+                    ("queue_capacity", scheduler.queue_capacity,
+                     queue_capacity)):
+                if asked is not None and asked != running:
+                    raise ConfigError(
+                        f"the egress scheduler is already installed with "
+                        f"{knob}={running!r}; it cannot be re-installed "
+                        f"with {knob}={asked!r}")
+            return scheduler
+        old = self.pipeline.traffic_manager
+        scheduler = EgressScheduler(
+            num_ports=old.num_ports,
+            queue_capacity=(queue_capacity if queue_capacity is not None
+                            else old.queue_capacity),
+            line_rate_bps=line_rate_bps,
+            stats=self.pipeline.stats)
+        for group_id, ports in old.mcast_groups().items():
+            scheduler.set_mcast_group(group_id, ports)
+        for port, packets in old.drain_all().items():
+            for packet in packets:
+                # Re-attribute from the 802.1Q tag so carried-over
+                # packets keep their owner's weight, rate limit,
+                # and queue-depth accounting.
+                scheduler.enqueue(packet, port, module_id=vid_of(packet))
+        self.pipeline.traffic_manager = scheduler
         return scheduler
 
     def _notify_reconfigured(self, vid: int) -> None:
@@ -575,17 +571,13 @@ class Tenant:
         Backlogged tenants divide each port's bandwidth in proportion
         to their weights (STFQ ranks in the egress scheduler), so a
         bursty neighbor can no longer starve this tenant — §3.5's PIFO
-        suggestion made default. Takes effect immediately on the
-        installed scheduler and persists across scheduler swaps; set
-        before ``switch.engine()`` it simply applies at installation.
+        suggestion made default. Takes effect immediately: the egress
+        scheduler is installed here if the switch has none yet.
         """
         if weight <= 0:
             raise ValueError(
                 f"tenant {self._vid}: weight must be positive, got {weight}")
-        self._switch._egress_weights[self._vid] = float(weight)
-        scheduler = self._switch.egress_scheduler
-        if scheduler is not None:
-            scheduler.set_weight(self._vid, weight)
+        self._switch.install_egress_scheduler().set_weight(self._vid, weight)
         return self
 
     def set_rate_limit(self, rate_bytes_per_s: float,
@@ -594,23 +586,19 @@ class Tenant:
 
         ``rate_bytes_per_s`` refills the bucket against the scheduler's
         virtual clock; ``burst_bytes`` bounds how far it can save up
-        (default: one second's worth, floored at one MTU).
+        (default: one second's worth, floored at one MTU). Installs
+        the egress scheduler if the switch has none yet.
         """
         if rate_bytes_per_s <= 0:
             raise ValueError(
                 f"tenant {self._vid}: rate must be positive, "
                 f"got {rate_bytes_per_s}")
-        self._switch._egress_rates[self._vid] = (float(rate_bytes_per_s),
-                                                 burst_bytes)
-        scheduler = self._switch.egress_scheduler
-        if scheduler is not None:
-            scheduler.set_rate_limit(self._vid, rate_bytes_per_s,
-                                     burst_bytes)
+        self._switch.install_egress_scheduler().set_rate_limit(
+            self._vid, rate_bytes_per_s, burst_bytes)
         return self
 
     def clear_rate_limit(self) -> "Tenant":
         """Remove this tenant's egress rate cap."""
-        self._switch._egress_rates.pop(self._vid, None)
         scheduler = self._switch.egress_scheduler
         if scheduler is not None:
             scheduler.clear_rate_limit(self._vid)
@@ -678,8 +666,6 @@ class Tenant:
             raise RuntimeInterfaceError("the system module cannot be evicted")
         self._controller.unload_module(self._vid)
         self._switch._tenants.pop(self._vid, None)
-        self._switch._egress_weights.pop(self._vid, None)
-        self._switch._egress_rates.pop(self._vid, None)
         scheduler = self._switch.egress_scheduler
         if scheduler is not None:
             scheduler.purge(self._vid)

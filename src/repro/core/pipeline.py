@@ -353,6 +353,3 @@ class MenshenPipeline:
             return early
         merged, phv = self.execute(packet, module_id)
         return self.commit(merged, phv, module_id)
-
-    def process_many(self, packets: List[Packet]) -> List[PipelineResult]:
-        return [self.process(p) for p in packets]

@@ -11,8 +11,7 @@ per-packet costs:
   each in arrival order, so execution order is exactly the scalar
   path's. The phases stay because they measure: one interleaved
   admit→serve→commit loop per packet cost ``engine_uniform`` −12 % at
-  batch 256, while regrouping a run per VID on top of the phases bought
-  nothing and is gone. A batch of one packet — every fabric-timeline
+  batch 256. A batch of one packet — every fabric-timeline
   hop — takes the same three steps as straight-line code through the
   same serve function (≈ +3 % on ``fabric_steady``); that length test
   is the only size-dependent selection.
@@ -31,17 +30,19 @@ per-packet costs:
 * **Flow caching.** The context's :class:`~repro.engine.flow_cache.
   FlowCache` memoizes pure flow transformations, keyed on the bytes the
   module's parse program reads and stamped with the tenant's epoch.
-* **Compiled classification (flow cache v2).** On an exact-match miss,
-  the packet is run through the tenant's
+* **Compiled classification.** On an exact-match miss (or with the
+  exact-match level off), the packet is run through the tenant's
   :class:`~repro.engine.classifier.CompiledClassifier` — the installed
   configuration flattened at the tenant's current epoch into parse-plan
   copies, per-stage interval/hash match structures, and pre-decoded ALU
   op tuples. A compiled hit produces the same ``(merged, phv)`` the scalar
   walk would, seeds the exact-match cache (when enabled), and skips the
-  interpreted pipeline entirely, so cache-hostile traffic no longer
-  degrades to the scalar walk. A classifier is compiled when the first
-  packet of an epoch reaches this level, and dropped with the rest of
-  the context's derived state by :meth:`BatchEngine.invalidate`.
+  interpreted pipeline entirely, so cache-hostile traffic does not
+  degrade to the scalar walk. This level is always on: the scalar walk
+  is reached only through the five :data:`FALLBACK_REASONS`. A
+  classifier is compiled when the first packet of an epoch reaches this
+  level, and dropped with the rest of the context's derived state by
+  :meth:`BatchEngine.invalidate`.
 * **Certification (``check_compiled``).** Every lazy classifier rebuild
   can be statically certified equivalent to the installed tables by
   :func:`repro.analysis.equiv.certify_classifier` — ``enforce`` refuses
@@ -75,9 +76,10 @@ Equivalence contract: for any packet sequence, ``process_batch`` yields
 results equal field-for-field (output bytes, PHV, drop reason, egress,
 multicast, statistics) to ``pipeline.process`` called packet by packet.
 Traffic-manager state matches up to scheduling: with the plain FIFO TM
-the queue contents are identical; with the weighted-fair
+(an engine built directly over a bare pipeline) the queue contents are
+identical; with the weighted-fair
 :class:`~repro.engine.scheduler.EgressScheduler` that
-``switch.engine()`` installs by default, service order may interleave
+``switch.engine()`` installs, service order may interleave
 *across* tenants (that is the scheduler's job) but per-port packet
 multisets and per-(port, tenant) orderings are identical — exactly
 what ``tests/test_engine_differential.py`` enforces across all eight
@@ -247,7 +249,6 @@ class BatchEngine:
     def __init__(self, pipeline: MenshenPipeline,
                  cache_capacity: int = 4096,
                  enable_cache: bool = True,
-                 enable_classifier: bool = True,
                  check_compiled: str = "off"):
         """``check_compiled`` selects the certification mode for the
         compiled-classification level: every lazy rebuild is certified
@@ -265,7 +266,6 @@ class BatchEngine:
         self.pipeline = pipeline
         self.cache_capacity = cache_capacity
         self.enable_cache = enable_cache
-        self.enable_classifier = enable_classifier
         if check_compiled not in CERTIFY_MODES:
             raise ValueError(
                 f"unknown check_compiled mode {check_compiled!r}; "
@@ -463,8 +463,7 @@ class BatchEngine:
         pipeline = self.pipeline
         counters = self.counters
         epoch = pipeline.epoch_of(ctx.vid)
-        if ctx.epoch != epoch and (self.enable_cache
-                                   or self.enable_classifier):
+        if ctx.epoch != epoch:
             self._bind(ctx, epoch)
         # The one bound every raw slice and splice below relies on.
         fits_window = ctx.max_end <= min(
@@ -490,38 +489,37 @@ class BatchEngine:
                     out[off:off + len(data)] = data
                 return merged, phv, True
 
-        # Level 2: compiled classification (flow cache v2).
-        if self.enable_classifier:
-            if not fits_window:
-                reason = "parse-window"
+        # Level 2: compiled classification.
+        if not fits_window:
+            reason = "parse-window"
+        else:
+            clf = ctx.classifier
+            if clf is None:
+                clf = self._compile(ctx)
+            certificate = ctx.certificate
+            if (certificate is not None and not certificate.ok
+                    and self.check_compiled == "enforce"):
+                # Certification (enforce mode) found the compiled
+                # artifact inequivalent: refuse the compiled path
+                # entirely and let the scalar oracle serve.
+                reason = "uncertified"
+            elif not clf.ok:
+                reason = "uncompilable"
             else:
-                clf = ctx.classifier
-                if clf is None:
-                    clf = self._compile(ctx)
-                certificate = ctx.certificate
-                if (certificate is not None and not certificate.ok
-                        and self.check_compiled == "enforce"):
-                    # Certification (enforce mode) found the compiled
-                    # artifact inequivalent: refuse the compiled path
-                    # entirely and let the scalar oracle serve.
-                    reason = "uncertified"
-                elif not clf.ok:
-                    reason = "uncompilable"
-                else:
-                    outcome = clf.classify(packet, slot)
-                    if type(outcome) is not Fallback:
-                        merged, phv = outcome
-                        counters.compiled_hits += 1
-                        ctx.counters.compiled_hits += 1
-                        if key is not None:
-                            # Seed the exact-match level: the compiled
-                            # result is pure by construction, exactly
-                            # what the scalar miss path would memoize.
-                            self._learn(ctx, key, merged, phv)
-                        return merged, phv, False
-                    reason = outcome.reason
-            fallbacks = counters.classifier_fallbacks
-            fallbacks[reason] = fallbacks.get(reason, 0) + 1
+                outcome = clf.classify(packet, slot)
+                if type(outcome) is not Fallback:
+                    merged, phv = outcome
+                    counters.compiled_hits += 1
+                    ctx.counters.compiled_hits += 1
+                    if key is not None:
+                        # Seed the exact-match level: the compiled
+                        # result is pure by construction, exactly
+                        # what the scalar miss path would memoize.
+                        self._learn(ctx, key, merged, phv)
+                    return merged, phv, False
+                reason = outcome.reason
+        fallbacks = counters.classifier_fallbacks
+        fallbacks[reason] = fallbacks.get(reason, 0) + 1
 
         # Level 3: the scalar pipeline walk (the differential oracle).
         before = self._stateful_ops()

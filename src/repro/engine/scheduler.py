@@ -1,8 +1,7 @@
 """Egress scheduling for the batched serving path (§3.5).
 
-The serving path used to dump every tenant's output into per-port FIFO
-queues (:class:`~repro.rmt.traffic_manager.TrafficManager`), so one
-bursty tenant could starve the rest on a shared output link — an
+Per-port FIFO queues (:class:`~repro.rmt.traffic_manager.TrafficManager`)
+let one bursty tenant starve the rest on a shared output link — an
 isolation hole the paper explicitly points at PIFO ranking to close.
 This module closes it:
 
@@ -30,9 +29,10 @@ into :class:`~repro.core.stats.PipelineStats` — the "real-time
 statistics" surface the system-level module exposes to tenants (§3.3).
 
 ``repro.api.Switch.engine()`` installs an :class:`EgressScheduler` as
-the pipeline's traffic manager by default, making weighted-fair egress
-the default for batched serving; ``Tenant.set_weight`` /
-``Tenant.set_rate_limit`` configure it through the facade.
+the pipeline's traffic manager, so batched serving always runs on
+weighted-fair egress; ``Tenant.set_weight`` / ``Tenant.set_rate_limit``
+configure it through the facade (and install it themselves when they
+come first).
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ _Choice = Tuple[int, float, Packet, float]
 
 
 class EgressScheduler:
-    """Weighted-fair, rate-limited egress: the batched path's default TM.
+    """Weighted-fair, rate-limited egress: the batched path's TM.
 
     Drop-in compatible with the FIFO
     :class:`~repro.rmt.traffic_manager.TrafficManager` (same queueing /

@@ -275,8 +275,7 @@ class ExecutionCore:
                 continue
             pending[key] = at
             self.sim.schedule(max(0.0, at - self.sim.now),
-                              lambda m=member, p=port, t=at:
-                              self._service(m, p, t))
+                              self._service, member, port, at)
 
     def _service(self, member, port: int, t: float) -> None:
         if self._pending.get((member.name, port), None) == t:
@@ -302,10 +301,13 @@ class ExecutionCore:
                     f"packet crossed a link toward {name!r} but this "
                     f"core has no simulator; timed multi-hop routing "
                     f"needs ExecutionCore(..., sim=Simulator())")
-            self.sim.schedule(
-                max(0.0, arrive_at - self.sim.now),
-                lambda p=packet, n=name, t=arrive_at:
-                self.inject(self.member(n), p, t))
+            self.sim.schedule(max(0.0, arrive_at - self.sim.now),
+                              self._arrive, name, packet, arrive_at)
+
+    def _arrive(self, name: str, packet: Packet, t: float) -> None:
+        """A routed packet reaches the far end of its link; the member
+        is looked up now, not when the packet left."""
+        self.inject(self.member(name), packet, t)
 
     def inject(self, member, packet: Packet, t: float) -> None:
         """One packet arrives at a member at virtual time ``t``: serve

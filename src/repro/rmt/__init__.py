@@ -35,7 +35,7 @@ from .stateful import StatefulMemory
 from .stage import Stage
 from .pipeline import RmtPipeline, PipelineResult
 from .traffic_manager import TrafficManager
-from .pifo import PifoQueue, PifoTrafficManager, StfqRanker
+from .pifo import StfqRanker
 from .cuckoo import CuckooExactTable, CuckooInsertError
 
 __all__ = [
@@ -70,8 +70,6 @@ __all__ = [
     "RmtPipeline",
     "PipelineResult",
     "TrafficManager",
-    "PifoQueue",
-    "PifoTrafficManager",
     "StfqRanker",
     "CuckooExactTable",
     "CuckooInsertError",

@@ -7,55 +7,19 @@ but points at the solution:
     different modules to realize a desired inter-module
     bandwidth-sharing policy."
 
-This module implements that suggestion: a Push-In-First-Out queue
-(Sivaraman et al., SIGCOMM 2016) — packets enter with a rank, dequeue in
-rank order — plus a Start-Time Fair Queueing (STFQ) rank computer that
-turns per-module weights into weighted-fair bandwidth shares, and a
-traffic manager that schedules each output port with one PIFO.
+This module holds the rank computer of that suggestion: Start-Time Fair
+Queueing (STFQ) turns per-module weights into the ranks a Push-In-
+First-Out queue (Sivaraman et al., SIGCOMM 2016) dequeues in order,
+which yields weighted-fair bandwidth shares. The queue itself — one
+PIFO per output port, with rate limits and a transmission clock — is
+:class:`repro.engine.scheduler.EgressScheduler`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from ..errors import ConfigError
-from ..net.packet import Packet
-
-
-class PifoQueue:
-    """A priority queue dequeuing the smallest rank first.
-
-    FIFO among equal ranks (stable), like the hardware PIFO block.
-    """
-
-    def __init__(self, capacity: Optional[int] = None):
-        self.capacity = capacity
-        self._heap: List[Tuple[float, int, object]] = []
-        self._seq = 0
-        self.dropped = 0
-
-    def push(self, rank: float, item: object) -> bool:
-        """Insert; returns False (drop) when at capacity."""
-        if self.capacity is not None and len(self._heap) >= self.capacity:
-            self.dropped += 1
-            return False
-        heapq.heappush(self._heap, (rank, self._seq, item))
-        self._seq += 1
-        return True
-
-    def pop(self) -> Optional[object]:
-        if not self._heap:
-            return None
-        _rank, _seq, item = heapq.heappop(self._heap)
-        return item
-
-    def peek_rank(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class StfqRanker:
@@ -91,96 +55,3 @@ class StfqRanker:
     def on_dequeue(self, rank: float) -> None:
         """Advance virtual time to the served packet's start tag."""
         self.virtual_time = max(self.virtual_time, rank)
-
-
-@dataclass
-class _Tagged:
-    packet: Packet
-    module_id: int
-    rank: float
-
-
-class PifoTrafficManager:
-    """Per-port PIFO scheduling with STFQ inter-module fairness.
-
-    Drop-in alternative to the FIFO
-    :class:`~repro.rmt.traffic_manager.TrafficManager` for experiments
-    on bandwidth isolation (the §3.5 ablation).
-    """
-
-    def __init__(self, num_ports: int = 8,
-                 weights: Optional[Dict[int, float]] = None,
-                 queue_capacity: Optional[int] = None):
-        if num_ports <= 0:
-            raise ConfigError(f"need at least one port, got {num_ports}")
-        self.num_ports = num_ports
-        self._queues = [PifoQueue(queue_capacity)
-                        for _ in range(num_ports)]
-        self._rankers = [StfqRanker(weights or {})
-                         for _ in range(num_ports)]
-        self.enqueued = 0
-        self.dequeued = 0
-        self.bytes_out_per_module: Dict[int, int] = {}
-
-    def _check_port(self, port: int) -> None:
-        if not 0 <= port < self.num_ports:
-            raise ConfigError(
-                f"port {port} out of range [0, {self.num_ports})")
-
-    def enqueue(self, packet: Packet, port: int, mcast_group: int = 0,
-                module_id: int = 0) -> bool:
-        """Queue one packet under ``module_id``'s rank.
-
-        Argument order matches the pipeline TM contract
-        (``enqueue(packet, port, mcast_group, module_id)``) so this
-        class really is a drop-in ``pipeline.traffic_manager``;
-        multicast replication is not modeled here — use
-        :class:`repro.engine.scheduler.EgressScheduler` for that.
-        """
-        if mcast_group:
-            raise ConfigError(
-                "PifoTrafficManager does not model multicast replication")
-        self._check_port(port)
-        rank = self._rankers[port].rank(module_id, len(packet))
-        ok = self._queues[port].push(
-            rank, _Tagged(packet, module_id, rank))
-        if ok:
-            self.enqueued += 1
-        return ok
-
-    def _pop(self, port: int) -> Optional[_Tagged]:
-        """Dequeue-time bookkeeping shared by every service path:
-        ``bytes_out_per_module`` counts packets when they are *served*,
-        never while they merely sit queued."""
-        tagged = self._queues[port].pop()
-        if tagged is None:
-            return None
-        self._rankers[port].on_dequeue(tagged.rank)
-        self.dequeued += 1
-        self.bytes_out_per_module[tagged.module_id] = (
-            self.bytes_out_per_module.get(tagged.module_id, 0)
-            + len(tagged.packet))
-        return tagged
-
-    def dequeue(self, port: int) -> Optional[Packet]:
-        self._check_port(port)
-        tagged = self._pop(port)
-        return tagged.packet if tagged is not None else None
-
-    def drain_bytes(self, port: int, budget_bytes: int) -> Dict[int, int]:
-        """Serve up to ``budget_bytes`` from a port; returns per-module
-        bytes served — the measurement the fairness tests assert on."""
-        self._check_port(port)
-        served: Dict[int, int] = {}
-        while budget_bytes > 0:
-            tagged = self._pop(port)
-            if tagged is None:
-                break
-            size = len(tagged.packet)
-            served[tagged.module_id] = served.get(tagged.module_id, 0) + size
-            budget_bytes -= size
-        return served
-
-    def queue_len(self, port: int) -> int:
-        self._check_port(port)
-        return len(self._queues[port])

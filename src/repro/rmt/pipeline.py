@@ -103,6 +103,3 @@ class RmtPipeline:
         return PipelineResult(packet=merged, phv=phv, dropped=False,
                               egress_port=egress, mcast_group=mcast,
                               module_id=module_id)
-
-    def process_many(self, packets: List[Packet]) -> List[PipelineResult]:
-        return [self.process(p) for p in packets]

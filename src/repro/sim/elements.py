@@ -31,8 +31,7 @@ class _Server:
     def arrive(self, packet_id: int) -> None:
         start = max(self.sim.now, self.busy_until)
         self.busy_until = start + self.service
-        self.sim.schedule_at(self.busy_until,
-                             lambda: self._complete(packet_id))
+        self.sim.schedule_at(self.busy_until, self._complete, packet_id)
 
     def _complete(self, packet_id: int) -> None:
         if self.downstream is not None:

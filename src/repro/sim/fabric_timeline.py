@@ -302,15 +302,12 @@ class FabricTimelineExperiment:
 
         for t, demand in self.matrix.arrivals(self.duration_s,
                                               scale=self.scale):
-            sim.schedule_at(t, lambda d=demand, at=t: arrival(d, at))
+            sim.schedule_at(t, arrival, demand, t)
         for event in self.reconfigs:
-            sim.schedule_at(event.start_s,
-                            lambda ev=event: self._open_window(ev))
+            sim.schedule_at(event.start_s, self._open_window, event)
             if event.duration_s > 0:
-                sim.schedule_at(
-                    event.start_s + event.duration_s,
-                    lambda ev=event: self._close_window(
-                        ev, at=ev.start_s + ev.duration_s))
+                end = event.start_s + event.duration_s
+                sim.schedule_at(end, self._close_window, event, end)
         try:
             sim.run()
         finally:

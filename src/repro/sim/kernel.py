@@ -5,6 +5,8 @@ tuples; :meth:`Simulator.run` pops them in time order. The sequence
 number makes simultaneous events deterministic (FIFO), and because it
 is unique the tuple comparison is decided on the first two fields, in
 C — it never reaches the :class:`Event` or its unorderable callback.
+An event carries its handler and the handler's arguments (the NS-2
+event-list shape), so scheduling one builds no closure.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ class Event:
     """The handle :meth:`Simulator.schedule` returns: cancel it and the
     kernel skips it when its time comes."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
     def __init__(self, time: float, seq: int,
-                 callback: Callable[[], None]) -> None:
+                 callback: Callable[..., None], args: tuple) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
+        self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -46,19 +49,20 @@ class Simulator:
         self.events_processed = 0
 
     def schedule(self, delay: float,
-                 callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` time units from now."""
+                 callback: Callable[..., None], *args: object) -> Event:
+        """Schedule ``callback(*args)`` to run ``delay`` time units from
+        now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
-        event = Event(self.now + delay, self._seq, callback)
+        event = Event(self.now + delay, self._seq, callback, args)
         self._seq += 1
         heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
 
     def schedule_at(self, time: float,
-                    callback: Callable[[], None]) -> Event:
-        """Schedule at an absolute virtual time."""
-        return self.schedule(time - self.now, callback)
+                    callback: Callable[..., None], *args: object) -> Event:
+        """Schedule ``callback(*args)`` at an absolute virtual time."""
+        return self.schedule(time - self.now, callback, *args)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
@@ -77,7 +81,7 @@ class Simulator:
             if event.cancelled:
                 continue
             self.now = time
-            event.callback()
+            event.callback(*event.args)
             processed += 1
             self.events_processed += 1
         else:

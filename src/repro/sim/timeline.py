@@ -118,6 +118,12 @@ class ReconfigTimelineExperiment:
             raise ValueError("engine drives a different pipeline")
         if bin_s <= 0:
             raise ConfigError(f"bin width must be positive, got {bin_s}")
+        if duration_s <= 0:
+            raise ConfigError(
+                f"duration must be positive, got {duration_s}")
+        if round(duration_s / bin_s) < 1:
+            raise ConfigError(
+                f"a {duration_s} s run is shorter than one {bin_s} s bin")
         self.duration_s = duration_s
         self.bin_s = bin_s
         self.scale = scale

@@ -27,7 +27,7 @@ from seeds import rng as make_rng
 def _firewall_switch(vid=3, **engine_kw):
     switch = Switch.build().create()
     workload("firewall").admit(switch, vid=vid)
-    engine = switch.engine(scheduled=False, **engine_kw)
+    engine = switch.engine(**engine_kw)
     return switch, engine
 
 
@@ -43,7 +43,7 @@ def _ternary_pair(install):
 
     scalar, _ = build()
     batched, ctl = build()
-    return scalar, batched, ctl, BatchEngine(batched, enable_classifier=True)
+    return scalar, batched, ctl, BatchEngine(batched)
 
 
 def _random_fw_packets(rng, count, vid=2):
@@ -170,8 +170,7 @@ class TestCompilerStructure:
 
 class TestThreeLevelHotPath:
     def test_compiled_hit_seeds_the_exact_match_cache(self):
-        _switch, engine = _firewall_switch(enable_cache=True,
-                                           enable_classifier=True)
+        _switch, engine = _firewall_switch(enable_cache=True)
         packet = workload("firewall").flow_packet(3, 1)
         first = engine.process(packet.copy())
         second = engine.process(packet.copy())
@@ -183,8 +182,7 @@ class TestThreeLevelHotPath:
         assert engine.shard(3).stats.insertions == 1
 
     def test_uniform_traffic_is_served_compiled(self):
-        _switch, engine = _firewall_switch(enable_cache=True,
-                                           enable_classifier=True)
+        _switch, engine = _firewall_switch(enable_cache=True)
         packets = cache_hostile_stream(workload("firewall"), 3,
                                        make_rng(713), 500)
         engine.process_batch(packets)
@@ -196,7 +194,7 @@ class TestThreeLevelHotPath:
     def test_stateful_flows_fall_back_with_reason(self):
         switch = Switch.build().create()
         workload("netcache").admit(switch, vid=4)
-        engine = switch.engine(scheduled=False, enable_classifier=True)
+        engine = switch.engine()
         packets = [workload("netcache").flow_packet(4, i) for i in range(20)]
         engine.process_batch(packets)
         counters = engine.counters
@@ -205,7 +203,7 @@ class TestThreeLevelHotPath:
         assert counters.uncacheable == 20
 
     def test_uncompilable_module_falls_back_and_oracle_faults(self):
-        switch, engine = _firewall_switch(enable_classifier=True)
+        switch, engine = _firewall_switch()
         pipeline = switch.pipeline
         stage = switch.controller._loaded(3).compiled.stages_used()[0]
         entry = KeyExtractEntry(
@@ -221,20 +219,12 @@ class TestThreeLevelHotPath:
         assert engine.counters.classifier_fallbacks.get("uncompilable") == 1
 
     def test_short_packet_falls_back_parse_window(self):
-        _switch, engine = _firewall_switch(enable_classifier=True)
+        _switch, engine = _firewall_switch()
         packet = workload("firewall").flow_packet(3, 1)
         packet.truncate(18)   # keeps the VLAN tag, loses the parsed bytes
         with pytest.raises(PacketError):
             engine.process(packet)
         assert engine.counters.classifier_fallbacks.get("parse-window") == 1
-
-    def test_classifier_disabled_takes_scalar_path(self):
-        _switch, engine = _firewall_switch(enable_cache=False,
-                                           enable_classifier=False)
-        packets = [workload("firewall").flow_packet(3, i) for i in range(10)]
-        engine.process_batch(packets)
-        assert engine.counters.compiled_hits == 0
-        assert engine.counters.compile_rebuilds == 0
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +233,7 @@ class TestThreeLevelHotPath:
 
 class TestRebuildAndPurge:
     def test_epoch_bump_rebuilds_lazily(self):
-        switch, engine = _firewall_switch(enable_classifier=True)
+        switch, engine = _firewall_switch()
         spec = workload("firewall")
         engine.process(spec.flow_packet(3, 1))
         assert engine.counters.compile_rebuilds == 1
@@ -257,7 +247,7 @@ class TestRebuildAndPurge:
         assert stats.epoch == switch.pipeline.epoch_of(3)
 
     def test_invalidate_purges_classifiers(self):
-        _switch, engine = _firewall_switch(enable_classifier=True)
+        _switch, engine = _firewall_switch()
         engine.process(workload("firewall").flow_packet(3, 1))
         assert engine.classifier_stats()
         engine.invalidate(3)
@@ -266,7 +256,7 @@ class TestRebuildAndPurge:
         assert engine.counters.compile_rebuilds == 2
 
     def test_invalidate_all_purges_everything(self):
-        _switch, engine = _firewall_switch(enable_classifier=True)
+        _switch, engine = _firewall_switch()
         engine.process(workload("firewall").flow_packet(3, 1))
         engine.invalidate()
         assert not engine.classifier_stats()
@@ -302,8 +292,7 @@ class TestInvalidationAccounting:
         # still purge the layout and classifier. (Layout, classifier
         # and shard are one per-tenant context, so "no shard" is an
         # empty one; the shard object itself outlives the purge.)
-        _switch, engine = _firewall_switch(enable_cache=False,
-                                           enable_classifier=True)
+        _switch, engine = _firewall_switch(enable_cache=False)
         engine.process(workload("firewall").flow_packet(3, 1))
         context = engine._contexts[3]
         assert context.epoch is not None and context.parse
@@ -394,8 +383,7 @@ class TestMidBatchLayoutStaleness:
 
         scalar = build()
         batched = build()
-        engine = batched.engine(scheduled=False, enable_cache=True,
-                                enable_classifier=True)
+        engine = batched.engine(enable_cache=True)
 
         # Truncate the firewall's parse program to its first action:
         # later fields stay zero, so match behavior visibly changes,

@@ -271,27 +271,57 @@ class TestFacadeWiring:
         t2 = spec.admit(switch, vid=2)
         return switch, spec, t1, t2
 
-    def test_engine_installs_scheduler_by_default(self):
+    def test_engine_installs_scheduler(self):
         switch, spec, t1, t2 = self.build()
         assert switch.egress_scheduler is None
+        assert isinstance(switch.pipeline.traffic_manager, TrafficManager)
         switch.engine()
         assert switch.egress_scheduler is not None
         assert switch.pipeline.traffic_manager is switch.egress_scheduler
 
-    def test_scheduled_false_keeps_fifo(self):
-        switch, *_ = self.build()
-        switch.engine(scheduled=False)
-        assert switch.egress_scheduler is None
-        assert isinstance(switch.pipeline.traffic_manager, TrafficManager)
-
-    def test_weights_set_before_engine_apply_at_install(self):
+    def test_weights_set_before_engine_install_the_scheduler(self):
         switch, spec, t1, t2 = self.build()
         t1.set_weight(3.0).set_rate_limit(50_000.0, burst_bytes=2000.0)
-        engine = switch.engine()
         sched = switch.egress_scheduler
+        assert sched is not None
+        switch.engine(line_rate_bps=1e9)
+        assert switch.egress_scheduler is sched
+        assert sched.line_rate_bps == 1e9
         assert sched.weight_of(1) == 3.0
         assert sched.rate_limit_of(1) == 50_000.0
         assert sched.weight_of(2) == 1.0
+
+    def test_weight_set_through_an_attached_handle_is_kept(self):
+        """``Tenant.attach`` wraps the controller in a throwaway
+        ``Switch``; the weight must land on the pipeline's scheduler,
+        not on that wrapper."""
+        switch, spec, t1, t2 = self.build()
+        Tenant.attach(switch.controller, 2).set_weight(4.0)
+        switch.engine()
+        assert switch.egress_scheduler.weight_of(2) == 4.0
+
+    @pytest.mark.parametrize("first, second", [
+        ({"line_rate_bps": 1e9}, {"line_rate_bps": 2e9}),
+        ({"egress_queue_capacity": 4}, {"egress_queue_capacity": 8}),
+        ({}, {"egress_queue_capacity": 8}),
+    ])
+    def test_second_engine_call_that_disagrees_is_rejected(self, first,
+                                                           second):
+        """A later ``engine()`` asking for a different line rate or
+        queue bound than the installed scheduler runs with is a typed
+        error naming both values, never silently ignored (or a caller
+        asking for bounded queues keeps unbounded ones)."""
+        switch, *_ = self.build()
+        switch.engine(**first)
+        (knob, asked), = second.items()
+        running = first.get(knob)
+        with pytest.raises(ConfigError) as err:
+            switch.engine(**second)
+        assert repr(running) in str(err.value)
+        assert repr(asked) in str(err.value)
+        # Equal or omitted values stay accepted.
+        switch.engine(**first)
+        switch.engine()
 
     def test_live_weight_and_rate_updates(self):
         switch, spec, t1, t2 = self.build()
@@ -412,6 +442,23 @@ class TestTimelineLatency:
         error where it is given, not a ``ZeroDivisionError`` later."""
         with pytest.raises(ConfigError, match="bin width must be positive"):
             ReconfigTimelineExperiment(MenshenPipeline(), bin_s=bin_s)
+
+    @pytest.mark.parametrize("duration_s, bin_s, match", [
+        (0.04, 0.1, "shorter than one"),
+        (-1.0, 0.1, "duration must be positive"),
+        (0.0, 0.1, "duration must be positive"),
+    ])
+    def test_run_without_a_bin_rejected_at_construction(
+            self, duration_s, bin_s, match):
+        """``run()`` indexes its bins; a run that rounds to none is a
+        typed error where it is given, not an ``IndexError`` (or an
+        empty result) later."""
+        with pytest.raises(ConfigError, match=match):
+            ReconfigTimelineExperiment(MenshenPipeline(),
+                                       duration_s=duration_s, bin_s=bin_s)
+        # The shortest run that still rounds to one bin stays valid.
+        ReconfigTimelineExperiment(MenshenPipeline(), duration_s=0.06,
+                                   bin_s=0.1)
 
 
 class TestEventDrivenClockSemantics:

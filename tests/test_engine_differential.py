@@ -11,6 +11,7 @@ the configuration write lands.
 """
 
 import importlib
+import inspect
 import re
 import traceback
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro.api import Switch
 from repro.core.reconfig import ResourceId, ResourceType, build_reconfig_packet
+from repro.engine import BatchEngine
 from repro.traffic import TraceReplayer, ZipfFlows, all_workloads, flow_stream, workload
 from seeds import rng as make_rng
 
@@ -110,17 +112,44 @@ def assert_same_observable_state(scalar, batched):
 # all eight modules, warm cache included
 # ---------------------------------------------------------------------------
 
-#: Engine configurations the equivalence contract is pinned under:
-#: the full three-level hot path; classifier-only (exact-match cache
-#: off), which forces *every* pure packet through the compiled path
-#: instead of letting warm flows hide behind cache hits; and certified,
-#: the full path with every classifier rebuild proven against the
-#: installed tables and refused if the proof fails.
+#: Engine configurations the equivalence contract is pinned under — the
+#: full product of what an engine can still vary: the exact-match level
+#: on ("cached", the three-level hot path) or off ("classifier-only",
+#: which forces *every* pure packet through the compiled path instead of
+#: letting warm flows hide behind cache hits), each plain or
+#: "-certified" (every classifier rebuild proven against the installed
+#: tables and refused if the proof fails).
 ENGINE_MODES = {
-    "cached": {"enable_classifier": True},
-    "classifier-only": {"enable_cache": False, "enable_classifier": True},
-    "certified": {"enable_classifier": True, "check_compiled": "enforce"},
-}
+    cache_name + certify_name: {"enable_cache": enable_cache,
+                                "check_compiled": check_compiled}
+    for cache_name, enable_cache in (("cached", True),
+                                     ("classifier-only", False))
+    for certify_name, check_compiled in (("", "off"),
+                                         ("-certified", "enforce"))}
+
+#: The engine parameters ``ENGINE_MODES`` does not vary: plain sizes and
+#: rates, with no path of their own.
+ENGINE_SIZES = {"cache_capacity", "line_rate_bps", "egress_queue_capacity"}
+
+
+def test_every_engine_parameter_is_pinned():
+    """A parameter of ``Switch.engine`` / ``BatchEngine`` is either
+    varied by ``ENGINE_MODES`` (all of its values, as a full product) or
+    named in ``ENGINE_SIZES`` — a new knob cannot arrive unpinned."""
+    def names(fn):
+        return list(inspect.signature(fn).parameters)[1:]   # drop self
+
+    assert names(Switch.engine) == [
+        "cache_capacity", "enable_cache", "line_rate_bps",
+        "egress_queue_capacity", "check_compiled"]
+    assert names(BatchEngine.__init__) == [
+        "pipeline", "cache_capacity", "enable_cache", "check_compiled"]
+    varied = {name for kw in ENGINE_MODES.values() for name in kw}
+    assert varied == {"enable_cache", "check_compiled"}
+    assert len(ENGINE_MODES) == 4           # 2 x 2, every combination
+    assert set(names(Switch.engine)) == varied | ENGINE_SIZES
+    assert set(names(BatchEngine.__init__)) \
+        <= {"pipeline"} | varied | ENGINE_SIZES
 
 
 @pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
@@ -140,7 +169,7 @@ def test_batched_equals_scalar(spec, mode):
     assert_same_observable_state(scalar, batched)
 
     counters = engine.counters
-    if mode == "certified":
+    if ENGINE_MODES[mode]["check_compiled"] == "enforce":
         # Enforcement must not cost a single compiled packet: every
         # rebuild certifies, so nothing is refused onto the oracle.
         assert "uncertified" not in counters.classifier_fallbacks
@@ -155,7 +184,7 @@ def test_batched_equals_scalar(spec, mode):
         assert counters.compiled_hits == 0
         assert counters.uncacheable == ROUNDS
         assert counters.classifier_fallbacks.get("stateful") == ROUNDS
-    elif mode == "classifier-only":
+    elif not ENGINE_MODES[mode]["enable_cache"]:
         # With the exact-match level off, every pure packet must be a
         # compiled hit — otherwise this test silently stops covering
         # the classifier.
@@ -452,7 +481,7 @@ def test_every_batch_size_equals_scalar(mode):
     # Every level served something, so the sizes agree on all of them.
     assert totals[1].uncacheable == 60          # netcache, every packet
     assert totals[1].compiled_hits > 0
-    if ENGINE_MODES[mode].get("enable_cache", True):
+    if ENGINE_MODES[mode]["enable_cache"]:
         assert totals[1].cache_hits > 0
 
 

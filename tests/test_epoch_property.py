@@ -448,7 +448,7 @@ def test_engine_never_serves_stale_and_attribution_is_exact(mode, script):
             assert _moved(pipeline, epochs) == set(WATCHED)
         world.traffic(packets)
 
-    if mode == "certified":
+    if ENGINE_MODES[mode]["check_compiled"] == "enforce":
         assert not world.engine.counters.classifier_fallbacks.get(
             "uncertified"), world.engine.certificates
 
@@ -505,7 +505,7 @@ def test_every_decoded_table_kind_is_rewritten_under_traffic(mode):
         ResourceType.PARSER_TABLE, ResourceType.DEPARSER_TABLE,
         ResourceType.KEY_EXTRACTOR, ResourceType.SEGMENT,
         ResourceType.DEFAULT_VLIW, ResourceType.VLIW}
-    if mode == "certified":
+    if ENGINE_MODES[mode]["check_compiled"] == "enforce":
         assert not world.engine.counters.classifier_fallbacks.get(
             "uncertified"), world.engine.certificates
 

@@ -47,6 +47,7 @@ from repro.modules import firewall
 from repro.net.packet import Packet
 from repro.runtime import MenshenController
 from repro.traffic import workload
+from test_engine_differential import ENGINE_MODES
 
 PROP_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -329,11 +330,10 @@ class TestCertificateModel:
 # Engine integration: check_compiled
 # ---------------------------------------------------------------------------
 
-def _firewall_engine(**kw):
+def _firewall_engine(enable_cache=False, **kw):
     switch = Switch.build().create()
     workload("firewall").admit(switch, vid=3)
-    engine = switch.engine(scheduled=False, enable_cache=False,
-                           enable_classifier=True, **kw)
+    engine = switch.engine(enable_cache=enable_cache, **kw)
     packets = [workload("firewall").flow_packet(3, i) for i in range(8)]
     return switch, engine, packets
 
@@ -349,13 +349,19 @@ def _corrupt_classifier(engine, vid=3):
 
 
 class TestEngineIntegration:
-    def test_clean_classifier_serves_compiled_under_enforce(self):
-        _switch, engine, packets = _firewall_engine(
-            check_compiled="enforce")
+    @pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
+    def test_clean_classifier_serves_compiled_in_every_mode(self, mode):
+        """Eight distinct flows, cold: every engine mode serves them all
+        compiled; an enforcing one holds an ``ok`` certificate for it
+        and refuses nothing, a non-certifying one holds none."""
+        _switch, engine, packets = _firewall_engine(**ENGINE_MODES[mode])
         engine.process_batch(packets)
         assert engine.counters.compiled_hits == len(packets)
-        assert engine.certificates[3].ok
-        assert "uncertified" not in engine.counters.classifier_fallbacks
+        assert not engine.counters.classifier_fallbacks
+        if ENGINE_MODES[mode]["check_compiled"] == "enforce":
+            assert engine.certificates[3].ok
+        else:
+            assert engine.certificates == {}
 
     def test_enforce_refuses_corrupt_classifier(self):
         _switch, engine, packets = _firewall_engine(
@@ -396,12 +402,6 @@ class TestEngineIntegration:
         switch = Switch.build().create()
         with pytest.raises(ValueError, match="check_compiled"):
             BatchEngine(switch.pipeline, check_compiled="bogus")
-
-    def test_off_mode_skips_certification(self):
-        _switch, engine, packets = _firewall_engine(check_compiled="off")
-        engine.process_batch(packets)
-        assert engine.certificates == {}
-        assert engine.counters.compiled_hits == len(packets)
 
     def test_mode_constants(self):
         assert CERTIFY_MODES == ("enforce", "warn", "off")

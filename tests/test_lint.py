@@ -343,3 +343,31 @@ def test_importing_the_library_leaves_multiprocessing_unloaded():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, (
         result.stderr[-2000:] or "multiprocessing was imported")
+
+
+def test_failing_property_reports_its_example_not_an_internal_error(tmp_path):
+    """``pyproject.toml`` turns DeprecationWarnings into errors. A
+    *failing* hypothesis property makes the plugin import its patch
+    writer, whose ``libcst`` import warns — which must not end the
+    session in a pytest ``INTERNALERROR``: the shrunk example is
+    printed and the tests after it still run."""
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_falsifiable(x):
+            assert x < 100
+
+        def test_after():
+            pass
+        """))
+    (tmp_path / "pyproject.toml").write_text(
+        (SRC_REPRO.parent.parent / "pyproject.toml").read_text())
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = result.stdout + result.stderr
+    assert "INTERNALERROR" not in output, output[-3000:]
+    assert "Falsifying example" in output, output[-3000:]
+    assert "1 failed, 1 passed" in output, output[-3000:]

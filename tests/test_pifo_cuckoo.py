@@ -1,64 +1,17 @@
-"""Tests for the PIFO scheduler (§3.5) and cuckoo exact match (§4.3)."""
+"""Tests for the PIFO/STFQ ranks (§3.5) and cuckoo exact match (§4.3)."""
 
 import pytest
 
+from repro.engine.scheduler import EgressScheduler
 from repro.errors import ConfigError
 from repro.net import PacketBuilder
 from repro.rmt.cuckoo import CuckooExactTable, CuckooInsertError
-from repro.rmt.pifo import PifoQueue, PifoTrafficManager, StfqRanker
+from repro.rmt.pifo import StfqRanker
 
 
 def packet(size=200, vid=1):
     return (PacketBuilder().ethernet().vlan(vid=vid).ipv4().udp()
             .payload(b"\x00" * (size - 46)).build())
-
-
-class TestPifoQueue:
-    def test_dequeue_in_rank_order(self):
-        q = PifoQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop(), q.pop(), q.pop()] == ["a", "b", "c"]
-
-    def test_stable_for_equal_ranks(self):
-        q = PifoQueue()
-        for i in range(5):
-            q.push(1.0, i)
-        assert [q.pop() for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_capacity_drops(self):
-        q = PifoQueue(capacity=2)
-        assert q.push(1, "a") and q.push(2, "b")
-        assert not q.push(3, "c")
-        assert q.dropped == 1
-
-    def test_peek_and_len(self):
-        q = PifoQueue()
-        assert q.pop() is None and q.peek_rank() is None
-        q.push(7.0, "x")
-        assert q.peek_rank() == 7.0
-        assert len(q) == 1
-
-    def test_drop_leaves_queue_intact(self):
-        # A capacity drop must not disturb what is already queued, and
-        # the queue must keep serving (and accepting) correctly after.
-        q = PifoQueue(capacity=2)
-        q.push(2.0, "b")
-        q.push(1.0, "a")
-        assert not q.push(0.5, "would-win")   # dropped despite best rank
-        assert q.pop() == "a"
-        assert q.push(3.0, "c")               # slot freed by the pop
-        assert [q.pop(), q.pop()] == ["b", "c"]
-        assert q.dropped == 1
-
-    def test_equal_ranks_stay_fifo_across_interleaved_pops(self):
-        q = PifoQueue()
-        q.push(1.0, "a1")
-        q.push(1.0, "a2")
-        assert q.pop() == "a1"
-        q.push(1.0, "a3")
-        assert [q.pop(), q.pop()] == ["a2", "a3"]
 
 
 class TestStfqRanker:
@@ -102,34 +55,17 @@ class TestStfqRanker:
         assert r2 == [0.0, 100.0, 200.0]
 
 
-class TestPifoTrafficManager:
-    def test_weighted_fair_sharing_under_backlog(self):
-        # Modules 1:2:3 with weights 5:3:2, all flooding one port.
-        tm = PifoTrafficManager(num_ports=1,
-                                weights={1: 5.0, 2: 3.0, 3: 2.0})
-        for _ in range(300):
-            for vid in (1, 2, 3):
-                tm.enqueue(packet(200, vid), 0, module_id=vid)
-        served = tm.drain_bytes(0, budget_bytes=200 * 100)
-        total = sum(served.values())
-        assert served[1] / total == pytest.approx(0.5, abs=0.05)
-        assert served[2] / total == pytest.approx(0.3, abs=0.05)
-        assert served[3] / total == pytest.approx(0.2, abs=0.05)
-
-    def test_flooding_module_cannot_crowd_out(self):
-        # Module 9 floods 10x the packets; equal weights still halve.
-        tm = PifoTrafficManager(num_ports=1)
-        for _ in range(500):
-            tm.enqueue(packet(200, 9), 0, module_id=9)
-        for _ in range(50):
-            tm.enqueue(packet(200, 1), 0, module_id=1)
-        served = tm.drain_bytes(0, budget_bytes=200 * 80)
-        # Module 1's 50 packets all make it out within the first ~100.
-        assert served.get(1, 0) >= 200 * 35
+class TestPifoEgress:
+    """The STFQ ranks served in PIFO order — by
+    :class:`~repro.engine.scheduler.EgressScheduler`, whose weighted
+    sharing, flood resistance and port bounds are pinned in
+    ``test_egress_scheduler.py::TestEgressSchedulerFairness``."""
 
     def test_fifo_contrast(self):
-        # The same flood through the plain FIFO TM starves module 1 —
-        # the §3.5 problem PIFO fixes.
+        # The flood that EgressScheduler's
+        # test_bursty_elephant_cannot_starve_mouse survives starves
+        # module 1 through the plain FIFO TM — the §3.5 problem PIFO
+        # fixes.
         from repro.rmt import TrafficManager
         tm = TrafficManager(num_ports=1)
         for _ in range(500):
@@ -140,55 +76,20 @@ class TestPifoTrafficManager:
         vids = [p.read_int(14, 2) & 0xFFF for p in first_80]
         assert vids.count(1) == 0  # all module 9's backlog first
 
-    def test_dequeue_and_counters(self):
-        tm = PifoTrafficManager(num_ports=2)
-        tm.enqueue(packet(100, 1), 1, module_id=1)
-        out = tm.dequeue(1)
-        assert len(out) == 100
-        assert tm.dequeue(1) is None
-        assert tm.bytes_out_per_module[1] == 100
-
     def test_drain_bytes_counts_transmitted_bytes(self):
         # drain_bytes is a service path like dequeue: what it serves
-        # must land in bytes_out_per_module with the same (dequeue-time)
-        # semantics, and packets left queued must not.
-        tm = PifoTrafficManager(num_ports=1)
+        # must land in the per-module transmitted bytes with the same
+        # (dequeue-time) semantics, and packets left queued must not.
+        tm = EgressScheduler(num_ports=1)
         for _ in range(4):
             tm.enqueue(packet(200, 1), 0, module_id=1)
             tm.enqueue(packet(200, 2), 0, module_id=2)
         served = tm.drain_bytes(0, budget_bytes=200 * 4)
         assert sum(served.values()) == 200 * 4
-        assert tm.bytes_out_per_module == served
-        assert tm.dequeued == 4
+        assert {vid: tm.transmitted_bytes(vid) for vid in served} == served
+        assert tm.bytes_out == [200 * 4]
         tm.dequeue(0)
-        assert sum(tm.bytes_out_per_module.values()) == 200 * 5
-
-    def test_port_bounds(self):
-        tm = PifoTrafficManager(num_ports=1)
-        with pytest.raises(ConfigError):
-            tm.enqueue(packet(), 1, module_id=1)
-
-    def test_drop_in_as_pipeline_traffic_manager(self):
-        # The advertised use: install it as pipeline.traffic_manager.
-        # commit() calls enqueue(packet, port, mcast, module_id=vid), so
-        # the signature must match the TM contract.
-        from repro.api import Switch
-        from repro.modules import calc
-
-        switch = Switch.build().create()
-        tenant = switch.admit("calc", calc.P4_SOURCE, vid=1)
-        calc.install(tenant, port=1)
-        switch.pipeline.traffic_manager = PifoTrafficManager(num_ports=8)
-        result = switch.process(calc.make_packet(1, calc.OP_ADD, 2, 3))
-        assert result.forwarded
-        assert switch.pipeline.traffic_manager.queue_len(1) == 1
-        switch.pipeline.traffic_manager.dequeue(1)
-        assert switch.pipeline.traffic_manager.bytes_out_per_module[1] > 0
-
-    def test_multicast_not_modeled(self):
-        tm = PifoTrafficManager(num_ports=2)
-        with pytest.raises(ConfigError):
-            tm.enqueue(packet(), 0, mcast_group=3, module_id=1)
+        assert tm.transmitted_bytes(1) + tm.transmitted_bytes(2) == 200 * 5
 
 
 class TestCuckooExactTable:
