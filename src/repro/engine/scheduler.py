@@ -23,6 +23,11 @@ This module closes it:
 * :class:`Departure` records — every transmitted packet carries its
   departure timestamp, so :mod:`repro.sim.timeline` can measure
   per-tenant latency under contention, not just throughput.
+* Timed service costs what changed: :meth:`EgressScheduler.advance_to`
+  visits backlogged ports only, an idle port's clock is worked out when
+  read (:meth:`EgressScheduler.clock_of`), and a port remembers its
+  last scheduling scan until something on it changes, so a query and
+  the service that follows it choose once.
 
 The scheduler feeds per-tenant queue depth and transmitted-byte gauges
 into :class:`~repro.core.stats.PipelineStats` — the "real-time
@@ -98,14 +103,17 @@ class SchedulerTenantCounters:
     throttled_waits: int = 0
 
 
-@dataclass(frozen=True)
 class Departure:
     """One transmitted packet, for the timeline's latency bookkeeping."""
 
-    packet: Packet
-    port: int
-    module_id: int
-    time: float
+    __slots__ = ("packet", "port", "module_id", "time")
+
+    def __init__(self, packet: Packet, port: int, module_id: int,
+                 time: float):
+        self.packet = packet
+        self.port = port
+        self.module_id = module_id
+        self.time = time
 
     @property
     def latency(self) -> float:
@@ -119,15 +127,25 @@ class _PortState:
     arrival counter so equal ranks stay FIFO-stable, like the hardware
     PIFO block. ``queued`` is the number of entries across all FIFOs,
     kept in step by the scheduler so the port's backlog is one read.
+
+    ``idle_since`` is the scheduler's advance count when the port last
+    emptied: an idle port's clock follows time only through advances
+    made after that. ``chosen`` is the last scheduling scan's answer,
+    ``(choice, finish time)``, kept until something that can move it
+    happens to the port (``None``: scan again); with token buckets,
+    which couple ports, it is never kept.
     """
 
-    __slots__ = ("ranker", "fifos", "seq", "queued")
+    __slots__ = ("ranker", "fifos", "seq", "queued", "idle_since",
+                 "chosen")
 
     def __init__(self, ranker: StfqRanker):
         self.ranker = ranker
         self.fifos: Dict[int, Deque[Tuple[float, int, Packet]]] = {}
         self.seq = 0
         self.queued = 0
+        self.idle_since = 0
+        self.chosen: Optional[Tuple[_Choice, float]] = None
 
 
 #: ``(vid, rank, packet, serve_time)`` — one scheduling decision.
@@ -166,7 +184,7 @@ class EgressScheduler:
                 f"line rate must be positive, got {line_rate_bps}")
         self.num_ports = num_ports
         self.queue_capacity = queue_capacity
-        self.line_rate_bps = line_rate_bps
+        self._line_rate_bps = line_rate_bps
         #: Per-port line-rate overrides (bps). A fabric wires ports to
         #: links of different capacities (host links vs spine links);
         #: ports without an override transmit at ``line_rate_bps``.
@@ -185,8 +203,18 @@ class EgressScheduler:
         #: Per-port virtual clocks (seconds): output links transmit in
         #: parallel, so each advances by its own transmission times
         #: (when a line rate is set) and by :meth:`advance_to` / token
-        #: waits otherwise.
+        #: waits otherwise. An idle port's entry lags: read a clock
+        #: through :meth:`clock_of`.
         self.port_clock: List[float] = [0.0] * num_ports
+        #: The latest instant an advance reached, and how many advances
+        #: there were — what an idle port's clock is brought forward
+        #: from when it next gets work (see :meth:`clock_of`).
+        self._now = 0.0
+        self._advances = 0
+        #: Per port, the time of the service event an event-driven
+        #: caller holds for it (``None``: none). The caller's slot: the
+        #: scheduler only keeps it.
+        self.service_at: List[Optional[float]] = [None] * num_ports
         #: (port, vid) -> head-packet seq already counted as throttled,
         #: so ``throttled_waits`` counts *packets* delayed by the rate
         #: limiter, not scheduler scans.
@@ -203,7 +231,33 @@ class EgressScheduler:
     def clock(self) -> float:
         """The most advanced port clock (single-port experiments read
         this as *the* virtual time)."""
-        return max(self.port_clock)
+        return max(map(self.clock_of, range(self.num_ports)))
+
+    def clock_of(self, port: int) -> float:
+        """One port's virtual clock: where a backlogged port's next
+        transmission may start; for an idle port, the latest instant
+        reached by an advance (:meth:`advance_to`, :meth:`idle_to`)
+        made since it emptied — worked out on this read, not by walking
+        the ports on each advance (advances come in time order)."""
+        self._check_port(port)
+        state = self._ports[port]
+        if state.queued or state.idle_since == self._advances:
+            return self.port_clock[port]
+        return max(self.port_clock[port], self._now)
+
+    @property
+    def line_rate_bps(self) -> Optional[float]:
+        """The rate ports without an override transmit at (bps)."""
+        return self._line_rate_bps
+
+    @line_rate_bps.setter
+    def line_rate_bps(self, rate_bps: Optional[float]) -> None:
+        self._line_rate_bps = rate_bps
+        self._forget_scans()
+
+    def _forget_scans(self) -> None:
+        for state in self._ports:
+            state.chosen = None
 
     # -- configuration -----------------------------------------------------------
 
@@ -224,6 +278,7 @@ class EgressScheduler:
         """Cap one tenant's egress at ``rate_bytes_per_s``."""
         self._buckets[vid] = TokenBucket(rate_bytes_per_s, burst_bytes,
                                          clock=self.clock)
+        self._forget_scans()
 
     def clear_rate_limit(self, vid: int) -> None:
         self._buckets.pop(vid, None)
@@ -247,8 +302,10 @@ class EgressScheduler:
             if fifo:
                 purged.extend(packet for _rank, _seq, packet in fifo)
                 state.queued -= len(fifo)
+                state.chosen = None
                 if not state.queued:
                     self._backlogged.discard(port)
+                    state.idle_since = self._advances
             state.ranker.weights.pop(vid, None)
             state.ranker._last_finish.pop(vid, None)
             self._throttle_marks.pop((port, vid), None)
@@ -284,7 +341,10 @@ class EgressScheduler:
             dropped.extend((port, vid, packet)
                            for _seq, vid, packet in entries)
             state.fifos.clear()
-            state.queued = 0
+            if state.queued:
+                state.queued = 0
+                state.chosen = None
+                state.idle_since = self._advances
             state.ranker._last_finish.clear()
             state.seq = 0
         self._backlogged.clear()
@@ -306,6 +366,7 @@ class EgressScheduler:
             raise ConfigError(
                 f"port {port}: rate must be positive, got {rate_bps}")
         self.port_rate_bps[port] = float(rate_bps)
+        self._ports[port].chosen = None
 
     def port_rate_of(self, port: int) -> Optional[float]:
         """The rate ``port`` transmits at (override or the line rate)."""
@@ -375,8 +436,11 @@ class EgressScheduler:
             fifo = state.fifos[vid] = deque()
         fifo.append((rank, state.seq, packet))
         state.seq += 1
+        if not state.queued:
+            self.port_clock[port] = self.clock_of(port)
+            self._backlogged.add(port)
         state.queued += 1
-        self._backlogged.add(port)
+        state.chosen = None
         self._depth[vid] = self._depth.get(vid, 0) + 1
         self.enqueued += 1
         self.tenant(vid).enqueued += 1
@@ -406,9 +470,8 @@ class EgressScheduler:
 
     # -- scheduling decisions -----------------------------------------------------
 
-    def _tx_seconds(self, nbytes: int, port: Optional[int] = None) -> float:
-        rate = self.line_rate_bps if port is None \
-            else self.port_rate_bps.get(port, self.line_rate_bps)
+    def _tx_seconds(self, nbytes: int, port: int) -> float:
+        rate = self.port_rate_bps.get(port, self._line_rate_bps)
         if rate is None:
             return 0.0
         return nbytes * 8.0 / rate
@@ -460,11 +523,14 @@ class EgressScheduler:
         if not fifo:
             del state.fifos[vid]
         state.queued -= 1
+        state.chosen = None
         if not state.queued:
             self._backlogged.discard(port)
+            state.idle_since = self._advances
         self._depth[vid] -= 1
         state.ranker.on_dequeue(rank)
-        self._throttle_marks.pop((port, vid), None)
+        if self._throttle_marks:
+            self._throttle_marks.pop((port, vid), None)
         nbytes = len(packet)
         start = max(at, self.port_clock[port])
         bucket = self._buckets.get(vid)
@@ -480,8 +546,7 @@ class EgressScheduler:
         if self._stats is not None:
             self._stats.record_egress_tx(vid, nbytes)
         self._feed_depth(vid)
-        return Departure(packet=packet, port=port, module_id=vid,
-                         time=finish)
+        return Departure(packet, port, vid, finish)
 
     # -- service (TrafficManager-compatible + scheduled extensions) --------------
 
@@ -526,11 +591,23 @@ class EgressScheduler:
             budget_bytes -= size
         return served
 
+    def _scan(self, port: int, state: _PortState) -> Tuple[_Choice, float]:
+        """Choose on backlogged ``port`` at its clock; the choice and
+        when that transmission finishes, remembered on the port."""
+        clock = self.port_clock[port]
+        choice = self._choose(port, clock)
+        known = (choice, max(choice[3], clock)
+                 + self._tx_seconds(len(choice[2]), port))
+        if not self._buckets:
+            state.chosen = known
+        return known
+
     def next_departure_at(self, port: int) -> Optional[float]:
         """When the next packet on ``port`` would finish transmitting.
 
         ``None`` when the port is idle (answered from the port's queued
-        count, without a scheduling scan). This is the event-driven
+        count, without a scheduling scan); a backlogged port answers
+        from the scan it remembers, or scans. This is the event-driven
         hook the fabric timeline (:mod:`repro.sim.fabric_timeline`)
         uses to schedule its next service event exactly, instead of
         polling the scheduler on a fixed tick. Pure query: mutates
@@ -538,22 +615,42 @@ class EgressScheduler:
         scheduling scans).
         """
         self._check_port(port)
-        if not self._ports[port].queued:
+        state = self._ports[port]
+        if not state.queued:
             return None
-        choice = self._choose(port, self.port_clock[port])
-        start = max(choice[3], self.port_clock[port])
-        return start + self._tx_seconds(len(choice[2]), port)
+        return (state.chosen or self._scan(port, state))[1]
 
     def next_departures(self) -> List[Tuple[int, float]]:
         """``(port, next_departure_at(port))`` for every backlogged
         port, in ascending port order — idle ports are not visited.
 
-        Every backlogged port is asked, not only ports touched since
-        the last call: token buckets are per tenant, so a service on
-        one port moves that tenant's eligibility on another.
+        Every backlogged port answers, not only ports touched since the
+        last call: token buckets are per tenant, so a service on one
+        port moves that tenant's eligibility on another (which is why a
+        port remembers no scan while any bucket is configured).
         """
-        return [(port, at) for port in sorted(self._backlogged)
-                if (at := self.next_departure_at(port)) is not None]
+        ports, backlogged = self._ports, self._backlogged
+        return [(port, known[1] if (known := ports[port].chosen)
+                 else self.next_departure_at(port))
+                for port in (sorted(backlogged) if len(backlogged) > 1
+                             else backlogged)]
+
+    def idle_to(self, now: float) -> bool:
+        """Time reached ``now`` with nothing queued anywhere: ``True``,
+        and every port's clock follows (:meth:`clock_of`) with no scan
+        — what :meth:`advance_to` would have done. ``False``, and
+        nothing done, when there is backlog to advance instead."""
+        if self._backlogged:
+            return False
+        self._tick(now)
+        return True
+
+    def _tick(self, now: float) -> None:
+        self._advances += 1
+        if now > self._now:
+            self._now = now
+        for bucket in self._buckets.values():
+            bucket.refill(now)
 
     def advance_to(self, now: float) -> List[Departure]:
         """Serve every packet whose transmission completes by ``now``.
@@ -566,35 +663,32 @@ class EgressScheduler:
         contention is measurable. Without a line rate, everything
         eligible departs instantaneously. Departures are returned in
         timestamp order across ports. Only backlogged ports are
-        scheduled (ascending port order); a port with nothing to send
-        just idles forward to ``now``.
+        scheduled (ascending port order), each from the scan it
+        remembers when it has one; idle ports are not visited — their
+        clocks follow ``now`` when read (:meth:`clock_of`).
         """
         departures: List[Departure] = []
-        clocks = self.port_clock
-        for port in sorted(self._backlogged):
+        clocks, backlogged = self.port_clock, self._backlogged
+        # (a copy: serving the last packet takes the port out of the set)
+        for port in (sorted(backlogged) if len(backlogged) > 1
+                     else tuple(backlogged)):
             if now < clocks[port]:
                 continue
             state = self._ports[port]
             while state.queued:
-                choice = self._choose(port, clocks[port])
-                start = max(choice[3], clocks[port])
-                if start + self._tx_seconds(len(choice[2]), port) > now:
+                choice, finish = state.chosen or self._scan(port, state)
+                if finish > now:
                     # The next transmission is committed to begin at
-                    # ``start`` (it finishes past ``now``); the port
+                    # its start (it finishes past ``now``); the port
                     # idles only up to that instant, never past it —
                     # otherwise every advance_to call during a long
                     # transmission would re-delay its start, and a
                     # busy port fed by frequent events would slip
                     # unboundedly below line rate.
-                    clocks[port] = max(clocks[port], min(now, start))
+                    clocks[port] = max(clocks[port], min(now, choice[3]))
                     break
                 departures.append(self._serve(choice, port))
-        backlogged = self._backlogged
-        for port, clock in enumerate(clocks):
-            if clock < now and port not in backlogged:
-                clocks[port] = now
-        for bucket in self._buckets.values():
-            bucket.refill(now)
+        self._tick(now)
         if len(departures) > 1:
             departures.sort(key=lambda dep: dep.time)
         return departures

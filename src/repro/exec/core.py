@@ -17,22 +17,24 @@ of two **timing policies**
 (``sim=None`` runs untimed waves in service order; passing a
 :class:`~repro.sim.kernel.Simulator` makes its event list the only
 clock: exact event-driven service from
-:meth:`~repro.engine.scheduler.EgressScheduler.next_departures`).
+:meth:`~repro.engine.scheduler.EgressScheduler.next_departures` — an
+uncontended hop is one enqueue, one service and two events, and an
+arrival polls its member's scheduler only when that has backlog).
 Frontends shrink to result shaping: they feed arrivals in and observe
 outcomes through an :class:`ExecutionSink`. (The single-switch Fig. 10
 harness, :class:`repro.sim.timeline.ReconfigTimelineExperiment`, has no
 links to route over and drives its scheduler directly.)
 
 A *member* is anything with the fabric-switch surface: ``name``,
-``engine`` (``process_batch``), ``scheduler`` (drain / ``advance_to`` /
-``next_departures``), ``links`` (port -> link; absent ports face
-hosts), ``num_ports``. A *link* needs ``up``, ``name``, ``delay_s``,
-``record(vid, nbytes)``, and ``other_end(name)``.
+``engine`` (``process_batch``), ``scheduler`` (drain / ``idle_to`` /
+``advance_to`` / ``next_departures`` / ``service_at``), ``links``
+(port -> link; absent ports face hosts), ``num_ports``. A *link* needs
+``up``, ``name``, ``delay_s``, ``record(vid, nbytes)``, and
+``other_end(name)``.
 
-The equivalence contract is strict: the refactored frontends are
-packet-for-packet identical to their pre-core behavior —
-``tests/test_fabric_differential.py`` and
-``tests/test_engine_differential.py`` pass unchanged.
+The equivalence contract is strict: both frontends are pinned packet
+for packet by ``tests/test_fabric_differential.py`` and
+``tests/test_engine_differential.py``.
 """
 
 from __future__ import annotations
@@ -100,9 +102,6 @@ class ExecutionCore:
         self._lookup = member_lookup
         self.sink = sink if sink is not None else ExecutionSink()
         self.sim = sim
-        #: earliest pending service event per (member, port) — dedupe
-        #: so the event queue stays linear in departures, not scans.
-        self._pending: Dict[Tuple[str, int], float] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -264,23 +263,25 @@ class ExecutionCore:
         """Schedule each backlogged port's next service event exactly,
         from :meth:`~repro.engine.scheduler.EgressScheduler.
         next_departures` — transmission finish times are the event
-        times, never a polling tick, and idle ports are not asked.
-        ``scheduler`` is ``member.scheduler``, resolved once by the
-        event that calls this."""
-        pending = self._pending
+        times, never a polling tick, and idle ports are not asked. A
+        port holding an event at or before its finish
+        (``scheduler.service_at``) gets no second one: the event list
+        stays linear in departures, not scans. ``scheduler`` is
+        ``member.scheduler``, resolved once by the calling event."""
+        held = scheduler.service_at
+        sim = self.sim
         for port, at in scheduler.next_departures():
-            key = (member.name, port)
-            held = pending.get(key)
-            if held is not None and held <= at + 1e-15:
+            due = held[port]
+            if due is not None and due <= at + 1e-15:
                 continue
-            pending[key] = at
-            self.sim.schedule(max(0.0, at - self.sim.now),
-                              self._service, member, port, at)
+            held[port] = at
+            sim.schedule(max(0.0, at - sim.now),
+                         self._service, member, port, at)
 
     def _service(self, member, port: int, t: float) -> None:
-        if self._pending.get((member.name, port), None) == t:
-            del self._pending[(member.name, port)]
         scheduler = member.scheduler
+        if scheduler.service_at[port] == t:
+            scheduler.service_at[port] = None
         departures = scheduler.advance_to(t)
         if departures:
             self.route_departures(member, departures)
@@ -311,8 +312,10 @@ class ExecutionCore:
 
     def inject(self, member, packet: Packet, t: float) -> None:
         """One packet arrives at a member at virtual time ``t``: serve
-        transmissions that complete before the arrival, run the batched
-        engine, then (re)schedule the member's service events.
+        transmissions that complete before the arrival (a member with
+        no backlog has none — its scheduler is only told the time), run
+        the batched engine, then (re)schedule the member's service
+        events.
 
         An arrival at a crashed member (the packet was in flight on the
         wire when the far end died) is lost at the member's
@@ -323,8 +326,9 @@ class ExecutionCore:
                               f"switch:{member.name}", t)
             return
         scheduler = member.scheduler
-        departures = scheduler.advance_to(t)
-        if departures:
-            self.route_departures(member, departures)
+        if not scheduler.idle_to(t):
+            departures = scheduler.advance_to(t)
+            if departures:
+                self.route_departures(member, departures)
         self._serve_batch(member, [packet])
         self.schedule_services(member, scheduler)

@@ -97,19 +97,15 @@ class FabricSwitch:
         self.switch = switch
         self.engine: BatchEngine = switch.engine(
             line_rate_bps=host_rate_bps)
+        #: Bound once: ``engine()`` installed it, installing is
+        #: idempotent and nothing replaces a switch's traffic manager
+        #: afterwards.
+        self.scheduler: EgressScheduler = switch.egress_scheduler
         #: port index -> attached fabric link (absent = host port)
         self.links: Dict[int, Link] = {}
         #: False while crashed (:meth:`Fabric.crash_switch`): the
         #: member forwards nothing and its links are down.
         self.up: bool = True
-
-    @property
-    def scheduler(self) -> EgressScheduler:
-        scheduler = self.switch.egress_scheduler
-        if scheduler is None:  # engine() above installed it
-            raise TopologyError(
-                f"switch {self.name!r} has no egress scheduler installed")
-        return scheduler
 
     @property
     def num_ports(self) -> int:

@@ -47,7 +47,7 @@ from ..errors import ConfigError
 from ..exec import ExecutionCore, ExecutionSink, LostRecord
 from ..net.packet import Packet
 from ..traffic.matrix import Demand, TrafficMatrix
-from .kernel import Simulator
+from .kernel import SimulationError, Simulator
 
 
 @dataclass
@@ -320,7 +320,13 @@ class FabricTimelineExperiment:
         # empties. Verify rather than trust.
         backlog = core.total_backlog()
         if backlog:
-            raise RuntimeError(f"{backlog} packets never departed")
+            held = [f"{member.name}:{port} ({queued})"
+                    for member in fabric.switches()
+                    for port in range(member.num_ports)
+                    if (queued := member.scheduler.queue_len(port))]
+            raise SimulationError(
+                f"{backlog} packets never departed; still queued at "
+                f"switch:port (packets): {', '.join(held)}")
 
         elapsed = max(self.duration_s, sim.now)
         num_bins = max(1, -int(-elapsed // self.bin_s))  # ceil

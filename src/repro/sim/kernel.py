@@ -18,7 +18,8 @@ from ..errors import ReproError
 
 
 class SimulationError(ReproError):
-    """Scheduling into the past or other kernel misuse."""
+    """Scheduling into the past, or a run whose event list emptied
+    with packets still queued."""
 
 
 class Event:

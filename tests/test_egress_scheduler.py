@@ -11,7 +11,7 @@ order preservation, the real-time statistics feed, `Tenant.set_weight`
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Switch, Tenant
 from repro.core import MenshenPipeline, PipelineStats
@@ -253,8 +253,8 @@ class TestRateLimiting:
         for d in departures:
             by_port[d.port] = by_port.get(d.port, 0) + 1
         assert by_port == {0: 10, 1: 10}
-        assert sched.port_clock[0] == pytest.approx(0.0105)
-        assert sched.port_clock[1] == pytest.approx(0.0105)
+        assert sched.clock_of(0) == pytest.approx(0.0105)
+        assert sched.clock_of(1) == pytest.approx(0.0105)
         # Per-port completion times interleave, not serialize.
         first = departures[0]
         assert first.time == pytest.approx(0.001)
@@ -500,7 +500,7 @@ class TestEventDrivenClockSemantics:
     def test_idle_port_clock_still_reaches_now(self):
         sched = EgressScheduler(num_ports=1, line_rate_bps=1e9)
         sched.advance_to(5.0)
-        assert sched.port_clock[0] == 5.0
+        assert sched.clock_of(0) == 5.0
         sched.enqueue(pkt(size=1000), 0, module_id=1)
         # the packet arrived while the port idled at t=5: it cannot
         # depart earlier than that
@@ -527,12 +527,19 @@ class _AllPortsReference(EgressScheduler):
     Every answer is derived from the per-port FIFOs by walking *all*
     ports: nothing here reads the backlogged-port set, the per-port
     queued count or the per-tenant depth count, so an index that drifts
-    from the queues shows up as a disagreement. Ranking, rate gating
-    and the serve bookkeeping are the shared ``_choose`` / ``_serve``.
+    from the queues shows up as a disagreement. Every advance moves
+    every idle port's clock there and then, and every next-departure
+    query scans: nothing here reads an idle stamp or a remembered
+    finish time either. Ranking, rate gating and the serve bookkeeping
+    are the shared ``_choose`` / ``_serve``.
     """
 
     def _queued(self, port):
         return sum(len(fifo) for fifo in self._ports[port].fifos.values())
+
+    def clock_of(self, port):
+        self._check_port(port)
+        return self.port_clock[port]
 
     def queue_len(self, port):
         self._check_port(port)
@@ -635,7 +642,24 @@ _model_op = st.one_of(
               st.sampled_from((1e5, 1e6, 1e8))),
     st.tuples(st.just("purge"), _vid),
     st.tuples(st.just("drop_queued")),
+    st.tuples(st.just("line_rate"), st.sampled_from((None, 1e5, 1e6))),
 )
+
+# Sequences an idle clock brought forward by one scheduler-wide "now"
+# gets wrong: the port was backlogged during the advance (its clock
+# held at the committed start) and emptied afterwards, untimed.
+_HELD_THEN_EMPTIED = [("enqueue", 0, 1, 1000, 0), ("set_port_rate", 0, 1e5),
+                      ("enqueue", 0, 1, 1000, 0), ("advance", 1e-6)]
+_EMPTIED_BY_DEQUEUE = [("set_port_rate", 0, 1e5), ("enqueue", 0, 1, 1000, 0),
+                       ("advance", 1e-4), ("set_port_rate", 0, 1e8),
+                       ("dequeue", 0), ("enqueue", 0, 2, 64, 0)]
+# A rate limit set while port 0 is mid-transmission and ports 1 and 2
+# idle: the bucket starts at the idle ports' clock, then throttles.
+_LIMIT_MID_TRANSMISSION = [
+    ("enqueue", 0, 1, 1000, 0), ("advance", 1e-4),
+    ("set_rate_limit", 2, 2e4, 100.0), ("enqueue", 1, 2, 200, 0),
+    ("enqueue", 1, 2, 200, 0), ("advance", 1.6e-3), ("advance", 8e-3),
+    ("enqueue", 0, 2, 64, 0), ("advance", 0.05)]
 
 
 def _tags(packets):
@@ -670,12 +694,18 @@ class TestBackloggedPortIndexModel:
         if kind == "drop_queued":
             return [(port, vid, packet.arrival_time)
                     for port, vid, packet in sched.drop_queued()]
+        if kind == "line_rate":
+            sched.line_rate_bps = op[1]
+            return None
         return getattr(sched, kind)(*op[1:])
 
     @staticmethod
     def _observe(sched, stats):
         return {
-            "clock": list(sched.port_clock),
+            "clock": [sched.clock_of(port) for port in range(_MODEL_PORTS)],
+            "max_clock": sched.clock,
+            "buckets": {vid: (bucket.tokens, bucket._last)
+                        for vid, bucket in sched._buckets.items()},
             "next": [sched.next_departure_at(port)
                      for port in range(_MODEL_PORTS)],
             "nexts": sched.next_departures(),
@@ -693,6 +723,10 @@ class TestBackloggedPortIndexModel:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((None, 2)), st.sampled_from((None, 1e6)),
            st.lists(_model_op, min_size=1, max_size=40))
+    @example(None, 1e6, _HELD_THEN_EMPTIED + [("drop_queued",)])
+    @example(None, 1e6, _HELD_THEN_EMPTIED + [("purge", 1)])
+    @example(None, 1e6, _EMPTIED_BY_DEQUEUE)
+    @example(None, 1e6, _LIMIT_MID_TRANSMISSION)
     def test_indexed_scheduler_matches_all_ports_reference(
             self, capacity, line_rate, ops):
         pairs = []

@@ -199,14 +199,16 @@ class TestLostRecordUnification:
 class TestEventListDiscipline:
     """A timeline event costs what it changed, not one poll per port.
 
-    Counts only (no wall clock): on a 2-leaf/1-spine fabric whose
-    leaves have three idle ports each and whose one uplink is contended
-    (tenants 1 and 2 offer 8 Mb/s each into a 10 Mb/s link, tenant 3
-    runs the other way, uncontended), scheduling scans stay bounded per
-    switch-hop. Polling every port of the member on every arrival and
-    service event costs 8.0 ``next_departure_at`` and 17.0 ``_choose``
-    calls per hop on this very run. The simulated outcome is pinned to
-    the all-ports scan's, so the bound cannot be met by serving less.
+    Counts only (no wall clock). The contended run: a 2-leaf/1-spine
+    fabric whose leaves have three idle ports each and whose one uplink
+    is contended (tenants 1 and 2 offer 8 Mb/s each into a 10 Mb/s
+    link, tenant 3 runs the other way, uncontended). Polling every port
+    of the member on every arrival and service event costs 8.0
+    ``next_departure_at`` and 17.0 ``_choose`` calls per hop on this
+    very run. The simulated outcome is pinned to the all-ports scan's,
+    so the bound cannot be met by serving less. The uncontended run:
+    one tenant over 100 Gb/s links, where a hop is one enqueue, one
+    service and two kernel events.
     """
 
     ROUTES = {1: (("leaf0", 0), ("leaf1", 0)),
@@ -214,13 +216,12 @@ class TestEventListDiscipline:
               3: (("leaf1", 2), ("leaf0", 2))}
     OFFERED_BPS = {1: 8e6, 2: 8e6, 3: 1e6}
 
-    def _run(self, monkeypatch):
-        from repro.engine import EgressScheduler
-
+    def _build(self, link_bps=10e6, vids=(1, 2, 3)):
         fabric = leaf_spine(leaves=2, spines=1, hosts_per_leaf=HOSTS,
-                            link_capacity_bps=10e6, link_delay_s=1e-4)
+                            link_capacity_bps=link_bps, link_delay_s=1e-4)
         matrix = TrafficMatrix()
-        for vid, (src, dst) in self.ROUTES.items():
+        for vid in vids:
+            src, dst = self.ROUTES[vid]
             fabric.tenant(
                 f"calc{vid}", calc.P4_SOURCE, vid=vid,
                 installer=lambda t, port: calc.install(t, port=port)
@@ -228,21 +229,35 @@ class TestEventListDiscipline:
             matrix.add(vid, src, dst, offered_bps=self.OFFERED_BPS[vid],
                        packet_size=PACKET_SIZE,
                        make_packet=lambda vid=vid: _packet(vid))
-        calls = {}
+        return FabricTimelineExperiment(fabric, matrix, duration_s=0.05)
 
-        def count(cls, name):
+    def _run(self, monkeypatch, **fabric_kwargs):
+        from repro.engine import EgressScheduler
+
+        experiment = self._build(**fabric_kwargs)
+        calls = {"backlogged_arrivals": 0}
+
+        def count(cls, name, note=None):
             inner = getattr(cls, name)
 
             def counted(self, *args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return inner(self, *args, **kwargs)
+                result = inner(self, *args, **kwargs)
+                if note is not None:
+                    note(result)
+                return result
             monkeypatch.setattr(cls, name, counted)
 
+        def backlogged(idle):
+            calls["backlogged_arrivals"] += not idle
+
+        count(EgressScheduler, "advance_to")
+        count(EgressScheduler, "idle_to", backlogged)
         count(EgressScheduler, "next_departure_at")
         count(EgressScheduler, "_choose")
         count(ExecutionCore, "inject")  # one per switch-hop
-        result = FabricTimelineExperiment(fabric, matrix,
-                                          duration_s=0.05).run()
+        result = experiment.run()
+        calls["events"] = experiment.core.sim.events_processed
         return calls, result
 
     def test_scans_per_hop_are_bounded_and_outcome_unchanged(
@@ -250,8 +265,16 @@ class TestEventListDiscipline:
         calls, result = self._run(monkeypatch)
         hops = calls["inject"]
         assert hops == 312
-        assert calls["next_departure_at"] <= 2 * hops
-        assert calls["_choose"] <= 4 * hops
+        # one advance per service event, plus one per arrival that
+        # found the member backlogged
+        service_events = calls["events"] - hops
+        assert calls["idle_to"] == hops
+        assert 0 < calls["backlogged_arrivals"] < hops
+        assert calls["advance_to"] == \
+            service_events + calls["backlogged_arrivals"]
+        assert service_events <= hops + 1
+        assert calls["next_departure_at"] <= hops
+        assert calls["_choose"] <= 1.5 * hops
 
         assert result.delivered == {1: 49, 2: 49, 3: 6}
         assert result.drops == {} and result.lost == {}
@@ -266,3 +289,32 @@ class TestEventListDiscipline:
             3: (pytest.approx(0.0026, rel=1e-9),
                 pytest.approx(0.0026, rel=1e-9)),
         }
+
+    def test_uncontended_hop_is_one_service_and_two_events(
+            self, monkeypatch):
+        calls, result = self._run(monkeypatch, link_bps=100e9, vids=(1,))
+        hops = calls["inject"]
+        assert hops == 3 * result.delivered[1] and hops > 0
+        assert calls["backlogged_arrivals"] == 0
+        assert calls["advance_to"] == hops
+        assert calls["events"] == 2 * hops
+        # the service event serves the choice the arrival's scan made
+        assert calls["next_departure_at"] == calls["_choose"] == hops
+        assert result.drops == {} and result.lost == {}
+
+    def test_undrained_run_is_a_typed_error_naming_the_queues(
+            self, monkeypatch):
+        """Break the cascade (no service event is ever scheduled): the
+        run must end in a ``ReproError`` that says where the packets
+        are, not a bare ``RuntimeError``."""
+        from repro.errors import ReproError
+        from repro.sim.kernel import SimulationError
+
+        experiment = self._build(vids=(1,))
+        monkeypatch.setattr(ExecutionCore, "schedule_services",
+                            lambda self, member, scheduler: None)
+        with pytest.raises(SimulationError,
+                           match=r"never departed.*leaf0:4 \(\d+\)") \
+                as caught:
+            experiment.run()
+        assert isinstance(caught.value, ReproError)
