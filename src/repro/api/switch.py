@@ -366,9 +366,10 @@ class Switch:
         moment it commits, on top of the epoch check that already
         invalidates stale entries.
 
-        ``check_compiled`` (``"enforce"`` / ``"warn"`` / ``"off"``)
-        certifies every classifier rebuild against the installed tables
-        (:mod:`repro.analysis.equiv`).
+        ``check_compiled="enforce"`` certifies every classifier rebuild
+        against the installed tables (:mod:`repro.analysis.equiv`) and
+        serves a tenant whose certificate fails from the scalar oracle;
+        ``"off"`` skips certification.
 
         The switch's egress runs through a weighted-fair
         :class:`~repro.engine.scheduler.EgressScheduler`

@@ -47,9 +47,8 @@ per-packet costs:
   can be statically certified equivalent to the installed tables by
   :func:`repro.analysis.equiv.certify_classifier` — ``enforce`` refuses
   an uncertified compiled path (packets take the scalar oracle, counted
-  under the ``uncertified`` fallback reason), ``warn`` emits an
-  :class:`~repro.analysis.verify.AnalysisWarning`, ``off`` (default)
-  skips the check. :attr:`BatchEngine.certificates` reads them per VID.
+  under the ``uncertified`` fallback reason), ``off`` (default) skips
+  the check. :attr:`BatchEngine.certificates` reads them per VID.
 * **Stateful bypass.** A packet whose execution touches stateful memory
   is never memoized, and its module stops probing the cache until the
   next reconfiguration (state-carrying modules like NetCache/NetChain
@@ -94,7 +93,6 @@ guaranteed from there on.
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -114,8 +112,8 @@ if TYPE_CHECKING:  # pragma: no cover — type-only; engine never imports
     from ..analysis.equiv import Certificate  # analysis eagerly
 
 #: Certification modes for ``BatchEngine(check_compiled=...)``,
-#: strictest first (mirrors the admission gate's VERIFY_MODES).
-CERTIFY_MODES = ("enforce", "warn", "off")
+#: strictest first.
+CERTIFY_MODES = ("enforce", "off")
 
 #: Every reason the classifier level can hand a packet back to the
 #: scalar oracle (the keys of ``EngineCounters.classifier_fallbacks``).
@@ -256,8 +254,7 @@ class BatchEngine:
         :func:`repro.analysis.equiv.certify_classifier`. ``enforce``
         refuses the compiled path on a violated certificate (packets
         fall back to the scalar oracle, counted under ``uncertified``);
-        ``warn`` emits an ``AnalysisWarning`` instead; ``off`` (the
-        default) skips certification.
+        ``off`` (the default) skips certification.
         """
         if not isinstance(pipeline, MenshenPipeline):
             raise TypeError(
@@ -361,16 +358,8 @@ class BatchEngine:
         # the analysis layer in — only certifying engines pay for it.
         from ..analysis.equiv import certify_classifier
 
-        certificate = ctx.certificate = certify_classifier(
+        ctx.certificate = certify_classifier(
             self.pipeline, ctx.classifier, vid=ctx.vid)
-        if not certificate.ok and self.check_compiled == "warn":
-            from ..analysis.verify import AnalysisWarning
-
-            warnings.warn(
-                AnalysisWarning(
-                    f"compiled classifier for vid {ctx.vid} failed "
-                    f"certification:\n{certificate.render()}"),
-                stacklevel=3)
 
     def _stateful_ops(self) -> int:
         return sum(stage.stateful_memory.op_count

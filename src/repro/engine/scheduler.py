@@ -21,8 +21,9 @@ This module closes it:
   ``line_rate_bps``, or advanced explicitly via :meth:`advance_to`)
   refills buckets deterministically, so experiments replay bit-for-bit.
 * :class:`Departure` records — every transmitted packet carries its
-  departure timestamp, so :mod:`repro.sim.timeline` can measure
-  per-tenant latency under contention, not just throughput.
+  departure timestamp, so the fabric timeline
+  (:mod:`repro.sim.fabric_timeline`) can measure per-tenant latency
+  under contention, not just throughput.
 * Timed service costs what changed: :meth:`EgressScheduler.advance_to`
   visits backlogged ports only, an idle port's clock is worked out when
   read (:meth:`EgressScheduler.clock_of`), and a port remembers its
@@ -655,7 +656,9 @@ class EgressScheduler:
     def advance_to(self, now: float) -> List[Departure]:
         """Serve every packet whose transmission completes by ``now``.
 
-        The timed entry point :mod:`repro.sim.timeline` drives: packets
+        The timed entry point :class:`repro.exec.ExecutionCore` drives
+        for the fabric timeline (nothing else in the library calls
+        it, :meth:`idle_to` or :meth:`next_departures`): packets
         depart in scheduling order as each output link
         (``line_rate_bps``) transmits them — ports are independent
         links, so their clocks advance in parallel — and each

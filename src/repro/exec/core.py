@@ -21,9 +21,10 @@ clock: exact event-driven service from
 uncontended hop is one enqueue, one service and two events, and an
 arrival polls its member's scheduler only when that has backlog).
 Frontends shrink to result shaping: they feed arrivals in and observe
-outcomes through an :class:`ExecutionSink`. (The single-switch Fig. 10
-harness, :class:`repro.sim.timeline.ReconfigTimelineExperiment`, has no
-links to route over and drives its scheduler directly.)
+outcomes through an :class:`ExecutionSink`. This is the only code that
+drives an egress clock (``advance_to`` / ``idle_to`` /
+``next_departures``); the single-switch Fig. 10 experiment is a
+one-switch fabric on the same timeline.
 
 A *member* is anything with the fabric-switch surface: ``name``,
 ``engine`` (``process_batch``), ``scheduler`` (drain / ``idle_to`` /

@@ -46,8 +46,9 @@ class Link:
     *both* endpoints, so transmissions onto the link pace at link
     speed; ``delay_s`` is the propagation delay the fabric adds between
     a departure on one end and the arrival on the other. Byte counters
-    accumulate per tenant (both directions combined) — the fabric-level
-    "link utilization" statistic.
+    accumulate per tenant (both directions combined) for the link's
+    whole life; a timeline run reports its own share of them as
+    :attr:`repro.sim.FabricTimelineResult.link_utilization`.
     """
 
     a: PortRef
@@ -74,12 +75,6 @@ class Link:
         self.bytes_carried += nbytes
         self.bytes_by_tenant[vid] = self.bytes_by_tenant.get(vid, 0) \
             + nbytes
-
-    def utilization(self, elapsed_s: float) -> float:
-        """Fraction of capacity used over ``elapsed_s`` seconds."""
-        if elapsed_s <= 0 or self.capacity_bps <= 0:
-            return 0.0
-        return self.bytes_carried * 8 / elapsed_s / self.capacity_bps
 
 
 class FabricSwitch:

@@ -12,14 +12,12 @@ Functional correctness lives in ``repro.core``; this package answers the
   packet granularity — used to cross-validate the analytic model;
 * a **latency model** (:mod:`~repro.sim.latency`) calibrated to the
   paper's published cycle counts;
-* a **timeline harness** (:mod:`~repro.sim.timeline`) that drives the
-  real behavioral pipeline with timed multi-module traffic to reproduce
-  the Fig. 10 disruption experiment;
 * a **fabric timeline** (:mod:`~repro.sim.fabric_timeline`) that
   replays a :class:`repro.traffic.TrafficMatrix` through a
   :class:`repro.fabric.Fabric` on the event kernel, measuring
   end-to-end per-tenant latency and throughput under cross-switch
-  contention.
+  contention — and, on a one-switch fabric, the Fig. 10 disruption
+  experiment.
 """
 
 from .kernel import Simulator, Event
@@ -34,7 +32,6 @@ from .perf_model import (
     throughput_sweep,
 )
 from .latency import LatencyModel, NETFPGA_LATENCY, CORUNDUM_LATENCY
-from .timeline import ReconfigTimelineExperiment, TimelineResult
 from .fabric_timeline import (
     FabricReconfigEvent,
     FabricTimelineExperiment,
@@ -56,8 +53,6 @@ __all__ = [
     "LatencyModel",
     "NETFPGA_LATENCY",
     "CORUNDUM_LATENCY",
-    "ReconfigTimelineExperiment",
-    "TimelineResult",
     "FabricReconfigEvent",
     "FabricTimelineExperiment",
     "FabricTimelineResult",

@@ -1,7 +1,8 @@
 """Event-driven fabric timeline: end-to-end latency and throughput.
 
-The fabric-level counterpart of the single-switch Fig. 10 harness
-(:mod:`repro.sim.timeline`). A :class:`repro.traffic.TrafficMatrix`
+The one timed harness: a one-switch fabric is the Fig. 10 experiment
+(``benchmarks/bench_fig10_reconfig_disruption.py``), a multi-switch one
+its fabric-scale version. A :class:`repro.traffic.TrafficMatrix`
 describes per-tenant source→destination demand between attachment
 points; this experiment replays its deterministic arrival schedule
 through a :class:`repro.fabric.Fabric` on the discrete-event kernel
@@ -34,8 +35,9 @@ Each packet keeps its source ``arrival_time`` across hops, so a
 delivery's latency is true end-to-end: queueing and transmission at
 every hop (per-port clocks at link capacity) plus the propagation
 delays of the links crossed. Throughput is binned per tenant from
-delivered bits; link byte counters accumulate on the
-:class:`~repro.fabric.topology.Link` objects for utilization reports.
+delivered bits, into the bin of the delivery instant. Link byte
+counters accumulate on the :class:`~repro.fabric.topology.Link` objects
+across runs; a result reports what its own run added.
 """
 
 from __future__ import annotations
@@ -54,12 +56,11 @@ from .kernel import SimulationError, Simulator
 class FabricReconfigEvent:
     """One timed tenant-lifecycle action inside a running timeline.
 
-    The fabric-scale analogue of
-    :class:`repro.sim.timeline.ReconfigEvent`: at ``start_s`` the
-    optional ``apply`` callable runs (e.g. ``tenant.update(...)``,
-    ``tenant.migrate(...)``, or a placement from a churn schedule),
-    then the §4.1 update bit for ``vid`` is set on every switch
-    currently hosting it; at ``start_s + duration_s`` the bit clears.
+    At ``start_s`` the optional ``apply`` callable runs (e.g.
+    ``tenant.update(...)``, ``tenant.migrate(...)``, or a placement
+    from a churn schedule), then the §4.1 update bit for ``vid`` is set
+    on every switch currently hosting it; at ``start_s + duration_s``
+    the bit clears.
     During the window the tenant's packets drop at those switches —
     the §4.1 procedure's disruption, scoped to exactly one tenant —
     while every other tenant keeps forwarding.
@@ -98,7 +99,8 @@ class FabricTimelineResult:
     #: every loss as a timestamped ``(time, vid, link)`` entry, in
     #: event order — what a chaos post-mortem attributes to faults
     loss_log: List[Tuple[float, int, str]] = field(default_factory=list)
-    #: link name -> (bytes carried, utilization over the run)
+    #: link name -> (bytes carried during this run, utilization over
+    #: the run)
     link_utilization: Dict[str, Tuple[int, float]] = \
         field(default_factory=dict)
 
@@ -293,6 +295,10 @@ class FabricTimelineExperiment:
         sink = _TimelineSink(self.scale)
         core = ExecutionCore.for_fabric(fabric, sink=sink, sim=sim)
         self.core = core
+        # Links count bytes for their whole life; a result reports what
+        # this run added, not what earlier runs on the fabric carried.
+        carried_before = {link.name: link.bytes_carried
+                          for link in fabric.links()}
 
         def arrival(demand: Demand, t: float) -> None:
             packet = demand.make_packet()
@@ -337,6 +343,11 @@ class FabricTimelineExperiment:
         for vid, time, nbits in sink.deliveries:
             bin_idx = min(int(time / self.bin_s), num_bins - 1)
             bits.setdefault(vid, [0.0] * num_bins)[bin_idx] += nbits
+        link_utilization: Dict[str, Tuple[int, float]] = {}
+        for link in fabric.links():
+            nbytes = link.bytes_carried - carried_before.get(link.name, 0)
+            link_utilization[link.name] = (
+                nbytes, nbytes * 8 / elapsed / link.capacity_bps)
         return FabricTimelineResult(
             bin_s=self.bin_s, elapsed_s=elapsed, bins=bins,
             throughput_gbps={vid: [b / self.bin_s / 1e9 for b in series]
@@ -346,6 +357,4 @@ class FabricTimelineExperiment:
             latencies_s=sink.latencies, delivered=sink.delivered,
             drops=sink.drops, lost=sink.lost,
             lost_by_link=sink.lost_by_link, loss_log=sink.loss_log,
-            link_utilization={link.name: (link.bytes_carried,
-                                          link.utilization(elapsed))
-                              for link in fabric.links()})
+            link_utilization=link_utilization)

@@ -9,12 +9,12 @@ from any particular fabric: it knows hosts by ``(switch_name, port)``
 and emits a deterministic, merged arrival schedule the fabric timeline
 (:mod:`repro.sim.fabric_timeline`) replays.
 
-Arrivals follow the same convention as the single-switch timeline
-(:class:`repro.sim.timeline.ReconfigTimelineExperiment`): evenly spaced
-per demand at a configurable sampling ``scale`` (one simulated packet
-stands for ``scale`` real packets), phase-shifted per demand so
-same-rate demands interleave instead of colliding, and sorted by time —
-bit-for-bit replayable with no RNG involved.
+Arrivals are evenly spaced per demand at a configurable sampling
+``scale`` (one simulated packet stands for ``scale`` real packets),
+phase-shifted per demand so same-rate demands interleave instead of
+colliding, and sorted by time — bit-for-bit replayable with no RNG
+involved. A one-switch fabric with one demand per module is the Fig. 10
+experiment.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from typing import Callable, Dict, List, Tuple
 from ..errors import ConfigError
 from ..net.packet import Packet
 
-#: Layer-1 per-packet overhead (preamble + IFG + FCS), matching
-#: :data:`repro.sim.perf_model.L1_OVERHEAD_BYTES` — kept as a literal so
-#: the traffic layer does not import the simulation layer.
+#: Wire bytes per packet beyond its buffer: 20 B of preamble and
+#: inter-frame gap plus the 4 B FCS, which a packet buffer does not
+#: carry. Not :data:`repro.sim.perf_model.L1_OVERHEAD_BYTES`, which is
+#: 20: Fig. 11's throughput model charges preamble and gap only.
 L1_OVERHEAD_BYTES = 24
 
 

@@ -1,11 +1,11 @@
 """Egress scheduling: weighted-fair bandwidth isolation on the serving
-path (§3.5), rate limiting, and the facade/timeline wiring.
+path (§3.5), rate limiting, and the facade / fabric-timeline wiring.
 
 Covers the :class:`repro.engine.scheduler.EgressScheduler` subsystem
 end-to-end — PIFO/STFQ fairness, token-bucket rate caps, per-tenant
 order preservation, the real-time statistics feed, `Tenant.set_weight`
-/ `Tenant.set_rate_limit`, and departure latencies through
-`sim/timeline.py` — plus the PIFO-layer edges the scheduler depends on.
+/ `Tenant.set_rate_limit`, and departure latencies through the fabric
+timeline — plus the PIFO-layer edges the scheduler depends on.
 """
 
 import random
@@ -14,15 +14,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Switch, Tenant
-from repro.core import MenshenPipeline, PipelineStats
+from repro.core import PipelineStats
 from repro.engine import EgressScheduler, TokenBucket
 from repro.errors import ConfigError
+from repro.fabric import Fabric
 from repro.modules import calc
 from repro.net import PacketBuilder
 from repro.rmt import TrafficManager
-from repro.runtime import MenshenController
-from repro.sim import ReconfigTimelineExperiment
-from repro.traffic import workload
+from repro.sim import FabricTimelineExperiment
+from repro.traffic import TrafficMatrix, workload
 from seeds import rng as make_rng
 
 
@@ -391,79 +391,90 @@ class TestFacadeWiring:
 
 
 class TestTimelineLatency:
-    def build(self, weights):
-        pipe = MenshenPipeline()
-        ctl = MenshenController(pipe)
-        switch = Switch(controller=ctl)
-        for vid in (1, 2):
-            ctl.load_module(vid, calc.P4_SOURCE, f"calc{vid}")
-            calc.install(Tenant.attach(ctl, vid), port=1)
-        for vid, w in weights.items():
-            switch.tenant(vid).set_weight(w)
-        engine = switch.engine(line_rate_bps=5e9)
-        exp = ReconfigTimelineExperiment(pipe, duration_s=1.0, bin_s=0.1,
-                                         scale=2000.0, engine=engine)
-        # Two tenants offering 4 Gbit/s each into a 5 Gbit/s link:
-        # sustained contention on the shared egress.
-        for vid in (1, 2):
-            exp.add_module(
-                vid, 4e9, 1500,
-                lambda vid=vid: calc.make_packet(vid, calc.OP_ADD, 1, 2,
-                                                 pad_to=1500))
-        return exp
+    """Weighted-fair egress under real contention, on a one-switch
+    fabric timeline: two tenants offer 4 Gbit/s each (unscaled) into
+    one 5 Gbit/s host port, so a queue builds for the whole run."""
+
+    def _run(self, weights):
+        fabric = Fabric(host_rate_bps=5e9)
+        fabric.add_switch("sw0")
+        matrix = TrafficMatrix()
+        for vid, weight in weights.items():
+            tenant = fabric.tenant(
+                f"calc{vid}", calc.P4_SOURCE, vid=vid,
+                installer=lambda t, port: calc.install(t, port=port))
+            tenant.place(("sw0", 0), ("sw0", 1))
+            tenant.set_weight(weight)
+            matrix.add(vid, ("sw0", 0), ("sw0", 1), offered_bps=4e9,
+                       packet_size=1500,
+                       make_packet=lambda vid=vid: calc.make_packet(
+                           vid, calc.OP_ADD, 1, 2, pad_to=1500))
+        return FabricTimelineExperiment(fabric, matrix, duration_s=2e-3,
+                                        scale=1.0).run()
 
     def test_latencies_measured_under_contention(self):
-        exp = self.build({1: 1.0, 2: 1.0})
-        result = exp.run()
+        result = self._run({1: 1.0, 2: 1.0})
         assert result.latencies_s[1] and result.latencies_s[2]
-        assert result.mean_latency_s(1) > 0.0
+        # A queue formed: far above one 1500 B transmission (2.4 us).
+        assert result.mean_latency_s(1) > 100 * 1500 * 8 / 5e9
         assert result.max_latency_s(1) >= result.mean_latency_s(1)
+        # Equal weights share the queueing delay equally.
+        assert result.mean_latency_s(1) == pytest.approx(
+            result.mean_latency_s(2), rel=0.05)
 
     def test_heavier_weight_means_lower_latency(self):
-        exp = self.build({1: 8.0, 2: 1.0})
-        result = exp.run()
-        assert result.mean_latency_s(1) < result.mean_latency_s(2)
+        result = self._run({1: 8.0, 2: 1.0})
+        assert result.mean_latency_s(1) < 0.1 * result.mean_latency_s(2)
 
-    def test_fifo_timeline_has_no_latencies(self):
-        pipe = MenshenPipeline()
-        ctl = MenshenController(pipe)
-        ctl.load_module(1, calc.P4_SOURCE, "calc1")
-        calc.install(Tenant.attach(ctl, 1), port=1)
-        exp = ReconfigTimelineExperiment(pipe, duration_s=0.2, bin_s=0.1)
-        exp.add_module(1, 1e9, 1500,
-                       lambda: calc.make_packet(1, calc.OP_ADD, 1, 2,
-                                                pad_to=1500))
-        result = exp.run()
-        assert result.latencies_s == {}
+    @staticmethod
+    def _timeline(**kwargs):
+        fabric = Fabric()
+        fabric.add_switch("sw0")
+        return FabricTimelineExperiment(fabric, TrafficMatrix(), **kwargs)
 
     @pytest.mark.parametrize("bin_s", [0, -0.1])
     def test_non_positive_bin_rejected_at_construction(self, bin_s):
         """``run()`` divides by the bin width; a bad one is a typed
         error where it is given, not a ``ZeroDivisionError`` later."""
         with pytest.raises(ConfigError, match="bin width must be positive"):
-            ReconfigTimelineExperiment(MenshenPipeline(), bin_s=bin_s)
+            self._timeline(duration_s=1.0, bin_s=bin_s)
 
     @pytest.mark.parametrize("duration_s, bin_s, match", [
-        (0.04, 0.1, "shorter than one"),
         (-1.0, 0.1, "duration must be positive"),
         (0.0, 0.1, "duration must be positive"),
     ])
     def test_run_without_a_bin_rejected_at_construction(
             self, duration_s, bin_s, match):
-        """``run()`` indexes its bins; a run that rounds to none is a
-        typed error where it is given, not an ``IndexError`` (or an
-        empty result) later."""
+        """A run with no offered time is a typed error where it is
+        given, not an empty result later."""
         with pytest.raises(ConfigError, match=match):
-            ReconfigTimelineExperiment(MenshenPipeline(),
-                                       duration_s=duration_s, bin_s=bin_s)
-        # The shortest run that still rounds to one bin stays valid.
-        ReconfigTimelineExperiment(MenshenPipeline(), duration_s=0.06,
-                                   bin_s=0.1)
+            self._timeline(duration_s=duration_s, bin_s=bin_s)
+
+    def test_run_shorter_than_one_bin_reports_one_bin(self):
+        """The bin count is rounded up, so a run shorter than one bin
+        still reports its bin instead of being refused."""
+        fabric = Fabric()
+        fabric.add_switch("sw0")
+        fabric.tenant(
+            "calc1", calc.P4_SOURCE, vid=1,
+            installer=lambda t, port: calc.install(t, port=port),
+        ).place(("sw0", 0), ("sw0", 1))
+        matrix = TrafficMatrix()
+        matrix.add(1, ("sw0", 0), ("sw0", 1), offered_bps=1e9,
+                   packet_size=1500,
+                   make_packet=lambda: calc.make_packet(
+                       1, calc.OP_ADD, 1, 2, pad_to=1500))
+        result = FabricTimelineExperiment(fabric, matrix, duration_s=0.04,
+                                          bin_s=0.1, scale=1000.0).run()
+        assert result.bins == [0.0]
+        assert result.delivered[1] > 0
+        assert len(result.throughput_gbps[1]) == 1
+        assert result.throughput_gbps[1][0] > 0.0
 
 
 class TestEventDrivenClockSemantics:
     """The advance_to / next_departure_at contract the fabric timeline
-    (and the timeline drain loop) depend on."""
+    depends on."""
 
     def test_committed_transmission_is_not_redelayed(self):
         # A busy port polled by frequent small advances must not slip:

@@ -13,16 +13,14 @@ Four layers of guarantees:
   packet makes the mutant *actually disagree* with the scalar oracle.
 * **Engine integration** — ``BatchEngine(check_compiled=...)``
   certifies on every lazy rebuild: ``enforce`` refuses the compiled
-  path (counted under the ``uncertified`` fallback reason), ``warn``
-  emits an :class:`AnalysisWarning`, and ``invalidate`` clears the
-  stored certificates.
+  path (counted under the ``uncertified`` fallback reason) and
+  ``invalidate`` clears the stored certificates.
 * **Property coverage** — Hypothesis pins the interval utilities the
   compiler and certifier both build on (``_mask_segments`` compaction
   round-trip, ``subtract``/``merge`` partition algebra).
 """
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +35,6 @@ from repro.analysis.equiv import (
     certify_classifier,
 )
 from repro.analysis.equiv.certify import _scatter
-from repro.analysis.verify import AnalysisWarning
 from repro.core import MenshenPipeline
 from repro.core.intervals import merge, subtract
 from repro.engine import BatchEngine, Fallback, compile_classifier
@@ -376,20 +373,6 @@ class TestEngineIntegration:
             len(packets)
         assert not engine.certificates[3].ok
 
-    def test_warn_mode_warns_and_keeps_serving(self):
-        _switch, engine, packets = _firewall_engine(check_compiled="warn")
-        engine.process_batch(packets)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _corrupt_classifier(engine)
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, AnalysisWarning)
-        assert "failed certification" in str(caught[0].message)
-        before = engine.counters.compiled_hits
-        engine.process_batch(packets)        # warn mode never refuses
-        assert engine.counters.compiled_hits == before + len(packets)
-        assert "uncertified" not in engine.counters.classifier_fallbacks
-
     def test_invalidate_clears_certificates(self):
         _switch, engine, packets = _firewall_engine(
             check_compiled="enforce")
@@ -402,9 +385,12 @@ class TestEngineIntegration:
         switch = Switch.build().create()
         with pytest.raises(ValueError, match="check_compiled"):
             BatchEngine(switch.pipeline, check_compiled="bogus")
+        # The admission gate's "warn" is not a certification mode.
+        with pytest.raises(ValueError, match="check_compiled"):
+            BatchEngine(switch.pipeline, check_compiled="warn")
 
     def test_mode_constants(self):
-        assert CERTIFY_MODES == ("enforce", "warn", "off")
+        assert CERTIFY_MODES == ("enforce", "off")
         assert "uncertified" in FALLBACK_REASONS
 
     def test_fallback_histogram_serializes_with_published_reasons(self):

@@ -293,7 +293,6 @@ class TestForwardingGuards:
             link.other_end("leaf1")
         with pytest.raises(TopologyError):
             fabric.link_between("leaf0", "leaf1")
-        assert link.utilization(0.0) == 0.0
 
 
 class TestSchedulingAndStats:
@@ -417,6 +416,22 @@ class TestFabricTimeline:
         nbytes, util = result.link_utilization[spine]
         assert nbytes > 0
         assert 0.0 < util <= 1.0
+
+    def test_link_utilization_counts_only_its_own_run(self):
+        """A second run on the same fabric reports the bytes it carried,
+        not the link's lifetime total; the link's own counter keeps
+        accumulating."""
+        _tenant, exp = self._experiment()
+        spine = "leaf0:4—spine0:0"
+        link = exp.fabric.link_between("leaf0", "spine0")
+        first, second = exp.run(), exp.run()
+        assert second.delivered == first.delivered
+        for result in (first, second):
+            nbytes, util = result.link_utilization[spine]
+            assert nbytes == result.delivered[1] * 1000
+            assert util == pytest.approx(
+                nbytes * 8 / result.elapsed_s / link.capacity_bps)
+        assert link.bytes_carried == 2 * first.delivered[1] * 1000
 
     @pytest.mark.parametrize("backend", ["gpu", "process"])
     def test_unknown_backend_rejected_at_construction(self, backend):

@@ -3,23 +3,30 @@ area models, traffic generation, and the Fig. 10 timeline."""
 
 import pytest
 
-from repro.api import Tenant
 from repro.area import AsicAreaModel, FpgaResourceModel, TABLE4_REFERENCE
+from repro.fabric import Fabric
+from repro.modules import calc
+from repro.runtime import TofinoModel
 from repro.sim import (
     CORUNDUM_LATENCY,
     CORUNDUM_OPTIMIZED,
     CORUNDUM_UNOPTIMIZED,
     NETFPGA_LATENCY,
     NETFPGA_OPTIMIZED,
+    FabricTimelineExperiment,
     PipelineDes,
-    ReconfigTimelineExperiment,
     Simulator,
     throughput_at,
     throughput_sweep,
 )
 from repro.sim.kernel import SimulationError
 from repro.sim.perf_model import FIG11A_SIZES, FIG11BCD_SIZES
-from repro.traffic import PacketGenerator, SizeSweep, mixed_module_stream
+from repro.traffic import (
+    PacketGenerator,
+    SizeSweep,
+    TrafficMatrix,
+    mixed_module_stream,
+)
 from repro.traffic.workloads import fig10_workload
 
 
@@ -325,29 +332,27 @@ class TestTrafficGeneration:
 
 
 class TestFig10Timeline:
-    def build(self, tofino=False):
-        from repro.core import MenshenPipeline
-        from repro.runtime import MenshenController
-        from repro.modules import calc
+    """Fig. 10 on a one-switch fabric timeline: each calc module enters
+    on host port 0 and leaves on its own port."""
 
-        pipe = MenshenPipeline()
-        ctl = MenshenController(pipe)
-        for vid in (1, 2, 3):
-            ctl.load_module(vid, calc.P4_SOURCE, f"calc{vid}")
-            calc.install(Tenant.attach(ctl, vid), port=vid)
-
-        exp = ReconfigTimelineExperiment(pipe, duration_s=3.0, bin_s=0.1,
-                                         scale=1000.0,
-                                         tofino_fast_refresh=tofino)
+    def build(self):
+        fabric = Fabric()
+        fabric.add_switch("sw0")
+        matrix = TrafficMatrix()
         for vid, bps in fig10_workload():
-            exp.add_module(
-                vid, bps, 1500,
-                lambda vid=vid: calc.make_packet(vid, calc.OP_ADD, 1, 2,
-                                                 pad_to=1500))
-        return pipe, ctl, exp
+            fabric.tenant(
+                f"calc{vid}", calc.P4_SOURCE, vid=vid,
+                installer=lambda tenant, port: calc.install(tenant, port=port),
+            ).place(("sw0", 0), ("sw0", vid))
+            matrix.add(vid, ("sw0", 0), ("sw0", vid), offered_bps=bps,
+                       packet_size=1500,
+                       make_packet=lambda vid=vid: calc.make_packet(
+                           vid, calc.OP_ADD, 1, 2, pad_to=1500))
+        return FabricTimelineExperiment(fabric, matrix, duration_s=3.0,
+                                        bin_s=0.1, scale=1000.0)
 
     def test_other_modules_undisturbed(self):
-        pipe, ctl, exp = self.build()
+        exp = self.build()
         exp.schedule_reconfig(1, start_s=0.5, duration_s=1.5)
         result = exp.run()
         # Modules 2 and 3 never dip below ~90% of their offered rate.
@@ -357,25 +362,55 @@ class TestFig10Timeline:
             assert min(interior) >= 0.9 * offered, vid
 
     def test_updated_module_drops_during_window(self):
-        pipe, ctl, exp = self.build()
+        exp = self.build()
         exp.schedule_reconfig(1, start_s=0.5, duration_s=1.5)
         result = exp.run()
-        inside = result.mean_throughput_inside(1, (0.6, 1.9))
-        assert inside == pytest.approx(0.0)
-        # ... and recovers afterwards.
-        tail = result.throughput_gbps[1][-3:]
+        inside = result.throughput_inside(1, (0.6, 1.9))
+        assert inside and max(inside) == 0.0
+        # ... and recovers afterwards: the last three bins of the
+        # offered 3 s.
+        tail = result.throughput_gbps[1][27:30]
         assert min(tail) >= 0.9 * result.offered_gbps[1]
 
     def test_tofino_baseline_disrupts_everyone(self):
-        pipe, ctl, exp = self.build(tofino=True)
-        exp.schedule_reconfig(1, start_s=0.5, duration_s=1.5)
+        exp = self.build()
+        model = TofinoModel()
+        stalled = model.update_disruption([1, 2, 3], 1)
+        for vid in stalled:
+            exp.schedule_reconfig(vid, 0.5, model.disruption_window_s())
         result = exp.run()
         # During fast refresh all modules lose packets.
-        assert all(result.drops[vid] > 0 for vid in (1, 2, 3))
+        assert stalled == {1, 2, 3}
+        assert all(result.drops.get(vid, 0) > 0 for vid in stalled)
+
+    def test_tofino_baseline_recovers_after_fast_refresh(self):
+        """The stall lasts one 50 ms window: the bins before it and
+        every bin from 0.6 s on carry ~all of the offered rate."""
+        exp = self.build()
+        model = TofinoModel()
+        for vid in model.update_disruption([1, 2, 3], 1):
+            exp.schedule_reconfig(vid, 0.5, model.disruption_window_s())
+        result = exp.run()
+        for vid in (1, 2, 3):
+            offered = result.offered_gbps[vid]
+            before = result.throughput_gbps[vid][1:5]
+            after = result.throughput_gbps[vid][6:30]
+            assert min(before + after) >= 0.9 * offered, vid
 
     def test_apply_callback_invoked(self):
-        pipe, ctl, exp = self.build()
+        exp = self.build()
         called = []
         exp.schedule_reconfig(1, 0.5, 1.0, apply=lambda: called.append(1))
         exp.run()
         assert called == [1]
+
+    def test_apply_fires_at_its_time_without_traffic(self):
+        """A window's action runs at its event time, even for a VID
+        that offers no packet at all."""
+        exp = self.build()
+        fired = []
+        exp.schedule_reconfig(7, 0.5, 0.0,
+                              apply=lambda: fired.append(exp.core.sim.now))
+        result = exp.run()
+        assert fired == [0.5]
+        assert 7 not in result.delivered and 7 not in result.drops
