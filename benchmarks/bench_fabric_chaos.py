@@ -202,11 +202,19 @@ def test_fabric_chaos_crash_recovery():
         installer=lambda t, port: calc.install(t, port=port))
     assert probe.place(("leaf0", 0), ("leaf1", 0),
                        via=("spine0",)) == ["leaf0", "spine0", "leaf1"]
-    follow_up = fabric.process_batch(
-        [("leaf0", calc.make_packet(9, calc.OP_ADD, 1, 2,
-                                    pad_to=PACKET_SIZE))])
-    assert [(d.switch, d.port) for d in follow_up.delivered
-            if d.vid == 9] == [("leaf1", 0)]
+    probe_matrix = TrafficMatrix()
+    probe_matrix.add(9, ("leaf0", 0), ("leaf1", 0),
+                     offered_bps=PPS * (PACKET_SIZE + 24) * 8,
+                     packet_size=PACKET_SIZE,
+                     make_packet=lambda: calc.make_packet(
+                         9, calc.OP_ADD, 1, 2, pad_to=PACKET_SIZE))
+    follow_up = FabricTimelineExperiment(
+        fabric, probe_matrix, duration_s=1 / PPS).run()
+    assert follow_up.delivered == {9: 1}
+    assert {link: nbytes for link, (nbytes, _util)
+            in follow_up.link_utilization.items() if nbytes} == \
+        {fabric.link_between(leaf, "spine0").name: PACKET_SIZE
+         for leaf in ("leaf0", "leaf1")}
 
 
 def test_chaos_free_baseline_is_steady_everywhere():

@@ -167,16 +167,17 @@ def test_fabric_churn_isolation():
            rows)
     assert ok, rows
 
-    # Migration gate: traffic landed on the new leaf, slot released.
+    # Migration gate: traffic lands on the new leaf — one packet after
+    # the run crosses leaf0's and leaf2's links and nothing else.
     assert tenants[MIGRATED_VID].switches() == \
         ["leaf0", "spine0", "leaf2"]
-    follow_up = fabric.process_batch(
-        [("leaf0", calc.make_packet(MIGRATED_VID, calc.OP_ADD, 1, 2,
-                                    pad_to=PACKET_SIZE))])
-    deliveries = [d for d in follow_up.delivered
-                  if d.vid == MIGRATED_VID]
-    assert [(d.switch, d.port) for d in deliveries] == \
-        [("leaf2", MIGRATED_VID - 1)]
+    follow_up = FabricTimelineExperiment(
+        fabric, _matrix([MIGRATED_VID]), duration_s=1 / PPS).run()
+    assert follow_up.delivered == {MIGRATED_VID: 1}
+    assert {link: nbytes for link, (nbytes, _util)
+            in follow_up.link_utilization.items() if nbytes} == \
+        {fabric.link_between(leaf, "spine0").name: PACKET_SIZE
+         for leaf in ("leaf0", "leaf2")}
     assert result.lost_records() == []  # churn, not link failure
 
 

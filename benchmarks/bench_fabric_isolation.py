@@ -12,9 +12,9 @@ Gates:
 * **share gate** — victim bytes on the contended uplink, measured
   while both tenants stay backlogged (``drain_bytes`` with a budget),
   within ``SHARE_TOLERANCE`` of ``weight / total_weight``;
-* **delivery gate** — after full multi-hop forwarding, every offered
-  packet of both tenants exits on its leaf1 host port (weighted
-  fairness schedules, it never drops).
+* **delivery gate** — on the fabric timeline, with the aggressor
+  oversubscribing the uplink, every offered packet of both tenants
+  exits on leaf1 (weighted fairness schedules, it never drops).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 from conftest import report
 from repro.fabric import leaf_spine
 from repro.modules import calc
+from repro.sim import FabricTimelineExperiment
+from repro.traffic import TrafficMatrix
 
 WEIGHTS = {1: 3.0, 2: 1.0}   #: vid 1 = victim, vid 2 = aggressor
 AGGRESSOR_FACTOR = 8         #: aggressor offers 8x the victim's packets
@@ -29,6 +31,9 @@ SHARE_TOLERANCE = 0.10
 PACKET_SIZE = 1000
 HOSTS = 4
 UPLINK = HOSTS               #: leaf0's port toward the single spine
+#: Victim packets per second on the timeline: with the aggressor's 8x,
+#: about 18 Gb/s offered into the 10 Gb/s uplink.
+VICTIM_PPS = 2.5e5
 
 
 def _build():
@@ -48,6 +53,19 @@ def _build():
 def _packet(vid: int, i: int):
     return calc.make_packet(vid, calc.OP_ADD, i, i + 1,
                             pad_to=PACKET_SIZE)
+
+
+def _timeline(fabric, rounds: int) -> FabricTimelineExperiment:
+    """A run offering ``rounds`` victim packets and
+    ``AGGRESSOR_FACTOR`` times as many aggressor packets."""
+    matrix = TrafficMatrix()
+    for vid, pps in ((1, VICTIM_PPS), (2, AGGRESSOR_FACTOR * VICTIM_PPS)):
+        matrix.add(vid, ("leaf0", vid - 1), ("leaf1", vid - 1),
+                   offered_bps=pps * (PACKET_SIZE + 24) * 8,
+                   packet_size=PACKET_SIZE,
+                   make_packet=lambda vid=vid: _packet(vid, 0))
+    return FabricTimelineExperiment(fabric, matrix,
+                                    duration_s=rounds / VICTIM_PPS)
 
 
 def _offered(rounds: int):
@@ -96,26 +114,18 @@ def test_victim_spine_share_holds(benchmark):
            rows)
     assert ok, rows
 
-    # Timed fabric wave as the benchmark body: a fresh fabric serving
-    # one interleaved round end-to-end (leaf0 -> spine0 -> leaf1).
+    # A fabric timeline as the benchmark body: a fresh fabric serving
+    # eight rounds end to end (leaf0 -> spine0 -> leaf1).
     bench_fabric, _ = _build()
-    batch = _offered(rounds=8)
-
-    def serve_round():
-        bench_fabric.process_batch(
-            [("leaf0", p.copy()) for p in batch])
-
-    benchmark(serve_round)
+    benchmark(_timeline(bench_fabric, rounds=8).run)
 
 
 def test_all_cross_rack_flows_delivered():
     fabric, tenants = _build()
     rounds = 50
-    result = fabric.process_batch(
-        [("leaf0", p) for p in _offered(rounds)])
-    assert result.dropped == {}
-    assert len(result.delivered_for(1)) == rounds
-    assert len(result.delivered_for(2)) == rounds * AGGRESSOR_FACTOR
+    result = _timeline(fabric, rounds).run()
+    assert result.drops == {} and result.lost == {}
+    assert result.delivered == {1: rounds, 2: rounds * AGGRESSOR_FACTOR}
     # every packet crossed the one spine, on the victim's weights
     spine_link = fabric.link_between("leaf0", "spine0")
     assert spine_link.bytes_by_tenant[1] == rounds * PACKET_SIZE

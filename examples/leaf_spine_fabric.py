@@ -4,13 +4,14 @@
 Builds a 2-leaf / 1-spine fabric of Menshen switches (each a full RMT
 pipeline with batched engine and weighted-fair egress), places two
 tenants whose cross-rack flows share the leaf0→spine0 uplink, and runs
-both fabric entry points:
+two experiments on the fabric timeline (a per-tenant traffic matrix
+replayed on the event kernel):
 
-1. **batched multi-hop forwarding** — one batch driven to exit,
-   wave by wave, packet results checked end to end;
-2. **the timed fabric timeline** — a per-tenant traffic matrix
-   replayed on the event kernel, yielding end-to-end latency,
-   delivered throughput, and link utilization under contention.
+1. **one packet per tenant** — each crosses leaf0, spine0 and leaf1,
+   and the per-hop counters show it was served on all three;
+2. **contention** — the aggressor offers 8x the victim's rate into the
+   shared uplink, yielding end-to-end latency, delivered throughput,
+   and link utilization.
 
 Run:  python examples/leaf_spine_fabric.py
 """
@@ -44,16 +45,21 @@ def main() -> None:
     victim.set_weight(3.0)       # 3x fair share on every contended port
     aggressor.set_weight(1.0)
 
-    # 3. Batched multi-hop forwarding: packets enter at leaf0 host
-    #    ports, cross the spine, and exit at leaf1 host ports.
-    batch = [("leaf0", calc.make_packet(1, calc.OP_ADD, 40, 2)),
-             ("leaf0", calc.make_packet(2, calc.OP_SUB, 50, 8))]
-    result = fabric.process_batch(batch)
-    for d in result.delivered:
-        print(f"  delivered at {d.switch}:{d.port} (vid {d.vid}): "
-              f"result={calc.read_result(d.packet)}")
-    print(f"  waves: {result.waves}, "
-          f"victim fabric-wide counters: {victim.counters()}")
+    # 3. One packet per tenant: each enters at a leaf0 host port,
+    #    crosses the spine, and exits at a leaf1 host port — one
+    #    pipeline pass per switch on the way.
+    probe = TrafficMatrix()
+    probe.add(1, ("leaf0", 0), ("leaf1", 0), offered_bps=1e9,
+              packet_size=1000,
+              make_packet=lambda: calc.make_packet(1, calc.OP_ADD, 40, 2))
+    probe.add(2, ("leaf0", 1), ("leaf1", 1), offered_bps=1e9,
+              packet_size=1000,
+              make_packet=lambda: calc.make_packet(2, calc.OP_SUB, 50, 8))
+    run = FabricTimelineExperiment(fabric, probe, duration_s=8e-6).run()
+    for vid, tenant in ((1, victim), (2, aggressor)):
+        print(f"  vid {vid}: delivered {run.delivered[vid]}, "
+              f"e2e latency {run.mean_latency_s(vid) * 1e6:.2f} us, "
+              f"served on {tenant.counters().packets_in} switches")
 
     # 4. The timed experiment: the aggressor offers 8x the victim's
     #    rate into the shared 10G uplink; the weighted-fair scheduler

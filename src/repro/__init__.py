@@ -14,8 +14,7 @@ subpackages stay available for code that needs the internals:
 * :mod:`repro.sysmod` — the system-level module
 * :mod:`repro.engine` / :mod:`repro.traffic` — batched serving and
   workload subsystems
-* :mod:`repro.exec` — the unified execution core every serving
-  frontend (forwarding waves, timelines) drives
+* :mod:`repro.exec` — the execution core the fabric timeline drives
 * :mod:`repro.fabric` — multi-switch leaf–spine fabrics of Menshen
   pipelines
 * :mod:`repro.sim` / :mod:`repro.area` — performance and area models

@@ -18,8 +18,8 @@ recovery outcomes, and the timeline's timestamped loss log into one
 :class:`~repro.chaos.postmortem.PostMortemReport`.
 
 The controller also works without an experiment — :meth:`fire` applied
-directly mutates the fabric and keeps its own loss log — so untimed
-tests exercise the same code path.
+directly mutates the fabric and keeps its own loss log — so tests
+without a timeline exercise the same code path.
 """
 
 from __future__ import annotations

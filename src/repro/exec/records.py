@@ -1,15 +1,10 @@
-"""Typed records shared by every serving frontend.
+"""Typed records of a serving run's outcomes.
 
-The two fabric serving paths used to report link-down losses in
-different shapes — :class:`repro.fabric.forwarding.FabricResult` kept a
-list of ``(packet, link)`` pairs, the event-driven
-:class:`repro.sim.fabric_timeline.FabricTimelineResult` a bare
-``module_id -> count`` dict with the link identity thrown away. One
-experiment could not be checked against the other. :class:`LostRecord`
-is the common currency: *which tenant* lost *how many* packets on
-*which link*, aggregated and deterministically ordered, so the untimed
-and the timed path can be asserted to agree on the same dropped
-traffic (``tests/test_exec_core.py`` does exactly that).
+:class:`LostRecord` is the typed currency for lost traffic: *which
+tenant* lost *how many* packets on *which link* (a downed wire, or the
+``switch:<name>`` pseudo-link of a crashed switch), aggregated and
+deterministically ordered, so a run's losses compare with a chaos
+post-mortem's and with an expected list in one shape.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ from typing import Dict, Iterable, List, Tuple
 
 @dataclass(frozen=True, order=True)
 class LostRecord:
-    """Link-down losses of one tenant on one link."""
+    """Losses of one tenant on one link."""
 
     vid: int
     link: str

@@ -14,30 +14,32 @@ spanning multiple switches that contend on shared links:
   :mod:`repro.api` that places one tenant's program on every switch
   along its route (greedy capacity-aware, or pinned via ``via=``) and
   installs VLAN-based inter-switch forwarding.
-* :func:`~repro.fabric.forwarding.process_batch` — batched multi-hop
-  forwarding that drains each switch's scheduled egress into the next
-  switch's ingress through the :mod:`repro.engine` batch path.
-* the timed companion lives in :mod:`repro.sim.fabric_timeline`
-  (event-driven, per-link delays, end-to-end latency under
-  cross-switch contention, fed by
-  :class:`repro.traffic.TrafficMatrix` demand).
+* traffic runs on :mod:`repro.sim.fabric_timeline` — event-driven,
+  each switch's scheduled egress draining into the next switch's
+  ingress through the :mod:`repro.engine` batch path, with per-link
+  delays and end-to-end latency under cross-switch contention, fed by
+  :class:`repro.traffic.TrafficMatrix` demand.
 
 Quick start::
 
     from repro.fabric import leaf_spine
     from repro.modules import calc
+    from repro.sim import FabricTimelineExperiment
+    from repro.traffic import TrafficMatrix
 
     fabric = leaf_spine(leaves=2, spines=1, hosts_per_leaf=4)
     tenant = fabric.tenant(
         "calc", calc.P4_SOURCE, vid=1,
         installer=lambda t, port: calc.install(t, port=port))
     tenant.place(src=("leaf0", 0), dst=("leaf1", 2))
-    result = fabric.process_batch(
-        [("leaf0", calc.make_packet(1, calc.OP_ADD, 2, 3))])
-    result.delivered_for(1)     # exited on leaf1 host port 2
+    matrix = TrafficMatrix()
+    matrix.add(1, ("leaf0", 0), ("leaf1", 2), offered_bps=1e9,
+               packet_size=100,
+               make_packet=lambda: calc.make_packet(1, calc.OP_ADD, 2, 3))
+    run = FabricTimelineExperiment(fabric, matrix, duration_s=1e-5).run()
+    run.delivered[1], run.mean_latency_s(1)   # leaf0 -> spine0 -> leaf1
 """
 
-from .forwarding import Delivery, FabricResult, LostPacket, process_batch
 from .tenant import FabricTenant
 from .topology import Fabric, FabricSwitch, Link, PortRef, leaf_spine
 
@@ -48,8 +50,4 @@ __all__ = [
     "Link",
     "PortRef",
     "leaf_spine",
-    "Delivery",
-    "FabricResult",
-    "LostPacket",
-    "process_batch",
 ]

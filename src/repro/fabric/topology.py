@@ -168,7 +168,7 @@ class Fabric:
         return member
 
     def switches(self) -> List[FabricSwitch]:
-        """Members in insertion order (the forwarder's wave order)."""
+        """Members in insertion order (the execution core's order)."""
         return list(self._switches.values())
 
     def connect(self, a: str, a_port: int, b: str, b_port: int,
@@ -382,14 +382,6 @@ class Fabric:
             bytes_out=stats.per_module_bytes_out[vid],
             egress_bytes_tx=stats.egress_bytes_tx.get(vid, 0),
             egress_queue_depth=stats.egress_queue_depth.get(vid, 0))
-
-    # -- data plane --------------------------------------------------------------
-
-    def process_batch(self, arrivals, max_hops: Optional[int] = None):
-        """Batched multi-hop forwarding; see
-        :func:`repro.fabric.forwarding.process_batch`."""
-        from .forwarding import process_batch
-        return process_batch(self, arrivals, max_hops=max_hops)
 
 
 def leaf_spine(leaves: int = 2, spines: int = 1,

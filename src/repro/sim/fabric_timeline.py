@@ -7,8 +7,8 @@ describes per-tenant source→destination demand between attachment
 points; this experiment replays its deterministic arrival schedule
 through a :class:`repro.fabric.Fabric` on the discrete-event kernel
 (:class:`repro.sim.kernel.Simulator`), with the engine-drain /
-departure-routing loop supplied by the unified execution core
-(:class:`repro.exec.ExecutionCore` under its event-driven policy):
+departure-routing loop supplied by the execution core
+(:class:`repro.exec.ExecutionCore`):
 
 * an **arrival event** injects one packet at its source switch through
   that switch's batched engine (flow cache, egress scheduler and all);
@@ -121,9 +121,8 @@ class FabricTimelineResult:
         return bits / self.elapsed_s / 1e9
 
     def lost_records(self) -> List[LostRecord]:
-        """Link-down losses in the shared typed shape (vid, link,
-        count) — directly comparable with
-        :meth:`repro.fabric.forwarding.FabricResult.lost_records`."""
+        """Losses in the typed shape (vid, link, count), sorted — what
+        :func:`repro.exec.summarize_lost` builds from loss events."""
         return [LostRecord(vid=vid, link=link, count=count)
                 for (vid, link), count in sorted(self.lost_by_link.items())]
 

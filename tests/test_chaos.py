@@ -28,6 +28,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fabric_serve import serve
 from repro.chaos import (
     CHAOS_KINDS,
     ChaosController,
@@ -287,15 +288,14 @@ class TestRouteRecomputationAfterSetLinkState:
         fabric = _fabric(spines=1)
         tenant = _calc_tenant(fabric, 1)
         fabric.set_link_state("leaf0", "spine0", up=False)
-        lost = fabric.process_batch(
-            [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2))])
+        lost = serve(
+            fabric, [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2))])
         assert [r.link for r in lost.lost_records()] == \
             [fabric.link_between("leaf0", "spine0").name]
         fabric.set_link_state("leaf0", "spine0", up=True)
-        redo = fabric.process_batch(
-            [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2))])
-        assert [(d.switch, d.port) for d in redo.delivered] == \
-            [("leaf1", 0)]
+        redo = serve(
+            fabric, [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2))])
+        assert redo.exits(1) == [("leaf1", 0)]
         assert tenant.is_stranded() is False
 
 
@@ -420,9 +420,8 @@ class TestRecovery:
         tenant.place(("leaf0", 0), ("leaf1", 1), via=("spine0",))
         tenant.set_weight(2.0)
         for _ in range(3):
-            result = fabric.process_batch(
-                [("leaf0", netchain.make_packet(5))])
-        assert netchain.read_seq(result.delivered[0].packet) == 3
+            result = serve(fabric, [("leaf0", netchain.make_packet(5))])
+        assert netchain.read_seq(result.delivered_for(5)[0]) == 3
         # Strand it with a stale backlog pointed at the dead wire.
         uplink = tenant.egress_ports()["leaf0"]
         for _ in range(4):
@@ -447,9 +446,8 @@ class TestRecovery:
         # next packet sequences as 4 — no reset, no replay.
         for name in ("leaf0", "spine1", "leaf1"):
             assert tenant.handle(name).register("sequencer").read(0) == 3
-        result = fabric.process_batch(
-            [("leaf0", netchain.make_packet(5))])
-        assert netchain.read_seq(result.delivered[0].packet) == 4
+        result = serve(fabric, [("leaf0", netchain.make_packet(5))])
+        assert netchain.read_seq(result.delivered_for(5)[0]) == 4
 
     def test_crashed_switch_state_is_reported_lost(self):
         fabric = _fabric()
@@ -458,7 +456,7 @@ class TestRecovery:
             installer=lambda t, port: netchain.install(t, port=port))
         tenant.place(("leaf0", 0), ("leaf1", 1), via=("spine0",))
         for _ in range(3):
-            fabric.process_batch([("leaf0", netchain.make_packet(5))])
+            serve(fabric, [("leaf0", netchain.make_packet(5))])
         fabric.crash_switch("spine0")
         action, = RecoveryController(fabric).recover(now=1e-3)
         assert action.recovered

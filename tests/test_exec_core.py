@@ -1,19 +1,18 @@
-"""The unified execution core (:mod:`repro.exec`).
+"""The execution core (:mod:`repro.exec`).
 
-The packet-for-packet equivalence of the refactored frontends is
-enforced by the existing differential suites
-(``tests/test_fabric_differential.py``,
-``tests/test_engine_differential.py``); this file covers the core's
-own surface — departure routing against stub topologies, the timing
-policies' guard rails — and the unified lost-traffic reporting: the
-untimed wave path and the event-driven timeline must report the *same*
-typed :class:`repro.exec.LostRecord` set for the same dropped traffic.
+Its packet-for-packet equivalence with a plain switch and with
+hand-chained engines is enforced by
+``tests/test_fabric_differential.py``; this file covers the core's own
+surface — departure routing against stub topologies, typed lost-traffic
+reporting (:class:`repro.exec.LostRecord`) — and the event-list
+discipline of its one timing policy.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
+from fabric_serve import serve
 from repro.errors import FabricError
 from repro.exec import (
     ExecutionCore,
@@ -26,7 +25,7 @@ from repro.fabric import leaf_spine
 from repro.modules import calc
 from repro.net import PacketBuilder
 from repro.net.packet import Packet
-from repro.sim import FabricTimelineExperiment
+from repro.sim import FabricTimelineExperiment, Simulator
 from repro.traffic import TrafficMatrix
 
 PACKET_SIZE = 1000
@@ -77,7 +76,7 @@ class TestRouting:
     def test_host_port_delivers(self):
         sink = _RecordingSink()
         member = _stub_member(links={})
-        core = ExecutionCore([member], sink=sink)
+        core = ExecutionCore([member], sink, Simulator())
         assert core.route(member, 3, _packet(), vid=1, time=0.5) is None
         assert sink.delivered == [("leafA", 3, 1, 0.5)]
 
@@ -85,31 +84,41 @@ class TestRouting:
         sink = _RecordingSink()
         link = _StubLink(up=False)
         member = _stub_member(links={1: link})
-        core = ExecutionCore([member], sink=sink)
-        assert core.route(member, 1, _packet(), vid=7) is None
+        core = ExecutionCore([member], sink, Simulator())
+        assert core.route(member, 1, _packet(), vid=7, time=0.0) is None
         assert sink.lost == [("leafA", 1, 7, link.name, 0.0)]
         assert link.recorded == []  # lost traffic carries no bytes
 
     def test_up_link_forwards_with_rewrite_and_accounting(self):
         link = _StubLink(up=True, delay_s=3e-6)
         member = _stub_member(links={1: link})
-        core = ExecutionCore([member])
+        core = ExecutionCore([member], ExecutionSink(), Simulator())
         packet = _packet(vid=5)
         target = core.route(member, 1, packet, vid=5, time=1.0)
         assert target == ("leafB", packet, 1.0 + 3e-6)
         assert packet.ingress_port == 2  # remote end's port
         assert link.recorded == [(5, len(packet))]
 
-    def test_timed_forwarding_without_a_simulator_is_an_error(self):
-        member = _stub_member(links={1: _StubLink()})
-        core = ExecutionCore([member])  # sim=None
-        dep = SimpleNamespace(port=1, packet=_packet(), module_id=1,
+    def test_crossing_past_the_loop_bound_is_a_typed_error(self):
+        # Two members allow one crossing per injected packet; none was
+        # injected, so the first crossing is already past the bound.
+        member = _stub_member(links={1: _StubLink(up=True)})
+        far = SimpleNamespace(name="leafB", links={}, engine=None,
+                              scheduler=None, num_ports=4)
+        sim = Simulator()
+        core = ExecutionCore([member, far], ExecutionSink(), sim)
+        dep = SimpleNamespace(port=1, packet=_packet(vid=5), module_id=5,
                               time=0.0)
-        with pytest.raises(FabricError, match="no simulator"):
+        with pytest.raises(FabricError,
+                           match="forwarding loop: tenant 5's packet "
+                                 "leaving 'leafA' toward 'leafB' is "
+                                 "link crossing 1"):
             core.route_departures(member, [dep])
+        assert sim.pending() == 0  # the looping arrival is not scheduled
 
     def test_unknown_member_is_a_typed_error(self):
-        core = ExecutionCore([_stub_member(links={})])
+        core = ExecutionCore([_stub_member(links={})], ExecutionSink(),
+                             Simulator())
         with pytest.raises(FabricError, match="stranger"):
             core.member("stranger")
 
@@ -128,7 +137,6 @@ class TestRouting:
 class TestAdapters:
     def test_default_sink_observes_nothing(self):
         sink = ExecutionSink()  # every hook is a no-op
-        sink.on_result("m", None)
         sink.on_drop(1)
         sink.on_deliver("m", 0, 1, _packet(), 0.0)
         sink.on_lost("m", 0, 1, _packet(), "l", 0.0)
@@ -156,14 +164,11 @@ def _lossy_fabric():
 
 
 class TestLostRecordUnification:
-    """The satellite contract: both serving paths, one loss shape."""
+    """Lost traffic comes out in one typed shape."""
 
     N = 20
 
-    def test_wave_and_timeline_paths_agree_on_dropped_traffic(self):
-        # Untimed waves.
-        wave_result = _lossy_fabric().process_batch(
-            [("leaf0", _packet(i=i)) for i in range(self.N)])
+    def test_timeline_reports_dropped_traffic_as_typed_records(self):
         # Event-driven timeline offering exactly N packets: one demand,
         # phase = gap/2, so floor((duration - gap/2)/gap) + 1 = N.
         pps = 1e6
@@ -177,10 +182,8 @@ class TestLostRecordUnification:
 
         expected = [LostRecord(vid=1, link="leaf0:4—spine0:0",
                                count=self.N)]
-        assert wave_result.lost_records() == expected
         assert timeline_result.lost_records() == expected
-        # and the legacy shapes stay consistent with the typed one
-        assert len(wave_result.lost_for(1)) == self.N
+        # and the per-tenant count stays consistent with the typed one
         assert timeline_result.lost[1] == self.N
 
     def test_healthy_run_reports_no_lost_records(self):
@@ -189,8 +192,7 @@ class TestLostRecordUnification:
             "calc", calc.P4_SOURCE, vid=1,
             installer=lambda t, port: calc.install(t, port=port))
         tenant.place(("leaf0", 0), ("leaf1", 1))
-        result = fabric.process_batch(
-            [("leaf0", _packet(i=i)) for i in range(4)])
+        result = serve(fabric, [("leaf0", _packet(i=i)) for i in range(4)])
         assert result.lost_records() == []
         assert len(result.delivered_for(1)) == 4
 

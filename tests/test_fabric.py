@@ -9,6 +9,7 @@ placement rejects over-capacity switches before admitting anything.
 
 import pytest
 
+from fabric_serve import serve
 from repro.api import Switch
 from repro.errors import (
     ConfigError,
@@ -112,11 +113,9 @@ class TestLinkDown:
         place_calc(fabric, 1, ("leaf0", 0), ("leaf1", 1))
         fabric.set_link_state("leaf0", "spine0", up=False)
         pkt = calc.make_packet(1, calc.OP_ADD, 1, 2)
-        result = fabric.process_batch([("leaf0", pkt)])
+        result = serve(fabric, [("leaf0", pkt)])
         assert result.delivered == []
-        (loss,) = result.lost_for(1)
-        assert loss.link == "leaf0:4—spine0:0"
-        assert loss.switch == "leaf0" and loss.port == 4
+        assert result.lost == [(1, "leaf0:4—spine0:0")]
 
     def test_failure_does_not_affect_other_tenants_in_same_batch(self):
         # One tenant per spine; failing spine0's uplink loses the
@@ -128,14 +127,14 @@ class TestLinkDown:
         assert a.routes[0][1] == "spine0"
         assert b.routes[0][1] == "spine1"
         fabric.set_link_state("leaf0", "spine0", up=False)
-        result = fabric.process_batch(
-            [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2)),
-             ("leaf0", calc.make_packet(2, calc.OP_ADD, 2, 3))])
-        assert len(result.lost_for(1)) == 1
+        result = serve(fabric,
+                       [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2)),
+                        ("leaf0", calc.make_packet(2, calc.OP_ADD, 2, 3))])
+        assert result.lost == [(1, "leaf0:4—spine0:0")]
         assert len(result.delivered_for(2)) == 1
         # and nothing lingers to poison the next batch
-        follow_up = fabric.process_batch(
-            [("leaf0", calc.make_packet(2, calc.OP_ADD, 4, 5))])
+        follow_up = serve(
+            fabric, [("leaf0", calc.make_packet(2, calc.OP_ADD, 4, 5))])
         assert len(follow_up.delivered_for(2)) == 1
         assert follow_up.lost == []
 
@@ -166,13 +165,12 @@ class TestPlacement:
         fabric = make_fabric()
         tenant = place_calc(fabric, 1, ("leaf0", 0), ("leaf1", 2))
         assert tenant.switches() == ["leaf0", "spine0", "leaf1"]
-        result = fabric.process_batch(
-            [("leaf0", calc.make_packet(1, calc.OP_ADD, 20, 22))])
+        result = serve(
+            fabric, [("leaf0", calc.make_packet(1, calc.OP_ADD, 20, 22))])
         outs = result.delivered_for(1)
         assert len(outs) == 1
         assert calc.read_result(outs[0]) == 42
-        assert result.delivered[0].switch == "leaf1"
-        assert result.delivered[0].port == 2
+        assert result.exits(1) == [("leaf1", 2)]
 
     def test_greedy_spreads_across_spines(self):
         fabric = make_fabric(leaves=2, spines=2)
@@ -226,8 +224,8 @@ class TestPlacement:
             tenant.routes[0]
         assert tenant.handle("leaf1").table(
             "calc_table").occupancy() == occupancy  # not re-installed
-        result = fabric.process_batch(
-            [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2))])
+        result = serve(
+            fabric, [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2))])
         assert len(result.delivered_for(1)) == 1
 
     def test_conflicting_second_placement_rejected_atomically(self):
@@ -262,21 +260,49 @@ class TestPlacement:
             tenant.handle("spine1")  # greedy route went via spine0
 
 
+def looping_fabric():
+    """Two switches whose entries both point back across their link, so
+    a packet ping-pongs forever."""
+    fabric = Fabric()
+    fabric.add_switch("a")
+    fabric.add_switch("b")
+    fabric.connect("a", 0, "b", 0)
+    for name in ("a", "b"):
+        handle = fabric.switch(name).switch.admit(
+            "calc", calc.P4_SOURCE, vid=1)
+        calc.install(handle, port=0)   # 0 is the fabric port
+    return fabric
+
+
 class TestForwardingGuards:
     def test_forwarding_loop_raises_instead_of_spinning(self):
-        # Hand-build a two-switch cycle: each switch's entries point
-        # back across the link, so the packet ping-pongs forever.
-        fabric = Fabric()
-        fabric.add_switch("a")
-        fabric.add_switch("b")
-        fabric.connect("a", 0, "b", 0)
-        for name in ("a", "b"):
-            handle = fabric.switch(name).switch.admit(
-                "calc", calc.P4_SOURCE, vid=1)
-            calc.install(handle, port=0)   # 0 is the fabric port
-        pkt = calc.make_packet(1, calc.OP_ADD, 1, 2)
-        with pytest.raises(FabricError):
-            fabric.process_batch([("a", pkt)], max_hops=8)
+        fabric = looping_fabric()
+        matrix = TrafficMatrix()
+        matrix.add(1, ("a", 1), ("b", 1), offered_bps=1e6,
+                   packet_size=100,
+                   make_packet=lambda: calc.make_packet(
+                       1, calc.OP_ADD, 1, 2))
+        experiment = FabricTimelineExperiment(fabric, matrix,
+                                              duration_s=1e-3)
+        # One packet injected, one link crossing allowed per packet on
+        # two switches: the second crossing, back toward "a", is the
+        # loop — raised at once, not after the event list spins.
+        with pytest.raises(FabricError,
+                           match="forwarding loop: tenant 1's packet "
+                                 "leaving 'b' toward 'a' is link "
+                                 "crossing 2"):
+            experiment.run()
+        assert experiment.core.sim.events_processed <= 4
+
+    def test_loop_bound_scales_with_the_packets_injected(self):
+        # Three packets injected straight into "a" at t = 0 earn three
+        # crossings on two switches; whichever packet comes back first,
+        # the fourth crossing is the loop.
+        packets = [calc.make_packet(1, calc.OP_ADD, i, i + 1)
+                   for i in range(3)]
+        with pytest.raises(FabricError,
+                           match=r"is link crossing 4, .*\(3 injected\)"):
+            serve(looping_fabric(), [("a", packet) for packet in packets])
 
     def test_adopted_switch_or_builder_not_both(self):
         fabric = Fabric()
@@ -318,8 +344,7 @@ class TestSchedulingAndStats:
     def test_fabric_wide_counters_have_per_hop_semantics(self):
         fabric = make_fabric()
         tenant = place_calc(fabric, 1, ("leaf0", 0), ("leaf1", 1))
-        fabric.process_batch(
-            [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2))])
+        serve(fabric, [("leaf0", calc.make_packet(1, calc.OP_ADD, 1, 2))])
         counters = tenant.counters()
         assert counters.packets_in == 3       # one per hop
         assert counters.packets_out == 3
@@ -329,7 +354,7 @@ class TestSchedulingAndStats:
         fabric = make_fabric()
         tenant = place_calc(fabric, 1, ("leaf0", 0), ("leaf1", 1))
         pkt = calc.make_packet(1, calc.OP_ADD, 1, 2, pad_to=100)
-        fabric.process_batch([("leaf0", pkt)])
+        serve(fabric, [("leaf0", pkt)])
         per_link = tenant.link_bytes()
         assert set(per_link) == {"leaf0:4—spine0:0", "leaf1:4—spine0:1"}
         assert all(v == 100 for v in per_link.values())
@@ -340,7 +365,7 @@ class TestSchedulingAndStats:
         fabric = make_fabric()
         place_calc(fabric, 1, ("leaf0", 0), ("leaf1", 1))
         stray = calc.make_packet(9, calc.OP_ADD, 1, 2)
-        result = fabric.process_batch([("leaf0", stray)])
+        result = serve(fabric, [("leaf0", stray)])
         assert result.delivered == []
         assert result.dropped == {9: 1}
 

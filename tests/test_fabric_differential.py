@@ -9,11 +9,15 @@ Two equivalence contracts anchor the fabric layer to the layers below:
 2. **Chaining** — a 2-leaf/1-spine fabric carrying two tenants is
    packet-for-packet identical to manually chaining the three
    switches' engines by hand (process a batch, drain the uplink in
-   scheduler service order, re-ingress at the next switch). The
-   fabric's wave forwarder is bookkeeping over the same engine and
-   scheduler calls, nothing more.
+   scheduler service order, re-ingress at the next switch) — per
+   tenant, in order. The execution core's event timeline is
+   bookkeeping over the same engine and scheduler calls, nothing more.
+
+Both serve the fabric through ``tests/fabric_serve.py``: one inject per
+packet at t = 0 on the event timeline.
 """
 
+from fabric_serve import serve
 from repro.api import Switch
 from repro.fabric import Fabric, leaf_spine
 from repro.modules import calc
@@ -56,21 +60,19 @@ class TestSingleSwitchDegeneracy:
 
         batch = [calc.make_packet(1, calc.OP_ADD, i, 2 * i)
                  for i in range(32)]
-        fabric_result = fabric.process_batch(
-            [("sw0", p.copy()) for p in batch])
+        fabric_result = serve(fabric, [("sw0", p.copy()) for p in batch])
         plain_results = engine.process_batch([p.copy() for p in batch])
         plain_out = plain.pipeline.traffic_manager.drain(2)
 
-        assert fabric_result.waves == 1
         fabric_out = fabric_result.delivered_for(1)
         assert [p.tobytes() for p in fabric_out] == \
             [p.tobytes() for p in plain_out]
-        assert [r.egress_port for r in fabric_result.results["sw0"]] \
-            == [r.egress_port for r in plain_results]
-        assert [r.dropped for r in fabric_result.results["sw0"]] \
-            == [r.dropped for r in plain_results]
-        # per-tenant pipeline counters agree too
+        assert fabric_result.exits(1) == \
+            [("sw0", r.egress_port) for r in plain_results]
+        assert fabric_result.dropped == {}
+        # per-tenant pipeline counters agree too: one hop per packet
         assert tenant.counters() == handle.counters()
+        assert tenant.counters().packets_in == len(fabric_out) == 32
 
 
 class TestManualChainingEquivalence:
@@ -83,10 +85,9 @@ class TestManualChainingEquivalence:
             tenant.place(("leaf0", vid - 1), ("leaf1", vid - 1))
             tenant.set_weight(weight)
             tenants[vid] = tenant
-        result = fabric.process_batch(
-            [("leaf0", p.copy()) for p in batch])
+        result = serve(fabric, [("leaf0", p.copy()) for p in batch])
         return {vid: [p.tobytes() for p in result.delivered_for(vid)]
-                for vid in WEIGHTS}, result
+                for vid in WEIGHTS}, tenants
 
     def _chained_outputs(self, batch):
         """The same three switches, chained entirely by hand."""
@@ -122,12 +123,14 @@ class TestManualChainingEquivalence:
 
     def test_two_tenant_fabric_equals_hand_chained_engines(self):
         batch = mixed_batch()
-        fabric_out, result = self._fabric_outputs(batch)
+        fabric_out, tenants = self._fabric_outputs(batch)
         chained_out = self._chained_outputs(batch)
-        assert result.waves == 3
         for vid in WEIGHTS:
             assert fabric_out[vid], f"tenant {vid} delivered nothing"
             assert fabric_out[vid] == chained_out[vid]
+            # three hops per delivered packet, fabric-wide
+            assert tenants[vid].counters().packets_in == \
+                3 * len(fabric_out[vid])
 
     def test_results_carry_correct_computation_end_to_end(self):
         batch = mixed_batch(rounds=10)

@@ -15,6 +15,7 @@ a packet or a share.
 import pytest
 
 import repro.compiler.compile as compiler_driver
+from fabric_serve import serve
 from repro.compiler import analyse
 from repro.errors import AdmissionError, CompilerError, ConfigError, \
     PlacementError
@@ -48,8 +49,7 @@ def _packet(vid, i=0):
 
 
 def _delivers(fabric, vid, n=3):
-    result = fabric.process_batch(
-        [("leaf0", _packet(vid, i)) for i in range(n)])
+    result = serve(fabric, [("leaf0", _packet(vid, i)) for i in range(n)])
     return len(result.delivered_for(vid)) == n and not result.lost
 
 
@@ -63,7 +63,7 @@ class TestUpdate:
         tenant.update(calc.P4_SOURCE)
         # Program and steering entries are re-landed on all 3 switches;
         # end-to-end computation still works.
-        result = fabric.process_batch([("leaf0", _packet(1, 20))])
+        result = serve(fabric, [("leaf0", _packet(1, 20))])
         out = result.delivered_for(1)
         assert len(out) == 1
         assert calc.read_result(out[0]) == 41
@@ -243,9 +243,8 @@ class TestFanOutAnalysesOnce:
         frontend, backend = passes()
         assert 1 <= frontend <= 2
         assert backend == 4     # two switches forward, the same two back
-        result = fabric.process_batch([("leaf0", _packet(1, 7))])
-        assert [(d.switch, d.port) for d in result.delivered
-                if d.vid == 1] == [("leaf2", 2)]
+        result = serve(fabric, [("leaf0", _packet(1, 7))])
+        assert result.exits(1) == [("leaf2", 2)]
 
     def test_load_shifting_stage_windows_analyses_once(self, passes):
         # Stage 0 has the most free CAM rows, so its window is tried
@@ -289,7 +288,7 @@ class TestUnload:
         fabric = make_fabric()
         tenant = place_calc(fabric, 1, ("leaf0", 0), ("leaf1", 1))
         tenant.unload()
-        result = fabric.process_batch([("leaf0", _packet(1))])
+        result = serve(fabric, [("leaf0", _packet(1))])
         assert result.delivered_for(1) == []
         assert result.dropped.get(1, 0) == 1
 
@@ -328,10 +327,9 @@ class TestMigrate:
         # leaf1 released its slot; leaf2 now hosts the program.
         assert fabric.switch("leaf1").free_module_slots() == \
             leaf1_slots + 1
-        result = fabric.process_batch([("leaf0", _packet(1, 7))])
-        deliveries = [d for d in result.delivered if d.vid == 1]
-        assert [(d.switch, d.port) for d in deliveries] == [("leaf2", 2)]
-        assert calc.read_result(deliveries[0].packet) == 15
+        result = serve(fabric, [("leaf0", _packet(1, 7))])
+        assert result.exits(1) == [("leaf2", 2)]
+        assert calc.read_result(result.delivered_for(1)[0]) == 15
 
     def test_migrate_resteers_shared_switches(self):
         fabric, tenant, _ = self._placed()

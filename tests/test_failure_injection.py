@@ -112,7 +112,9 @@ def _reference_verdict(packet, update_bitmap):
 class TestTruncatedFrameBoundaries:
     """Every prefix of a tagged data frame, a reconfiguration frame and
     an untagged frame: the 14/15/16 (tag) and 27/40/41/42 (UDP port)
-    length edges included."""
+    length edges included. The scalar-vs-engine sweep adds the data
+    frame under hostile tags (PCP / DEI bits, VID 0 and 4095, a double
+    0x8100 tag, an 0x88a8 outer tag) and pins the whole frames."""
 
     VID = 3
     COUNTER = {PacketClass.DATA: "data_packets",
@@ -120,18 +122,36 @@ class TestTruncatedFrameBoundaries:
                PacketClass.CONTROL: "dropped_untagged",
                PacketClass.DROP_UPDATING: "dropped_updating"}
 
-    def _prefixes(self):
-        frames = {
-            "data": workload("calc").flow_packet(self.VID, 5),
+    def _frames(self):
+        return {
+            "data": workload("calc").flow_packet(self.VID, 5).tobytes(),
             # 64 bytes: the last prefix is the whole, valid write.
             "reconfig": build_reconfig_packet(
                 ResourceId(ResourceType.CAM_INVALIDATE, 0), index=15,
-                entry=0, vid=self.VID),
+                entry=0, vid=self.VID).tobytes(),
             "untagged": PacketBuilder().ethernet().ipv4().udp()
-            .payload(b"x" * 30).build(),
+            .payload(b"x" * 30).build().tobytes(),
         }
-        for kind, frame in frames.items():
-            raw = frame.tobytes()
+
+    def _hostile_frames(self):
+        """The data frame under hostile 802.1Q tags."""
+        data = self._frames()["data"]
+
+        def tci(value):
+            return data[:14] + value.to_bytes(2, "big") + data[16:]
+        return {
+            "pcp7-dei": tci(7 << 13 | 1 << 12 | self.VID),
+            "vid0": tci(0),
+            "vid4095": tci(0xFFF),
+            # a second 0x8100 tag (VID 5) inside the outer VID-3 tag
+            "double-8100": data[:16] + bytes.fromhex("81000005")
+            + data[16:],
+            # an 802.1ad service tag where the 0x8100 belongs
+            "qinq-88a8": data[:12] + bytes.fromhex("88a8") + data[14:],
+        }
+
+    def _prefixes(self, frames):
+        for kind, raw in frames.items():
             assert len(raw) >= 60, kind
             for size in range(0, min(len(raw), 64) + 1):
                 yield f"{kind}[:{size}]", raw[:size]
@@ -139,7 +159,7 @@ class TestTruncatedFrameBoundaries:
     @pytest.mark.parametrize("bitmap", [0, 1 << VID])
     def test_filter_matches_the_bounds_checked_reference(self, bitmap):
         seen = set()
-        for where, raw in self._prefixes():
+        for where, raw in self._prefixes(self._frames()):
             filt = PacketFilter()
             filt.write_bitmap(bitmap)
             expected = _reference_verdict(Packet(raw), bitmap)
@@ -174,19 +194,37 @@ class TestTruncatedFrameBoundaries:
 
         scalar, batched = build(), build()
         engine = batched.engine()
+        frames = {**self._frames(), **self._hostile_frames()}
         outcomes = set()
-        for where, raw in self._prefixes():
+        for where, raw in self._prefixes(frames):
             expected = outcome(scalar.pipeline.process, raw)
             assert outcome(engine.process, raw) == expected, where
             outcomes.add(expected[:2] if isinstance(expected[0], bool)
                          else expected[0])
+        # Whole hostile frames: PCP / DEI bits are ignored, VIDs 0 and
+        # 4095 name no tenant, a double 0x8100 tag is served by its
+        # outer VID, an 0x88a8 outer tag is no 802.1Q tag, and a
+        # tenant-tagged write is still a write.
+        pinned = {
+            "pcp7-dei": (False, "", self.VID),
+            "vid0": (True, "unknown_module", 0),
+            "vid4095": (True, "unknown_module", 4095),
+            "double-8100": (False, "", self.VID),
+            "qinq-88a8": (True, "untagged", 0),
+            "reconfig": (True, "reconfig_consumed" if from_dataplane
+                         else "reconfig_on_dataplane", 0),
+        }
+        for kind, expected in pinned.items():
+            assert outcome(scalar.pipeline.process, frames[kind]) == \
+                outcome(engine.process, frames[kind]) == expected, kind
         assert scalar.pipeline.stats.summary() == \
             batched.pipeline.stats.summary()
         # The sweep reached the forwarded frame, every early verdict
         # and the typed error of a frame that ends inside its own
         # parsed headers (or, for a write, inside its payload).
         assert outcomes == (
-            {(False, ""), (True, "untagged"), PacketError}
+            {(False, ""), (True, "untagged"), (True, "unknown_module"),
+             PacketError}
             | ({(True, "reconfig_consumed"), ReconfigurationError}
                if from_dataplane else {(True, "reconfig_on_dataplane")}))
 
