@@ -28,7 +28,11 @@ This module closes it:
   visits backlogged ports only, an idle port's clock is worked out when
   read (:meth:`EgressScheduler.clock_of`), and a port remembers its
   last scheduling scan until something on it changes, so a query and
-  the service that follows it choose once.
+  the service that follows it choose once. A choice is committed once
+  its transmission starts: a later arrival never overtakes it.
+* :meth:`EgressScheduler.start` transmits a packet the moment it is
+  enqueued on an idle port, so an event-driven caller can route it
+  without holding a service event for a port with nothing to decide.
 
 The scheduler feeds per-tenant queue depth and transmitted-byte gauges
 into :class:`~repro.core.stats.PipelineStats` — the "real-time
@@ -134,11 +138,15 @@ class _PortState:
     made after that. ``chosen`` is the last scheduling scan's answer,
     ``(choice, finish time)``, kept until something that can move it
     happens to the port (``None``: scan again); with token buckets,
-    which couple ports, it is never kept.
+    which couple ports, it is kept only once committed. ``started``:
+    an advance reached the choice's start, so its transmission is under
+    way and the choice is committed — no enqueue, scan or configuration
+    change replaces it; only serving it, or removing its packet (a
+    purge of its tenant, a crash scrub), does.
     """
 
     __slots__ = ("ranker", "fifos", "seq", "queued", "idle_since",
-                 "chosen")
+                 "chosen", "started")
 
     def __init__(self, ranker: StfqRanker):
         self.ranker = ranker
@@ -147,6 +155,12 @@ class _PortState:
         self.queued = 0
         self.idle_since = 0
         self.chosen: Optional[Tuple[_Choice, float]] = None
+        self.started = False
+
+    def forget_scan(self) -> None:
+        """Drop the remembered scan unless its transmission started."""
+        if not self.started:
+            self.chosen = None
 
 
 #: ``(vid, rank, packet, serve_time)`` — one scheduling decision.
@@ -258,7 +272,7 @@ class EgressScheduler:
 
     def _forget_scans(self) -> None:
         for state in self._ports:
-            state.chosen = None
+            state.forget_scan()
 
     # -- configuration -----------------------------------------------------------
 
@@ -303,7 +317,11 @@ class EgressScheduler:
             if fifo:
                 purged.extend(packet for _rank, _seq, packet in fifo)
                 state.queued -= len(fifo)
-                state.chosen = None
+                chosen = state.chosen
+                if chosen is not None and chosen[0][0] == vid:
+                    state.chosen, state.started = None, False
+                else:
+                    state.forget_scan()
                 if not state.queued:
                     self._backlogged.discard(port)
                     state.idle_since = self._advances
@@ -344,7 +362,7 @@ class EgressScheduler:
             state.fifos.clear()
             if state.queued:
                 state.queued = 0
-                state.chosen = None
+                state.chosen, state.started = None, False
                 state.idle_since = self._advances
             state.ranker._last_finish.clear()
             state.seq = 0
@@ -367,7 +385,7 @@ class EgressScheduler:
             raise ConfigError(
                 f"port {port}: rate must be positive, got {rate_bps}")
         self.port_rate_bps[port] = float(rate_bps)
-        self._ports[port].chosen = None
+        self._ports[port].forget_scan()
 
     def port_rate_of(self, port: int) -> Optional[float]:
         """The rate ``port`` transmits at (override or the line rate)."""
@@ -441,7 +459,7 @@ class EgressScheduler:
             self.port_clock[port] = self.clock_of(port)
             self._backlogged.add(port)
         state.queued += 1
-        state.chosen = None
+        state.forget_scan()
         self._depth[vid] = self._depth.get(vid, 0) + 1
         self.enqueued += 1
         self.tenant(vid).enqueued += 1
@@ -524,7 +542,7 @@ class EgressScheduler:
         if not fifo:
             del state.fifos[vid]
         state.queued -= 1
-        state.chosen = None
+        state.chosen, state.started = None, False
         if not state.queued:
             self._backlogged.discard(port)
             state.idle_since = self._advances
@@ -560,10 +578,10 @@ class EgressScheduler:
         drain-everything callers.
         """
         self._check_port(port)
-        if not self._ports[port].queued:
+        state = self._ports[port]
+        if not state.queued:
             return None
-        choice = self._choose(port, self.port_clock[port])
-        return self._serve(choice, port).packet
+        return self._serve(self._next_choice(port, state), port).packet
 
     def drain(self, port: int) -> List[Packet]:
         """Dequeue everything waiting on ``port``, in service order."""
@@ -584,13 +602,19 @@ class EgressScheduler:
         served: Dict[int, int] = {}
         state = self._ports[port]
         while budget_bytes > 0 and state.queued:
-            choice = self._choose(port, self.port_clock[port])
-            departure = self._serve(choice, port)
+            departure = self._serve(self._next_choice(port, state), port)
             size = len(departure.packet)
             served[departure.module_id] = (
                 served.get(departure.module_id, 0) + size)
             budget_bytes -= size
         return served
+
+    def _next_choice(self, port: int, state: _PortState) -> _Choice:
+        """The port's committed choice, or a fresh one at its clock."""
+        chosen = state.chosen
+        if state.started and chosen is not None:
+            return chosen[0]
+        return self._choose(port, self.port_clock[port])
 
     def _scan(self, port: int, state: _PortState) -> Tuple[_Choice, float]:
         """Choose on backlogged ``port`` at its clock; the choice and
@@ -628,7 +652,8 @@ class EgressScheduler:
         Every backlogged port answers, not only ports touched since the
         last call: token buckets are per tenant, so a service on one
         port moves that tenant's eligibility on another (which is why a
-        port remembers no scan while any bucket is configured).
+        port remembers only a committed scan while any bucket is
+        configured).
         """
         ports, backlogged = self._ports, self._backlogged
         return [(port, known[1] if (known := ports[port].chosen)
@@ -687,7 +712,11 @@ class EgressScheduler:
                     # otherwise every advance_to call during a long
                     # transmission would re-delay its start, and a
                     # busy port fed by frequent events would slip
-                    # unboundedly below line rate.
+                    # unboundedly below line rate. Once ``now`` reaches
+                    # the start, the packet is on the wire: no later
+                    # arrival may take its place.
+                    if choice[3] <= now:
+                        state.chosen, state.started = (choice, finish), True
                     clocks[port] = max(clocks[port], min(now, choice[3]))
                     break
                 departures.append(self._serve(choice, port))
@@ -695,3 +724,30 @@ class EgressScheduler:
         if len(departures) > 1:
             departures.sort(key=lambda dep: dep.time)
         return departures
+
+    def start(self, port: int, packet: Packet,
+              before: float) -> Optional[Departure]:
+        """Transmit ``packet``, just enqueued on ``port``, right away.
+
+        Serves it at the latest instant an advance reached
+        (:meth:`advance_to` / :meth:`idle_to` — the caller's current
+        time) when it is the port's only packet, the port is not still
+        transmitting, no token bucket is configured (buckets couple
+        ports), and the transmission finishes strictly before
+        ``before``, the caller's bound on when anything else may next
+        touch the port. Nothing is left to decide then: transmission is
+        non-preemptive and the choice has one candidate. Returns the
+        :class:`Departure`, timed at the finish; otherwise ``None`` with
+        nothing changed, and the packet waits for :meth:`advance_to`.
+        """
+        state = self._ports[port]
+        now = self._now
+        if (self._buckets or state.queued != 1
+                or self.port_clock[port] > now):
+            return None
+        (vid, fifo), = state.fifos.items()
+        rank, _seq, head = fifo[0]
+        if head is not packet \
+                or now + self._tx_seconds(len(packet), port) >= before:
+            return None
+        return self._serve((vid, rank, packet, now), port)

@@ -8,23 +8,33 @@ It is parameterized by **topology** (an ordered set of members — a
 whole :class:`~repro.fabric.topology.Fabric`) and has one timing
 policy: a :class:`~repro.sim.kernel.Simulator`'s event list is the only
 clock, the NS-2 shape where one event list drives every element.
-Service is exact and event-driven, from
-:meth:`~repro.engine.scheduler.EgressScheduler.next_departures` — an
-uncontended hop is one enqueue, one service and two events, and an
+
+An uncontended hop is one kernel event. A packet enqueued on an idle
+port starts transmitting at once
+(:meth:`~repro.engine.scheduler.EgressScheduler.start`): its finish is
+fixed, so a link hop is routed there and then and its arrival at the
+neighbour scheduled, and a host exit gets one event that delivers it.
+This holds only while nothing can change the outcome before the
+finish: the port held nothing, no token bucket is configured, the link
+is up, and no *control event* — the only kind that changes a fabric
+during a run, scheduled through :meth:`ExecutionCore.schedule_control`
+— is due first. A port with a backlog is served exactly and
+event-driven instead, from
+:meth:`~repro.engine.scheduler.EgressScheduler.next_departures`, and an
 arrival polls its member's scheduler only when that has backlog.
 Frontends (:class:`repro.sim.fabric_timeline.FabricTimelineExperiment`)
 feed arrivals in with :meth:`ExecutionCore.inject` and observe outcomes
 through an :class:`ExecutionSink`. This is the only code that drives an
-egress clock (``advance_to`` / ``idle_to`` / ``next_departures``); the
-single-switch Fig. 10 experiment is a one-switch fabric on the same
-timeline.
+egress clock (``advance_to`` / ``idle_to`` / ``next_departures`` /
+``start``); the single-switch Fig. 10 experiment is a one-switch fabric
+on the same timeline.
 
 A *member* is anything with the fabric-switch surface: ``name``,
 ``engine`` (``process_batch``), ``scheduler`` (``idle_to`` /
-``advance_to`` / ``next_departures`` / ``service_at``), ``links``
-(port -> link; absent ports face hosts), ``num_ports``. A *link* needs
-``up``, ``name``, ``delay_s``, ``record(vid, nbytes)``, and
-``other_end(name)``.
+``advance_to`` / ``next_departures`` / ``start`` / ``service_at``),
+``links`` (port -> link; absent ports face hosts), ``num_ports``. A
+*link* needs ``up``, ``name``, ``delay_s``, ``record(vid, nbytes)``,
+and ``other_end(name)``.
 
 A forwarding loop cannot spin the event list forever: a loop-free route
 visits each member once, so it crosses at most ``members − 1`` links.
@@ -38,7 +48,9 @@ to a plain switch and to hand-chained engines.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from bisect import bisect_left, insort
+from math import inf
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.packet_filter import tagged_vid
 from ..errors import FabricError
@@ -97,6 +109,8 @@ class ExecutionCore:
         self._span = len(self._members) - 1
         self._sources = 0
         self._crossings = 0
+        #: Times of the control events scheduled so far, ascending.
+        self._controls: List[float] = []
 
     # -- construction -----------------------------------------------------------
 
@@ -188,6 +202,20 @@ class ExecutionCore:
 
     # -- event-driven service on the simulation kernel -----------------------------
 
+    def schedule_control(self, at: float, fn, *args):
+        """Schedule ``fn(*args)`` at ``at`` as a control event: one that
+        may change the fabric (a link or switch state, a placement, an
+        eviction, an update). Returns the kernel event.
+
+        Every such change during a run must come through here, before
+        any transmission it could overtake has started: a packet starts
+        early (see :meth:`inject`) only if it finishes strictly before
+        the first control time at or after its start. A control event
+        at that very instant counts as pending, since it may not have
+        run yet."""
+        insort(self._controls, at)
+        return self.sim.schedule_at(at, fn, *args)
+
     def schedule_services(self, member, scheduler) -> None:
         """Schedule each backlogged port's next service event exactly,
         from :meth:`~repro.engine.scheduler.EgressScheduler.
@@ -252,8 +280,15 @@ class ExecutionCore:
         """One packet arrives at a member at virtual time ``t``: serve
         transmissions that complete before the arrival (a member with
         no backlog has none — its scheduler is only told the time), run
-        the batched engine, then (re)schedule the member's service
-        events.
+        the batched engine, then start the packet or (re)schedule the
+        member's service events.
+
+        A unicast packet enqueued on an idle port of an up link or a
+        host port starts at once when it finishes before the next
+        control event (:meth:`_start`). Then no service event is
+        scheduled: without token buckets nothing on the member's other
+        ports changed, and they keep the events they hold. Anything
+        else waits for a service event.
 
         An arrival at a crashed member (the packet was in flight on the
         wire when the far end died) is lost at the member's
@@ -269,7 +304,38 @@ class ExecutionCore:
             departures = scheduler.advance_to(t)
             if departures:
                 self.route_departures(member, departures)
-        for outcome in member.engine.process_batch([packet]):
-            if outcome.dropped:
-                self.sink.on_drop(outcome.module_id)
+        (outcome,) = member.engine.process_batch([packet])
+        if outcome.dropped:
+            self.sink.on_drop(outcome.module_id)
+        elif not outcome.mcast_group \
+                and self._start(member, scheduler, outcome):
+            return
         self.schedule_services(member, scheduler)
+
+    def _start(self, member, scheduler, outcome) -> bool:
+        """Transmit a just-enqueued packet now, if nothing can change
+        its outcome before it finishes; ``True`` if it started.
+
+        A link hop is routed at once (link bytes, ingress rewrite, the
+        neighbour's arrival at finish + delay). A host exit gets one
+        event, at the finish, that delivers it. A downed link keeps the
+        service path, so its losses stay in event order."""
+        port = outcome.egress_port
+        link = member.links.get(port)
+        if link is not None and not link.up:
+            return False
+        controls, sim = self._controls, self.sim
+        due = bisect_left(controls, sim.now)
+        departure = scheduler.start(
+            port, outcome.packet,
+            controls[due] if due < len(controls) else inf)
+        if departure is None:
+            return False
+        if link is None:
+            sim.schedule(max(0.0, departure.time - sim.now),
+                         self.sink.on_deliver, member.name, port,
+                         departure.module_id, departure.packet,
+                         departure.time)
+        else:
+            self.route_departures(member, (departure,))
+        return True

@@ -10,13 +10,16 @@ through a :class:`repro.fabric.Fabric` on the discrete-event kernel
 departure-routing loop supplied by the execution core
 (:class:`repro.exec.ExecutionCore`):
 
-* an **arrival event** injects one packet at its source switch through
-  that switch's batched engine (flow cache, egress scheduler and all);
-* a **service event** advances one switch's egress scheduler to the
-  event time and routes the resulting
-  :class:`~repro.engine.scheduler.Departure` records — host-port
-  departures exit the fabric, fabric-port departures are scheduled to
-  arrive at the neighbor after the link's propagation delay;
+* an **arrival event** injects one packet at a switch — its source, or
+  the far end of a link — through that switch's batched engine (flow
+  cache, egress scheduler and all). A packet that lands on an idle
+  port starts transmitting there and then when it finishes before the
+  next reconfiguration event: a link hop is routed at once and its
+  arrival at the neighbor scheduled after the propagation delay, a
+  host exit gets one **delivery event** at its finish;
+* a **service event** serves a port with a backlog: it advances one
+  switch's egress scheduler to the event time and routes the resulting
+  :class:`~repro.engine.scheduler.Departure` records the same way;
 * service events are scheduled *exactly*, from
   :meth:`~repro.engine.scheduler.EgressScheduler.next_departure_at`,
   not on a polling tick — transmission finish times are the event
@@ -30,6 +33,9 @@ departure-routing loop supplied by the execution core
   event's duration, so the churned tenant's packets drop for exactly
   the reconfiguration window while every other tenant keeps its share
   (Fig. 10, at fabric scale — ``benchmarks/bench_fabric_churn.py``).
+  Its open and close are the run's control events
+  (:meth:`~repro.exec.ExecutionCore.schedule_control`), the only ones
+  that change the fabric — link and switch faults ride them too.
 
 Each packet keeps its source ``arrival_time`` across hops, so a
 delivery's latency is true end-to-end: queueing and transmission at
@@ -309,10 +315,10 @@ class FabricTimelineExperiment:
                                               scale=self.scale):
             sim.schedule_at(t, arrival, demand, t)
         for event in self.reconfigs:
-            sim.schedule_at(event.start_s, self._open_window, event)
+            core.schedule_control(event.start_s, self._open_window, event)
             if event.duration_s > 0:
                 end = event.start_s + event.duration_s
-                sim.schedule_at(end, self._close_window, event, end)
+                core.schedule_control(end, self._close_window, event, end)
         try:
             sim.run()
         finally:
@@ -320,9 +326,9 @@ class FabricTimelineExperiment:
             # whose close event fell past an aborted horizon).
             for event in self.reconfigs:
                 self._close_window(event)
-        # Safety net: every enqueue schedules a service for its port,
-        # so the event cascade drains all queues before the heap
-        # empties. Verify rather than trust.
+        # Safety net: every enqueue either starts its packet or
+        # schedules a service for its port, so the event cascade drains
+        # all queues before the heap empties. Verify rather than trust.
         backlog = core.total_backlog()
         if backlog:
             held = [f"{member.name}:{port} ({queued})"

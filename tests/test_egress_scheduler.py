@@ -20,6 +20,7 @@ from repro.errors import ConfigError
 from repro.fabric import Fabric
 from repro.modules import calc
 from repro.net import PacketBuilder
+from repro.net.packet import Packet
 from repro.rmt import TrafficManager
 from repro.sim import FabricTimelineExperiment
 from repro.traffic import TrafficMatrix, workload
@@ -421,10 +422,25 @@ class TestTimelineLatency:
         # Equal weights share the queueing delay equally.
         assert result.mean_latency_s(1) == pytest.approx(
             result.mean_latency_s(2), rel=0.05)
+        assert (result.mean_latency_s(1), result.mean_latency_s(2)) == (
+            pytest.approx(576.180e-6, rel=1e-6),
+            pytest.approx(577.564e-6, rel=1e-6))
 
     def test_heavier_weight_means_lower_latency(self):
         result = self._run({1: 8.0, 2: 1.0})
         assert result.mean_latency_s(1) < 0.1 * result.mean_latency_s(2)
+
+    def test_no_delivery_beats_its_own_transmission(self):
+        """Regression: the heavy tenant's packets overtook the frame
+        already on the wire and left before they arrived — a mean
+        latency of 1.219 us, under the 2.4 us one 1500 B frame takes
+        at 5 Gb/s."""
+        result = self._run({1: 8.0, 2: 1.0})
+        tx = 1500 * 8 / 5e9
+        for vid in (1, 2):
+            assert min(result.latencies_s[vid]) >= tx * (1 - 1e-9)
+        assert result.mean_latency_s(1) == pytest.approx(3.60439e-6,
+                                                         rel=1e-5)
 
     @staticmethod
     def _timeline(**kwargs):
@@ -489,6 +505,74 @@ class TestEventDrivenClockSemantics:
         deps = sched.advance_to(8.0)
         assert [d.time for d in deps] == [pytest.approx(8.0)]
 
+    @pytest.mark.parametrize("limited", [False, True])
+    def test_started_transmission_is_never_overtaken(self, limited):
+        """Regression: an arrival re-ran the choice at the start of the
+        packet already on the wire, so a better-ranked later packet
+        departed before it arrived. 100 B take 0.1 s at 8 kb/s. With
+        token buckets (here never short of tokens) a started choice is
+        kept too."""
+        sched = EgressScheduler(num_ports=2, line_rate_bps=8e3)
+        if limited:
+            for vid in (1, 2):
+                sched.set_rate_limit(vid, 1e6)
+        sched.enqueue(Packet(bytes(100)), 0, module_id=1)
+        assert [d.time for d in sched.advance_to(0.1)] == [
+            pytest.approx(0.1)]
+        sched.advance_to(0.2)
+        sched.enqueue(Packet(bytes(100)), 0, module_id=1)  # A
+        assert sched.next_departure_at(0) == pytest.approx(0.3)
+        assert sched.advance_to(0.25) == []  # A is on the wire
+        # C: tenant 2 has sent nothing, so it ranks ahead of A
+        sched.enqueue(Packet(bytes(10)), 0, module_id=2)
+        assert sched.next_departure_at(0) == pytest.approx(0.3)
+        assert [(d.module_id, d.time) for d in sched.advance_to(1.0)] == [
+            (1, pytest.approx(0.3)), (2, pytest.approx(0.31))]
+
+    def test_unstarted_choice_still_yields_to_a_better_rank(self):
+        # Both queued before any advance reaches their start: nothing
+        # is on the wire yet, so the better rank goes first.
+        sched = EgressScheduler(num_ports=1, line_rate_bps=8e3)
+        sched.enqueue(Packet(bytes(100)), 0, module_id=1)
+        sched.advance_to(0.1)
+        sched.enqueue(Packet(bytes(100)), 0, module_id=1)
+        assert sched.next_departure_at(0) == pytest.approx(0.2)
+        sched.enqueue(Packet(bytes(10)), 0, module_id=2)
+        assert sched.next_departure_at(0) == pytest.approx(0.11)
+
+    def test_start_serves_a_lone_packet_on_an_idle_port(self):
+        sched = EgressScheduler(num_ports=2, line_rate_bps=8e3)
+        sched.idle_to(0.5)
+        first = Packet(bytes(100))
+        sched.enqueue(first, 0, module_id=1)
+        # finishing exactly at the bound is not before it
+        assert sched.start(0, first, before=0.6) is None
+        departure = sched.start(0, first, before=0.7)
+        assert departure.packet is first and departure.module_id == 1
+        assert departure.time == pytest.approx(0.6)
+        assert sched.queue_len(0) == 0 and sched.transmitted_bytes(1) == 100
+        assert sched.clock_of(0) == pytest.approx(0.6)
+        # the port is still transmitting: the next packet queues
+        second = Packet(bytes(100))
+        sched.enqueue(second, 0, module_id=1)
+        assert sched.start(0, second, before=float("inf")) is None
+        assert sched.next_departure_at(0) == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("case", ["backlog", "dropped", "bucket"])
+    def test_start_declines_unless_alone_and_unlimited(self, case):
+        sched = EgressScheduler(
+            num_ports=1, line_rate_bps=8e3,
+            queue_capacity=1 if case == "dropped" else None)
+        if case == "bucket":
+            sched.set_rate_limit(2, 1e6)
+        else:
+            sched.enqueue(Packet(bytes(100)), 0, module_id=1)
+        packet = Packet(bytes(100))
+        sched.enqueue(packet, 0, module_id=2)  # "dropped": over capacity
+        assert sched.start(0, packet, before=float("inf")) is None
+        assert sched.queue_len(0) == (1 if case != "backlog" else 2)
+        assert sched.dequeued == 0
+
     def test_next_departure_guarantees_drain_progress(self):
         # Regression: tx time >> step size. Stepping the clock by a
         # fixed bin can serve nothing forever; stepping to
@@ -541,9 +625,39 @@ class _AllPortsReference(EgressScheduler):
     from the queues shows up as a disagreement. Every advance moves
     every idle port's clock there and then, and every next-departure
     query scans: nothing here reads an idle stamp or a remembered
-    finish time either. Ranking, rate gating and the serve bookkeeping
+    scan either. The one thing it remembers is the rule that a started
+    transmission is committed: the choice an advance found on the wire,
+    with its finish, in a slot of its own (``_wire``), until served,
+    purged or scrubbed. Ranking, rate gating and the serve bookkeeping
     are the shared ``_choose`` / ``_serve``.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._wire = {}
+
+    def _next(self, port):
+        """``(choice, finish)`` of the port's next transmission."""
+        if port in self._wire:
+            return self._wire[port]
+        clock = self.port_clock[port]
+        choice = self._choose(port, clock)
+        start = max(choice[3], clock)
+        return choice, start + self._tx_seconds(len(choice[2]), port)
+
+    def _serve(self, choice, port):
+        self._wire.pop(port, None)
+        return super()._serve(choice, port)
+
+    def purge(self, vid):
+        for port, (choice, _finish) in list(self._wire.items()):
+            if choice[0] == vid:
+                del self._wire[port]
+        return super().purge(vid)
+
+    def drop_queued(self):
+        self._wire.clear()
+        return super().drop_queued()
 
     def _queued(self, port):
         return sum(len(fifo) for fifo in self._ports[port].fifos.values())
@@ -579,15 +693,13 @@ class _AllPortsReference(EgressScheduler):
         self._check_port(port)
         if not self._ports[port].fifos:
             return None
-        return self._serve(
-            self._choose(port, self.port_clock[port]), port).packet
+        return self._serve(self._next(port)[0], port).packet
 
     def drain_bytes(self, port, budget_bytes):
         self._check_port(port)
         served = {}
         while budget_bytes > 0 and self._ports[port].fifos:
-            dep = self._serve(
-                self._choose(port, self.port_clock[port]), port)
+            dep = self._serve(self._next(port)[0], port)
             served[dep.module_id] = \
                 served.get(dep.module_id, 0) + len(dep.packet)
             budget_bytes -= len(dep.packet)
@@ -597,9 +709,7 @@ class _AllPortsReference(EgressScheduler):
         self._check_port(port)
         if not self._ports[port].fifos:
             return None
-        choice = self._choose(port, self.port_clock[port])
-        start = max(choice[3], self.port_clock[port])
-        return start + self._tx_seconds(len(choice[2]), port)
+        return self._next(port)[1]
 
     def next_departures(self):
         nexts = [(port, self.next_departure_at(port))
@@ -615,9 +725,11 @@ class _AllPortsReference(EgressScheduler):
                 if not self._ports[port].fifos:
                     self.port_clock[port] = max(self.port_clock[port], now)
                     break
-                choice = self._choose(port, self.port_clock[port])
+                choice, finish = self._next(port)
                 start = max(choice[3], self.port_clock[port])
-                if start + self._tx_seconds(len(choice[2]), port) > now:
+                if finish > now:
+                    if start <= now:
+                        self._wire[port] = (choice, finish)
                     self.port_clock[port] = max(self.port_clock[port],
                                                 min(now, start))
                     break
@@ -671,6 +783,13 @@ _LIMIT_MID_TRANSMISSION = [
     ("set_rate_limit", 2, 2e4, 100.0), ("enqueue", 1, 2, 200, 0),
     ("enqueue", 1, 2, 200, 0), ("advance", 1.6e-3), ("advance", 8e-3),
     ("enqueue", 0, 2, 64, 0), ("advance", 0.05)]
+# A better-ranked packet arrives while port 0 transmits a frame an
+# advance found on the wire: the frame is committed.
+_STARTED_THEN_OUTRANKED = [
+    ("enqueue", 0, 1, 1000, 0), ("advance", 8e-3),
+    ("enqueue", 0, 1, 1000, 0), ("advance", 1e-4),
+    ("enqueue", 0, 2, 64, 0), ("set_port_rate", 0, 1e8),
+    ("advance", 0.05)]
 
 
 def _tags(packets):
@@ -738,6 +857,7 @@ class TestBackloggedPortIndexModel:
     @example(None, 1e6, _HELD_THEN_EMPTIED + [("purge", 1)])
     @example(None, 1e6, _EMPTIED_BY_DEQUEUE)
     @example(None, 1e6, _LIMIT_MID_TRANSMISSION)
+    @example(None, 1e6, _STARTED_THEN_OUTRANKED)
     def test_indexed_scheduler_matches_all_ports_reference(
             self, capacity, line_rate, ops):
         pairs = []

@@ -186,6 +186,24 @@ class TestLostRecordUnification:
         # and the per-tenant count stays consistent with the typed one
         assert timeline_result.lost[1] == self.N
 
+    def test_loss_is_reported_at_the_instant_it_carries(self):
+        """A packet bound for a downed link is not started early: the
+        sink hears of the loss at its departure instant, so loss logs
+        stay in event order."""
+        sim = Simulator()
+        seen = []
+
+        class Sink(ExecutionSink):
+            def on_lost(self, member, port, vid, packet, link, time):
+                seen.append((time, sim.now))
+
+        fabric = _lossy_fabric()
+        core = ExecutionCore.for_fabric(fabric, Sink(), sim)
+        core.inject(fabric.switch("leaf0"), _packet(), 0.0)
+        sim.run()
+        (time, now), = seen
+        assert time > 0 and now == pytest.approx(time, rel=1e-12)
+
     def test_healthy_run_reports_no_lost_records(self):
         fabric = leaf_spine(leaves=2, spines=1, hosts_per_leaf=HOSTS)
         tenant = fabric.tenant(
@@ -196,21 +214,125 @@ class TestLostRecordUnification:
         assert result.lost_records() == []
         assert len(result.delivered_for(1)) == 4
 
+# ------------------------------------------------ control-horizon gate
+
+class TestControlHorizon:
+    """A packet on an idle port starts at once only if no control event
+    is due before it finishes; one landing inside its transmission sees
+    the fabric as if the packet had waited for a service event.
+
+    One tenant, leaf0:0 → spine0 → leaf1:1, on 100 kb/s links: a
+    1000 B frame takes 80 ms per hop, and packets arrive at 50, 150 and
+    250 ms, each on an idle port. Every expected value below was
+    measured on the parent commit of the change that lets packets
+    start early (where every transmission waited for its service
+    event) and is pinned exactly.
+    """
+
+    UPLINK = "leaf0:4—spine0:0"
+    DOWNLINK = "leaf1:4—spine0:1"
+
+    def _build(self):
+        fabric = leaf_spine(leaves=2, spines=1, hosts_per_leaf=HOSTS,
+                            link_capacity_bps=1e5, link_delay_s=1e-4)
+        tenant = fabric.tenant(
+            "calc", calc.P4_SOURCE, vid=1,
+            installer=lambda t, port: calc.install(t, port=port))
+        tenant.place(("leaf0", 0), ("leaf1", 1))
+        matrix = TrafficMatrix()
+        matrix.add(1, ("leaf0", 0), ("leaf1", 1),
+                   offered_bps=10 * (PACKET_SIZE + 24) * 8,
+                   packet_size=PACKET_SIZE,
+                   make_packet=lambda: _packet())
+        experiment = FabricTimelineExperiment(fabric, matrix,
+                                              duration_s=0.3)
+        return fabric, tenant, experiment
+
+    def _set_uplink(self, fabric, up):
+        return lambda: fabric.set_link_state("leaf0", "spine0", up=up)
+
+    def test_undisturbed_run_delivers_everything(self):
+        _fabric, _tenant, experiment = self._build()
+        result = experiment.run()
+        assert result.delivered == {1: 3} and result.loss_log == []
+        assert result.latencies_s[1] == [0.24020000000000002] * 3
+
+    def test_link_down_inside_a_transmission(self):
+        # down at 100 ms, inside the first packet's 50–130 ms on the
+        # uplink; up again at 200 ms, inside the second's 150–230 ms
+        fabric, _tenant, experiment = self._build()
+        experiment.schedule_reconfig(0, 0.1,
+                                     apply=self._set_uplink(fabric, False))
+        experiment.schedule_reconfig(0, 0.2,
+                                     apply=self._set_uplink(fabric, True))
+        result = experiment.run()
+        assert result.loss_log == [(0.13, 1, self.UPLINK)]
+        assert result.lost_records() == [LostRecord(1, self.UPLINK, 1)]
+        assert result.delivered == {1: 2}
+
+    def test_crash_inside_a_host_port_transmission(self):
+        # leaf1 crashes at 250 ms, inside the first packet's 210.2–
+        # 290.2 ms on its host port: the scrub charges it to the
+        # switch; the two behind it die on the crashed switch's link
+        from repro.chaos import ChaosController, ChaosSchedule
+
+        fabric, _tenant, experiment = self._build()
+        schedule = ChaosSchedule()
+        schedule.crash_switch("leaf1", at_s=0.25)
+        ChaosController(fabric).arm(experiment, schedule)
+        result = experiment.run()
+        assert result.loss_log == [
+            (0.25, 1, "switch:leaf1"),
+            (0.31010000000000004, 1, self.DOWNLINK),
+            (0.4101, 1, self.DOWNLINK)]
+        assert result.lost_records() == [
+            LostRecord(1, self.DOWNLINK, 2),
+            LostRecord(1, "switch:leaf1", 1)]
+        assert result.delivered == {}
+
+    def test_evict_inside_a_transmission(self):
+        # the purge takes the first packet off leaf0's uplink queue
+        # (no loss record: an evicted tenant's packets just go); the
+        # two after it find the tenant gone
+        _fabric, tenant, experiment = self._build()
+        experiment.schedule_reconfig(1, 0.1, apply=tenant.unload)
+        result = experiment.run()
+        assert result.loss_log == [] and result.lost_records() == []
+        assert result.delivered == {} and result.drops == {1: 2}
+
+    def test_control_event_at_the_arrival_instant_is_pending(self):
+        # The link fails at the very instant the first packet arrives:
+        # the arrival runs first, yet the packet must not leave before
+        # the failure. Every packet dies on the uplink.
+        fabric, _tenant, experiment = self._build()
+        first = next(iter(experiment.matrix.arrivals(0.3)))[0]
+        experiment.schedule_reconfig(0, first,
+                                     apply=self._set_uplink(fabric, False))
+        result = experiment.run()
+        assert result.loss_log == [(0.13, 1, self.UPLINK),
+                                   (0.23000000000000004, 1, self.UPLINK),
+                                   (0.33, 1, self.UPLINK)]
+        assert result.lost_records() == [LostRecord(1, self.UPLINK, 3)]
+
+
 # ------------------------------------------------ event-list count gate
 
 class TestEventListDiscipline:
     """A timeline event costs what it changed, not one poll per port.
 
-    Counts only (no wall clock). The contended run: a 2-leaf/1-spine
-    fabric whose leaves have three idle ports each and whose one uplink
-    is contended (tenants 1 and 2 offer 8 Mb/s each into a 10 Mb/s
-    link, tenant 3 runs the other way, uncontended). Polling every port
-    of the member on every arrival and service event costs 8.0
-    ``next_departure_at`` and 17.0 ``_choose`` calls per hop on this
-    very run. The simulated outcome is pinned to the all-ports scan's,
-    so the bound cannot be met by serving less. The uncontended run:
-    one tenant over 100 Gb/s links, where a hop is one enqueue, one
-    service and two kernel events.
+    Counts only (no wall clock), with kernel events counted per kind:
+    arrivals (at a source or across a link), service events of ports
+    with a backlog, and delivery events of packets that started on an
+    idle host port. The contended run: a 2-leaf/1-spine fabric whose
+    leaves have three idle ports each and whose one uplink is contended
+    (tenants 1 and 2 offer 8 Mb/s each into a 10 Mb/s link, tenant 3
+    runs the other way, uncontended). Polling every port of the member
+    on every arrival and service event costs 8.0 ``next_departure_at``
+    and 17.0 ``_choose`` calls per hop on this very run. The simulated
+    outcome is pinned to the all-ports scan's, so the bound cannot be
+    met by serving less. The uncontended run: one tenant over 100 Gb/s
+    links, where every packet starts on the port it is enqueued on, so
+    a hop is one arrival event and a packet adds one delivery event.
     """
 
     ROUTES = {1: (("leaf0", 0), ("leaf1", 0)),
@@ -233,11 +355,22 @@ class TestEventListDiscipline:
                        make_packet=lambda vid=vid: _packet(vid))
         return FabricTimelineExperiment(fabric, matrix, duration_s=0.05)
 
+    #: kernel event kind by handler name
+    KINDS = {"arrival": "arrival_events", "_arrive": "arrival_events",
+             "_service": "service_events", "on_deliver": "delivery_events"}
+
     def _run(self, monkeypatch, **fabric_kwargs):
         from repro.engine import EgressScheduler
 
         experiment = self._build(**fabric_kwargs)
-        calls = {"backlogged_arrivals": 0}
+        calls = {"backlogged_arrivals": 0, "arrival_events": 0,
+                 "service_events": 0, "delivery_events": 0}
+        schedule = Simulator.schedule
+
+        def scheduled(sim, delay, callback, *args):
+            calls[self.KINDS[callback.__name__]] += 1
+            return schedule(sim, delay, callback, *args)
+        monkeypatch.setattr(Simulator, "schedule", scheduled)
 
         def count(cls, name, note=None):
             inner = getattr(cls, name)
@@ -260,6 +393,10 @@ class TestEventListDiscipline:
         count(ExecutionCore, "inject")  # one per switch-hop
         result = experiment.run()
         calls["events"] = experiment.core.sim.events_processed
+        # every scheduled event ran, and each was one of the three kinds
+        assert calls["events"] == calls["arrival_events"] \
+            + calls["service_events"] + calls["delivery_events"]
+        assert calls["arrival_events"] == calls["inject"]
         return calls, result
 
     def test_scans_per_hop_are_bounded_and_outcome_unchanged(
@@ -268,13 +405,16 @@ class TestEventListDiscipline:
         hops = calls["inject"]
         assert hops == 312
         # one advance per service event, plus one per arrival that
-        # found the member backlogged
-        service_events = calls["events"] - hops
+        # found the member backlogged; a delivery event advances nothing
+        service_events = calls["service_events"]
         assert calls["idle_to"] == hops
         assert 0 < calls["backlogged_arrivals"] < hops
         assert calls["advance_to"] == \
             service_events + calls["backlogged_arrivals"]
-        assert service_events <= hops + 1
+        assert 0 < service_events <= hops + 1
+        # tenant 3's packets never queue: each ends in a delivery event
+        assert calls["delivery_events"] >= result.delivered[3]
+        assert calls["events"] < 2 * hops
         assert calls["next_departure_at"] <= hops
         assert calls["_choose"] <= 1.5 * hops
 
@@ -292,27 +432,34 @@ class TestEventListDiscipline:
                 pytest.approx(0.0026, rel=1e-9)),
         }
 
-    def test_uncontended_hop_is_one_service_and_two_events(
-            self, monkeypatch):
+    def test_uncontended_hop_is_one_event_and_no_scan(self, monkeypatch):
         calls, result = self._run(monkeypatch, link_bps=100e9, vids=(1,))
         hops = calls["inject"]
-        assert hops == 3 * result.delivered[1] and hops > 0
+        delivered = result.delivered[1]
+        assert hops == 3 * delivered and hops > 0
         assert calls["backlogged_arrivals"] == 0
-        assert calls["advance_to"] == hops
-        assert calls["events"] == 2 * hops
-        # the service event serves the choice the arrival's scan made
-        assert calls["next_departure_at"] == calls["_choose"] == hops
+        # 4/3 events per hop on this 3-hop route: one arrival per hop
+        # and one delivery per packet, no service event at all
+        assert calls["arrival_events"] == hops
+        assert calls["delivery_events"] == delivered
+        assert calls["service_events"] == 0
+        assert calls["events"] == hops + delivered
+        # a packet alone on an idle port needs no scheduling scan
+        assert calls.get("advance_to", 0) == 0
+        assert calls.get("next_departure_at", 0) == 0
+        assert calls.get("_choose", 0) == 0
         assert result.drops == {} and result.lost == {}
 
     def test_undrained_run_is_a_typed_error_naming_the_queues(
             self, monkeypatch):
-        """Break the cascade (no service event is ever scheduled): the
-        run must end in a ``ReproError`` that says where the packets
-        are, not a bare ``RuntimeError``."""
+        """Break the cascade (no service event is ever scheduled) on
+        the contended uplink, where packets queue behind a
+        transmission: the run must end in a ``ReproError`` that says
+        where the packets are, not a bare ``RuntimeError``."""
         from repro.errors import ReproError
         from repro.sim.kernel import SimulationError
 
-        experiment = self._build(vids=(1,))
+        experiment = self._build(vids=(1, 2))
         monkeypatch.setattr(ExecutionCore, "schedule_services",
                             lambda self, member, scheduler: None)
         with pytest.raises(SimulationError,
