@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..errors import EncodingError
 from .encodings import (
@@ -149,6 +149,10 @@ class AluAction:
 
 
 NOP_ACTION = AluAction()
+#: A module name, not ``AluOp.NOP``: an enum member lookup on the class
+#: costs more than the comparison, and every instruction built pays it
+#: per slot.
+_NOP = AluOp.NOP
 
 
 class VliwInstruction:
@@ -163,6 +167,8 @@ class VliwInstruction:
         #: Immutable: a decoded instruction is shared by every packet
         #: and compile that reads its row.
         self.actions: Tuple[AluAction, ...] = tuple(actions)
+        self._non_nop: Tuple[Tuple[int, AluAction], ...] = tuple([
+            (i, a) for i, a in enumerate(self.actions) if a.opcode != _NOP])
 
     @classmethod
     def from_sparse(cls, sparse: dict) -> "VliwInstruction":
@@ -181,10 +187,10 @@ class VliwInstruction:
     def decode(cls, word: int) -> "VliwInstruction":
         return cls([AluAction.decode(w) for w in decode_vliw_entry(word)])
 
-    def non_nop(self) -> List[tuple]:
-        """(slot, action) pairs of non-NOP actions."""
-        return [(i, a) for i, a in enumerate(self.actions)
-                if a.opcode != AluOp.NOP]
+    def non_nop(self) -> Tuple[Tuple[int, AluAction], ...]:
+        """(slot, action) pairs of non-NOP actions, in slot order (built
+        once, at construction)."""
+        return self._non_nop
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VliwInstruction):

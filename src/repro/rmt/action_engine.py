@@ -19,8 +19,14 @@ from typing import Optional
 
 from ..errors import ConfigError
 from .action import AluAction, AluOp, VliwInstruction
-from .phv import PHV, ContainerRef, ContainerType
+from .encodings import NUM_ALUS
+from .phv import PHV, ContainerRef
 from .stateful import StatefulMemory
+
+#: The container each ALU slot writes, by flat index (slot 24 is the
+#: metadata container).
+_SLOT_REFS = tuple(ContainerRef.from_flat(slot) for slot in range(NUM_ALUS))
+_META_SLOT = 24
 
 
 class StatefulAccess:
@@ -80,34 +86,32 @@ class ActionEngine:
         b = self._operand(old, action.c2)
         imm = action.immediate
 
-        if op.writes_container:
-            own = ContainerRef.from_flat(slot)
-            if own.ctype == ContainerType.META:
-                raise ConfigError(
-                    f"{op.name} on the metadata ALU slot is not supported")
+        own = _SLOT_REFS[slot]
+        if op.writes_container and slot == _META_SLOT:
+            raise ConfigError(
+                f"{op.name} on the metadata ALU slot is not supported")
 
         if op == AluOp.ADD:
-            new.set_wrapping(ContainerRef.from_flat(slot), a + b)
+            new.set_wrapping(own, a + b)
         elif op == AluOp.SUB:
-            new.set_wrapping(ContainerRef.from_flat(slot), a - b)
+            new.set_wrapping(own, a - b)
         elif op == AluOp.ADDI:
-            new.set_wrapping(ContainerRef.from_flat(slot), a + imm)
+            new.set_wrapping(own, a + imm)
         elif op == AluOp.SUBI:
-            new.set_wrapping(ContainerRef.from_flat(slot), a - imm)
+            new.set_wrapping(own, a - imm)
         elif op == AluOp.SET:
-            new.set_wrapping(ContainerRef.from_flat(slot), imm)
+            new.set_wrapping(own, imm)
         elif op == AluOp.LOAD:
             value = self._require_stateful(op).read(module_id, a + imm)
-            new.set_wrapping(ContainerRef.from_flat(slot), value)
+            new.set_wrapping(own, value)
         elif op == AluOp.STORE:
-            own_value = (old.get(ContainerRef.from_flat(slot))
-                         if slot != 24 else 0)
+            own_value = old.get(own) if slot != _META_SLOT else 0
             self._require_stateful(op).write(module_id, a + imm, own_value)
         elif op == AluOp.LOADD:
             value = self._require_stateful(op).load_add_store(
                 module_id, a + imm)
-            if slot != 24:
-                new.set_wrapping(ContainerRef.from_flat(slot), value)
+            if slot != _META_SLOT:
+                new.set_wrapping(own, value)
         elif op == AluOp.PORT:
             new.metadata.dst_port = (a + imm) & 0xFFFF
         elif op == AluOp.MCAST:

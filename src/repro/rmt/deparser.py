@@ -50,20 +50,24 @@ class Deparser:
 
         Returns ``None`` when the PHV's discard flag is set — the packet
         is dropped instead of transmitted. The input packet is mutated in
-        place (it is the packet buffer's copy).
+        place (it is the packet buffer's copy). Like the parser, it
+        writes ``packet.buf`` directly once ``end <= window`` holds.
         """
         if phv.metadata.discard:
             return None
-        window = min(len(packet), self.params.parse_window_bytes)
+        buf, data = packet.buf, phv.data
+        window = min(len(buf), self.params.parse_window_bytes)
         for action in self.read_program(module_id):
-            if action.container.ctype == ContainerType.META:
+            container = action.container
+            if container.ctype == ContainerType.META:
                 raise ConfigError("deparse actions cannot target metadata")
-            size = action.container.size_bytes
-            end = action.bytes_from_head + size
+            start = action.bytes_from_head
+            size = container.size_bytes
+            end = start + size
             if end > window:
                 raise PacketError(
-                    f"deparse action writes [{action.bytes_from_head}:{end}) "
+                    f"deparse action writes [{start}:{end}) "
                     f"past the {window}-byte window")
-            packet.write_bytes(action.bytes_from_head,
-                               phv.get_bytes(action.container))
+            buf[start:end] = data[container.ctype][container.index].to_bytes(
+                size, "big")
         return packet

@@ -8,6 +8,21 @@ module's 193-bit mask so shorter keys match correctly.
 
 Both the 38-bit extractor entries and the 193-bit masks are per-module
 overlay state; the extractor only reads them via ``table.read(module_id)``.
+
+Key layout (bit 0 is the LSB), the same word
+:func:`~repro.rmt.encodings.encode_key` packs MSB-first::
+
+    [192:145] 6B slot 1   [144:97] 6B slot 2   [96:65] 4B slot 1
+    [64:33]   4B slot 2   [32:17]  2B slot 1   [16:1]  2B slot 2
+    [0]       predicate flag
+
+:meth:`KeyExtractor.extract` builds it by shift-or of the six container
+values at offsets 145 / 97 / 65 / 33 / 17 / 1, with no per-slot width
+check. That is exact because a PHV container never holds a value wider
+than the container: :meth:`~repro.rmt.phv.PHV.set` rejects one,
+:meth:`~repro.rmt.phv.PHV.set_wrapping` truncates, and the parser copies
+exactly the container's byte width out of the packet. No slot can spill
+into its neighbour, so the shift-or equals ``encode_key``.
 """
 
 from __future__ import annotations
@@ -15,20 +30,17 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
-from ..errors import EncodingError
 from .config_table import ConfigTable
 from .encodings import (
     FULL_KEY_MASK,
     KEY_EXTRACT_LAYOUT,
     decode_cmp_operand,
     encode_cmp_operand,
-    encode_key,
 )
 from .params import DEFAULT_PARAMS, HardwareParams
-from .phv import PHV, ContainerRef, ContainerType
+from .phv import PHV, ContainerRef
 
 
 class CmpOp(IntEnum):
@@ -91,16 +103,6 @@ class KeyExtractEntry:
     cmp_a: CmpOperand = 0
     cmp_b: CmpOperand = 0
 
-    @cached_property
-    def key_refs(self) -> Tuple[ContainerRef, ...]:
-        """The containers filling the six key slots, in key order."""
-        return (ContainerRef(ContainerType.B6, self.idx_6b_1),
-                ContainerRef(ContainerType.B6, self.idx_6b_2),
-                ContainerRef(ContainerType.B4, self.idx_4b_1),
-                ContainerRef(ContainerType.B4, self.idx_4b_2),
-                ContainerRef(ContainerType.B2, self.idx_2b_1),
-                ContainerRef(ContainerType.B2, self.idx_2b_2))
-
     def encode(self) -> int:
         return KEY_EXTRACT_LAYOUT.pack(
             idx_6b_1=self.idx_6b_1, idx_6b_2=self.idx_6b_2,
@@ -145,23 +147,29 @@ class KeyExtractor:
     def read_mask(self, module_id: int) -> int:
         return self.mask_table.read(module_id)
 
-    def _operand_value(self, phv: PHV, operand: CmpOperand) -> int:
-        if isinstance(operand, ContainerRef):
-            return phv.get(operand)
-        return operand
-
     def evaluate_predicate(self, phv: PHV, entry: KeyExtractEntry) -> bool:
-        """Evaluate the entry's ``A OP B`` predicate against the PHV."""
-        a = self._operand_value(phv, entry.cmp_a)
-        b = self._operand_value(phv, entry.cmp_b)
-        return entry.cmp_op.evaluate(a, b)
+        """Evaluate the entry's ``A OP B`` predicate against the PHV.
+
+        Both operands are read whatever the opcode, ``DISABLED`` and
+        ``ALWAYS`` included, so a metadata operand is a ``ConfigError``
+        under every opcode."""
+        a, b = entry.cmp_a, entry.cmp_b
+        if isinstance(a, ContainerRef):
+            a = phv.get(a)
+        if isinstance(b, ContainerRef):
+            b = phv.get(b)
+        return _CMP_EVALUATORS[entry.cmp_op](a, b)
 
     def extract(self, phv: PHV, module_id: int) -> int:
-        """Assemble, flag, and mask the 193-bit key for this packet."""
+        """Assemble, flag, and mask the 193-bit key for this packet (by
+        shift-or; see the module docstring for why that is exact)."""
         entry = self.read_entry(module_id)
-        parts = [phv.get(ref) for ref in entry.key_refs]
-        flag = 1 if self.evaluate_predicate(phv, entry) else 0
-        key = encode_key(parts, flag)
+        b2, b4, b6 = phv.data
+        key = (b6[entry.idx_6b_1] << 145 | b6[entry.idx_6b_2] << 97
+               | b4[entry.idx_4b_1] << 65 | b4[entry.idx_4b_2] << 33
+               | b2[entry.idx_2b_1] << 17 | b2[entry.idx_2b_2] << 1)
+        if self.evaluate_predicate(phv, entry):
+            key |= 1
         return key & self.read_mask(module_id)
 
 

@@ -114,20 +114,26 @@ class ProgrammableParser:
         read past the end of the packet fault with
         :class:`~repro.errors.PacketError` — a module cannot read beyond
         its own packet.
+
+        ``end <= window <= len(packet)`` already bounds every copy, so
+        the bytes are sliced straight out of ``packet.buf`` into
+        ``phv.data``: exactly the container's width, never wider.
         """
         phv = PHV(self.params)  # zeroed per packet
-        window = min(len(packet), self.params.parse_window_bytes)
+        buf, data = packet.buf, phv.data
+        window = min(len(buf), self.params.parse_window_bytes)
         for action in self.read_program(module_id):
-            size = action.container.size_bytes
-            if action.container.ctype == ContainerType.META:
+            container = action.container
+            if container.ctype == ContainerType.META:
                 raise ConfigError("parse actions cannot target metadata")
-            end = action.bytes_from_head + size
+            start = action.bytes_from_head
+            end = start + container.size_bytes
             if end > window:
                 raise PacketError(
-                    f"parse action reads [{action.bytes_from_head}:{end}) "
+                    f"parse action reads [{start}:{end}) "
                     f"past the {window}-byte parse window")
-            data = packet.read_bytes(action.bytes_from_head, size)
-            phv.set_bytes(action.container, data)
+            data[container.ctype][container.index] = int.from_bytes(
+                buf[start:end], "big")
 
         meta = phv.metadata
         meta.pkt_len = min(len(packet), 0xFFFF)

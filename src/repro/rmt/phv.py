@@ -33,6 +33,10 @@ class ContainerType(IntEnum):
 
 #: Indexed by type code.
 _CONTAINER_BYTES = (2, 4, 6, 32)
+_CONTAINER_MASKS = tuple((1 << (8 * size)) - 1 for size in _CONTAINER_BYTES)
+_META = ContainerType.META
+_NOT_WRITABLE = ("metadata container is not directly writable; "
+                 "use .metadata fields")
 
 
 class ContainerRef:
@@ -238,16 +242,18 @@ class PHV:
     Container values are unsigned ints bounded by each container's byte
     width. A fresh PHV is all-zero (the hardware zeroes the PHV per
     packet to prevent cross-module leaks).
+
+    ``data`` holds the data containers as three lists indexed by type
+    code, ``data[ctype][index]`` (B2, B4, B6). It is the one raw view the
+    parser, deparser and key extractor use; whoever writes through it
+    keeps each value inside its container's width, as :meth:`set`,
+    :meth:`set_wrapping` and :meth:`set_bytes` do.
     """
 
     def __init__(self, params: HardwareParams = DEFAULT_PARAMS):
         self.params = params
-        # values[ctype][index]
-        self._values: Dict[ContainerType, List[int]] = {
-            ContainerType.B2: [0] * params.containers_per_type,
-            ContainerType.B4: [0] * params.containers_per_type,
-            ContainerType.B6: [0] * params.containers_per_type,
-        }
+        n = params.containers_per_type
+        self.data: List[List[int]] = [[0] * n, [0] * n, [0] * n]
         self.metadata = Metadata()
 
     @classmethod
@@ -258,54 +264,56 @@ class PHV:
         value fits its container width."""
         phv = cls.__new__(cls)  # every field is set below
         phv.params = params
-        phv._values = {ContainerType.B2: list(vals[0:8]),
-                       ContainerType.B4: list(vals[8:16]),
-                       ContainerType.B6: list(vals[16:24])}
+        phv.data = [list(vals[0:8]), list(vals[8:16]), list(vals[16:24])]
         phv.metadata = Metadata()
         return phv
 
     # -- container access ------------------------------------------------------
 
     def get(self, ref: ContainerRef) -> int:
-        if ref.ctype == ContainerType.META:
+        if ref.ctype is _META:
             raise ConfigError("metadata container is not directly readable; "
                               "use .metadata fields")
-        return self._values[ref.ctype][ref.index]
+        return self.data[ref.ctype][ref.index]
 
     def set(self, ref: ContainerRef, value: int) -> None:
-        if ref.ctype == ContainerType.META:
-            raise ConfigError("metadata container is not directly writable; "
-                              "use .metadata fields")
+        if ref.ctype is _META:
+            raise ConfigError(_NOT_WRITABLE)
         limit = 1 << (8 * ref.size_bytes)
         if value < 0 or value >= limit:
             raise FieldRangeError(
                 f"value {value:#x} does not fit {ref.size_bytes}-byte "
                 f"container {ref!r}")
-        self._values[ref.ctype][ref.index] = value
+        self.data[ref.ctype][ref.index] = value
 
     def set_wrapping(self, ref: ContainerRef, value: int) -> None:
         """Set a container, truncating to its width (ALU wraparound)."""
-        self._values[ref.ctype][ref.index] = value % (1 << (8 * ref.size_bytes))
+        ctype = ref.ctype
+        if ctype is _META:
+            raise ConfigError(_NOT_WRITABLE)
+        self.data[ctype][ref.index] = value & _CONTAINER_MASKS[ctype]
 
     def get_bytes(self, ref: ContainerRef) -> bytes:
         return self.get(ref).to_bytes(ref.size_bytes, "big")
 
     def set_bytes(self, ref: ContainerRef, data: bytes) -> None:
+        if ref.ctype is _META:
+            raise ConfigError(_NOT_WRITABLE)
         if len(data) != ref.size_bytes:
             raise FieldRangeError(
                 f"{ref!r} needs {ref.size_bytes} bytes, got {len(data)}")
-        self._values[ref.ctype][ref.index] = int.from_bytes(data, "big")
+        self.data[ref.ctype][ref.index] = int.from_bytes(data, "big")
 
     def is_zero(self) -> bool:
         """True if every data container and metadata byte is zero."""
-        data_zero = all(v == 0 for vals in self._values.values() for v in vals)
+        data_zero = all(v == 0 for vals in self.data for v in vals)
         return data_zero and all(b == 0 for b in self.metadata.buf)
 
     def copy(self) -> "PHV":
         dup = PHV.__new__(PHV)  # no zeroed containers to discard
         dup.params = self.params
-        dup._values = {ctype: list(vals)
-                       for ctype, vals in self._values.items()}
+        b2, b4, b6 = self.data
+        dup.data = [b2[:], b4[:], b6[:]]
         dup.metadata = self.metadata.copy()
         return dup
 
@@ -313,14 +321,14 @@ class PHV:
         """All (ref, value) pairs of the 24 data containers."""
         out = []
         for ctype in (ContainerType.B2, ContainerType.B4, ContainerType.B6):
-            for index, value in enumerate(self._values[ctype]):
+            for index, value in enumerate(self.data[ctype]):
                 out.append((ContainerRef(ctype, index), value))
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PHV):
             return NotImplemented
-        return (self._values == other._values
+        return (self.data == other.data
                 and self.metadata.buf == other.metadata.buf)
 
     def __repr__(self) -> str:

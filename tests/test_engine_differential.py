@@ -657,6 +657,64 @@ def test_warm_rows_are_not_decoded_again(monkeypatch):
         assert list(serve(vid)) == [{}] * 4, vid
 
 
+def test_warm_scalar_oracle_does_no_known_answer_work(monkeypatch):
+    """Counts only (no wall clock): a warm netcache GET through
+    ``Switch.process`` runs ``bits.check_fits`` zero times, constructs
+    no ``ContainerRef``, and calls neither ``Packet.read_bytes`` nor
+    ``Packet.write_bytes``. On this very packet the scalar walk used to
+    make 35 ``check_fits`` calls (``encode_key`` re-checking seven key
+    slots in each of five stages), 4 ``ContainerRef`` constructions
+    (one per ALU op), 4 ``read_bytes`` and 2 ``write_bytes`` (parse and
+    deparse). The outcome bytes, egress port and register values below
+    are the ones that walk produced for this packet sequence, so the
+    bound cannot be met by doing less of the packet's work."""
+    import sys
+
+    from repro import bits
+    from repro.modules import netcache
+    from repro.net.packet import Packet
+    from repro.rmt.phv import ContainerRef
+
+    calls = {}
+    check_fits = bits.check_fits
+
+    def counted_check_fits(*args, **kwargs):
+        calls["check_fits"] = calls.get("check_fits", 0) + 1
+        return check_fits(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "repro"
+                and getattr(module, "check_fits", None) is check_fits):
+            monkeypatch.setattr(module, "check_fits", counted_check_fits)
+    _count_calls(monkeypatch, ContainerRef, ("__init__",), calls)
+    _count_calls(monkeypatch, Packet, ("read_bytes", "write_bytes"), calls)
+
+    spec = workload("netcache")
+    switch = Switch.build().create()
+    workload("calc").admit(switch, vid=1)
+    tenant = spec.admit(switch, vid=2)
+    for fid in (0, 1, 0):
+        switch.process(spec.flow_packet(2, fid))
+    # cold rows decode through both counters: they are live
+    assert calls.get("check_fits") and calls.get("__init__"), calls
+
+    packet = spec.flow_packet(2, 0)     # building one writes through them
+    calls.clear()
+    result = switch.process(packet)
+    assert calls == {}, calls
+
+    assert (result.dropped, result.egress_port) == (False, 0)
+    assert result.packet.tobytes().hex() == (
+        "0200000000020200000000018100000208004500002a00000000401166c1"
+        "0a0000010a00000227104e200016758e000100000100000003e800000004")
+    assert netcache.read_stat(result.packet) == 4     # the loadd counter
+    assert calls.get("read_bytes")        # the Packet counter is live too
+    registers = {name: [tenant.register(name).read(addr)
+                        for addr in range(tenant.register(name).size)]
+                 for name in tenant.registers()}
+    assert registers == {"op_stats": [4, 0, 0, 0],
+                         "values": [1000, 1001, 1002, 1003, 0, 0, 0, 0]}
+
+
 #: kind -> (resource type, word, error type, message pattern, the oracle
 #: call the fault surfaces in, the engine call it surfaces in). Every
 #: 16-bit segment word decodes, so that row's hostile word is the one the

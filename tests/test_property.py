@@ -15,7 +15,7 @@ from repro.core.reconfig import (
     parse_reconfig_packet,
 )
 from repro.core.packet_filter import PacketFilter
-from repro.errors import FieldRangeError, ReconfigurationError, \
+from repro.errors import ConfigError, FieldRangeError, ReconfigurationError, \
     SegmentFaultError
 from repro.net import PacketBuilder, parse_layers
 from repro.net.checksum import internet_checksum, pseudo_header_ipv4, \
@@ -24,12 +24,17 @@ from repro.net.udp_ import MENSHEN_RECONFIG_DPORT
 from repro.rmt import (
     AluAction,
     AluOp,
+    CmpOp,
     ExactMatchTable,
+    KeyExtractEntry,
+    KeyExtractor,
     StatefulMemory,
     VliwInstruction,
 )
 from repro.rmt.action_engine import ActionEngine, StatefulAccess
+from repro.rmt.config_table import ConfigTable
 from repro.rmt.encodings import (
+    FULL_KEY_MASK,
     decode_cam_entry,
     decode_key,
     decode_parse_action,
@@ -55,6 +60,23 @@ key_parts = st.tuples(
     st.integers(0, (1 << 48) - 1), st.integers(0, (1 << 48) - 1),
     st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 32) - 1),
     st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+
+#: One value per data container, each inside its width (B2, B4, B6 order).
+phv_values = st.tuples(*(
+    st.integers(0, (1 << (8 * ctype.size_bytes)) - 1)
+    for ctype in (ContainerType.B2, ContainerType.B4, ContainerType.B6)
+    for _ in range(8)))
+
+#: A predicate operand: a data container or a 7-bit immediate.
+cmp_operands = st.one_of(container_refs, st.integers(0, 0x7F))
+
+key_extract_entries = st.builds(
+    KeyExtractEntry,
+    idx_6b_1=st.integers(0, 7), idx_6b_2=st.integers(0, 7),
+    idx_4b_1=st.integers(0, 7), idx_4b_2=st.integers(0, 7),
+    idx_2b_1=st.integers(0, 7), idx_2b_2=st.integers(0, 7),
+    cmp_op=st.sampled_from(list(CmpOp)),
+    cmp_a=cmp_operands, cmp_b=cmp_operands)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +255,58 @@ class TestIsolationProperties:
                 if hit is not None:
                     entry = cam.read(hit)
                     assert entry.module_id == other
+
+
+# ---------------------------------------------------------------------------
+# key extractor
+# ---------------------------------------------------------------------------
+
+def _key_extractor(entry, mask=FULL_KEY_MASK):
+    extractor = KeyExtractor(
+        ConfigTable("ke", DEFAULT_PARAMS.key_extractor_entry_bits, 1,
+                    decode=KeyExtractEntry.decode),
+        ConfigTable("km", DEFAULT_PARAMS.key_bits, 1))
+    extractor.install(0, entry, mask)
+    return extractor
+
+
+def _reference_key(phv, entry, mask):
+    """The key as ``encode_key`` packs it, slot by slot through
+    ``PHV.get``, with the flag from ``CmpOp.evaluate``."""
+    slots = ((ContainerType.B6, entry.idx_6b_1),
+             (ContainerType.B6, entry.idx_6b_2),
+             (ContainerType.B4, entry.idx_4b_1),
+             (ContainerType.B4, entry.idx_4b_2),
+             (ContainerType.B2, entry.idx_2b_1),
+             (ContainerType.B2, entry.idx_2b_2))
+    parts = [phv.get(ContainerRef(ctype, index)) for ctype, index in slots]
+
+    def operand(value):
+        return phv.get(value) if isinstance(value, ContainerRef) else value
+    flag = entry.cmp_op.evaluate(operand(entry.cmp_a), operand(entry.cmp_b))
+    return encode_key(parts, int(flag)) & mask
+
+
+class TestKeyExtractorProperties:
+    @given(phv_values, key_extract_entries, st.integers(0, FULL_KEY_MASK))
+    def test_shift_or_key_equals_encode_key(self, values, entry, mask):
+        phv = PHV()
+        for flat, value in enumerate(values):
+            phv.set(ContainerRef(ContainerType(flat // 8), flat % 8), value)
+        expected = _reference_key(phv, entry, mask)
+        assert _key_extractor(entry, mask).extract(phv, 0) == expected
+        # and with every key bit kept, so no slot hides under the mask
+        assert _key_extractor(entry).extract(phv, 0) == \
+            _reference_key(phv, entry, FULL_KEY_MASK)
+
+    @pytest.mark.parametrize("op", list(CmpOp))
+    def test_metadata_operand_is_a_config_error_under_every_op(self, op):
+        meta = ContainerRef(ContainerType.META, 0)
+        for cmp_a, cmp_b in ((meta, 3), (3, meta), (meta, meta)):
+            extractor = _key_extractor(
+                KeyExtractEntry(cmp_op=op, cmp_a=cmp_a, cmp_b=cmp_b))
+            with pytest.raises(ConfigError, match="not directly readable"):
+                extractor.extract(PHV(), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,42 @@ class TestDeparser:
         phv.metadata.discard = True
         assert deparser.deparse(phv, pkt.copy(), 7) is None
 
+    def deparse_with(self, action, pkt):
+        """Deparse an all-ones PHV into ``pkt`` through a one-action
+        program."""
+        _parser, deparser = self.build()
+        deparser.install_program(7, [action])
+        phv = PHV.from_container_values(
+            [0xFFFF] * 8 + [0xFFFFFFFF] * 8 + [(1 << 48) - 1] * 8)
+        deparser.deparse(phv, pkt, 7)
+
+    def test_write_past_parse_window_raises(self):
+        pkt = make_packet(vid=7, payload=b"\x00" * 200)
+        assert len(pkt) > DEFAULT_PARAMS.parse_window_bytes
+        with pytest.raises(PacketError, match="past the 128-byte window"):
+            self.deparse_with(ParseAction(127, ContainerRef(ContainerType.B4, 0)),
+                              pkt)
+        assert pkt.read_bytes(127, 4) == b"\x00" * 4    # nothing written
+
+    def test_write_past_packet_end_raises(self):
+        pkt = make_packet(vid=7, payload=b"")  # 46 bytes
+        before = pkt.tobytes()
+        with pytest.raises(PacketError, match=r"\[60:66\) past the 46-byte"):
+            self.deparse_with(ParseAction(60, ContainerRef(ContainerType.B6, 0)),
+                              pkt)
+        assert pkt.tobytes() == before
+
+    def test_metadata_target_raises_before_the_window_check(self):
+        # Offset 120 is also past the window: the target check fires first.
+        for offset in (0, 120):
+            pkt = make_packet(vid=7)
+            before = pkt.tobytes()
+            with pytest.raises(ConfigError, match="cannot target metadata"):
+                self.deparse_with(
+                    ParseAction(offset, ContainerRef(ContainerType.META, 0)),
+                    pkt)
+            assert pkt.tobytes() == before
+
 
 class TestKeyExtractor:
     def extractor(self):

@@ -129,6 +129,19 @@ class TestPHV:
         with pytest.raises(ConfigError):
             phv.set(meta_ref, 1)
 
+    # The raw writers raised a bare KeyError on the metadata container.
+    def test_set_bytes_on_metadata_is_a_config_error(self):
+        phv = PHV()
+        with pytest.raises(ConfigError, match="not directly writable"):
+            phv.set_bytes(ContainerRef(ContainerType.META, 0), bytes(32))
+        assert phv.is_zero()
+
+    def test_set_wrapping_on_metadata_is_a_config_error(self):
+        phv = PHV()
+        with pytest.raises(ConfigError, match="not directly writable"):
+            phv.set_wrapping(ContainerRef(ContainerType.META, 0), 1)
+        assert phv.is_zero()
+
     def test_copy_independent(self):
         phv = PHV()
         ref = ContainerRef(ContainerType.B2, 0)
