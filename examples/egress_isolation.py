@@ -2,12 +2,11 @@
 """Egress isolation: weighted-fair scheduling + rate limiting (§3.5).
 
 One bursty "elephant" tenant floods the switch while three mice send
-steadily. On the old per-port FIFO path the elephant's backlog drains
-first and the mice starve; the batched serving path now routes egress
-through a PIFO/STFQ scheduler (`switch.engine()` installs it by
-default), so each tenant's share of the output link follows its
-configured weight — and a token-bucket rate limit can cap the elephant
-outright.
+steadily. Behind a per-port FIFO the elephant's backlog would drain
+first and the mice starve; every switch queues egress in a PIFO/STFQ
+scheduler (`switch.egress_scheduler`), so each tenant's share of the
+output link follows its configured weight — and a token-bucket rate
+limit can cap the elephant outright.
 
 Run:  python examples/egress_isolation.py
 """
@@ -37,7 +36,7 @@ def main() -> None:
         calc.install(tenant, port=PORT)
         tenant.set_weight(weight)
 
-    engine = switch.engine()          # installs the egress scheduler
+    engine = switch.engine()          # commits into the egress scheduler
     engine.process_batch(offered(rounds=200))
 
     scheduler = switch.egress_scheduler

@@ -18,9 +18,9 @@ stitch together by hand (pipeline, controller, compiler, interface):
   back applied operations if any step fails.
 
 The facade also fronts the serving layer: :meth:`Switch.engine`
-returns a batched :class:`~repro.engine.batch.BatchEngine` and (by
-default) routes egress through the weighted-fair
-:class:`~repro.engine.scheduler.EgressScheduler`, configured per
+returns a batched :class:`~repro.engine.batch.BatchEngine`, and the
+pipeline's weighted-fair
+:class:`~repro.engine.scheduler.EgressScheduler` is configured per
 tenant via :meth:`Tenant.set_weight` / :meth:`Tenant.set_rate_limit`
 / :meth:`Tenant.clear_rate_limit`; every reconfiguration committed
 through the facade flushes the affected tenant's flow-cache shards.
@@ -44,12 +44,10 @@ from ..engine.batch import BatchEngine
 from ..engine.scheduler import EgressScheduler, SchedulerTenantCounters
 from ..errors import (
     AdmissionError,
-    ConfigError,
     RuntimeInterfaceError,
     TenantIsolationError,
     TransactionError,
 )
-from ..exec.core import vid_of
 from ..net.packet import Packet
 from ..rmt.entry_types import ActionCall, FieldSpec, Match, TableEntry
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
@@ -67,13 +65,12 @@ class TenantCounters:
     """Per-tenant data-plane counters (the system-level statistics a
     tenant may read but never write).
 
-    The egress fields are fed by the
-    :class:`~repro.engine.scheduler.EgressScheduler` when one is
-    installed (``switch.engine()`` does so) and stay zero on
-    a pure-FIFO switch: ``egress_bytes_tx`` counts bytes actually
-    transmitted on output links (dequeue-time semantics — queued is not
-    transmitted), ``egress_queue_depth`` is the live §3.3 queue-length
-    gauge for this tenant.
+    The egress fields are fed by the switch's
+    :class:`~repro.engine.scheduler.EgressScheduler`, on the scalar
+    path and under an engine alike: ``egress_bytes_tx`` counts bytes
+    actually transmitted on output links (dequeue-time semantics —
+    queued is not transmitted), ``egress_queue_depth`` is the live §3.3
+    queue-length gauge for this tenant.
     """
 
     packets_in: int
@@ -354,8 +351,6 @@ class Switch:
 
     def engine(self, cache_capacity: int = 4096,
                enable_cache: bool = True,
-               line_rate_bps: Optional[float] = None,
-               egress_queue_capacity: Optional[int] = None,
                check_compiled: str = "off") -> BatchEngine:
         """A batched execution engine over this switch's pipeline.
 
@@ -371,19 +366,9 @@ class Switch:
         serves a tenant whose certificate fails from the scalar oracle;
         ``"off"`` skips certification.
 
-        The switch's egress runs through a weighted-fair
-        :class:`~repro.engine.scheduler.EgressScheduler`
-        (:meth:`install_egress_scheduler`), so one bursty tenant cannot
-        starve the others on a shared output link. Configure it per
-        tenant via :meth:`Tenant.set_weight` /
-        :meth:`Tenant.set_rate_limit`; ``line_rate_bps`` gives the
-        scheduler a transmission clock (needed for rate caps and the
-        timeline's latency measurements) and ``egress_queue_capacity``
-        bounds each port's queue.
+        The engine commits into the pipeline's own
+        :attr:`egress_scheduler`; it replaces nothing.
         """
-        self.install_egress_scheduler(
-            line_rate_bps=line_rate_bps,
-            queue_capacity=egress_queue_capacity)
         engine = BatchEngine(self.pipeline, cache_capacity=cache_capacity,
                              enable_cache=enable_cache,
                              check_compiled=check_compiled)
@@ -391,56 +376,12 @@ class Switch:
         return engine
 
     @property
-    def egress_scheduler(self) -> Optional[EgressScheduler]:
-        """The installed egress scheduler, if any."""
-        tm = self.pipeline.traffic_manager
-        return tm if isinstance(tm, EgressScheduler) else None
-
-    def install_egress_scheduler(self, line_rate_bps: Optional[float] = None,
-                                 queue_capacity: Optional[int] = None
-                                 ) -> EgressScheduler:
-        """Swap the pipeline's FIFO traffic manager for a weighted-fair
-        :class:`~repro.engine.scheduler.EgressScheduler`.
-
-        Idempotent: an already-installed scheduler is kept, and a line
-        rate supplied here fills in one it lacks. A value that disagrees
-        with what the installed scheduler runs with raises
-        :class:`~repro.errors.ConfigError` (an omitted or equal value is
-        accepted). Multicast groups and any queued packets carry over
-        from the FIFO, which also supplies the queue capacity when none
-        is given.
-        """
-        scheduler = self.egress_scheduler
-        if scheduler is not None:
-            if scheduler.line_rate_bps is None:
-                scheduler.line_rate_bps = line_rate_bps
-            for knob, running, asked in (
-                    ("line_rate_bps", scheduler.line_rate_bps, line_rate_bps),
-                    ("queue_capacity", scheduler.queue_capacity,
-                     queue_capacity)):
-                if asked is not None and asked != running:
-                    raise ConfigError(
-                        f"the egress scheduler is already installed with "
-                        f"{knob}={running!r}; it cannot be re-installed "
-                        f"with {knob}={asked!r}")
-            return scheduler
-        old = self.pipeline.traffic_manager
-        scheduler = EgressScheduler(
-            num_ports=old.num_ports,
-            queue_capacity=(queue_capacity if queue_capacity is not None
-                            else old.queue_capacity),
-            line_rate_bps=line_rate_bps,
-            stats=self.pipeline.stats)
-        for group_id, ports in old.mcast_groups().items():
-            scheduler.set_mcast_group(group_id, ports)
-        for port, packets in old.drain_all().items():
-            for packet in packets:
-                # Re-attribute from the 802.1Q tag so carried-over
-                # packets keep their owner's weight, rate limit,
-                # and queue-depth accounting.
-                scheduler.enqueue(packet, port, module_id=vid_of(packet))
-        self.pipeline.traffic_manager = scheduler
-        return scheduler
+    def egress_scheduler(self) -> EgressScheduler:
+        """The pipeline's weighted-fair traffic manager (§3.5): its
+        ``line_rate_bps`` is the transmission clock rate caps and the
+        timeline's latencies run on, its ``queue_capacity`` bounds each
+        port's queue."""
+        return self.pipeline.traffic_manager
 
     def _notify_reconfigured(self, vid: int) -> None:
         """Flush attached engines' cached flows for one tenant."""
@@ -572,13 +513,10 @@ class Tenant:
         Backlogged tenants divide each port's bandwidth in proportion
         to their weights (STFQ ranks in the egress scheduler), so a
         bursty neighbor can no longer starve this tenant — §3.5's PIFO
-        suggestion made default. Takes effect immediately: the egress
-        scheduler is installed here if the switch has none yet.
+        suggestion made default. Takes effect immediately; a
+        non-positive weight raises :class:`~repro.errors.ConfigError`.
         """
-        if weight <= 0:
-            raise ValueError(
-                f"tenant {self._vid}: weight must be positive, got {weight}")
-        self._switch.install_egress_scheduler().set_weight(self._vid, weight)
+        self._switch.egress_scheduler.set_weight(self._vid, weight)
         return self
 
     def set_rate_limit(self, rate_bytes_per_s: float,
@@ -587,31 +525,22 @@ class Tenant:
 
         ``rate_bytes_per_s`` refills the bucket against the scheduler's
         virtual clock; ``burst_bytes`` bounds how far it can save up
-        (default: one second's worth, floored at one MTU). Installs
-        the egress scheduler if the switch has none yet.
+        (default: one second's worth, floored at one MTU). A
+        non-positive rate or burst raises
+        :class:`~repro.errors.ConfigError`.
         """
-        if rate_bytes_per_s <= 0:
-            raise ValueError(
-                f"tenant {self._vid}: rate must be positive, "
-                f"got {rate_bytes_per_s}")
-        self._switch.install_egress_scheduler().set_rate_limit(
+        self._switch.egress_scheduler.set_rate_limit(
             self._vid, rate_bytes_per_s, burst_bytes)
         return self
 
     def clear_rate_limit(self) -> "Tenant":
         """Remove this tenant's egress rate cap."""
-        scheduler = self._switch.egress_scheduler
-        if scheduler is not None:
-            scheduler.clear_rate_limit(self._vid)
+        self._switch.egress_scheduler.clear_rate_limit(self._vid)
         return self
 
     def scheduler_counters(self) -> SchedulerTenantCounters:
-        """This tenant's egress-scheduler counters (zeros if the switch
-        still runs the plain FIFO traffic manager)."""
-        scheduler = self._switch.egress_scheduler
-        if scheduler is None:
-            return SchedulerTenantCounters()
-        return scheduler.tenant(self._vid)
+        """This tenant's egress-scheduler counters."""
+        return self._switch.egress_scheduler.tenant(self._vid)
 
     def stats(self) -> Dict[str, object]:
         """Placement + usage + traffic in one structured report."""
@@ -631,13 +560,12 @@ class Tenant:
             "counters": self.counters(),
         }
         scheduler = self._switch.egress_scheduler
-        if scheduler is not None:
-            report["egress"] = {
-                "weight": scheduler.weight_of(self._vid),
-                "rate_limit_bytes_per_s": scheduler.rate_limit_of(self._vid),
-                "queue_depth": scheduler.queue_depth(self._vid),
-                "scheduler": scheduler.tenant(self._vid),
-            }
+        report["egress"] = {
+            "weight": scheduler.weight_of(self._vid),
+            "rate_limit_bytes_per_s": scheduler.rate_limit_of(self._vid),
+            "queue_depth": scheduler.queue_depth(self._vid),
+            "scheduler": scheduler.tenant(self._vid),
+        }
         return report
 
     # -- lifecycle -----------------------------------------------------------------
@@ -667,9 +595,7 @@ class Tenant:
             raise RuntimeInterfaceError("the system module cannot be evicted")
         self._controller.unload_module(self._vid)
         self._switch._tenants.pop(self._vid, None)
-        scheduler = self._switch.egress_scheduler
-        if scheduler is not None:
-            scheduler.purge(self._vid)
+        self._switch.egress_scheduler.purge(self._vid)
         self._entry_log.clear()
         self._switch._notify_reconfigured(self._vid)
 

@@ -9,6 +9,7 @@
   memory sits behind a **segment table**,
 * a **daisy chain** wired to every configuration table — the only write
   path into the pipeline,
+* a weighted-fair egress scheduler (§3.5) as its traffic manager,
 * a partition ledger and statistics.
 
 Two platform modes mirror the two prototypes (§3.1):
@@ -35,7 +36,6 @@ from ..rmt.params import DEFAULT_PARAMS, HardwareParams
 from ..rmt.parser import ProgrammableParser, decode_parse_program
 from ..rmt.pipeline import PipelineResult
 from ..rmt.stage import Stage
-from ..rmt.traffic_manager import TrafficManager
 from .daisy_chain import DaisyChain
 from .overlay import OverlayTable
 from .packet_filter import PacketClass, PacketFilter
@@ -97,7 +97,10 @@ class MenshenPipeline:
 
         self.ledger = PartitionLedger(params)
         self.stats = PipelineStats()
-        self.traffic_manager = TrafficManager(num_ports=num_ports)
+        # Imported here: repro.engine's package init imports this module.
+        from ..engine.scheduler import EgressScheduler
+        self.traffic_manager = EgressScheduler(num_ports=num_ports,
+                                               stats=self.stats)
         self.reconfig_from_dataplane = reconfig_from_dataplane
 
         #: Modules with installed programs; packets of others are dropped.

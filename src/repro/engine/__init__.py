@@ -15,7 +15,8 @@ the serving layer a production deployment needs:
   ternary matches) also skip the interpreted pipeline walk;
 * :class:`~repro.engine.scheduler.EgressScheduler` — weighted-fair
   (PIFO/STFQ) egress with per-tenant token-bucket rate limiting, the
-  batched path's traffic manager (§3.5 bandwidth isolation);
+  traffic manager every Menshen pipeline is built with (§3.5 bandwidth
+  isolation);
 * engine counters (hits, misses, drops, per-tenant throughput).
 
 Quick start::

@@ -74,14 +74,10 @@ scalar processing.
 Equivalence contract: for any packet sequence, ``process_batch`` yields
 results equal field-for-field (output bytes, PHV, drop reason, egress,
 multicast, statistics) to ``pipeline.process`` called packet by packet.
-Traffic-manager state matches up to scheduling: with the plain FIFO TM
-(an engine built directly over a bare pipeline) the queue contents are
-identical; with the weighted-fair
-:class:`~repro.engine.scheduler.EgressScheduler` that
-``switch.engine()`` installs, service order may interleave
-*across* tenants (that is the scheduler's job) but per-port packet
-multisets and per-(port, tenant) orderings are identical — exactly
-what ``tests/test_engine_differential.py`` enforces across all eight
+Traffic-manager state is identical too: both paths enqueue into the
+pipeline's :class:`~repro.engine.scheduler.EgressScheduler` in the same
+order, so every port drains the same packet sequence — exactly what
+``tests/test_engine_differential.py`` enforces across all eight
 evaluated modules. The only exception is error paths: if execution
 raises (e.g. a parse fault), the error is the scalar path's own, but
 the engine has already drawn the packet's buffer slot (the scalar path

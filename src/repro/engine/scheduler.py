@@ -1,13 +1,14 @@
-"""Egress scheduling for the batched serving path (§3.5).
+"""Egress scheduling: every Menshen pipeline's traffic manager (§3.5).
 
 Per-port FIFO queues (:class:`~repro.rmt.traffic_manager.TrafficManager`)
 let one bursty tenant starve the rest on a shared output link — an
 isolation hole the paper explicitly points at PIFO ranking to close.
 This module closes it:
 
-* :class:`EgressScheduler` — a drop-in traffic manager whose per-port
-  queues are weighted-fair. Packets are tagged with Start-Time Fair
-  Queueing ranks (:class:`~repro.rmt.pifo.StfqRanker`) at enqueue and
+* :class:`EgressScheduler` — the traffic manager a
+  :class:`~repro.core.pipeline.MenshenPipeline` is built with, whose
+  per-port queues are weighted-fair. Packets are tagged with
+  Start-Time Fair Queueing ranks (:class:`~repro.rmt.pifo.StfqRanker`) at enqueue and
   served in rank order, exactly a PIFO: each tenant owns a FIFO, and
   because STFQ start tags are monotone within a tenant, the globally
   smallest rank is always some tenant's queue head — popping the
@@ -38,11 +39,9 @@ The scheduler feeds per-tenant queue depth and transmitted-byte gauges
 into :class:`~repro.core.stats.PipelineStats` — the "real-time
 statistics" surface the system-level module exposes to tenants (§3.3).
 
-``repro.api.Switch.engine()`` installs an :class:`EgressScheduler` as
-the pipeline's traffic manager, so batched serving always runs on
-weighted-fair egress; ``Tenant.set_weight`` / ``Tenant.set_rate_limit``
-configure it through the facade (and install it themselves when they
-come first).
+The scalar path and the batched engine commit into the same scheduler,
+so both run on weighted-fair egress; ``Tenant.set_weight`` /
+``Tenant.set_rate_limit`` configure it through the facade.
 """
 
 from __future__ import annotations
@@ -168,12 +167,11 @@ _Choice = Tuple[int, float, Packet, float]
 
 
 class EgressScheduler:
-    """Weighted-fair, rate-limited egress: the batched path's TM.
+    """Weighted-fair, rate-limited egress: a Menshen pipeline's TM.
 
-    Drop-in compatible with the FIFO
-    :class:`~repro.rmt.traffic_manager.TrafficManager` (same queueing /
-    multicast / telemetry surface, with ``enqueue`` additionally taking
-    the owning ``module_id``), plus the scheduling knobs:
+    The FIFO :class:`~repro.rmt.traffic_manager.TrafficManager`'s
+    queueing / multicast / telemetry surface, with ``enqueue`` ranking
+    on the owning ``module_id``, plus the scheduling knobs:
 
     * :meth:`set_weight` — STFQ weight; backlogged tenants share each
       output port proportionally to their weights.
@@ -212,7 +210,7 @@ class EgressScheduler:
         self._backlogged: Set[int] = set()
         #: vid -> packets queued across all ports (the depth gauge).
         self._depth: Dict[int, int] = {}
-        self._mcast_groups: Dict[int, List[int]] = {}
+        self._groups: Dict[int, List[int]] = {}
         self._buckets: Dict[int, TokenBucket] = {}
         self._stats = stats
         #: Per-port virtual clocks (seconds): output links transmit in
@@ -399,15 +397,10 @@ class EgressScheduler:
             raise ConfigError("multicast group 0 means 'unicast'; pick >= 1")
         for port in ports:
             self._check_port(port)
-        self._mcast_groups[group_id] = list(ports)
+        self._groups[group_id] = list(ports)
 
     def mcast_ports(self, group_id: int) -> List[int]:
-        return list(self._mcast_groups.get(group_id, []))
-
-    def mcast_groups(self) -> Dict[int, List[int]]:
-        """All configured groups (so a replacement TM can adopt them)."""
-        return {gid: list(ports)
-                for gid, ports in self._mcast_groups.items()}
+        return list(self._groups.get(group_id, []))
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -474,7 +467,7 @@ class EgressScheduler:
         the owning tenant for ranking, rate limiting, and telemetry.
         """
         if mcast_group:
-            ports = self._mcast_groups.get(mcast_group)
+            ports = self._groups.get(mcast_group)
             if not ports:
                 self.dropped += 1
                 self.tenant(module_id).dropped += 1

@@ -90,12 +90,12 @@ class FabricSwitch:
                  host_rate_bps: Optional[float] = None):
         self.name = name
         self.switch = switch
-        self.engine: BatchEngine = switch.engine(
-            line_rate_bps=host_rate_bps)
-        #: Bound once: ``engine()`` installed it, installing is
-        #: idempotent and nothing replaces a switch's traffic manager
-        #: afterwards.
+        self.engine: BatchEngine = switch.engine()
+        #: Bound once: a pipeline's traffic manager is built with it and
+        #: never replaced.
         self.scheduler: EgressScheduler = switch.egress_scheduler
+        if host_rate_bps is not None:
+            self.scheduler.line_rate_bps = host_rate_bps
         #: port index -> attached fabric link (absent = host port)
         self.links: Dict[int, Link] = {}
         #: False while crashed (:meth:`Fabric.crash_switch`): the

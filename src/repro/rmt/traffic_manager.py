@@ -2,8 +2,10 @@
 
 A deliberately simple model: per-port FIFO queues with optional depth
 limits, plus a multicast-group table mapping group IDs to port lists.
-The system-level module (§3.3) reads queue lengths and per-port byte
-counters from here as its "real-time statistics".
+It is the single-module RMT baseline's queueing
+(:class:`~repro.rmt.pipeline.RmtPipeline`) and the FIFO side of the
+§3.5 ablation; a Menshen pipeline queues into the weighted-fair
+:class:`~repro.engine.scheduler.EgressScheduler` instead.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class TrafficManager:
         self.num_ports = num_ports
         self.queue_capacity = queue_capacity
         self._queues: List[Deque[Packet]] = [deque() for _ in range(num_ports)]
-        self._mcast_groups: Dict[int, List[int]] = {}
+        self._groups: Dict[int, List[int]] = {}
         self.enqueued = 0
         self.dequeued = 0
         self.dropped = 0
@@ -38,15 +40,10 @@ class TrafficManager:
             raise ConfigError("multicast group 0 means 'unicast'; pick >= 1")
         for port in ports:
             self._check_port(port)
-        self._mcast_groups[group_id] = list(ports)
+        self._groups[group_id] = list(ports)
 
     def mcast_ports(self, group_id: int) -> List[int]:
-        return list(self._mcast_groups.get(group_id, []))
-
-    def mcast_groups(self) -> Dict[int, List[int]]:
-        """All configured groups (so a replacement TM can adopt them)."""
-        return {gid: list(ports)
-                for gid, ports in self._mcast_groups.items()}
+        return list(self._groups.get(group_id, []))
 
     # -- queueing ---------------------------------------------------------------
 
@@ -73,7 +70,7 @@ class TrafficManager:
         FIFO manager ignores it (scheduled managers rank on it).
         """
         if mcast_group:
-            ports = self._mcast_groups.get(mcast_group)
+            ports = self._groups.get(mcast_group)
             if not ports:
                 self.dropped += 1
                 return 0

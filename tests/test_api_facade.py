@@ -41,6 +41,8 @@ class TestBuilder:
         assert switch.params.num_stages == 7
         assert switch.params.max_modules == 8
         assert switch.pipeline.traffic_manager.num_ports == 4
+        # A fresh switch is born with its weighted-fair scheduler.
+        assert switch.pipeline.traffic_manager is switch.egress_scheduler
 
     def test_ternary_personality(self):
         switch = Switch.build().ternary().create()

@@ -21,7 +21,6 @@ from repro.fabric import Fabric
 from repro.modules import calc
 from repro.net import PacketBuilder
 from repro.net.packet import Packet
-from repro.rmt import TrafficManager
 from repro.sim import FabricTimelineExperiment
 from repro.traffic import TrafficMatrix, workload
 from seeds import rng as make_rng
@@ -172,7 +171,6 @@ class TestEgressSchedulerTelemetry:
                              module_id=1) == 0
         assert sched.dropped == 1
         assert sched.mcast_ports(5) == [0, 2]
-        assert sched.mcast_groups() == {5: [0, 2]}
 
 
 class TestRateLimiting:
@@ -272,22 +270,63 @@ class TestFacadeWiring:
         t2 = spec.admit(switch, vid=2)
         return switch, spec, t1, t2
 
-    def test_engine_installs_scheduler(self):
-        switch, spec, t1, t2 = self.build()
-        assert switch.egress_scheduler is None
-        assert isinstance(switch.pipeline.traffic_manager, TrafficManager)
-        switch.engine()
-        assert switch.egress_scheduler is not None
+    def test_fresh_switch_is_born_with_its_scheduler(self):
+        switch, *_ = self.build()
+        assert isinstance(switch.egress_scheduler, EgressScheduler)
         assert switch.pipeline.traffic_manager is switch.egress_scheduler
 
-    def test_weights_set_before_engine_install_the_scheduler(self):
+    def test_engine_twice_keeps_one_scheduler(self):
+        """Every engine of a switch commits into the one scheduler the
+        pipeline was built with."""
+        switch, spec, t1, t2 = self.build()
+        sched = switch.egress_scheduler
+        first, second = switch.engine(), switch.engine()
+        first.process_batch([spec.flow_packet(1, 1) for _ in range(2)])
+        second.process_batch([spec.flow_packet(2, 2) for _ in range(3)])
+        assert switch.egress_scheduler is sched
+        assert sched.total_queued() == 5
+        assert (sched.queue_depth(1), sched.queue_depth(2)) == (2, 3)
+
+    @pytest.mark.parametrize("path", ["scalar", "engine"])
+    def test_queue_capacity_set_on_the_scheduler_bounds_both_paths(self,
+                                                                   path):
+        """A queue bound is set on the scheduler itself, with no engine
+        parameter, and holds on the scalar path and under an engine."""
+        switch, spec, t1, t2 = self.build()
+        switch.egress_scheduler.queue_capacity = 2
+        batch = [spec.flow_packet(1, 1) for _ in range(5)]
+        if path == "scalar":
+            for packet in batch:
+                switch.process(packet)
+        else:
+            switch.engine().process_batch(batch)
+        assert switch.egress_scheduler.total_queued() == 2
+        assert switch.egress_scheduler.dropped == 3
+        assert t1.scheduler_counters().dropped == 3
+
+    def test_fabric_switch_sets_the_host_rate_on_the_built_scheduler(self):
+        fabric = Fabric(host_rate_bps=5e9)
+        member = fabric.add_switch("sw0")
+        assert member.scheduler is member.switch.pipeline.traffic_manager
+        assert member.scheduler.line_rate_bps == 5e9
+
+    def test_mcast_group_set_before_engine_is_served(self):
+        switch, *_ = self.build()
+        switch.egress_scheduler.set_mcast_group(4, [0, 3])
+        switch.engine()
+        tm = switch.pipeline.traffic_manager
+        assert tm.mcast_ports(4) == [0, 3]
+        assert tm.enqueue(pkt(vid=1), 0, mcast_group=4, module_id=1) == 2
+        assert tm.queue_len(0) == tm.queue_len(3) == 1
+
+    def test_weights_set_before_engine_are_kept(self):
         switch, spec, t1, t2 = self.build()
         t1.set_weight(3.0).set_rate_limit(50_000.0, burst_bytes=2000.0)
         sched = switch.egress_scheduler
-        assert sched is not None
-        switch.engine(line_rate_bps=1e9)
-        assert switch.egress_scheduler is sched
-        assert sched.line_rate_bps == 1e9
+        switch.engine()
+        # engine() replaces nothing: the pipeline keeps the scheduler it
+        # was built with, and its configuration with it.
+        assert switch.pipeline.traffic_manager is sched
         assert sched.weight_of(1) == 3.0
         assert sched.rate_limit_of(1) == 50_000.0
         assert sched.weight_of(2) == 1.0
@@ -301,29 +340,6 @@ class TestFacadeWiring:
         switch.engine()
         assert switch.egress_scheduler.weight_of(2) == 4.0
 
-    @pytest.mark.parametrize("first, second", [
-        ({"line_rate_bps": 1e9}, {"line_rate_bps": 2e9}),
-        ({"egress_queue_capacity": 4}, {"egress_queue_capacity": 8}),
-        ({}, {"egress_queue_capacity": 8}),
-    ])
-    def test_second_engine_call_that_disagrees_is_rejected(self, first,
-                                                           second):
-        """A later ``engine()`` asking for a different line rate or
-        queue bound than the installed scheduler runs with is a typed
-        error naming both values, never silently ignored (or a caller
-        asking for bounded queues keeps unbounded ones)."""
-        switch, *_ = self.build()
-        switch.engine(**first)
-        (knob, asked), = second.items()
-        running = first.get(knob)
-        with pytest.raises(ConfigError) as err:
-            switch.engine(**second)
-        assert repr(running) in str(err.value)
-        assert repr(asked) in str(err.value)
-        # Equal or omitted values stay accepted.
-        switch.engine(**first)
-        switch.engine()
-
     def test_live_weight_and_rate_updates(self):
         switch, spec, t1, t2 = self.build()
         switch.engine()
@@ -335,39 +351,37 @@ class TestFacadeWiring:
         assert switch.egress_scheduler.rate_limit_of(2) is None
 
     def test_invalid_weight_and_rate_raise(self):
+        """The scheduler's own check is the one check, and a refused
+        call leaves the tenant's configuration as it was."""
         switch, spec, t1, t2 = self.build()
-        with pytest.raises(ValueError):
+        t1.set_weight(2.0).set_rate_limit(1000.0)
+        with pytest.raises(ConfigError):
             t1.set_weight(-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             t1.set_rate_limit(0.0)
+        with pytest.raises(ConfigError):
+            t1.set_rate_limit(5000.0, burst_bytes=-1.0)
+        assert switch.egress_scheduler.weight_of(1) == 2.0
+        assert switch.egress_scheduler.rate_limit_of(1) == 1000.0
 
-    def test_mcast_groups_survive_scheduler_install(self):
-        switch, *_ = self.build()
-        switch.pipeline.traffic_manager.set_mcast_group(4, [0, 3])
-        switch.engine()
-        assert switch.egress_scheduler.mcast_ports(4) == [0, 3]
-
-    def test_queued_packets_survive_scheduler_install(self):
+    def test_scalar_path_attributes_egress_per_tenant(self):
+        """With no engine anywhere, ``switch.process`` queues each
+        tenant's packets under its own VID: the switch was built with
+        its scheduler, so depth gauges and transmitted bytes are live on
+        the scalar path too."""
         switch, spec, t1, t2 = self.build()
         switch.process(spec.flow_packet(1, 1))  # flow 1 is allowed
-        switch.process(spec.flow_packet(2, 2))  # flow 2 -> tenant 2
-        assert switch.pipeline.traffic_manager.total_queued() == 2
-        switch.engine()
+        for _ in range(2):
+            switch.process(spec.flow_packet(2, 2))  # flow 2 -> tenant 2
         scheduler = switch.egress_scheduler
-        assert scheduler.total_queued() == 2
-        # Carried-over packets keep their owner's attribution (weight,
-        # rate limit, queue-depth accounting), read from the VLAN tag.
-        assert scheduler.queue_depth(1) == 1
-        assert scheduler.queue_depth(2) == 1
-        assert scheduler.queue_depth(0) == 0
-
-    def test_engine_twice_reuses_scheduler(self):
-        switch, *_ = self.build()
-        switch.engine()
-        first = switch.egress_scheduler
-        switch.engine(line_rate_bps=1e9)
-        assert switch.egress_scheduler is first
-        assert first.line_rate_bps == 1e9  # upgraded in place
+        assert scheduler.total_queued() == 3
+        assert [scheduler.queue_depth(vid) for vid in (0, 1, 2)] == [0, 1, 2]
+        assert (t1.counters().egress_queue_depth,
+                t2.counters().egress_queue_depth) == (1, 2)
+        size = len(spec.flow_packet(2, 2))
+        scheduler.drain_all()
+        assert t2.counters().egress_queue_depth == 0
+        assert t2.counters().egress_bytes_tx == 2 * size
 
     def test_tenant_counters_carry_egress_stats(self):
         switch, spec, t1, t2 = self.build()

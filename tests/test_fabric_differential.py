@@ -56,7 +56,8 @@ class TestSingleSwitchDegeneracy:
         plain = Switch.build().create()
         handle = plain.admit("calc", calc.P4_SOURCE, vid=1)
         calc.install(handle, port=2)
-        engine = plain.engine(line_rate_bps=fabric.host_rate_bps)
+        engine = plain.engine()
+        plain.egress_scheduler.line_rate_bps = fabric.host_rate_bps
 
         batch = [calc.make_packet(1, calc.OP_ADD, i, 2 * i)
                  for i in range(32)]
@@ -106,7 +107,8 @@ class TestManualChainingEquivalence:
                         "leaf1": vid - 1}[key]
                 calc.install(handle, port=port)
                 handle.set_weight(weight)
-            engines[key] = sw.engine(line_rate_bps=10e9)
+            sw.egress_scheduler.line_rate_bps = 10e9
+            engines[key] = sw.engine()
 
         engines["leaf0"].process_batch([p.copy() for p in batch])
         hop1 = leaf0.pipeline.traffic_manager.drain(UPLINK)

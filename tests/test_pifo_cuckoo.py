@@ -76,6 +76,24 @@ class TestPifoEgress:
         vids = [p.read_int(14, 2) & 0xFFF for p in first_80]
         assert vids.count(1) == 0  # all module 9's backlog first
 
+    @pytest.mark.parametrize("pipeline, tm_class", [
+        ("MenshenPipeline", "EgressScheduler"),
+        ("RmtPipeline", "TrafficManager"),
+    ])
+    def test_pipeline_is_built_with_its_traffic_manager(self, pipeline,
+                                                        tm_class):
+        # A Menshen pipeline ranks its modules in a PIFO from birth; the
+        # single-module RMT baseline keeps the FIFO of the contrast above.
+        from repro.core import MenshenPipeline
+        from repro.rmt import RmtPipeline, TrafficManager
+        classes = {"MenshenPipeline": MenshenPipeline,
+                   "RmtPipeline": RmtPipeline,
+                   "EgressScheduler": EgressScheduler,
+                   "TrafficManager": TrafficManager}
+        tm = classes[pipeline](num_ports=4).traffic_manager
+        assert type(tm) is classes[tm_class]
+        assert tm.num_ports == 4
+
     def test_drain_bytes_counts_transmitted_bytes(self):
         # drain_bytes is a service path like dequeue: what it serves
         # must land in the per-module transmitted bytes with the same
