@@ -333,7 +333,11 @@ class MenshenPipeline:
 
     def commit(self, merged: Optional[Packet], phv: "PHV",
                module_id: int, cache_hit: bool = False) -> PipelineResult:
-        """Account for an executed packet and enqueue it into the TM."""
+        """Account for an executed packet and enqueue it into the TM.
+
+        A unicast packet the full egress queue refuses is a drop
+        (``egress_full``), not an output.
+        """
         if merged is None:
             self.stats.record_drop(module_id, "discard")
             return PipelineResult(packet=None, phv=phv, dropped=True,
@@ -342,8 +346,14 @@ class MenshenPipeline:
         meta = phv.metadata.buf  # dst_port at 2-3, mcast_group at 8-9
         egress = meta[2] << 8 | meta[3]
         mcast = meta[8] << 8 | meta[9]
-        self.traffic_manager.enqueue(merged, egress, mcast,
-                                     module_id=module_id)
+        copies = self.traffic_manager.enqueue(merged, egress, mcast,
+                                              module_id=module_id)
+        if not copies and not mcast:
+            self.stats.record_drop(module_id, "egress_full")
+            return PipelineResult(packet=None, phv=phv, dropped=True,
+                                  egress_port=egress, module_id=module_id,
+                                  drop_reason="egress_full",
+                                  cache_hit=cache_hit)
         self.stats.record_out(module_id, len(merged))
         return PipelineResult(packet=merged, phv=phv, dropped=False,
                               egress_port=egress, mcast_group=mcast,

@@ -30,6 +30,11 @@ per-packet costs:
 * **Flow caching.** The context's :class:`~repro.engine.flow_cache.
   FlowCache` memoizes pure flow transformations, keyed on the bytes the
   module's parse program reads and stamped with the tenant's epoch.
+  A flow is stored as one flat tuple of atomic values — epoch,
+  :meth:`~repro.rmt.phv.PHV.snapshot`, deparser writes, drop flag —
+  which the garbage collector stops tracking, so a full cache adds no
+  work to any collection. A hit builds a fresh PHV from the snapshot:
+  no result shares anything mutable with the cache.
 * **Compiled classification.** On an exact-match miss (or with the
   exact-match level off), the packet is run through the tenant's
   :class:`~repro.engine.classifier.CompiledClassifier` — the installed
@@ -95,6 +100,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..core.pipeline import MenshenPipeline
 from ..core.stats import diff_counters, merge_counters
 from ..net.packet import Packet
+from ..rmt.phv import PHV
 from ..rmt.pipeline import PipelineResult
 from .classifier import (
     ClassifierStats,
@@ -102,7 +108,7 @@ from .classifier import (
     Fallback,
     compile_classifier,
 )
-from .flow_cache import FlowCache, FlowCacheStats, FlowEntry
+from .flow_cache import FlowCache, FlowCacheStats
 
 if TYPE_CHECKING:  # pragma: no cover — type-only; engine never imports
     from ..analysis.equiv import Certificate  # analysis eagerly
@@ -464,13 +470,14 @@ class BatchEngine:
             if entry is not None:
                 counters.cache_hits += 1
                 ctx.counters.cache_hits += 1
-                phv = entry.phv.copy()
+                _epoch, snap, writes, dropped = entry
+                phv = PHV.from_snapshot(snap, pipeline.params)
                 phv.metadata.buf[1] = 1 << slot  # buffer_tag
-                if entry.dropped:
+                if dropped:
                     return None, phv, True
                 merged = packet.copy()
                 out = merged.buf
-                for off, data in entry.writes:
+                for off, data in writes:
                     out[off:off + len(data)] = data
                 return merged, phv, True
 
@@ -529,6 +536,5 @@ class BatchEngine:
             out = merged.buf
             writes = tuple([(off, bytes(out[off:end]))
                             for off, end in ctx.deparse])
-        ctx.cache.insert(key, FlowEntry(epoch=ctx.epoch, phv=phv.copy(),
-                                        writes=writes,
-                                        dropped=merged is None))
+        ctx.cache.insert(key, (ctx.epoch, phv.snapshot(), writes,
+                               merged is None))

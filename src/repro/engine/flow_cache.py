@@ -15,34 +15,38 @@ detects this with :attr:`repro.rmt.stateful.StatefulMemory.op_count`.
 
 Eviction is LRU with a fixed capacity, so one heavy tenant's flow churn
 cannot grow the cache without bound.
+
+Each record (:data:`FlowEntry`) is one plain tuple of atomic values —
+ints, ``bytes``, a bool and the int tuples of a
+:meth:`~repro.rmt.phv.PHV.snapshot` — not an object graph. A
+collection stops tracking an exact tuple whose items are all untracked,
+so a record leaves the collector's lists for good within three
+collections (one per nesting level), and a full cache adds nothing to
+any later garbage-collector pass. A record of objects (a dataclass
+holding a ``PHV``, or a ``NamedTuple``) stays tracked: ≈ 7 tracked
+objects per flow, which every full collection walks.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..rmt.phv import PHV
+from ..rmt.phv import PhvSnapshot
 
 #: Cache key: (packet length, ingress port, bytes of each parsed region).
 FlowKey = Tuple
 
-
-@dataclass
-class FlowEntry:
-    """One memoized flow result.
-
-    ``writes`` replays the deparser: ``(offset, data)`` pairs applied to a
-    copy of the input packet reproduce the merged output byte-for-byte.
-    ``phv`` is the final PHV snapshot; the per-packet buffer tag is
-    overwritten on every hit, so the snapshot's own tag never leaks.
-    """
-
-    epoch: int
-    phv: PHV
-    writes: Tuple[Tuple[int, bytes], ...]
-    dropped: bool
+#: One memoized flow result, ``(epoch, phv, writes, dropped)``. A plain
+#: tuple of atomic values, so the garbage collector never walks it (see
+#: the module docstring). ``phv`` is the final PHV's
+#: :meth:`~repro.rmt.phv.PHV.snapshot`; a hit rebuilds a fresh PHV from
+#: it and overwrites the per-packet buffer tag, so the snapshot's own
+#: tag never leaks. ``writes`` replays the deparser: ``(offset, data)``
+#: pairs applied to a copy of the input packet reproduce the merged
+#: output byte-for-byte.
+FlowEntry = Tuple[int, PhvSnapshot, Tuple[Tuple[int, bytes], ...], bool]
 
 
 @dataclass
@@ -93,7 +97,7 @@ class FlowCache:
         if entry is None:
             self.stats.misses += 1
             return None
-        if entry.epoch != epoch:
+        if entry[0] != epoch:
             del self._entries[key]
             self.stats.invalidations += 1
             self.stats.misses += 1

@@ -38,6 +38,10 @@ _META = ContainerType.META
 _NOT_WRITABLE = ("metadata container is not directly writable; "
                  "use .metadata fields")
 
+#: :meth:`PHV.snapshot`'s value: the B2, B4 and B6 containers, then the
+#: metadata bytes.
+PhvSnapshot = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], bytes]
+
 
 class ContainerRef:
     """A (type, index) reference to one PHV container.
@@ -316,6 +320,30 @@ class PHV:
         dup.data = [b2[:], b4[:], b6[:]]
         dup.metadata = self.metadata.copy()
         return dup
+
+    def snapshot(self) -> PhvSnapshot:
+        """Every container and metadata byte as one immutable value,
+        ``(b2, b4, b6, metadata)``: three int tuples and ``bytes``.
+
+        It holds atomic values only, so the garbage collector untracks
+        it, and a store of many snapshots costs later collections
+        nothing.
+        """
+        b2, b4, b6 = self.data
+        return (tuple(b2), tuple(b4), tuple(b6), bytes(self.metadata.buf))
+
+    @classmethod
+    def from_snapshot(cls, snap: PhvSnapshot,
+                      params: HardwareParams = DEFAULT_PARAMS) -> "PHV":
+        """A fresh, independently mutable PHV equal to the one
+        :meth:`snapshot` was taken of."""
+        b2, b4, b6, meta = snap
+        phv = cls.__new__(cls)  # every field is set below
+        phv.params = params
+        phv.data = [list(b2), list(b4), list(b6)]
+        metadata = phv.metadata = Metadata.__new__(Metadata)
+        metadata.buf = bytearray(meta)
+        return phv
 
     def containers(self) -> List[Tuple[ContainerRef, int]]:
         """All (ref, value) pairs of the 24 data containers."""

@@ -8,12 +8,14 @@ counter-unit fix, flow-cache replace accounting, the mid-batch layout
 staleness regression, and flow-cache edge cases.
 """
 
+import gc
+
 import pytest
 
 from repro.api import Switch, Tenant
 from repro.core import MenshenPipeline
 from repro.core.reconfig import ResourceId, ResourceType, build_reconfig_packet
-from repro.engine import BatchEngine, FlowCache, FlowEntry, compile_classifier
+from repro.engine import BatchEngine, FlowCache, compile_classifier
 from repro.errors import ConfigError, PacketError
 from repro.modules import firewall
 from repro.rmt.encodings import encode_parser_entry
@@ -311,7 +313,7 @@ class TestInvalidationAccounting:
 # ---------------------------------------------------------------------------
 
 def _entry(epoch):
-    return FlowEntry(epoch=epoch, phv=PHV(), writes=(), dropped=False)
+    return (epoch, PHV().snapshot(), (), False)
 
 
 def _occupancy_holds(cache):
@@ -350,7 +352,7 @@ class TestFlowCacheEdges:
         cache.insert(("k",), _entry(1))
         cache.insert(("k",), _entry(2))     # re-learned under new epoch
         hit = cache.lookup(("k",), 2)
-        assert hit is not None and hit.epoch == 2
+        assert hit is not None and hit[0] == 2
         assert cache.stats.invalidations == 0
         assert cache.stats.replacements == 1
         assert _occupancy_holds(cache)
@@ -365,6 +367,75 @@ class TestFlowCacheEdges:
     def test_hit_rate_with_zero_traffic(self):
         cache = FlowCache(4)
         assert cache.stats.hit_rate == 0.0
+
+
+# ---------------------------------------------------------------------------
+# flow-cache records: nothing shared, nothing for the collector to walk
+# ---------------------------------------------------------------------------
+
+def _assert_same_result(got, want):
+    """Field for field, except ``cache_hit`` (observability only)."""
+    assert got.packet.tobytes() == want.packet.tobytes()
+    assert got.phv == want.phv  # buffer tag included
+    assert ((got.dropped, got.drop_reason, got.egress_port,
+             got.mcast_group, got.module_id)
+            == (want.dropped, want.drop_reason, want.egress_port,
+                want.mcast_group, want.module_id))
+
+
+class TestFlowCacheRecords:
+    def test_a_hit_shares_nothing_mutable_with_the_cache(self):
+        """Mutating a learned or served result never reaches the
+        stored record or a later hit of the same flow."""
+        scalar, _ = _firewall_switch()
+        _switch, engine = _firewall_switch()
+        packets = [workload("firewall").flow_packet(3, 1) for _ in range(3)]
+        twins = [scalar.process(p.copy()) for p in packets]
+
+        learned = engine.process(packets[0].copy())
+        assert not learned.cache_hit
+        learned.phv.data[0][:] = [0xFFFF] * len(learned.phv.data[0])
+        learned.phv.metadata.buf[:] = b"\xff" * len(learned.phv.metadata.buf)
+        (record,) = engine.shard(3)._entries.values()
+        assert record[1] == twins[0].phv.snapshot()
+
+        first = engine.process(packets[1].copy())
+        assert first.cache_hit
+        _assert_same_result(first, twins[1])
+        first.phv.data[1][0] ^= 0xFFFF
+        first.phv.metadata.buf[2] ^= 0xFF
+        first.packet.buf[:] = bytes(len(first.packet.buf))
+
+        second = engine.process(packets[2].copy())
+        assert second.cache_hit
+        _assert_same_result(second, twins[2])
+
+    def test_a_full_shard_adds_nothing_to_a_collection(self):
+        """4 096 cached flows leave no object for the garbage collector
+        to walk: every record is untracked after three collections, and the
+        collector's object count grows by < 0.1 per record (a record
+        holding a ``PHV`` grows it by ≈ 7)."""
+        switch, engine = _firewall_switch()
+        spec = workload("firewall")
+        scheduler = switch.egress_scheduler
+        capacity = engine.cache_capacity
+
+        def serve(flows):
+            engine.process_batch([spec.flow_packet(3, f) for f in flows])
+            scheduler.drain_all()
+            for _ in range(3):
+                gc.collect()
+            return len(gc.get_objects())
+
+        # Warm up on flows outside the measured range: the classifier,
+        # the tenant's counters and the scheduler's state exist before
+        # the baseline is counted.
+        before = serve(range(capacity, capacity + 16))
+        after = serve(range(capacity))
+        records = list(engine.shard(3)._entries.values())
+        assert len(records) == capacity
+        assert not any(gc.is_tracked(record) for record in records)
+        assert after - before < 0.1 * capacity
 
 
 # ---------------------------------------------------------------------------

@@ -291,18 +291,27 @@ class TestFacadeWiring:
     def test_queue_capacity_set_on_the_scheduler_bounds_both_paths(self,
                                                                    path):
         """A queue bound is set on the scheduler itself, with no engine
-        parameter, and holds on the scalar path and under an engine."""
+        parameter, and holds on the scalar path and under an engine.
+        Each packet the full queue refuses is a counted drop in its
+        result and in the tenant's counters, not an output."""
         switch, spec, t1, t2 = self.build()
         switch.egress_scheduler.queue_capacity = 2
         batch = [spec.flow_packet(1, 1) for _ in range(5)]
         if path == "scalar":
-            for packet in batch:
-                switch.process(packet)
+            results = [switch.process(packet) for packet in batch]
         else:
-            switch.engine().process_batch(batch)
+            engine = switch.engine()
+            results = engine.process_batch(batch)
+            assert engine.counters.drops == 3
+            assert engine.counters.tenant(1).drops == 3
         assert switch.egress_scheduler.total_queued() == 2
         assert switch.egress_scheduler.dropped == 3
         assert t1.scheduler_counters().dropped == 3
+        assert [r.dropped for r in results] == [False] * 2 + [True] * 3
+        assert {r.drop_reason for r in results[2:]} == {"egress_full"}
+        counters = t1.counters()
+        assert (counters.packets_out, counters.packets_dropped) == (2, 3)
+        assert switch.pipeline.stats.drop_reasons["egress_full"] == 3
 
     def test_fabric_switch_sets_the_host_rate_on_the_built_scheduler(self):
         fabric = Fabric(host_rate_bps=5e9)

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.api import Switch, TenantIsolationError
-from repro.engine import FlowCache, FlowEntry
+from repro.engine import FlowCache
 from repro.rmt.phv import PHV
 from repro.traffic import workload
 from seeds import SEED, rng as make_rng
@@ -178,7 +178,7 @@ class TestInvalidationSoundness:
 # ---------------------------------------------------------------------------
 
 def _entry(epoch):
-    return FlowEntry(epoch=epoch, phv=PHV(), writes=(), dropped=False)
+    return (epoch, PHV().snapshot(), (), False)
 
 
 class TestFlowCacheProperties:
@@ -194,7 +194,7 @@ class TestFlowCacheProperties:
             hit = cache.lookup((key,), epoch)
             if hit is not None:
                 # Anything served must be live and epoch-correct.
-                assert hit.epoch == epoch
+                assert hit[0] == epoch
                 assert shadow.get(key) == epoch
             cache.insert((key,), _entry(epoch))
             shadow[key] = epoch

@@ -1,5 +1,7 @@
 """Unit tests for the PHV, containers, and metadata."""
 
+import gc
+
 import pytest
 
 from repro.errors import ConfigError, FieldRangeError
@@ -151,6 +153,23 @@ class TestPHV:
         dup.metadata.dst_port = 3
         assert phv.get(ref) == 7
         assert phv.metadata.dst_port == 0
+
+    def test_snapshot_round_trips_and_shares_nothing(self):
+        phv = PHV()
+        for flat, value in ((0, 0xBEEF), (9, 0xDEADBEEF), (23, 1 << 47)):
+            phv.set(ContainerRef.from_flat(flat), value)
+        phv.metadata.dst_port = 5
+        snap = phv.snapshot()
+        rebuilt = PHV.from_snapshot(snap)
+        assert rebuilt == phv and rebuilt.snapshot() == snap
+        rebuilt.set(ContainerRef.from_flat(0), 1)
+        rebuilt.metadata.dst_port = 6
+        assert PHV.from_snapshot(snap) == phv
+        # A collection untracks a tuple whose items are all untracked:
+        # the inner tuples in one, the snapshot by the next.
+        gc.collect()
+        gc.collect()
+        assert not gc.is_tracked(snap)
 
     def test_containers_enumeration(self):
         phv = PHV()
