@@ -6,6 +6,17 @@ actions, 38-bit key-extractor entries, 193-bit masks, 205-bit CAM words,
 for assembling and disassembling such words as Python integers, plus a
 :class:`BitField` descriptor table used by ``repro.rmt.encodings``.
 
+Layouts are *declared* here, field by field, the way the paper draws
+them; the encoders that run on every configuration write *shift*.
+:class:`WordLayout` turns each declared field into an ``(offset, mask)``
+pair once, at construction, and :meth:`WordLayout.pack` /
+:meth:`~WordLayout.unpack` / :meth:`~WordLayout.repack`,
+:func:`concat_fields` and :func:`split_fields` move every field by that
+shift and mask behind one inline range test. The checked helpers
+(:func:`check_fits`, :func:`set_bits`, :meth:`BitField.insert`) run only
+for a value that fails the test, so every error and its message are the
+ones they raise.
+
 Conventions
 -----------
 * Words are unsigned Python ints; bit 0 is the least-significant bit.
@@ -80,7 +91,8 @@ def concat_fields(fields: Iterable[Tuple[int, int]]) -> int:
     """
     word = 0
     for value, width in fields:
-        check_fits(value, width, "field")
+        if type(value) is not int or value < 0 or width < 0 or value >> width:
+            check_fits(value, width, "field")
         word = (word << width) | value
     return word
 
@@ -89,12 +101,13 @@ def split_fields(word: int, widths: Iterable[int]) -> List[int]:
     """Inverse of :func:`concat_fields`: split MSB-first by ``widths``."""
     widths = list(widths)
     total = sum(widths)
-    check_fits(word, total, "word")
+    if type(word) is not int or word < 0 or total < 0 or word >> total:
+        check_fits(word, total, "word")
     out: List[int] = []
     remaining = total
     for width in widths:
         remaining -= width
-        out.append(get_bits(word, remaining, width))
+        out.append((word >> remaining) & mask(width))
     return out
 
 
@@ -129,6 +142,11 @@ class WordLayout:
         word = PARSE_ACTION.pack(bytes_from_head=14, container_type=1,
                                  container_index=2, valid=1)
         fields = PARSE_ACTION.unpack(word)
+
+    Each field's ``(offset, mask)`` is computed here, once; a value that
+    is a plain ``int`` within its mask is shifted straight into place,
+    and anything else goes through :meth:`BitField.insert`, which
+    accepts an ``int`` subclass and raises for the rest.
     """
 
     def __init__(self, total_width: int, fields_msb_first: List[Tuple[str, int]]):
@@ -139,34 +157,50 @@ class WordLayout:
             )
         self.total_width = total_width
         self.fields: Dict[str, BitField] = {}
+        self._slots: Dict[str, Tuple[int, int]] = {}
         offset = total_width
         for name, width in fields_msb_first:
             offset -= width
             if name in self.fields:
                 raise EncodingError(f"duplicate field name {name!r}")
             self.fields[name] = BitField(name, offset, width)
+            self._slots[name] = (offset, mask(width))
 
     def pack(self, **values: int) -> int:
         """Build a word from keyword field values; unset fields are 0."""
         word = 0
+        slots = self._slots
         for name, value in values.items():
-            if name not in self.fields:
+            slot = slots.get(name)
+            if slot is None:
                 raise EncodingError(f"unknown field {name!r}")
-            word = self.fields[name].insert(word, value)
+            if type(value) is int and 0 <= value <= slot[1]:
+                word |= value << slot[0]
+            else:
+                word = self.fields[name].insert(word, value)
         return word
 
     def unpack(self, word: int) -> Dict[str, int]:
         """Split a word into a ``{field name: value}`` mapping."""
-        check_fits(word, self.total_width, "word")
-        return {name: field.extract(word) for name, field in self.fields.items()}
+        if type(word) is not int or word < 0 or word >> self.total_width:
+            check_fits(word, self.total_width, "word")
+        return {name: (word >> offset) & fmask
+                for name, (offset, fmask) in self._slots.items()}
 
     def repack(self, word: int, **updates: int) -> int:
         """Return ``word`` with the given fields replaced."""
-        check_fits(word, self.total_width, "word")
+        if type(word) is not int or word < 0 or word >> self.total_width:
+            check_fits(word, self.total_width, "word")
+        slots = self._slots
         for name, value in updates.items():
-            if name not in self.fields:
+            slot = slots.get(name)
+            if slot is None:
                 raise EncodingError(f"unknown field {name!r}")
-            word = self.fields[name].insert(word, value)
+            offset, fmask = slot
+            if type(value) is int and 0 <= value <= fmask:
+                word = (word & ~(fmask << offset)) | (value << offset)
+            else:
+                word = self.fields[name].insert(word, value)
         return word
 
     def width_of(self, name: str) -> int:

@@ -335,8 +335,11 @@ class MenshenPipeline:
                module_id: int, cache_hit: bool = False) -> PipelineResult:
         """Account for an executed packet and enqueue it into the TM.
 
-        A unicast packet the full egress queue refuses is a drop
-        (``egress_full``), not an output.
+        A packet that places no copy is a drop, not an output: a unicast
+        packet or a whole multicast group the full egress queues refuse
+        (``egress_full``), or a multicast group with no ports
+        (``unknown_mcast_group``). A group that places some copies is
+        forwarded; the scheduler counts each refused copy.
         """
         if merged is None:
             self.stats.record_drop(module_id, "discard")
@@ -346,13 +349,14 @@ class MenshenPipeline:
         meta = phv.metadata.buf  # dst_port at 2-3, mcast_group at 8-9
         egress = meta[2] << 8 | meta[3]
         mcast = meta[8] << 8 | meta[9]
-        copies = self.traffic_manager.enqueue(merged, egress, mcast,
-                                              module_id=module_id)
-        if not copies and not mcast:
-            self.stats.record_drop(module_id, "egress_full")
+        tm = self.traffic_manager
+        if not tm.enqueue(merged, egress, mcast, module_id=module_id):
+            reason = ("unknown_mcast_group"
+                      if mcast and not tm.mcast_ports(mcast) else "egress_full")
+            self.stats.record_drop(module_id, reason)
             return PipelineResult(packet=None, phv=phv, dropped=True,
-                                  egress_port=egress, module_id=module_id,
-                                  drop_reason="egress_full",
+                                  egress_port=egress, mcast_group=mcast,
+                                  module_id=module_id, drop_reason=reason,
                                   cache_hit=cache_hit)
         self.stats.record_out(module_id, len(merged))
         return PipelineResult(packet=merged, phv=phv, dropped=False,

@@ -20,6 +20,7 @@ the stage-less parser/deparser tables.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -44,8 +45,11 @@ _VLAN_TCI = _IP_OFFSET - VLAN_TAG_LEN
 _IP_TOTAL_LENGTH = _IP_OFFSET + 2
 _IP_CHECKSUM = _IP_OFFSET + 10
 _UDP_OFFSET = _PAYLOAD_OFFSET - UDP_HEADER_LEN
+_UDP_DPORT = _UDP_OFFSET + 2
 _UDP_LENGTH = _UDP_OFFSET + 4
 _UDP_CHECKSUM = _UDP_OFFSET + 6
+#: One big-endian 16-bit header word.
+_U16 = struct.Struct(">H")
 
 
 def _common_header() -> bytes:
@@ -169,16 +173,19 @@ def build_reconfig_packet(resource: ResourceId, index: int, entry: int,
     body = ((resource.encode() << 4).to_bytes(2, "big")  # 12b id | 4b rsvd
             + bytes((index,)) + _PADDING + entry.to_bytes(nbytes, "big"))
     packet = Packet(_COMMON_HEADER + body)
+    # The header template fixes every offset below, and the checks above
+    # bound every value: 16-bit words patched straight into the buffer.
+    buf = packet.buf
     udp_length = UDP_HEADER_LEN + len(body)
-    packet.write_int(_VLAN_TCI, 2, vid)
-    packet.write_int(_IP_TOTAL_LENGTH, 2, IPV4_HEADER_LEN + udp_length)
-    packet.write_int(_UDP_LENGTH, 2, udp_length)
+    _U16.pack_into(buf, _VLAN_TCI, vid)
+    _U16.pack_into(buf, _IP_TOTAL_LENGTH, IPV4_HEADER_LEN + udp_length)
+    _U16.pack_into(buf, _UDP_LENGTH, udp_length)
     # RFC 768: a computed UDP checksum of 0 is transmitted as 0xFFFF.
-    packet.write_int(_UDP_CHECKSUM, 2, internet_checksum(
+    _U16.pack_into(buf, _UDP_CHECKSUM, internet_checksum(
         pseudo_header_ipv4(_IP_SRC, _IP_DST, PROTO_UDP, udp_length)
-        + packet.buf[_UDP_OFFSET:]) or 0xFFFF)
-    packet.write_int(_IP_CHECKSUM, 2, internet_checksum(
-        packet.read_bytes(_IP_OFFSET, IPV4_HEADER_LEN)))
+        + buf[_UDP_OFFSET:]) or 0xFFFF)
+    _U16.pack_into(buf, _IP_CHECKSUM, internet_checksum(
+        buf[_IP_OFFSET:_IP_OFFSET + IPV4_HEADER_LEN]))
     return packet
 
 
@@ -186,21 +193,24 @@ def parse_reconfig_packet(packet: Packet,
                           params: HardwareParams = DEFAULT_PARAMS
                           ) -> ReconfigPayload:
     """Decode a reconfiguration packet back into a config write."""
-    if len(packet) < _PAYLOAD_OFFSET + _HEADER_LEN:
+    buf = packet.buf
+    # This length check bounds every header read below; the truncation
+    # check bounds the entry's.
+    if len(buf) < _PAYLOAD_OFFSET + _HEADER_LEN:
         raise ReconfigurationError("reconfiguration packet too short")
-    dport = packet.read_int(_PAYLOAD_OFFSET - 6, 2)
+    dport = buf[_UDP_DPORT] << 8 | buf[_UDP_DPORT + 1]
     if dport != MENSHEN_RECONFIG_DPORT:
         raise ReconfigurationError(
             f"not a reconfiguration packet (dport {dport:#x})")
-    word = packet.read_int(_PAYLOAD_OFFSET, 2)
+    word = buf[_PAYLOAD_OFFSET] << 8 | buf[_PAYLOAD_OFFSET + 1]
     resource = ResourceId.decode(word >> 4)
-    index = packet.read_int(_PAYLOAD_OFFSET + 2, 1)
+    index = buf[_PAYLOAD_OFFSET + 2]
     nbytes = entry_payload_bytes(resource.rtype, params)
     entry = 0
     if nbytes:
         start = _PAYLOAD_OFFSET + _HEADER_LEN
-        if len(packet) < start + nbytes:
+        if len(buf) < start + nbytes:
             raise ReconfigurationError(
                 f"payload truncated: need {nbytes} entry bytes")
-        entry = packet.read_int(start, nbytes)
+        entry = int.from_bytes(buf[start:start + nbytes], "big")
     return ReconfigPayload(resource=resource, index=index, entry=entry)

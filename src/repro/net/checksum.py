@@ -7,18 +7,21 @@ def internet_checksum(data: bytes) -> int:
     """Compute the 16-bit one's-complement internet checksum of ``data``.
 
     Odd-length input is implicitly padded with a zero byte, per RFC 1071.
+
+    The one's-complement sum of the 16-bit words is taken as one
+    remainder: ``2**16 ≡ 1 (mod 0xFFFF)``, so the whole buffer read as a
+    big-endian integer is congruent to the sum of its words, and folding
+    the carries back in (the end-around carry) keeps that residue. The
+    folded sum is 0 only for an all-zero input; any other multiple of
+    0xFFFF folds to 0xFFFF, one's-complement "negative zero".
     """
-    total = 0
-    length = len(data)
-    # Sum 16-bit big-endian words.
-    for i in range(0, length - 1, 2):
-        total += (data[i] << 8) | data[i + 1]
-    if length % 2:
-        total += data[-1] << 8
-    # Fold carries.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    total = int.from_bytes(data, "big")
+    if len(data) % 2:
+        total <<= 8
+    folded = total % 0xFFFF
+    if not folded and total:
+        folded = 0xFFFF
+    return 0xFFFF - folded
 
 
 def verify_checksum(data: bytes) -> bool:

@@ -38,14 +38,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence, Tuple
 
+from ..bits import check_fits
 from ..errors import EncodingError
-from .encodings import (
-    ALU_IMMEDIATE_LAYOUT,
-    ALU_TWO_OPERAND_LAYOUT,
-    NUM_ALUS,
-    decode_vliw_entry,
-    encode_vliw_entry,
-)
+from .encodings import ALU_ACTION_BITS, NUM_ALUS, VLIW_ENTRY_BITS
 from .phv import ContainerRef
 
 
@@ -68,28 +63,44 @@ class AluOp(IntEnum):
     @property
     def uses_immediate(self) -> bool:
         """True if this opcode's 25-bit encoding is the immediate form."""
-        return self in (AluOp.ADDI, AluOp.SUBI, AluOp.SET, AluOp.LOAD,
-                        AluOp.STORE, AluOp.LOADD, AluOp.PORT, AluOp.MCAST)
+        return self in _IMMEDIATE_CODES
 
     @property
     def is_stateful(self) -> bool:
-        return self in (AluOp.LOAD, AluOp.STORE, AluOp.LOADD)
+        return self in _STATEFUL_CODES
 
     @property
     def writes_container(self) -> bool:
         """True if the op produces a value for the ALU's own container."""
-        return self in (AluOp.ADD, AluOp.SUB, AluOp.ADDI, AluOp.SUBI,
-                        AluOp.SET, AluOp.LOAD, AluOp.LOADD)
+        return self in _WRITES_CONTAINER_CODES
 
     @property
     def needs_c1(self) -> bool:
-        return self in (AluOp.ADD, AluOp.SUB, AluOp.ADDI, AluOp.SUBI,
-                        AluOp.LOAD, AluOp.STORE, AluOp.LOADD, AluOp.PORT,
-                        AluOp.MCAST)
+        return self in _NEEDS_C1_CODES
 
     @property
     def needs_c2(self) -> bool:
-        return self in (AluOp.ADD, AluOp.SUB)
+        return self in _NEEDS_C2_CODES
+
+
+#: The opcode classes behind :class:`AluOp`'s properties, built once. An
+#: ``AluOp`` and its plain ``int`` code hash alike, so the codecs look a
+#: raw 4-bit code up in them directly.
+_IMMEDIATE_CODES = frozenset({AluOp.ADDI, AluOp.SUBI, AluOp.SET, AluOp.LOAD,
+                              AluOp.STORE, AluOp.LOADD, AluOp.PORT,
+                              AluOp.MCAST})
+_STATEFUL_CODES = frozenset({AluOp.LOAD, AluOp.STORE, AluOp.LOADD})
+_WRITES_CONTAINER_CODES = frozenset({AluOp.ADD, AluOp.SUB, AluOp.ADDI,
+                                     AluOp.SUBI, AluOp.SET, AluOp.LOAD,
+                                     AluOp.LOADD})
+_NEEDS_C1_CODES = frozenset({AluOp.ADD, AluOp.SUB, AluOp.ADDI, AluOp.SUBI,
+                             AluOp.LOAD, AluOp.STORE, AluOp.LOADD, AluOp.PORT,
+                             AluOp.MCAST})
+_NEEDS_C2_CODES = frozenset({AluOp.ADD, AluOp.SUB})
+#: The opcode of each 4-bit code, ``None`` past the last one (codes are
+#: dense from 0).
+_OPS_BY_CODE: Tuple[Optional[AluOp], ...] = tuple(
+    AluOp(code) if code < len(AluOp) else None for code in range(16))
 
 
 @dataclass(frozen=True)
@@ -117,34 +128,40 @@ class AluAction:
                 f"{self.opcode.name} is immediate-form; c2 is not allowed")
 
     def encode(self) -> int:
-        c1_code = self.c1.encode5() if self.c1 is not None else 0
-        if self.opcode.uses_immediate:
-            return ALU_IMMEDIATE_LAYOUT.pack(
-                opcode=int(self.opcode), container_1=c1_code,
-                immediate=self.immediate)
-        c2_code = self.c2.encode5() if self.c2 is not None else 0
-        return ALU_TWO_OPERAND_LAYOUT.pack(
-            opcode=int(self.opcode), container_1=c1_code,
-            container_2=c2_code)
+        """The 25-bit word, by shift-or: ``opcode`` at 21, ``c1`` at 16,
+        then ``c2`` at 11 or the immediate at 0 (the two layouts in
+        :mod:`~repro.rmt.encodings`). Construction validated every
+        field, so no range check is repeated here."""
+        word = self.opcode << 21
+        if self.c1 is not None:
+            word |= self.c1.encode5() << 16
+        if self.opcode in _IMMEDIATE_CODES:
+            return word | self.immediate
+        if self.c2 is not None:
+            word |= self.c2.encode5() << 11
+        return word
 
     @classmethod
     def decode(cls, word: int) -> "AluAction":
+        """Inverse of :meth:`encode`, with the errors of the declared
+        layouts: an unknown opcode, a word wider than 25 bits, nonzero
+        reserved bits, then a bad ``c1`` / ``c2`` container code."""
         if not word:
             return NOP_ACTION  # most slots of most instructions
-        try:
-            op = AluOp((word >> 21) & 0xF)
-        except ValueError as exc:
-            raise EncodingError(f"unknown ALU opcode in word {word:#x}") from exc
-        if op.uses_immediate:
-            f = ALU_IMMEDIATE_LAYOUT.unpack(word)
-            c1 = ContainerRef.decode5(f["container_1"]) if op.needs_c1 else None
-            return cls(opcode=op, c1=c1, immediate=f["immediate"])
-        f = ALU_TWO_OPERAND_LAYOUT.unpack(word)
-        if f["reserved"]:
+        op = _OPS_BY_CODE[(word >> 21) & 0xF]
+        if op is None:
+            raise EncodingError(f"unknown ALU opcode in word {word:#x}")
+        if type(word) is not int or word < 0 or word >> ALU_ACTION_BITS:
+            check_fits(word, ALU_ACTION_BITS, "word")
+        if op in _IMMEDIATE_CODES:
+            c1 = (_container(word >> 16 & 0x1F) if op in _NEEDS_C1_CODES
+                  else None)
+            return cls(opcode=op, c1=c1, immediate=word & 0xFFFF)
+        if word & 0x7FF:
             raise EncodingError(
-                f"{op.name}: reserved bits must be zero, got {f['reserved']:#x}")
-        c1 = ContainerRef.decode5(f["container_1"]) if op.needs_c1 else None
-        c2 = ContainerRef.decode5(f["container_2"]) if op.needs_c2 else None
+                f"{op.name}: reserved bits must be zero, got {word & 0x7FF:#x}")
+        c1 = _container(word >> 16 & 0x1F) if op in _NEEDS_C1_CODES else None
+        c2 = _container(word >> 11 & 0x1F) if op in _NEEDS_C2_CODES else None
         return cls(opcode=op, c1=c1, c2=c2)
 
 
@@ -153,6 +170,24 @@ NOP_ACTION = AluAction()
 #: costs more than the comparison, and every instruction built pays it
 #: per slot.
 _NOP = AluOp.NOP
+
+
+#: The ``ContainerRef`` of each valid 5-bit operand code: 0..23 name the
+#: 2/4/6-byte containers and 24 the metadata container.
+_CONTAINER_REFS: Tuple[ContainerRef, ...] = tuple(
+    ContainerRef.decode5(code) for code in range(25))
+
+
+def _container(code: int) -> ContainerRef:
+    if code < len(_CONTAINER_REFS):
+        return _CONTAINER_REFS[code]
+    return ContainerRef.decode5(code)   # raises its own error
+
+
+#: A slot's shift in a VLIW word: slot 0 is the most significant.
+_SLOT_SHIFTS = tuple(ALU_ACTION_BITS * (NUM_ALUS - 1 - slot)
+                     for slot in range(NUM_ALUS))
+_ALU_MASK = (1 << ALU_ACTION_BITS) - 1
 
 
 class VliwInstruction:
@@ -181,11 +216,22 @@ class VliwInstruction:
         return cls(actions)
 
     def encode(self) -> int:
-        return encode_vliw_entry([a.encode() for a in self.actions])
+        """The 625-bit word: the 25 action words shifted into their
+        slots, slot 0 most significant (``encode_vliw_entry``'s order)."""
+        word = 0
+        for action in self.actions:
+            word <<= ALU_ACTION_BITS
+            if action is not NOP_ACTION:    # most slots; it encodes to 0
+                word |= action.encode()
+        return word
 
     @classmethod
     def decode(cls, word: int) -> "VliwInstruction":
-        return cls([AluAction.decode(w) for w in decode_vliw_entry(word)])
+        if type(word) is not int or word < 0 or word >> VLIW_ENTRY_BITS:
+            check_fits(word, VLIW_ENTRY_BITS, "word")
+        decode = AluAction.decode
+        return cls([decode(slot) if (slot := word >> shift & _ALU_MASK)
+                    else NOP_ACTION for shift in _SLOT_SHIFTS])
 
     def non_nop(self) -> Tuple[Tuple[int, AluAction], ...]:
         """(slot, action) pairs of non-NOP actions, in slot order (built

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Tuple, Union
 
+from ..errors import EncodingError
 from .config_table import ConfigTable
 from .encodings import (
     FULL_KEY_MASK,
@@ -116,6 +117,9 @@ class KeyExtractEntry:
     @classmethod
     def decode(cls, word: int) -> "KeyExtractEntry":
         f = KEY_EXTRACT_LAYOUT.unpack(word)
+        if f["cmp_op"] >= len(CmpOp):     # codes 0..7 are defined
+            raise EncodingError(
+                f"unknown comparison opcode in word {word:#x}")
         return cls(
             idx_6b_1=f["idx_6b_1"], idx_6b_2=f["idx_6b_2"],
             idx_4b_1=f["idx_4b_1"], idx_4b_2=f["idx_4b_2"],

@@ -18,7 +18,7 @@ from repro.core import PipelineStats
 from repro.engine import EgressScheduler, TokenBucket
 from repro.errors import ConfigError
 from repro.fabric import Fabric
-from repro.modules import calc
+from repro.modules import calc, multicast
 from repro.net import PacketBuilder
 from repro.net.packet import Packet
 from repro.sim import FabricTimelineExperiment
@@ -312,6 +312,46 @@ class TestFacadeWiring:
         counters = t1.counters()
         assert (counters.packets_out, counters.packets_dropped) == (2, 3)
         assert switch.pipeline.stats.drop_reasons["egress_full"] == 3
+
+    @pytest.mark.parametrize("path", ["scalar", "engine"])
+    def test_multicast_that_places_no_copy_is_a_counted_drop(self, path):
+        """A multicast packet is forwarded if it places at least one
+        copy. One that places none is a dropped result charged to the
+        tenant: ``egress_full`` when every port of its group refuses it,
+        ``unknown_mcast_group`` when the group has no ports. A partly
+        placed group stays forwarded, and the scheduler counts each
+        refused copy."""
+        switch = Switch.build().create()
+        tenant = switch.admit("multicast", multicast.P4_SOURCE, vid=1)
+        multicast.install(tenant, groups=[("224.0.0.1", 1),
+                                          ("224.0.0.2", 2),
+                                          ("224.0.0.3", 3)])
+        sched = switch.egress_scheduler
+        sched.set_mcast_group(1, [0, 3])
+        sched.set_mcast_group(3, [0, 5])     # group 2 is never configured
+        sched.queue_capacity = 1
+        batch = [multicast.make_packet(1, dst) for dst in (
+            "224.0.0.1",       # both copies placed
+            "224.0.0.1",       # both ports full: no copy
+            "224.0.0.2",       # no ports: no copy
+            "224.0.0.3")]      # port 0 full, port 5 free: one copy
+        if path == "scalar":
+            results = [switch.process(packet) for packet in batch]
+        else:
+            engine = switch.engine()
+            results = engine.process_batch(batch)
+            assert engine.counters.drops == 2
+            assert engine.counters.tenant(1).drops == 2
+        assert [(r.dropped, r.drop_reason, r.mcast_group) for r in results] \
+            == [(False, "", 1), (True, "egress_full", 1),
+                (True, "unknown_mcast_group", 2), (False, "", 3)]
+        assert [sched.queue_len(port) for port in (0, 3, 5)] == [1, 1, 1]
+        assert sched.dropped == 4 == tenant.scheduler_counters().dropped
+        counters = tenant.counters()
+        assert (counters.packets_out, counters.packets_dropped) == (2, 2)
+        reasons = switch.pipeline.stats.drop_reasons
+        assert (reasons["egress_full"], reasons["unknown_mcast_group"]) \
+            == (1, 1)
 
     def test_fabric_switch_sets_the_host_rate_on_the_built_scheduler(self):
         fabric = Fabric(host_rate_bps=5e9)

@@ -528,17 +528,25 @@ def decode_on_every_read(switch):
 
 
 def _count_row_decodes(monkeypatch):
-    """Count every bit-level row decode from here on: ``WordLayout.unpack``
-    and the three entry splitters, patched where their callers look them
-    up. Call before building a switch — a segment table takes its
-    decoder when it is constructed."""
-    from repro.bits import WordLayout
+    """Count every row decode from here on, at the row decoders the
+    tables are built with: ``VliwInstruction.decode``,
+    ``KeyExtractEntry.decode``, and ``decode_parse_program`` /
+    ``decode_segment_entry`` patched where the table builders look them
+    up. Call before building a switch — a table takes its decoder when
+    it is constructed."""
+    from repro.rmt.action import VliwInstruction
+    from repro.rmt.key_extractor import KeyExtractEntry
 
     calls = {}
-    _count_calls(monkeypatch, WordLayout, ("unpack",), calls)
+    for cls in (VliwInstruction, KeyExtractEntry):
+        name = f"{cls.__name__}.decode"
+
+        def counted_classmethod(owner, word, _inner=cls.decode, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(word)
+        monkeypatch.setattr(cls, "decode", classmethod(counted_classmethod))
     for module_name, name in (
-            ("repro.rmt.parser", "decode_parser_entry"),
-            ("repro.rmt.action", "decode_vliw_entry"),
+            ("repro.core.pipeline", "decode_parse_program"),
             ("repro.core.segment_table", "decode_segment_entry")):
         module = importlib.import_module(module_name)
 
@@ -552,9 +560,9 @@ def _count_row_decodes(monkeypatch):
 def test_warm_rows_are_not_decoded_again(monkeypatch):
     """Counts only (no wall clock): a warm scalar-path packet of a
     stateful module and a second ``compile_classifier`` of an unchanged
-    tenant unpack no configuration word — the parent made 20
-    ``ParseAction.decode`` + 5 ``KeyExtractEntry.decode`` calls per
-    packet and 25 ``AluAction.decode`` per installed row per compile. A
+    tenant call no row decoder — without the decoded-row memo a packet
+    decodes its parse and deparse programs and a key-extractor row per
+    stage, and a compile decodes every installed VLIW row. A
     raw write to one tenant's row costs that row's decode on its next
     read and nothing for a neighbour (§3 no-disruption, for the decoded
     view too); writing the word a row already holds costs nothing.
@@ -603,13 +611,13 @@ def test_warm_rows_are_not_decoded_again(monkeypatch):
     assert calls == {}
 
     # One tenant's parse program, cut to its first action: that row
-    # decodes once per switch (10 action words each), nobody else's does.
+    # decodes once per switch, nobody else's does.
     stock = scalar.pipeline.parser_table.read(2)
     cut = encode_parser_entry([decode_parser_entry(stock)[0]])
     raw_write(ResourceType.PARSER_TABLE, 0, 2, cut)
     assert list(serve(3)) == [{}] * 4
     first, *rest = serve(2)
-    assert first == {"decode_parser_entry": 2, "unpack": 20}
+    assert first == {"decode_parse_program": 2}
     assert rest == [{}] * 3
     raw_write(ResourceType.PARSER_TABLE, 0, 2, cut)       # same word again
     assert list(serve(2)) == [{}] * 4
@@ -627,8 +635,7 @@ def test_warm_rows_are_not_decoded_again(monkeypatch):
     assert calls == {}
     for pipeline in pipelines:
         compile_classifier(pipeline, 2)
-    assert calls.pop("decode_vliw_entry") == 2
-    assert set(calls) == {"unpack"}       # the row's non-NOP slots
+    assert calls == {"VliwInstruction.decode": 2}
     calls.clear()
     for pipeline in pipelines:
         compile_classifier(pipeline, 2)
@@ -708,7 +715,8 @@ HOSTILE_ROWS = {
                  "FieldRangeError", "container index 1 out of range for META",
                  "deparse", "_bind"),
     "key-extract": (ResourceType.KEY_EXTRACTOR, 8 << 16,
-                    "ValueError", "8 is not a valid CmpOp",
+                    "EncodingError",
+                    "unknown comparison opcode in word 0x80000",
                     "extract", "extract"),
     "vliw": (ResourceType.VLIW, 15 << 21,
              "EncodingError", "unknown ALU opcode in word 0x1e00000",
