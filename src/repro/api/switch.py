@@ -514,7 +514,8 @@ class Tenant:
         to their weights (STFQ ranks in the egress scheduler), so a
         bursty neighbor can no longer starve this tenant — §3.5's PIFO
         suggestion made default. Takes effect immediately; a
-        non-positive weight raises :class:`~repro.errors.ConfigError`.
+        non-positive or non-finite weight raises
+        :class:`~repro.errors.ConfigError`.
         """
         self._switch.egress_scheduler.set_weight(self._vid, weight)
         return self
@@ -526,7 +527,7 @@ class Tenant:
         ``rate_bytes_per_s`` refills the bucket against the scheduler's
         virtual clock; ``burst_bytes`` bounds how far it can save up
         (default: one second's worth, floored at one MTU). A
-        non-positive rate or burst raises
+        non-positive or non-finite rate or burst raises
         :class:`~repro.errors.ConfigError`.
         """
         self._switch.egress_scheduler.set_rate_limit(

@@ -358,7 +358,7 @@ class MenshenPipeline:
                                   egress_port=egress, mcast_group=mcast,
                                   module_id=module_id, drop_reason=reason,
                                   cache_hit=cache_hit)
-        self.stats.record_out(module_id, len(merged))
+        self.stats.record_out(module_id, len(merged.buf))
         return PipelineResult(packet=merged, phv=phv, dropped=False,
                               egress_port=egress, mcast_group=mcast,
                               module_id=module_id, cache_hit=cache_hit)

@@ -270,6 +270,7 @@ class BatchEngine:
                 f"unknown check_compiled mode {check_compiled!r}; "
                 f"expected one of {CERTIFY_MODES}")
         self.check_compiled = check_compiled
+        self._parse_window = pipeline.params.parse_window_bytes
         self.counters = EngineCounters()
         self._contexts: Dict[int, _TenantContext] = {}
 
@@ -442,7 +443,7 @@ class BatchEngine:
             tenant.drops += 1
             self.counters.drops += 1
         else:
-            tenant.bytes_out += len(result.packet)
+            tenant.bytes_out += len(result.packet.buf)
         return result
 
     def _serve(self, ctx: _TenantContext, packet: Packet, slot: int
@@ -457,14 +458,14 @@ class BatchEngine:
         if ctx.epoch != epoch:
             self._bind(ctx, epoch)
         # The one bound every raw slice and splice below relies on.
-        fits_window = ctx.max_end <= min(
-            len(packet.buf), pipeline.params.parse_window_bytes)
+        length = len(packet.buf)
+        fits_window = ctx.max_end <= min(length, self._parse_window)
         key = None
 
         # Level 1: exact-match flow-cache hit.
         if self.enable_cache and fits_window and not ctx.stateful:
             raw = bytes(packet.buf)
-            key = (len(raw), packet.ingress_port,
+            key = (length, packet.ingress_port,
                    *[raw[off:end] for off, end in ctx.parse])
             entry = ctx.cache.lookup(key, epoch)
             if entry is not None:
@@ -475,7 +476,9 @@ class BatchEngine:
                 phv.metadata.buf[1] = 1 << slot  # buffer_tag
                 if dropped:
                     return None, phv, True
-                merged = packet.copy()
+                # ``raw`` is already a copy of the bytes: no second one
+                merged = Packet(raw, packet.ingress_port,
+                                packet.arrival_time)
                 out = merged.buf
                 for off, data in writes:
                     out[off:off + len(data)] = data

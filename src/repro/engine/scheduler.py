@@ -48,11 +48,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import isfinite
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
 from ..net.packet import Packet
 from ..rmt.pifo import StfqRanker
+
+
+def _check_positive(value: float, what: str) -> None:
+    """A rate, weight or burst must be a positive, finite number: a NaN
+    or infinite one would poison every clock it reaches."""
+    if value <= 0 or not isfinite(value):
+        raise ConfigError(f"{what} must be positive and finite, got {value}")
 
 
 class TokenBucket:
@@ -65,16 +73,13 @@ class TokenBucket:
     def __init__(self, rate_bytes_per_s: float,
                  burst_bytes: Optional[float] = None,
                  clock: float = 0.0):
-        if rate_bytes_per_s <= 0:
-            raise ConfigError(
-                f"rate must be positive, got {rate_bytes_per_s}")
+        _check_positive(rate_bytes_per_s, "rate")
         self.rate = float(rate_bytes_per_s)
         #: Default burst: one refill-second, floored at 1500 B (one MTU)
         #: so sub-MTU-per-second rates can still emit whole packets.
         self.burst = float(burst_bytes if burst_bytes is not None
                            else max(rate_bytes_per_s, 1500.0))
-        if self.burst <= 0:
-            raise ConfigError(f"burst must be positive, got {self.burst}")
+        _check_positive(self.burst, "burst")
         self.tokens = self.burst
         self._last = clock
 
@@ -192,9 +197,8 @@ class EgressScheduler:
                  stats=None):
         if num_ports <= 0:
             raise ConfigError(f"need at least one port, got {num_ports}")
-        if line_rate_bps is not None and line_rate_bps <= 0:
-            raise ConfigError(
-                f"line rate must be positive, got {line_rate_bps}")
+        if line_rate_bps is not None:
+            _check_positive(line_rate_bps, "line rate")
         self.num_ports = num_ports
         self.queue_capacity = queue_capacity
         self._line_rate_bps = line_rate_bps
@@ -265,6 +269,8 @@ class EgressScheduler:
 
     @line_rate_bps.setter
     def line_rate_bps(self, rate_bps: Optional[float]) -> None:
+        if rate_bps is not None:
+            _check_positive(rate_bps, "line rate")
         self._line_rate_bps = rate_bps
         self._forget_scans()
 
@@ -276,9 +282,7 @@ class EgressScheduler:
 
     def set_weight(self, vid: int, weight: float) -> None:
         """Set one tenant's fair-share weight on every port."""
-        if weight <= 0:
-            raise ConfigError(
-                f"tenant {vid}: weight must be positive, got {weight}")
+        _check_positive(weight, f"tenant {vid}: weight")
         self._weights[vid] = float(weight)
         for port in self._ports:
             port.ranker.weights[vid] = float(weight)
@@ -379,9 +383,7 @@ class EgressScheduler:
     def set_port_rate(self, port: int, rate_bps: float) -> None:
         """Override one port's transmission rate (its link capacity)."""
         self._check_port(port)
-        if rate_bps <= 0:
-            raise ConfigError(
-                f"port {port}: rate must be positive, got {rate_bps}")
+        _check_positive(rate_bps, f"port {port}: rate")
         self.port_rate_bps[port] = float(rate_bps)
         self._ports[port].forget_scan()
 
@@ -435,28 +437,44 @@ class EgressScheduler:
             raise ConfigError(
                 f"port {port} out of range [0, {self.num_ports})")
 
+    # The per-packet paths below (_enqueue_one, enqueue, _serve, start)
+    # keep their books inline — idle-clock catch-up, scan forget,
+    # virtual-time advance, transmission time, tenant counters and the
+    # PipelineStats gauges — with the same arithmetic as the helpers
+    # (clock_of, forget_scan, StfqRanker.on_dequeue, _tx_seconds,
+    # tenant, _feed_depth), which serve the cold paths.
+
     def _enqueue_one(self, packet: Packet, port: int, vid: int) -> bool:
         state = self._ports[port]
-        if (self.queue_capacity is not None
-                and state.queued >= self.queue_capacity):
+        queued = state.queued
+        if self.queue_capacity is not None and queued >= self.queue_capacity:
             self.dropped += 1
             self.tenant(vid).dropped += 1
             return False
-        rank = state.ranker.rank(vid, len(packet))
-        fifo = state.fifos.get(vid)
+        rank = state.ranker.rank(vid, len(packet.buf))
+        fifos = state.fifos
+        fifo = fifos.get(vid)
         if fifo is None:
-            fifo = state.fifos[vid] = deque()
+            fifo = fifos[vid] = deque()
         fifo.append((rank, state.seq, packet))
         state.seq += 1
-        if not state.queued:
-            self.port_clock[port] = self.clock_of(port)
+        if not queued:
+            # an idle port's clock follows the advances since it emptied
+            if state.idle_since != self._advances \
+                    and self._now > self.port_clock[port]:
+                self.port_clock[port] = self._now
             self._backlogged.add(port)
-        state.queued += 1
-        state.forget_scan()
-        self._depth[vid] = self._depth.get(vid, 0) + 1
+        state.queued = queued + 1
+        if not state.started:
+            state.chosen = None
+        depth = self._depth[vid] = self._depth.get(vid, 0) + 1
         self.enqueued += 1
-        self.tenant(vid).enqueued += 1
-        self._feed_depth(vid)
+        counters = self.per_tenant.get(vid)
+        if counters is None:
+            counters = self.per_tenant[vid] = SchedulerTenantCounters()
+        counters.enqueued += 1
+        if self._stats is not None:
+            self._stats.egress_queue_depth[vid] = depth
         return True
 
     def enqueue(self, packet: Packet, port: int, mcast_group: int = 0,
@@ -477,7 +495,8 @@ class EgressScheduler:
                 if self._enqueue_one(packet.copy(), p, module_id):
                     count += 1
             return count
-        self._check_port(port)
+        if not 0 <= port < self.num_ports:
+            self._check_port(port)
         return 1 if self._enqueue_one(packet, port, module_id) else 0
 
     # -- scheduling decisions -----------------------------------------------------
@@ -530,34 +549,42 @@ class EgressScheduler:
     def _serve(self, choice: _Choice, port: int) -> Departure:
         vid, rank, packet, at = choice
         state = self._ports[port]
-        fifo = state.fifos[vid]
+        fifos = state.fifos
+        fifo = fifos[vid]
         fifo.popleft()
         if not fifo:
-            del state.fifos[vid]
-        state.queued -= 1
+            del fifos[vid]
+        queued = state.queued = state.queued - 1
         state.chosen, state.started = None, False
-        if not state.queued:
+        if not queued:
             self._backlogged.discard(port)
             state.idle_since = self._advances
-        self._depth[vid] -= 1
-        state.ranker.on_dequeue(rank)
+        depth = self._depth[vid] = self._depth[vid] - 1
+        ranker = state.ranker
+        if rank > ranker.virtual_time:
+            ranker.virtual_time = rank
         if self._throttle_marks:
             self._throttle_marks.pop((port, vid), None)
-        nbytes = len(packet)
-        start = max(at, self.port_clock[port])
+        nbytes = len(packet.buf)
+        clock = self.port_clock[port]
+        start = clock if clock > at else at
         bucket = self._buckets.get(vid)
         if bucket is not None:
             bucket.consume(nbytes, start)
-        finish = start + self._tx_seconds(nbytes, port)
+        rate = self.port_rate_bps.get(port, self._line_rate_bps)
+        finish = start + (0.0 if rate is None else nbytes * 8.0 / rate)
         self.port_clock[port] = finish
         self.dequeued += 1
         self.bytes_out[port] += nbytes
-        counters = self.tenant(vid)
+        counters = self.per_tenant.get(vid)
+        if counters is None:
+            counters = self.per_tenant[vid] = SchedulerTenantCounters()
         counters.transmitted += 1
         counters.transmitted_bytes += nbytes
-        if self._stats is not None:
-            self._stats.record_egress_tx(vid, nbytes)
-        self._feed_depth(vid)
+        stats = self._stats
+        if stats is not None:
+            stats.egress_bytes_tx[vid] += nbytes
+            stats.egress_queue_depth[vid] = depth
         return Departure(packet, port, vid, finish)
 
     # -- service (TrafficManager-compatible + scheduled extensions) --------------
@@ -740,7 +767,10 @@ class EgressScheduler:
             return None
         (vid, fifo), = state.fifos.items()
         rank, _seq, head = fifo[0]
-        if head is not packet \
-                or now + self._tx_seconds(len(packet), port) >= before:
+        if head is not packet:
+            return None
+        rate = self.port_rate_bps.get(port, self._line_rate_bps)
+        if now + (0.0 if rate is None
+                  else len(packet.buf) * 8.0 / rate) >= before:
             return None
         return self._serve((vid, rank, packet, now), port)

@@ -205,7 +205,8 @@ class ExecutionCore:
     def schedule_control(self, at: float, fn, *args):
         """Schedule ``fn(*args)`` at ``at`` as a control event: one that
         may change the fabric (a link or switch state, a placement, an
-        eviction, an update). Returns the kernel event.
+        eviction, an update). Like every kernel event it cannot be
+        cancelled.
 
         Every such change during a run must come through here, before
         any transmission it could overtake has started: a packet starts
@@ -214,7 +215,7 @@ class ExecutionCore:
         at that very instant counts as pending, since it may not have
         run yet."""
         insort(self._controls, at)
-        return self.sim.schedule_at(at, fn, *args)
+        self.sim.schedule_at(at, fn, *args)
 
     def schedule_services(self, member, scheduler) -> None:
         """Schedule each backlogged port's next service event exactly,

@@ -20,7 +20,7 @@ Functional correctness lives in ``repro.core``; this package answers the
   experiment.
 """
 
-from .kernel import Simulator, Event
+from .kernel import Simulator
 from .elements import PipelineDes, DesResult
 from .perf_model import (
     PlatformSpec,
@@ -40,7 +40,6 @@ from .fabric_timeline import (
 
 __all__ = [
     "Simulator",
-    "Event",
     "PipelineDes",
     "DesResult",
     "PlatformSpec",

@@ -1,43 +1,31 @@
 """A minimal discrete-event simulation kernel.
 
-Classic event-queue design: the heap holds ``(time, sequence, event)``
-tuples; :meth:`Simulator.run` pops them in time order. The sequence
-number makes simultaneous events deterministic (FIFO), and because it
-is unique the tuple comparison is decided on the first two fields, in
-C — it never reaches the :class:`Event` or its unorderable callback.
-An event carries its handler and the handler's arguments (the NS-2
-event-list shape), so scheduling one builds no closure.
+Classic event-queue design, the NS-2 event-list shape: each heap entry
+is a plain ``(time, sequence, handler, args)`` tuple, and
+:meth:`Simulator.run` pops them in time order. The sequence number
+makes simultaneous events deterministic (FIFO), and because it is
+unique the tuple comparison is decided on the first two fields, in C —
+it never reaches the unorderable handler. Scheduling builds no closure
+and no event object, and returns nothing: an event cannot be cancelled.
+A handler whose work may have gone stale checks its own state when it
+fires instead (an execution-core service event compares its time with
+the port's ``service_at`` slot), and a packet never starts a
+transmission a later control event could change (the execution core's
+control horizon).
 """
 
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Callable, List, Optional, Tuple
 
 from ..errors import ReproError
 
 
 class SimulationError(ReproError):
-    """Scheduling into the past, or a run whose event list emptied
-    with packets still queued."""
-
-
-class Event:
-    """The handle :meth:`Simulator.schedule` returns: cancel it and the
-    kernel skips it when its time comes."""
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., None], args: tuple) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
+    """Scheduling into the past or at a non-finite time, or a run whose
+    event list emptied with packets still queued."""
 
 
 class Simulator:
@@ -45,25 +33,27 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self.events_processed = 0
 
     def schedule(self, delay: float,
-                 callback: Callable[..., None], *args: object) -> Event:
+                 callback: Callable[..., None], *args: object) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` time units from
-        now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay}")
-        event = Event(self.now + delay, self._seq, callback, args)
+        now. A negative, NaN or infinite delay is a
+        :class:`SimulationError`."""
+        if not 0 <= delay < inf:
+            raise SimulationError(
+                f"cannot schedule into the past: {delay}" if delay < 0
+                else f"delay must be finite, got {delay}")
+        heapq.heappush(self._queue,
+                       (self.now + delay, self._seq, callback, args))
         self._seq += 1
-        heapq.heappush(self._queue, (event.time, event.seq, event))
-        return event
 
     def schedule_at(self, time: float,
-                    callback: Callable[..., None], *args: object) -> Event:
+                    callback: Callable[..., None], *args: object) -> None:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
-        return self.schedule(time - self.now, callback, *args)
+        self.schedule(time - self.now, callback, *args)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
@@ -74,15 +64,12 @@ class Simulator:
         while queue:
             if max_events is not None and processed >= max_events:
                 break
-            time, _seq, event = queue[0]
-            if until is not None and time > until:
+            if until is not None and queue[0][0] > until:
                 self.now = until
                 break
-            heapq.heappop(queue)
-            if event.cancelled:
-                continue
+            time, _seq, callback, args = heapq.heappop(queue)
             self.now = time
-            event.callback(*event.args)
+            callback(*args)
             processed += 1
             self.events_processed += 1
         else:
@@ -91,5 +78,5 @@ class Simulator:
         return self.now
 
     def pending(self) -> int:
-        return sum(1 for _time, _seq, event in self._queue
-                   if not event.cancelled)
+        """Events scheduled and not yet run."""
+        return len(self._queue)

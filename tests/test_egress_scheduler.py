@@ -454,6 +454,80 @@ class TestFacadeWiring:
         assert report["egress"]["rate_limit_bytes_per_s"] is None
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _facade_tenant():
+    switch = Switch.build().create()
+    return switch.egress_scheduler, workload("firewall").admit(switch, vid=1)
+
+
+#: ``name -> call(value)``: every way a rate, weight or burst reaches
+#: the scheduler, directly and through the facade.
+_EGRESS_SETTINGS = {
+    "TokenBucket-rate": lambda value: TokenBucket(value),
+    "TokenBucket-burst": lambda value: TokenBucket(1000.0, value),
+    "init-line-rate": lambda value: EgressScheduler(line_rate_bps=value),
+    "line-rate-setter": lambda value: setattr(
+        EgressScheduler(), "line_rate_bps", value),
+    "set_weight": lambda value: EgressScheduler().set_weight(1, value),
+    "set_rate_limit": lambda value: EgressScheduler().set_rate_limit(
+        1, value),
+    "set_rate_limit-burst": lambda value: EgressScheduler().set_rate_limit(
+        1, 1000.0, value),
+    "set_port_rate": lambda value: EgressScheduler().set_port_rate(0, value),
+    "Tenant.set_weight": lambda value: _facade_tenant()[1].set_weight(value),
+    "Tenant.set_rate_limit": lambda value: _facade_tenant()[1]
+    .set_rate_limit(value),
+    "Tenant.set_rate_limit-burst": lambda value: _facade_tenant()[1]
+    .set_rate_limit(1000.0, burst_bytes=value),
+}
+
+
+class TestNonFiniteConfig:
+    """A NaN or infinite rate, weight or burst is a ``ConfigError``, as a
+    non-positive one is. Accepted, a NaN rate limit timed its tenant's
+    departures at NaN and left the port clock NaN, so every later
+    departure on the port, whoever's, was NaN-timed too."""
+
+    @pytest.mark.parametrize("value", [_NAN, _INF, -_INF],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("setting", sorted(_EGRESS_SETTINGS))
+    def test_non_finite_setting_is_a_config_error(self, setting, value):
+        with pytest.raises(ConfigError,
+                           match="must be positive and finite, got"):
+            _EGRESS_SETTINGS[setting](value)
+
+    def test_refused_settings_leave_the_neighbours_clock_finite(self):
+        sched = EgressScheduler(line_rate_bps=1e9)
+        for bad in (lambda: sched.set_rate_limit(1, _NAN),
+                    lambda: sched.set_weight(1, _INF),
+                    lambda: sched.set_port_rate(0, _NAN),
+                    lambda: setattr(sched, "line_rate_bps", _NAN)):
+            with pytest.raises(ConfigError):
+                bad()
+        assert (sched.rate_limit_of(1), sched.weight_of(1),
+                sched.port_rate_of(0)) == (None, 1.0, 1e9)
+        for vid in (1, 2, 1, 2):
+            sched.enqueue(pkt(1000, vid), 0, module_id=vid)
+        departures = sched.advance_to(1.0)
+        assert [(dep.module_id, dep.time) for dep in departures] == [
+            (1, pytest.approx(8e-6)), (2, pytest.approx(16e-6)),
+            (1, pytest.approx(24e-6)), (2, pytest.approx(32e-6))]
+        assert sched.port_clock[0] == pytest.approx(32e-6)
+        assert sched.clock_of(0) == 1.0
+
+    def test_facade_refusal_changes_nothing(self):
+        sched, tenant = _facade_tenant()
+        tenant.set_weight(2.0).set_rate_limit(1000.0)
+        for bad in (lambda: tenant.set_weight(_NAN),
+                    lambda: tenant.set_rate_limit(_INF),
+                    lambda: tenant.set_rate_limit(500.0, burst_bytes=_NAN)):
+            with pytest.raises(ConfigError):
+                bad()
+        assert (sched.weight_of(1), sched.rate_limit_of(1)) == (2.0, 1000.0)
+
+
 class TestTimelineLatency:
     """Weighted-fair egress under real contention, on a one-switch
     fabric timeline: two tenants offer 4 Gbit/s each (unscaled) into
@@ -953,3 +1027,125 @@ class TestBackloggedPortIndexModel:
             (1, pytest.approx(1.6e-3)), (3, pytest.approx(8e-3))]
         sched.advance_to(2e-3)
         assert [port for port, _at in sched.next_departures()] == [3]
+
+
+# ------------------------------------------------ books consistency
+
+_BOOKS_VIDS = (1, 2, 3, 4)
+_BOOKS_PACKETS = {(size, vid): pkt(size, vid)
+                  for size in (64, 200, 1000) for vid in _BOOKS_VIDS}
+
+
+@st.composite
+def _books_run(draw):
+    """A scheduler shape (1–4 ports, a queue bound or none, a line rate
+    or none) and a random operation sequence over it."""
+    num_ports = draw(st.integers(1, 4))
+    port = st.integers(0, num_ports - 1)
+    vid = st.sampled_from(_BOOKS_VIDS)
+    size = st.sampled_from((64, 200, 1000))
+    op = st.one_of(
+        st.tuples(st.just("enqueue"), port, vid, size,
+                  st.sampled_from((0, 0, 1))),
+        st.tuples(st.just("start"), port, vid, size,
+                  st.sampled_from((float("inf"), 1e-5))),
+        st.tuples(st.just("dequeue"), port),
+        st.tuples(st.just("drain_bytes"), port,
+                  st.sampled_from((100, 1000, 5000))),
+        st.tuples(st.just("advance"), st.sampled_from((0.0, 1e-5, 1e-3, 0.1))),
+        st.tuples(st.just("purge"), vid),
+        st.tuples(st.just("drop_queued")),
+        st.tuples(st.just("set_weight"), vid, st.sampled_from((0.5, 1.0, 4.0))),
+        st.tuples(st.just("set_rate_limit"), vid,
+                  st.sampled_from((2e4, 1e5, 1e6)),
+                  st.sampled_from((None, 100.0, 3000.0))),
+        st.tuples(st.just("set_port_rate"), port,
+                  st.sampled_from((1e5, 1e6, 1e8))),
+    )
+    return (num_ports, draw(st.sampled_from((None, 2, 5))),
+            draw(st.sampled_from((None, 1e6))),
+            draw(st.lists(op, min_size=1, max_size=40)))
+
+
+class TestBooksConsistency:
+    """Whatever the operation sequence, the scheduler's books agree with
+    its queues and with each other after every step: the per-tenant
+    depth gauge in ``PipelineStats`` with ``queue_depth`` and with the
+    FIFOs themselves; the transmitted-bytes gauge with the tenant's
+    counters and with what the calls returned; ``bytes_out`` with all
+    transmitted bytes; ``total_queued`` with the per-port lengths; and,
+    per tenant, enqueued = transmitted + queued + scrubbed. ``purge``
+    resets a tenant's counters, not the ``PipelineStats`` gauge, so the
+    bytes it had transmitted carry over as ``retired``."""
+
+    @staticmethod
+    def _apply(sched, op, now):
+        """Run one op; returns the ``(vid, nbytes)`` that departed."""
+        kind = op[0]
+        if kind in ("enqueue", "start"):
+            _, port, vid, size, extra = op
+            packet = _BOOKS_PACKETS[(size, vid)].copy()
+            group = extra if kind == "enqueue" else 0
+            placed = sched.enqueue(packet, port, mcast_group=group,
+                                   module_id=vid)
+            if kind == "start" and placed:
+                dep = sched.start(port, packet, extra)
+                if dep is not None:
+                    return [(dep.module_id, len(dep.packet))]
+            return []
+        if kind == "dequeue":
+            packet = sched.dequeue(op[1])
+            return [] if packet is None else [(vid_of(packet), len(packet))]
+        if kind == "drain_bytes":
+            return list(sched.drain_bytes(op[1], op[2]).items())
+        if kind == "advance":
+            return [(dep.module_id, len(dep.packet))
+                    for dep in sched.advance_to(now)]
+        getattr(sched, kind)(*op[1:])
+        return []
+
+    @staticmethod
+    def _check_books(sched, stats, tx, retired, scrubbed):
+        ports = range(sched.num_ports)
+        assert sched.total_queued() == sum(map(sched.queue_len, ports))
+        for vid in _BOOKS_VIDS:
+            queued = sum(len(state.fifos.get(vid, ()))
+                         for state in sched._ports)
+            assert sched.queue_depth(vid) == queued
+            assert stats.egress_queue_depth.get(vid, 0) == queued
+            counters = sched.tenant(vid)
+            assert counters.transmitted_bytes == tx[vid]
+            assert stats.egress_bytes_tx.get(vid, 0) \
+                == retired[vid] + tx[vid]
+            assert counters.enqueued \
+                == counters.transmitted + queued + scrubbed[vid]
+        assert sum(sched.bytes_out) \
+            == sum(retired.values()) + sum(tx.values())
+
+    @settings(max_examples=120, deadline=None)
+    @given(_books_run())
+    def test_books_agree_after_every_step(self, run):
+        num_ports, capacity, line_rate, ops = run
+        stats = PipelineStats()
+        sched = EgressScheduler(num_ports=num_ports, queue_capacity=capacity,
+                                line_rate_bps=line_rate, stats=stats)
+        sched.set_mcast_group(1, sorted({0, num_ports - 1}))
+        #: per tenant, since its last purge: bytes seen to depart, and
+        #: packets scrubbed; and bytes transmitted before that purge
+        tx = dict.fromkeys(_BOOKS_VIDS, 0)
+        scrubbed = dict.fromkeys(_BOOKS_VIDS, 0)
+        retired = dict.fromkeys(_BOOKS_VIDS, 0)
+        now = 0.0
+        for op in ops:
+            if op[0] == "advance":
+                now += op[1]
+            if op[0] == "purge":
+                retired[op[1]] += tx[op[1]]
+                tx[op[1]] = scrubbed[op[1]] = 0
+            if op[0] == "drop_queued":
+                for _port, vid, _packet in sched.drop_queued():
+                    scrubbed[vid] += 1
+            else:
+                for vid, nbytes in self._apply(sched, op, now):
+                    tx[vid] += nbytes
+            self._check_books(sched, stats, tx, retired, scrubbed)

@@ -467,3 +467,72 @@ class TestEventListDiscipline:
                 as caught:
             experiment.run()
         assert isinstance(caught.value, ReproError)
+
+
+# ------------------------------------------------ uncontended-hop books gate
+
+class TestUncontendedHopBooks:
+    """Counts only (no wall clock): a warm packet alone on an idle host
+    port with no token bucket — enqueue, start, one delivery event —
+    keeps the scheduler's books inline. Going through the helpers cost
+    this hop 2 ``tenant``, 2 ``_feed_depth``, 1 ``clock_of``, 2
+    ``_check_port``, 2 ``_tx_seconds``, 1 ``on_dequeue``, 2
+    ``set_egress_depth``, 1 ``record_egress_tx`` and, at the
+    exact-match level, 1 ``Packet.copy``. Its departure, delivery and
+    books are pinned to the values measured with the helpers, so the
+    bound cannot be met by keeping fewer books."""
+
+    def test_warm_hop_calls_no_bookkeeping_helper(self, monkeypatch):
+        from repro.core import PipelineStats
+        from repro.engine import EgressScheduler
+        from repro.fabric import Fabric
+        from repro.rmt.pifo import StfqRanker
+
+        fabric = Fabric()
+        member = fabric.add_switch("sw0")
+        fabric.tenant(
+            "calc", calc.P4_SOURCE, vid=1,
+            installer=lambda t, port: calc.install(t, port=port)
+        ).place(("sw0", 0), ("sw0", 2))
+        sink, sim = _RecordingSink(), Simulator()
+        core = ExecutionCore.for_fabric(fabric, sink, sim)
+
+        def hop(t):
+            packet = calc.make_packet(1, calc.OP_ADD, 3, 4, pad_to=1000)
+            sim.schedule_at(t, core.inject, member, packet, t)
+            sim.run()
+
+        hop(0.0)        # binds the tenant's context, seeds the cache
+        hop(1e-3)       # the first exact-match hit
+        calls = {}
+        for cls, names in (
+                (EgressScheduler, ("tenant", "_feed_depth", "clock_of",
+                                   "_tx_seconds", "_check_port")),
+                (StfqRanker, ("on_dequeue",)),
+                (PipelineStats, ("set_egress_depth", "record_egress_tx")),
+                (Packet, ("copy",))):
+            for name in names:
+                def counted(self, *args, _inner=getattr(cls, name),
+                            _name=name, **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _inner(self, *args, **kwargs)
+                monkeypatch.setattr(cls, name, counted)
+        hits = member.engine.counters.cache_hits
+        hop(2e-3)
+        assert calls == {}
+        assert member.engine.counters.cache_hits == hits + 1 == 2
+
+        assert [time for *_where, time in sink.delivered] == [
+            8e-07, 0.0010008, 0.0020008]
+        assert {tuple(where) for *where, _time in sink.delivered} == {
+            ("sw0", 2, 1)}
+        assert sim.events_processed == 6 and sim.pending() == 0
+        sched, stats = member.scheduler, member.switch.pipeline.stats
+        assert sched.port_clock[2] == 0.0020008
+        assert vars(sched.per_tenant[1]) == {
+            "enqueued": 3, "transmitted": 3, "transmitted_bytes": 3000,
+            "dropped": 0, "throttled_waits": 0}
+        assert sched.bytes_out[2] == 3000
+        assert sched._ports[2].ranker.virtual_time == 2000.0
+        assert (dict(stats.egress_bytes_tx),
+                dict(stats.egress_queue_depth)) == ({1: 3000}, {1: 0})

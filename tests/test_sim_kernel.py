@@ -3,7 +3,8 @@
 The kernel now underpins every timed path — the fabric timeline's
 service/arrival cascade, churn reconfiguration events, and (through
 the execution core) the Fig. 10 harness — so its corner semantics are
-load-bearing: cancellation bookkeeping, the ``until`` horizon, the
+load-bearing: the plain-tuple event list (no handle, no cancel), the
+rejection of a non-finite time, the ``until`` horizon, the
 ``max_events`` guard, and re-entrant scheduling from inside handlers.
 The basics (time order, FIFO ties, negative delay) live in
 ``tests/test_sim_perf.py``.
@@ -15,45 +16,93 @@ from repro.sim import Simulator
 from repro.sim.kernel import SimulationError
 
 
-class TestCancel:
-    def test_cancelled_event_is_not_processed_and_not_pending(self):
+class TestTupleEventList:
+    """The heap holds plain ``(time, seq, handler, args)`` tuples, and
+    scheduling hands nothing back: there is no event to cancel."""
+
+    def test_schedule_returns_nothing_and_queues_a_plain_tuple(self):
         sim = Simulator()
         log = []
-        keep = sim.schedule(1.0, lambda: log.append("keep"))
-        drop = sim.schedule(2.0, lambda: log.append("drop"))
-        drop.cancel()
-        assert sim.pending() == 1
+        assert sim.schedule(1.0, log.append, "a") is None
+        assert sim.schedule_at(2.0, log.append, "b") is None
+        assert sim._queue == [(1.0, 0, log.append, ("a",)),
+                              (2.0, 1, log.append, ("b",))]
         sim.run()
-        assert log == ["keep"]
-        assert sim.events_processed == 1
-        assert not keep.cancelled and drop.cancelled
+        assert log == ["a", "b"] and sim._queue == []
 
-    def test_cancelled_event_does_not_advance_the_clock(self):
-        # A cancelled head-of-queue event is skipped without its time
-        # becoming `now`.
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None).cancel()
-        sim.run()
-        assert sim.now == 0.0
-
-    def test_cancel_from_inside_an_earlier_handler(self):
+    def test_fifo_among_simultaneous_events_from_different_instants(self):
+        # Three events due at t = 2, scheduled at t = 0, t = 1 and from
+        # inside the t = 2 handler: they run in the order scheduled.
         sim = Simulator()
         log = []
-        later = sim.schedule(2.0, lambda: log.append("later"))
-        sim.schedule(1.0, lambda: later.cancel())
-        sim.run()
-        assert log == []
-        assert sim.now == 1.0
 
-    def test_cancel_one_of_simultaneous_events_keeps_fifo(self):
+        def at_two(tag):
+            log.append(tag)
+            if tag == "first":
+                sim.schedule(0.0, log.append, "reentrant")
+
+        sim.schedule_at(2.0, at_two, "first")
+        sim.schedule_at(1.0, lambda: sim.schedule(1.0, at_two, "second"))
+        sim.run()
+        assert log == ["first", "second", "reentrant"]
+        assert sim.now == 2.0 and sim.events_processed == 4
+
+    def test_pending_after_a_partial_run(self):
+        sim = Simulator()
+        for i in range(5):
+            sim.schedule(float(i + 1), lambda: None)
+        assert sim.pending() == 5
+        sim.run(max_events=2)
+        assert sim.pending() == 3 and sim.now == 2.0
+        sim.run(until=4.5)
+        assert sim.pending() == 1 and sim.now == 4.5
+        sim.run()
+        assert sim.pending() == 0 and sim.events_processed == 5
+
+    def test_handler_gets_its_arguments_and_no_closure_is_needed(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda *args: seen.append((sim.now, args)),
+                     "x", 2, None)
+        sim.schedule(0.5, lambda: seen.append((sim.now, ())))
+        sim.run()
+        assert seen == [(0.5, ()), (1.0, ("x", 2, None))]
+
+
+class TestNonFiniteDelay:
+    """A NaN or infinite time is a ``SimulationError``: queued, a NaN
+    time compares false with everything and breaks the heap order."""
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_schedule_rejects_it_and_queues_nothing(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="must be finite"):
+            sim.schedule(delay, lambda: None)
+        assert sim.pending() == 0
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_schedule_at_rejects_it(self, time):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="must be finite"):
+            sim.schedule_at(time, lambda: None)
+        assert sim.pending() == 0
+
+    def test_a_rejected_nan_leaves_the_order_intact(self):
         sim = Simulator()
         log = []
-        events = [sim.schedule(1.0, lambda i=i: log.append(i))
-                  for i in range(4)]
-        events[1].cancel()
-        events[2].cancel()
+        for t in (3.0, 1.0):
+            sim.schedule(t, log.append, t)
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), log.append, "nan")
+        sim.schedule(2.0, log.append, 2.0)
         sim.run()
-        assert log == [0, 3]
+        assert log == [1.0, 2.0, 3.0]
+
+    def test_negative_infinity_is_still_the_past(self):
+        with pytest.raises(SimulationError, match="into the past"):
+            Simulator().schedule(float("-inf"), lambda: None)
 
 
 class TestRunUntil:
@@ -112,13 +161,12 @@ class TestMaxEvents:
         assert len(fired) == 100
         assert sim.pending() == 1  # the 101st, still queued
 
-    def test_cancelled_events_do_not_consume_the_budget(self):
+    def test_zero_budget_runs_nothing_and_keeps_the_clock(self):
         sim = Simulator()
         log = []
-        sim.schedule(1.0, lambda: None).cancel()
-        sim.schedule(2.0, lambda: log.append("ran"))
-        sim.run(max_events=1)
-        assert log == ["ran"]
+        sim.schedule(1.0, lambda: log.append("ran"))
+        assert sim.run(max_events=0) == 0.0
+        assert log == [] and sim.pending() == 1
 
     def test_resuming_after_the_guard_completes_the_run(self):
         sim = Simulator()

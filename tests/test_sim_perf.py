@@ -60,14 +60,6 @@ class TestSimulatorKernel:
         sim.run()
         assert log == [1, 5]
 
-    def test_cancel(self):
-        sim = Simulator()
-        log = []
-        ev = sim.schedule(1.0, lambda: log.append(1))
-        ev.cancel()
-        sim.run()
-        assert log == []
-
     def test_simultaneous_events_never_compare_callbacks(self):
         # Heap order is decided on (time, seq) alone: callbacks that
         # refuse every comparison still fire, first scheduled first.
@@ -91,41 +83,6 @@ class TestSimulatorKernel:
         sim.schedule(0.5, Unorderable("early"))
         sim.run()
         assert log == ["early", 0, 1, 2, 3, 4, 5]
-
-    def test_cancelled_head_is_skipped_under_max_events(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(1.0, lambda: log.append("cancelled")).cancel()
-        sim.schedule(2.0, lambda: log.append("live"))
-        sim.schedule(3.0, lambda: log.append("later"))
-        sim.run(max_events=1)  # the cancelled head does not use it up
-        assert log == ["live"]
-        assert sim.now == 2.0
-        assert sim.events_processed == 1
-
-    def test_cancelled_head_is_skipped_under_until(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(1.0, lambda: log.append("cancelled")).cancel()
-        sim.schedule(2.0, lambda: log.append("live"))
-        sim.run(until=1.5)
-        assert log == []
-        assert sim.now == 1.5
-        sim.run(until=2.0)
-        assert log == ["live"]
-
-    def test_pending_ignores_cancelled_entries(self):
-        sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None)
-                  for i in range(4)]
-        assert sim.pending() == 4
-        events[0].cancel()
-        events[2].cancel()
-        assert events[0].cancelled and not events[1].cancelled
-        assert sim.pending() == 2
-        sim.run()
-        assert sim.pending() == 0
-        assert sim.events_processed == 2
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
