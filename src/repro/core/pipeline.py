@@ -321,7 +321,10 @@ class MenshenPipeline:
         phv = self.parser.parse(packet, module_id)
         if buffer_slot is None:
             buffer_slot = self.packet_filter.assign_buffer()
-        phv.metadata.buffer_tag = 1 << buffer_slot
+        tag = 1 << buffer_slot
+        if tag > 0xFF:
+            phv.metadata.buffer_tag = tag  # raises the 1-byte field's error
+        phv.metadata.buf[1] = tag  # buffer_tag
 
         for i, stage in enumerate(self.stages):
             stage_module = (SYSTEM_MODULE_ID if i in self.system_stages

@@ -84,11 +84,14 @@ pipeline's :class:`~repro.engine.scheduler.EgressScheduler` in the same
 order, so every port drains the same packet sequence — exactly what
 ``tests/test_engine_differential.py`` enforces across all eight
 evaluated modules. The only exception is error paths: if execution
-raises (e.g. a parse fault), the error is the scalar path's own, but
-the engine has already drawn the packet's buffer slot (the scalar path
-draws it after parsing) and a multi-packet run aborts mid-flight, so
-packet-buffer round-robin parity with the scalar path is not
-guaranteed from there on.
+raises, the error is the scalar path's own on every level — a parse
+fault, a row that does not decode, or an ingress port the 16-bit
+``src_port`` metadata field cannot hold (the compiled level raises the
+parser's ``FieldRangeError`` for it, so no cache entry ever holds such
+a port) — but the engine has already drawn the packet's buffer slot
+(the scalar path draws it after parsing) and a multi-packet run aborts
+mid-flight, so packet-buffer round-robin parity with the scalar path is
+not guaranteed from there on.
 """
 
 from __future__ import annotations
@@ -271,6 +274,10 @@ class BatchEngine:
                 f"expected one of {CERTIFY_MODES}")
         self.check_compiled = check_compiled
         self._parse_window = pipeline.params.parse_window_bytes
+        #: The stateful memories the pipeline was built with, sampled
+        #: around each scalar walk.
+        self._memories = tuple(stage.stateful_memory
+                               for stage in pipeline.stages)
         self.counters = EngineCounters()
         self._contexts: Dict[int, _TenantContext] = {}
 
@@ -365,8 +372,13 @@ class BatchEngine:
             self.pipeline, ctx.classifier, vid=ctx.vid)
 
     def _stateful_ops(self) -> int:
-        return sum(stage.stateful_memory.op_count
-                   for stage in self.pipeline.stages)
+        """Reads plus writes so far over the stages' stateful memories
+        (each one's :attr:`~repro.rmt.stateful.StatefulMemory.op_count`,
+        summed in a plain loop)."""
+        ops = 0
+        for memory in self._memories:
+            ops += memory.read_count + memory.write_count
+        return ops
 
     # -- data plane ---------------------------------------------------------------
 

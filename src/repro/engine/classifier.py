@@ -276,8 +276,11 @@ class CompiledClassifier:
 
         Returns ``(merged, phv)`` exactly as ``pipeline.execute`` would,
         or a :class:`Fallback` when the matched leaf must take the
-        scalar oracle. The caller guarantees the parse/deparse window
-        fits (same precondition as the exact-match cache probe).
+        scalar oracle. An ingress port the 16-bit ``src_port`` field
+        cannot hold raises the parser's own
+        :class:`~repro.errors.FieldRangeError`. The caller guarantees
+        the parse/deparse window fits (same precondition as the
+        exact-match cache probe).
         """
         buf = packet.buf
         vals = [0] * 24
@@ -374,7 +377,9 @@ class CompiledClassifier:
         meta[2] = dst_port >> 8
         meta[3] = dst_port & 0xFF
         src_port = packet.ingress_port
-        meta[4] = (src_port >> 8) & 0xFF
+        if not 0 <= src_port <= 0xFFFF:
+            phv.metadata.src_port = src_port  # the parser's own error
+        meta[4] = src_port >> 8
         meta[5] = src_port & 0xFF
         pkt_len = len(buf)
         if pkt_len > 0xFFFF:

@@ -20,13 +20,23 @@ from typing import Optional
 from ..errors import ConfigError
 from .action import AluAction, AluOp, VliwInstruction
 from .encodings import NUM_ALUS
-from .phv import PHV, ContainerRef
+from .phv import _CONTAINER_MASKS, PHV, ContainerRef, ContainerType, Metadata
 from .stateful import StatefulMemory
 
-#: The container each ALU slot writes, by flat index (slot 24 is the
-#: metadata container).
-_SLOT_REFS = tuple(ContainerRef.from_flat(slot) for slot in range(NUM_ALUS))
+#: Where each ALU slot's result lands, by flat index: ``(type code,
+#: index, width mask)`` of its own container. Slot 24 is the metadata
+#: container, which no container-writing op may target.
+_SLOT_TARGETS = tuple(
+    (int(ref.ctype), ref.index, _CONTAINER_MASKS[ref.ctype])
+    for ref in (ContainerRef.from_flat(slot) for slot in range(NUM_ALUS)))
 _META_SLOT = 24
+_META = ContainerType.META
+
+# Opcodes as module names: cheaper to reach than enum class attributes.
+_ADD, _SUB, _ADDI, _SUBI, _SET = (AluOp.ADD, AluOp.SUB, AluOp.ADDI,
+                                  AluOp.SUBI, AluOp.SET)
+_LOAD, _STORE, _LOADD = AluOp.LOAD, AluOp.STORE, AluOp.LOADD
+_PORT, _MCAST, _DISCARD = AluOp.PORT, AluOp.MCAST, AluOp.DISCARD
 
 
 class StatefulAccess:
@@ -60,11 +70,6 @@ class ActionEngine:
     def __init__(self, stateful: Optional[StatefulAccess] = None):
         self.stateful = stateful
 
-    def _operand(self, phv: PHV, ref: Optional[ContainerRef]) -> int:
-        if ref is None:
-            return 0
-        return phv.get(ref)
-
     def _require_stateful(self, op: AluOp) -> StatefulAccess:
         if self.stateful is None:
             raise ConfigError(
@@ -81,42 +86,67 @@ class ActionEngine:
 
     def _execute_one(self, slot: int, action: AluAction, old: PHV,
                      new: PHV, module_id: int) -> None:
+        """One ALU. Operands are read from ``old.data``; a metadata
+        operand goes through :meth:`PHV.get`, which raises. Results land
+        in ``new.data`` masked to the container's width, and
+        ``PORT`` / ``MCAST`` / ``DISCARD`` write their metadata bytes
+        (destination port at 2-3, multicast group at 8-9, the discard
+        flag in byte 0)."""
         op = action.opcode
-        a = self._operand(old, action.c1)
-        b = self._operand(old, action.c2)
+        data = old.data
+        ref = action.c1
+        if ref is None:
+            a = 0
+        elif ref.ctype is _META:
+            a = old.get(ref)  # raises
+        else:
+            a = data[ref.ctype][ref.index]
+        ref = action.c2
+        if ref is None:
+            b = 0
+        elif ref.ctype is _META:
+            b = old.get(ref)  # raises
+        else:
+            b = data[ref.ctype][ref.index]
         imm = action.immediate
 
-        own = _SLOT_REFS[slot]
-        if op.writes_container and slot == _META_SLOT:
+        if slot == _META_SLOT and op.writes_container:
             raise ConfigError(
                 f"{op.name} on the metadata ALU slot is not supported")
+        ctype, index, mask = _SLOT_TARGETS[slot]
 
-        if op == AluOp.ADD:
-            new.set_wrapping(own, a + b)
-        elif op == AluOp.SUB:
-            new.set_wrapping(own, a - b)
-        elif op == AluOp.ADDI:
-            new.set_wrapping(own, a + imm)
-        elif op == AluOp.SUBI:
-            new.set_wrapping(own, a - imm)
-        elif op == AluOp.SET:
-            new.set_wrapping(own, imm)
-        elif op == AluOp.LOAD:
+        if op is _ADD:
+            new.data[ctype][index] = (a + b) & mask
+        elif op is _SUB:
+            new.data[ctype][index] = (a - b) & mask
+        elif op is _ADDI:
+            new.data[ctype][index] = (a + imm) & mask
+        elif op is _SUBI:
+            new.data[ctype][index] = (a - imm) & mask
+        elif op is _SET:
+            new.data[ctype][index] = imm & mask
+        elif op is _LOAD:
             value = self._require_stateful(op).read(module_id, a + imm)
-            new.set_wrapping(own, value)
-        elif op == AluOp.STORE:
-            own_value = old.get(own) if slot != _META_SLOT else 0
+            new.data[ctype][index] = value & mask
+        elif op is _STORE:
+            own_value = data[ctype][index] if slot != _META_SLOT else 0
             self._require_stateful(op).write(module_id, a + imm, own_value)
-        elif op == AluOp.LOADD:
+        elif op is _LOADD:
             value = self._require_stateful(op).load_add_store(
                 module_id, a + imm)
             if slot != _META_SLOT:
-                new.set_wrapping(own, value)
-        elif op == AluOp.PORT:
-            new.metadata.dst_port = (a + imm) & 0xFFFF
-        elif op == AluOp.MCAST:
-            new.metadata.mcast_group = (a + imm) & 0xFFFF
-        elif op == AluOp.DISCARD:
-            new.metadata.discard = True
+                new.data[ctype][index] = value & mask
+        elif op is _PORT:
+            port = (a + imm) & 0xFFFF
+            meta = new.metadata.buf
+            meta[2] = port >> 8
+            meta[3] = port & 0xFF
+        elif op is _MCAST:
+            group = (a + imm) & 0xFFFF
+            meta = new.metadata.buf
+            meta[8] = group >> 8
+            meta[9] = group & 0xFF
+        elif op is _DISCARD:
+            new.metadata.buf[0] |= Metadata.FLAG_DISCARD
         else:  # pragma: no cover — every AluOp is handled above
             raise ConfigError(f"unhandled opcode {op!r}")

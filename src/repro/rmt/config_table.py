@@ -65,7 +65,9 @@ class ConfigTable:
         the first read of each word the row holds. Callers share the
         result and must not mutate it; a word that fails to decode
         raises on every read."""
-        word = self.read(index)
+        if not 0 <= index < self.depth:
+            self._check_index(index)  # raises
+        word = self._entries[index]
         cached = self._decoded[index]
         if cached is not None and cached[0] == word:
             return cached[1]

@@ -18,7 +18,9 @@ from .config_table import ConfigTable
 from .encodings import encode_parser_entry
 from .params import DEFAULT_PARAMS, HardwareParams
 from .parser import ParseAction
-from .phv import PHV, ContainerType
+from .phv import _CONTAINER_BYTES, PHV, ContainerType, Metadata
+
+_META = ContainerType.META
 
 
 class Deparser:
@@ -53,21 +55,22 @@ class Deparser:
         place (it is the packet buffer's copy). Like the parser, it
         writes ``packet.buf`` directly once ``end <= window`` holds.
         """
-        if phv.metadata.discard:
+        if phv.metadata.buf[0] & Metadata.FLAG_DISCARD:
             return None
         buf, data = packet.buf, phv.data
         window = min(len(buf), self.params.parse_window_bytes)
         for action in self.read_program(module_id):
             container = action.container
-            if container.ctype == ContainerType.META:
+            ctype = container.ctype
+            if ctype is _META:
                 raise ConfigError("deparse actions cannot target metadata")
             start = action.bytes_from_head
-            size = container.size_bytes
+            size = _CONTAINER_BYTES[ctype]
             end = start + size
             if end > window:
                 raise PacketError(
                     f"deparse action writes [{start}:{end}) "
                     f"past the {window}-byte window")
-            buf[start:end] = data[container.ctype][container.index].to_bytes(
+            buf[start:end] = data[ctype][container.index].to_bytes(
                 size, "big")
         return packet

@@ -7,7 +7,8 @@ contributes a final flag bit (193 bits total), then ANDs the key with the
 module's 193-bit mask so shorter keys match correctly.
 
 Both the 38-bit extractor entries and the 193-bit masks are per-module
-overlay state; the extractor only reads them via ``table.read(module_id)``.
+overlay state, one row per module ID; :meth:`KeyExtractor.extract` reads
+each of the two rows once per packet.
 
 Key layout (bit 0 is the LSB), the same word
 :func:`~repro.rmt.encodings.encode_key` packs MSB-first::
@@ -41,7 +42,7 @@ from .encodings import (
     encode_cmp_operand,
 )
 from .params import DEFAULT_PARAMS, HardwareParams
-from .phv import PHV, ContainerRef
+from .phv import PHV, ContainerRef, ContainerType
 
 
 class CmpOp(IntEnum):
@@ -68,6 +69,8 @@ _CMP_EVALUATORS: Tuple[Callable[[int, int], bool], ...] = (
     lambda a, b: True,   # ALWAYS
 )
 
+
+_META = ContainerType.META
 
 #: A comparison operand: a PHV container or a small immediate.
 CmpOperand = Union[ContainerRef, int]
@@ -148,33 +151,34 @@ class KeyExtractor:
     def read_entry(self, module_id: int) -> KeyExtractEntry:
         return self.extract_table.read_decoded(module_id)
 
-    def read_mask(self, module_id: int) -> int:
-        return self.mask_table.read(module_id)
-
-    def evaluate_predicate(self, phv: PHV, entry: KeyExtractEntry) -> bool:
-        """Evaluate the entry's ``A OP B`` predicate against the PHV.
-
-        Both operands are read whatever the opcode, ``DISABLED`` and
-        ``ALWAYS`` included, so a metadata operand is a ``ConfigError``
-        under every opcode."""
-        a, b = entry.cmp_a, entry.cmp_b
-        if isinstance(a, ContainerRef):
-            a = phv.get(a)
-        if isinstance(b, ContainerRef):
-            b = phv.get(b)
-        return _CMP_EVALUATORS[entry.cmp_op](a, b)
-
     def extract(self, phv: PHV, module_id: int) -> int:
         """Assemble, flag, and mask the 193-bit key for this packet (by
-        shift-or; see the module docstring for why that is exact)."""
-        entry = self.read_entry(module_id)
-        b2, b4, b6 = phv.data
+        shift-or; see the module docstring for why that is exact).
+
+        The entry and the mask row are each read once. Both predicate
+        operands are read whatever the opcode, ``DISABLED`` and
+        ``ALWAYS`` included, and a metadata operand goes through
+        :meth:`~repro.rmt.phv.PHV.get`, so it is a ``ConfigError`` under
+        every opcode."""
+        entry = self.extract_table.read_decoded(module_id)
+        data = phv.data
+        b2, b4, b6 = data
         key = (b6[entry.idx_6b_1] << 145 | b6[entry.idx_6b_2] << 97
                | b4[entry.idx_4b_1] << 65 | b4[entry.idx_4b_2] << 33
                | b2[entry.idx_2b_1] << 17 | b2[entry.idx_2b_2] << 1)
-        if self.evaluate_predicate(phv, entry):
+        a, b = entry.cmp_a, entry.cmp_b
+        if isinstance(a, ContainerRef):
+            a = (phv.get(a) if a.ctype is _META
+                 else data[a.ctype][a.index])
+        if isinstance(b, ContainerRef):
+            b = (phv.get(b) if b.ctype is _META
+                 else data[b.ctype][b.index])
+        if _CMP_EVALUATORS[entry.cmp_op](a, b):
             key |= 1
-        return key & self.read_mask(module_id)
+        masks = self.mask_table
+        if not 0 <= module_id < masks.depth:
+            masks._check_index(module_id)  # raises
+        return key & masks._entries[module_id]
 
 
 def build_mask(use_6b: Tuple[bool, bool] = (False, False),

@@ -6,6 +6,12 @@ comes from the module ID being part of every stored word and appended to
 every lookup key, so a module's packets can only ever hit that module's
 entries regardless of how entries are laid out.
 
+The exact-match CAM is content-addressed, as the hardware is: beside its
+address-ordered rows it keeps a ``(key, module_id) -> address`` index, so
+a lookup is one dictionary probe rather than a scan of every row. Writes
+refuse a word another address already holds, so at most one row carries
+any pair and the index answers what a lowest-address scan would.
+
 Appendix B extends the same block to ternary matching: each entry gains a
 mask, and priority on multiple matches is the entry *address* (lowest
 wins here). Allocating each module a contiguous address block lets rules
@@ -15,7 +21,7 @@ be reordered within one module without disturbing any other module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..bits import check_fits
 from ..errors import ConfigError
@@ -23,9 +29,10 @@ from .encodings import CAM_ENTRY_BITS, KEY_BITS, MODULE_ID_BITS, decode_cam_entr
 from .params import DEFAULT_PARAMS, HardwareParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class CamEntry:
-    """One valid CAM word, stored decomposed for readability."""
+    """One valid CAM word, stored decomposed for readability (immutable,
+    so the table's content index cannot go stale under it)."""
 
     key: int          #: 193-bit masked key
     module_id: int    #: 12-bit VID
@@ -52,13 +59,19 @@ class TernaryEntry:
 
 
 class ExactMatchTable:
-    """Address-indexed exact-match CAM with module-ID-augmented entries."""
+    """Content-addressed exact-match CAM with module-ID-augmented entries.
+
+    ``_entries`` holds the rows by address; ``_index`` maps each valid
+    row's ``(key, module_id)`` to its address. Every write and
+    invalidation updates both, and :meth:`lookup` reads only the index.
+    """
 
     def __init__(self, depth: int = DEFAULT_PARAMS.match_entries_per_stage,
                  params: HardwareParams = DEFAULT_PARAMS):
         self.depth = depth
         self.params = params
         self._entries: List[Optional[CamEntry]] = [None] * depth
+        self._index: Dict[Tuple[int, int], int] = {}
         self.lookup_count = 0
         self.hit_count = 0
 
@@ -73,14 +86,22 @@ class ExactMatchTable:
         check_fits(entry.module_id, MODULE_ID_BITS, "module id")
         # Exact-match CAMs must not hold duplicate words at two addresses:
         # the lookup result would be ambiguous (§5.1 makes the compiler
-        # generate distinct entries for this reason).
-        for i, existing in enumerate(self._entries):
-            if (existing is not None and i != index
-                    and existing.key == entry.key
-                    and existing.module_id == entry.module_id):
-                raise ConfigError(
-                    f"duplicate CAM word at addresses {i} and {index}")
+        # generate distinct entries for this reason). That also keeps
+        # the index at one address per pair, so it names the holder.
+        pair = (entry.key, entry.module_id)
+        holder = self._index.get(pair)
+        if holder is not None and holder != index:
+            raise ConfigError(
+                f"duplicate CAM word at addresses {holder} and {index}")
+        self._unindex(index)
         self._entries[index] = entry
+        self._index[pair] = index
+
+    def _unindex(self, index: int) -> None:
+        """Drop row ``index``'s pair from the index (if it holds one)."""
+        old = self._entries[index]
+        if old is not None:
+            del self._index[(old.key, old.module_id)]
 
     def write(self, index: int, key: int, module_id: int) -> None:
         """Install an entry from loose ints (control-plane path)."""
@@ -93,6 +114,7 @@ class ExactMatchTable:
 
     def invalidate(self, index: int) -> None:
         self._check_index(index)
+        self._unindex(index)
         self._entries[index] = None
 
     def read(self, index: int) -> Optional[CamEntry]:
@@ -106,12 +128,10 @@ class ExactMatchTable:
         hit entries owned by the same module.
         """
         self.lookup_count += 1
-        for index, entry in enumerate(self._entries):
-            if (entry is not None and entry.key == key
-                    and entry.module_id == module_id):
-                self.hit_count += 1
-                return index
-        return None
+        index = self._index.get((key, module_id))
+        if index is not None:
+            self.hit_count += 1
+        return index
 
     def entries_of(self, module_id: int) -> List[int]:
         """Addresses currently holding entries of ``module_id``."""

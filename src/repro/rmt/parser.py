@@ -29,7 +29,9 @@ from .encodings import (
     encode_parser_entry,
 )
 from .params import DEFAULT_PARAMS, HardwareParams
-from .phv import PHV, ContainerRef, ContainerType
+from .phv import _CONTAINER_BYTES, PHV, ContainerRef, ContainerType
+
+_META = ContainerType.META
 
 #: Byte offset of the VLAN TCI inside an Ethernet+802.1Q frame.
 VLAN_TCI_OFFSET = 14
@@ -124,19 +126,33 @@ class ProgrammableParser:
         window = min(len(buf), self.params.parse_window_bytes)
         for action in self.read_program(module_id):
             container = action.container
-            if container.ctype == ContainerType.META:
+            ctype = container.ctype
+            if ctype is _META:
                 raise ConfigError("parse actions cannot target metadata")
             start = action.bytes_from_head
-            end = start + container.size_bytes
+            end = start + _CONTAINER_BYTES[ctype]
             if end > window:
                 raise PacketError(
                     f"parse action reads [{start}:{end}) "
                     f"past the {window}-byte parse window")
-            data[container.ctype][container.index] = int.from_bytes(
+            data[ctype][container.index] = int.from_bytes(
                 buf[start:end], "big")
 
+        # Pipeline-generated metadata, written as bytes (src_port at 4-5,
+        # pkt_len at 6-7, module_id at 18-19). The setters run only to
+        # raise their FieldRangeError on a value a 16-bit field cannot
+        # hold; the clamped pkt_len always fits.
         meta = phv.metadata
-        meta.pkt_len = min(len(packet), 0xFFFF)
-        meta.src_port = packet.ingress_port
-        meta.module_id = module_id
+        pkt_len = min(len(buf), 0xFFFF)
+        src_port = packet.ingress_port
+        if not (0 <= src_port <= 0xFFFF and 0 <= module_id <= 0xFFFF):
+            meta.src_port = src_port
+            meta.module_id = module_id
+        mbuf = meta.buf
+        mbuf[4] = src_port >> 8
+        mbuf[5] = src_port & 0xFF
+        mbuf[6] = pkt_len >> 8
+        mbuf[7] = pkt_len & 0xFF
+        mbuf[18] = module_id >> 8
+        mbuf[19] = module_id & 0xFF
         return phv

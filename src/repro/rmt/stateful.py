@@ -32,9 +32,11 @@ class StatefulMemory:
     def op_count(self) -> int:
         """Total reads + writes ever performed on this memory.
 
-        Batched executors (:mod:`repro.engine`) sample this around a
-        packet's execution to detect stateful side effects: a packet
-        whose processing moved the counter is not memoizable.
+        A packet whose processing moved it has a stateful side effect
+        and is not memoizable. The batched executor
+        (:class:`repro.engine.BatchEngine`) detects that by sampling
+        the memories it was built with around each scalar walk, summing
+        ``read_count + write_count`` over them in a plain loop.
         """
         return self.read_count + self.write_count
 

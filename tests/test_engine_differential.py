@@ -20,6 +20,7 @@ import pytest
 from repro.api import Switch
 from repro.core.reconfig import ResourceId, ResourceType, build_reconfig_packet
 from repro.engine import BatchEngine
+from repro.errors import FieldRangeError
 from repro.traffic import TraceReplayer, ZipfFlows, all_workloads, flow_stream, workload
 from seeds import rng as make_rng
 
@@ -507,6 +508,59 @@ def test_parse_fault_is_the_scalar_paths_own():
         batched.pipeline.stats.summary()
 
 
+@pytest.mark.parametrize("send", ["first", "repeated", "batch"])
+@pytest.mark.parametrize("port", [-1, 1 << 16, 70000])
+def test_ingress_port_src_port_cannot_hold_is_the_scalar_paths_error(
+        port, send):
+    """An ingress port outside the 16-bit ``src_port`` metadata field is
+    the parser's ``FieldRangeError`` on the scalar path. The engine
+    raises the same error with the same message on a flow's first
+    packet, again on a flow it already serves from the cache and the
+    compiled level at a legal port, and inside a two-packet run — for a
+    compiled tenant (``calc``, ``firewall``) and one the oracle serves
+    (``netcache``). Nothing is learned from the refused packet: the
+    same flow at a legal port is served alike on both paths after it."""
+    specs = [(1, workload("calc")), (2, workload("firewall")),
+             (3, workload("netcache"))]
+    scalar, batched, engine = build_pair(specs)
+
+    def stray(vid, spec):
+        packet = spec.flow_packet(vid, 1)
+        packet.ingress_port = port
+        return packet
+
+    if send == "repeated":              # warm: every level holds the flow
+        for vid, spec in specs:
+            for _ in range(3):
+                assert_equivalent(
+                    [scalar.process(spec.flow_packet(vid, 1))],
+                    engine.process_batch([spec.flow_packet(vid, 1)]))
+    for vid, spec in specs:
+        if send == "batch":     # the run's first packet, served alone
+            assert scalar.process(spec.flow_packet(vid, 2)).forwarded
+        with pytest.raises(FieldRangeError) as scalar_fault:
+            scalar.process(stray(vid, spec))
+        assert str(scalar_fault.value) == \
+            f"metadata src_port={port} out of range"
+        for _ in range(2 if send == "repeated" else 1):
+            run = [stray(vid, spec)]
+            if send == "batch":
+                run.insert(0, spec.flow_packet(vid, 2))
+            with pytest.raises(FieldRangeError) as engine_fault:
+                engine.process_batch(run)
+            assert str(engine_fault.value) == str(scalar_fault.value), vid
+    if send == "repeated":
+        assert engine.counters.cache_hits and engine.counters.compiled_hits
+
+    # Served afterwards like the oracle serves it (outputs, not PHVs:
+    # the engine drew the refused packets' §3.2 buffer slots).
+    for vid, spec in specs:
+        a = scalar.process(spec.flow_packet(vid, 1))
+        (b,) = engine.process_batch([spec.flow_packet(vid, 1)])
+        assert a.forwarded and a.packet.tobytes() == b.packet.tobytes(), vid
+        assert a.egress_port == b.egress_port, vid
+
+
 # ---------------------------------------------------------------------------
 # decode-once gates: what a warm row costs, and a hostile word under the memo
 # ---------------------------------------------------------------------------
@@ -648,20 +702,32 @@ def test_warm_rows_are_not_decoded_again(monkeypatch):
 def test_warm_scalar_oracle_does_no_known_answer_work(monkeypatch):
     """Counts only (no wall clock): a warm netcache GET through
     ``Switch.process`` runs ``bits.check_fits`` zero times, constructs
-    no ``ContainerRef``, and calls neither ``Packet.read_bytes`` nor
-    ``Packet.write_bytes``. On this very packet the scalar walk used to
-    make 35 ``check_fits`` calls (``encode_key`` re-checking seven key
-    slots in each of five stages), 4 ``ContainerRef`` constructions
-    (one per ALU op), 4 ``read_bytes`` and 2 ``write_bytes`` (parse and
-    deparse). The outcome bytes, egress port and register values below
-    are the ones that walk produced for this packet sequence, so the
-    bound cannot be met by doing less of the packet's work."""
+    no ``ContainerRef``, calls neither ``Packet.read_bytes`` nor
+    ``Packet.write_bytes``, and makes no call to the checked row and
+    metadata helpers: ``ConfigTable.read`` / ``_check_index``,
+    ``KeyExtractor.read_entry``, ``Metadata._set`` and the
+    ``ContainerRef.size_bytes`` getter.
+
+    On this very packet the scalar walk used to make 35 ``check_fits``
+    calls (``encode_key`` re-checking seven key slots in each of five
+    stages), 4 ``ContainerRef`` constructions (one per ALU op), 4
+    ``read_bytes`` and 2 ``write_bytes`` (parse and deparse). Later it
+    made 61 helper calls: 16 ``ConfigTable.read``, 16 ``_check_index``,
+    5 each of ``KeyExtractor.read_entry``, ``read_mask`` and
+    ``evaluate_predicate``, 4 ``ActionEngine._operand``, 4
+    ``Metadata._set`` and 6 ``size_bytes`` reads (the last three
+    helpers are gone). The outcome bytes, egress port and register
+    values below are the ones that walk produced for this packet
+    sequence, so the bound cannot be met by doing less of the packet's
+    work."""
     import sys
 
     from repro import bits
     from repro.modules import netcache
     from repro.net.packet import Packet
-    from repro.rmt.phv import ContainerRef
+    from repro.rmt.config_table import ConfigTable
+    from repro.rmt.key_extractor import KeyExtractor
+    from repro.rmt.phv import ContainerRef, Metadata
 
     calls = {}
     check_fits = bits.check_fits
@@ -675,6 +741,16 @@ def test_warm_scalar_oracle_does_no_known_answer_work(monkeypatch):
             monkeypatch.setattr(module, "check_fits", counted_check_fits)
     _count_calls(monkeypatch, ContainerRef, ("__init__",), calls)
     _count_calls(monkeypatch, Packet, ("read_bytes", "write_bytes"), calls)
+    _count_calls(monkeypatch, ConfigTable, ("read", "_check_index"), calls)
+    _count_calls(monkeypatch, KeyExtractor, ("read_entry",), calls)
+    _count_calls(monkeypatch, Metadata, ("_set",), calls)
+    size_bytes = ContainerRef.size_bytes.fget
+
+    def counted_size_bytes(self):
+        calls["size_bytes"] = calls.get("size_bytes", 0) + 1
+        return size_bytes(self)
+    monkeypatch.setattr(ContainerRef, "size_bytes",
+                        property(counted_size_bytes))
 
     spec = workload("netcache")
     switch = Switch.build().create()
@@ -682,8 +758,9 @@ def test_warm_scalar_oracle_does_no_known_answer_work(monkeypatch):
     tenant = spec.admit(switch, vid=2)
     for fid in (0, 1, 0):
         switch.process(spec.flow_packet(2, fid))
-    # cold rows decode through both counters: they are live
-    assert calls.get("check_fits") and calls.get("__init__"), calls
+    # cold rows decode through these counters: they are live
+    assert all(calls.get(name) for name in (
+        "check_fits", "__init__", "_check_index", "size_bytes")), calls
 
     packet = spec.flow_packet(2, 0)     # building one writes through them
     calls.clear()
@@ -701,6 +778,18 @@ def test_warm_scalar_oracle_does_no_known_answer_work(monkeypatch):
                  for name in tenant.registers()}
     assert registers == {"op_stats": [4, 0, 0, 0],
                          "values": [1000, 1001, 1002, 1003, 0, 0, 0, 0]}
+
+    # The other counters are live too: an engine's first calc packet
+    # compiles the tenant's cold rows through the checked readers, and
+    # an ingress port src_port cannot hold raises through the setter.
+    calls.clear()
+    switch.engine().process(workload("calc").flow_packet(1, 0))
+    assert calls.get("read") and calls.get("read_entry"), calls
+    bad = spec.flow_packet(2, 0)
+    bad.ingress_port = 1 << 16
+    with pytest.raises(FieldRangeError, match="metadata src_port=65536"):
+        switch.process(bad)
+    assert calls.get("_set"), calls
 
 
 #: kind -> (resource type, word, error type, message pattern, the oracle

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core data structures and the
 isolation invariants."""
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +46,7 @@ from repro.rmt.encodings import (
     encode_parse_action,
     encode_parser_entry,
 )
+from repro.rmt.match_table import CamEntry
 from repro.rmt.params import DEFAULT_PARAMS
 from repro.rmt.phv import PHV, ContainerRef, ContainerType
 
@@ -255,6 +258,70 @@ class TestIsolationProperties:
                 if hit is not None:
                     entry = cam.read(hit)
                     assert entry.module_id == other
+
+
+# ---------------------------------------------------------------------------
+# content-addressed CAM
+# ---------------------------------------------------------------------------
+
+#: One CAM control-plane step over a depth-8 table. Keys 0..3 and
+#: module IDs 1..3 make rewrites of occupied rows, duplicate words and
+#: repeated invalidations common.
+cam_steps = st.one_of(
+    st.tuples(st.sampled_from(["write_entry", "write", "write_word"]),
+              st.integers(0, 7), st.integers(0, 3), st.integers(1, 3)),
+    st.tuples(st.just("invalidate"), st.integers(0, 7)))
+
+
+class TestCamIndexProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(cam_steps, max_size=30),
+           st.lists(st.tuples(st.integers(0, (1 << 193) - 1),
+                              st.integers(0, (1 << 12) - 1)), max_size=4))
+    def test_lookup_equals_a_scan_of_the_rows(self, steps, misses):
+        """After every write, raw-word write, refused duplicate and
+        invalidation, ``lookup`` answers what a lowest-address scan of
+        ``read(i)`` answers, for every pair that could be installed and
+        for random misses, and each lookup moves ``lookup_count`` by one
+        and ``hit_count`` by one exactly when it hits. The rows follow a
+        plain model, so a refused duplicate changes nothing."""
+        cam = ExactMatchTable(depth=8)
+        model = [None] * 8
+        lookups = hits = 0
+        for step in steps:
+            name, index = step[0], step[1]
+            if name == "invalidate":
+                cam.invalidate(index)
+                model[index] = None
+            else:
+                pair = step[2:]
+                holder = next((i for i, row in enumerate(model)
+                               if row == pair and i != index), None)
+                with (pytest.raises(ConfigError, match=(
+                        f"duplicate CAM word at addresses {holder} "
+                        f"and {index}$"))
+                      if holder is not None else nullcontext()):
+                    if name == "write_entry":
+                        cam.write_entry(index, CamEntry(*pair))
+                    elif name == "write":
+                        cam.write(index, *pair)
+                    else:
+                        cam.write_word(index, encode_cam_entry(*pair))
+                if holder is None:
+                    model[index] = pair
+            rows = [cam.read(i) for i in range(8)]
+            assert [None if row is None else (row.key, row.module_id)
+                    for row in rows] == model
+            probes = [(k, m) for k in range(4) for m in range(4)] + misses
+            for key, module_id in probes:
+                expected = next(
+                    (i for i, row in enumerate(rows) if row is not None
+                     and (row.key, row.module_id) == (key, module_id)),
+                    None)
+                assert cam.lookup(key, module_id) == expected
+                lookups += 1
+                hits += expected is not None
+                assert (cam.lookup_count, cam.hit_count) == (lookups, hits)
 
 
 # ---------------------------------------------------------------------------
