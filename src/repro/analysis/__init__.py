@@ -44,19 +44,15 @@ from .passes import (
     run_module_passes,
 )
 from .verify import (
-    VERIFY_MODES,
-    AnalysisWarning,
     analyze_compiled,
     analyze_source,
     analyze_switch,
     build_config_context,
-    check_mode,
     verify_admission,
 )
 
 __all__ = [
     "AnalysisReport",
-    "AnalysisWarning",
     "CONFIG_PASSES",
     "ConfigContext",
     "DeadCodePass",
@@ -68,13 +64,11 @@ __all__ = [
     "ResourceQuotaPass",
     "Severity",
     "TenantConfig",
-    "VERIFY_MODES",
     "WriteSetDisjointnessPass",
     "analyze_compiled",
     "analyze_source",
     "analyze_switch",
     "build_config_context",
-    "check_mode",
     "find_loop",
     "lint_paths",
     "lint_source",

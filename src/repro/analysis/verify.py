@@ -11,13 +11,11 @@ that :mod:`repro.analysis` never imports :mod:`repro.runtime` or
 The admission gate (:func:`verify_admission`) is what
 ``MenshenController._install`` and fabric placement call: analyze the
 candidate module plus the switch configuration as it *would* look with
-the candidate loaded, and enforce, warn, or stay silent per the
-configured mode.
+the candidate loaded, and refuse the candidate on any ERROR finding.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional
 
 from ..compiler.backend import CompiledModule
@@ -32,21 +30,6 @@ from .passes import (
     run_config_passes,
     run_module_passes,
 )
-
-#: Admission-gate modes, strictest first.
-VERIFY_MODES = ("enforce", "warn", "off")
-
-
-class AnalysisWarning(UserWarning):
-    """Emitted in ``warn`` mode for reports that would fail enforcement."""
-
-
-def check_mode(mode: str) -> str:
-    if mode not in VERIFY_MODES:
-        raise ValueError(
-            f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}")
-    return mode
-
 
 # ---------------------------------------------------------------------------
 # Module-level analysis
@@ -174,45 +157,31 @@ def analyze_switch(controller: Any,
 
 
 def verify_admission(controller: Any, module_id: int, name: str,
-                     compiled: CompiledModule, allocation: Any,
-                     mode: str = "enforce") -> AnalysisReport:
+                     compiled: CompiledModule,
+                     allocation: Any) -> AnalysisReport:
     """The admission gate: prove the switch stays isolated if this
     candidate is installed.
 
     Runs the module passes over the candidate artifact and the config
-    passes over *current switch state + candidate allocation*. In
-    ``enforce`` mode ERROR findings raise
-    :class:`~repro.errors.AnalysisError`; in ``warn`` mode they emit an
-    :class:`AnalysisWarning`; ``off`` skips analysis entirely.
+    passes over *current switch state + candidate allocation*; ERROR
+    findings raise :class:`~repro.errors.AnalysisError` (§3.4: a module
+    whose demands cannot be met is not admitted).
     """
-    check_mode(mode)
-    report = AnalysisReport()
-    if mode == "off":
-        return report
     params = controller.pipeline.params
-    report.merge(analyze_compiled(compiled, name=name, params=params))
+    report = analyze_compiled(compiled, name=name, params=params)
     candidate = TenantConfig(vid=module_id, name=name, module=compiled,
                              allocation=allocation)
     report.merge(analyze_switch(controller, extra=[candidate]))
-    if not report.ok:
-        if mode == "enforce":
-            report.raise_if_errors(
-                f"admission of module {name!r} (vid {module_id}) rejected "
-                f"by the static verifier")
-        warnings.warn(AnalysisWarning(
-            f"module {name!r} (vid {module_id}) admitted with "
-            f"{len(report.errors)} verifier errors:\n"
-            + report.render()), stacklevel=2)
+    report.raise_if_errors(
+        f"admission of module {name!r} (vid {module_id}) rejected "
+        f"by the static verifier")
     return report
 
 
 __all__ = [
-    "AnalysisWarning",
-    "VERIFY_MODES",
     "analyze_compiled",
     "analyze_source",
     "analyze_switch",
     "build_config_context",
-    "check_mode",
     "verify_admission",
 ]

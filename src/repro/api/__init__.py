@@ -25,7 +25,6 @@ need the internals.
 
 from ..analysis import (
     AnalysisReport,
-    AnalysisWarning,
     Finding,
     Severity,
     analyze_source,
@@ -75,7 +74,6 @@ __all__ = [
     # static analysis
     "AnalysisError",
     "AnalysisReport",
-    "AnalysisWarning",
     "Finding",
     "Severity",
     "analyze_source",

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..analysis.findings import Finding
-from ..analysis.verify import analyze_source
+from ..analysis.passes import ModuleContext, run_module_passes
 from ..compiler.backend import CompiledModule
-from ..compiler.compile import CompilerOptions, compile_module
+from ..compiler.compile import CompilerOptions, analyse, compile_module
 from ..compiler.target import TargetDescription
 from ..errors import (
     AllocationError,
@@ -193,14 +193,18 @@ def compile(source: str, name: str = "<module>",  # noqa: A001 - facade verb
     resolved = options.resolved_target()
     diagnostics: List[Diagnostic] = []
     try:
-        module = compile_module(source, name, options)
+        ir = analyse(source, name, options.run_static_checks)
+        module = compile_module(ir, name, options)
     except CompilerError as exc:
         diagnostics.append(_diag_from_error(exc))
         return CompileResult(name=name, ok=False, module=None,
                              diagnostics=diagnostics)
     usage, warnings = _usage_and_warnings(module, resolved)
     diagnostics.extend(warnings)
-    findings = list(analyze_source(source, name, options).findings)
+    # The verifier's module passes read the IR and artifact compiled
+    # above; the frontend does not run again.
+    findings = list(run_module_passes(ModuleContext(
+        name=name, params=resolved.params, ir=ir, module=module)))
     return CompileResult(name=name, ok=True, module=module,
                          diagnostics=diagnostics, stage_usage=usage,
                          findings=findings)

@@ -4,7 +4,7 @@ One coherent control surface over the four layers a caller used to
 stitch together by hand (pipeline, controller, compiler, interface):
 
 * :class:`SwitchBuilder` — ``Switch.build().stages(5).max_modules(32)
-  .timing(...).create()`` constructs pipeline + interface + controller.
+  .create()`` constructs pipeline + interface + controller.
 * :class:`Switch` — admits tenants, hosts the system-level module,
   processes packets, compiles against the switch's current target.
 * :class:`Tenant` — an object-capability handle scoped to one VID.
@@ -35,10 +35,10 @@ import contextlib
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from ..compiler.target import TargetDescription
+from ..core.packet_filter import BITMAP_BITS
 from ..core.pipeline import SYSTEM_MODULE_ID, MenshenPipeline
 from ..analysis.findings import AnalysisReport
-from ..analysis.verify import analyze_switch, check_mode
+from ..analysis.verify import analyze_switch
 from ..compiler import SourceOrIR
 from ..engine.batch import BatchEngine
 from ..engine.scheduler import EgressScheduler, SchedulerTenantCounters
@@ -84,8 +84,8 @@ class TenantCounters:
 class SwitchBuilder:
     """Fluent construction of a :class:`Switch`.
 
-    Every knob that used to require knowing which of the four layers to
-    poke lives here; ``create()`` assembles them in the right order.
+    Only the sizes and the paper's personalities are knobs; ``create()``
+    assembles pipeline, interface and controller in the right order.
     """
 
     def __init__(self) -> None:
@@ -95,11 +95,6 @@ class SwitchBuilder:
         self._enable_default_actions = False
         self._reconfig_from_dataplane = False
         self._policy = None
-        self._max_load_retries = 5
-        self._verify = "enforce"
-        self._target: Optional[TargetDescription] = None
-        self._t_sw_per_entry: Optional[float] = None
-        self._t_daisy_per_packet: Optional[float] = None
 
     # -- hardware geometry ---------------------------------------------------
 
@@ -115,10 +110,11 @@ class SwitchBuilder:
         return self
 
     def max_modules(self, count: int) -> "SwitchBuilder":
-        """Overlay depth = the number of concurrent tenants supported."""
-        if not 1 <= count <= (1 << self._params.module_id_bits):
+        """Overlay depth = the number of concurrent tenants supported,
+        at most one per bit of the §4.1 update bitmap."""
+        if not 1 <= count <= BITMAP_BITS:
             raise ValueError(f"max_modules {count} does not fit the "
-                             f"{self._params.module_id_bits}-bit module id")
+                             f"{BITMAP_BITS}-bit update bitmap")
         self._params = replace(
             self._params, parser_table_depth=count,
             key_extractor_depth=count, key_mask_depth=count,
@@ -131,24 +127,19 @@ class SwitchBuilder:
 
     # -- pipeline personality ---------------------------------------------------
 
-    def match_mode(self, mode: str) -> "SwitchBuilder":
-        if mode not in ("exact", "ternary"):
-            raise ValueError(f"match_mode must be 'exact' or 'ternary', "
-                             f"got {mode!r}")
-        self._match_mode = mode
-        return self
-
     def ternary(self) -> "SwitchBuilder":
         """Appendix-B personality: TCAM stages, per-entry masks."""
-        return self.match_mode("ternary")
-
-    def default_actions(self, enabled: bool = True) -> "SwitchBuilder":
-        self._enable_default_actions = enabled
+        self._match_mode = "ternary"
         return self
 
-    def reconfig_from_dataplane(self, enabled: bool = True) -> "SwitchBuilder":
+    def default_actions(self) -> "SwitchBuilder":
+        """P4 ``default_action`` on a CAM miss (an extension)."""
+        self._enable_default_actions = True
+        return self
+
+    def reconfig_from_dataplane(self) -> "SwitchBuilder":
         """Corundum-NIC mode: the shared ingress reaches the daisy chain."""
-        self._reconfig_from_dataplane = enabled
+        self._reconfig_from_dataplane = True
         return self
 
     # -- control plane -----------------------------------------------------------
@@ -156,33 +147,6 @@ class SwitchBuilder:
     def policy(self, policy) -> "SwitchBuilder":
         """Admission policy (e.g. :class:`repro.policy.DrfPolicy`)."""
         self._policy = policy
-        return self
-
-    def max_load_retries(self, retries: int) -> "SwitchBuilder":
-        self._max_load_retries = retries
-        return self
-
-    def verify(self, mode: str = "enforce") -> "SwitchBuilder":
-        """Static-verifier admission gate: ``"enforce"`` (default —
-        ERROR findings reject the tenant), ``"warn"`` (admit, emitting
-        :class:`repro.analysis.AnalysisWarning`), or ``"off"``."""
-        self._verify = check_mode(mode)
-        return self
-
-    def target(self, target: TargetDescription) -> "SwitchBuilder":
-        """Override the target user modules compile against (stage map,
-        shared containers). Loading a system module re-derives it."""
-        self._target = target
-        return self
-
-    def timing(self, t_sw_per_entry: Optional[float] = None,
-               t_daisy_per_packet: Optional[float] = None) -> "SwitchBuilder":
-        """Override the interface cost model (Fig. 9 / Fig. 12 scales)
-        without touching :mod:`repro.runtime.interface` module globals."""
-        if t_sw_per_entry is not None:
-            self._t_sw_per_entry = t_sw_per_entry
-        if t_daisy_per_packet is not None:
-            self._t_daisy_per_packet = t_daisy_per_packet
         return self
 
     # -- assembly ---------------------------------------------------------------
@@ -194,39 +158,20 @@ class SwitchBuilder:
             reconfig_from_dataplane=self._reconfig_from_dataplane,
             match_mode=self._match_mode,
             enable_default_actions=self._enable_default_actions)
-        interface_kwargs = {}
-        if self._t_sw_per_entry is not None:
-            interface_kwargs["t_sw_per_entry"] = self._t_sw_per_entry
-        if self._t_daisy_per_packet is not None:
-            interface_kwargs["t_daisy_per_packet"] = self._t_daisy_per_packet
-        interface = SoftwareHardwareInterface(pipeline, **interface_kwargs)
-        controller = MenshenController(
-            pipeline, interface=interface, policy=self._policy,
-            max_load_retries=self._max_load_retries,
-            verify=self._verify)
-        if self._target is not None:
-            controller._user_target = self._target
-        return Switch(controller=controller)
+        return Switch(MenshenController(pipeline, policy=self._policy))
 
 
 class Switch:
     """One Menshen switch: the root object of the facade.
 
     Build a fresh one with :meth:`build`, or wrap an existing
-    controller/pipeline (``Switch(controller=...)`` /
-    ``Switch(pipeline=...)``) to adopt code written against the layered
-    API.
+    controller (``Switch(controller)``) to adopt code written against
+    the layered API.
     """
 
-    def __init__(self, pipeline: Optional[MenshenPipeline] = None,
-                 controller: Optional[MenshenController] = None):
+    def __init__(self, controller: Optional[MenshenController] = None):
         if controller is None:
-            pipeline = pipeline or MenshenPipeline()
-            controller = MenshenController(pipeline)
-        elif pipeline is not None and controller.pipeline is not pipeline:
-            raise ValueError(
-                "controller belongs to a different pipeline; pass one "
-                "or the other")
+            controller = MenshenController(MenshenPipeline())
         self._controller = controller
         self._tenants: Dict[int, Tenant] = {}
         self._engines: List[BatchEngine] = []

@@ -42,6 +42,9 @@ _IP_PROTO_UDP = 17
 
 COUNTER_BITS = 32
 BITMAP_BITS = 32
+#: §3.2 optimized datapath: packet buffers and parsers tagged round-robin.
+NUM_BUFFERS = 4
+NUM_PARSERS = 2
 
 
 def tagged_vid(packet: Packet) -> Optional[int]:
@@ -73,11 +76,7 @@ class PacketClass(Enum):
 class PacketFilter:
     """Classifies ingress packets and guards reconfiguration."""
 
-    def __init__(self, num_buffers: int = 4, num_parsers: int = 2):
-        if num_buffers < 1 or num_buffers > 4:
-            raise ConfigError("packet filter supports 1-4 packet buffers")
-        self.num_buffers = num_buffers
-        self.num_parsers = num_parsers
+    def __init__(self) -> None:
         self.reconfig_counter = 0     #: 4-byte wrap-around counter
         self.update_bitmap = 0        #: 32-bit module-under-update bitmap
         self._next_buffer = 0
@@ -159,11 +158,11 @@ class PacketFilter:
     def assign_buffer(self) -> int:
         """Round-robin packet-buffer tag (one-hot encoded in metadata)."""
         tag = self._next_buffer
-        self._next_buffer = (self._next_buffer + 1) % self.num_buffers
+        self._next_buffer = (self._next_buffer + 1) % NUM_BUFFERS
         return tag
 
     def assign_parser(self) -> int:
         """Round-robin parser assignment (0 or 1)."""
         parser = self._next_parser
-        self._next_parser = (self._next_parser + 1) % self.num_parsers
+        self._next_parser = (self._next_parser + 1) % NUM_PARSERS
         return parser

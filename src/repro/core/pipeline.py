@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import ReconfigurationError
+from ..errors import ConfigError, ReconfigurationError
 from ..net.packet import Packet
 from ..rmt.deparser import Deparser
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
@@ -38,7 +38,7 @@ from ..rmt.pipeline import PipelineResult
 from ..rmt.stage import Stage
 from .daisy_chain import DaisyChain
 from .overlay import OverlayTable
-from .packet_filter import PacketClass, PacketFilter
+from .packet_filter import BITMAP_BITS, PacketClass, PacketFilter
 from .reconfig import ReconfigPayload, ResourceId, ResourceType
 from .resources import PartitionLedger
 from .segment_table import SegmentTable, SegmentedAccess
@@ -65,6 +65,12 @@ class MenshenPipeline:
                  reconfig_from_dataplane: bool = False,
                  match_mode: str = "exact",
                  enable_default_actions: bool = False):
+        if params.max_modules > BITMAP_BITS:
+            # §4.1: the update bitmap has one bit per module, so a VID
+            # past it could never be loaded safely.
+            raise ConfigError(
+                f"max_modules {params.max_modules} exceeds the "
+                f"{BITMAP_BITS}-bit update bitmap")
         self.params = params
         self.match_mode = match_mode
         self.enable_default_actions = enable_default_actions

@@ -77,8 +77,9 @@ class RmtPipeline:
                 module_id: int = MODULE_ID) -> tuple:
         """Parse -> stages -> deparse; returns ``(merged, phv)``.
 
-        The same execute phase :class:`repro.core.pipeline.MenshenPipeline`
-        exposes, so batched drivers can treat both pipelines uniformly.
+        Mirrors :meth:`repro.core.pipeline.MenshenPipeline.execute` for
+        the scalar path only: :class:`repro.engine.batch.BatchEngine`
+        drives a Menshen pipeline and raises ``TypeError`` for this one.
         """
         buffered = packet.copy()  # the packet buffer's copy (§3.1)
         phv = self.parser.parse(packet, module_id)

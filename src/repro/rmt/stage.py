@@ -42,16 +42,15 @@ class Stage:
     config_depth:
         Depth of the per-module config tables (1 for baseline RMT,
         32 for Menshen).
-    stateful_access:
-        Optional adapter class wrapping this stage's stateful memory;
-        defaults to the identity :class:`StatefulAccess`.
+
+    The stage starts with the identity :class:`StatefulAccess`; Menshen
+    swaps in segment translation through :meth:`set_stateful_access`.
     """
 
     def __init__(self, index: int,
                  params: HardwareParams = DEFAULT_PARAMS,
                  table_factory: TableFactory = ConfigTable,
                  config_depth: Optional[int] = None,
-                 stateful_access_cls: type = StatefulAccess,
                  match_mode: str = "exact",
                  enable_default_actions: bool = False):
         self.index = index
@@ -94,7 +93,7 @@ class Stage:
             raise ConfigError(f"unknown match mode {match_mode!r}")
         self.stateful_memory = StatefulMemory(params.stateful_words_per_stage,
                                               params.stateful_word_bits)
-        self.stateful_access = stateful_access_cls(self.stateful_memory)
+        self.stateful_access = StatefulAccess(self.stateful_memory)
         self.engine = ActionEngine(self.stateful_access)
 
         self.packets_processed = 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.verify import check_mode, verify_admission
+from ..analysis.verify import verify_admission
 from ..compiler import CompilerOptions, SourceOrIR, analyse, compile_module
 from ..compiler.backend import CompiledModule
 from ..compiler.resource_checker import ResourceRequest
@@ -48,6 +48,9 @@ from ..rmt.encodings import (
 )
 from ..rmt.entry_types import ActionCall, Exact, Match, TableEntry, Ternary
 from .interface import SoftwareHardwareInterface
+
+#: Whole-batch resends before a load gives up (§4.1 counter protocol).
+MAX_LOAD_RETRIES = 5
 
 
 @dataclass
@@ -97,17 +100,10 @@ class AlwaysAdmit:
 class MenshenController:
     """Software controller for one Menshen pipeline."""
 
-    def __init__(self, pipeline: MenshenPipeline,
-                 interface: Optional[SoftwareHardwareInterface] = None,
-                 policy=None, max_load_retries: int = 5,
-                 verify: str = "enforce"):
+    def __init__(self, pipeline: MenshenPipeline, policy=None):
         self.pipeline = pipeline
-        self.interface = interface or SoftwareHardwareInterface(pipeline)
+        self.interface = SoftwareHardwareInterface(pipeline)
         self.policy = policy or AlwaysAdmit()
-        self.max_load_retries = max_load_retries
-        #: Static-verifier admission gate: "enforce" (reject on ERROR
-        #: findings), "warn" (admit but emit AnalysisWarning), "off".
-        self.verify = check_mode(verify)
         self.modules: Dict[int, LoadedModule] = {}
         self.system_module: Optional[LoadedModule] = None
         self._user_target: Optional[TargetDescription] = None
@@ -239,7 +235,9 @@ class MenshenController:
 
     def load_compiled(self, module_id: int, compiled: CompiledModule,
                       name: str = "") -> LoadedModule:
-        """Install an already-compiled artifact (used by benchmarks)."""
+        """Install an already-compiled artifact: the loader for a
+        :func:`repro.compiler.compile_module_group` merge, which has no
+        source to recompile per stage window."""
         if module_id in self.modules:
             raise AdmissionError(f"module id {module_id} is already loaded")
         loaded = self._install(module_id, name or compiled.name, compiled)
@@ -385,42 +383,40 @@ class MenshenController:
     def _install(self, module_id: int, name: str,
                  compiled: CompiledModule) -> LoadedModule:
         allocation, register_bases, _ = self._partition(module_id, compiled)
-
-        # Static-verifier gate: prove the switch stays isolated with the
-        # candidate's partitions before any config packet is sent. The
-        # system module (vid 0) predates user state and is exempt.
-        if module_id != SYSTEM_MODULE_ID and self.verify != "off":
-            try:
-                verify_admission(self, module_id, name, compiled,
-                                 allocation, mode=self.verify)
-            except AnalysisError as exc:
-                self.pipeline.ledger.revoke(module_id)
-                self._policy_release(module_id)
-                raise AdmissionError(str(exc)) from exc
-
-        writes = self.config_writes(module_id, compiled, allocation,
-                                    register_bases)
-
-        # §4.1 protocol: bitmap on -> send -> verify counter -> bitmap off.
-        self.interface.set_module_updating(module_id)
         try:
-            for _attempt in range(self.max_load_retries):
-                delivered = self.interface.send_batch(writes)
-                if delivered == len(writes):
-                    break
-            else:
-                raise ReconfigurationError(
-                    f"loading module {module_id}: reconfiguration packets "
-                    f"kept getting lost after {self.max_load_retries} "
-                    f"attempts")
+            # Static-verifier gate: prove the switch stays isolated with
+            # the candidate's partitions before any config packet is
+            # sent. The system module (vid 0) predates user state and is
+            # exempt.
+            if module_id != SYSTEM_MODULE_ID:
+                try:
+                    verify_admission(self, module_id, name, compiled,
+                                     allocation)
+                except AnalysisError as exc:
+                    raise AdmissionError(str(exc)) from exc
+            writes = self.config_writes(module_id, compiled, allocation,
+                                        register_bases)
+            # §4.1 protocol: bitmap on -> send -> verify counter ->
+            # bitmap off.
+            self.interface.set_module_updating(module_id)
+            try:
+                for _attempt in range(MAX_LOAD_RETRIES):
+                    delivered = self.interface.send_batch(writes)
+                    if delivered == len(writes):
+                        break
+                else:
+                    raise ReconfigurationError(
+                        f"loading module {module_id}: reconfiguration "
+                        f"packets kept getting lost after "
+                        f"{MAX_LOAD_RETRIES} attempts")
+            finally:
+                self.interface.clear_module_updating(module_id)
         except BaseException:
             # Don't leak the partition grant (or the admission policy's
             # charge) on a failed install.
             self.pipeline.ledger.revoke(module_id)
             self._policy_release(module_id)
             raise
-        finally:
-            self.interface.clear_module_updating(module_id)
 
         tables = {
             t.name: TableState(

@@ -33,6 +33,8 @@ from ..errors import ReconfigurationError
 T_SW_PER_ENTRY = 0.6e-3
 #: Daisy-chain transfer time per reconfiguration packet (seconds).
 T_DAISY_PER_PACKET = 8e-6
+#: Sends of one configuration write before it counts as lost for good.
+MAX_WRITE_RETRIES = 8
 
 
 @dataclass
@@ -49,12 +51,8 @@ class InterfaceStats:
 class SoftwareHardwareInterface:
     """The controller's handle on one Menshen pipeline."""
 
-    def __init__(self, pipeline: MenshenPipeline,
-                 t_sw_per_entry: float = T_SW_PER_ENTRY,
-                 t_daisy_per_packet: float = T_DAISY_PER_PACKET):
+    def __init__(self, pipeline: MenshenPipeline):
         self.pipeline = pipeline
-        self.t_sw_per_entry = t_sw_per_entry
-        self.t_daisy_per_packet = t_daisy_per_packet
         self.stats = InterfaceStats()
 
     # -- register file access (AXI-Lite path, §4.1) ----------------------------
@@ -87,16 +85,16 @@ class SoftwareHardwareInterface:
         packet = build_reconfig_packet(resource, index, entry,
                                        self.pipeline.params)
         self.stats.packets_sent += 1
-        self.stats.modeled_time_s += self.t_daisy_per_packet
+        self.stats.modeled_time_s += T_DAISY_PER_PACKET
         payload = self.pipeline.inject_reconfig(packet)
         if payload is None:
             self.stats.packets_lost += 1
         return payload
 
     def write_config_reliable(self, resource: ResourceId, index: int,
-                              entry: int, max_retries: int = 8) -> None:
+                              entry: int) -> None:
         """Write with loss detection and retry (the §4.1 counter protocol)."""
-        for _attempt in range(max_retries):
+        for _attempt in range(MAX_WRITE_RETRIES):
             before = self.read_reconfig_counter()
             self.write_config(resource, index, entry)
             if self.read_reconfig_counter() != before:
@@ -104,7 +102,7 @@ class SoftwareHardwareInterface:
         raise ReconfigurationError(
             f"configuration write to {resource.rtype.name} stage "
             f"{resource.stage} index {index} kept getting lost after "
-            f"{max_retries} attempts")
+            f"{MAX_WRITE_RETRIES} attempts")
 
     def send_batch(self, writes: List) -> int:
         """Send ``(resource, index, entry)`` writes; returns delivered count.
@@ -124,7 +122,7 @@ class SoftwareHardwareInterface:
     def add_match_entry(self, stage: int, cam_index: int, cam_word: int,
                         vliw_word: int) -> None:
         """Install one match-action entry: a CAM word and its VLIW word."""
-        self.stats.modeled_time_s += self.t_sw_per_entry
+        self.stats.modeled_time_s += T_SW_PER_ENTRY
         self.write_config_reliable(ResourceId(ResourceType.CAM, stage),
                                    cam_index, cam_word)
         self.write_config_reliable(ResourceId(ResourceType.VLIW, stage),
@@ -133,14 +131,14 @@ class SoftwareHardwareInterface:
     def add_ternary_entry(self, stage: int, index: int,
                           tcam_word: int, vliw_word: int) -> None:
         """Install one ternary entry (Appendix B) and its VLIW word."""
-        self.stats.modeled_time_s += self.t_sw_per_entry
+        self.stats.modeled_time_s += T_SW_PER_ENTRY
         self.write_config_reliable(ResourceId(ResourceType.TCAM, stage),
                                    index, tcam_word)
         self.write_config_reliable(ResourceId(ResourceType.VLIW, stage),
                                    index, vliw_word)
 
     def delete_match_entry(self, stage: int, cam_index: int) -> None:
-        self.stats.modeled_time_s += self.t_sw_per_entry
+        self.stats.modeled_time_s += T_SW_PER_ENTRY
         self.write_config_reliable(
             ResourceId(ResourceType.CAM_INVALIDATE, stage), cam_index, 0)
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis import (
     AnalysisReport,
-    AnalysisWarning,
     ConfigContext,
     DeadCodePass,
     Finding,
@@ -20,7 +19,6 @@ from repro.analysis import (
     WriteSetDisjointnessPass,
     analyze_source,
     analyze_switch,
-    check_mode,
     find_loop,
     loop_findings,
 )
@@ -101,11 +99,6 @@ class TestFindingsModel:
         with pytest.raises(AnalysisError) as excinfo:
             report.raise_if_errors("nope")
         assert len(excinfo.value.findings) == 2
-
-    def test_check_mode_rejects_unknown(self):
-        assert check_mode("warn") == "warn"
-        with pytest.raises(ValueError, match="unknown verify mode"):
-            check_mode("loose")
 
 
 class TestModulePasses:
@@ -289,15 +282,14 @@ def _corrupt_onto(controller, victim_id, attacker_id):
 
 
 class TestControllerGate:
-    def _controller(self, **kw):
+    def _controller(self):
         pipe = MenshenPipeline()
-        ctl = MenshenController(pipe, **kw)
+        ctl = MenshenController(pipe)
         ctl.load_system_module(SYSTEM_P4_SOURCE)
         return ctl
 
     def test_clean_loads_pass_the_enforce_gate(self):
         ctl = self._controller()
-        assert ctl.verify == "enforce"
         ctl.load_module(1, ALL_MODULES[0].P4_SOURCE, "calc")
         ctl.load_module(2, ALL_MODULES[1].P4_SOURCE, "firewall")
         assert analyze_switch(ctl).ok
@@ -311,26 +303,6 @@ class TestControllerGate:
             ctl.load_module(3, ALL_MODULES[2].P4_SOURCE, "lb")
         # The rejected module's grant must not leak.
         assert 3 not in ctl.modules
-        ctl.verify = "off"
-        ctl.load_module(3, ALL_MODULES[2].P4_SOURCE, "lb")
-
-    def test_warn_gate_admits_with_warning(self):
-        ctl = self._controller(verify="warn")
-        ctl.load_module(1, ALL_MODULES[0].P4_SOURCE, "calc")
-        ctl.load_module(2, ALL_MODULES[1].P4_SOURCE, "firewall")
-        _corrupt_onto(ctl, 1, 2)
-        with pytest.warns(AnalysisWarning, match="overlap-match"):
-            ctl.load_module(3, ALL_MODULES[2].P4_SOURCE, "lb")
-        assert 3 in ctl.modules
-
-    def test_off_gate_skips_analysis(self):
-        ctl = self._controller(verify="off")
-        ctl.load_module(1, ALL_MODULES[0].P4_SOURCE, "calc")
-        assert 1 in ctl.modules
-
-    def test_bogus_mode_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown verify mode"):
-            MenshenController(MenshenPipeline(), verify="maybe")
 
 
 class TestApiIntegration:
@@ -342,15 +314,11 @@ class TestApiIntegration:
         assert "dead-table" in codes
         assert "dead-table" in result.report()
 
-    def test_builder_verify_knob_and_switch_analyze(self):
-        switch = Switch.build().verify("warn").create()
-        assert switch.controller.verify == "warn"
+    def test_switch_analyze(self):
+        switch = Switch.build().create()
         switch.install_system()
         switch.admit("calc", ALL_MODULES[0].P4_SOURCE, vid=1)
-        report = switch.analyze()
-        assert report.ok
-        with pytest.raises(ValueError, match="unknown verify mode"):
-            Switch.build().verify("sometimes")
+        assert switch.analyze().ok
 
 
 class TestFabricGate:

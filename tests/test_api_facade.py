@@ -4,8 +4,11 @@ Covers the acceptance surface of the API redesign: builder
 construction, multi-tenant admission, behavior isolation as an API
 property (cross-VID access raises), typed entries, structured compile
 diagnostics, transactional reconfiguration with rollback, deprecation
-shims on the old entry points, and interface-timing overrides.
+shims on the old entry points, and the pinned construction surface.
 """
+
+import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -14,16 +17,19 @@ from repro.api import (
     CompilationFailed,
     Match,
     Switch,
+    SwitchBuilder,
     TableEntry,
     TenantIsolationError,
     Ternary,
     TransactionError,
     compile,
 )
-from repro.core import MenshenPipeline
-from repro.errors import AdmissionError, RuntimeInterfaceError
+from repro.core import MenshenPipeline, PacketFilter
+from repro.errors import AdmissionError, ConfigError, RuntimeInterfaceError
 from repro.modules import calc, firewall, netcache, netchain, qos
-from repro.runtime import MenshenController
+from repro.rmt.params import DEFAULT_PARAMS
+from repro.runtime import MenshenController, SoftwareHardwareInterface
+from repro.runtime.interface import T_SW_PER_ENTRY
 from repro.sysmod import SYSTEM_P4_SOURCE
 
 
@@ -48,24 +54,81 @@ class TestBuilder:
         switch = Switch.build().ternary().create()
         assert switch.pipeline.match_mode == "ternary"
 
-    def test_timing_overrides_reach_interface(self):
-        switch = (Switch.build()
-                  .timing(t_sw_per_entry=2e-3, t_daisy_per_packet=1e-6)
-                  .create())
-        assert switch.interface.t_sw_per_entry == 2e-3
-        assert switch.interface.t_daisy_per_packet == 1e-6
-        # The cost model actually uses the overrides.
+    def test_facade_insert_charges_the_cost_model(self):
+        switch = Switch.build().create()
         tenant = switch.admit("calc", calc.P4_SOURCE)
         before = switch.interface.stats.modeled_time_s
         tenant.table("calc_table").insert(
             match={"hdr.calc.op": calc.OP_ECHO}, action="op_echo")
-        assert switch.interface.stats.modeled_time_s >= before + 2e-3
+        assert switch.interface.stats.modeled_time_s >= \
+            before + T_SW_PER_ENTRY
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
             Switch.build().stages(0)
-        with pytest.raises(ValueError):
-            Switch.build().match_mode("lpm")
+        with pytest.raises(ConfigError, match="unknown match mode"):
+            MenshenPipeline(match_mode="lpm")
+
+    @pytest.mark.parametrize("count", [33, 64])
+    def test_more_tenants_than_bitmap_bits_refused(self, count):
+        """§4.1: one update-bitmap bit per module, so a switch sized past
+        the bitmap is refused whichever way the size arrives."""
+        with pytest.raises(ValueError, match="bitmap"):
+            Switch.build().max_modules(count)
+        params = replace(DEFAULT_PARAMS, parser_table_depth=count,
+                         key_extractor_depth=count, key_mask_depth=count,
+                         segment_table_depth=count)
+        with pytest.raises(ConfigError, match="bitmap"):
+            Switch.build().params(params).create()
+        with pytest.raises(ConfigError, match="bitmap"):
+            MenshenPipeline(params=params)
+
+    def test_every_construction_knob_is_pinned(self):
+        """The construction surface is exactly the sizes a non-test
+        caller varies plus the paper's personalities; each name below
+        carries the reason it stays, so a knob cannot come back
+        unpinned."""
+        def names(fn):
+            return list(inspect.signature(fn).parameters)[1:]  # drop self
+
+        setters = {
+            # Sizes: perf's fabric_churn / leaf_spine set params and ports.
+            "params": "a full HardwareParams design point",
+            "stages": "pipeline depth",
+            "max_modules": "overlay depth, bounded by the §4.1 bitmap",
+            "ports": "egress ports",
+            # Personalities: no argument, switched on or not at all.
+            "ternary": "Appendix B TCAM stages",
+            "default_actions": "the default-action miss path",
+            "reconfig_from_dataplane": "§3.1 Corundum platform",
+            # Control plane.
+            "policy": "§3.4 admission policies",
+        }
+        public = {name for name, fn in vars(SwitchBuilder).items()
+                  if callable(fn) and not name.startswith("_")}
+        assert public == set(setters) | {"create"}
+        for name in ("ternary", "default_actions",
+                     "reconfig_from_dataplane"):
+            assert names(getattr(SwitchBuilder, name)) == [], name
+
+        assert names(Switch.__init__) == [
+            "controller",     # adopt a controller built on the layered API
+        ]
+        assert names(MenshenController.__init__) == [
+            "pipeline",       # the switch it drives
+            "policy",         # §3.4 admission policies
+        ]
+        assert names(SoftwareHardwareInterface.__init__) == [
+            "pipeline",       # the switch it writes to
+        ]
+        assert names(MenshenPipeline.__init__) == [
+            "params",                   # sizes
+            "num_ports",                # sizes
+            "reconfig_from_dataplane",  # §3.1 NetFPGA vs. Corundum
+            "match_mode",               # Appendix B ternary
+            "enable_default_actions",   # default-action extension
+        ]
+        assert names(PacketFilter.__init__) == []
 
     def test_wrap_existing_controller(self):
         pipeline = MenshenPipeline()

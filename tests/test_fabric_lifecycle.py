@@ -267,6 +267,29 @@ class TestFanOutAnalysesOnce:
         assert loaded.compiled.stages_used() == [2, 3]
 
 
+class TestCompileOnce:
+    """Counts only: ``repro.api.compile`` (behind ``Switch.compile`` and
+    ``repro-compile``) parses, typechecks and emits a program once, and
+    its verifier findings read that one result."""
+
+    def test_facade_compile_runs_each_phase_once(self, monkeypatch):
+        from repro.api import compile as api_compile
+        from repro.modules import firewall
+
+        counts = {"parse_source": 0, "typecheck": 0, "emit": 0}
+        for phase in counts:
+            real = getattr(compiler_driver, phase)
+
+            def counted(*args, _real=real, _phase=phase):
+                counts[_phase] += 1
+                return _real(*args)
+            monkeypatch.setattr(compiler_driver, phase, counted)
+
+        result = api_compile(firewall.P4_SOURCE, "firewall")
+        assert result.ok
+        assert counts == {"parse_source": 1, "typecheck": 1, "emit": 1}
+
+
 # ------------------------------------------------------------------ unload
 
 class TestUnload:

@@ -51,7 +51,7 @@ class TestReconfigLossRecovery:
     def test_load_fails_cleanly_under_total_loss(self):
         pipe = MenshenPipeline()
         pipe.daisy_chain.drop_next(10 ** 6)
-        ctl = MenshenController(pipe, max_load_retries=2)
+        ctl = MenshenController(pipe)
         with pytest.raises(ReconfigurationError):
             ctl.load_module(3, calc.P4_SOURCE, "calc")
         # The bitmap must not be left blocking the module's traffic.

@@ -36,8 +36,7 @@ class TestInterface:
         pipe.daisy_chain.drop_next(100)
         with pytest.raises(ReconfigurationError):
             ctl.interface.write_config_reliable(
-                ResourceId(ResourceType.SEGMENT, 0), 1, 0x0104,
-                max_retries=3)
+                ResourceId(ResourceType.SEGMENT, 0), 1, 0x0104)
 
     def test_send_batch_counts_delivered(self):
         pipe, ctl = make_controller()
@@ -184,6 +183,34 @@ class TestControllerLifecycle:
         ctl.load_module(3, netcache.P4_SOURCE)
         ctl.register_write(3, "values", 2, 4242)
         assert ctl.register_read(3, "values", 2) == 4242
+
+    @pytest.mark.parametrize("step", ["config_writes", "set_module_updating"])
+    def test_failed_install_leaks_no_grant(self, step, monkeypatch):
+        """Every step after the partition grant is covered by its
+        revoke: a failure there leaves no CAM row or stateful word
+        granted and the policy's charge released."""
+        from repro.modules import netcache
+        pipe = MenshenPipeline()
+        policy = DrfPolicy(expected_tenants=8, fairness_slack=2.0)
+        ctl = MenshenController(pipe, policy=policy)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"{step} failed")
+
+        owner = ctl if step == "config_writes" else ctl.interface
+        monkeypatch.setattr(owner, step, fail)
+        with pytest.raises(RuntimeError, match=step):
+            ctl.load_module(3, netcache.P4_SOURCE, "netcache")
+        params = pipe.params
+        assert pipe.ledger.allocation_of(3) is None
+        for stage in range(params.num_stages):
+            assert pipe.ledger.free_match_rows(stage) == \
+                params.match_entries_per_stage
+            assert pipe.ledger.free_stateful_words(stage) == \
+                params.stateful_words_per_stage
+        assert 3 not in policy.state.usage
+        assert 3 not in ctl.modules
+        assert pipe.packet_filter.read_bitmap() == 0
 
 
 class TestPolicies:
