@@ -28,7 +28,6 @@ from .api import (
     ActionCall,
     BatchEngine,
     CompileResult,
-    Diagnostic,
     Exact,
     Match,
     Switch,
@@ -46,7 +45,6 @@ __all__ = [
     "Tenant",
     "compile",
     "CompileResult",
-    "Diagnostic",
     "Exact",
     "Ternary",
     "Match",

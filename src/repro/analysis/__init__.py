@@ -1,14 +1,17 @@
 """Static analysis: isolation proofs for tenant programs, determinism
 lint for the codebase, equivalence certification for compiled artifacts.
 
-Three faces share one diagnostics model (:class:`Finding`,
+Three faces share one findings model (:class:`Finding`,
 :class:`Severity`, :class:`AnalysisReport`):
 
 * the **verifier** (:mod:`repro.analysis.passes`,
   :mod:`repro.analysis.verify`, CLI ``repro-verify``) proves, before a
   tenant is admitted, that its program fits its quota, that distinct
   VIDs' write sets are disjoint, that routing stays loop-free, and that
-  nothing it installs can rewrite tenant identity;
+  nothing it installs can rewrite tenant identity. Its
+  :func:`compile_and_analyze` is also the compile report behind
+  :func:`repro.api.compile`: a compiler rejection is one more ERROR
+  finding;
 * the **lint** (:mod:`repro.analysis.lint`, CLI ``repro-lint``) bans
   nondeterminism and fork-hostile state from our own sources;
 * the **certifier** (:mod:`repro.analysis.equiv`, CLI
@@ -48,6 +51,7 @@ from .verify import (
     analyze_source,
     analyze_switch,
     build_config_context,
+    compile_and_analyze,
     verify_admission,
 )
 
@@ -69,6 +73,7 @@ __all__ = [
     "analyze_source",
     "analyze_switch",
     "build_config_context",
+    "compile_and_analyze",
     "find_loop",
     "lint_paths",
     "lint_source",

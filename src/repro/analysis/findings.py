@@ -1,4 +1,4 @@
-"""The diagnostics model every analysis face shares.
+"""The findings model every analysis face shares.
 
 A :class:`Finding` is one machine-checkable fact about a program, a
 switch configuration, or the codebase itself: a severity, a stable
@@ -9,9 +9,10 @@ serializes them for tools, and — on the enforcement paths — converts
 them back into a typed exception (:class:`~repro.errors.AnalysisError`)
 carrying the full structured list.
 
-The same model serves both faces of :mod:`repro.analysis`: the tenant
-program verifier (``repro-verify``) and the codebase determinism lint
-(``repro-lint``), so downstream tooling parses one JSON schema.
+The same model serves the tenant program verifier (``repro-verify``,
+and the compile report of :func:`repro.api.compile`) and the codebase
+determinism lint (``repro-lint``), so downstream tooling parses one
+JSON schema.
 """
 
 from __future__ import annotations

@@ -43,14 +43,16 @@ from typing import (
 
 from ..compiler.backend import CompiledModule
 from ..compiler.ir import ModuleIR
+from ..compiler.static_checker import VID_BYTE_RANGE
 from ..compiler.target import TargetDescription
 from ..core.intervals import overlap as _ranges_overlap
 from ..core.resources import ModuleAllocation
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
 from .findings import Finding, Severity
 
-#: Byte range of the VLAN TCI — the module identity on the wire.
-VID_BYTE_RANGE: Tuple[int, int] = (14, 16)
+#: Share of a hardware limit above which a demand that still fits is
+#: reported as a ``capacity`` warning.
+CAPACITY_WARNING_THRESHOLD = 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +123,9 @@ class ResourceQuotaPass(ModulePass):
     (parse actions, PHV containers, per-stage CAM depth and stateful
     words, stage existence) reported as findings instead of a single
     exception, plus key-width validation and operator-grant quotas.
+    A demand that fits but passes :data:`CAPACITY_WARNING_THRESHOLD` of
+    a limit is a ``capacity`` WARNING: legal today, and a co-resident
+    module may not fit next to it.
     """
 
     name = "resource-quota"
@@ -133,11 +138,17 @@ class ResourceQuotaPass(ModulePass):
         usage = module.resource_usage()
 
         parse_actions = cast(int, usage["parse_actions"])
-        if parse_actions > params.parse_actions_per_entry:
+        limit = params.parse_actions_per_entry
+        if parse_actions > limit:
             yield self.finding(
                 "quota-parse-actions", Severity.ERROR,
                 f"{parse_actions} parse actions exceed the parser's "
-                f"{params.parse_actions_per_entry}", subject=ctx.name)
+                f"{limit}", subject=ctx.name)
+        elif parse_actions > CAPACITY_WARNING_THRESHOLD * limit:
+            yield self.finding(
+                "capacity", Severity.WARNING,
+                f"parse program uses {parse_actions} of {limit} parser "
+                f"actions", subject=ctx.name)
 
         containers = cast(Dict[str, int], usage["containers"])
         for cls_name, count in containers.items():
@@ -148,24 +159,35 @@ class ResourceQuotaPass(ModulePass):
                     f"{params.containers_per_type}", subject=ctx.name)
 
         match_by_stage = module.match_entries_by_stage()
+        depth = params.match_entries_per_stage
         for stage in sorted(match_by_stage):
             entries = match_by_stage[stage]
-            if entries > params.match_entries_per_stage:
+            if entries > depth:
                 yield self.finding(
                     "quota-match-entries", Severity.ERROR,
                     f"{entries} match entries exceed the CAM depth "
-                    f"{params.match_entries_per_stage}",
+                    f"{depth}", subject=ctx.name, stage=stage)
+            elif entries > CAPACITY_WARNING_THRESHOLD * depth:
+                yield self.finding(
+                    "capacity", Severity.WARNING,
+                    f"tables claim {entries} of {depth} CAM rows; "
+                    f"co-resident modules may not fit",
                     subject=ctx.name, stage=stage)
 
         words_by_stage = module.stateful_words_by_stage()
+        memory = params.stateful_words_per_stage
         for stage in sorted(words_by_stage):
             words = words_by_stage[stage]
-            if words > params.stateful_words_per_stage:
+            if words > memory:
                 yield self.finding(
                     "quota-stateful-words", Severity.ERROR,
                     f"{words} stateful words exceed the memory's "
-                    f"{params.stateful_words_per_stage}",
-                    subject=ctx.name, stage=stage)
+                    f"{memory}", subject=ctx.name, stage=stage)
+            elif words > CAPACITY_WARNING_THRESHOLD * memory:
+                yield self.finding(
+                    "capacity", Severity.WARNING,
+                    f"registers claim {words} of {memory} stateful "
+                    f"words", subject=ctx.name, stage=stage)
 
         for stage in module.stages_used():
             if not 0 <= stage < params.num_stages:

@@ -1,9 +1,11 @@
 """Orchestration: run the verifier passes over real objects.
 
 This module is the seam between the pure pass machinery
-(:mod:`repro.analysis.passes`) and the rest of the stack. It knows how
-to derive a :class:`~repro.analysis.passes.ModuleContext` from P4
-source and how to project a controller's loaded state into a
+(:mod:`repro.analysis.passes`) and the rest of the stack. It compiles
+P4 source into a :class:`~repro.analysis.passes.ModuleContext`
+(:func:`compile_and_analyze`, the one compile report behind both
+``repro-verify`` and :func:`repro.api.compile`) and projects a
+controller's loaded state into a
 :class:`~repro.analysis.passes.ConfigContext` — by duck-typing, so
 that :mod:`repro.analysis` never imports :mod:`repro.runtime` or
 :mod:`repro.api` (they import *us*).
@@ -16,11 +18,12 @@ the candidate loaded, and refuse the candidate on any ERROR finding.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..compiler.backend import CompiledModule
 from ..compiler.compile import CompilerOptions, analyse, compile_module
-from ..errors import CompilerError, ReproError
+from ..compiler.target import DEFAULT_TARGET, TargetDescription
+from ..errors import CompilerError
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
 from .findings import AnalysisReport, Finding, Severity
 from .passes import (
@@ -35,48 +38,6 @@ from .passes import (
 # Module-level analysis
 # ---------------------------------------------------------------------------
 
-def _compiler_finding(exc: CompilerError, name: str) -> Finding:
-    code = _COMPILER_FINDING_CODES.get(type(exc).__name__, "compile-error")
-    return Finding(code=code, severity=Severity.ERROR, message=str(exc),
-                   pass_name="compiler", subject=name,
-                   line=getattr(exc, "line", 0))
-
-
-def analyze_source(source: str, name: str = "<module>",
-                   options: Optional[CompilerOptions] = None,
-                   granted_match_entries: Optional[int] = None,
-                   granted_stateful_words: Optional[int] = None
-                   ) -> AnalysisReport:
-    """Full single-program verification from P4 source.
-
-    Compiler rejections (§3.4 static checks, resource limits, allocation
-    failures) are converted into ERROR findings instead of escaping as
-    exceptions, so callers always get one report per program. The IR is
-    derived even when the backend cannot emit, so dead-code findings
-    survive a failed allocation.
-    """
-    if options is None:
-        options = CompilerOptions()
-    params = options.resolved_target().params
-    report = AnalysisReport()
-    try:
-        ir = analyse(source, name, run_static_checks=False)
-    except CompilerError as exc:
-        report.add(_compiler_finding(exc, name))
-        return report
-    module: Optional[CompiledModule] = None
-    try:
-        module = compile_module(source, name, options)
-    except CompilerError as exc:
-        report.add(_compiler_finding(exc, name))
-    ctx = ModuleContext(
-        name=name, params=params, ir=ir, module=module,
-        granted_match_entries=granted_match_entries,
-        granted_stateful_words=granted_stateful_words)
-    report.extend(run_module_passes(ctx))
-    return report
-
-
 _COMPILER_FINDING_CODES: Dict[str, str] = {
     "LexerError": "syntax-error",
     "ParseError": "syntax-error",
@@ -85,6 +46,58 @@ _COMPILER_FINDING_CODES: Dict[str, str] = {
     "ResourceError": "quota-hardware",
     "AllocationError": "allocation-failure",
 }
+
+
+def _compiler_finding(exc: CompilerError, name: str) -> Finding:
+    code = _COMPILER_FINDING_CODES.get(type(exc).__name__, "compile-error")
+    return Finding(code=code, severity=Severity.ERROR, message=str(exc),
+                   pass_name="compiler", subject=name,
+                   line=getattr(exc, "line", 0))
+
+
+def compile_and_analyze(source: str, name: str = "<module>",
+                        target: Optional[TargetDescription] = None,
+                        granted_match_entries: Optional[int] = None,
+                        granted_stateful_words: Optional[int] = None
+                        ) -> Tuple[Optional[CompiledModule], AnalysisReport]:
+    """Compile one program and verify it: the compiled module (``None``
+    when the compiler rejects it) and one report.
+
+    Compiler rejections (§3.4 static checks, resource limits, allocation
+    failures) become ERROR findings instead of escaping as exceptions,
+    so callers always get one report per program. The frontend runs
+    once; when only the backend fails, the module passes still read the
+    IR, so dead-code findings survive a failed allocation.
+    """
+    if target is None:
+        target = DEFAULT_TARGET
+    report = AnalysisReport()
+    try:
+        ir = analyse(source, name)
+    except CompilerError as exc:
+        report.add(_compiler_finding(exc, name))
+        return None, report
+    module: Optional[CompiledModule] = None
+    try:
+        module = compile_module(ir, name, CompilerOptions(target=target))
+    except CompilerError as exc:
+        report.add(_compiler_finding(exc, name))
+    report.extend(run_module_passes(ModuleContext(
+        name=name, params=target.params, ir=ir, module=module,
+        granted_match_entries=granted_match_entries,
+        granted_stateful_words=granted_stateful_words)))
+    return module, report
+
+
+def analyze_source(source: str, name: str = "<module>",
+                   granted_match_entries: Optional[int] = None,
+                   granted_stateful_words: Optional[int] = None
+                   ) -> AnalysisReport:
+    """Full single-program verification from P4 source: the report of
+    :func:`compile_and_analyze` for the default target."""
+    return compile_and_analyze(
+        source, name, granted_match_entries=granted_match_entries,
+        granted_stateful_words=granted_stateful_words)[1]
 
 
 def analyze_compiled(compiled: CompiledModule, name: str = "",
@@ -183,5 +196,6 @@ __all__ = [
     "analyze_source",
     "analyze_switch",
     "build_config_context",
+    "compile_and_analyze",
     "verify_admission",
 ]

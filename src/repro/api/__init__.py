@@ -46,7 +46,7 @@ from ..chaos import (
 from ..engine import BatchEngine, EgressScheduler, EngineCounters
 from ..exec import ExecutionCore, ExecutionSink, LostRecord
 from ..rmt.entry_types import ActionCall, Exact, Match, TableEntry, Ternary
-from .diagnostics import CompileResult, Diagnostic, StageUsage, compile
+from .compile_report import CompileResult, StageUsage, compile
 from .switch import (
     PendingEntry,
     RegisterHandle,
@@ -68,7 +68,6 @@ __all__ = [
     # compile surface
     "compile",
     "CompileResult",
-    "Diagnostic",
     "StageUsage",
     "CompilationFailed",
     # static analysis

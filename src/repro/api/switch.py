@@ -54,7 +54,7 @@ from ..rmt.params import DEFAULT_PARAMS, HardwareParams
 from ..rmt.pipeline import PipelineResult
 from ..runtime.controller import LoadedModule, MenshenController
 from ..runtime.interface import SoftwareHardwareInterface
-from .diagnostics import CompileResult, compile as compile_source
+from .compile_report import CompileResult, compile as compile_source
 
 MatchLike = Union[Match, Mapping[str, FieldSpec]]
 ActionLike = Union[ActionCall, str]

@@ -56,7 +56,7 @@ from ..net.packet import Packet
 from ..rmt.pifo import StfqRanker
 
 
-def _check_positive(value: float, what: str) -> None:
+def check_positive(value: float, what: str) -> None:
     """A rate, weight or burst must be a positive, finite number: a NaN
     or infinite one would poison every clock it reaches."""
     if value <= 0 or not isfinite(value):
@@ -73,13 +73,13 @@ class TokenBucket:
     def __init__(self, rate_bytes_per_s: float,
                  burst_bytes: Optional[float] = None,
                  clock: float = 0.0):
-        _check_positive(rate_bytes_per_s, "rate")
+        check_positive(rate_bytes_per_s, "rate")
         self.rate = float(rate_bytes_per_s)
         #: Default burst: one refill-second, floored at 1500 B (one MTU)
         #: so sub-MTU-per-second rates can still emit whole packets.
         self.burst = float(burst_bytes if burst_bytes is not None
                            else max(rate_bytes_per_s, 1500.0))
-        _check_positive(self.burst, "burst")
+        check_positive(self.burst, "burst")
         self.tokens = self.burst
         self._last = clock
 
@@ -198,7 +198,7 @@ class EgressScheduler:
         if num_ports <= 0:
             raise ConfigError(f"need at least one port, got {num_ports}")
         if line_rate_bps is not None:
-            _check_positive(line_rate_bps, "line rate")
+            check_positive(line_rate_bps, "line rate")
         self.num_ports = num_ports
         self.queue_capacity = queue_capacity
         self._line_rate_bps = line_rate_bps
@@ -270,7 +270,7 @@ class EgressScheduler:
     @line_rate_bps.setter
     def line_rate_bps(self, rate_bps: Optional[float]) -> None:
         if rate_bps is not None:
-            _check_positive(rate_bps, "line rate")
+            check_positive(rate_bps, "line rate")
         self._line_rate_bps = rate_bps
         self._forget_scans()
 
@@ -282,7 +282,7 @@ class EgressScheduler:
 
     def set_weight(self, vid: int, weight: float) -> None:
         """Set one tenant's fair-share weight on every port."""
-        _check_positive(weight, f"tenant {vid}: weight")
+        check_positive(weight, f"tenant {vid}: weight")
         self._weights[vid] = float(weight)
         for port in self._ports:
             port.ranker.weights[vid] = float(weight)
@@ -383,7 +383,7 @@ class EgressScheduler:
     def set_port_rate(self, port: int, rate_bps: float) -> None:
         """Override one port's transmission rate (its link capacity)."""
         self._check_port(port)
-        _check_positive(rate_bps, f"port {port}: rate")
+        check_positive(rate_bps, f"port {port}: rate")
         self.port_rate_bps[port] = float(rate_bps)
         self._ports[port].forget_scan()
 

@@ -144,11 +144,11 @@ class AllocationError(CompilerError):
 class CompilationFailed(CompilerError):
     """A :class:`repro.api.CompileResult` with errors was unwrapped.
 
-    Carries the structured diagnostics so callers that do want an
-    exception still get the full findings, not just the first one."""
+    Carries the structured findings so callers that do want an
+    exception still get all of them, not just the first one."""
 
-    def __init__(self, message: str, diagnostics=()):
-        self.diagnostics = list(diagnostics)
+    def __init__(self, message: str, findings=()):
+        self.findings = list(findings)
         super().__init__(message)
 
 

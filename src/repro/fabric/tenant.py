@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..analysis.passes import loop_findings
 from ..api.switch import Tenant, TenantCounters
 from ..compiler import ModuleIR, SourceOrIR, analyse
+from ..engine.scheduler import check_positive
 from ..errors import PlacementError
 from .placement import choose_path, validate_host_port
 from .topology import Fabric, Link, PortRef
@@ -408,10 +409,7 @@ class FabricTenant:
 
     def set_weight(self, weight: float) -> "FabricTenant":
         """Weighted-fair share on every port of every placed switch."""
-        if weight <= 0:
-            raise ValueError(
-                f"tenant {self.vid}: weight must be positive, "
-                f"got {weight}")
+        check_positive(weight, f"tenant {self.vid}: weight")
         self._weight = float(weight)
         for handle in self._handles.values():
             handle.set_weight(weight)
@@ -421,10 +419,9 @@ class FabricTenant:
                        burst_bytes: Optional[float] = None
                        ) -> "FabricTenant":
         """Token-bucket egress cap, applied on every placed switch."""
-        if rate_bytes_per_s <= 0:
-            raise ValueError(
-                f"tenant {self.vid}: rate must be positive, "
-                f"got {rate_bytes_per_s}")
+        check_positive(rate_bytes_per_s, f"tenant {self.vid}: rate")
+        if burst_bytes is not None:
+            check_positive(burst_bytes, f"tenant {self.vid}: burst")
         self._rate = (float(rate_bytes_per_s), burst_bytes)
         for handle in self._handles.values():
             handle.set_rate_limit(rate_bytes_per_s, burst_bytes)

@@ -15,9 +15,9 @@ software-to-hardware interface:
   overlay write logs).
 * **Unload**: invalidate and zero everything the module owned, then
   release the partitions.
-* **Entry management**: P4Runtime-style ``table_add``/``table_delete``
-  bound to the module's CAM partition, and register access through the
-  module's segment.
+* **Entry management**: typed entries (``insert_entry`` /
+  ``table_delete``) bound to the module's CAM partition, and register
+  access through the module's segment.
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.verify import verify_admission
-from ..compiler import CompilerOptions, SourceOrIR, analyse, compile_module
+from ..compiler import (
+    CompilerOptions,
+    ModuleIR,
+    SourceOrIR,
+    analyse,
+    compile_module,
+)
 from ..compiler.backend import CompiledModule
 from ..compiler.resource_checker import ResourceRequest
 from ..compiler.target import TargetDescription, system_target, user_target
@@ -46,7 +52,7 @@ from ..rmt.encodings import (
     encode_segment_entry,
     encode_tcam_entry,
 )
-from ..rmt.entry_types import ActionCall, Exact, Match, TableEntry, Ternary
+from ..rmt.entry_types import TableEntry
 from .interface import SoftwareHardwareInterface
 
 #: Whole-batch resends before a load gives up (§4.1 counter protocol).
@@ -197,22 +203,27 @@ class MenshenController:
                 f"module id {module_id} is already loaded; use "
                 f"update_module()")
         name = name or f"module{module_id}"
-        program = analyse(source, name)
+        loaded = self._install_in_any_window(module_id, name,
+                                             analyse(source, name))
+        self.modules[module_id] = loaded
+        return loaded
+
+    def _install_in_any_window(self, module_id: int, name: str,
+                               program: ModuleIR) -> LoadedModule:
+        """Compile and install ``program`` in the first stage window it
+        fits, preferring windows whose first stage has the most free CAM
+        rows."""
         base_target = self.compile_target()
         stage_map = base_target.stage_map
-        # Prefer windows whose first stage has the most free CAM rows.
         offsets = sorted(
             range(len(stage_map)),
             key=lambda off: -self.pipeline.ledger.free_match_rows(
                 stage_map[off]))
         last_error: Optional[Exception] = None
         for offset in offsets:
-            window = stage_map[offset:]
-            if not window:
-                continue
             target = TargetDescription(
                 params=base_target.params,
-                stage_map=window,
+                stage_map=stage_map[offset:],
                 shared_fields=dict(base_target.shared_fields),
                 reserved_containers=list(base_target.reserved_containers),
                 zero_container=base_target.zero_container,
@@ -223,12 +234,9 @@ class MenshenController:
             try:
                 compiled = compile_module(
                     program, name, CompilerOptions(target=target))
-                loaded = self._install(module_id, name, compiled)
+                return self._install(module_id, name, compiled)
             except (AdmissionError, AllocationError) as exc:
                 last_error = exc  # window too small or rows taken: shift
-                continue
-            self.modules[module_id] = loaded
-            return loaded
         raise AdmissionError(
             f"module {name!r} does not fit in any stage window: "
             f"{last_error}")
@@ -247,18 +255,28 @@ class MenshenController:
     def update_module(self, module_id: int,
                       source: SourceOrIR) -> LoadedModule:
         """Replace a module's program (P4 text or an analysed program,
-        as in :meth:`load_module`); other modules keep running."""
+        as in :meth:`load_module`); other modules keep running.
+
+        The program is compiled for the whole user stage map before the
+        old one is torn down, and installed there if it fits; when those
+        stages are taken it falls back to the other stage windows, as a
+        load does."""
         if module_id not in self.modules:
             raise RuntimeInterfaceError(
                 f"module {module_id} is not loaded")
         old = self.modules[module_id]
+        program = analyse(source, old.name)
         compiled = compile_module(
-            source, old.name, CompilerOptions(target=self.compile_target()))
+            program, old.name, CompilerOptions(target=self.compile_target()))
         self._teardown(old)
         self.pipeline.ledger.revoke(module_id)
         self._policy_release(module_id)
         del self.modules[module_id]
-        loaded = self._install(module_id, old.name, compiled)
+        try:
+            loaded = self._install(module_id, old.name, compiled)
+        except (AdmissionError, AllocationError):
+            loaded = self._install_in_any_window(module_id, old.name,
+                                                 program)
         self.modules[module_id] = loaded
         return loaded
 
@@ -467,9 +485,8 @@ class MenshenController:
                      entry: TableEntry) -> int:
         """Install one typed match-action entry; returns an entry handle.
 
-        This is the canonical installation path: the :mod:`repro.api`
-        facade and the dict-based :meth:`table_add` shim both land here.
-        For ternary tables (Appendix B), :class:`~repro.rmt.entry_types.
+        This is the one installation path: the :mod:`repro.api` facade
+        lands here. For ternary tables (Appendix B), :class:`~repro.rmt.entry_types.
         Ternary` field specs carry the bit masks (exact specs match
         all bits); entries take slots in installation order within the
         module's contiguous block, so earlier entries have higher
@@ -515,33 +532,6 @@ class MenshenController:
         state.next_handle += 1
         state.entries[handle] = cam_index
         return handle
-
-    def table_add(self, module_id: int, table_name: str,
-                  key_values: Dict[str, int], action_name: str,
-                  action_params: Optional[Dict[str, int]] = None,
-                  key_masks: Optional[Dict[str, int]] = None) -> int:
-        """Install one entry from loose dicts (P4Runtime-style shim).
-
-        ``key_masks`` maps ternary key fields to bit masks (omitted
-        fields match exactly). Converts to a typed
-        :class:`~repro.rmt.entry_types.TableEntry` and delegates to
-        :meth:`insert_entry`.
-        """
-        key_masks = key_masks or {}
-        fields: Dict[str, object] = {}
-        for dotted, value in key_values.items():
-            if dotted in key_masks:
-                fields[dotted] = Ternary(value, key_masks[dotted])
-            else:
-                fields[dotted] = Exact(value)
-        missing = set(key_masks) - set(fields)
-        if missing:
-            raise RuntimeInterfaceError(
-                f"key_masks name fields without values: {sorted(missing)}")
-        entry = TableEntry(match=Match(fields),
-                           action=ActionCall(action_name,
-                                             dict(action_params or {})))
-        return self.insert_entry(module_id, table_name, entry)
 
     def table_delete(self, module_id: int, table_name: str,
                      handle: int) -> None:

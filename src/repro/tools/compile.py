@@ -77,8 +77,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     result = compile_source(source, name)
-    for diag in result.diagnostics:
-        print(diag, file=sys.stderr)
+    for finding in result.findings:
+        print(finding, file=sys.stderr)
     if not result.ok:
         return 1
     print(format_report(result.module))

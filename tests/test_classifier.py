@@ -12,7 +12,7 @@ import gc
 
 import pytest
 
-from repro.api import Switch, Tenant
+from repro.api import Switch, TableEntry, Tenant, Ternary
 from repro.core import MenshenPipeline
 from repro.core.reconfig import ResourceId, ResourceType, build_reconfig_packet
 from repro.engine import BatchEngine, FlowCache, compile_classifier
@@ -109,12 +109,11 @@ class TestCompilerStructure:
             # Wildcard bits interleaved with match bits: no contiguous
             # range in the compacted key space, so the stage compiles to
             # the linear value/mask residual instead.
-            ctl.table_add(2, "acl",
-                          {"hdr.ipv4.srcAddr": int(Ipv4Address("10.0.10.0")),
-                           "hdr.udp.dstPort": 0},
-                          "block",
-                          key_masks={"hdr.ipv4.srcAddr": 0xFF00FF00,
-                                     "hdr.udp.dstPort": 0})
+            ctl.insert_entry(2, "acl", TableEntry.of(
+                {"hdr.ipv4.srcAddr": Ternary(
+                    int(Ipv4Address("10.0.10.0")), 0xFF00FF00),
+                 "hdr.udp.dstPort": Ternary(0, 0)},
+                "block"))
             firewall.install_prefix(Tenant.attach(ctl, 2), default_port=5)
 
         scalar, batched, _ctl, engine = _ternary_pair(install)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Tenant
+from repro.api import TableEntry, Tenant
 from repro.compiler import CompilerOptions, compile_module_group
 from repro.compiler.target import TargetDescription
 from repro.core import MenshenPipeline
@@ -62,10 +62,11 @@ class TestGroupEndToEnd:
         ctl.load_compiled(5, merged, "tenant5-group")
 
         # Entries for both members under ONE module id.
-        ctl.table_add(5, "calc_table", {"hdr.calc.op": calc.OP_ADD},
-                      "op_add", {"port": 2})
-        ctl.table_add(5, "classify", {"hdr.udp.dstPort": 20000},
-                      "set_tos", {"tos": qos.tos_word(qos.DSCP_EF)})
+        ctl.insert_entry(5, "calc_table", TableEntry.of(
+            {"hdr.calc.op": calc.OP_ADD}, "op_add", {"port": 2}))
+        ctl.insert_entry(5, "classify", TableEntry.of(
+            {"hdr.udp.dstPort": 20000}, "set_tos",
+            {"tos": qos.tos_word(qos.DSCP_EF)}))
 
         packet = calc.make_packet(5, calc.OP_ADD, 30, 12)
         result = pipe.process(packet)
@@ -80,8 +81,8 @@ class TestGroupEndToEnd:
         ctl = MenshenController(pipe)
         merged = compile_module_group(group_sources())
         ctl.load_compiled(5, merged, "tenant5-group")
-        ctl.table_add(5, "calc_table", {"hdr.calc.op": calc.OP_ADD},
-                      "op_add", {"port": 2})
+        ctl.insert_entry(5, "calc_table", TableEntry.of(
+            {"hdr.calc.op": calc.OP_ADD}, "op_add", {"port": 2}))
         # Another plain calc tenant shares the pipeline.
         ctl.load_module(6, calc.P4_SOURCE, "tenant6")
         calc.install(Tenant.attach(ctl, 6), port=3)

@@ -189,7 +189,7 @@ class _World:
         return tenant, tenant.table(tenant.tables()[0])
 
     def rules(self, vid):
-        """table_delete one entry, or table_add the rule set back."""
+        """Delete one entry, or install the rule set back."""
         for switch in self.switches:
             tenant, table = self._table(switch, vid)
             handles = table.handles()

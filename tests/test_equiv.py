@@ -25,7 +25,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Switch, Tenant
+from repro.api import Switch, TableEntry, Tenant, Ternary
 from repro.analysis.equiv import (
     CERTIFICATE_SCHEMA_VERSION,
     MUTATIONS,
@@ -79,12 +79,11 @@ def _install_intervals(ctl, vid):
 
 def _install_residual(ctl, vid):
     from repro.net import Ipv4Address
-    ctl.table_add(vid, "acl",
-                  {"hdr.ipv4.srcAddr": int(Ipv4Address("10.0.10.0")),
-                   "hdr.udp.dstPort": 0},
-                  "block",
-                  key_masks={"hdr.ipv4.srcAddr": 0xFF00FF00,
-                             "hdr.udp.dstPort": 0})
+    ctl.insert_entry(vid, "acl", TableEntry.of(
+        {"hdr.ipv4.srcAddr": Ternary(int(Ipv4Address("10.0.10.0")),
+                                     0xFF00FF00),
+         "hdr.udp.dstPort": Ternary(0, 0)},
+        "block"))
     firewall.install_prefix(Tenant.attach(ctl, vid), default_port=5)
 
 

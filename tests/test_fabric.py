@@ -7,6 +7,8 @@ edge cases the issue calls out — link-down raises a typed error, and
 placement rejects over-capacity switches before admitting anything.
 """
 
+import math
+
 import pytest
 
 from fabric_serve import serve
@@ -331,6 +333,33 @@ class TestSchedulingAndStats:
             scheduler = fabric.switch(name).scheduler
             assert scheduler.weight_of(1) == 4.0
             assert scheduler.rate_limit_of(1) == 1e6
+
+    def test_non_finite_weight_and_rate_refused_at_the_call(self):
+        # A NaN weight used to pass the `<= 0` test, be stored, and make
+        # a later place raise after leaf0 had admitted the tenant.
+        fabric = make_fabric()
+        tenant = fabric.tenant("calc1", calc.P4_SOURCE, vid=1,
+                               installer=calc_installer)
+
+        def refused():
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ConfigError):
+                    tenant.set_weight(bad)
+                with pytest.raises(ConfigError):
+                    tenant.set_rate_limit(bad)
+                with pytest.raises(ConfigError):
+                    tenant.set_rate_limit(1e6, bad)
+            assert tenant.weight is None and tenant.rate_limit is None
+
+        refused()
+        tenant.place(("leaf0", 0), ("leaf1", 1))
+        assert tenant.switches() == ["leaf0", "spine0", "leaf1"]
+        assert tenant.routes == [["leaf0", "spine0", "leaf1"]]
+        refused()
+        for name in tenant.switches():
+            scheduler = fabric.switch(name).scheduler
+            assert scheduler.weight_of(1) == 1.0
+            assert scheduler.rate_limit_of(1) is None
 
     def test_settings_apply_to_later_placements(self):
         fabric = make_fabric(leaves=2, spines=2)

@@ -4,7 +4,7 @@ recovery behavior of the control protocols."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Switch, Tenant
+from repro.api import Switch, TableEntry, Tenant
 from repro.core import (
     MenshenPipeline,
     PacketClass,
@@ -62,8 +62,8 @@ class TestReconfigLossRecovery:
         ctl = MenshenController(pipe)
         ctl.load_module(3, calc.P4_SOURCE, "calc")
         pipe.daisy_chain.drop_next(1)
-        ctl.table_add(3, "calc_table", {"hdr.calc.op": calc.OP_ADD},
-                      "op_add", {"port": 1})
+        ctl.insert_entry(3, "calc_table", TableEntry.of(
+            {"hdr.calc.op": calc.OP_ADD}, "op_add", {"port": 1}))
         result = pipe.process(calc.make_packet(3, calc.OP_ADD, 2, 2))
         assert calc.read_result(result.packet) == 4
 

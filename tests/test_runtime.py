@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Tenant
+from repro.api import TableEntry, Tenant
 from repro.compiler.resource_checker import ResourceRequest
 from repro.core import MenshenPipeline, ResourceId, ResourceType
 from repro.errors import (
@@ -152,30 +152,33 @@ class TestControllerLifecycle:
             stages.update(loaded.compiled.stages_used())
         assert len(stages) >= 2  # not everything piled into stage 0
 
-    def test_table_add_full_table(self):
+    def test_insert_entry_full_table(self):
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE)
         for op in range(4):
-            ctl.table_add(3, "calc_table", {"hdr.calc.op": 100 + op},
-                          "op_echo")
+            ctl.insert_entry(3, "calc_table", TableEntry.of(
+                {"hdr.calc.op": 100 + op}, "op_echo"))
         with pytest.raises(RuntimeInterfaceError, match="full"):
-            ctl.table_add(3, "calc_table", {"hdr.calc.op": 999}, "op_echo")
+            ctl.insert_entry(3, "calc_table", TableEntry.of(
+                {"hdr.calc.op": 999}, "op_echo"))
 
     def test_table_delete_frees_slot(self):
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE)
-        handle = ctl.table_add(3, "calc_table", {"hdr.calc.op": 1},
-                               "op_echo")
+        handle = ctl.insert_entry(3, "calc_table", TableEntry.of(
+            {"hdr.calc.op": 1}, "op_echo"))
         ctl.table_delete(3, "calc_table", handle)
         res = pipe.process(calc.make_packet(3, 1, 9, 0))
         assert calc.read_result(res.packet) == 0  # entry gone: no echo
-        ctl.table_add(3, "calc_table", {"hdr.calc.op": 1}, "op_echo")
+        ctl.insert_entry(3, "calc_table", TableEntry.of(
+            {"hdr.calc.op": 1}, "op_echo"))
 
-    def test_table_add_unknown_action(self):
+    def test_insert_entry_unknown_action(self):
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE)
         with pytest.raises(RuntimeInterfaceError):
-            ctl.table_add(3, "calc_table", {"hdr.calc.op": 1}, "nope")
+            ctl.insert_entry(3, "calc_table", TableEntry.of(
+                {"hdr.calc.op": 1}, "nope"))
 
     def test_register_rw(self):
         from repro.modules import netcache

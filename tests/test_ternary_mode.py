@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Tenant
+from repro.api import TableEntry, Tenant, Ternary
 from repro.core import MenshenPipeline, ResourceId, ResourceType, build_reconfig_packet
 from repro.errors import RuntimeInterfaceError
 from repro.modules import firewall
@@ -49,18 +49,15 @@ class TestTernaryPipeline:
         # A specific allow installed BEFORE a broader block wins.
         pipe, ctl = ternary_setup()
         from repro.net import Ipv4Address
-        ctl.table_add(2, "acl",
-                      {"hdr.ipv4.srcAddr": int(Ipv4Address("10.66.1.1")),
-                       "hdr.udp.dstPort": 0},
-                      "allow", {"port": 5},
-                      key_masks={"hdr.udp.dstPort": 0})
-        ctl.table_add(2, "acl",
-                      {"hdr.ipv4.srcAddr": int(Ipv4Address("10.66.0.0")),
-                       "hdr.udp.dstPort": 0},
-                      "block",
-                      key_masks={"hdr.ipv4.srcAddr":
-                                 firewall.prefix_mask(16),
-                                 "hdr.udp.dstPort": 0})
+        ctl.insert_entry(2, "acl", TableEntry.of(
+            {"hdr.ipv4.srcAddr": int(Ipv4Address("10.66.1.1")),
+             "hdr.udp.dstPort": Ternary(0, 0)},
+            "allow", {"port": 5}))
+        ctl.insert_entry(2, "acl", TableEntry.of(
+            {"hdr.ipv4.srcAddr": Ternary(int(Ipv4Address("10.66.0.0")),
+                                         firewall.prefix_mask(16)),
+             "hdr.udp.dstPort": Ternary(0, 0)},
+            "block"))
         exempt = pipe.process(firewall.make_packet(2, "10.66.1.1", 80))
         assert exempt.forwarded and exempt.egress_port == 5
         other = pipe.process(firewall.make_packet(2, "10.66.1.2", 80))
@@ -102,9 +99,9 @@ class TestTernaryPipeline:
         ctl = MenshenController(pipe)
         ctl.load_module(2, firewall.P4_SOURCE, "fw")
         with pytest.raises(RuntimeInterfaceError, match="exact-match"):
-            ctl.table_add(2, "acl",
-                          {"hdr.ipv4.srcAddr": 1, "hdr.udp.dstPort": 1},
-                          "block", key_masks={"hdr.udp.dstPort": 0})
+            ctl.insert_entry(2, "acl", TableEntry.of(
+                {"hdr.ipv4.srcAddr": 1, "hdr.udp.dstPort": Ternary(1, 0)},
+                "block"))
 
     def test_tcam_write_via_daisy_chain(self):
         pipe = MenshenPipeline(match_mode="ternary")
