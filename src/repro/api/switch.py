@@ -360,8 +360,6 @@ class Tenant:
         self._controller = switch.controller
         self._vid = vid
         self._name = name or f"module{vid}"
-        #: entries installed through this handle, for transactional undo
-        self._entry_log: Dict[Tuple[str, int], TableEntry] = {}
 
     @classmethod
     def attach(cls, controller: MenshenController, vid: int) -> "Tenant":
@@ -524,7 +522,6 @@ class Tenant:
             raise RuntimeInterfaceError(
                 "the system module cannot be replaced at runtime")
         self._controller.update_module(self._vid, source)
-        self._entry_log.clear()
         self._switch._notify_reconfigured(self._vid)
         return self
 
@@ -542,17 +539,14 @@ class Tenant:
         self._controller.unload_module(self._vid)
         self._switch._tenants.pop(self._vid, None)
         self._switch.egress_scheduler.purge(self._vid)
-        self._entry_log.clear()
         self._switch._notify_reconfigured(self._vid)
 
     @contextlib.contextmanager
     def updating(self):
-        """§4.1 drop window: this tenant's packets drop, others flow."""
-        self._controller.interface.set_module_updating(self._vid)
-        try:
+        """§4.1 drop window: this tenant's packets drop, others flow.
+        Holds nest; only the last close clears the bit."""
+        with self._controller.interface.update_window(self._vid):
             yield self
-        finally:
-            self._controller.interface.clear_module_updating(self._vid)
 
     def transaction(self) -> "Transaction":
         """Batch reconfiguration; apply atomically, roll back on failure."""
@@ -593,16 +587,13 @@ class TableHandle:
         typed = self._entry(match, action, params, entry)
         # Re-check ownership on every use: the handle may be stale.
         self._tenant.table(self.name)
-        handle = self._tenant._controller.insert_entry(
+        return self._tenant._controller.insert_entry(
             self._tenant.vid, self.name, typed)
-        self._tenant._entry_log[(self.name, handle)] = typed
-        return handle
 
     def delete(self, handle: int) -> None:
         self._tenant.table(self.name)
         self._tenant._controller.table_delete(self._tenant.vid, self.name,
                                               handle)
-        self._tenant._entry_log.pop((self.name, handle), None)
 
     def handles(self) -> List[int]:
         """Handles of the live entries, in installation order."""
@@ -669,10 +660,11 @@ class Transaction:
     """Transactional reconfiguration for one tenant.
 
     Operations queue until the ``with`` block exits cleanly, then apply
-    as one batch inside the tenant's §4.1 drop window (bitmap bit set,
-    every write through the daisy chain with counter-verified delivery,
-    bitmap cleared). If any operation fails mid-batch, the already
-    applied prefix is rolled back in reverse order and
+    as one batch inside one hold on the tenant's §4.1 drop window
+    (bitmap bit set, every write through the daisy chain with
+    counter-verified delivery, hold closed; holds nest, and only the
+    last close clears the bit). If any operation fails mid-batch, the
+    already applied prefix is rolled back in reverse order and
     :class:`TransactionError` is raised — other tenants never observe a
     half-applied neighbor. Raising inside the ``with`` block discards
     the queue untouched.
@@ -701,11 +693,9 @@ class Transaction:
             handle = tenant._controller.insert_entry(tenant.vid, table,
                                                      entry)
             pending.handle = handle
-            tenant._entry_log[(table, handle)] = entry
 
             def undo():
                 tenant._controller.table_delete(tenant.vid, table, handle)
-                tenant._entry_log.pop((table, handle), None)
                 pending.handle = None
             return undo
 
@@ -714,21 +704,13 @@ class Transaction:
 
     def _queue_delete(self, table: str, handle: int) -> None:
         tenant = self._tenant
-        original = tenant._entry_log.get((table, handle))
-        if original is None:
-            raise TransactionError(
-                f"cannot transactionally delete {table!r} handle {handle}: "
-                f"the entry was not installed through this tenant handle, "
-                f"so there is nothing to restore on rollback")
 
         def apply():
-            tenant._controller.table_delete(tenant.vid, table, handle)
-            tenant._entry_log.pop((table, handle), None)
+            original = tenant._controller.table_delete(tenant.vid, table,
+                                                       handle)
 
             def undo():
-                new_handle = tenant._controller.insert_entry(
-                    tenant.vid, table, original)
-                tenant._entry_log[(table, new_handle)] = original
+                tenant._controller.insert_entry(tenant.vid, table, original)
             return undo
 
         self._ops.append(_TxnOp(f"delete {table!r}#{handle}", apply))
@@ -770,32 +752,24 @@ class Transaction:
         if not self._ops:
             return
         tenant = self._tenant
-        interface = tenant._controller.interface
         undos = []
-        # Respect an enclosing drop window (tenant.updating()): only
-        # open our own if the bit is not already set, and never clear a
-        # bit someone else owns.
-        filter_ = tenant._switch.pipeline.packet_filter
-        owns_window = not filter_.is_module_updating(tenant.vid)
-        if owns_window:
-            interface.set_module_updating(tenant.vid)
-        try:
-            for op in self._ops:
-                try:
-                    undos.append(op.apply())
-                except Exception as exc:
-                    for undo in reversed(undos):
-                        undo()
-                    raise TransactionError(
-                        f"transaction for tenant {tenant.name!r} failed at "
-                        f"{op.describe} ({len(undos)} prior operations "
-                        f"rolled back)") from exc
-        finally:
-            if owns_window:
-                interface.clear_module_updating(tenant.vid)
-            # Committed or rolled back, configuration writes happened:
-            # flush this tenant's cached flows before its next packet.
-            tenant._switch._notify_reconfigured(tenant.vid)
+        with tenant._controller.interface.update_window(tenant.vid):
+            try:
+                for op in self._ops:
+                    try:
+                        undos.append(op.apply())
+                    except Exception as exc:
+                        for undo in reversed(undos):
+                            undo()
+                        raise TransactionError(
+                            f"transaction for tenant {tenant.name!r} failed "
+                            f"at {op.describe} ({len(undos)} prior "
+                            f"operations rolled back)") from exc
+            finally:
+                # Committed or rolled back, configuration writes
+                # happened: flush this tenant's cached flows before its
+                # next packet.
+                tenant._switch._notify_reconfigured(tenant.vid)
         self._ops.clear()
 
 

@@ -203,9 +203,6 @@ class WordLayout:
                 word = self.fields[name].insert(word, value)
         return word
 
-    def width_of(self, name: str) -> int:
-        return self.fields[name].width
-
     def describe(self) -> Mapping[str, Tuple[int, int]]:
         """Return ``{name: (offset, width)}`` for documentation/tests."""
         return {n: (f.offset, f.width) for n, f in self.fields.items()}

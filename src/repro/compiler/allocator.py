@@ -45,9 +45,6 @@ class Allocation:
         except KeyError as exc:
             raise AllocationError(f"field {dotted!r} has no container") from exc
 
-    def containers_used(self) -> List[ContainerRef]:
-        return list(self.field_to_container.values())
-
 
 def _class_of(info: FieldInfo) -> ContainerType:
     if not info.container_mappable:

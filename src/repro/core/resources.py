@@ -53,9 +53,6 @@ class ModuleAllocation:
     def total_match_entries(self) -> int:
         return sum(s.match_count for s in self.stages.values())
 
-    def total_stateful_words(self) -> int:
-        return sum(s.stateful_words for s in self.stages.values())
-
 
 class PartitionLedger:
     """Validates and records per-module partitions; answers ownership."""

@@ -17,7 +17,6 @@ from .base import (
     apply_entries,
     common_packet,
     parser_chain,
-    read_module_field,
 )
 
 NAME = "source_routing"
@@ -68,7 +67,3 @@ def make_packet(vid: int, port: int, tag: int = VALID_TAG,
                 pad_to: int = 0) -> Packet:
     payload = tag.to_bytes(2, "big") + port.to_bytes(2, "big")
     return common_packet(vid, payload, pad_to=pad_to)
-
-
-def read_tag(packet: Packet) -> int:
-    return read_module_field(packet, 0, 2)

@@ -105,7 +105,3 @@ class EthernetHeader(HeaderView):
     @ethertype.setter
     def ethertype(self, value: int) -> None:
         self._set(12, 2, value)
-
-    @property
-    def has_vlan(self) -> bool:
-        return self.ethertype == ETHERTYPE_VLAN

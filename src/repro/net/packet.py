@@ -8,7 +8,7 @@ and write packets through this interface.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..errors import FieldRangeError, TruncatedPacketError
 
@@ -141,10 +141,3 @@ class HeaderView:
     def end_offset(self) -> int:
         """Byte offset just past this header (start of the next layer)."""
         return self.offset + self.HEADER_LEN
-
-    def next_offset(self) -> Optional[int]:
-        """Offset of the next layer, or ``None`` if this is the last one.
-
-        Subclasses with variable lengths override this.
-        """
-        return self.end_offset

@@ -40,16 +40,6 @@ class AxiLiteModel:
         """Seconds to configure ``entries`` rows of the given width."""
         return self.writes_per_entry(width_bits) * entries * self.t_write
 
-    def vliw_table_time(self, entries: int = None) -> float:
-        if entries is None:
-            entries = self.params.vliw_entries_per_stage
-        return self.config_time(self.params.vliw_entry_bits, entries)
-
-    def cam_table_time(self, entries: int = None) -> float:
-        if entries is None:
-            entries = self.params.match_entries_per_stage
-        return self.config_time(self.params.cam_entry_bits, entries)
-
     def per_stage_breakdown(self) -> Dict[str, float]:
         """Configuration time per resource of one full stage."""
         inv = self.params.table_inventory()

@@ -68,6 +68,9 @@ class TableState:
     cam_count: int
     #: handle -> cam index
     entries: Dict[int, int] = field(default_factory=dict)
+    #: handle -> the typed entry installed there (what a rollback
+    #: re-inserts)
+    typed_entries: Dict[int, TableEntry] = field(default_factory=dict)
     next_handle: int = 0
 
     def free_slots(self) -> List[int]:
@@ -416,8 +419,7 @@ class MenshenController:
                                         register_bases)
             # §4.1 protocol: bitmap on -> send -> verify counter ->
             # bitmap off.
-            self.interface.set_module_updating(module_id)
-            try:
+            with self.interface.update_window(module_id):
                 for _attempt in range(MAX_LOAD_RETRIES):
                     delivered = self.interface.send_batch(writes)
                     if delivered == len(writes):
@@ -427,8 +429,6 @@ class MenshenController:
                         f"loading module {module_id}: reconfiguration "
                         f"packets kept getting lost after "
                         f"{MAX_LOAD_RETRIES} attempts")
-            finally:
-                self.interface.clear_module_updating(module_id)
         except BaseException:
             # Don't leak the partition grant (or the admission policy's
             # charge) on a failed install.
@@ -451,8 +451,7 @@ class MenshenController:
     def _teardown(self, loaded: LoadedModule) -> None:
         """Invalidate and zero everything the module owns."""
         module_id = loaded.module_id
-        self.interface.set_module_updating(module_id)
-        try:
+        with self.interface.update_window(module_id):
             self.interface.write_config_reliable(
                 ResourceId(ResourceType.PARSER_TABLE, 0), module_id, 0)
             self.interface.write_config_reliable(
@@ -475,8 +474,6 @@ class MenshenController:
                     self.interface.write_stateful(stage, addr, 0)
                 for row in range(alloc.match_start, alloc.match_end):
                     self.interface.delete_match_entry(stage, row)
-        finally:
-            self.interface.clear_module_updating(module_id)
         self.pipeline.mark_unloaded(module_id)
 
     # ------------------------------------------------------------------ entries
@@ -531,10 +528,12 @@ class MenshenController:
         handle = state.next_handle
         state.next_handle += 1
         state.entries[handle] = cam_index
+        state.typed_entries[handle] = entry
         return handle
 
     def table_delete(self, module_id: int, table_name: str,
-                     handle: int) -> None:
+                     handle: int) -> TableEntry:
+        """Delete one entry by handle; returns the entry it held."""
         loaded = self._loaded(module_id)
         state = loaded.table(table_name)
         if handle not in state.entries:
@@ -544,6 +543,7 @@ class MenshenController:
         self.pipeline.ledger.check_match_write(module_id, state.stage,
                                                cam_index)
         self.interface.delete_match_entry(state.stage, cam_index)
+        return state.typed_entries.pop(handle)
 
     # ------------------------------------------------------------------ registers
 

@@ -7,6 +7,10 @@ the daisy chain. The interface also models the *time* each operation
 costs, with constants calibrated to the paper's Fig. 9/Fig. 12 scales,
 so benchmarks can report configuration times comparable to the paper's.
 
+It is also the one owner of the §4.1 drop window: every holder opens
+and closes a counted hold on a VID (``update_window``). Holds nest: the
+first open sets the update-bitmap bit and only the last close clears it.
+
 Cost model (documented calibration):
 
 * ``T_SW_PER_ENTRY``: software-stack overhead per entry operation
@@ -17,8 +21,9 @@ Cost model (documented calibration):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+import contextlib
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 from ..core.pipeline import MenshenPipeline
 from ..core.reconfig import (
@@ -54,6 +59,8 @@ class SoftwareHardwareInterface:
     def __init__(self, pipeline: MenshenPipeline):
         self.pipeline = pipeline
         self.stats = InterfaceStats()
+        #: vid -> open §4.1 holds; a VID is present only while held
+        self._holds: Dict[int, int] = {}
 
     # -- register file access (AXI-Lite path, §4.1) ----------------------------
 
@@ -61,17 +68,43 @@ class SoftwareHardwareInterface:
         self.stats.register_reads += 1
         return self.pipeline.packet_filter.read_counter()
 
-    def write_update_bitmap(self, bitmap: int) -> None:
-        self.stats.register_writes += 1
-        self.pipeline.packet_filter.write_bitmap(bitmap)
-
     def set_module_updating(self, module_id: int) -> None:
-        self.stats.register_writes += 1
-        self.pipeline.packet_filter.set_module_updating(module_id)
+        """Open one §4.1 hold on ``module_id``; the first sets its bit.
+
+        A VID the bitmap cannot hold raises
+        :class:`~repro.errors.ConfigError` before the count moves.
+        """
+        holds = self._holds.get(module_id, 0)
+        if not holds:
+            self.pipeline.packet_filter.set_module_updating(module_id)
+            self.stats.register_writes += 1
+        self._holds[module_id] = holds + 1
 
     def clear_module_updating(self, module_id: int) -> None:
-        self.stats.register_writes += 1
-        self.pipeline.packet_filter.clear_module_updating(module_id)
+        """Close one §4.1 hold on ``module_id``; the last clears its bit.
+
+        Closing a hold that was never opened raises
+        :class:`~repro.errors.ReconfigurationError`.
+        """
+        holds = self._holds.get(module_id, 0)
+        if not holds:
+            raise ReconfigurationError(
+                f"module {module_id} has no open update window to close")
+        if holds == 1:
+            del self._holds[module_id]
+            self.pipeline.packet_filter.clear_module_updating(module_id)
+            self.stats.register_writes += 1
+        else:
+            self._holds[module_id] = holds - 1
+
+    @contextlib.contextmanager
+    def update_window(self, module_id: int) -> Iterator[None]:
+        """Hold ``module_id``'s §4.1 drop window for the ``with`` body."""
+        self.set_module_updating(module_id)
+        try:
+            yield
+        finally:
+            self.clear_module_updating(module_id)
 
     # -- configuration writes ---------------------------------------------------
 
@@ -141,11 +174,6 @@ class SoftwareHardwareInterface:
         self.stats.modeled_time_s += T_SW_PER_ENTRY
         self.write_config_reliable(
             ResourceId(ResourceType.CAM_INVALIDATE, stage), cam_index, 0)
-
-    def read_stateful(self, stage: int, phys_addr: int) -> int:
-        """Fetch one stateful word (statistics gathering)."""
-        self.stats.register_reads += 1
-        return self.pipeline.stages[stage].stateful_memory.read(phys_addr)
 
     def write_stateful(self, stage: int, phys_addr: int, value: int) -> None:
         """Initialize one stateful word through the daisy chain."""

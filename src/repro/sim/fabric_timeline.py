@@ -29,9 +29,10 @@ departure-routing loop supplied by the execution core
   :meth:`~repro.fabric.tenant.FabricTenant.update`, a
   :meth:`~repro.fabric.tenant.FabricTenant.migrate`, an arrival or
   departure from a :class:`repro.traffic.ChurnSchedule` — and holds
-  the §4.1 update bitmap on every switch hosting that tenant for the
-  event's duration, so the churned tenant's packets drop for exactly
-  the reconfiguration window while every other tenant keeps its share
+  one §4.1 hold on every switch hosting that tenant for the event's
+  duration (holds nest), so the churned tenant's packets drop for
+  exactly the reconfiguration window while every other tenant keeps
+  its share
   (Fig. 10, at fabric scale — ``benchmarks/bench_fabric_churn.py``).
   Its open and close are the run's control events
   (:meth:`~repro.exec.ExecutionCore.schedule_control`), the only ones
@@ -54,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import ConfigError
 from ..exec import ExecutionCore, ExecutionSink, LostRecord
 from ..net.packet import Packet
+from ..runtime.interface import SoftwareHardwareInterface
 from ..traffic.matrix import Demand, TrafficMatrix
 from .kernel import SimulationError, Simulator
 
@@ -64,10 +66,12 @@ class FabricReconfigEvent:
 
     At ``start_s`` the optional ``apply`` callable runs (e.g.
     ``tenant.update(...)``, ``tenant.migrate(...)``, or a placement
-    from a churn schedule), then the §4.1 update bit for ``vid`` is set
-    on every switch currently hosting it; at ``start_s + duration_s``
-    the bit clears.
-    During the window the tenant's packets drop at those switches —
+    from a churn schedule), then one §4.1 hold on ``vid`` opens on
+    every switch currently hosting it; at ``start_s + duration_s``
+    exactly those holds close. Holds nest, so the bit clears only with
+    the last close: an overlapping window or an enclosing
+    ``Tenant.updating()`` keeps it set. During the window the tenant's
+    packets drop at those switches —
     the §4.1 procedure's disruption, scoped to exactly one tenant —
     while every other tenant keeps forwarding.
     """
@@ -205,6 +209,8 @@ class FabricTimelineExperiment:
                 f"bin width must be positive, got {self.bin_s}")
         self.scale = scale
         self.reconfigs: List[FabricReconfigEvent] = []
+        #: id(event) -> the interfaces its window holds, while open
+        self._held: Dict[int, List[SoftwareHardwareInterface]] = {}
         #: the live :class:`~repro.exec.ExecutionCore` while (and
         #: after) :meth:`run` — the chaos layer reports crash-scrubbed
         #: queue contents through it, onto the same lost path.
@@ -262,35 +268,25 @@ class FabricTimelineExperiment:
                 apply=lambda ev=event: apply(ev))
 
     def _open_window(self, event: FabricReconfigEvent) -> None:
-        """Apply the lifecycle action, then raise the §4.1 bit on every
+        """Apply the lifecycle action, then open one §4.1 hold on every
         switch hosting the tenant (post-apply placement, so a migration
-        holds the window on its *new* route too)."""
+        holds the window on its *new* route too). Holds nest; the last
+        close on a switch clears the bit."""
         if event.apply is not None:
             event.apply()
         if event.duration_s <= 0:
             return
+        held = self._held.setdefault(id(event), [])
         for member in self.fabric.switches():
             if event.vid in member.switch.controller.modules:
-                member.switch.pipeline.packet_filter \
-                    .set_module_updating(event.vid)
+                member.switch.interface.set_module_updating(event.vid)
+                held.append(member.switch.interface)
 
-    def _close_window(self, event: FabricReconfigEvent,
-                      at: Optional[float] = None) -> None:
-        """Clear the tenant's §4.1 bit — unless, at instant ``at``,
-        another scheduled window for the same VID is still open (two
-        overlapping updates must hold the bit until the *last* one
-        ends, not truncate each other)."""
-        if at is not None:
-            for other in self.reconfigs:
-                if other is not event and other.vid == event.vid \
-                        and other.duration_s > 0 \
-                        and other.start_s <= at \
-                        < other.start_s + other.duration_s:
-                    return
-        for member in self.fabric.switches():
-            filter_ = member.switch.pipeline.packet_filter
-            if filter_.is_module_updating(event.vid):
-                filter_.clear_module_updating(event.vid)
+    def _close_window(self, event: FabricReconfigEvent) -> None:
+        """Close the holds this event's window opened, if still open.
+        The bit clears only if this was a switch's last hold."""
+        for interface in self._held.pop(id(event), ()):
+            interface.clear_module_updating(event.vid)
 
     # ------------------------------------------------------------------ run
 
@@ -317,12 +313,12 @@ class FabricTimelineExperiment:
         for event in self.reconfigs:
             core.schedule_control(event.start_s, self._open_window, event)
             if event.duration_s > 0:
-                end = event.start_s + event.duration_s
-                core.schedule_control(end, self._close_window, event, end)
+                core.schedule_control(event.start_s + event.duration_s,
+                                      self._close_window, event)
         try:
             sim.run()
         finally:
-            # Never leave a §4.1 bit set past the run (e.g. a window
+            # Never leave this run's holds open past it (e.g. a window
             # whose close event fell past an aborted horizon).
             for event in self.reconfigs:
                 self._close_window(event)

@@ -1,8 +1,9 @@
 """Trace replay: feed captured or generated traffic into a data path.
 
-A :class:`TraceReplayer` holds a packet sequence (from a pcap file, a
-generator, or any list) and drives it — in arrival-time order, in
-batches — through anything that processes packets: a
+A :class:`TraceReplayer` holds a packet sequence (from
+:func:`~repro.traffic.pcap.load_pcap`, a generator, or any list) and
+drives it — in arrival-time order, in batches — through anything that
+processes packets: a
 :class:`~repro.core.pipeline.MenshenPipeline`, a
 :class:`~repro.api.Switch`, or a :class:`~repro.engine.BatchEngine`.
 Every replayed packet is a fresh copy, so a replayer can drive the same
@@ -15,7 +16,6 @@ from __future__ import annotations
 from typing import Iterator, List, Sequence
 
 from ..net.packet import Packet
-from .pcap import load_pcap
 
 
 class TraceReplayer:
@@ -25,12 +25,6 @@ class TraceReplayer:
         self._packets: List[Packet] = list(packets)
         if sort_by_time:
             self._packets.sort(key=lambda p: p.arrival_time)
-
-    @classmethod
-    def from_pcap(cls, path: str, sort_by_time: bool = True
-                  ) -> "TraceReplayer":
-        """Load a trace from a classic-format pcap file."""
-        return cls(load_pcap(path), sort_by_time=sort_by_time)
 
     def __len__(self) -> int:
         return len(self._packets)

@@ -19,6 +19,7 @@ from repro.api import (
     Switch,
     SwitchBuilder,
     TableEntry,
+    Tenant,
     TenantIsolationError,
     Ternary,
     TransactionError,
@@ -415,6 +416,42 @@ class TestTransactions:
             assert result.drop_reason == "module_updating"
         result = switch.process(calc.make_packet(1, calc.OP_ECHO, 7, 0))
         assert result.forwarded
+
+    def test_update_preserves_enclosing_updating_window(self):
+        """An update nested in ``updating()`` must not end the outer
+        window: the new program has no rules yet."""
+        switch = Switch.build().create()
+        tenant = switch.admit("calc", calc.P4_SOURCE, vid=1)
+        calc.install(tenant, port=3)
+        with tenant.updating():
+            tenant.update(calc.P4_SOURCE)
+            result = switch.process(calc.make_packet(1, calc.OP_ADD, 1, 1))
+            assert result.dropped
+            assert result.drop_reason == "module_updating"
+        assert switch.pipeline.packet_filter.read_bitmap() == 0
+
+    def test_attached_handle_deletes_and_restores_any_entry(self):
+        """The controller's table book, not the handle object, knows
+        what a delete must restore: a second handle on the same VID can
+        delete transactionally, and a rollback re-inserts the entry."""
+        switch = Switch.build().create()
+        tenant = switch.admit("calc", calc.P4_SOURCE, vid=1)
+        h = tenant.table("calc_table").insert(
+            match={"hdr.calc.op": calc.OP_ADD}, action="op_add",
+            params={"port": 2})
+        other = Tenant.attach(switch.controller, 1)
+        with pytest.raises(TransactionError,
+                           match="1 prior operations rolled back"):
+            with other.transaction() as txn:
+                txn.table("calc_table").delete(h)
+                txn.table("calc_table").insert(match={"hdr.calc.op": 9},
+                                               action="bogus")
+        result = switch.process(calc.make_packet(1, calc.OP_ADD, 2, 3))
+        assert calc.read_result(result.packet) == 5
+        [restored] = other.table("calc_table").handles()
+        with other.transaction() as txn:
+            txn.table("calc_table").delete(restored)
+        assert tenant.table("calc_table").occupancy() == 0
 
     def test_positional_entry_with_action_rejected(self):
         switch = Switch.build().create()

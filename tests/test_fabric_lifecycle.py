@@ -19,7 +19,7 @@ from fabric_serve import serve
 from repro.compiler import analyse
 from repro.errors import AdmissionError, CompilerError, ConfigError, \
     PlacementError
-from repro.fabric import leaf_spine
+from repro.fabric import Fabric, leaf_spine
 from repro.modules import calc, netcache
 from repro.sim import FabricTimelineExperiment
 from repro.traffic import ChurnSchedule, TrafficMatrix
@@ -421,6 +421,21 @@ class TestMigrate:
 
 # ------------------------------------------- reconfiguration mid-timeline
 
+def one_switch_fabric():
+    fabric = Fabric()
+    fabric.add_switch("sw0")
+    return fabric
+
+
+def _one_switch_matrix():
+    """VID 1 at 8 Mbit/s from host port 0 to host port 1."""
+    matrix = TrafficMatrix()
+    matrix.add(1, ("sw0", 0), ("sw0", 1), offered_bps=8e6,
+               packet_size=PACKET_SIZE,
+               make_packet=lambda: _packet(1))
+    return matrix
+
+
 def _matrix(vids, pps=2e5):
     matrix = TrafficMatrix()
     for vid in vids:
@@ -489,6 +504,34 @@ class TestFabricReconfigEvent:
         offered = 8e-3 * 2e5
         assert 600 <= result.drops[1] <= 605
         assert result.delivered[1] + result.drops[1] == offered
+
+    def test_update_inside_an_open_window_keeps_it_open(self):
+        # A live update fired inside another event's [2, 8) ms window
+        # reinstalls the tenant under its own nested hold; closing that
+        # hold must not end the outer window.
+        fabric = one_switch_fabric()
+        tenant = place_calc(fabric, 1, ("sw0", 0), ("sw0", 1))
+        experiment = FabricTimelineExperiment(
+            fabric, _one_switch_matrix(), duration_s=0.01, bin_s=1e-3)
+        experiment.schedule_reconfig(1, 0.002, 0.006)
+        experiment.schedule_reconfig(
+            1, 0.004, 0.0, apply=lambda: tenant.update(calc.P4_SOURCE))
+        series = experiment.run().throughput_gbps[1]
+        assert series[2:8] == [0.0] * 6
+        assert all(series[i] > 0 for i in (0, 1, 8, 9))
+
+    def test_run_inside_updating_leaves_the_outer_window_open(self):
+        fabric = one_switch_fabric()
+        place_calc(fabric, 1, ("sw0", 0), ("sw0", 1))
+        switch = fabric.switch("sw0").switch
+        experiment = FabricTimelineExperiment(
+            fabric, _one_switch_matrix(), duration_s=0.01, bin_s=1e-3)
+        experiment.schedule_reconfig(1, 0.002, 0.002)
+        with switch.tenant(1).updating():
+            result = experiment.run()
+            assert switch.pipeline.packet_filter.is_module_updating(1)
+        assert result.delivered.get(1, 0) == 0
+        assert not switch.pipeline.packet_filter.is_module_updating(1)
 
 
 class TestChurnScheduleBinding:

@@ -7,6 +7,7 @@ from repro.compiler.resource_checker import ResourceRequest
 from repro.core import MenshenPipeline, ResourceId, ResourceType
 from repro.errors import (
     AdmissionError,
+    ConfigError,
     ReconfigurationError,
     RuntimeInterfaceError,
 )
@@ -51,6 +52,28 @@ class TestInterface:
         ctl.interface.write_config(
             ResourceId(ResourceType.SEGMENT, 0), 1, 0x0101)
         assert ctl.interface.stats.modeled_time_s > before
+
+    def test_update_window_holds_nest_and_count(self):
+        """The first open sets the bit, only the last close clears it,
+        each transition is one register write, and closing a hold that
+        was never opened is a typed error."""
+        pipe, ctl = make_controller()
+        interface, filter_ = ctl.interface, pipe.packet_filter
+        with pytest.raises(ReconfigurationError, match="no open update"):
+            interface.clear_module_updating(5)
+        with pytest.raises(ConfigError):
+            interface.set_module_updating(32)
+        assert interface.stats.register_writes == 0
+        with interface.update_window(5):
+            with interface.update_window(5):
+                assert filter_.is_module_updating(5)
+            assert filter_.is_module_updating(5)
+        assert not filter_.is_module_updating(5)
+        assert interface.stats.register_writes == 2
+        with pytest.raises(ReconfigurationError):
+            interface.clear_module_updating(5)
+        with pytest.raises(ReconfigurationError):
+            interface.clear_module_updating(32)
 
 
 class TestControllerLifecycle:
