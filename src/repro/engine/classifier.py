@@ -393,7 +393,7 @@ class CompiledClassifier:
 
         if discard:
             return None, phv
-        merged = Packet(bytes(buf), packet.ingress_port,
+        merged = Packet(buf, packet.ingress_port,
                         packet.arrival_time)
         out = merged.buf
         for off, end, flat, size in self._deparse:

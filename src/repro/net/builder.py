@@ -1,10 +1,12 @@
-"""Fluent packet builder and layer parser.
+"""Packet builder and layer parser.
 
-:class:`PacketBuilder` assembles Ethernet / 802.1Q / IPv4 / UDP / TCP
-packets in order, then fixes up length and checksum fields at
-:meth:`~PacketBuilder.build` time. :func:`parse_layers` performs the
-inverse: given a raw :class:`~repro.net.packet.Packet`, it walks the
-layers and returns bound header views.
+:class:`PacketBuilder` collects Ethernet / 802.1Q / IPv4 / UDP / TCP
+fields in stack order; :meth:`~PacketBuilder.build` validates them,
+packs each header with one precomputed :class:`struct.Struct` layout
+into a single buffer, and fills in the lengths and checksums in the
+same pass. :func:`parse_layers` performs the inverse: given a raw
+:class:`~repro.net.packet.Packet`, it walks the layers and returns bound
+header views, which are for reading and editing a packet in place.
 
 The 46-byte Ethernet+VLAN+IPv4+UDP stack built here is exactly the
 "common header" carried by every Menshen packet (Fig. 7).
@@ -12,57 +14,49 @@ The 46-byte Ethernet+VLAN+IPv4+UDP stack built here is exactly the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+import struct
+from typing import Dict, Optional, Tuple, Union
 
-from ..errors import PacketError
-from .ethernet import ETHERTYPE_IPV4, ETHERTYPE_VLAN, EthernetHeader, MacAddress
+from ..errors import FieldRangeError, PacketError
+from .checksum import internet_checksum
+from .ethernet import (
+    ETHERNET_HEADER_LEN, ETHERTYPE_IPV4, ETHERTYPE_VLAN, EthernetHeader,
+    MacAddress)
 from .ipv4 import IPV4_HEADER_LEN, Ipv4Address, Ipv4Header, PROTO_TCP, PROTO_UDP
-from .packet import Packet
+from .packet import Packet, check_unsigned
 from .tcp_ import TCP_HEADER_LEN, TcpHeader
 from .udp_ import UDP_HEADER_LEN, UdpHeader
-from .vlan import VLAN_TAG_LEN, VlanTag
+from .vlan import MAX_VID, VLAN_TAG_LEN, VlanTag
 
 #: Length of Menshen's common header: Ethernet(14) + VLAN(4) + IPv4(20) + UDP(8).
-COMMON_HEADER_LEN = 14 + VLAN_TAG_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN
+COMMON_HEADER_LEN = (ETHERNET_HEADER_LEN + VLAN_TAG_LEN + IPV4_HEADER_LEN
+                     + UDP_HEADER_LEN)
 
+#: dst | src | ethertype
+_ETHERNET = struct.Struct("!6s6sH")
+#: TCI | inner ethertype
+_VLAN = struct.Struct("!HH")
+#: version/IHL | TOS | total length | identification | flags/fragment |
+#: TTL | protocol | checksum | src | dst
+_IPV4 = struct.Struct("!BBHHHBBHII")
+#: sport | dport | length | checksum
+_UDP = struct.Struct("!HHHH")
+#: sport | dport | seq | ack | data offset | flags | window | checksum |
+#: urgent pointer
+_TCP = struct.Struct("!HHIIBBHHH")
+#: The UDP/TCP checksum's IPv4 pseudo-header: src | dst | 0 | protocol |
+#: segment length
+_PSEUDO = struct.Struct("!IIxBH")
+_U16 = struct.Struct("!H")
 
-@dataclass
-class _EthSpec:
-    dst: MacAddress
-    src: MacAddress
-
-
-@dataclass
-class _VlanSpec:
-    vid: int
-    pcp: int = 0
-    dei: int = 0
-
-
-@dataclass
-class _Ipv4Spec:
-    src: Ipv4Address
-    dst: Ipv4Address
-    ttl: int = 64
-    dscp: int = 0
-    identification: int = 0
-
-
-@dataclass
-class _UdpSpec:
-    sport: int
-    dport: int
-
-
-@dataclass
-class _TcpSpec:
-    sport: int
-    dport: int
-    seq: int = 0
-    ack: int = 0
-    flags: int = 0
-    window: int = 65535
+#: Inner ethertype of a VLAN tag with no IPv4 layer after it
+#: (experimental / no next layer).
+_NO_NEXT_LAYER = 0xFFFF
+_IPV4_VERSION_IHL = 0x45
+_TCP_DATA_OFFSET = 5 << 4
+#: Byte sizes of the UDP and TCP fields the caller sets, in write order.
+_UDP_FIELD_SIZES = (2, 2)
+_TCP_FIELD_SIZES = (2, 2, 4, 4, 1, 2)
 
 
 class PacketBuilder:
@@ -73,34 +67,40 @@ class PacketBuilder:
     length, and all checksums, and optionally pads to a minimum size.
     """
 
+    __slots__ = ("_eth", "_vlan", "_ipv4", "_udp", "_tcp", "_payload")
+
     def __init__(self) -> None:
-        self._eth: Optional[_EthSpec] = None
-        self._vlan: Optional[_VlanSpec] = None
-        self._ipv4: Optional[_Ipv4Spec] = None
-        self._udp: Optional[_UdpSpec] = None
-        self._tcp: Optional[_TcpSpec] = None
+        #: (dst, src), 6 bytes each
+        self._eth: Optional[Tuple[bytes, bytes]] = None
+        #: (vid, pcp, dei)
+        self._vlan: Optional[Tuple[int, int, int]] = None
+        #: (src, dst, ttl, dscp, identification), addresses as ints
+        self._ipv4: Optional[Tuple[int, int, int, int, int]] = None
+        #: (sport, dport)
+        self._udp: Optional[Tuple[int, int]] = None
+        #: (sport, dport, seq, ack, flags, window)
+        self._tcp: Optional[Tuple[int, int, int, int, int, int]] = None
         self._payload: bytes = b""
 
     # -- layer setters ------------------------------------------------------
 
     def ethernet(self, dst="02:00:00:00:00:02",
                  src="02:00:00:00:00:01") -> "PacketBuilder":
-        self._eth = _EthSpec(dst=MacAddress(dst), src=MacAddress(src))
+        self._eth = (MacAddress(dst).tobytes(), MacAddress(src).tobytes())
         return self
 
     def vlan(self, vid: int, pcp: int = 0, dei: int = 0) -> "PacketBuilder":
         if self._eth is None:
             raise PacketError("vlan() requires ethernet() first")
-        self._vlan = _VlanSpec(vid=vid, pcp=pcp, dei=dei)
+        self._vlan = (vid, pcp, dei)
         return self
 
     def ipv4(self, src="10.0.0.1", dst="10.0.0.2", ttl: int = 64,
              dscp: int = 0, identification: int = 0) -> "PacketBuilder":
         if self._eth is None:
             raise PacketError("ipv4() requires ethernet() first")
-        self._ipv4 = _Ipv4Spec(src=Ipv4Address(src), dst=Ipv4Address(dst),
-                               ttl=ttl, dscp=dscp,
-                               identification=identification)
+        self._ipv4 = (Ipv4Address(src).value, Ipv4Address(dst).value,
+                      ttl, dscp, identification)
         return self
 
     def udp(self, sport: int = 10000, dport: int = 20000) -> "PacketBuilder":
@@ -108,7 +108,7 @@ class PacketBuilder:
             raise PacketError("udp() requires ipv4() first")
         if self._tcp is not None:
             raise PacketError("packet already has a TCP layer")
-        self._udp = _UdpSpec(sport=sport, dport=dport)
+        self._udp = (sport, dport)
         return self
 
     def tcp(self, sport: int = 10000, dport: int = 20000, seq: int = 0,
@@ -118,11 +118,13 @@ class PacketBuilder:
             raise PacketError("tcp() requires ipv4() first")
         if self._udp is not None:
             raise PacketError("packet already has a UDP layer")
-        self._tcp = _TcpSpec(sport=sport, dport=dport, seq=seq, ack=ack,
-                             flags=flags, window=window)
+        self._tcp = (sport, dport, seq, ack, flags, window)
         return self
 
     def payload(self, data: bytes) -> "PacketBuilder":
+        if isinstance(data, int):
+            raise PacketError(
+                f"payload must be bytes-like, not {type(data).__name__}")
         self._payload = bytes(data)
         return self
 
@@ -131,6 +133,9 @@ class PacketBuilder:
     def build(self, pad_to: int = 0, ingress_port: int = 0,
               arrival_time: float = 0.0) -> Packet:
         """Serialize the layers into a :class:`Packet`.
+
+        Every field is checked before anything is packed, in stack
+        order, so a builder with several bad fields reports the first.
 
         Parameters
         ----------
@@ -142,90 +147,75 @@ class PacketBuilder:
         """
         if self._eth is None:
             raise PacketError("packet needs at least an Ethernet layer")
+        vlan, ipv4, udp, tcp = self._vlan, self._ipv4, self._udp, self._tcp
+        payload = self._payload
+        l4_len = (UDP_HEADER_LEN if udp is not None else
+                  TCP_HEADER_LEN if tcp is not None else 0)
+        segment_len = l4_len + len(payload)
 
-        pkt = Packet(ingress_port=ingress_port, arrival_time=arrival_time)
+        if vlan is not None:
+            vid, pcp, dei = vlan
+            if not 0 <= vid <= MAX_VID:
+                raise FieldRangeError(f"VID out of range: {vid}")
+            if not 0 <= pcp <= 7:
+                raise FieldRangeError(f"PCP out of range: {pcp}")
+            if dei not in (0, 1):
+                raise FieldRangeError(f"DEI must be 0/1: {dei}")
+        if ipv4 is not None:
+            src, dst, ttl, dscp, identification = ipv4
+            check_unsigned(ttl, 1)
+            if not 0 <= dscp <= 0x3F:
+                raise FieldRangeError(f"DSCP out of range: {dscp}")
+            check_unsigned(identification, 2)
+            check_unsigned(IPV4_HEADER_LEN + segment_len, 2)
+        if udp is not None:
+            for value, size in zip(udp, _UDP_FIELD_SIZES):
+                check_unsigned(value, size)
+        elif tcp is not None:
+            for value, size in zip(tcp, _TCP_FIELD_SIZES):
+                check_unsigned(value, size)
 
-        # Ethernet
-        pkt.append(b"\x00" * EthernetHeader.HEADER_LEN)
-        eth = EthernetHeader(pkt, 0)
-        eth.dst = self._eth.dst
-        eth.src = self._eth.src
-        offset = eth.HEADER_LEN
-
-        # VLAN
-        vlan_view: Optional[VlanTag] = None
-        if self._vlan is not None:
-            eth.ethertype = ETHERTYPE_VLAN
-            pkt.append(b"\x00" * VLAN_TAG_LEN)
-            vlan_view = VlanTag(pkt, offset)
-            vlan_view.vid = self._vlan.vid
-            vlan_view.pcp = self._vlan.pcp
-            vlan_view.dei = self._vlan.dei
-            offset += VLAN_TAG_LEN
-
-        # IPv4
-        ip_view: Optional[Ipv4Header] = None
-        ip_offset = offset
-        if self._ipv4 is not None:
-            if vlan_view is not None:
-                vlan_view.inner_ethertype = ETHERTYPE_IPV4
+        ip_offset = ETHERNET_HEADER_LEN
+        if vlan is not None:
+            ip_offset += VLAN_TAG_LEN
+        l4_offset = ip_offset
+        if ipv4 is not None:
+            l4_offset += IPV4_HEADER_LEN
+        buf = bytearray(l4_offset + l4_len)
+        _ETHERNET.pack_into(buf, 0, *self._eth,
+                            ETHERTYPE_VLAN if vlan is not None else
+                            ETHERTYPE_IPV4 if ipv4 is not None else 0)
+        if vlan is not None:
+            _VLAN.pack_into(buf, ETHERNET_HEADER_LEN,
+                            pcp << 13 | dei << 12 | vid,
+                            ETHERTYPE_IPV4 if ipv4 is not None
+                            else _NO_NEXT_LAYER)
+        if ipv4 is not None:
+            protocol = (PROTO_UDP if udp is not None else
+                        PROTO_TCP if tcp is not None else 0)
+            _IPV4.pack_into(buf, ip_offset, _IPV4_VERSION_IHL, dscp << 2,
+                            IPV4_HEADER_LEN + segment_len, identification, 0,
+                            ttl, protocol, 0, src, dst)
+            _U16.pack_into(buf, ip_offset + 10,
+                           internet_checksum(buf[ip_offset:l4_offset]))
+        if udp is not None:
+            _UDP.pack_into(buf, l4_offset, *udp, segment_len, 0)
+        elif tcp is not None:
+            sport, dport, seq, ack, flags, window = tcp
+            _TCP.pack_into(buf, l4_offset, sport, dport, seq, ack,
+                           _TCP_DATA_OFFSET, flags, window, 0, 0)
+        buf += payload
+        if l4_len:  # UDP and TCP sit on IPv4: src, dst, protocol are set
+            checksum = internet_checksum(
+                _PSEUDO.pack(src, dst, protocol, segment_len)
+                + buf[l4_offset:])
+            if udp is not None:
+                # RFC 768: a computed 0 is transmitted as 0xFFFF.
+                _U16.pack_into(buf, l4_offset + 6, checksum or 0xFFFF)
             else:
-                eth.ethertype = ETHERTYPE_IPV4
-            pkt.append(b"\x00" * IPV4_HEADER_LEN)
-            ip_view = Ipv4Header(pkt, ip_offset)
-            ip_view.set_version_ihl()
-            ip_view.src = self._ipv4.src
-            ip_view.dst = self._ipv4.dst
-            ip_view.ttl = self._ipv4.ttl
-            ip_view.dscp = self._ipv4.dscp
-            ip_view.identification = self._ipv4.identification
-            offset += IPV4_HEADER_LEN
-        elif self._vlan is not None and vlan_view is not None:
-            vlan_view.inner_ethertype = 0xFFFF  # experimental/no next layer
+                _U16.pack_into(buf, l4_offset + 16, checksum)
 
-        # L4
-        l4_offset = offset
-        if self._udp is not None:
-            if ip_view is None:
-                raise PacketError("UDP requires an IPv4 layer")
-            ip_view.protocol = PROTO_UDP
-            pkt.append(b"\x00" * UDP_HEADER_LEN)
-            offset += UDP_HEADER_LEN
-        elif self._tcp is not None:
-            if ip_view is None:
-                raise PacketError("TCP requires an IPv4 layer")
-            ip_view.protocol = PROTO_TCP
-            pkt.append(b"\x00" * TCP_HEADER_LEN)
-            offset += TCP_HEADER_LEN
-
-        # Payload
-        pkt.append(self._payload)
-
-        # Fix-ups: lengths then checksums.
-        if ip_view is not None:
-            ip_view.total_length = len(pkt) - ip_offset
-
-        if self._udp is not None and ip_view is not None:
-            udp_view = UdpHeader(pkt, l4_offset)
-            udp_view.sport = self._udp.sport
-            udp_view.dport = self._udp.dport
-            udp_view.length = len(pkt) - l4_offset
-            udp_view.update_checksum(int(ip_view.src), int(ip_view.dst))
-        elif self._tcp is not None and ip_view is not None:
-            tcp_view = TcpHeader(pkt, l4_offset)
-            tcp_view.sport = self._tcp.sport
-            tcp_view.dport = self._tcp.dport
-            tcp_view.seq = self._tcp.seq
-            tcp_view.ack = self._tcp.ack
-            tcp_view.data_offset = 5
-            tcp_view.flags = self._tcp.flags
-            tcp_view.window = self._tcp.window
-            tcp_view.update_checksum(int(ip_view.src), int(ip_view.dst),
-                                     len(pkt) - l4_offset)
-
-        if ip_view is not None:
-            ip_view.update_checksum()
-
+        pkt = Packet(buf, ingress_port, arrival_time)
         if pad_to:
             pkt.pad_to(pad_to)
         return pkt
@@ -239,7 +229,8 @@ def parse_layers(pkt: Packet) -> Dict[str, LayerView]:
 
     Returns a dict with any of the keys ``ethernet``, ``vlan``, ``ipv4``,
     ``udp``, ``tcp`` that are present. Raises
-    :class:`~repro.errors.TruncatedPacketError` if a layer is cut short.
+    :class:`~repro.errors.TruncatedPacketError` if a layer is cut short,
+    and :class:`~repro.errors.PacketError` if the IPv4 IHL is below 5.
     """
     layers: Dict[str, LayerView] = {}
     eth = EthernetHeader(pkt, 0)
@@ -256,7 +247,12 @@ def parse_layers(pkt: Packet) -> Dict[str, LayerView]:
     if ethertype == ETHERTYPE_IPV4:
         ip = Ipv4Header(pkt, offset)
         layers["ipv4"] = ip
-        offset += ip.ihl * 4
+        ihl = ip.ihl
+        if ihl < 5:
+            raise PacketError(
+                f"IPv4 IHL {ihl} is below the minimum of 5 "
+                f"(a {ihl * 4}-byte header)")
+        offset += ihl * 4
         if ip.protocol == PROTO_UDP:
             layers["udp"] = UdpHeader(pkt, offset)
         elif ip.protocol == PROTO_TCP:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from ..errors import FieldRangeError
 from .packet import HeaderView
 
@@ -11,6 +13,11 @@ ETHERTYPE_ARP = 0x0806
 
 ETHERNET_HEADER_LEN = 14
 
+#: Six ``:``-separated octets of one or two ASCII hex digits each.
+_MAC_STRING = re.compile(r"([0-9a-f]{1,2}):([0-9a-f]{1,2}):([0-9a-f]{1,2}):"
+                         r"([0-9a-f]{1,2}):([0-9a-f]{1,2}):([0-9a-f]{1,2})",
+                         re.ASCII | re.IGNORECASE)
+
 
 class MacAddress:
     """A 48-bit MAC address with string/int/bytes conversions."""
@@ -18,7 +25,13 @@ class MacAddress:
     __slots__ = ("value",)
 
     def __init__(self, value) -> None:
-        if isinstance(value, MacAddress):
+        if isinstance(value, str):
+            match = _MAC_STRING.fullmatch(value)
+            if match is None:
+                raise FieldRangeError(f"bad MAC string: {value!r}")
+            self.value = int(
+                "".join([octet.zfill(2) for octet in match.groups()]), 16)
+        elif isinstance(value, MacAddress):
             self.value = value.value
         elif isinstance(value, int):
             if value < 0 or value >= (1 << 48):
@@ -28,17 +41,6 @@ class MacAddress:
             if len(value) != 6:
                 raise FieldRangeError(f"MAC needs 6 bytes, got {len(value)}")
             self.value = int.from_bytes(value, "big")
-        elif isinstance(value, str):
-            parts = value.split(":")
-            if len(parts) != 6:
-                raise FieldRangeError(f"bad MAC string: {value!r}")
-            try:
-                octets = [int(p, 16) for p in parts]
-            except ValueError as exc:
-                raise FieldRangeError(f"bad MAC string: {value!r}") from exc
-            if any(o < 0 or o > 255 for o in octets):
-                raise FieldRangeError(f"bad MAC string: {value!r}")
-            self.value = int.from_bytes(bytes(octets), "big")
         else:
             raise FieldRangeError(f"cannot make MAC from {type(value).__name__}")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from ..errors import FieldRangeError
 from .checksum import internet_checksum
 from .packet import HeaderView
@@ -12,6 +14,11 @@ PROTO_UDP = 17
 
 IPV4_HEADER_LEN = 20  # without options; the library emits IHL=5 headers.
 
+#: Four ``.``-separated octets of one to three ASCII decimal digits each
+#: (leading zeros allowed); the value bound is checked after the match.
+_IPV4_STRING = re.compile(r"(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})",
+                          re.ASCII)
+
 
 class Ipv4Address:
     """A 32-bit IPv4 address convertible from str/int/bytes."""
@@ -19,7 +26,15 @@ class Ipv4Address:
     __slots__ = ("value",)
 
     def __init__(self, value) -> None:
-        if isinstance(value, Ipv4Address):
+        if isinstance(value, str):
+            match = _IPV4_STRING.fullmatch(value)
+            if match is None:
+                raise FieldRangeError(f"bad IPv4 string: {value!r}")
+            a, b, c, d = map(int, match.groups())
+            if max(a, b, c, d) > 255:
+                raise FieldRangeError(f"bad IPv4 string: {value!r}")
+            self.value = a << 24 | b << 16 | c << 8 | d
+        elif isinstance(value, Ipv4Address):
             self.value = value.value
         elif isinstance(value, int):
             if value < 0 or value >= (1 << 32):
@@ -29,17 +44,6 @@ class Ipv4Address:
             if len(value) != 4:
                 raise FieldRangeError(f"IPv4 needs 4 bytes, got {len(value)}")
             self.value = int.from_bytes(value, "big")
-        elif isinstance(value, str):
-            parts = value.split(".")
-            if len(parts) != 4:
-                raise FieldRangeError(f"bad IPv4 string: {value!r}")
-            try:
-                octets = [int(p) for p in parts]
-            except ValueError as exc:
-                raise FieldRangeError(f"bad IPv4 string: {value!r}") from exc
-            if any(o < 0 or o > 255 for o in octets):
-                raise FieldRangeError(f"bad IPv4 string: {value!r}")
-            self.value = int.from_bytes(bytes(octets), "big")
         else:
             raise FieldRangeError(f"cannot make IPv4 from {type(value).__name__}")
 

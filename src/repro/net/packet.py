@@ -13,13 +13,22 @@ from typing import Iterator
 from ..errors import FieldRangeError, TruncatedPacketError
 
 
+def check_unsigned(value: int, length: int) -> None:
+    """Raise :class:`FieldRangeError` unless ``value`` fits in ``length``
+    big-endian bytes."""
+    if value < 0 or value >= (1 << (8 * length)):
+        raise FieldRangeError(
+            f"value {value:#x} does not fit in {length} bytes")
+
+
 class Packet:
     """A mutable packet: raw bytes plus simulation metadata.
 
     Parameters
     ----------
     data:
-        Initial packet bytes. Copied into an internal ``bytearray``.
+        Initial packet bytes (any bytes-like object). Copied, once, into
+        an internal ``bytearray``.
     ingress_port:
         Port the packet arrived on (simulation metadata, not wire bytes).
     arrival_time:
@@ -56,7 +65,7 @@ class Packet:
 
     def copy(self) -> "Packet":
         """Deep copy (new buffer, same metadata)."""
-        return Packet(bytes(self.buf), self.ingress_port, self.arrival_time)
+        return Packet(self.buf, self.ingress_port, self.arrival_time)
 
     # -- bounds-checked raw access -------------------------------------------
 
@@ -85,9 +94,7 @@ class Packet:
 
     def write_int(self, offset: int, length: int, value: int) -> None:
         """Write a big-endian unsigned integer of ``length`` bytes."""
-        if value < 0 or value >= (1 << (8 * length)):
-            raise FieldRangeError(
-                f"value {value:#x} does not fit in {length} bytes")
+        check_unsigned(value, length)
         self.write_bytes(offset, value.to_bytes(length, "big"))
 
     # -- growth ---------------------------------------------------------------
