@@ -357,35 +357,68 @@ class WriteSetDisjointnessPass(ConfigPass):
                             f"[{alloc.match_start}, {alloc.match_end})",
                             subject=f"vid {tenant.vid}", stage=stage)
 
-        for i, a in enumerate(ctx.tenants):
-            for b in ctx.tenants[i + 1:]:
-                if a.vid == b.vid:
-                    continue
-                yield from self._pairwise(a, b)
-
-    def _pairwise(self, a: TenantConfig,
-                  b: TenantConfig) -> Iterator[Finding]:
-        stages = sorted(set(a.allocation.stages) & set(b.allocation.stages))
-        for stage in stages:
+        tenants = ctx.tenants
+        overlaps: List[Tuple[int, int, int, int]] = []
+        for (stage, kind), ranges in _partition_ranges(tenants).items():
+            overlaps += [(i, j, stage, kind)
+                         for i, j in _overlapping_pairs(ranges)
+                         if tenants[i].vid != tenants[j].vid]
+        # The order of a walk over every pair of tenants, each pair's
+        # shared stages ascending, CAM rows before stateful words.
+        overlaps.sort()
+        for i, j, stage, kind in overlaps:
+            a, b = tenants[i], tenants[j]
             sa, sb = a.allocation.stages[stage], b.allocation.stages[stage]
-            if (sa.match_count and sb.match_count and _ranges_overlap(
-                    sa.match_start, sa.match_end,
-                    sb.match_start, sb.match_end)):
+            if kind == _MATCH:
                 yield self.finding(
                     "overlap-match", Severity.ERROR,
                     f"CAM rows of VID {a.vid} [{sa.match_start}, "
                     f"{sa.match_end}) overlap VID {b.vid} "
                     f"[{sb.match_start}, {sb.match_end})",
                     subject=f"vid {a.vid}/vid {b.vid}", stage=stage)
-            if (sa.stateful_words and sb.stateful_words and _ranges_overlap(
-                    sa.stateful_base, sa.stateful_end,
-                    sb.stateful_base, sb.stateful_end)):
+            else:
                 yield self.finding(
                     "overlap-stateful", Severity.ERROR,
                     f"stateful words of VID {a.vid} [{sa.stateful_base}, "
                     f"{sa.stateful_end}) overlap VID {b.vid} "
                     f"[{sb.stateful_base}, {sb.stateful_end})",
                     subject=f"vid {a.vid}/vid {b.vid}", stage=stage)
+
+
+#: The two partitioned spaces of a stage, in report order.
+_MATCH, _STATEFUL = 0, 1
+
+
+def _partition_ranges(tenants: Sequence[TenantConfig]
+                      ) -> Dict[Tuple[int, int], List[Tuple[int, int, int]]]:
+    """``(stage, space) -> [(start, end, tenant index)]`` for every
+    non-empty CAM-row or stateful-word partition, wherever it lies."""
+    ranges: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    for index, tenant in enumerate(tenants):
+        for stage, alloc in tenant.allocation.stages.items():
+            if alloc.match_count:
+                ranges.setdefault((stage, _MATCH), []).append(
+                    (alloc.match_start, alloc.match_end, index))
+            if alloc.stateful_words:
+                ranges.setdefault((stage, _STATEFUL), []).append(
+                    (alloc.stateful_base, alloc.stateful_end, index))
+    return ranges
+
+
+def _overlapping_pairs(ranges: List[Tuple[int, int, int]]
+                       ) -> Iterator[Tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, of the intersecting half-open
+    ranges: a sweep in start order that compares each range only with
+    the earlier ones still open at its start — O(n log n + overlaps)
+    instead of every pair."""
+    open_ranges: List[Tuple[int, int, int]] = []
+    for start, end, index in sorted(ranges):
+        # A range that ends by this start cannot meet it or any later one.
+        open_ranges = [r for r in open_ranges if r[1] > start]
+        for o_start, o_end, o_index in open_ranges:
+            if _ranges_overlap(o_start, o_end, start, end):
+                yield min(o_index, index), max(o_index, index)
+        open_ranges.append((start, end, index))
 
 
 class IdentityWritePass(ConfigPass):

@@ -45,6 +45,8 @@ from .lexer import Token, TokenKind, parse_number, tokenize
 
 _RELOPS = {"==", "!=", "<", ">", "<=", ">="}
 _ADDOPS = {"+", "-"}
+_IDENT, _KEYWORD, _NUMBER, _EOF = (TokenKind.IDENT, TokenKind.KEYWORD,
+                                   TokenKind.NUMBER, TokenKind.EOF)
 
 
 class Parser:
@@ -56,52 +58,52 @@ class Parser:
         self.source_name = source_name
 
     # -- token helpers ---------------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    #
+    # The helpers index the token list directly (``tokens[pos]``, and a
+    # token's ``[0]`` kind / ``[1]`` text): they run for every token of
+    # every analysed program. A literal they compare against is always
+    # a keyword or punctuation, whose text no IDENT, NUMBER or EOF token
+    # can carry, so comparing the text alone is the kind-and-text test.
 
     def _error(self, message: str) -> ParseError:
-        tok = self.current
+        tok = self.tokens[self.pos]
         shown = tok.value or "<eof>"
         return ParseError(f"{message}, found {shown!r}", tok.line, tok.column)
 
-    def advance(self) -> Token:
-        tok = self.current
-        if tok.kind != TokenKind.EOF:
-            self.pos += 1
-        return tok
-
-    def check(self, value: str) -> bool:
-        return self.current.value == value and self.current.kind in (
-            TokenKind.PUNCT, TokenKind.KEYWORD)
-
     def accept(self, value: str) -> bool:
-        if self.check(value):
-            self.advance()
+        if self.tokens[self.pos][1] == value:
+            self.pos += 1
             return True
         return False
 
     def expect(self, value: str) -> Token:
-        if not self.check(value):
+        tok = self.tokens[self.pos]
+        if tok[1] != value:
             raise self._error(f"expected {value!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_name(self) -> Token:
         """An identifier (keywords allowed as member names after dots)."""
-        if self.current.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok[0] is _IDENT or tok[0] is _KEYWORD:
+            self.pos += 1
+            return tok
         raise self._error("expected identifier")
 
     def expect_ident(self) -> Token:
-        if self.current.kind == TokenKind.IDENT:
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok[0] is _IDENT:
+            self.pos += 1
+            return tok
         raise self._error("expected identifier")
 
     def expect_number(self) -> int:
-        if self.current.kind != TokenKind.NUMBER:
+        tok = self.tokens[self.pos]
+        if tok[0] is not _NUMBER:
             raise self._error("expected number")
-        return parse_number(self.advance())
+        self.pos += 1
+        return parse_number(tok)
 
     # -- program ------------------------------------------------------------------
 
@@ -112,30 +114,31 @@ class Parser:
         parser_decl: Optional[ParserDecl] = None
         control_decl: Optional[ControlDecl] = None
 
-        while self.current.kind != TokenKind.EOF:
-            if self.check("header"):
+        while self.tokens[self.pos][0] is not _EOF:
+            word = self.tokens[self.pos][1]
+            if word == "header":
                 decl = self.parse_header()
                 if decl.name in headers:
                     raise ParseError(f"duplicate header {decl.name!r}",
                                      decl.line)
                 headers[decl.name] = decl
-            elif self.check("struct"):
+            elif word == "struct":
                 decl = self.parse_struct()
                 if decl.name in structs:
                     raise ParseError(f"duplicate struct {decl.name!r}",
                                      decl.line)
                 structs[decl.name] = decl
-            elif self.check("const"):
+            elif word == "const":
                 decl = self.parse_const()
                 if decl.name in consts:
                     raise ParseError(f"duplicate const {decl.name!r}",
                                      decl.line)
                 consts[decl.name] = decl
-            elif self.check("parser"):
+            elif word == "parser":
                 if parser_decl is not None:
                     raise self._error("multiple parser declarations")
                 parser_decl = self.parse_parser()
-            elif self.check("control"):
+            elif word == "control":
                 if control_decl is not None:
                     raise self._error("multiple control declarations")
                 control_decl = self.parse_control()
@@ -164,7 +167,7 @@ class Parser:
         self.expect("{")
         fields = []
         while not self.accept("}"):
-            fline = self.current.line
+            fline = self.tokens[self.pos].line
             width = self.parse_bit_width()
             fname = self.expect_ident().value
             self.expect(";")
@@ -177,7 +180,7 @@ class Parser:
         self.expect("{")
         members = []
         while not self.accept("}"):
-            mline = self.current.line
+            mline = self.tokens[self.pos].line
             type_name = self.expect_ident().value
             member_name = self.expect_ident().value
             self.expect(";")
@@ -199,11 +202,13 @@ class Parser:
         if self.accept(")"):
             return params
         while True:
-            pline = self.current.line
+            pline = self.tokens[self.pos].line
             direction = ""
-            if self.current.value in ("in", "out", "inout"):
-                direction = self.advance().value
-            if self.check("bit"):
+            tok = self.tokens[self.pos]
+            if tok[1] in ("in", "out", "inout"):
+                direction = tok[1]
+                self.pos += 1
+            if self.tokens[self.pos][1] == "bit":
                 width = self.parse_bit_width()
                 type_name = f"bit<{width}>"
             else:
@@ -233,7 +238,7 @@ class Parser:
         extracts = []
         transition = None
         while not self.accept("}"):
-            if self.check("transition"):
+            if self.tokens[self.pos][1] == "transition":
                 transition = self.parse_transition()
             else:
                 extracts.append(self.parse_extract())
@@ -242,7 +247,7 @@ class Parser:
         return ParserState(name, extracts, transition, line)
 
     def parse_extract(self) -> ExtractStmt:
-        line = self.current.line
+        line = self.tokens[self.pos].line
         ref = self.parse_field_ref()
         if len(ref.parts) < 2 or ref.parts[-1] != "extract":
             raise ParseError("expected packet.extract(...)", line)
@@ -261,7 +266,7 @@ class Parser:
             self.expect("{")
             cases = []
             while not self.accept("}"):
-                cline = self.current.line
+                cline = self.tokens[self.pos].line
                 if self.accept("default"):
                     value = None
                 else:
@@ -287,16 +292,17 @@ class Parser:
         tables: List[TableDecl] = []
         apply_body: Optional[List[ApplyStmt]] = None
         while not self.accept("}"):
-            if self.check("register"):
+            word = self.tokens[self.pos][1]
+            if word == "register":
                 registers.append(self.parse_register())
-            elif self.check("action"):
+            elif word == "action":
                 actions.append(self.parse_action())
-            elif self.check("table"):
+            elif word == "table":
                 tables.append(self.parse_table())
-            elif self.check("apply"):
+            elif word == "apply":
                 if apply_body is not None:
                     raise self._error("multiple apply blocks")
-                self.advance()
+                self.pos += 1
                 apply_body = self.parse_apply_block()
             else:
                 raise self._error(
@@ -329,7 +335,7 @@ class Parser:
         return ActionDecl(name, params, body, line)
 
     def parse_action_stmt(self) -> ActionStmt:
-        line = self.current.line
+        line = self.tokens[self.pos].line
         ref = self.parse_field_ref()
         if self.accept("("):
             args: List[Expr] = []
@@ -359,11 +365,12 @@ class Parser:
                 self.expect("=")
                 self.expect("{")
                 while not self.accept("}"):
-                    kline = self.current.line
+                    kline = self.tokens[self.pos].line
                     ref = self.parse_field_ref()
                     self.expect(":")
-                    if self.check("exact") or self.check("ternary"):
-                        kind = self.advance().value
+                    kind = self.tokens[self.pos][1]
+                    if kind == "exact" or kind == "ternary":
+                        self.pos += 1
                     else:
                         raise self._error("expected match kind exact/ternary")
                     self.expect(";")
@@ -397,7 +404,7 @@ class Parser:
         return body
 
     def parse_apply_stmt(self) -> ApplyStmt:
-        line = self.current.line
+        line = self.tokens[self.pos].line
         if self.accept("if"):
             self.expect("(")
             condition = self.parse_condition()
@@ -418,15 +425,15 @@ class Parser:
     # -- expressions --------------------------------------------------------------
 
     def parse_field_ref(self) -> FieldRef:
-        line = self.current.line
+        line = self.tokens[self.pos].line
         parts = [self.expect_name().value]
         while self.accept("."):
             parts.append(self.expect_name().value)
         return FieldRef(tuple(parts), line)
 
     def parse_primary(self) -> Expr:
-        line = self.current.line
-        if self.current.kind == TokenKind.NUMBER:
+        line = self.tokens[self.pos].line
+        if self.tokens[self.pos][0] is _NUMBER:
             return Const(self.expect_number(), line)
         if self.accept("true"):
             return Const(1, line)
@@ -436,21 +443,22 @@ class Parser:
 
     def parse_expr(self) -> Expr:
         """``primary (('+'|'-') primary)*`` — left-associative."""
-        line = self.current.line
+        line = self.tokens[self.pos].line
         expr = self.parse_primary()
-        while self.current.value in _ADDOPS and \
-                self.current.kind == TokenKind.PUNCT:
-            op = self.advance().value
+        while self.tokens[self.pos][1] in _ADDOPS:
+            op = self.tokens[self.pos][1]
+            self.pos += 1
             right = self.parse_primary()
             expr = BinOp(op, expr, right, line)
         return expr
 
     def parse_condition(self) -> BinOp:
-        line = self.current.line
+        line = self.tokens[self.pos].line
         left = self.parse_expr()
-        if self.current.value not in _RELOPS:
+        op = self.tokens[self.pos][1]
+        if op not in _RELOPS:
             raise self._error("expected comparison operator")
-        op = self.advance().value
+        self.pos += 1
         right = self.parse_expr()
         return BinOp(op, left, right, line)
 

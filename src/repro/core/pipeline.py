@@ -55,6 +55,11 @@ _OVERLAY_ROWS = frozenset({
     ResourceType.KEY_EXTRACTOR, ResourceType.KEY_MASK,
     ResourceType.SEGMENT, ResourceType.DEFAULT_VLIW,
 })
+#: Writes that can change which module ID a CAM row carries; every
+#: other write leaves its row's observers as they were.
+_MODULE_ID_WRITES = frozenset({
+    ResourceType.CAM, ResourceType.TCAM, ResourceType.CAM_INVALIDATE,
+})
 
 
 class MenshenPipeline:
@@ -231,18 +236,20 @@ class MenshenPipeline:
         """Run one reconfiguration packet down the daisy chain and bump
         the epochs of the tenants that can observe the write.
 
-        The addressed row is inspected on both sides of the write because
-        a CAM write can change whose module ID the row carries: the
-        previous holder loses an entry, the new one gains it. A lost
-        packet changes nothing, so it bumps nothing.
+        A CAM row is inspected on both sides of a write that can change
+        whose module ID it carries: the previous holder loses an entry,
+        the new one gains it. A lost packet changes nothing, so it bumps
+        nothing.
         """
         chain = self.daisy_chain
         payload = chain.accept(packet)
         if payload is None:
             return None
-        observers = self._observers(payload.resource, payload.index)
+        resource, index, _entry = payload
+        observers = self._observers(resource, index)
         chain.apply(payload)
-        observers |= self._observers(payload.resource, payload.index)
+        if resource.rtype in _MODULE_ID_WRITES:
+            observers |= self._observers(resource, index)
         self.stats.record_reconfig()
         self._bump(observers)
         return payload

@@ -23,10 +23,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple, Optional, Tuple
 
 from ..errors import FieldRangeError, ReconfigurationError
 from ..net.builder import COMMON_HEADER_LEN, PacketBuilder
-from ..net.checksum import internet_checksum, pseudo_header_ipv4
+from ..net.checksum import pseudo_header_ipv4
 from ..net.ipv4 import IPV4_HEADER_LEN, PROTO_UDP
 from ..net.packet import Packet
 from ..net.udp_ import MENSHEN_RECONFIG_DPORT, UDP_HEADER_LEN
@@ -38,6 +39,8 @@ from ..rmt.params import DEFAULT_PARAMS, HardwareParams
 _PAYLOAD_OFFSET = COMMON_HEADER_LEN
 _PADDING = bytes(15)
 _HEADER_LEN = 2 + 1 + len(_PADDING)  # resource-id word + index + padding
+#: The payload's resource-id word and index byte.
+_BODY_HEAD = struct.Struct(">HB")
 
 # Where the fields that vary per packet sit in the common header.
 _IP_OFFSET = _PAYLOAD_OFFSET - UDP_HEADER_LEN - IPV4_HEADER_LEN
@@ -48,34 +51,49 @@ _UDP_OFFSET = _PAYLOAD_OFFSET - UDP_HEADER_LEN
 _UDP_DPORT = _UDP_OFFSET + 2
 _UDP_LENGTH = _UDP_OFFSET + 4
 _UDP_CHECKSUM = _UDP_OFFSET + 6
-#: One big-endian 16-bit header word.
-_U16 = struct.Struct(">H")
 
 
 def _common_header() -> bytes:
     """Fig. 7's common header as every reconfiguration packet carries
-    it — fixed addresses and ports, VID 0, lengths for an empty payload
-    — with both checksum fields zeroed, ready to be summed over."""
+    it — fixed addresses and ports, VID 0 — with the four words that
+    depend on the payload (both lengths, both checksums) zeroed."""
     header = (PacketBuilder()
               .ethernet(src="02:00:00:00:00:10", dst="02:00:00:00:00:11")
               .vlan(vid=0)
               .ipv4(src="10.255.0.1", dst="10.255.0.2")
               .udp(sport=0xF1F1, dport=MENSHEN_RECONFIG_DPORT)
               .build())
-    header.write_int(_IP_CHECKSUM, 2, 0)
-    header.write_int(_UDP_CHECKSUM, 2, 0)
+    for offset in (_IP_TOTAL_LENGTH, _IP_CHECKSUM, _UDP_LENGTH,
+                   _UDP_CHECKSUM):
+        header.write_int(offset, 2, 0)
     return header.tobytes()
 
 
-#: Built once: :func:`build_reconfig_packet` copies it and patches the
-#: five fields that vary (VLAN VID, IPv4 total length and header
-#: checksum, UDP length and checksum).
 _COMMON_HEADER = _common_header()
-#: The UDP pseudo-header's addresses, as the template carries them.
-_IP_SRC = int.from_bytes(_COMMON_HEADER[_IP_OFFSET + 12:_IP_OFFSET + 16],
-                         "big")
-_IP_DST = int.from_bytes(_COMMON_HEADER[_IP_OFFSET + 16:_IP_OFFSET + 20],
-                         "big")
+#: :func:`build_reconfig_packet` packs the header in one call: the
+#: template's constant runs around the five words that vary (VLAN VID,
+#: IPv4 total length and checksum, UDP length and checksum).
+_FRAME = struct.Struct(
+    f">{_VLAN_TCI}sH{_IP_TOTAL_LENGTH - _VLAN_TCI - 2}sH"
+    f"{_IP_CHECKSUM - _IP_TOTAL_LENGTH - 2}sH"
+    f"{_UDP_LENGTH - _IP_CHECKSUM - 2}sHH")
+_ETHERNET = _COMMON_HEADER[:_VLAN_TCI]
+_VLAN_TO_IP_TOS = _COMMON_HEADER[_VLAN_TCI + 2:_IP_TOTAL_LENGTH]
+_IP_ID_TO_PROTO = _COMMON_HEADER[_IP_TOTAL_LENGTH + 2:_IP_CHECKSUM]
+_ADDRESSES_AND_PORTS = _COMMON_HEADER[_IP_CHECKSUM + 2:_UDP_LENGTH]
+#: RFC 1071 sums, as residues mod 0xFFFF, of the checksummed words that
+#: never vary: the IPv4 header, and the UDP pseudo-header plus header,
+#: each with its lengths and checksum zero. Every 16-bit word adds in
+#: alone because ``2**16 ≡ 1 (mod 0xFFFF)``.
+_IP_FIXED_SUM = int.from_bytes(
+    _COMMON_HEADER[_IP_OFFSET:_UDP_OFFSET], "big") % 0xFFFF
+_UDP_FIXED_SUM = int.from_bytes(
+    pseudo_header_ipv4(
+        int.from_bytes(_COMMON_HEADER[_IP_OFFSET + 12:_IP_OFFSET + 16],
+                       "big"),
+        int.from_bytes(_COMMON_HEADER[_IP_OFFSET + 16:_UDP_OFFSET], "big"),
+        PROTO_UDP, 0)
+    + _COMMON_HEADER[_UDP_OFFSET:_PAYLOAD_OFFSET], "big") % 0xFFFF
 
 
 class ResourceType(IntEnum):
@@ -101,25 +119,14 @@ def entry_payload_bytes(rtype: ResourceType,
 
 
 @dataclass(frozen=True)
-class ConfigWrite:
-    """One configuration write: a row value bound to a resource + index.
-
-    The typed form of what used to travel as ``(resource, index, entry)``
-    tuples between the controller and the interface; iterable so that
-    existing tuple-unpacking call sites keep working.
-    """
-
-    resource: "ResourceId"
-    index: int
-    entry: int
-
-    def __iter__(self):
-        return iter((self.resource, self.index, self.entry))
-
-
-@dataclass(frozen=True)
 class ResourceId:
-    """Decoded 12-bit resource ID: resource type + stage number."""
+    """Decoded 12-bit resource ID: resource type + stage number.
+
+    Immutable, so every valid ID exists once, built at import in a
+    table indexed by its 12-bit code: :meth:`decode` and :meth:`of`
+    hand out those shared instances rather than building one per
+    configuration word. Constructing one directly gives an equal value.
+    """
 
     rtype: ResourceType
     stage: int = 0
@@ -136,21 +143,51 @@ class ResourceId:
         if not 0 <= value < (1 << 12):
             raise ReconfigurationError(
                 f"resource id {value:#x} exceeds 12 bits")
-        try:
-            rtype = ResourceType(value >> 8)
-        except ValueError as exc:
+        resource = _RESOURCE_IDS[value]
+        if resource is None:
             raise ReconfigurationError(
-                f"unknown resource type {value >> 8}") from exc
-        return cls(rtype=rtype, stage=value & 0xFF)
+                f"unknown resource type {value >> 8}")
+        return resource
+
+    @staticmethod
+    def of(rtype: ResourceType, stage: int = 0) -> "ResourceId":
+        """The shared ID of ``rtype`` in ``stage``; the call sites'
+        cheap equivalent of ``ResourceId(rtype, stage)``."""
+        if not 0 <= stage < 256:
+            raise ReconfigurationError(f"stage {stage} exceeds 8 bits")
+        return ResourceId.decode(rtype << 8 | stage)
 
 
-@dataclass(frozen=True)
-class ReconfigPayload:
-    """Decoded reconfiguration request."""
+def _resource_ids() -> Tuple[Optional[ResourceId], ...]:
+    codes = set(ResourceType)
+    return tuple(ResourceId(ResourceType(code >> 8), code & 0xFF)
+                 if code >> 8 in codes else None
+                 for code in range(1 << 12))
+
+
+#: Every valid :class:`ResourceId`, indexed by its 12-bit code; ``None``
+#: where the 4-bit type code names no resource type. Built at import
+#: because the ``mutable-global`` lint refuses a module table filled at
+#: run time.
+_RESOURCE_IDS = _resource_ids()
+
+
+class ConfigWrite(NamedTuple):
+    """One configuration write: a row value bound to a resource + index.
+
+    What the controller sends and what a reconfiguration packet decodes
+    back into (:data:`ReconfigPayload`). A plain tuple, so building one
+    per word is cheap and ``(resource, index, entry)`` unpacking works.
+    """
 
     resource: ResourceId
     index: int
     entry: int  #: the configuration word (width per resource type)
+
+
+#: The decoded form of a reconfiguration packet: the write it carries,
+#: so ``parse_reconfig_packet(build_reconfig_packet(*w)) == w``.
+ReconfigPayload = ConfigWrite
 
 
 def build_reconfig_packet(resource: ResourceId, index: int, entry: int,
@@ -159,7 +196,7 @@ def build_reconfig_packet(resource: ResourceId, index: int, entry: int,
     """Serialize a configuration write into a reconfiguration packet."""
     if not 0 <= index < 256:
         raise ReconfigurationError(f"index {index} exceeds 1 byte")
-    nbytes = entry_payload_bytes(resource.rtype, params)
+    nbytes = params.reconfig_entry_bytes[resource.rtype]
     if entry < 0 or (nbytes and entry >= (1 << (8 * nbytes))):
         raise ReconfigurationError(
             f"entry {entry:#x} does not fit {nbytes} payload bytes for "
@@ -170,23 +207,23 @@ def build_reconfig_packet(resource: ResourceId, index: int, entry: int,
     if not 0 <= vid <= MAX_VID:
         raise FieldRangeError(f"VID out of range: {vid}")
 
-    body = ((resource.encode() << 4).to_bytes(2, "big")  # 12b id | 4b rsvd
-            + bytes((index,)) + _PADDING + entry.to_bytes(nbytes, "big"))
-    packet = Packet(_COMMON_HEADER + body)
-    # The header template fixes every offset below, and the checks above
-    # bound every value: 16-bit words patched straight into the buffer.
-    buf = packet.buf
+    body = (_BODY_HEAD.pack(resource.encode() << 4, index)  # 12b id | rsvd
+            + _PADDING + entry.to_bytes(nbytes, "big"))
     udp_length = UDP_HEADER_LEN + len(body)
-    _U16.pack_into(buf, _VLAN_TCI, vid)
-    _U16.pack_into(buf, _IP_TOTAL_LENGTH, IPV4_HEADER_LEN + udp_length)
-    _U16.pack_into(buf, _UDP_LENGTH, udp_length)
-    # RFC 768: a computed UDP checksum of 0 is transmitted as 0xFFFF.
-    _U16.pack_into(buf, _UDP_CHECKSUM, internet_checksum(
-        pseudo_header_ipv4(_IP_SRC, _IP_DST, PROTO_UDP, udp_length)
-        + buf[_UDP_OFFSET:]) or 0xFFFF)
-    _U16.pack_into(buf, _IP_CHECKSUM, internet_checksum(
-        buf[_IP_OFFSET:_IP_OFFSET + IPV4_HEADER_LEN]))
-    return packet
+    ip_length = IPV4_HEADER_LEN + udp_length
+    # Both checksums as residues (RFC 1071): the template's fixed words
+    # plus the varying ones, an odd-length body padded with a zero byte.
+    # Each sum is nonzero (the addresses are), so a residue of 0 folds
+    # to 0xFFFF, one's-complement negative zero.
+    ip_sum = _IP_FIXED_SUM + ip_length
+    udp_sum = (_UDP_FIXED_SUM + 2 * udp_length
+               + (int.from_bytes(body, "big") << 8 * (len(body) & 1)))
+    return Packet(_FRAME.pack(
+        _ETHERNET, vid, _VLAN_TO_IP_TOS, ip_length, _IP_ID_TO_PROTO,
+        0xFFFF - (ip_sum % 0xFFFF or 0xFFFF), _ADDRESSES_AND_PORTS,
+        udp_length,
+        # RFC 768: a computed UDP checksum of 0 is transmitted as 0xFFFF.
+        0xFFFF - (udp_sum % 0xFFFF or 0xFFFF) or 0xFFFF) + body)
 
 
 def parse_reconfig_packet(packet: Packet,
@@ -205,7 +242,7 @@ def parse_reconfig_packet(packet: Packet,
     word = buf[_PAYLOAD_OFFSET] << 8 | buf[_PAYLOAD_OFFSET + 1]
     resource = ResourceId.decode(word >> 4)
     index = buf[_PAYLOAD_OFFSET + 2]
-    nbytes = entry_payload_bytes(resource.rtype, params)
+    nbytes = params.reconfig_entry_bytes[resource.rtype]
     entry = 0
     if nbytes:
         start = _PAYLOAD_OFFSET + _HEADER_LEN
@@ -213,4 +250,4 @@ def parse_reconfig_packet(packet: Packet,
             raise ReconfigurationError(
                 f"payload truncated: need {nbytes} entry bytes")
         entry = int.from_bytes(buf[start:start + nbytes], "big")
-    return ReconfigPayload(resource=resource, index=index, entry=entry)
+    return ConfigWrite(resource, index, entry)

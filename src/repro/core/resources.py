@@ -36,6 +36,11 @@ class StageAllocation:
         return self.stateful_base + self.stateful_words
 
 
+#: The empty slice a module holds in a stage it was not granted
+#: (immutable, so one instance serves every lookup).
+_NO_STAGE = StageAllocation()
+
+
 @dataclass
 class ModuleAllocation:
     """A module's complete allocation across the pipeline.
@@ -48,7 +53,8 @@ class ModuleAllocation:
     stages: Dict[int, StageAllocation] = field(default_factory=dict)
 
     def stage(self, index: int) -> StageAllocation:
-        return self.stages.get(index, StageAllocation())
+        alloc = self.stages.get(index)
+        return _NO_STAGE if alloc is None else alloc
 
     def total_match_entries(self) -> int:
         return sum(s.match_count for s in self.stages.values())

@@ -364,16 +364,18 @@ class MenshenController:
             [a.encode() for a in compiled.parse_actions])
         deparser_entry = encode_parser_entry(
             [a.encode() for a in compiled.deparse_actions])
-        writes.append(ConfigWrite(ResourceId(ResourceType.PARSER_TABLE, 0),
-                                  module_id, parser_entry))
-        writes.append(ConfigWrite(ResourceId(ResourceType.DEPARSER_TABLE, 0),
-                                  module_id, deparser_entry))
+        writes.append(ConfigWrite(
+            ResourceId.of(ResourceType.PARSER_TABLE, 0), module_id,
+            parser_entry))
+        writes.append(ConfigWrite(
+            ResourceId.of(ResourceType.DEPARSER_TABLE, 0), module_id,
+            deparser_entry))
         for table in compiled.tables.values():
             writes.append(ConfigWrite(
-                ResourceId(ResourceType.KEY_EXTRACTOR, table.stage),
+                ResourceId.of(ResourceType.KEY_EXTRACTOR, table.stage),
                 module_id, table.key_entry.encode()))
             writes.append(ConfigWrite(
-                ResourceId(ResourceType.KEY_MASK, table.stage),
+                ResourceId.of(ResourceType.KEY_MASK, table.stage),
                 module_id, table.key_mask))
             if table.default_action is not None:
                 if not self.pipeline.enable_default_actions:
@@ -384,21 +386,21 @@ class MenshenController:
                 vliw = table.actions[table.default_action].make_vliw(
                     {}, register_bases or {})
                 writes.append(ConfigWrite(
-                    ResourceId(ResourceType.DEFAULT_VLIW, table.stage),
+                    ResourceId.of(ResourceType.DEFAULT_VLIW, table.stage),
                     module_id, vliw.encode()))
         for stage, alloc in allocation.stages.items():
             if alloc.stateful_words:
                 writes.append(ConfigWrite(
-                    ResourceId(ResourceType.SEGMENT, stage), module_id,
+                    ResourceId.of(ResourceType.SEGMENT, stage), module_id,
                     encode_segment_entry(alloc.stateful_base,
                                          alloc.stateful_words)))
             # Zero the partition so nothing leaks from a prior tenant.
             for addr in range(alloc.stateful_base, alloc.stateful_end):
                 writes.append(ConfigWrite(
-                    ResourceId(ResourceType.STATEFUL_WORD, stage), addr, 0))
+                    ResourceId.of(ResourceType.STATEFUL_WORD, stage), addr, 0))
             for row in range(alloc.match_start, alloc.match_end):
                 writes.append(ConfigWrite(
-                    ResourceId(ResourceType.CAM_INVALIDATE, stage), row, 0))
+                    ResourceId.of(ResourceType.CAM_INVALIDATE, stage), row, 0))
         return writes
 
     def _install(self, module_id: int, name: str,
@@ -453,22 +455,22 @@ class MenshenController:
         module_id = loaded.module_id
         with self.interface.update_window(module_id):
             self.interface.write_config_reliable(
-                ResourceId(ResourceType.PARSER_TABLE, 0), module_id, 0)
+                ResourceId.of(ResourceType.PARSER_TABLE, 0), module_id, 0)
             self.interface.write_config_reliable(
-                ResourceId(ResourceType.DEPARSER_TABLE, 0), module_id, 0)
+                ResourceId.of(ResourceType.DEPARSER_TABLE, 0), module_id, 0)
             for stage, alloc in loaded.allocation.stages.items():
                 self.interface.write_config_reliable(
-                    ResourceId(ResourceType.KEY_EXTRACTOR, stage),
+                    ResourceId.of(ResourceType.KEY_EXTRACTOR, stage),
                     module_id, 0)
                 self.interface.write_config_reliable(
-                    ResourceId(ResourceType.KEY_MASK, stage), module_id, 0)
+                    ResourceId.of(ResourceType.KEY_MASK, stage), module_id, 0)
                 if self.pipeline.enable_default_actions:
                     self.interface.write_config_reliable(
-                        ResourceId(ResourceType.DEFAULT_VLIW, stage),
+                        ResourceId.of(ResourceType.DEFAULT_VLIW, stage),
                         module_id, 0)
                 if alloc.stateful_words:
                     self.interface.write_config_reliable(
-                        ResourceId(ResourceType.SEGMENT, stage),
+                        ResourceId.of(ResourceType.SEGMENT, stage),
                         module_id, 0)
                 for addr in range(alloc.stateful_base, alloc.stateful_end):
                     self.interface.write_stateful(stage, addr, 0)

@@ -156,26 +156,26 @@ class SoftwareHardwareInterface:
                         vliw_word: int) -> None:
         """Install one match-action entry: a CAM word and its VLIW word."""
         self.stats.modeled_time_s += T_SW_PER_ENTRY
-        self.write_config_reliable(ResourceId(ResourceType.CAM, stage),
+        self.write_config_reliable(ResourceId.of(ResourceType.CAM, stage),
                                    cam_index, cam_word)
-        self.write_config_reliable(ResourceId(ResourceType.VLIW, stage),
+        self.write_config_reliable(ResourceId.of(ResourceType.VLIW, stage),
                                    cam_index, vliw_word)
 
     def add_ternary_entry(self, stage: int, index: int,
                           tcam_word: int, vliw_word: int) -> None:
         """Install one ternary entry (Appendix B) and its VLIW word."""
         self.stats.modeled_time_s += T_SW_PER_ENTRY
-        self.write_config_reliable(ResourceId(ResourceType.TCAM, stage),
+        self.write_config_reliable(ResourceId.of(ResourceType.TCAM, stage),
                                    index, tcam_word)
-        self.write_config_reliable(ResourceId(ResourceType.VLIW, stage),
+        self.write_config_reliable(ResourceId.of(ResourceType.VLIW, stage),
                                    index, vliw_word)
 
     def delete_match_entry(self, stage: int, cam_index: int) -> None:
         self.stats.modeled_time_s += T_SW_PER_ENTRY
         self.write_config_reliable(
-            ResourceId(ResourceType.CAM_INVALIDATE, stage), cam_index, 0)
+            ResourceId.of(ResourceType.CAM_INVALIDATE, stage), cam_index, 0)
 
     def write_stateful(self, stage: int, phys_addr: int, value: int) -> None:
         """Initialize one stateful word through the daisy chain."""
         self.write_config_reliable(
-            ResourceId(ResourceType.STATEFUL_WORD, stage), phys_addr, value)
+            ResourceId.of(ResourceType.STATEFUL_WORD, stage), phys_addr, value)

@@ -5,6 +5,7 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     AnalysisReport,
@@ -25,6 +26,7 @@ from repro.analysis import (
 from repro.api import Switch
 from repro.compiler import compile_module
 from repro.core import MenshenPipeline
+from repro.core.intervals import overlap
 from repro.core.resources import ModuleAllocation, StageAllocation
 from repro.errors import (
     AdmissionError,
@@ -209,6 +211,61 @@ class TestWriteSetDisjointness:
         a = _tenant(1, _alloc(1, 1, match=(0, 4)))
         b = _tenant(1, _alloc(1, 1, match=(0, 4)))
         assert self._run([a, b]) == []
+
+    @given(st.lists(st.tuples(
+        st.integers(1, 4),
+        st.dictionaries(
+            st.integers(0, DEFAULT_PARAMS.num_stages),
+            st.tuples(st.integers(0, 12), st.integers(0, 6),
+                      st.integers(0, 12), st.integers(0, 6)),
+            max_size=3)), max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_overlaps_match_the_all_pairs_reference(self, specs):
+        # Small ranges, few stages (one past the last, so bounds
+        # findings mix in) and repeated VIDs, so overlaps are common.
+        tenants = [_tenant(vid, ModuleAllocation(vid, {
+            stage: StageAllocation(match_start=m0, match_count=mn,
+                                   stateful_base=s0, stateful_words=sn)
+            for stage, (m0, mn, s0, sn) in stages.items()}))
+            for vid, stages in specs]
+        findings = self._run(tenants)
+        others = [f for f in findings if not f.code.startswith("overlap-")]
+        assert findings == others + list(_reference_pairwise(tenants))
+
+
+def _reference_pairwise(tenants):
+    """The all-pairs walk the disjointness pass's sweep replaced, kept as
+    its reference: every pair of distinct VIDs, each pair's shared
+    stages ascending, CAM rows before stateful words."""
+    make = WriteSetDisjointnessPass().finding
+    for i, a in enumerate(tenants):
+        for b in tenants[i + 1:]:
+            if a.vid == b.vid:
+                continue
+            stages = sorted(set(a.allocation.stages)
+                            & set(b.allocation.stages))
+            for stage in stages:
+                sa = a.allocation.stages[stage]
+                sb = b.allocation.stages[stage]
+                if (sa.match_count and sb.match_count and overlap(
+                        sa.match_start, sa.match_end,
+                        sb.match_start, sb.match_end)):
+                    yield make(
+                        "overlap-match", Severity.ERROR,
+                        f"CAM rows of VID {a.vid} [{sa.match_start}, "
+                        f"{sa.match_end}) overlap VID {b.vid} "
+                        f"[{sb.match_start}, {sb.match_end})",
+                        subject=f"vid {a.vid}/vid {b.vid}", stage=stage)
+                if (sa.stateful_words and sb.stateful_words and overlap(
+                        sa.stateful_base, sa.stateful_end,
+                        sb.stateful_base, sb.stateful_end)):
+                    yield make(
+                        "overlap-stateful", Severity.ERROR,
+                        f"stateful words of VID {a.vid} "
+                        f"[{sa.stateful_base}, {sa.stateful_end}) overlap "
+                        f"VID {b.vid} [{sb.stateful_base}, "
+                        f"{sb.stateful_end})",
+                        subject=f"vid {a.vid}/vid {b.vid}", stage=stage)
 
 
 class TestIdentityWrite:

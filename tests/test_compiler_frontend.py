@@ -68,6 +68,9 @@ class TestLexer:
         assert parse_number(tokenize("0x2A")[0]) == 42
         assert parse_number(tokenize("8w42")[0]) == 42
         assert parse_number(tokenize("16w0xF1F2")[0]) == 0xF1F2
+        assert parse_number(tokenize("4w0x3")[0]) == 3
+        assert parse_number(tokenize("8w255")[0]) == 255
+        assert parse_number(tokenize("1w0")[0]) == 0
 
     def test_block_comment(self):
         tokens = tokenize("a /* multi\nline */ b")
@@ -86,6 +89,44 @@ class TestLexer:
         punct = [t.value for t in tokens if t.kind == TokenKind.PUNCT]
         assert punct == ["==", "!=", ">="]
 
+    def test_non_ascii_digits_in_a_width_are_refused(self):
+        header = "header h_t { bit<\u0661\u0666> f; }"   # Arabic-Indic 16
+        source = minimal_module(SIMPLE_CONTROL, extra_headers=header)
+        with pytest.raises(LexerError, match="unexpected character") as exc:
+            parse_source(source)
+        assert (exc.value.line, exc.value.column) == \
+            _line_and_column(source, source.index("\u0661"))
+
+    def test_a_non_ascii_digit_is_not_a_number(self):
+        with pytest.raises(LexerError, match="unexpected character") as exc:
+            tokenize("size = \u0663;")
+        assert (exc.value.line, exc.value.column) == (1, 8)
+
+    def test_non_ascii_letters_in_a_field_name_are_refused(self):
+        header = "header h_t {\n  bit<8> caf\u00e9; }"
+        source = minimal_module(SIMPLE_CONTROL, extra_headers=header)
+        with pytest.raises(LexerError, match="unexpected character") as exc:
+            parse_source(source)
+        assert (exc.value.line, exc.value.column) == \
+            _line_and_column(source, source.index("\u00e9"))
+
+    @pytest.mark.parametrize("literal, message", [
+        ("0w4", "zero-width"), ("2w4", "does not fit in 2 bits"),
+        ("8w256", "does not fit in 8 bits"), ("4w0x10", "does not fit"),
+        ("0x8w4", "bad number literal"),
+    ])
+    def test_width_prefixed_literal_must_fit_its_width(self, literal,
+                                                       message):
+        token = tokenize(f"\n  {literal}")[0]
+        with pytest.raises(LexerError, match=message) as exc:
+            parse_number(token)
+        assert (exc.value.line, exc.value.column) == (2, 3)
+
+    def test_a_table_size_wider_than_its_literal_is_refused(self):
+        control = SIMPLE_CONTROL.replace("size = 4;", "size = 2w4;")
+        with pytest.raises(LexerError, match="does not fit in 2 bits"):
+            parse_source(minimal_module(control))
+
     def test_line_numbers(self):
         tokens = tokenize("a\nb\n  c")
         assert tokens[0].line == 1
@@ -94,10 +135,20 @@ class TestLexer:
         assert tokens[2].column == 3
 
 
+def _line_and_column(source, index):
+    """1-based line and column of ``source[index]``."""
+    line_start = source.rfind("\n", 0, index) + 1
+    return source.count("\n", 0, index) + 1, index - line_start + 1
+
+
+def _ascii_word_char(ch):
+    return ch.isascii() and (ch.isalnum() or ch == "_")
+
+
 def _reference_tokenize(source):
     """The character-at-a-time tokenizer the master regex replaced,
     kept as the golden reference: ``(kind, value, line, column)`` per
-    token."""
+    token. Identifiers and numbers are ASCII, as in P4-16."""
     tokens = []
     i, line, col, n = 0, 1, 1, len(source)
 
@@ -122,9 +173,9 @@ def _reference_tokenize(source):
             if end == -1:
                 raise LexerError("unterminated block comment", line, col)
             advance(end + 2 - i)
-        elif ch.isdigit() or ch.isalpha() or ch == "_":
+        elif _ascii_word_char(ch):
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and _ascii_word_char(source[j]):
                 j += 1
             text = source[i:j]
             kind = (TokenKind.NUMBER if ch.isdigit() else
