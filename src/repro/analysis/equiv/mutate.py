@@ -58,8 +58,7 @@ def _clone_stage(sp: _StagePlan) -> _StagePlan:
 def clone_classifier(clf: CompiledClassifier) -> CompiledClassifier:
     """A deep-enough copy: stage plans are cloned, leaves shared (they
     are immutable tuples — mutators replace, never modify in place)."""
-    dup = CompiledClassifier(clf.vid, clf.epoch, clf._params, clf.ok,
-                             clf.reason)
+    dup = CompiledClassifier(clf.vid, clf.epoch, clf.ok, clf.reason)
     dup.max_end = clf.max_end
     dup._parse = clf._parse
     dup._deparse = clf._deparse

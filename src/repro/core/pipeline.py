@@ -34,6 +34,7 @@ from ..net.packet import Packet
 from ..rmt.deparser import Deparser
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
 from ..rmt.parser import ProgrammableParser, decode_parse_program
+from ..rmt.phv import check_phv_geometry
 from ..rmt.pipeline import PipelineResult
 from ..rmt.stage import Stage
 from .daisy_chain import DaisyChain
@@ -76,6 +77,7 @@ class MenshenPipeline:
             raise ConfigError(
                 f"max_modules {params.max_modules} exceeds the "
                 f"{BITMAP_BITS}-bit update bitmap")
+        check_phv_geometry(params)
         self.params = params
         self.match_mode = match_mode
         self.enable_default_actions = enable_default_actions

@@ -484,7 +484,7 @@ class BatchEngine:
                 counters.cache_hits += 1
                 ctx.counters.cache_hits += 1
                 _epoch, snap, writes, dropped = entry
-                phv = PHV.from_snapshot(snap, pipeline.params)
+                phv = PHV.from_snapshot(snap)
                 phv.metadata.buf[1] = 1 << slot  # buffer_tag
                 if dropped:
                     return None, phv, True

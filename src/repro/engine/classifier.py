@@ -233,16 +233,14 @@ class CompiledClassifier:
     """
 
     __slots__ = ("vid", "epoch", "ok", "reason", "max_end", "_parse",
-                 "_deparse", "_stages", "_params")
+                 "_deparse", "_stages")
 
-    def __init__(self, vid: int, epoch: int, params, ok: bool,
-                 reason: str = ""):
+    def __init__(self, vid: int, epoch: int, ok: bool, reason: str = ""):
         self.vid = vid
         self.epoch = epoch
         self.ok = ok
         self.reason = reason
         self.max_end = 0
-        self._params = params
         self._parse: Tuple[Tuple[int, int, int], ...] = ()
         self._deparse: Tuple[Tuple[int, int, int, int], ...] = ()
         self._stages: Tuple[_StagePlan, ...] = ()
@@ -369,7 +367,7 @@ class CompiledClassifier:
                 for slot, value in pending:
                     vals[slot] = value
 
-        phv = PHV.from_container_values(vals, self._params)
+        phv = PHV.from_container_values(vals)
         meta = phv.metadata.buf
         if discard:
             meta[0] = 1  # FLAG_DISCARD
@@ -416,18 +414,15 @@ def compile_classifier(pipeline: MenshenPipeline,
     try:
         return _compile(pipeline, vid, epoch)
     except _Uncompilable as exc:
-        return CompiledClassifier(vid, epoch, pipeline.params, ok=False,
-                                  reason=str(exc))
+        return CompiledClassifier(vid, epoch, ok=False, reason=str(exc))
     except Exception as exc:  # decode faults the scalar path replays
-        return CompiledClassifier(
-            vid, epoch, pipeline.params, ok=False,
-            reason=f"{type(exc).__name__}: {exc}")
+        return CompiledClassifier(vid, epoch, ok=False,
+                                  reason=f"{type(exc).__name__}: {exc}")
 
 
 def _compile(pipeline: MenshenPipeline, vid: int,
              epoch: int) -> CompiledClassifier:
-    params = pipeline.params
-    clf = CompiledClassifier(vid, epoch, params, ok=True)
+    clf = CompiledClassifier(vid, epoch, ok=True)
 
     parse_plan = []
     max_end = 0

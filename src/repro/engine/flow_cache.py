@@ -17,8 +17,8 @@ Eviction is LRU with a fixed capacity, so one heavy tenant's flow churn
 cannot grow the cache without bound.
 
 Each record (:data:`FlowEntry`) is one plain tuple of atomic values —
-ints, ``bytes``, a bool and the int tuples of a
-:meth:`~repro.rmt.phv.PHV.snapshot` — not an object graph. A
+ints, ``bytes``, a bool and a :meth:`~repro.rmt.phv.PHV.snapshot`,
+which is one int tuple and ``bytes`` — not an object graph. A
 collection stops tracking an exact tuple whose items are all untracked,
 so a record leaves the collector's lists for good within three
 collections (one per nesting level), and a full cache adds nothing to
@@ -41,11 +41,12 @@ FlowKey = Tuple
 #: One memoized flow result, ``(epoch, phv, writes, dropped)``. A plain
 #: tuple of atomic values, so the garbage collector never walks it (see
 #: the module docstring). ``phv`` is the final PHV's
-#: :meth:`~repro.rmt.phv.PHV.snapshot`; a hit rebuilds a fresh PHV from
-#: it and overwrites the per-packet buffer tag, so the snapshot's own
-#: tag never leaks. ``writes`` replays the deparser: ``(offset, data)``
-#: pairs applied to a copy of the input packet reproduce the merged
-#: output byte-for-byte.
+#: :meth:`~repro.rmt.phv.PHV.snapshot`: its 24 containers as one int
+#: tuple in flat order, then its metadata bytes. A hit rebuilds a fresh
+#: PHV, one list of its own, from it and overwrites the per-packet
+#: buffer tag, so the snapshot's own tag never leaks. ``writes``
+#: replays the deparser: ``(offset, data)`` pairs applied to a copy of
+#: the input packet reproduce the merged output byte-for-byte.
 FlowEntry = Tuple[int, PhvSnapshot, Tuple[Tuple[int, bytes], ...], bool]
 
 

@@ -23,12 +23,11 @@ from .encodings import NUM_ALUS
 from .phv import _CONTAINER_MASKS, PHV, ContainerRef, ContainerType, Metadata
 from .stateful import StatefulMemory
 
-#: Where each ALU slot's result lands, by flat index: ``(type code,
-#: index, width mask)`` of its own container. Slot 24 is the metadata
-#: container, which no container-writing op may target.
-_SLOT_TARGETS = tuple(
-    (int(ref.ctype), ref.index, _CONTAINER_MASKS[ref.ctype])
-    for ref in (ContainerRef.from_flat(slot) for slot in range(NUM_ALUS)))
+#: Width mask of each ALU slot's own container. One ALU per container
+#: (§4.1), so a slot's result lands at ``PHV.data[slot]``. Slot 24 is
+#: the metadata container, which no container-writing op may target.
+_SLOT_MASKS = tuple(_CONTAINER_MASKS[ContainerRef.from_flat(slot).ctype]
+                    for slot in range(NUM_ALUS))
 _META_SLOT = 24
 _META = ContainerType.META
 
@@ -100,42 +99,43 @@ class ActionEngine:
         elif ref.ctype is _META:
             a = old.get(ref)  # raises
         else:
-            a = data[ref.ctype][ref.index]
+            a = data[ref.flat_index]
         ref = action.c2
         if ref is None:
             b = 0
         elif ref.ctype is _META:
             b = old.get(ref)  # raises
         else:
-            b = data[ref.ctype][ref.index]
+            b = data[ref.flat_index]
         imm = action.immediate
 
         if slot == _META_SLOT and op.writes_container:
             raise ConfigError(
                 f"{op.name} on the metadata ALU slot is not supported")
-        ctype, index, mask = _SLOT_TARGETS[slot]
+        mask = _SLOT_MASKS[slot]
+        out = new.data
 
         if op is _ADD:
-            new.data[ctype][index] = (a + b) & mask
+            out[slot] = (a + b) & mask
         elif op is _SUB:
-            new.data[ctype][index] = (a - b) & mask
+            out[slot] = (a - b) & mask
         elif op is _ADDI:
-            new.data[ctype][index] = (a + imm) & mask
+            out[slot] = (a + imm) & mask
         elif op is _SUBI:
-            new.data[ctype][index] = (a - imm) & mask
+            out[slot] = (a - imm) & mask
         elif op is _SET:
-            new.data[ctype][index] = imm & mask
+            out[slot] = imm & mask
         elif op is _LOAD:
             value = self._require_stateful(op).read(module_id, a + imm)
-            new.data[ctype][index] = value & mask
+            out[slot] = value & mask
         elif op is _STORE:
-            own_value = data[ctype][index] if slot != _META_SLOT else 0
+            own_value = data[slot] if slot != _META_SLOT else 0
             self._require_stateful(op).write(module_id, a + imm, own_value)
         elif op is _LOADD:
             value = self._require_stateful(op).load_add_store(
                 module_id, a + imm)
             if slot != _META_SLOT:
-                new.data[ctype][index] = value & mask
+                out[slot] = value & mask
         elif op is _PORT:
             port = (a + imm) & 0xFFFF
             meta = new.metadata.buf

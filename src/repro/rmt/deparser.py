@@ -71,6 +71,5 @@ class Deparser:
                 raise PacketError(
                     f"deparse action writes [{start}:{end}) "
                     f"past the {window}-byte window")
-            buf[start:end] = data[ctype][container.index].to_bytes(
-                size, "big")
+            buf[start:end] = data[container.flat_index].to_bytes(size, "big")
         return packet

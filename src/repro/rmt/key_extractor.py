@@ -161,18 +161,17 @@ class KeyExtractor:
         :meth:`~repro.rmt.phv.PHV.get`, so it is a ``ConfigError`` under
         every opcode."""
         entry = self.extract_table.read_decoded(module_id)
-        data = phv.data
-        b2, b4, b6 = data
-        key = (b6[entry.idx_6b_1] << 145 | b6[entry.idx_6b_2] << 97
-               | b4[entry.idx_4b_1] << 65 | b4[entry.idx_4b_2] << 33
-               | b2[entry.idx_2b_1] << 17 | b2[entry.idx_2b_2] << 1)
+        data = phv.data  # flat order: B6 from 16, B4 from 8, B2 from 0
+        key = (data[16 + entry.idx_6b_1] << 145
+               | data[16 + entry.idx_6b_2] << 97
+               | data[8 + entry.idx_4b_1] << 65
+               | data[8 + entry.idx_4b_2] << 33
+               | data[entry.idx_2b_1] << 17 | data[entry.idx_2b_2] << 1)
         a, b = entry.cmp_a, entry.cmp_b
         if isinstance(a, ContainerRef):
-            a = (phv.get(a) if a.ctype is _META
-                 else data[a.ctype][a.index])
+            a = phv.get(a) if a.ctype is _META else data[a.flat_index]
         if isinstance(b, ContainerRef):
-            b = (phv.get(b) if b.ctype is _META
-                 else data[b.ctype][b.index])
+            b = phv.get(b) if b.ctype is _META else data[b.flat_index]
         if _CMP_EVALUATORS[entry.cmp_op](a, b):
             key |= 1
         masks = self.mask_table

@@ -121,7 +121,7 @@ class ProgrammableParser:
         the bytes are sliced straight out of ``packet.buf`` into
         ``phv.data``: exactly the container's width, never wider.
         """
-        phv = PHV(self.params)  # zeroed per packet
+        phv = PHV()  # zeroed per packet
         buf, data = packet.buf, phv.data
         window = min(len(buf), self.params.parse_window_bytes)
         for action in self.read_program(module_id):
@@ -135,8 +135,7 @@ class ProgrammableParser:
                 raise PacketError(
                     f"parse action reads [{start}:{end}) "
                     f"past the {window}-byte parse window")
-            data[ctype][container.index] = int.from_bytes(
-                buf[start:end], "big")
+            data[container.flat_index] = int.from_bytes(buf[start:end], "big")
 
         # Pipeline-generated metadata, written as bytes (src_port at 4-5,
         # pkt_len at 6-7, module_id at 18-19). The setters run only to

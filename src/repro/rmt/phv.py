@@ -15,7 +15,7 @@ from enum import IntEnum
 from typing import Dict, List, Tuple
 
 from ..errors import ConfigError, FieldRangeError
-from .params import DEFAULT_PARAMS, HardwareParams
+from .params import HardwareParams
 
 
 class ContainerType(IntEnum):
@@ -38,19 +38,38 @@ _META = ContainerType.META
 _NOT_WRITABLE = ("metadata container is not directly writable; "
                  "use .metadata fields")
 
-#: :meth:`PHV.snapshot`'s value: the B2, B4 and B6 containers, then the
-#: metadata bytes.
-PhvSnapshot = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], bytes]
+#: The PHV geometry a 5-bit ALU operand (2-bit type, 3-bit index) and
+#: :attr:`PHV.data` address, by :class:`HardwareParams` field.
+_ADDRESSABLE = (("containers_per_type", 8), ("container_sizes", (2, 4, 6)),
+                ("metadata_bytes", 32))
+
+
+def check_phv_geometry(params: HardwareParams) -> None:
+    """Raise :class:`~repro.errors.ConfigError` naming the first PHV
+    geometry field a pipeline cannot address. :class:`HardwareParams`
+    alone may vary them, for area models and width tables."""
+    for name, addressable in _ADDRESSABLE:
+        if getattr(params, name) != addressable:
+            raise ConfigError(
+                f"{name} {getattr(params, name)!r} is not addressable: "
+                f"5-bit ALU operands need {name} {addressable!r}")
+
+
+#: :meth:`PHV.snapshot`'s value: the 24 data containers in flat order,
+#: then the metadata bytes.
+PhvSnapshot = Tuple[Tuple[int, ...], bytes]
 
 
 class ContainerRef:
     """A (type, index) reference to one PHV container.
 
     Encodes to the 5-bit operand format used by ALU actions:
-    ``type(2b) | index(3b)``.
+    ``type(2b) | index(3b)``. ``flat_index`` is the global ALU/container
+    index 0..24 (2B: 0-7, 4B: 8-15, 6B: 16-23, metadata: 24), the
+    position of a data container in :attr:`PHV.data`.
     """
 
-    __slots__ = ("ctype", "index")
+    __slots__ = ("ctype", "index", "flat_index")
 
     def __init__(self, ctype: ContainerType, index: int):
         ctype = ContainerType(ctype)
@@ -60,6 +79,7 @@ class ContainerRef:
                 f"container index {index} out of range for {ctype.name}")
         self.ctype = ctype
         self.index = index
+        self.flat_index = int(ctype) * 8 + index
 
     def encode5(self) -> int:
         """5-bit encoding: type in bits 4:3, index in bits 2:0."""
@@ -74,14 +94,6 @@ class ContainerRef:
     @property
     def size_bytes(self) -> int:
         return self.ctype.size_bytes
-
-    @property
-    def flat_index(self) -> int:
-        """Global ALU/container index 0..24 (2B: 0-7, 4B: 8-15, 6B: 16-23,
-        metadata: 24)."""
-        if self.ctype == ContainerType.META:
-            return 24
-        return int(self.ctype) * 8 + self.index
 
     @classmethod
     def from_flat(cls, flat: int) -> "ContainerRef":
@@ -247,28 +259,25 @@ class PHV:
     width. A fresh PHV is all-zero (the hardware zeroes the PHV per
     packet to prevent cross-module leaks).
 
-    ``data`` holds the data containers as three lists indexed by type
-    code, ``data[ctype][index]`` (B2, B4, B6). It is the one raw view the
-    parser, deparser and key extractor use; whoever writes through it
-    keeps each value inside its container's width, as :meth:`set`,
-    :meth:`set_wrapping` and :meth:`set_bytes` do.
+    ``data`` holds the data containers as one list of 24 ints in the
+    §4.1 flat ALU order, ``data[ref.flat_index]`` (B2 0-7, B4 8-15, B6
+    16-23). It is the one raw view the parser, deparser, key extractor
+    and action engine use; whoever writes through it keeps each value
+    inside its container's width, as :meth:`set`, :meth:`set_wrapping`
+    and :meth:`set_bytes` do.
     """
 
-    def __init__(self, params: HardwareParams = DEFAULT_PARAMS):
-        self.params = params
-        n = params.containers_per_type
-        self.data: List[List[int]] = [[0] * n, [0] * n, [0] * n]
+    def __init__(self) -> None:
+        self.data: List[int] = [0] * 24
         self.metadata = Metadata()
 
     @classmethod
-    def from_container_values(cls, vals: List[int],
-                              params: HardwareParams = DEFAULT_PARAMS) -> "PHV":
-        """Build a PHV from 24 flat container values (B2: 0-7, B4: 8-15,
-        B6: 16-23), with zeroed metadata. The caller guarantees each
-        value fits its container width."""
+    def from_container_values(cls, vals: List[int]) -> "PHV":
+        """Build a PHV on 24 flat container values, with zeroed
+        metadata. The PHV takes ``vals`` as its own ``data``: the caller
+        hands over a fresh list whose values each fit their container."""
         phv = cls.__new__(cls)  # every field is set below
-        phv.params = params
-        phv.data = [list(vals[0:8]), list(vals[8:16]), list(vals[16:24])]
+        phv.data = vals
         phv.metadata = Metadata()
         return phv
 
@@ -278,7 +287,7 @@ class PHV:
         if ref.ctype is _META:
             raise ConfigError("metadata container is not directly readable; "
                               "use .metadata fields")
-        return self.data[ref.ctype][ref.index]
+        return self.data[ref.flat_index]
 
     def set(self, ref: ContainerRef, value: int) -> None:
         if ref.ctype is _META:
@@ -288,14 +297,14 @@ class PHV:
             raise FieldRangeError(
                 f"value {value:#x} does not fit {ref.size_bytes}-byte "
                 f"container {ref!r}")
-        self.data[ref.ctype][ref.index] = value
+        self.data[ref.flat_index] = value
 
     def set_wrapping(self, ref: ContainerRef, value: int) -> None:
         """Set a container, truncating to its width (ALU wraparound)."""
         ctype = ref.ctype
         if ctype is _META:
             raise ConfigError(_NOT_WRITABLE)
-        self.data[ctype][ref.index] = value & _CONTAINER_MASKS[ctype]
+        self.data[ref.flat_index] = value & _CONTAINER_MASKS[ctype]
 
     def get_bytes(self, ref: ContainerRef) -> bytes:
         return self.get(ref).to_bytes(ref.size_bytes, "big")
@@ -306,52 +315,43 @@ class PHV:
         if len(data) != ref.size_bytes:
             raise FieldRangeError(
                 f"{ref!r} needs {ref.size_bytes} bytes, got {len(data)}")
-        self.data[ref.ctype][ref.index] = int.from_bytes(data, "big")
+        self.data[ref.flat_index] = int.from_bytes(data, "big")
 
     def is_zero(self) -> bool:
         """True if every data container and metadata byte is zero."""
-        data_zero = all(v == 0 for vals in self.data for v in vals)
-        return data_zero and all(b == 0 for b in self.metadata.buf)
+        return not any(self.data) and not any(self.metadata.buf)
 
     def copy(self) -> "PHV":
         dup = PHV.__new__(PHV)  # no zeroed containers to discard
-        dup.params = self.params
-        b2, b4, b6 = self.data
-        dup.data = [b2[:], b4[:], b6[:]]
+        dup.data = self.data[:]
         dup.metadata = self.metadata.copy()
         return dup
 
     def snapshot(self) -> PhvSnapshot:
         """Every container and metadata byte as one immutable value,
-        ``(b2, b4, b6, metadata)``: three int tuples and ``bytes``.
+        ``(data, metadata)``: one int tuple and ``bytes``.
 
         It holds atomic values only, so the garbage collector untracks
         it, and a store of many snapshots costs later collections
         nothing.
         """
-        b2, b4, b6 = self.data
-        return (tuple(b2), tuple(b4), tuple(b6), bytes(self.metadata.buf))
+        return (tuple(self.data), bytes(self.metadata.buf))
 
     @classmethod
-    def from_snapshot(cls, snap: PhvSnapshot,
-                      params: HardwareParams = DEFAULT_PARAMS) -> "PHV":
+    def from_snapshot(cls, snap: PhvSnapshot) -> "PHV":
         """A fresh, independently mutable PHV equal to the one
         :meth:`snapshot` was taken of."""
-        b2, b4, b6, meta = snap
+        data, meta = snap
         phv = cls.__new__(cls)  # every field is set below
-        phv.params = params
-        phv.data = [list(b2), list(b4), list(b6)]
+        phv.data = list(data)
         metadata = phv.metadata = Metadata.__new__(Metadata)
         metadata.buf = bytearray(meta)
         return phv
 
     def containers(self) -> List[Tuple[ContainerRef, int]]:
         """All (ref, value) pairs of the 24 data containers."""
-        out = []
-        for ctype in (ContainerType.B2, ContainerType.B4, ContainerType.B6):
-            for index, value in enumerate(self.data[ctype]):
-                out.append((ContainerRef(ctype, index), value))
-        return out
+        return [(ContainerRef.from_flat(flat), value)
+                for flat, value in enumerate(self.data)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PHV):

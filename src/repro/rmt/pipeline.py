@@ -20,7 +20,7 @@ from .config_table import ConfigTable
 from .deparser import Deparser
 from .params import DEFAULT_PARAMS, HardwareParams
 from .parser import ProgrammableParser, decode_parse_program
-from .phv import PHV
+from .phv import PHV, check_phv_geometry
 from .stage import Stage
 from .traffic_manager import TrafficManager
 
@@ -55,6 +55,7 @@ class RmtPipeline:
 
     def __init__(self, params: HardwareParams = DEFAULT_PARAMS,
                  num_ports: int = 8):
+        check_phv_geometry(params)
         self.params = params
         depth = 1  # single program — no per-module overlay storage
         self.parser_table = ConfigTable("parser", params.parser_entry_bits,

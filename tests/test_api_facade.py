@@ -28,6 +28,7 @@ from repro.api import (
 from repro.core import MenshenPipeline, PacketFilter
 from repro.errors import AdmissionError, ConfigError, RuntimeInterfaceError
 from repro.modules import calc, firewall, netcache, netchain, qos
+from repro.rmt import RmtPipeline
 from repro.rmt.params import DEFAULT_PARAMS
 from repro.runtime import MenshenController, SoftwareHardwareInterface
 from repro.runtime.interface import T_SW_PER_ENTRY
@@ -83,6 +84,24 @@ class TestBuilder:
             Switch.build().params(params).create()
         with pytest.raises(ConfigError, match="bitmap"):
             MenshenPipeline(params=params)
+
+    @pytest.mark.parametrize("field, value", [
+        ("containers_per_type", 16),  # engine and oracle PHVs disagreed
+        ("containers_per_type", 4),   # died on a VLIW payload width
+        ("container_sizes", (2, 4, 8)),
+        ("metadata_bytes", 64),
+    ])
+    def test_unaddressable_phv_geometry_refused(self, field, value):
+        """§4.1: ALU operands are 5-bit (3 types x 8 containers), so a
+        pipeline refuses any other PHV geometry, naming the field; the
+        parameters alone stay free to vary for area and width models."""
+        params = replace(DEFAULT_PARAMS, **{field: value})
+        assert params.vliw_entry_bits > 0
+        for build in (lambda: Switch.build().params(params).create(),
+                      lambda: MenshenPipeline(params=params),
+                      lambda: RmtPipeline(params=params)):
+            with pytest.raises(ConfigError, match=field):
+                build()
 
     def test_every_construction_knob_is_pinned(self):
         """The construction surface is exactly the sizes a non-test

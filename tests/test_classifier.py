@@ -393,7 +393,7 @@ class TestFlowCacheRecords:
 
         learned = engine.process(packets[0].copy())
         assert not learned.cache_hit
-        learned.phv.data[0][:] = [0xFFFF] * len(learned.phv.data[0])
+        learned.phv.data[0:8] = [0xFFFF] * 8  # every B2 container
         learned.phv.metadata.buf[:] = b"\xff" * len(learned.phv.metadata.buf)
         (record,) = engine.shard(3)._entries.values()
         assert record[1] == twins[0].phv.snapshot()
@@ -401,13 +401,36 @@ class TestFlowCacheRecords:
         first = engine.process(packets[1].copy())
         assert first.cache_hit
         _assert_same_result(first, twins[1])
-        first.phv.data[1][0] ^= 0xFFFF
+        first.phv.data[8] ^= 0xFFFF  # B4 container 0
         first.phv.metadata.buf[2] ^= 0xFF
         first.packet.buf[:] = bytes(len(first.packet.buf))
 
         second = engine.process(packets[2].copy())
         assert second.cache_hit
         _assert_same_result(second, twins[2])
+
+    def test_each_level_returns_a_phv_owning_one_flat_list(self):
+        """The scalar walk, the compiled level and a cache hit each
+        return a PHV whose containers are one list of 24 ints, its only
+        list, and no two results share it."""
+        scalar, _ = _firewall_switch()
+        _switch, engine = _firewall_switch()
+        spec = workload("firewall")
+        walked = scalar.process(spec.flow_packet(3, 1))
+        compiled = engine.process(spec.flow_packet(3, 1))
+        hit = engine.process(spec.flow_packet(3, 1))
+        other = engine.process(spec.flow_packet(3, 2))
+        assert hit.cache_hit and engine.counters.compiled_hits == 2
+
+        results = (walked, compiled, hit, other)
+        for result in results:
+            phv = result.phv
+            lists = [v for v in vars(phv).values() if isinstance(v, list)]
+            assert lists == [phv.data] and type(phv.data) is list
+            assert len(phv.data) == 24
+            assert all(type(value) is int for value in phv.data)
+        assert len({id(result.phv.data) for result in results}) == 4
+        assert walked.phv.data == compiled.phv.data == hit.phv.data
 
     def test_a_full_shard_adds_nothing_to_a_collection(self):
         """4 096 cached flows leave no object for the garbage collector

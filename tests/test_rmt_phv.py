@@ -3,6 +3,7 @@
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, FieldRangeError
 from repro.rmt import PHV, ContainerRef, ContainerType, Metadata
@@ -166,7 +167,7 @@ class TestPHV:
         rebuilt.metadata.dst_port = 6
         assert PHV.from_snapshot(snap) == phv
         # A collection untracks a tuple whose items are all untracked:
-        # the inner tuples in one, the snapshot by the next.
+        # the inner int tuple in one, the snapshot by the next.
         gc.collect()
         gc.collect()
         assert not gc.is_tracked(snap)
@@ -182,6 +183,80 @@ class TestPHV:
         assert a == b
         a.set(ContainerRef(ContainerType.B2, 0), 1)
         assert a != b
+
+
+_DATA_REFS = [ContainerRef.from_flat(flat) for flat in range(24)]
+_META_REF = ContainerRef(ContainerType.META, 0)
+
+
+def _fitting(ref):
+    return st.integers(0, (1 << (8 * ref.size_bytes)) - 1)
+
+
+@st.composite
+def _phvs(draw):
+    """A PHV with random container values and metadata bytes."""
+    phv = PHV.from_container_values([draw(_fitting(r)) for r in _DATA_REFS])
+    phv.metadata.buf[:] = draw(st.binary(min_size=32, max_size=32))
+    return phv
+
+
+class TestFlatLayout:
+    """``PHV.data`` is one list of 24 ints in §4.1 flat ALU order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(phv=_phvs(), ref=st.sampled_from(_DATA_REFS), data=st.data())
+    def test_every_accessor_addresses_the_flat_index(self, phv, ref, data):
+        value = data.draw(_fitting(ref))
+        width = 8 * ref.size_bytes
+        before = phv.data[:]
+        want = before[:]
+        want[ref.flat_index] = value
+        assert phv.get(ref) == before[ref.flat_index]
+        assert phv.get_bytes(ref) == before[ref.flat_index].to_bytes(
+            ref.size_bytes, "big")
+        writers = (
+            lambda p: p.set(ref, value),
+            lambda p: p.set_wrapping(ref, value + (data.draw(
+                st.integers(-3, 3)) << width)),
+            lambda p: p.set_bytes(ref, value.to_bytes(ref.size_bytes, "big")),
+        )
+        for write in writers:
+            dup = phv.copy()
+            write(dup)
+            assert dup.data == want
+            assert dup.metadata.buf == phv.metadata.buf
+        assert phv.data == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(phv=_phvs())
+    def test_copy_and_snapshot_round_trip_and_share_nothing(self, phv):
+        snap = phv.snapshot()
+        assert snap == (tuple(phv.data), bytes(phv.metadata.buf))
+        dups = [phv.copy(), PHV.from_snapshot(snap), PHV.from_snapshot(snap)]
+        for dup in dups:
+            assert dup == phv and dup.snapshot() == snap
+            assert type(dup.data) is list and len(dup.data) == 24
+        owners = [phv, *dups]
+        assert len({id(p.data) for p in owners}) == len(owners)
+        assert len({id(p.metadata.buf) for p in owners}) == len(owners)
+        for dup in dups:
+            dup.data[:] = [0] * 24
+            dup.metadata.buf[0] ^= 0xFF
+        assert phv.snapshot() == snap
+
+    @settings(max_examples=50, deadline=None)
+    @given(phv=_phvs(), value=st.integers(0, 255))
+    def test_metadata_container_refuses_direct_access(self, phv, value):
+        snap = phv.snapshot()
+        for access in (lambda: phv.get(_META_REF),
+                       lambda: phv.get_bytes(_META_REF),
+                       lambda: phv.set(_META_REF, value),
+                       lambda: phv.set_wrapping(_META_REF, value),
+                       lambda: phv.set_bytes(_META_REF, bytes(32))):
+            with pytest.raises(ConfigError):
+                access()
+        assert phv.snapshot() == snap
 
 
 class TestParamsGeometry:
