@@ -37,11 +37,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..core.packet_filter import BITMAP_BITS
 from ..core.pipeline import SYSTEM_MODULE_ID, MenshenPipeline
+from ..core.stats import TenantRecord, TenantSnapshot, merge_counters
 from ..analysis.findings import AnalysisReport
 from ..analysis.verify import analyze_switch
 from ..compiler import SourceOrIR
 from ..engine.batch import BatchEngine
-from ..engine.scheduler import EgressScheduler, SchedulerTenantCounters
+from ..engine.scheduler import EgressScheduler
 from ..errors import (
     AdmissionError,
     RuntimeInterfaceError,
@@ -79,6 +80,17 @@ class TenantCounters:
     bytes_out: int
     egress_bytes_tx: int = 0
     egress_queue_depth: int = 0
+
+    @classmethod
+    def of(cls, records: Iterable[Optional[TenantRecord]]
+           ) -> "TenantCounters":
+        """The sum of one tenant's records, one per switch (``None``:
+        no record there)."""
+        total = TenantRecord()
+        for record in filter(None, records):
+            merge_counters(total, record)
+        return cls(total.packets_in, total.packets_out, total.packets_dropped,
+                   total.bytes_out, total.transmitted_bytes, total.queue_depth)
 
 
 class SwitchBuilder:
@@ -439,14 +451,10 @@ class Tenant:
 
     def counters(self) -> TenantCounters:
         """This tenant's slice of the pipeline statistics."""
-        stats = self._switch.pipeline.stats
-        return TenantCounters(
-            packets_in=stats.per_module_in[self._vid],
-            packets_out=stats.per_module_out[self._vid],
-            packets_dropped=stats.per_module_dropped[self._vid],
-            bytes_out=stats.per_module_bytes_out[self._vid],
-            egress_bytes_tx=stats.egress_bytes_tx.get(self._vid, 0),
-            egress_queue_depth=stats.egress_queue_depth.get(self._vid, 0))
+        return TenantCounters.of([self._record()])
+
+    def _record(self) -> Optional[TenantRecord]:
+        return self._switch.pipeline.stats.tenants.get(self._vid)
 
     # -- egress scheduling ---------------------------------------------------------
 
@@ -482,9 +490,11 @@ class Tenant:
         self._switch.egress_scheduler.clear_rate_limit(self._vid)
         return self
 
-    def scheduler_counters(self) -> SchedulerTenantCounters:
-        """This tenant's egress-scheduler counters."""
-        return self._switch.egress_scheduler.tenant(self._vid)
+    def scheduler_counters(self) -> TenantSnapshot:
+        """A frozen copy of this tenant's record, whose ``enqueued`` /
+        ``transmitted`` / ``transmitted_bytes`` / ``dropped`` /
+        ``throttled_waits`` are the egress scheduler's counts."""
+        return (self._record() or TenantRecord()).snapshot()
 
     def stats(self) -> Dict[str, object]:
         """Placement + usage + traffic in one structured report."""
@@ -508,7 +518,7 @@ class Tenant:
             "weight": scheduler.weight_of(self._vid),
             "rate_limit_bytes_per_s": scheduler.rate_limit_of(self._vid),
             "queue_depth": scheduler.queue_depth(self._vid),
-            "scheduler": scheduler.tenant(self._vid),
+            "scheduler": self.scheduler_counters(),
         }
         return report
 

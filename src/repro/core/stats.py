@@ -1,4 +1,4 @@
-"""Pipeline statistics: per-module counters and system-level telemetry.
+"""Pipeline statistics: one counter record per tenant, totals summed.
 
 The system-level module (§3.3) exposes "common and useful real-time
 statistics (e.g., link utilization, queue length)" to tenant modules;
@@ -6,74 +6,77 @@ this class is where those numbers live in the simulation. The static
 checker forbids modules from *writing* them (§3.4) — in the model they
 are simply not reachable from the data path.
 
-``PipelineStats`` is a dataclass on purpose: every aggregation over
-it — fabric-wide sums (:meth:`merge_from`, behind
-:meth:`repro.fabric.topology.Fabric.stats`) and deltas since a
-snapshot (:meth:`delta_since`; ``perf/workloads.py`` accounts each
-benchmark pass with :class:`~repro.engine.batch.EngineCounters`' use
-of the same helper) — is **introspected from the dataclass fields**
-by the generic helpers below, so adding a counter can never silently
-drop it from a merge. A field whose type the helpers cannot merge
-raises ``TypeError`` at merge time instead of being skipped
-(``tests/test_stats_and_tm.py::TestCounterAlgebra`` locks this in).
+A switch keeps every per-packet count in one slotted
+:class:`TenantRecord` per tenant, and each layer writes its own fields
+once per packet: the pipeline, the batched engine and the egress
+scheduler. Every total — switch-wide, ``per_module_*``, the egress
+gauges, the scheduler's and the engine's — is a sum over the records,
+worked out when read. :meth:`PipelineStats.retire` ends an evicted
+tenant's record into ``retired``: totals never go down, and the VID's
+next tenant starts from zero.
+
+Sums (:meth:`PipelineStats.merge_from`) and deltas since a snapshot
+(:meth:`PipelineStats.delta_since`, and ``perf/workloads.py``'s use of
+:class:`~repro.engine.batch.EngineCounters`' twin) are **introspected
+from the dataclass fields**: a new counter can never be dropped from
+one silently, and a field the helpers cannot merge raises
+``TypeError`` (``tests/test_stats_and_tm.py::TestCounterAlgebra``).
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
-
-
-def _int_dict() -> Dict:
-    return defaultdict(int)
+from typing import Dict
 
 
 # -- generic, introspected counter algebra -----------------------------------
 #
 # Shared by ``PipelineStats`` and ``repro.engine.batch.EngineCounters``:
-# any counter dataclass whose fields are numbers, dicts of numbers, or
-# dicts of further counter dataclasses can be merged (add) and diffed
-# (delta since a snapshot) without enumerating a single field by hand.
+# fields are numbers, nested counter dataclasses, or dicts of numbers or
+# of counter dataclasses — nothing is enumerated by hand.
 
 
-def _unmergeable(obj, name: str) -> TypeError:
-    return TypeError(
-        f"counter field {type(obj).__name__}.{name} holds "
-        f"{type(getattr(obj, name)).__name__}, which the introspected "
-        f"counter algebra cannot merge — extend repro.core.stats or "
-        f"use a number / dict-of-numbers / dict-of-counter-dataclass")
+def _number(obj, name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(
+            f"counter field {type(obj).__name__}.{name} holds "
+            f"{type(getattr(obj, name)).__name__}, which the introspected "
+            f"counter algebra cannot merge — extend repro.core.stats or "
+            f"use a number / dict-of-numbers / dict-of-counter-dataclass")
+    return value
+
+
+def _fold(dst, src, sign: int, grow: bool) -> None:
+    """``dst += sign * src``, field by introspected field; dict keys
+    missing from ``dst`` are created at zero when ``grow``, else
+    skipped. Unknown field types raise — never skip."""
+    for f in dataclasses.fields(src):
+        value = getattr(src, f.name)
+        if dataclasses.is_dataclass(value):
+            _fold(getattr(dst, f.name), value, sign, grow)
+        elif isinstance(value, dict):
+            mine = getattr(dst, f.name)
+            for key, item in value.items():
+                if key not in mine:
+                    if not grow:
+                        continue
+                    mine[key] = type(item)()
+                if dataclasses.is_dataclass(item):
+                    _fold(mine[key], item, sign, grow)
+                else:
+                    mine[key] += sign * _number(src, f.name, item)
+        else:
+            setattr(dst, f.name, getattr(dst, f.name)
+                    + sign * _number(src, f.name, value))
 
 
 def merge_counters(dst, src) -> None:
-    """Add ``src``'s counters into ``dst``, field by introspected field.
-
-    Numbers add; dict values add per key (nested counter dataclasses
-    recurse, created on first sight). Unknown field types raise —
-    never skip — so a newly added counter cannot be dropped silently.
-    """
-    for f in dataclasses.fields(src):
-        value = getattr(src, f.name)
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float, dict)):
-            raise _unmergeable(src, f.name)
-        if isinstance(value, dict):
-            mine = getattr(dst, f.name)
-            for key, item in value.items():
-                if dataclasses.is_dataclass(item):
-                    into = mine.get(key)
-                    if into is None:
-                        into = mine[key] = type(item)()
-                    merge_counters(into, item)
-                elif isinstance(item, bool) or not isinstance(
-                        item, (int, float)):
-                    raise _unmergeable(src, f.name)
-                else:
-                    mine[key] = mine.get(key, 0) + item
-        else:
-            setattr(dst, f.name, getattr(dst, f.name) + value)
+    """Add ``src``'s counters into ``dst`` (dict keys created on first
+    sight)."""
+    _fold(dst, src, 1, grow=True)
 
 
 def diff_counters(current, baseline):
@@ -81,103 +84,129 @@ def diff_counters(current, baseline):
 
     What one interval added to a live counter object: snapshot it,
     run, diff (``perf/workloads.py`` accounts each benchmark pass's
-    engine counters this way). Keys present in ``current`` stay
+    engine counters this way). Exactly the keys of ``current`` are
     present (even at delta 0), so :func:`merge_counters` of the deltas
-    rebuilds exactly the key set of the live object.
+    rebuilds the key set of the live object.
     """
-    out = type(current)()
-    for f in dataclasses.fields(current):
-        value = getattr(current, f.name)
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float, dict)):
-            raise _unmergeable(current, f.name)
-        if isinstance(value, dict):
-            base = getattr(baseline, f.name)
-            mine = getattr(out, f.name)
-            for key, item in value.items():
-                if dataclasses.is_dataclass(item):
-                    mine[key] = diff_counters(
-                        item, base.get(key, type(item)()))
-                elif isinstance(item, bool) or not isinstance(
-                        item, (int, float)):
-                    raise _unmergeable(current, f.name)
-                else:
-                    mine[key] = item - base.get(key, 0)
-        else:
-            setattr(out, f.name, value - getattr(baseline, f.name))
+    out = copy.deepcopy(current)
+    _fold(out, baseline, -1, grow=False)
     return out
+
+
+@dataclass(slots=True)
+class TenantRecord:
+    """Every per-packet count one switch keeps for one tenant. A record
+    is always truthy: ``tenants.get(vid) or stats.tenant(vid)`` is the
+    hot paths' get-or-create."""
+
+    # written by the pipeline
+    packets_in: int = 0
+    packets_out: int = 0
+    packets_dropped: int = 0
+    bytes_out: int = 0
+    # by the engine: the hot-path level that served each packet
+    cache_hits: int = 0
+    compiled_hits: int = 0
+    cache_misses: int = 0
+    uncacheable: int = 0
+    compile_rebuilds: int = 0
+    # by the egress scheduler; ``dropped``: refused by its queues,
+    # ``queue_depth``: the live §3.3 queue-length gauge
+    enqueued: int = 0
+    transmitted: int = 0
+    transmitted_bytes: int = 0
+    dropped: int = 0
+    throttled_waits: int = 0
+    queue_depth: int = 0
+
+    def snapshot(self) -> "TenantSnapshot":
+        """A frozen copy: what a reader outside the data path gets."""
+        return TenantSnapshot(*dataclasses.astuple(self))
+
+
+#: A frozen copy of a :class:`TenantRecord`, field for field: assigning
+#: to one raises, so a reader can never write the books.
+TenantSnapshot = namedtuple(
+    "TenantSnapshot", [f.name for f in dataclasses.fields(TenantRecord)])
 
 
 @dataclass
 class PipelineStats:
-    """Counters for a Menshen pipeline."""
+    """Counters for a Menshen pipeline: a record per tenant, plus the
+    switch-wide events no tenant owns."""
 
-    packets_in: int = 0
-    packets_out: int = 0
-    packets_dropped: int = 0
     reconfig_packets: int = 0
-    per_module_in: Dict[int, int] = field(default_factory=_int_dict)
-    per_module_out: Dict[int, int] = field(default_factory=_int_dict)
-    per_module_dropped: Dict[int, int] = field(default_factory=_int_dict)
-    per_module_bytes_out: Dict[int, int] = field(default_factory=_int_dict)
-    drop_reasons: Dict[str, int] = field(default_factory=_int_dict)
-    #: Egress-scheduler telemetry (fed by
-    #: :class:`repro.engine.scheduler.EgressScheduler` when one is
-    #: installed): per-tenant bytes actually transmitted on the
-    #: output links, and a live queue-depth gauge — the §3.3
-    #: "queue length" statistic, now per tenant.
-    egress_bytes_tx: Dict[int, int] = field(default_factory=_int_dict)
-    egress_queue_depth: Dict[int, int] = field(default_factory=_int_dict)
+    drop_reasons: Dict[str, int] = field(
+        default_factory=lambda: defaultdict(int))
+    #: vid -> that tenant's record (created by its first count).
+    tenants: Dict[int, TenantRecord] = field(default_factory=dict)
+    #: The sum of every record :meth:`retire` ended.
+    retired: TenantRecord = field(default_factory=TenantRecord)
+
+    # sums over the records, worked out when read
+    packets_in = property(lambda self: self.total("packets_in"))
+    packets_out = property(lambda self: self.total("packets_out"))
+    packets_dropped = property(lambda self: self.total("packets_dropped"))
+    per_module_in = property(lambda self: self.per_tenant("packets_in"))
+    per_module_out = property(lambda self: self.per_tenant("packets_out"))
+    per_module_dropped = property(
+        lambda self: self.per_tenant("packets_dropped"))
+    per_module_bytes_out = property(
+        lambda self: self.per_tenant("bytes_out"))
+    egress_bytes_tx = property(
+        lambda self: self.per_tenant("transmitted_bytes"))
+    egress_queue_depth = property(lambda self: self.per_tenant("queue_depth"))
+
+    def tenant(self, vid: int) -> TenantRecord:
+        """One tenant's record (created at zero on first use)."""
+        record = self.tenants.get(vid)
+        if record is None:
+            record = self.tenants[vid] = TenantRecord()
+        return record
+
+    def retire(self, vid: int) -> None:
+        """End one tenant's record: its counts move into ``retired``
+        (totals keep them) and the VID's next record starts from 0."""
+        record = self.tenants.pop(vid, None)
+        if record is not None:
+            merge_counters(self.retired, record)
+
+    def total(self, name: str) -> int:
+        """One record field summed over every tenant, retired ones too."""
+        total = getattr(self.retired, name)
+        for record in self.tenants.values():
+            total += getattr(record, name)
+        return total
+
+    def per_tenant(self, name: str) -> Dict[int, int]:
+        """vid -> one record field, for every live record (a fresh
+        dict; a missing VID reads 0)."""
+        return defaultdict(int, {vid: getattr(record, name)
+                                 for vid, record in self.tenants.items()})
 
     def record_in(self, module_id: int) -> None:
-        self.packets_in += 1
-        self.per_module_in[module_id] += 1
+        record = self.tenants.get(module_id) or self.tenant(module_id)
+        record.packets_in += 1
 
     def record_out(self, module_id: int, nbytes: int) -> None:
-        self.packets_out += 1
-        self.per_module_out[module_id] += 1
-        self.per_module_bytes_out[module_id] += nbytes
+        record = self.tenants.get(module_id) or self.tenant(module_id)
+        record.packets_out += 1
+        record.bytes_out += nbytes
 
     def record_drop(self, module_id: int, reason: str) -> None:
-        self.packets_dropped += 1
-        self.per_module_dropped[module_id] += 1
+        self.tenant(module_id).packets_dropped += 1
         self.drop_reasons[reason] += 1
 
     def record_reconfig(self) -> None:
         self.reconfig_packets += 1
 
-    def record_egress_tx(self, module_id: int, nbytes: int) -> None:
-        """One packet of ``module_id`` left an output link."""
-        self.egress_bytes_tx[module_id] += nbytes
-
-    def set_egress_depth(self, module_id: int, depth: int) -> None:
-        """Update the per-tenant egress queue-depth gauge."""
-        self.egress_queue_depth[module_id] = depth
-
-    def link_utilization(self, module_id: int, elapsed_s: float,
-                         link_bps: float) -> float:
-        """Fraction of ``link_bps`` used by the module's output bytes."""
-        if elapsed_s <= 0 or link_bps <= 0:
-            return 0.0
-        return (self.per_module_bytes_out[module_id] * 8
-                / elapsed_s / link_bps)
-
     def summary(self) -> Dict[str, int]:
-        return {
-            "packets_in": self.packets_in,
-            "packets_out": self.packets_out,
-            "packets_dropped": self.packets_dropped,
-            "reconfig_packets": self.reconfig_packets,
-        }
+        return {name: getattr(self, name) for name in (
+            "packets_in", "packets_out", "packets_dropped",
+            "reconfig_packets")}
 
     def merge_from(self, other: "PipelineStats") -> None:
-        """Accumulate another pipeline's counters into this one.
-
-        Used by the fabric layer to present fabric-wide per-tenant
-        counters. Counters add; the queue-depth gauge also adds (total
-        packets of the tenant queued anywhere in the fabric).
-        Introspected from the dataclass fields — a new counter is
-        merged automatically or raises, never skipped."""
+        """Accumulate another pipeline's counters into this one."""
         merge_counters(self, other)
 
     def snapshot(self) -> "PipelineStats":
@@ -189,17 +218,3 @@ class PipelineStats:
         """A fresh ``PipelineStats`` holding ``self - baseline`` — what
         the interval since the snapshot added."""
         return diff_counters(self, baseline)
-
-    @classmethod
-    def aggregate(cls, many: Iterable["PipelineStats"]) -> "PipelineStats":
-        """A fresh ``PipelineStats`` holding the sum of ``many``.
-
-        The fabric-wide statistics surface: aggregating every member
-        switch's stats yields per-tenant counters for the whole fabric
-        (a packet that crosses three switches counts three times in
-        ``packets_in`` — per-hop semantics, like SNMP interface
-        counters)."""
-        total = cls()
-        for stats in many:
-            total.merge_from(stats)
-        return total

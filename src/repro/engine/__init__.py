@@ -45,7 +45,6 @@ from .flow_cache import FlowCache, FlowCacheStats, FlowEntry
 from .scheduler import (
     Departure,
     EgressScheduler,
-    SchedulerTenantCounters,
     TokenBucket,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "FlowCacheStats",
     "FlowEntry",
     "EgressScheduler",
-    "SchedulerTenantCounters",
     "TokenBucket",
     "Departure",
 ]

@@ -17,7 +17,7 @@ per-packet costs:
   is the only size-dependent selection.
 * **One serving context per tenant.** What the engine knows about a VID
   — parse/deparse byte spans, compiled classifier, certificate,
-  exact-match cache, counters — is one slotted record, found with one
+  exact-match cache — is one slotted record, found with one
   dict lookup per packet and re-derived when the tenant's configuration
   epoch, ``pipeline.epoch_of(vid)``, has moved. Every configuration
   write that lands through the daisy chain bumps the epoch of exactly
@@ -68,6 +68,9 @@ compiled classification → scalar pipeline fallback — with
 :class:`EngineCounters` attributing every packet to one level
 (``cache_hits`` / ``compiled_hits`` / ``classifier_fallbacks`` by
 reason) and ``compile_rebuilds`` counting epoch-driven recompiles.
+The engine writes those per-tenant counts once per packet into the
+switch's :class:`~repro.core.stats.TenantRecord`; it stores only
+engine-wide events, and :attr:`BatchEngine.counters` sums the rest.
 
 Mid-batch reconfiguration (Corundum mode, where configuration packets
 arrive on the shared ingress) is honored exactly: the run of data
@@ -97,11 +100,11 @@ not guaranteed from there on.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.pipeline import MenshenPipeline
-from ..core.stats import diff_counters, merge_counters
+from ..core.stats import TenantRecord, diff_counters, merge_counters
 from ..net.packet import Packet
 from ..rmt.phv import PHV
 from ..rmt.pipeline import PipelineResult
@@ -128,7 +131,8 @@ FALLBACK_REASONS = ("stateful", "unsupported-action", "uncompilable",
 
 @dataclass
 class EngineTenantCounters:
-    """One tenant's slice of the engine counters."""
+    """One tenant's slice of the engine counters, read off its record
+    (``packets`` / ``drops`` / ``bytes_out``: the pipeline's counts)."""
 
     packets: int = 0
     cache_hits: int = 0
@@ -144,6 +148,11 @@ class EngineTenantCounters:
 class EngineCounters:
     """Engine-level accounting, overall and per tenant.
 
+    A snapshot (:attr:`BatchEngine.counters` builds one per read): the
+    per-level totals and ``per_tenant`` are read off the switch's
+    tenant records (retired ones count in the totals); the rest are
+    engine-wide event counts.
+
     Counter-unit contract: ``invalidations`` counts flushed cache
     *entries* (same unit as ``FlowCacheStats.invalidations``) and
     ``invalidation_calls`` counts :meth:`BatchEngine.invalidate` *calls*
@@ -151,15 +160,12 @@ class EngineCounters:
     ``cache_hits``/``compiled_hits`` attribute each served packet to the
     hot-path level that produced its result; ``classifier_fallbacks``
     histograms (by reason) the packets the classifier handed back to the
-    scalar pipeline. ``compile_rebuilds`` is the sum of the per-tenant
-    ``compile_rebuilds`` — a tenant's count moves only when its own
-    configuration epoch did.
+    scalar pipeline. A tenant's ``compile_rebuilds`` moves only when its
+    own configuration epoch did.
 
-    Aggregation (:meth:`merge_from` / :meth:`delta_since`) is
-    introspected from the dataclass fields by :mod:`repro.core.stats`'s
-    generic counter algebra — the benchmark (``perf/workloads.py``)
-    accounts each pass as a delta since a snapshot — and guaranteed by
-    construction never to drop a newly added counter.
+    :meth:`merge_from` / :meth:`delta_since` (the benchmark accounts
+    each pass as a delta since a snapshot) are introspected from the
+    fields by :mod:`repro.core.stats`, so no counter is ever dropped.
     """
 
     batches: int = 0
@@ -204,12 +210,17 @@ class EngineCounters:
         return diff_counters(self, baseline)
 
 
+#: The per-tenant counts the engine writes into each tenant record,
+#: under the same names in :class:`EngineCounters`.
+_LEVELS = ("cache_hits", "compiled_hits", "cache_misses", "uncacheable",
+           "compile_rebuilds")
+
+
 class _TenantContext:
     """Everything the engine holds to serve one tenant.
 
-    ``cache`` and ``counters`` (the tenant's slice of
-    :class:`EngineCounters`) live as long as the engine, so their
-    statistics survive :meth:`BatchEngine.invalidate`. The rest is
+    ``cache`` lives as long as the engine, so its statistics survive
+    :meth:`BatchEngine.invalidate`. The rest is
     derived by :meth:`BatchEngine._bind` from the configuration at
     ``epoch`` (``None`` until bound — never current): ``parse`` are the
     ``(offset, end)`` byte spans the module's parse program reads — the
@@ -223,14 +234,12 @@ class _TenantContext:
     last said of it.
     """
 
-    __slots__ = ("vid", "cache", "counters", "epoch", "parse", "deparse",
+    __slots__ = ("vid", "cache", "epoch", "parse", "deparse",
                  "max_end", "stateful", "classifier", "certificate")
 
-    def __init__(self, vid: int, cache: FlowCache,
-                 counters: EngineTenantCounters):
+    def __init__(self, vid: int, cache: FlowCache):
         self.vid = vid
         self.cache = cache
-        self.counters = counters
         self.parse: Tuple[Tuple[int, int], ...] = ()
         self.deparse: Tuple[Tuple[int, int], ...] = ()
         self.max_end = 0
@@ -278,8 +287,23 @@ class BatchEngine:
         #: around each scalar walk.
         self._memories = tuple(stage.stateful_memory
                                for stage in pipeline.stages)
-        self.counters = EngineCounters()
+        #: Engine-wide events; the per-level fields stay zero here.
+        self._events = EngineCounters()
         self._contexts: Dict[int, _TenantContext] = {}
+
+    @property
+    def counters(self) -> EngineCounters:
+        """A fresh :class:`EngineCounters` (see there)."""
+        stats = self.pipeline.stats
+        return replace(
+            self._events,
+            classifier_fallbacks=dict(self._events.classifier_fallbacks),
+            per_tenant={vid: EngineTenantCounters(
+                packets=record.packets_in, drops=record.packets_dropped,
+                bytes_out=record.bytes_out,
+                **{name: getattr(record, name) for name in _LEVELS})
+                for vid, record in stats.tenants.items()},
+            **{name: stats.total(name) for name in _LEVELS})
 
     # -- per-tenant contexts ----------------------------------------------------
 
@@ -288,8 +312,7 @@ class BatchEngine:
         ctx = self._contexts.get(vid)
         if ctx is None:
             ctx = self._contexts[vid] = _TenantContext(
-                vid, FlowCache(self.cache_capacity),
-                self.counters.tenant(vid))
+                vid, FlowCache(self.cache_capacity))
         return ctx
 
     def shard(self, vid: int) -> FlowCache:
@@ -332,8 +355,8 @@ class BatchEngine:
         else:
             ctx = self._contexts.get(vid)
             flushed = ctx.purge() if ctx is not None else 0
-        self.counters.invalidation_calls += 1
-        self.counters.invalidations += flushed
+        self._events.invalidation_calls += 1
+        self._events.invalidations += flushed
         return flushed
 
     def _bind(self, ctx: _TenantContext, epoch: int) -> None:
@@ -355,10 +378,10 @@ class BatchEngine:
         ctx.classifier = None
         ctx.epoch = epoch
 
-    def _compile(self, ctx: _TenantContext) -> CompiledClassifier:
+    def _compile(self, ctx: _TenantContext,
+                 record: TenantRecord) -> CompiledClassifier:
         clf = ctx.classifier = compile_classifier(self.pipeline, ctx.vid)
-        self.counters.compile_rebuilds += 1
-        ctx.counters.compile_rebuilds += 1
+        record.compile_rebuilds += 1
         if self.check_compiled != "off":
             self._certify(ctx)
         return clf
@@ -394,9 +417,9 @@ class BatchEngine:
         packets ahead of one is served to completion before the
         configuration write is delivered.
         """
-        counters = self.counters
-        counters.batches += 1
-        counters.packets += len(packets)
+        events = self._events
+        events.batches += 1
+        events.packets += len(packets)
         is_reconfig = self.pipeline.packet_filter.is_reconfig_packet
         if len(packets) == 1 and not is_reconfig(packets[0]):
             # A run of one (every fabric-timeline hop): the three
@@ -411,7 +434,7 @@ class BatchEngine:
             if is_reconfig(packet):
                 self._flush(run, results)
                 run = []
-                counters.reconfig_flushes += 1
+                events.reconfig_flushes += 1
                 results.append(self.pipeline.admit(packet)[0])
             else:
                 run.append(packet)
@@ -439,23 +462,14 @@ class BatchEngine:
         if early is None:
             return (None, self._context(vid),
                     self.pipeline.packet_filter.assign_buffer())
-        self.counters.early_drops += 1
-        if vid:
-            tenant = self.counters.tenant(vid)
-            tenant.packets += 1
-            tenant.drops += 1
+        self._events.early_drops += 1
         return early, None, 0
 
     def _commit(self, ctx: _TenantContext, merged: Optional[Packet],
                 phv: object, hit: bool) -> PipelineResult:
         result = self.pipeline.commit(merged, phv, ctx.vid, cache_hit=hit)
-        tenant = ctx.counters
-        tenant.packets += 1
         if result.dropped:
-            tenant.drops += 1
-            self.counters.drops += 1
-        else:
-            tenant.bytes_out += len(result.packet.buf)
+            self._events.drops += 1
         return result
 
     def _serve(self, ctx: _TenantContext, packet: Packet, slot: int
@@ -465,7 +479,8 @@ class BatchEngine:
         Returns ``(merged, phv, cache_hit)``.
         """
         pipeline = self.pipeline
-        counters = self.counters
+        # admitted just now, so the pipeline has counted it in already
+        record = pipeline.stats.tenants[ctx.vid]
         epoch = pipeline.epoch_of(ctx.vid)
         if ctx.epoch != epoch:
             self._bind(ctx, epoch)
@@ -481,8 +496,7 @@ class BatchEngine:
                    *[raw[off:end] for off, end in ctx.parse])
             entry = ctx.cache.lookup(key, epoch)
             if entry is not None:
-                counters.cache_hits += 1
-                ctx.counters.cache_hits += 1
+                record.cache_hits += 1
                 _epoch, snap, writes, dropped = entry
                 phv = PHV.from_snapshot(snap)
                 phv.metadata.buf[1] = 1 << slot  # buffer_tag
@@ -502,7 +516,7 @@ class BatchEngine:
         else:
             clf = ctx.classifier
             if clf is None:
-                clf = self._compile(ctx)
+                clf = self._compile(ctx, record)
             certificate = ctx.certificate
             if (certificate is not None and not certificate.ok
                     and self.check_compiled == "enforce"):
@@ -516,36 +530,33 @@ class BatchEngine:
                 outcome = clf.classify(packet, slot)
                 if type(outcome) is not Fallback:
                     merged, phv = outcome
-                    counters.compiled_hits += 1
-                    ctx.counters.compiled_hits += 1
+                    record.compiled_hits += 1
                     if key is not None:
                         # Seed the exact-match level: the compiled
                         # result is pure by construction, exactly
                         # what the scalar miss path would memoize.
-                        self._learn(ctx, key, merged, phv)
+                        self._learn(ctx, record, key, merged, phv)
                     return merged, phv, False
                 reason = outcome.reason
-        fallbacks = counters.classifier_fallbacks
+        fallbacks = self._events.classifier_fallbacks
         fallbacks[reason] = fallbacks.get(reason, 0) + 1
 
         # Level 3: the scalar pipeline walk (the differential oracle).
         before = self._stateful_ops()
         merged, phv = pipeline.execute(packet, ctx.vid, buffer_slot=slot)
         if self._stateful_ops() != before:
-            counters.uncacheable += 1
-            ctx.counters.uncacheable += 1
+            record.uncacheable += 1
             ctx.stateful = True
         elif key is not None:
-            self._learn(ctx, key, merged, phv)
+            self._learn(ctx, record, key, merged, phv)
         return merged, phv, False
 
-    def _learn(self, ctx: _TenantContext, key: Tuple,
+    def _learn(self, ctx: _TenantContext, record: TenantRecord, key: Tuple,
                merged: Optional[Packet], phv) -> None:
         """Memoize one pure result at the exact-match level (``key``
         exists, so the window bound holds for ``merged`` too — the
         deparser never resizes)."""
-        self.counters.cache_misses += 1
-        ctx.counters.cache_misses += 1
+        record.cache_misses += 1
         writes: Tuple[Tuple[int, bytes], ...] = ()
         if merged is not None:
             out = merged.buf

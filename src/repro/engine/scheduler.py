@@ -35,9 +35,10 @@ This module closes it:
   enqueued on an idle port, so an event-driven caller can route it
   without holding a service event for a port with nothing to decide.
 
-The scheduler feeds per-tenant queue depth and transmitted-byte gauges
-into :class:`~repro.core.stats.PipelineStats` — the "real-time
-statistics" surface the system-level module exposes to tenants (§3.3).
+The scheduler writes its per-tenant books, queue-depth gauge included,
+once per packet into the switch's tenant records
+(:class:`~repro.core.stats.TenantRecord`) — the "real-time statistics"
+surface the system-level module exposes to tenants (§3.3).
 
 The scalar path and the batched engine commit into the same scheduler,
 so both run on weighted-fair egress; ``Tenant.set_weight`` /
@@ -47,10 +48,10 @@ so both run on weighted-fair egress; ``Tenant.set_weight`` /
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import isfinite
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
+from ..core.stats import PipelineStats, TenantRecord
 from ..errors import ConfigError
 from ..net.packet import Packet
 from ..rmt.pifo import StfqRanker
@@ -99,17 +100,6 @@ class TokenBucket:
     def consume(self, nbytes: int, now: float) -> None:
         self.refill(now)
         self.tokens -= nbytes
-
-
-@dataclass
-class SchedulerTenantCounters:
-    """One tenant's egress accounting (dequeue-time semantics)."""
-
-    enqueued: int = 0
-    transmitted: int = 0
-    transmitted_bytes: int = 0
-    dropped: int = 0
-    throttled_waits: int = 0
 
 
 class Departure:
@@ -187,7 +177,9 @@ class EgressScheduler:
 
     ``bytes_out`` counts at **dequeue** time: a queued packet has not
     been transmitted, and the system module's real-time statistics must
-    not claim otherwise.
+    not claim otherwise. Per-tenant books go into ``stats`` (a private
+    :class:`~repro.core.stats.PipelineStats` when none is given), and
+    ``enqueued`` / ``dequeued`` / ``dropped`` are sums over them.
     """
 
     def __init__(self, num_ports: int = 8,
@@ -212,11 +204,9 @@ class EgressScheduler:
         #: next-departure query walk this index (in ascending port
         #: order), never every port: an idle port has nothing to choose.
         self._backlogged: Set[int] = set()
-        #: vid -> packets queued across all ports (the depth gauge).
-        self._depth: Dict[int, int] = {}
         self._groups: Dict[int, List[int]] = {}
         self._buckets: Dict[int, TokenBucket] = {}
-        self._stats = stats
+        self._stats = stats if stats is not None else PipelineStats()
         #: Per-port virtual clocks (seconds): output links transmit in
         #: parallel, so each advances by its own transmission times
         #: (when a line rate is set) and by :meth:`advance_to` / token
@@ -236,11 +226,7 @@ class EgressScheduler:
         #: so ``throttled_waits`` counts *packets* delayed by the rate
         #: limiter, not scheduler scans.
         self._throttle_marks: Dict[Tuple[int, int], int] = {}
-        self.enqueued = 0
-        self.dequeued = 0
-        self.dropped = 0
         self.bytes_out: List[int] = [0] * num_ports
-        self.per_tenant: Dict[int, SchedulerTenantCounters] = {}
         for vid, weight in (weights or {}).items():
             self.set_weight(vid, weight)
 
@@ -306,8 +292,10 @@ class EgressScheduler:
         The lifecycle hook behind a live unload
         (:meth:`repro.api.Tenant.evict` calls it): an evicted tenant's
         backlog must not keep transmitting under a VID that no longer
-        exists, and its weight, rate bucket, and STFQ finish tags must
-        not leak to whoever is assigned the VID next. Other tenants'
+        exists, and its weight, rate bucket, STFQ finish tags and
+        counters must not leak to whoever is assigned the VID next (its
+        record is retired: :meth:`~repro.core.stats.PipelineStats.
+        retire`). Other tenants'
         ranks are untouched (virtual time only ever advances on
         dequeue), so purging a neighbor never reorders surviving
         traffic. Returns the packets that were dropped from the
@@ -332,9 +320,7 @@ class EgressScheduler:
             self._throttle_marks.pop((port, vid), None)
         self._weights.pop(vid, None)
         self._buckets.pop(vid, None)
-        self._depth.pop(vid, None)
-        self._feed_depth(vid)
-        self.per_tenant.pop(vid, None)
+        self._stats.retire(vid)
         return purged
 
     def drop_queued(self) -> List[Tuple[int, int, Packet]]:
@@ -348,8 +334,9 @@ class EgressScheduler:
         the crash. Configuration survives — weights, rate buckets, port
         rates, and multicast groups are control-plane state a rebooted
         switch gets re-pushed — and the drop/transmit counters are left
-        alone: crash losses are accounted by the caller on the unified
-        lost-record path, not as queue-capacity drops. Returns the
+        alone (the queue-depth gauges drop to zero): crash losses are
+        accounted by the caller on the unified lost-record path, not as
+        queue-capacity drops. Returns the
         scrubbed ``(port, vid, packet)`` triples in (port, arrival)
         order.
         """
@@ -369,10 +356,8 @@ class EgressScheduler:
             state.ranker._last_finish.clear()
             state.seq = 0
         self._backlogged.clear()
-        scrubbed = [vid for vid, depth in self._depth.items() if depth]
-        self._depth.clear()
-        for vid in scrubbed:
-            self._feed_depth(vid)
+        for record in self._stats.tenants.values():
+            record.queue_depth = 0
         self._throttle_marks.clear()
         return dropped
 
@@ -406,11 +391,19 @@ class EgressScheduler:
 
     # -- telemetry ---------------------------------------------------------------
 
-    def tenant(self, vid: int) -> SchedulerTenantCounters:
-        counters = self.per_tenant.get(vid)
-        if counters is None:
-            counters = self.per_tenant[vid] = SchedulerTenantCounters()
-        return counters
+    def tenant(self, vid: int) -> TenantRecord:
+        """One tenant's live record (created at zero on first use)."""
+        return self._stats.tenant(vid)
+
+    @property
+    def per_tenant(self) -> Dict[int, TenantRecord]:
+        """vid -> tenant record (a purged VID has none)."""
+        return self._stats.tenants
+
+    # the scheduler's totals: sums over the records, retired ones too
+    enqueued = property(lambda self: self._stats.total("enqueued"))
+    dequeued = property(lambda self: self._stats.total("transmitted"))
+    dropped = property(lambda self: self._stats.total("dropped"))
 
     def queue_len(self, port: int) -> int:
         self._check_port(port)
@@ -421,14 +414,11 @@ class EgressScheduler:
 
     def queue_depth(self, vid: int) -> int:
         """Packets of one tenant currently queued, across all ports."""
-        return self._depth.get(vid, 0)
+        record = self._stats.tenants.get(vid)
+        return record.queue_depth if record is not None else 0
 
     def transmitted_bytes(self, vid: int) -> int:
         return self.tenant(vid).transmitted_bytes
-
-    def _feed_depth(self, vid: int) -> None:
-        if self._stats is not None:
-            self._stats.set_egress_depth(vid, self.queue_depth(vid))
 
     # -- queueing ----------------------------------------------------------------
 
@@ -439,16 +429,15 @@ class EgressScheduler:
 
     # The per-packet paths below (_enqueue_one, enqueue, _serve, start)
     # keep their books inline — idle-clock catch-up, scan forget,
-    # virtual-time advance, transmission time, tenant counters and the
-    # PipelineStats gauges — with the same arithmetic as the helpers
-    # (clock_of, forget_scan, StfqRanker.on_dequeue, _tx_seconds,
-    # tenant, _feed_depth), which serve the cold paths.
+    # virtual-time advance, transmission time and the tenant record —
+    # with the same arithmetic as the helpers (clock_of, forget_scan,
+    # StfqRanker.on_dequeue, _tx_seconds, tenant), which serve the cold
+    # paths.
 
     def _enqueue_one(self, packet: Packet, port: int, vid: int) -> bool:
         state = self._ports[port]
         queued = state.queued
         if self.queue_capacity is not None and queued >= self.queue_capacity:
-            self.dropped += 1
             self.tenant(vid).dropped += 1
             return False
         rank = state.ranker.rank(vid, len(packet.buf))
@@ -467,14 +456,9 @@ class EgressScheduler:
         state.queued = queued + 1
         if not state.started:
             state.chosen = None
-        depth = self._depth[vid] = self._depth.get(vid, 0) + 1
-        self.enqueued += 1
-        counters = self.per_tenant.get(vid)
-        if counters is None:
-            counters = self.per_tenant[vid] = SchedulerTenantCounters()
-        counters.enqueued += 1
-        if self._stats is not None:
-            self._stats.egress_queue_depth[vid] = depth
+        record = self._stats.tenants.get(vid) or self._stats.tenant(vid)
+        record.enqueued += 1
+        record.queue_depth += 1
         return True
 
     def enqueue(self, packet: Packet, port: int, mcast_group: int = 0,
@@ -487,7 +471,6 @@ class EgressScheduler:
         if mcast_group:
             ports = self._groups.get(mcast_group)
             if not ports:
-                self.dropped += 1
                 self.tenant(module_id).dropped += 1
                 return 0
             count = 0
@@ -559,7 +542,6 @@ class EgressScheduler:
         if not queued:
             self._backlogged.discard(port)
             state.idle_since = self._advances
-        depth = self._depth[vid] = self._depth[vid] - 1
         ranker = state.ranker
         if rank > ranker.virtual_time:
             ranker.virtual_time = rank
@@ -574,17 +556,11 @@ class EgressScheduler:
         rate = self.port_rate_bps.get(port, self._line_rate_bps)
         finish = start + (0.0 if rate is None else nbytes * 8.0 / rate)
         self.port_clock[port] = finish
-        self.dequeued += 1
         self.bytes_out[port] += nbytes
-        counters = self.per_tenant.get(vid)
-        if counters is None:
-            counters = self.per_tenant[vid] = SchedulerTenantCounters()
-        counters.transmitted += 1
-        counters.transmitted_bytes += nbytes
-        stats = self._stats
-        if stats is not None:
-            stats.egress_bytes_tx[vid] += nbytes
-            stats.egress_queue_depth[vid] = depth
+        record = self._stats.tenants.get(vid) or self._stats.tenant(vid)
+        record.transmitted += 1
+        record.transmitted_bytes += nbytes
+        record.queue_depth -= 1
         return Departure(packet, port, vid, finish)
 
     # -- service (TrafficManager-compatible + scheduled extensions) --------------

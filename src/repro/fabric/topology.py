@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..api.switch import Switch, SwitchBuilder, TenantCounters
-from ..core.stats import PipelineStats
 from ..engine.batch import BatchEngine
 from ..engine.scheduler import EgressScheduler
 from ..errors import LinkDownError, TopologyError
@@ -365,23 +364,12 @@ class Fabric:
 
     # -- statistics --------------------------------------------------------------
 
-    def stats(self) -> PipelineStats:
-        """Fabric-wide pipeline statistics (sum over member switches)."""
-        return PipelineStats.aggregate(
-            member.switch.pipeline.stats
-            for member in self._switches.values())
-
     def tenant_counters(self, vid: int) -> TenantCounters:
         """One tenant's fabric-wide counters (per-hop semantics: a
         packet crossing three switches counts on each)."""
-        stats = self.stats()
-        return TenantCounters(
-            packets_in=stats.per_module_in[vid],
-            packets_out=stats.per_module_out[vid],
-            packets_dropped=stats.per_module_dropped[vid],
-            bytes_out=stats.per_module_bytes_out[vid],
-            egress_bytes_tx=stats.egress_bytes_tx.get(vid, 0),
-            egress_queue_depth=stats.egress_queue_depth.get(vid, 0))
+        return TenantCounters.of(
+            member.switch.pipeline.stats.tenants.get(vid)
+            for member in self._switches.values())
 
 
 def leaf_spine(leaves: int = 2, spines: int = 1,

@@ -453,6 +453,46 @@ class TestFacadeWiring:
         assert report["egress"]["weight"] == 2.5
         assert report["egress"]["rate_limit_bytes_per_s"] is None
 
+    def test_scheduler_counters_are_a_frozen_snapshot(self):
+        """A tenant reads its egress books and can never write them:
+        ``scheduler_counters()`` and the stats report's ``scheduler``
+        entry are frozen copies, not the scheduler's live record."""
+        switch, spec, t1, t2 = self.build()
+        switch.engine().process_batch(
+            [spec.flow_packet(1, 1) for _ in range(2)])
+        switch.egress_scheduler.drain_all()
+        books = (t1.counters(), switch.egress_scheduler.tenant(1).snapshot())
+        for counters in (t1.scheduler_counters(),
+                         t1.stats()["egress"]["scheduler"]):
+            assert counters.transmitted == 2
+            with pytest.raises(AttributeError):
+                counters.transmitted_bytes = 12345
+        assert (t1.counters(),
+                switch.egress_scheduler.tenant(1).snapshot()) == books
+
+    def test_tenant_on_a_reused_vid_starts_from_zero(self):
+        """Evicting a tenant retires its record: the next tenant
+        admitted on that VID reads zero everywhere, while the switch's
+        totals keep what the first one did."""
+        switch, spec, t1, t2 = self.build()
+        engine = switch.engine()
+        engine.process_batch([spec.flow_packet(1, 1) for _ in range(3)])
+        switch.egress_scheduler.drain_all()
+        assert t1.counters().egress_bytes_tx > 0
+        packets = ("packets_in", "packets_out", "packets_dropped")
+        totals = [switch.stats()[name] for name in packets]
+        hits = engine.counters.compiled_hits
+        t1.evict()
+        again = spec.admit(switch, vid=1)
+        assert not any(vars(again.counters()).values())
+        assert not any(again.scheduler_counters())
+        assert 1 not in engine.counters.per_tenant
+        assert [switch.stats()[name] for name in packets] == totals
+        assert engine.counters.compiled_hits == hits
+        engine.process_batch([spec.flow_packet(1, 1)])
+        assert again.counters().packets_in == 1
+        assert switch.stats()["packets_in"] == totals[0] + 1
+
 
 _NAN, _INF = float("nan"), float("inf")
 
@@ -816,7 +856,6 @@ class _AllPortsReference(EgressScheduler):
     def _enqueue_one(self, packet, port, vid):
         if (self.queue_capacity is not None
                 and self._queued(port) >= self.queue_capacity):
-            self.dropped += 1
             self.tenant(vid).dropped += 1
             return False
         # capacity decided here; the shared tail only appends
@@ -981,7 +1020,7 @@ class TestBackloggedPortIndexModel:
             "depth": {vid: sched.queue_depth(vid) for vid in _MODEL_VIDS},
             "total": sched.total_queued(),
             "gauge": dict(stats.egress_queue_depth),
-            "tenants": {vid: vars(counters).copy()
+            "tenants": {vid: counters.snapshot()
                         for vid, counters in sched.per_tenant.items()},
             "totals": (sched.enqueued, sched.dequeued, sched.dropped,
                        list(sched.bytes_out)),
@@ -1075,8 +1114,8 @@ class TestBooksConsistency:
     counters and with what the calls returned; ``bytes_out`` with all
     transmitted bytes; ``total_queued`` with the per-port lengths; and,
     per tenant, enqueued = transmitted + queued + scrubbed. ``purge``
-    resets a tenant's counters, not the ``PipelineStats`` gauge, so the
-    bytes it had transmitted carry over as ``retired``."""
+    retires the tenant's record, gauge included, so the bytes it had
+    transmitted carry over as ``retired`` in ``bytes_out`` only."""
 
     @staticmethod
     def _apply(sched, op, now):
@@ -1115,8 +1154,7 @@ class TestBooksConsistency:
             assert stats.egress_queue_depth.get(vid, 0) == queued
             counters = sched.tenant(vid)
             assert counters.transmitted_bytes == tx[vid]
-            assert stats.egress_bytes_tx.get(vid, 0) \
-                == retired[vid] + tx[vid]
+            assert stats.egress_bytes_tx.get(vid, 0) == tx[vid]
             assert counters.enqueued \
                 == counters.transmitted + queued + scrubbed[vid]
         assert sum(sched.bytes_out) \

@@ -8,6 +8,7 @@ reporting (:class:`repro.exec.LostRecord`) — and the event-list
 discipline of its one timing policy.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -475,15 +476,15 @@ class TestUncontendedHopBooks:
     """Counts only (no wall clock): a warm packet alone on an idle host
     port with no token bucket — enqueue, start, one delivery event —
     keeps the scheduler's books inline. Going through the helpers cost
-    this hop 2 ``tenant``, 2 ``_feed_depth``, 1 ``clock_of``, 2
-    ``_check_port``, 2 ``_tx_seconds``, 1 ``on_dequeue``, 2
-    ``set_egress_depth``, 1 ``record_egress_tx`` and, at the
-    exact-match level, 1 ``Packet.copy``. Its departure, delivery and
-    books are pinned to the values measured with the helpers, so the
-    bound cannot be met by keeping fewer books."""
+    this hop 2 ``tenant``, 1 ``clock_of``, 2 ``_check_port``, 2
+    ``_tx_seconds``, 1 ``on_dequeue`` and, at the exact-match level, 1
+    ``Packet.copy`` (and, before the books became one tenant record,
+    2 ``_feed_depth``, 2 ``set_egress_depth`` and 1
+    ``record_egress_tx``). Its departure, delivery and books are pinned
+    to the values measured with the helpers, so the bound cannot be met
+    by keeping fewer books."""
 
     def test_warm_hop_calls_no_bookkeeping_helper(self, monkeypatch):
-        from repro.core import PipelineStats
         from repro.engine import EgressScheduler
         from repro.fabric import Fabric
         from repro.rmt.pifo import StfqRanker
@@ -506,10 +507,9 @@ class TestUncontendedHopBooks:
         hop(1e-3)       # the first exact-match hit
         calls = {}
         for cls, names in (
-                (EgressScheduler, ("tenant", "_feed_depth", "clock_of",
+                (EgressScheduler, ("tenant", "clock_of",
                                    "_tx_seconds", "_check_port")),
                 (StfqRanker, ("on_dequeue",)),
-                (PipelineStats, ("set_egress_depth", "record_egress_tx")),
                 (Packet, ("copy",))):
             for name in names:
                 def counted(self, *args, _inner=getattr(cls, name),
@@ -529,10 +529,111 @@ class TestUncontendedHopBooks:
         assert sim.events_processed == 6 and sim.pending() == 0
         sched, stats = member.scheduler, member.switch.pipeline.stats
         assert sched.port_clock[2] == 0.0020008
-        assert vars(sched.per_tenant[1]) == {
+        record = sched.per_tenant[1]
+        assert {name: getattr(record, name) for name in (
+            "enqueued", "transmitted", "transmitted_bytes", "dropped",
+            "throttled_waits")} == {
             "enqueued": 3, "transmitted": 3, "transmitted_bytes": 3000,
             "dropped": 0, "throttled_waits": 0}
         assert sched.bytes_out[2] == 3000
         assert sched._ports[2].ranker.virtual_time == 2000.0
         assert (dict(stats.egress_bytes_tx),
                 dict(stats.egress_queue_depth)) == ({1: 3000}, {1: 0})
+
+
+def _stored_counters(member):
+    """Every counter value one switch stores, by path: the pipeline's
+    statistics (its tenant records and the retired sum included), the
+    engine's own event counts and the scheduler's per-port bytes."""
+    flat = {}
+
+    def walk(path, value):
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                walk(f"{path}.{f.name}", getattr(value, f.name))
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{path}[{key}]", item)
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                walk(f"{path}[{index}]", item)
+        else:
+            flat[path] = value
+
+    walk("stats", member.switch.pipeline.stats)
+    walk("engine", member.engine._events)
+    walk("scheduler.bytes_out", member.scheduler.bytes_out)
+    return flat
+
+
+def _moved(before, after):
+    return {path for path in before.keys() | after.keys()
+            if before.get(path, 0) != after.get(path, 0)}
+
+
+class TestWarmHopCounterMoves:
+    """Counts only: one warm uncontended hop (the third hop of
+    :class:`TestUncontendedHopBooks`' scenario, an exact-match hit)
+    changes each per-packet count once, in the tenant's one record.
+    Eight counter families used to count it: 18 stored values moved,
+    and the queue-depth gauge was stored twice."""
+
+    @staticmethod
+    def _warm_member():
+        from repro.fabric import Fabric
+
+        fabric = Fabric()
+        member = fabric.add_switch("sw0")
+        fabric.tenant(
+            "calc", calc.P4_SOURCE, vid=1,
+            installer=lambda t, port: calc.install(t, port=port)
+        ).place(("sw0", 0), ("sw0", 2))
+        sim = Simulator()
+        core = ExecutionCore.for_fabric(fabric, _RecordingSink(), sim)
+
+        def hop(t):
+            packet = calc.make_packet(1, calc.OP_ADD, 3, 4, pad_to=1000)
+            sim.schedule_at(t, core.inject, member, packet, t)
+            sim.run()
+
+        hop(0.0)
+        hop(1e-3)
+        return fabric, member, hop
+
+    def test_warm_hop_moves_ten_stored_counters(self):
+        _fabric, member, hop = self._warm_member()
+        before = _stored_counters(member)
+        hop(2e-3)
+        moved = _moved(before, _stored_counters(member))
+        assert moved == {
+            "stats.tenants[1].packets_in", "stats.tenants[1].packets_out",
+            "stats.tenants[1].bytes_out", "stats.tenants[1].cache_hits",
+            "stats.tenants[1].enqueued", "stats.tenants[1].transmitted",
+            "stats.tenants[1].transmitted_bytes",
+            "engine.batches", "engine.packets", "scheduler.bytes_out[2]"}
+        assert len(moved) <= 10
+        # every total is read off the records, not kept beside them
+        counters = member.engine.counters
+        assert (counters.cache_hits, counters.per_tenant[1].packets) \
+            == (2, 3)
+        assert (member.scheduler.enqueued, member.scheduler.dequeued) \
+            == (3, 3)
+
+    def test_queue_depth_gauge_is_stored_once(self):
+        fabric, member, _hop = self._warm_member()
+        stats, sched = member.switch.pipeline.stats, member.scheduler
+        before = _stored_counters(member)
+        # queued behind no service: the packet waits on port 2
+        member.engine.process_batch(
+            [calc.make_packet(1, calc.OP_ADD, 3, 4, pad_to=1000)])
+        moved = _moved(before, _stored_counters(member))
+        assert [path for path in moved if "depth" in path] == [
+            "stats.tenants[1].queue_depth"]
+        record = stats.tenants[1]
+        assert record.queue_depth == 1 == sched.queue_depth(1)
+        # every reader follows the one stored value
+        record.queue_depth = 7
+        assert sched.queue_depth(1) == 7
+        assert stats.egress_queue_depth[1] == 7
+        assert member.switch.tenant(1).counters().egress_queue_depth == 7
+        assert fabric.tenant_counters(1).egress_queue_depth == 7

@@ -330,6 +330,27 @@ class TestUnload:
         assert leaf0.scheduler.rate_limit_of(1) is None
         assert 1 not in leaf0.scheduler.per_tenant
 
+    def test_unload_retires_counters_the_next_tenant_starts_from_zero(self):
+        """Unloading retires the tenant's record on every switch: a
+        tenant placed on the freed VID reads zero fabric-wide, and the
+        fabric's totals keep the first tenant's packets."""
+        fabric = make_fabric()
+        tenant = place_calc(fabric, 1, ("leaf0", 0), ("leaf1", 1))
+        serve(fabric, [("leaf0", _packet(1, i)) for i in range(3)])
+        assert tenant.counters().packets_in == 9     # three switches each
+        assert tenant.counters().egress_bytes_tx > 0
+        def hops():
+            return sum(member.switch.stats()["packets_in"]
+                       for member in fabric.switches())
+
+        before = hops()
+        tenant.unload()
+        replacement = place_calc(fabric, 1, ("leaf0", 2), ("leaf1", 2))
+        assert not any(vars(replacement.counters()).values())
+        assert hops() == before
+        serve(fabric, [("leaf0", _packet(1))])
+        assert replacement.counters().packets_in == 3
+
 
 # ------------------------------------------------------------------ migrate
 

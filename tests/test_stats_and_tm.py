@@ -42,18 +42,6 @@ class TestPipelineStats:
             "packets_in": 1, "packets_out": 1, "packets_dropped": 0,
             "reconfig_packets": 1}
 
-    def test_link_utilization(self):
-        stats = PipelineStats()
-        stats.record_out(1, 1250)  # 10000 bits
-        assert stats.link_utilization(1, elapsed_s=1.0, link_bps=1e5) \
-            == pytest.approx(0.1)
-        assert stats.link_utilization(1, elapsed_s=0, link_bps=1e5) == 0.0
-        assert stats.link_utilization(9, 1.0, 1e5) == 0.0
-
-    def test_utilization_guard_rails(self):
-        stats = PipelineStats()
-        stats.record_out(1, 100)
-        assert stats.link_utilization(1, 1.0, 0.0) == 0.0
 
 
 @dataclass
@@ -79,7 +67,7 @@ class TestCounterAlgebra:
         src.record_in(7)
         src.record_out(7, 128)
         src.record_drop(7, "window")
-        src.record_egress_tx(7, 64)
+        src.tenant(7).transmitted_bytes += 64
         src.brand_new_counter = 5
         src.brand_new_map["x"] = 3
         dst = _ExtendedStats()
