@@ -7,8 +7,8 @@ mid-run — tenant 2's packets in flight on the dead uplink are lost and
 counted on the unified :class:`~repro.exec.LostRecord` path. A
 :class:`~repro.chaos.RecoveryController` detects the stranded tenant
 after its detection delay and re-places it onto ``spine1`` via the
-live migration machinery, draining the stale queues and re-arming its
-weight; the schedule later restores the spine. The run ends with a
+live migration machinery, draining its stale queue on the dead wire;
+the schedule later restores the spine. The run ends with a
 typed :class:`~repro.chaos.PostMortemReport` that attributes every
 lost packet to the fault that caused it.
 

@@ -24,15 +24,13 @@ the compiler's own intermediate claims:
     the kept stage plans correspond 1:1, in order, to exactly the
     pipeline stages with installed entries or a default action;
 ``key-recipe``
-    each stage's key slots, flag constant, predicate, and compaction
-    segments re-derive from the installed extractor entry and key mask;
+    each stage's key slots, flag constant and predicate re-derive from
+    the installed extractor entry and key mask;
 ``partition-structure``
-    interval arrays are sorted, disjoint, in-bounds, and every live
-    entry is representable (contiguous wildcard bits) in the compacted
-    key space;
-``partition-coverage``
-    the union of compiled intervals equals the union of the installed
-    entries' match ranges (re-derived per entry from mask and pattern);
+    an interval stage's compaction segments are the runs of the
+    extractor mask, every live entry is contiguous in the compacted key
+    space, and ``starts``/``ends``/``leaves`` have one length — the
+    facts ``priority-actions`` relies on;
 ``priority-actions``
     at one representative point of **every elementary interval** of the
     compacted key space, the compiled lookup resolves to the effect of
@@ -47,22 +45,27 @@ the compiler's own intermediate claims:
     an exact stage's hash equals the address-order CAM contents
     (lowest address wins duplicate keys) with equivalent leaves;
 ``miss-default``
-    the miss leaf replays the module's default VLIW word (no-op when
-    the default word is zero);
+    an exact or residual stage's miss leaf replays the module's default
+    VLIW word (no-op when the default word is zero); an interval
+    stage's miss leaf is judged by ``priority-actions`` wherever a key
+    reaches it;
 ``fallback-reason``
     every ``Fallback`` leaf carries the reason the scalar semantics
     actually force (stateful memory, metadata faults), re-derived from
     the decoded instruction.
 
 The elementary-interval argument makes ``priority-actions`` a complete
-proof, not a sample: breakpoints are collected from both the re-derived
-entry ranges and the compiled interval endpoints, so within each
-segment between adjacent breakpoints both the reference winner and the
-compiled lookup are constant — one representative point per segment
-decides the whole segment. Together with ``key-recipe``,
-``stage-alignment`` and the plan obligations, per-stage pointwise
-equality composes inductively over the pipeline into whole-datapath
-equivalence.
+proof, not a sample, whatever shape the interval arrays have:
+``bisect_right`` compares the key only against start values and the
+hit test only against ``end + 1``, so with every start, every end + 1
+and every re-derived entry bound as breakpoints, both the compiled
+lookup and the reference winner are constant between adjacent
+breakpoints — one point per segment of ``[0, full]`` decides it. An
+unsorted or overlapping array is refused exactly when some key
+resolves wrongly, with that key as its counterexample. Together with
+``key-recipe``, ``stage-alignment`` and the plan obligations, per-stage
+pointwise equality composes inductively over the pipeline into
+whole-datapath equivalence.
 
 A violated obligation yields a :class:`Counterexample`; when the
 violating key is reachable, a concrete admissible packet is synthesized
@@ -81,7 +84,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...core.intervals import Interval, merge
 from ...core.pipeline import SYSTEM_MODULE_ID, MenshenPipeline
 from ...engine.classifier import (
     _KEY_SLOTS,
@@ -117,7 +119,6 @@ OBLIGATIONS: Tuple[str, ...] = (
     "stage-alignment",
     "key-recipe",
     "partition-structure",
-    "partition-coverage",
     "priority-actions",
     "residual-order",
     "exact-keys",
@@ -293,39 +294,6 @@ def _scatter(compact: int,
     for shift, run_mask, out_shift in segments:
         key |= ((compact >> out_shift) & run_mask) << shift
     return key
-
-
-def _covers(intervals: List[Interval], point: int) -> bool:
-    return any(lo <= point <= hi for lo, hi in intervals)
-
-
-def _first_diff_point(a: List[Interval],
-                      b: List[Interval]) -> Optional[int]:
-    """First point covered by exactly one of two closed-interval sets."""
-    bounds = {0}
-    for lo, hi in a + b:
-        bounds.add(lo)
-        bounds.add(hi + 1)
-    for point in sorted(bounds):
-        if _covers(a, point) != _covers(b, point):
-            return point
-    return None
-
-
-def _eval_pred(op: int, a: int, b: int) -> bool:
-    # Same branch ladder as CompiledClassifier.classify (op 0 and 7
-    # never reach a compiled predicate; the final else mirrors classify).
-    if op == int(CmpOp.EQ):
-        return a == b
-    if op == int(CmpOp.NE):
-        return a != b
-    if op == int(CmpOp.GT):
-        return a > b
-    if op == int(CmpOp.LT):
-        return a < b
-    if op == int(CmpOp.GE):
-        return a >= b
-    return a <= b
 
 
 class _Certifier:
@@ -527,7 +495,9 @@ class _Certifier:
                 f"compiled ok", stage=index)
             return
 
-        self._check_miss_default(index, plan, default_word, default_instr)
+        if plan.kind != 1:  # an interval miss is judged point by point
+            self._check_miss_default(index, plan, default_word,
+                                     default_instr)
 
         table = stage.match_table
         if isinstance(table, ExactMatchTable):
@@ -707,126 +677,56 @@ class _Certifier:
                          mask: int) -> None:
         plan_index = self._plan_index(plan)
         segments = _mask_segments(mask)
-        if plan.segments != segments:
-            self._violated(
-                "partition-structure",
-                f"stage {index}: compiled compaction segments "
-                f"{plan.segments} != runs of the installed extractor "
-                f"mask {segments}", stage=index)
-            return
         full = (1 << sum(run.bit_length()
                          for _s, run, _o in segments)) - 1
 
         # Re-derive each live entry's compacted match range.
         ranges: List[Tuple[int, int, int]] = []  # (addr, lo, hi) closed
-        for addr in addresses:
-            tentry = table.read(addr)
-            pattern = tentry.key & tentry.mask
-            if pattern & ~mask:
-                continue  # dead: demands a bit outside the key space
-            c_mask = _compact(tentry.mask & mask, segments)
-            c_pattern = _compact(pattern, segments)
-            wild = full ^ c_mask
-            if wild & (wild + 1):
-                self._violated(
-                    "partition-structure",
-                    f"stage {index}: CAM row {addr} has non-contiguous "
-                    f"wildcard bits under the extractor mask; interval "
-                    f"arrays cannot represent it", stage=index)
-                return
-            ranges.append((addr, c_pattern, c_pattern | wild))
-
-        struct_problem = ""
-        n = len(plan.starts)
-        if not len(plan.ends) == n == len(plan.leaves):
-            struct_problem = "starts/ends/leaves lengths disagree"
+        problem = ""
+        if plan.segments != segments:
+            problem = (f"compiled compaction segments {plan.segments} != "
+                       f"runs of the installed extractor mask {segments}")
+        elif not len(plan.starts) == len(plan.ends) == len(plan.leaves):
+            problem = "starts/ends/leaves lengths disagree"
         else:
-            prev_end = -1
-            for lo, hi in zip(plan.starts, plan.ends):
-                if lo <= prev_end:
-                    struct_problem = (f"interval [{lo:#x}, {hi:#x}] is "
-                                      f"not ordered after/disjoint from "
-                                      f"its predecessor")
+            for addr in addresses:
+                tentry = table.read(addr)
+                pattern = tentry.key & tentry.mask
+                if pattern & ~mask:
+                    continue  # dead: demands a bit outside the key space
+                c_mask = _compact(tentry.mask & mask, segments)
+                c_pattern = _compact(pattern, segments)
+                wild = full ^ c_mask
+                if wild & (wild + 1):
+                    problem = (f"CAM row {addr} has non-contiguous "
+                               f"wildcard bits under the extractor mask; "
+                               f"interval arrays cannot represent it")
                     break
-                if hi < lo:
-                    struct_problem = f"interval [{lo:#x}, {hi:#x}] is " \
-                                     f"inverted"
-                    break
-                if lo < 0 or hi > full:
-                    struct_problem = (f"interval [{lo:#x}, {hi:#x}] "
-                                      f"exceeds the compact key space "
-                                      f"[0, {full:#x}]")
-                    break
-                prev_end = hi
-        if struct_problem:
+                ranges.append((addr, c_pattern, c_pattern | wild))
+        if problem:
             self._violated("partition-structure",
-                           f"stage {index}: {struct_problem}",
-                           stage=index)
-        else:
-            self._proved("partition-structure", stage=index,
-                         detail=f"{n} disjoint ordered intervals from "
-                                f"{len(ranges)} live entries")
-
-        # Coverage: union of compiled intervals == union of entry ranges
-        # (the claimed-interval subtraction re-checked independently —
-        # subtract-then-merge must preserve exactly the claimed union).
-        want_cover: List[Interval] = []
-        for _addr, lo, hi in ranges:
-            merge(want_cover, (lo, hi))
-        got_cover: List[Interval] = []
-        for lo, hi in zip(plan.starts, plan.ends):
-            merge(got_cover, (lo, hi))
-        if want_cover != got_cover:
-            point = _first_diff_point(want_cover, got_cover)
-            detail = (f"stage {index}: union of compiled intervals != "
-                      f"union of the {len(ranges)} live entries' match "
-                      f"ranges")
-            ce = None
-            if point is not None:
-                in_want = _covers(want_cover, point)
-                side = ("compiled intervals miss" if in_want
-                        else "compiled intervals claim")
-                ce = self._counterexample(
-                    "partition-coverage", index, plan_index, mask,
-                    _scatter(point, segments),
-                    description=f"stage {index}: {side} compact key "
-                                f"{point:#x}",
-                    expected=f"covered={in_want}",
-                    actual=f"covered={not in_want}")
-            self._violated("partition-coverage", detail, stage=index,
-                           counterexample=ce)
-        else:
-            self._proved("partition-coverage", stage=index,
-                         detail=f"union of {len(got_cover)} merged "
-                                f"ranges matches")
-
-        if struct_problem:
-            self._skipped("priority-actions",
-                          f"stage {index}: partition structure violated; "
-                          f"bisect lookup is undefined", stage=index)
+                           f"stage {index}: {problem}", stage=index)
             return
+        self._proved("partition-structure", stage=index,
+                     detail=f"{len(plan.starts)} intervals from "
+                            f"{len(ranges)} live entries")
 
         # Pointwise proof over elementary intervals: between adjacent
         # breakpoints both sides are constant, so one point decides all.
-        points = {0}
-        for _addr, lo, hi in ranges:
-            points.add(lo)
-            points.add(hi + 1)
-        for lo, hi in zip(plan.starts, plan.ends):
-            points.add(lo)
-            points.add(hi + 1)
-        checked = 0
-        for point in sorted(points):
-            if point > full:
-                continue
-            checked += 1
+        bounds = {0}
+        for lo, hi in [(lo, hi) for _addr, lo, hi in ranges] + \
+                list(zip(plan.starts, plan.ends)):
+            bounds.update((lo, hi + 1))
+        points = [p for p in sorted(bounds) if 0 <= p <= full]
+        for point in points:
             full_key = _scatter(point, segments)
             ref_addr = next(
                 (addr for addr in addresses
                  if table.read(addr).matches(full_key)), None)
             i = bisect_right(plan.starts, point) - 1
             hit = i >= 0 and point <= plan.ends[i]
-            compiled_leaf = plan.leaves[i] if hit else plan.miss_ops
+            leaf = plan.leaves[i] if hit else None
+            compiled_leaf = plan.miss_ops if leaf is None else leaf
             ref_instr = (leaves_ref[ref_addr] if ref_addr is not None
                          else default_instr)
             mismatch = self._compare_leaf(compiled_leaf, ref_instr)
@@ -853,7 +753,7 @@ class _Certifier:
                 stage=index, counterexample=ce)
             return
         self._proved("priority-actions", stage=index,
-                     detail=f"{checked} elementary intervals replayed")
+                     detail=f"{len(points)} elementary intervals replayed")
 
     # -- ternary residual stages -------------------------------------------------
 
@@ -1079,8 +979,8 @@ class _Certifier:
                 return imm
             return vals.get(flat, 0)
 
-        if int(_eval_pred(op, value_of(a_flat, a_imm),
-                          value_of(b_flat, b_imm))) == needed:
+        if int(CmpOp(op).evaluate(value_of(a_flat, a_imm),
+                                  value_of(b_flat, b_imm))) == needed:
             for flat in (a_flat, b_flat):
                 if flat is not None and flat not in vals:
                     vals[flat] = 0  # pin what we just evaluated with
@@ -1097,7 +997,7 @@ class _Certifier:
                 vals[flat] = candidate
                 a = value_of(a_flat, a_imm)
                 b = value_of(b_flat, b_imm)
-                if int(_eval_pred(op, a, b)) == needed:
+                if int(CmpOp(op).evaluate(a, b)) == needed:
                     return True
             del vals[flat]
         return False
@@ -1133,7 +1033,7 @@ def _stage_key(sp: _StagePlan, vals: List[int]) -> int:
         op, a_flat, a_imm, b_flat, b_imm = sp.pred
         a = vals[a_flat] if a_flat is not None else a_imm
         b = vals[b_flat] if b_flat is not None else b_imm
-        if _eval_pred(op, a, b):
+        if CmpOp(op).evaluate(a, b):
             key |= 1
     for shift, slot_mask, flat in sp.key_slots:
         key |= (vals[flat] & slot_mask) << shift

@@ -2,26 +2,32 @@
 
 Each mutator clones a :class:`~repro.engine.classifier.CompiledClassifier`
 and injects one *known* corruption of a kind a buggy compiler could
-plausibly produce: an off-by-one interval bound, swapped priorities,
-a dropped residual entry, an op tuple writing the wrong container,
-swapped exact-match leaves, or a ``Fallback`` carrying the wrong
-reason. The mutation harness (``tests/test_equiv.py``) asserts that
-:func:`~repro.analysis.equiv.certify.certify_classifier` catches every
-one with a synthesized counterexample, and — for the behaviorally
-observable mutations — that the scalar differential oracle confirms the
-counterexample packet actually disagrees.
+plausibly produce. Leaf corruptions: an off-by-one interval bound,
+swapped priorities, a dropped residual entry, an op tuple writing the
+wrong container, swapped exact-match leaves, a ``Fallback`` carrying
+the wrong reason. Plan corruptions: a parse offset one byte late, a
+dropped deparse write, a dropped stage plan, a key slot reading the
+wrong container, a shifted compaction segment, an extra write in an
+exact stage's miss leaf. The mutation harness (``tests/test_equiv.py``)
+asserts that :func:`~repro.analysis.equiv.certify.certify_classifier`
+catches every one under the obligation it targets, and — for the
+behaviorally observable mutations — that the scalar differential
+oracle disagrees with the mutant on a synthesized counterexample
+packet or, for plan corruptions (which name no single key), on a
+packet of the module's flow stream.
 
 Mutators are deterministic ("seeded" by the artifact itself): they scan
-in a fixed order and corrupt the first site where the corruption is
-*observable* (e.g. a dropped residual entry is only dropped if its own
-pattern would have selected it, so the drop changes first-match
-behavior). A mutator returns a description of what it changed, or
-``None`` when the classifier has no applicable site.
+in a fixed order and corrupt the first applicable site; a leaf
+corruption takes the first site where it is *observable* (e.g. a
+dropped residual entry is only dropped if its own pattern would have
+selected it, so the drop changes first-match behavior). A mutator
+returns a description of what it changed, or ``None`` when the
+classifier has no applicable site.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ...engine.classifier import (
     _ADD,
@@ -29,10 +35,12 @@ from ...engine.classifier import (
     _SET,
     _SUB,
     _SUBI,
+    _WRAP,
     CompiledClassifier,
     Fallback,
     _StagePlan,
 )
+from .symbolic import compiled_effect
 
 _Mutator = Callable[[CompiledClassifier], Optional[str]]
 
@@ -71,22 +79,31 @@ def _full_compact(sp: _StagePlan) -> int:
                      for _s, run, _o in sp.segments)) - 1
 
 
+def _effect(leaf: Any) -> Any:
+    """What a leaf does to a packet; every ``Fallback`` bails alike."""
+    if isinstance(leaf, Fallback):
+        return Fallback
+    return compiled_effect(leaf or ())
+
+
 def mutate_interval_bound(clf: CompiledClassifier) -> Optional[str]:
     """Off-by-one interval bound: extend an interval's end into a miss
     gap (so a key the CAM misses now hits the interval's leaf), or — if
-    the partition has no gaps — shrink an interval instead."""
+    the partition has no gaps — shrink an interval instead. Only an
+    interval whose leaf acts unlike the miss leaf is touched."""
     for si, sp in enumerate(clf._stages):
         if sp.kind != 1 or not sp.starts:
             continue
         full = _full_compact(sp)
+        miss = _effect(sp.miss_ops)
         for i in range(len(sp.ends)):
             nxt = sp.starts[i + 1] if i + 1 < len(sp.starts) else full + 1
-            if sp.ends[i] + 1 < nxt and sp.leaves[i] != sp.miss_ops:
+            if sp.ends[i] + 1 < nxt and _effect(sp.leaves[i]) != miss:
                 sp.ends[i] += 1
                 return (f"stage plan {si}: interval {i} end extended "
                         f"from {sp.ends[i] - 1:#x} to {sp.ends[i]:#x}")
         for i in range(len(sp.ends)):
-            if sp.ends[i] > sp.starts[i] and sp.leaves[i] != sp.miss_ops:
+            if sp.ends[i] > sp.starts[i] and _effect(sp.leaves[i]) != miss:
                 sp.ends[i] -= 1
                 return (f"stage plan {si}: interval {i} end shrunk "
                         f"from {sp.ends[i] + 1:#x} to {sp.ends[i]:#x}")
@@ -253,6 +270,70 @@ def mutate_fallback_reason(clf: CompiledClassifier) -> Optional[str]:
     return None
 
 
+def mutate_parse_offset(clf: CompiledClassifier) -> Optional[str]:
+    """Copy the first parsed field from one byte later in the packet."""
+    if not clf._parse:
+        return None
+    off, end, flat = clf._parse[0]
+    clf._parse = ((off + 1, end + 1, flat),) + clf._parse[1:]
+    return f"parse copy 0 (c{flat}) moved from byte {off} to {off + 1}"
+
+
+def mutate_drop_deparse(clf: CompiledClassifier) -> Optional[str]:
+    """Drop the first deparse write-back: that container's new value
+    never reaches the wire."""
+    if not clf._deparse:
+        return None
+    off, end, flat, _size = clf._deparse[0]
+    clf._deparse = clf._deparse[1:]
+    return f"deparse write of c{flat} to bytes [{off}, {end}) dropped"
+
+
+def mutate_drop_stage(clf: CompiledClassifier) -> Optional[str]:
+    """Drop the first stage plan: its lookup and actions vanish."""
+    if not clf._stages:
+        return None
+    clf._stages = clf._stages[1:]
+    return "stage plan 0 dropped"
+
+
+def mutate_key_slot(clf: CompiledClassifier) -> Optional[str]:
+    """Fill a stage's first key slot from the wrong container (same
+    width class)."""
+    for si, sp in enumerate(clf._stages):
+        if sp.key_slots:
+            shift, slot_mask, flat = sp.key_slots[0]
+            sp.key_slots = ((shift, slot_mask, flat ^ 1),) + \
+                sp.key_slots[1:]
+            return (f"stage plan {si}: key slot 0 reads c{flat ^ 1} "
+                    f"instead of c{flat}")
+    return None
+
+
+def mutate_segment_shift(clf: CompiledClassifier) -> Optional[str]:
+    """Shift an interval stage's top compaction segment one key bit
+    up, so the compacted key is read from the wrong bits."""
+    for si, sp in enumerate(clf._stages):
+        if sp.kind == 1 and sp.segments:
+            shift, run_mask, out_shift = sp.segments[-1]
+            sp.segments = sp.segments[:-1] + \
+                ((shift + 1, run_mask, out_shift),)
+            return (f"stage plan {si}: compaction segment at key bit "
+                    f"{shift} shifted to {shift + 1}")
+    return None
+
+
+def mutate_miss_write(clf: CompiledClassifier) -> Optional[str]:
+    """Append a write to an exact stage's miss leaf: every key the CAM
+    misses now sets container 0 to all ones."""
+    for si, sp in enumerate(clf._stages):
+        if sp.kind == 0 and not isinstance(sp.miss_ops, Fallback):
+            sp.miss_ops = tuple(sp.miss_ops or ()) + \
+                ((_SET, 0, 0, _WRAP[0], _WRAP[0]),)
+            return f"stage plan {si}: miss leaf gained c0 := {_WRAP[0]:#x}"
+    return None
+
+
 #: Known corruptions, by name; iteration order is the harness order.
 MUTATIONS: Dict[str, _Mutator] = {
     "interval-bound-off-by-one": mutate_interval_bound,
@@ -261,6 +342,12 @@ MUTATIONS: Dict[str, _Mutator] = {
     "wrong-op-target": mutate_op_target,
     "swapped-exact-leaves": mutate_exact_leaves,
     "wrong-fallback-reason": mutate_fallback_reason,
+    "parse-offset-off-by-one": mutate_parse_offset,
+    "dropped-deparse-write": mutate_drop_deparse,
+    "dropped-stage-plan": mutate_drop_stage,
+    "flipped-key-slot": mutate_key_slot,
+    "shifted-compaction-segment": mutate_segment_shift,
+    "extra-miss-write": mutate_miss_write,
 }
 
 

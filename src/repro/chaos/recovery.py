@@ -6,22 +6,22 @@ tenants whose placed route crosses a down link or a crashed switch
 (:meth:`~repro.fabric.tenant.FabricTenant.is_stranded`) and re-places
 each onto a surviving route with the existing
 :meth:`~repro.fabric.tenant.FabricTenant.migrate` machinery. Around
-the migration it does the three things a real controller must:
+the migration it does the two things a real controller must:
 
-* **drain** — stale queued packets on surviving switches whose egress
-  wire is dead are purged
-  (:meth:`~repro.engine.scheduler.EgressScheduler.purge`) and reported
-  on the unified lost-record path (they were in flight toward the dead
-  link; they must reconcile with the per-tenant counters, not vanish);
+* **drain** — the tenant's stale queued packets on the dead egress
+  port of each surviving switch are scrubbed
+  (:meth:`~repro.engine.scheduler.EgressScheduler.drop_queued`, scoped
+  to that tenant and port) and reported on the unified lost-record path
+  (they were in flight toward the dead link; they must reconcile with
+  the per-tenant counters, not vanish). The tenant stays live: its
+  counters, weight, rate bucket and other ports' queues are untouched;
 * **carry** — stateful-module registers (NetChain sequencers, NetCache
   values) are snapshotted from every readable old-route switch and
   restored after the move: a re-steered shared switch gets its own
   state back (the §4.1 update wiped it), and each fresh switch
   inherits an abandoned donor's state positionally in route order.
   Registers on a *crashed* switch are gone — those switches are
-  reported as ``state_lost``, never silently zeroed;
-* **re-arm** — the tenant's fair-share weight and rate cap are
-  re-applied fabric-wide (the drain stripped them from purged ports).
+  reported as ``state_lost``, never silently zeroed.
 
 Every outcome is a typed
 :class:`~repro.chaos.postmortem.ReplacedTenant`; a tenant that cannot
@@ -107,19 +107,17 @@ class RecoveryController:
             new_route = tuple(tenant.migrate(
                 (old_route[-1], egress[old_route[-1]])))
         except (LinkDownError, PlacementError, FabricError) as err:
-            self._rearm(tenant)
             return outcome((), drained, (), tuple(state_lost), False,
                            str(err))
         carried = self._carry(tenant, old_route, new_route, egress,
                               snapshots)
-        self._rearm(tenant)
         return outcome(new_route, drained, carried, tuple(state_lost),
                        True)
 
     def _drain(self, tenant, old_route, egress, now: float,
                core) -> int:
-        """Purge stale queues pointed at dead capacity, counting (and
-        reporting) the packets they held."""
+        """Scrub the tenant's queues pointed at dead capacity, counting
+        (and reporting) the packets they held."""
         drained = 0
         for name in old_route:
             member = self.fabric.switch(name)
@@ -129,13 +127,10 @@ class RecoveryController:
             link = member.links.get(port) if port is not None else None
             if link is None or link.up:
                 continue  # healthy wire; its queue still drains
-            purged = member.scheduler.purge(tenant.vid)
-            drained += len(purged)
-            if core is not None and purged:
-                core.report_fault_losses(
-                    member,
-                    [(port, tenant.vid, packet) for packet in purged],
-                    time=now)
+            scrubbed = member.scheduler.drop_queued(tenant.vid, port)
+            drained += len(scrubbed)
+            if core is not None and scrubbed:
+                core.report_fault_losses(member, scrubbed, time=now)
         return drained
 
     def _carry(self, tenant, old_route, new_route, egress,
@@ -158,13 +153,6 @@ class RecoveryController:
             self._restore(tenant.handle(heir), snapshots[donor])
             carried.append((donor, heir))
         return tuple(carried)
-
-    def _rearm(self, tenant) -> None:
-        """Re-apply the scheduling knobs the drain stripped."""
-        if tenant.weight is not None:
-            tenant.set_weight(tenant.weight)
-        if tenant.rate_limit is not None:
-            tenant.set_rate_limit(*tenant.rate_limit)
 
     @staticmethod
     def _snapshot(handle) -> Dict[str, List[int]]:

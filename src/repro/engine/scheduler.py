@@ -301,64 +301,66 @@ class EgressScheduler:
         traffic. Returns the packets that were dropped from the
         queues, in (port, arrival) order.
         """
-        purged: List[Packet] = []
-        for port, state in enumerate(self._ports):
-            fifo = state.fifos.pop(vid, None)
-            if fifo:
-                purged.extend(packet for _rank, _seq, packet in fifo)
-                state.queued -= len(fifo)
-                chosen = state.chosen
-                if chosen is not None and chosen[0][0] == vid:
-                    state.chosen, state.started = None, False
-                else:
-                    state.forget_scan()
-                if not state.queued:
-                    self._backlogged.discard(port)
-                    state.idle_since = self._advances
+        purged = [packet for _port, _vid, packet in self.drop_queued(vid)]
+        for state in self._ports:
             state.ranker.weights.pop(vid, None)
-            state.ranker._last_finish.pop(vid, None)
-            self._throttle_marks.pop((port, vid), None)
         self._weights.pop(vid, None)
         self._buckets.pop(vid, None)
         self._stats.retire(vid)
         return purged
 
-    def drop_queued(self) -> List[Tuple[int, int, Packet]]:
-        """Scrub every queued packet without transmitting — a crash,
-        not a service.
+    def drop_queued(self, vid: Optional[int] = None,
+                    port: Optional[int] = None
+                    ) -> List[Tuple[int, int, Packet]]:
+        """Scrub queued packets without transmitting them — every
+        tenant's on every port (a crash), or only ``vid``'s and/or only
+        ``port``'s.
 
         The data-plane reset behind :meth:`repro.fabric.topology.
-        Fabric.crash_switch`: queue contents, STFQ finish tags, per-port
-        arrival sequences, and throttle marks all clear, so a restored
-        switch cannot emit ghost departures for packets that died in
-        the crash. Configuration survives — weights, rate buckets, port
-        rates, and multicast groups are control-plane state a rebooted
-        switch gets re-pushed — and the drop/transmit counters are left
-        alone (the queue-depth gauges drop to zero): crash losses are
-        accounted by the caller on the unified lost-record path, not as
-        queue-capacity drops. Returns the
-        scrubbed ``(port, vid, packet)`` triples in (port, arrival)
-        order.
+        Fabric.crash_switch`, :meth:`purge`, and a recovery drain of a
+        dead wire: the scope's queue contents, STFQ finish tags and
+        throttle marks clear (a whole-port scrub also restarts the
+        port's arrival sequence), so a restored switch cannot emit
+        ghost departures for packets that died. Configuration survives
+        — weights, rate buckets, port rates, and multicast groups are
+        control-plane state a rebooted switch gets re-pushed — and
+        every counter but the queue-depth gauge is left alone: losses
+        are accounted by the caller on the unified lost-record path,
+        not as queue-capacity drops. Returns the scrubbed
+        ``(port, vid, packet)`` triples in (port, arrival) order.
         """
+        if port is not None:
+            self._check_port(port)
         dropped: List[Tuple[int, int, Packet]] = []
-        for port, state in enumerate(self._ports):
-            entries = [(seq, vid, packet)
-                       for vid, fifo in state.fifos.items()
-                       for _rank, seq, packet in fifo]
+        for p in range(self.num_ports) if port is None else (port,):
+            state = self._ports[p]
+            scope = list(state.fifos) if vid is None else [vid]
+            entries = []
+            for v in scope:
+                fifo = state.fifos.pop(v, None)
+                if fifo:
+                    entries.extend((seq, v, packet)
+                                   for _rank, seq, packet in fifo)
+                    self._stats.tenant(v).queue_depth -= len(fifo)
+                self._throttle_marks.pop((p, v), None)
+            if vid is None:
+                state.ranker._last_finish.clear()
+                state.seq = 0
+            else:
+                state.ranker._last_finish.pop(vid, None)
+            if not entries:
+                continue
             entries.sort()
-            dropped.extend((port, vid, packet)
-                           for _seq, vid, packet in entries)
-            state.fifos.clear()
-            if state.queued:
-                state.queued = 0
+            dropped.extend((p, v, packet) for _seq, v, packet in entries)
+            state.queued -= len(entries)
+            chosen = state.chosen
+            if chosen is not None and chosen[0][0] in scope:
                 state.chosen, state.started = None, False
+            else:
+                state.forget_scan()
+            if not state.queued:
+                self._backlogged.discard(p)
                 state.idle_since = self._advances
-            state.ranker._last_finish.clear()
-            state.seq = 0
-        self._backlogged.clear()
-        for record in self._stats.tenants.values():
-            record.queue_depth = 0
-        self._throttle_marks.clear()
         return dropped
 
     def rate_limit_of(self, vid: int) -> Optional[float]:

@@ -23,6 +23,7 @@ Covers the ISSUE-9 satellites end to end:
   lost with a crashed switch, and the unrecoverable case.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -411,7 +412,7 @@ class TestRecovery:
 
     def test_replacement_drains_carries_and_rearms(self):
         """The full recovery sequence over a link failure: stale queue
-        drained, registers carried across the move, weight re-armed,
+        drained, registers carried across the move, weight kept,
         and the NetChain sequence numbers continue unbroken."""
         fabric = _fabric()
         tenant = fabric.tenant(
@@ -438,7 +439,7 @@ class TestRecovery:
         assert action.carried == (("spine0", "spine1"),)
         assert action.state_lost == ()
         assert action.recovery_latency_s == pytest.approx(1e-3)
-        # Queues drained, weight re-armed on old and new switches.
+        # Queues drained, weight kept on old and new switches.
         assert fabric.switch("leaf0").scheduler.queue_depth(5) == 0
         assert fabric.switch("leaf0").scheduler.weight_of(5) == 2.0
         assert fabric.switch("spine1").scheduler.weight_of(5) == 2.0
@@ -448,6 +449,39 @@ class TestRecovery:
             assert tenant.handle(name).register("sequencer").read(0) == 3
         result = serve(fabric, [("leaf0", netchain.make_packet(5))])
         assert netchain.read_seq(result.delivered_for(5)[0]) == 4
+
+    def test_drain_leaves_the_live_tenant_whole(self):
+        """The drain scrubs only the tenant's queue on the dead wire.
+        On a switch the tenant stays on, its counters keep their
+        pre-drain values, its weight, rate and bucket tokens are
+        unchanged, and its queue on another port survives."""
+        fabric = _fabric()
+        tenant = _calc_tenant(fabric, 1, via=("spine0",), weight=2.0)
+        tenant.set_rate_limit(1e6, 4000.0)
+        serve(fabric, [("leaf0", _pkt(1)) for _ in range(3)])
+        leaf0 = fabric.switch("leaf0")
+        scheduler = leaf0.scheduler
+        uplink = tenant.egress_ports()["leaf0"]
+        for port in (uplink, uplink, HOSTS - 1):
+            scheduler.enqueue(_pkt(1), port, module_id=1)
+        handle = tenant.handle("leaf0")
+        before = handle.counters()
+        bucket = scheduler._buckets[1]
+        tokens = bucket.tokens
+        assert before.packets_in == 3 and tokens < 4000.0
+        fabric.set_link_state("leaf0", "spine0", up=False)
+
+        action, = RecoveryController(fabric).recover(now=1e-3)
+        assert action.recovered and action.drained == 2
+        assert scheduler.queue_len(uplink) == 0
+        assert scheduler.queue_len(HOSTS - 1) == 1
+        # only the gauge moves: two packets left the queue, uncounted
+        assert handle.counters() == dataclasses.replace(
+            before, egress_queue_depth=before.egress_queue_depth - 2)
+        assert scheduler.weight_of(1) == 2.0
+        assert scheduler._buckets[1] is bucket
+        assert (bucket.rate, bucket.burst, bucket.tokens) == \
+            (1e6, 4000.0, tokens)
 
     def test_crashed_switch_state_is_reported_lost(self):
         fabric = _fabric()

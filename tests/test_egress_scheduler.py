@@ -826,15 +826,11 @@ class _AllPortsReference(EgressScheduler):
         self._wire.pop(port, None)
         return super()._serve(choice, port)
 
-    def purge(self, vid):
-        for port, (choice, _finish) in list(self._wire.items()):
-            if choice[0] == vid:
-                del self._wire[port]
-        return super().purge(vid)
-
-    def drop_queued(self):
-        self._wire.clear()
-        return super().drop_queued()
+    def drop_queued(self, vid=None, port=None):
+        for wired, (choice, _finish) in list(self._wire.items()):
+            if vid in (None, choice[0]) and port in (None, wired):
+                del self._wire[wired]
+        return super().drop_queued(vid, port)
 
     def _queued(self, port):
         return sum(len(fifo) for fifo in self._ports[port].fifos.values())
@@ -940,7 +936,7 @@ _model_op = st.one_of(
     st.tuples(st.just("set_port_rate"), _port,
               st.sampled_from((1e5, 1e6, 1e8))),
     st.tuples(st.just("purge"), _vid),
-    st.tuples(st.just("drop_queued")),
+    st.tuples(st.just("drop_queued"), st.none() | _vid, st.none() | _port),
     st.tuples(st.just("line_rate"), st.sampled_from((None, 1e5, 1e6))),
 )
 
@@ -999,7 +995,7 @@ class TestBackloggedPortIndexModel:
             return _tags(sched.purge(op[1]))
         if kind == "drop_queued":
             return [(port, vid, packet.arrival_time)
-                    for port, vid, packet in sched.drop_queued()]
+                    for port, vid, packet in sched.drop_queued(*op[1:])]
         if kind == "line_rate":
             sched.line_rate_bps = op[1]
             return None
@@ -1093,7 +1089,8 @@ def _books_run(draw):
                   st.sampled_from((100, 1000, 5000))),
         st.tuples(st.just("advance"), st.sampled_from((0.0, 1e-5, 1e-3, 0.1))),
         st.tuples(st.just("purge"), vid),
-        st.tuples(st.just("drop_queued")),
+        st.tuples(st.just("drop_queued"), st.none() | vid,
+                  st.none() | port),
         st.tuples(st.just("set_weight"), vid, st.sampled_from((0.5, 1.0, 4.0))),
         st.tuples(st.just("set_rate_limit"), vid,
                   st.sampled_from((2e4, 1e5, 1e6)),
@@ -1181,7 +1178,7 @@ class TestBooksConsistency:
                 retired[op[1]] += tx[op[1]]
                 tx[op[1]] = scrubbed[op[1]] = 0
             if op[0] == "drop_queued":
-                for _port, vid, _packet in sched.drop_queued():
+                for _port, vid, _packet in sched.drop_queued(*op[1:]):
                     scrubbed[vid] += 1
             else:
                 for vid, nbytes in self._apply(sched, op, now):

@@ -8,9 +8,15 @@ Four layers of guarantees:
 * **The mutation harness** — every seeded corruption a buggy compiler
   could plausibly produce (off-by-one interval bounds, swapped
   priorities, dropped residual entries, wrong op targets, swapped exact
-  leaves, mislabelled fallback reasons) is caught, and for every
-  behaviorally observable corruption the synthesized counterexample
-  packet makes the mutant *actually disagree* with the scalar oracle.
+  leaves, mislabelled fallback reasons, and one plan corruption per
+  structural obligation) is caught by exactly the obligation it
+  targets; every obligation but ``epoch`` and ``refusal-reason`` has
+  such a guard. For every behaviorally observable corruption the mutant
+  *actually disagrees* with the scalar oracle: on the synthesized
+  counterexample packet, or — for a structural violation, which names
+  no key — on a packet of the module's seeded flow stream. A seeded
+  fuzz of interval-array corruptions pins the verdict to the oracle
+  both ways.
 * **Engine integration** — ``BatchEngine(check_compiled=...)``
   certifies on every lazy rebuild: ``enforce`` refuses the compiled
   path (counted under the ``uncertified`` fallback reason) and
@@ -21,6 +27,7 @@ Four layers of guarantees:
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +40,9 @@ from repro.analysis.equiv import (
     Certificate,
     apply_mutation,
     certify_classifier,
+    clone_classifier,
 )
-from repro.analysis.equiv.certify import _scatter
+from repro.analysis.equiv.certify import _Certifier, _scatter
 from repro.core import MenshenPipeline
 from repro.core.intervals import merge, subtract
 from repro.engine import BatchEngine, Fallback, compile_classifier
@@ -43,7 +51,7 @@ from repro.engine.classifier import _compact, _mask_segments
 from repro.modules import firewall
 from repro.net.packet import Packet
 from repro.runtime import MenshenController
-from repro.traffic import workload
+from repro.traffic import flow_stream, workload
 from test_engine_differential import ENGINE_MODES
 
 PROP_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
@@ -96,31 +104,53 @@ FIXTURES = {
     "stateful-netcache": lambda: _workload_pipeline("netcache", 4),
 }
 
-#: (fixture, mutation, oracle_observable). Every mutation appears with
-#: at least one fixture where it has an applicable site; observability
-#: means the synthesized packet must make the mutant disagree with the
-#: scalar oracle (a wrong *fallback reason* never changes behavior —
+#: fixture -> the workload whose flow packets its module parses.
+FIXTURE_WORKLOADS = {
+    "exact-firewall": "firewall",
+    "exact-calc": "calc",
+    "intervals": "firewall",
+    "residual": "firewall",
+    "stateful-netcache": "netcache",
+}
+
+#: (fixture, mutation, violated obligation, oracle_observable). Every
+#: mutation appears with at least one fixture where it has an
+#: applicable site, and must violate exactly the obligation named;
+#: observability means the mutant must disagree with the scalar oracle
+#: on some packet (a wrong *fallback reason* never changes behavior —
 #: the engine bails to the correct oracle either way).
 MUTATION_CASES = [
-    ("exact-firewall", "swapped-exact-leaves", True),
-    ("exact-calc", "swapped-exact-leaves", True),
-    ("exact-calc", "wrong-op-target", True),
-    ("intervals", "interval-bound-off-by-one", True),
-    ("intervals", "swapped-priorities", True),
-    ("residual", "swapped-priorities", True),
-    ("residual", "dropped-residual-entry", True),
-    ("stateful-netcache", "wrong-fallback-reason", False),
+    ("exact-firewall", "swapped-exact-leaves", "exact-keys", True),
+    ("exact-calc", "swapped-exact-leaves", "exact-keys", True),
+    ("exact-calc", "wrong-op-target", "exact-keys", True),
+    ("intervals", "interval-bound-off-by-one", "priority-actions", True),
+    ("intervals", "swapped-priorities", "priority-actions", True),
+    ("residual", "swapped-priorities", "residual-order", True),
+    ("residual", "dropped-residual-entry", "residual-order", True),
+    ("stateful-netcache", "wrong-fallback-reason", "fallback-reason",
+     False),
+    ("exact-calc", "parse-offset-off-by-one", "parse-plan", True),
+    ("exact-calc", "dropped-deparse-write", "deparse-plan", True),
+    ("exact-calc", "dropped-stage-plan", "stage-alignment", True),
+    ("exact-calc", "flipped-key-slot", "key-recipe", True),
+    ("intervals", "shifted-compaction-segment", "partition-structure",
+     True),
+    ("exact-firewall", "extra-miss-write", "miss-default", True),
 ]
+
+#: Obligations judged on the artifact's plans rather than on one key:
+#: a violation names no key, so it carries no counterexample packet.
+STRUCTURAL = {"parse-plan", "deparse-plan", "stage-alignment",
+              "key-recipe", "partition-structure", "miss-default"}
 
 
 def _compile(pipeline, vid):
     return compile_classifier(pipeline, vid)
 
 
-def _oracle_disagrees(pipeline, clf, vid, packet_hex):
+def _oracle_disagrees(pipeline, clf, vid, packet):
     """True when the classifier and the scalar pipeline walk produce
-    different observable results for the counterexample packet."""
-    packet = Packet(bytes.fromhex(packet_hex))
+    different observable results for ``packet``."""
     outcome = clf.classify(packet.copy(), 0)
     merged_ref, phv_ref = pipeline.execute(packet.copy(), vid,
                                            buffer_slot=0)
@@ -230,9 +260,11 @@ class TestStockModulesCertify:
 # ---------------------------------------------------------------------------
 
 class TestMutationHarness:
-    @pytest.mark.parametrize("fixture,mutation,observable", MUTATION_CASES)
+    @pytest.mark.parametrize(
+        "fixture,mutation,obligation,observable", MUTATION_CASES,
+        ids=[f"{f}-{m}-{o}" for f, m, _ob, o in MUTATION_CASES])
     def test_mutation_caught_with_counterexample(self, fixture, mutation,
-                                                 observable):
+                                                 obligation, observable):
         pipeline, vid = FIXTURES[fixture]()
         clf = _compile(pipeline, vid)
         assert certify_classifier(pipeline, clf, vid=vid).ok
@@ -244,23 +276,40 @@ class TestMutationHarness:
         certificate = certify_classifier(pipeline, mutant, vid=vid)
         assert not certificate.ok, \
             f"{mutation} on {fixture} was not caught ({description})"
-        assert certificate.violations()
-        assert certificate.counterexamples, \
-            f"{mutation} on {fixture}: no counterexample synthesized"
-
-        if observable:
-            packets = [ce.packet_hex for ce in certificate.counterexamples
-                       if ce.packet_hex]
-            assert packets, (f"{mutation} on {fixture}: no counterexample "
-                             f"packet reached the wire")
-            assert any(_oracle_disagrees(pipeline, mutant, vid, hexstr)
-                       for hexstr in packets), \
+        assert {o.name for o in certificate.violations()} == \
+            {obligation}, certificate.render()
+        structural = obligation in STRUCTURAL
+        assert bool(certificate.counterexamples) is not structural, \
+            certificate.render()
+        if not observable:
+            return
+        if structural:
+            stream = flow_stream(workload(FIXTURE_WORKLOADS[fixture]), vid,
+                                 random.Random(7), 64)
+            assert any(_oracle_disagrees(pipeline, mutant, vid, packet)
+                       for packet in stream), \
                 (f"{mutation} on {fixture}: oracle agrees with the "
-                 f"mutant on every synthesized packet")
+                 f"mutant on every packet of the flow stream")
+            return
+        packets = [Packet(bytes.fromhex(ce.packet_hex))
+                   for ce in certificate.counterexamples if ce.packet_hex]
+        assert packets, (f"{mutation} on {fixture}: no counterexample "
+                         f"packet reached the wire")
+        assert any(_oracle_disagrees(pipeline, mutant, vid, packet)
+                   for packet in packets), \
+            (f"{mutation} on {fixture}: oracle agrees with the "
+             f"mutant on every synthesized packet")
 
     def test_every_mutation_exercised(self):
-        covered = {mutation for _f, mutation, _o in MUTATION_CASES}
+        covered = {mutation for _f, mutation, _ob, _o in MUTATION_CASES}
         assert covered == set(MUTATIONS)
+
+    def test_every_obligation_guarded_by_a_mutation(self):
+        """Each obligation some corruption can break has a mutant that
+        breaks it (``epoch`` and ``refusal-reason`` judge the artifact's
+        provenance and have direct tests above)."""
+        guarded = {obligation for _f, _m, obligation, _o in MUTATION_CASES}
+        assert guarded == set(OBLIGATIONS) - {"epoch", "refusal-reason"}
 
     def test_unknown_mutation_rejected(self):
         pipeline, vid = FIXTURES["exact-firewall"]()
@@ -275,6 +324,66 @@ class TestMutationHarness:
         assert description is not None
         # The original still certifies: mutation never leaks back.
         assert certify_classifier(pipeline, clf, vid=vid).ok
+
+
+def _corrupt_intervals(sp, rng):
+    """One seeded interval-array corruption of stage plan ``sp``:
+    swapped starts, a bound moved by ±1 or ±5, or swapped leaves."""
+    n = len(sp.starts)
+    kind = rng.choice(("swap-starts", "move-bound", "swap-leaves"))
+    if kind == "move-bound":
+        bounds = rng.choice((sp.starts, sp.ends))
+        bounds[rng.randrange(n)] += rng.choice((-5, -1, 1, 5))
+    else:
+        i, j = rng.sample(range(n), 2)
+        array = sp.starts if kind == "swap-starts" else sp.leaves
+        array[i], array[j] = array[j], array[i]
+
+
+class TestIntervalCorruptionFuzz:
+    """The certifier's verdict on a corrupted interval array is the
+    oracle's: it accepts exactly the corruptions no packet can tell
+    apart from the tables, and refuses the rest with a
+    ``priority-actions`` counterexample packet the oracle confirms."""
+
+    def test_verdict_agrees_with_the_oracle(self):
+        pipeline, vid = FIXTURES["intervals"]()
+        clf = _compile(pipeline, vid)
+        (plan,) = clf._stages
+        full = (1 << _segment_width(plan.segments)) - 1
+        mask = _scatter(full, plan.segments)  # the stage's key mask
+        certifier = _Certifier(pipeline, clf)
+        rng = random.Random(11)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            mutant = clone_classifier(clf)
+            _corrupt_intervals(mutant._stages[0], rng)
+            certificate = certify_classifier(pipeline, mutant, vid=vid)
+            verdicts[certificate.ok] += 1
+            if not certificate.ok:
+                assert {o.name for o in certificate.violations()} == \
+                    {"priority-actions"}, certificate.render()
+                (ce,) = certificate.counterexamples
+                assert ce.packet_hex, certificate.render()
+                assert _oracle_disagrees(
+                    pipeline, mutant, vid,
+                    Packet(bytes.fromhex(ce.packet_hex)))
+                continue
+            breakpoints = set()
+            for sp in (plan, mutant._stages[0]):
+                for lo, hi in zip(sp.starts, sp.ends):
+                    breakpoints.update((lo, hi + 1))
+            for point in sorted(breakpoints):
+                for probe in (point - 1, point, point + 1):
+                    if not 0 <= probe <= full:
+                        continue
+                    packet = certifier._packet_for_key(
+                        0, mask, _scatter(probe, plan.segments))
+                    assert packet is not None
+                    assert not _oracle_disagrees(pipeline, mutant, vid,
+                                                 Packet(packet)), \
+                        f"accepted mutant disagrees at {probe:#x}"
+        assert verdicts[True] and verdicts[False], verdicts
 
 
 # ---------------------------------------------------------------------------
