@@ -7,10 +7,12 @@ swapped priorities, a dropped residual entry, an op tuple writing the
 wrong container, swapped exact-match leaves, a ``Fallback`` carrying
 the wrong reason. Plan corruptions: a parse offset one byte late, a
 dropped deparse write, a dropped stage plan, a key slot reading the
-wrong container, a shifted compaction segment, an extra write in an
-exact stage's miss leaf. The mutation harness (``tests/test_equiv.py``)
-asserts that :func:`~repro.analysis.equiv.certify.certify_classifier`
-catches every one under the obligation it targets, and — for the
+wrong container, a shifted compaction segment, interval arrays of
+different lengths, a residual stage flattened to interval arrays, an
+extra write in an exact stage's miss leaf. The mutation harness
+(``tests/test_equiv.py``) asserts that
+:func:`~repro.analysis.equiv.certify.certify_classifier` catches every
+one under the obligation it targets, and — for the
 behaviorally observable mutations — that the scalar differential
 oracle disagrees with the mutant on a synthesized counterexample
 packet or, for plan corruptions (which name no single key), on a
@@ -38,6 +40,7 @@ from ...engine.classifier import (
     _WRAP,
     CompiledClassifier,
     Fallback,
+    _mask_segments,
     _StagePlan,
 )
 from .symbolic import compiled_effect
@@ -323,6 +326,38 @@ def mutate_segment_shift(clf: CompiledClassifier) -> Optional[str]:
     return None
 
 
+def mutate_ragged_intervals(clf: CompiledClassifier) -> Optional[str]:
+    """Drop an interval stage's first start, leaving its end and leaf:
+    ``starts`` is one shorter than ``ends`` and ``leaves``, so each
+    later start pairs with the end before its own and every key
+    misses."""
+    for si, sp in enumerate(clf._stages):
+        if sp.kind == 1 and sp.starts:
+            start = sp.starts.pop(0)
+            return (f"stage plan {si}: start {start:#x} of the first of "
+                    f"{len(sp.ends)} intervals dropped")
+    return None
+
+
+def mutate_flatten_residual(clf: CompiledClassifier) -> Optional[str]:
+    """Compile a residual stage as interval arrays: compaction segments
+    from its key recipe, no intervals. Its entries' wildcard bits are
+    not contiguous in the compacted key space — why the compiler kept
+    them residual — so interval arrays cannot represent them."""
+    for si, sp in enumerate(clf._stages):
+        if sp.kind == 2 and sp.residual:
+            mask = 0
+            for shift, slot_mask, _flat in sp.key_slots:
+                mask |= slot_mask << shift
+            if sp.flag_const or sp.pred is not None:
+                mask |= 1
+            sp.kind, sp.segments, sp.residual = 1, _mask_segments(mask), ()
+            sp.starts, sp.ends, sp.leaves = [], [], []
+            return (f"stage plan {si}: residual stage compiled as "
+                    f"empty interval arrays")
+    return None
+
+
 def mutate_miss_write(clf: CompiledClassifier) -> Optional[str]:
     """Append a write to an exact stage's miss leaf: every key the CAM
     misses now sets container 0 to all ones."""
@@ -347,6 +382,8 @@ MUTATIONS: Dict[str, _Mutator] = {
     "dropped-stage-plan": mutate_drop_stage,
     "flipped-key-slot": mutate_key_slot,
     "shifted-compaction-segment": mutate_segment_shift,
+    "ragged-interval-arrays": mutate_ragged_intervals,
+    "flattened-residual-stage": mutate_flatten_residual,
     "extra-miss-write": mutate_miss_write,
 }
 

@@ -47,21 +47,32 @@ NUM_BUFFERS = 4
 NUM_PARSERS = 2
 
 
-def tagged_vid(packet: Packet) -> Optional[int]:
-    """The 12-bit VID of an 802.1Q-tagged frame; ``None`` for a frame
-    the filter calls untagged (no 0x8100 at offset 12, or too short to
-    hold the tag).
+def _sniff(buf) -> Tuple[Optional[int], bool]:
+    """The one read of the header fields the filter judges: the 12-bit
+    VID of an 802.1Q-tagged frame (``None`` for a frame the filter calls
+    untagged: no 0x8100 at offset 12, or too short to hold the tag), and
+    whether the frame is a reconfiguration packet (tagged, IPv4 protocol
+    UDP, destination port 0xf1f2 — a simple combinational check).
 
-    Indexes ``packet.buf`` itself: one length comparison proves every
-    offset below it, where the bounds-checked ``Packet.read_int``
-    re-proves (and copies) per field.
+    Indexes ``buf`` itself: one length comparison proves every offset
+    below it, where the bounds-checked ``Packet.read_int`` re-proves
+    (and copies) per field.
     """
-    buf = packet.buf
     if (len(buf) < _TAGGED_LEN
             or buf[_ETHERTYPE_OFFSET] != _TPID_HI
             or buf[_ETHERTYPE_OFFSET + 1] != _TPID_LO):
-        return None
-    return (buf[_VLAN_TCI_OFFSET] << 8 | buf[_VLAN_TCI_OFFSET + 1]) & 0xFFF
+        return None, False
+    return ((buf[_VLAN_TCI_OFFSET] << 8 | buf[_VLAN_TCI_OFFSET + 1]) & 0xFFF,
+            len(buf) >= _UDP_DPORT_END
+            and buf[_IP_PROTO_OFFSET] == _IP_PROTO_UDP
+            and buf[_UDP_DPORT_OFFSET] == _DPORT_HI
+            and buf[_UDP_DPORT_OFFSET + 1] == _DPORT_LO)
+
+
+def tagged_vid(packet: Packet) -> Optional[int]:
+    """The 12-bit VID of an 802.1Q-tagged frame; ``None`` for a frame
+    the filter calls untagged."""
+    return _sniff(packet.buf)[0]
 
 
 class PacketClass(Enum):
@@ -71,6 +82,14 @@ class PacketClass(Enum):
     RECONFIG = "reconfig"          #: daisy-chain configuration packet
     CONTROL = "control"            #: untagged (e.g. BFD) -> control plane
     DROP_UPDATING = "drop_updating"  #: module bit set in the bitmap
+
+
+# The verdicts as module names, for the per-packet paths: reading an
+# attribute of an enum class goes through ``EnumType.__getattr__``'s
+# hook on Python 3.11, several times the cost of a global read.
+DATA, RECONFIG, CONTROL, DROP_UPDATING = (
+    PacketClass.DATA, PacketClass.RECONFIG, PacketClass.CONTROL,
+    PacketClass.DROP_UPDATING)
 
 
 class PacketFilter:
@@ -120,34 +139,28 @@ class PacketFilter:
 
     @staticmethod
     def is_reconfig_packet(packet: Packet) -> bool:
-        """UDP destination port == 0xf1f2 (a simple combinational check)."""
-        buf = packet.buf
-        return (len(buf) >= _UDP_DPORT_END
-                and buf[_ETHERTYPE_OFFSET] == _TPID_HI
-                and buf[_ETHERTYPE_OFFSET + 1] == _TPID_LO
-                and buf[_IP_PROTO_OFFSET] == _IP_PROTO_UDP
-                and buf[_UDP_DPORT_OFFSET] == _DPORT_HI
-                and buf[_UDP_DPORT_OFFSET + 1] == _DPORT_LO)
+        """UDP destination port == 0xf1f2 on a tagged IPv4 frame."""
+        return _sniff(packet.buf)[1]
 
     def look(self, packet: Packet) -> Tuple[PacketClass, int]:
         """Classify one ingress packet, updating filter statistics.
 
         Returns the verdict and the VID it was reached on: the tag's
         for ``DATA`` / ``DROP_UPDATING``, 0 where the verdict names no
-        tenant (``CONTROL``, ``RECONFIG``).
+        tenant (``CONTROL``, ``RECONFIG``). The header is read once.
         """
-        vid = tagged_vid(packet)
+        vid, reconfig = _sniff(packet.buf)
         if vid is None:
             self.dropped_untagged += 1
-            return PacketClass.CONTROL, 0
-        if self.is_reconfig_packet(packet):
+            return CONTROL, 0
+        if reconfig:
             self.reconfig_packets += 1
-            return PacketClass.RECONFIG, 0
+            return RECONFIG, 0
         if vid < BITMAP_BITS and self.update_bitmap >> vid & 1:
             self.dropped_updating += 1
-            return PacketClass.DROP_UPDATING, vid
+            return DROP_UPDATING, vid
         self.data_packets += 1
-        return PacketClass.DATA, vid
+        return DATA, vid
 
     def classify(self, packet: Packet) -> PacketClass:
         """The verdict of :meth:`look` alone."""

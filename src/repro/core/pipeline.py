@@ -39,11 +39,18 @@ from ..rmt.pipeline import PipelineResult
 from ..rmt.stage import Stage
 from .daisy_chain import DaisyChain
 from .overlay import OverlayTable
-from .packet_filter import BITMAP_BITS, PacketClass, PacketFilter
+from .packet_filter import (
+    BITMAP_BITS,
+    CONTROL,
+    DATA,
+    RECONFIG,
+    PacketClass,
+    PacketFilter,
+)
 from .reconfig import ReconfigPayload, ResourceId, ResourceType
 from .resources import PartitionLedger
 from .segment_table import SegmentTable, SegmentedAccess
-from .stats import PipelineStats
+from .stats import PipelineStats, TenantRecord
 
 #: Module ID reserved for the system-level module (§3.3). VID 0 is
 #: reserved by 802.1Q anyway, so no tenant can carry it.
@@ -276,7 +283,8 @@ class MenshenPipeline:
     # (:mod:`repro.engine`) can interpose a result cache between them
     # without re-implementing any semantics:
     #
-    # * :meth:`admit`   — filter verdict, module dispatch, early drops;
+    # * :meth:`admit`   — filter verdict, module dispatch, early drops
+    #   (:meth:`_early`, which the engine's straight line shares);
     # * :meth:`execute` — parse -> stages -> deparse (the expensive part);
     # * :meth:`commit`  — traffic-manager enqueue + output statistics.
 
@@ -286,41 +294,40 @@ class MenshenPipeline:
         Returns ``(early_result, module_id)``: ``early_result`` is a
         finished :class:`PipelineResult` for packets that never reach the
         parser (reconfiguration, untagged, module-updating, unknown
-        module); otherwise it is ``None`` and ``module_id`` names the
-        admitted tenant.
+        module — see :meth:`_early`); otherwise it is ``None`` and
+        ``module_id`` names the admitted tenant.
         """
         verdict, module_id = self.packet_filter.look(packet)
-
-        if verdict is PacketClass.DATA:
+        if verdict is DATA and module_id in self.loaded_modules:
             self.stats.record_in(module_id)
-            if module_id in self.loaded_modules:
-                return (None, module_id)
-            self.stats.record_drop(module_id, "unknown_module")
-            return (PipelineResult(packet=None, phv=None, dropped=True,
-                                   module_id=module_id,
-                                   drop_reason="unknown_module"), module_id)
+            return (None, module_id)
+        return (self._early(packet, verdict, module_id), module_id)
 
-        if verdict is PacketClass.RECONFIG:
-            if self.reconfig_from_dataplane:
-                self._reconfigure(packet)
-                return (PipelineResult(packet=None, phv=None, dropped=True,
-                                       drop_reason="reconfig_consumed"), 0)
-            # Switch mode: data ports must never reach the config path.
-            self.stats.record_drop(0, "reconfig_on_dataplane")
-            return (PipelineResult(packet=None, phv=None, dropped=True,
-                                   drop_reason="reconfig_on_dataplane"), 0)
-
-        if verdict is PacketClass.CONTROL:
-            self.stats.record_drop(0, "untagged")
-            return (PipelineResult(packet=None, phv=None, dropped=True,
-                                   drop_reason="untagged"), 0)
-
-        # DROP_UPDATING: the module's bit is set in the update bitmap.
-        self.stats.record_in(module_id)
-        self.stats.record_drop(module_id, "module_updating")
-        return (PipelineResult(packet=None, phv=None, dropped=True,
-                               module_id=module_id,
-                               drop_reason="module_updating"), module_id)
+    def _early(self, packet: Packet, verdict: PacketClass,
+               module_id: int) -> PipelineResult:
+        """The finished result of a packet the filter's ``verdict``
+        stops before the parser: a reconfiguration packet (consumed
+        into the daisy chain on the NIC; dropped on a switch, whose data
+        ports must never reach the configuration path), an untagged
+        frame, a data packet of a module nobody loaded, or one of a
+        module being updated (§4.1). ``module_id`` is the verdict's VID
+        (0 when it names no tenant)."""
+        stats = self.stats
+        if verdict is RECONFIG and self.reconfig_from_dataplane:
+            self._reconfigure(packet)
+            reason = "reconfig_consumed"
+        else:
+            if verdict is RECONFIG:
+                reason = "reconfig_on_dataplane"
+            elif verdict is CONTROL:
+                reason = "untagged"
+            else:
+                stats.record_in(module_id)
+                reason = ("unknown_module" if verdict is DATA
+                          else "module_updating")
+            stats.record_drop(module_id, reason)
+        return PipelineResult(packet=None, phv=None, dropped=True,
+                              module_id=module_id, drop_reason=reason)
 
     def execute(self, packet: Packet, module_id: int,
                 buffer_slot: Optional[int] = None
@@ -350,36 +357,50 @@ class MenshenPipeline:
         return merged, phv
 
     def commit(self, merged: Optional[Packet], phv: "PHV",
-               module_id: int, cache_hit: bool = False) -> PipelineResult:
+               module_id: int, cache_hit: bool = False,
+               record: Optional[TenantRecord] = None) -> PipelineResult:
         """Account for an executed packet and enqueue it into the TM.
 
+        ``record`` is the tenant's :class:`~repro.core.stats.
+        TenantRecord` when the caller holds it already (the engine
+        does); otherwise it is looked up here. It is handed on to the
+        egress scheduler's ``enqueue``, one call for a unicast packet.
+
         A packet that places no copy is a drop, not an output: a unicast
-        packet or a whole multicast group the full egress queues refuse
-        (``egress_full``), or a multicast group with no ports
+        packet steered to a port the switch does not have
+        (``unknown_port``) or one the full egress queue refuses
+        (``egress_full``), a whole multicast group the full queues
+        refuse (``egress_full``), or a multicast group with no ports
         (``unknown_mcast_group``). A group that places some copies is
         forwarded; the scheduler counts each refused copy.
         """
+        stats = self.stats
+        if record is None:
+            record = stats.tenants.get(module_id) or stats.tenant(module_id)
         if merged is None:
-            self.stats.record_drop(module_id, "discard")
-            return PipelineResult(packet=None, phv=phv, dropped=True,
-                                  module_id=module_id, drop_reason="discard",
-                                  cache_hit=cache_hit)
-        meta = phv.metadata.buf  # dst_port at 2-3, mcast_group at 8-9
-        egress = meta[2] << 8 | meta[3]
-        mcast = meta[8] << 8 | meta[9]
-        tm = self.traffic_manager
-        if not tm.enqueue(merged, egress, mcast, module_id=module_id):
-            reason = ("unknown_mcast_group"
-                      if mcast and not tm.mcast_ports(mcast) else "egress_full")
-            self.stats.record_drop(module_id, reason)
-            return PipelineResult(packet=None, phv=phv, dropped=True,
-                                  egress_port=egress, mcast_group=mcast,
-                                  module_id=module_id, drop_reason=reason,
-                                  cache_hit=cache_hit)
-        self.stats.record_out(module_id, len(merged.buf))
-        return PipelineResult(packet=merged, phv=phv, dropped=False,
+            reason, egress, mcast = "discard", 0, 0
+        else:
+            meta = phv.metadata.buf  # dst_port at 2-3, mcast_group at 8-9
+            egress = meta[2] << 8 | meta[3]
+            mcast = meta[8] << 8 | meta[9]
+            tm = self.traffic_manager
+            if not mcast and egress >= tm.num_ports:
+                reason = "unknown_port"
+            elif tm.enqueue(merged, egress, mcast, module_id, record):
+                record.packets_out += 1
+                record.bytes_out += len(merged.buf)
+                # positional: half the cost of keywords, once per packet
+                return PipelineResult(merged, phv, False, egress, mcast,
+                                      module_id, "", cache_hit)
+            elif mcast and not tm.mcast_ports(mcast):
+                reason = "unknown_mcast_group"
+            else:
+                reason = "egress_full"
+        stats.record_drop(module_id, reason)
+        return PipelineResult(packet=None, phv=phv, dropped=True,
                               egress_port=egress, mcast_group=mcast,
-                              module_id=module_id, cache_hit=cache_hit)
+                              module_id=module_id, drop_reason=reason,
+                              cache_hit=cache_hit)
 
     def process(self, packet: Packet) -> PipelineResult:
         """Push one ingress packet through filter, pipeline, and TM."""

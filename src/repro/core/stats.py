@@ -188,11 +188,6 @@ class PipelineStats:
         record = self.tenants.get(module_id) or self.tenant(module_id)
         record.packets_in += 1
 
-    def record_out(self, module_id: int, nbytes: int) -> None:
-        record = self.tenants.get(module_id) or self.tenant(module_id)
-        record.packets_out += 1
-        record.bytes_out += nbytes
-
     def record_drop(self, module_id: int, reason: str) -> None:
         self.tenant(module_id).packets_dropped += 1
         self.drop_reasons[reason] += 1

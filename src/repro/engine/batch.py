@@ -5,16 +5,14 @@
 scalar path's observable behavior packet-for-packet while cutting the
 per-packet costs:
 
-* **Flat phases, arrival order.** A run of data packets is admitted
-  (filter verdicts, statistics, §3.2 packet-buffer slots), then served,
-  then committed to the traffic manager — three passes over flat lists,
-  each in arrival order, so execution order is exactly the scalar
-  path's. The phases stay because they measure: one interleaved
-  admit→serve→commit loop per packet cost ``engine_uniform`` −12 % at
-  batch 256. A batch of one packet — every fabric-timeline
-  hop — takes the same three steps as straight-line code through the
-  same serve function (≈ +3 % on ``fabric_steady``); that length test
-  is the only size-dependent selection.
+* **One straight line per packet, arrival order.** Every packet, in a
+  batch of one (every fabric-timeline hop) or of many, takes one filter
+  look; a data packet of a loaded tenant then has its tenant record,
+  serving context, §3.2 packet-buffer slot and epoch read once and
+  handed down to :meth:`BatchEngine._serve` and the pipeline's commit,
+  and any other verdict ends in the pipeline's early result. Execution
+  order is exactly the scalar path's, and no path depends on the batch
+  size.
 * **One serving context per tenant.** What the engine knows about a VID
   — parse/deparse byte spans, compiled classifier, certificate,
   exact-match cache — is one slotted record, found with one
@@ -73,11 +71,10 @@ switch's :class:`~repro.core.stats.TenantRecord`; it stores only
 engine-wide events, and :attr:`BatchEngine.counters` sums the rest.
 
 Mid-batch reconfiguration (Corundum mode, where configuration packets
-arrive on the shared ingress) is honored exactly: the run of data
-packets ahead of a reconfiguration packet is served to completion
-before the write is delivered, so packets behind it in the batch observe
-the new configuration and packets ahead of it the old one — same as
-scalar processing.
+arrive on the shared ingress) is honored exactly: the packets ahead of
+a reconfiguration packet are committed before the write is delivered,
+so packets behind it in the batch observe the new configuration and
+packets ahead of it the old one — same as scalar processing.
 
 Equivalence contract: for any packet sequence, ``process_batch`` yields
 results equal field-for-field (output bytes, PHV, drop reason, egress,
@@ -92,9 +89,8 @@ fault, a row that does not decode, or an ingress port the 16-bit
 ``src_port`` metadata field cannot hold (the compiled level raises the
 parser's ``FieldRangeError`` for it, so no cache entry ever holds such
 a port) — but the engine has already drawn the packet's buffer slot
-(the scalar path draws it after parsing) and a multi-packet run aborts
-mid-flight, so packet-buffer round-robin parity with the scalar path is
-not guaranteed from there on.
+(the scalar path draws it after parsing), so packet-buffer round-robin
+parity with the scalar path is not guaranteed from there on.
 """
 
 from __future__ import annotations
@@ -103,6 +99,7 @@ import copy
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ..core.packet_filter import DATA, NUM_BUFFERS, RECONFIG
 from ..core.pipeline import MenshenPipeline
 from ..core.stats import TenantRecord, diff_counters, merge_counters
 from ..net.packet import Packet
@@ -222,16 +219,17 @@ class _TenantContext:
     ``cache`` lives as long as the engine, so its statistics survive
     :meth:`BatchEngine.invalidate`. The rest is
     derived by :meth:`BatchEngine._bind` from the configuration at
-    ``epoch`` (``None`` until bound — never current): ``parse`` are the
-    ``(offset, end)`` byte spans the module's parse program reads — the
+    ``epoch`` (``None`` until bound — never current): ``parse`` are
+    slices of the byte spans the module's parse program reads — the
     complete packet-derived input of its execution (besides length and
-    ingress port, which the key carries separately); ``deparse`` the
-    spans its deparse program writes back; ``max_end`` the furthest
-    byte either reaches. ``stateful`` flips once a packet of this
-    module touches stateful memory; the tenant then bypasses the cache
-    until the epoch moves. ``classifier`` is compiled when the first
-    packet reaches that level; ``certificate`` is what certification
-    last said of it.
+    ingress port, which the key carries separately), cut from the
+    packet's bytes in C when the flow key is built; ``deparse`` the
+    ``(offset, end)`` spans its deparse program writes back;
+    ``max_end`` the furthest byte either reaches. ``stateful`` flips
+    once a packet of this module touches stateful memory; the tenant
+    then bypasses the cache until the epoch moves. ``classifier`` is
+    compiled when the first packet reaches that level; ``certificate``
+    is what certification last said of it.
     """
 
     __slots__ = ("vid", "cache", "epoch", "parse", "deparse",
@@ -240,7 +238,7 @@ class _TenantContext:
     def __init__(self, vid: int, cache: FlowCache):
         self.vid = vid
         self.cache = cache
-        self.parse: Tuple[Tuple[int, int], ...] = ()
+        self.parse: Tuple[slice, ...] = ()
         self.deparse: Tuple[Tuple[int, int], ...] = ()
         self.max_end = 0
         self.stateful = False
@@ -366,13 +364,14 @@ class BatchEngine:
         vid = ctx.vid
         parse = self.pipeline.parser.read_program(vid)
         deparse = self.pipeline.deparser.read_program(vid)
-        ctx.parse = tuple(sorted({
+        spans = sorted({
             (a.bytes_from_head, a.bytes_from_head + a.container.size_bytes)
-            for a in parse}))
+            for a in parse})
+        ctx.parse = tuple(slice(off, end) for off, end in spans)
         ctx.deparse = tuple(
             (a.bytes_from_head, a.bytes_from_head + a.container.size_bytes)
             for a in deparse)
-        ctx.max_end = max([end for _off, end in ctx.parse + ctx.deparse],
+        ctx.max_end = max([end for _off, end in spans + list(ctx.deparse)],
                           default=0)
         ctx.stateful = False
         ctx.classifier = None
@@ -413,87 +412,65 @@ class BatchEngine:
                       ) -> List[PipelineResult]:
         """Process a batch; results are in submission order.
 
-        Reconfiguration packets act as barriers: the run of data
-        packets ahead of one is served to completion before the
-        configuration write is delivered.
+        Each packet goes straight through, as on the scalar path: one
+        filter look, then its tenant's record, context, §3.2
+        packet-buffer slot and epoch, read once and handed to
+        :meth:`_serve` and the pipeline's commit. A reconfiguration
+        packet is therefore a barrier: the packets ahead of it are
+        committed before its configuration write lands.
         """
         events = self._events
         events.batches += 1
         events.packets += len(packets)
-        is_reconfig = self.pipeline.packet_filter.is_reconfig_packet
-        if len(packets) == 1 and not is_reconfig(packets[0]):
-            # A run of one (every fabric-timeline hop): the three
-            # phases are the packet's own straight line.
-            early, ctx, slot = self._admit(packets[0])
-            if ctx is None:
-                return [early]
-            return [self._commit(ctx, *self._serve(ctx, packets[0], slot))]
-        results: List[Optional[PipelineResult]] = []
-        run: List[Packet] = []
+        pipeline = self.pipeline
+        filt, stats = pipeline.packet_filter, pipeline.stats
+        results: List[PipelineResult] = []
         for packet in packets:
-            if is_reconfig(packet):
-                self._flush(run, results)
-                run = []
-                events.reconfig_flushes += 1
-                results.append(self.pipeline.admit(packet)[0])
+            verdict, vid = filt.look(packet)
+            if verdict is DATA and vid in pipeline.loaded_modules:
+                record = stats.tenants.get(vid) or stats.tenant(vid)
+                record.packets_in += 1
+                ctx = self._contexts.get(vid) or self._context(vid)
+                # assign_buffer and epoch_of, inline
+                slot = filt._next_buffer
+                filt._next_buffer = (slot + 1) % NUM_BUFFERS
+                merged, phv, hit = self._serve(
+                    ctx, record,
+                    pipeline._tenant_epochs.get(vid, pipeline._shared_epoch),
+                    packet, slot)
+                result = pipeline.commit(merged, phv, vid, hit, record)
+                if result.dropped:
+                    events.drops += 1
             else:
-                run.append(packet)
-        self._flush(run, results)
-        return results  # type: ignore[return-value]
+                if verdict is RECONFIG:
+                    events.reconfig_flushes += 1
+                else:
+                    events.early_drops += 1
+                result = pipeline._early(packet, verdict, vid)
+            results.append(result)
+        return results
 
-    # -- the three phases -------------------------------------------------------
-
-    def _flush(self, run: List[Packet],
-               results: List[Optional[PipelineResult]]) -> None:
-        """Admit all -> serve all -> commit all, each in arrival order,
-        appending the run's results to ``results``."""
-        admitted = [self._admit(packet) for packet in run]
-        served = [None if ctx is None else self._serve(ctx, packet, slot)
-                  for packet, (_early, ctx, slot) in zip(run, admitted)]
-        results += [early if ctx is None else self._commit(ctx, *outcome)
-                    for (early, ctx, _slot), outcome in zip(admitted, served)]
-
-    def _admit(self, packet: Packet
-               ) -> Tuple[Optional[PipelineResult],
-                          Optional[_TenantContext], int]:
-        """Admit one data packet: ``(early result, None, 0)``, or
-        ``(None, its tenant's context, its §3.2 packet-buffer slot)``."""
-        early, vid = self.pipeline.admit(packet)
-        if early is None:
-            return (None, self._context(vid),
-                    self.pipeline.packet_filter.assign_buffer())
-        self._events.early_drops += 1
-        return early, None, 0
-
-    def _commit(self, ctx: _TenantContext, merged: Optional[Packet],
-                phv: object, hit: bool) -> PipelineResult:
-        result = self.pipeline.commit(merged, phv, ctx.vid, cache_hit=hit)
-        if result.dropped:
-            self._events.drops += 1
-        return result
-
-    def _serve(self, ctx: _TenantContext, packet: Packet, slot: int
+    def _serve(self, ctx: _TenantContext, record: TenantRecord,
+               epoch: int, packet: Packet, slot: int
                ) -> Tuple[Optional[Packet], object, bool]:
-        """Serve one admitted packet: cache hit -> compiled -> scalar.
+        """Serve one admitted packet of the tenant whose context, record
+        and current epoch are given: cache hit -> compiled -> scalar.
 
         Returns ``(merged, phv, cache_hit)``.
         """
-        pipeline = self.pipeline
-        # admitted just now, so the pipeline has counted it in already
-        record = pipeline.stats.tenants[ctx.vid]
-        epoch = pipeline.epoch_of(ctx.vid)
         if ctx.epoch != epoch:
             self._bind(ctx, epoch)
         # The one bound every raw slice and splice below relies on.
         length = len(packet.buf)
-        fits_window = ctx.max_end <= min(length, self._parse_window)
+        max_end = ctx.max_end
+        fits_window = max_end <= length and max_end <= self._parse_window
         key = None
 
         # Level 1: exact-match flow-cache hit.
         if self.enable_cache and fits_window and not ctx.stateful:
             raw = bytes(packet.buf)
             key = (length, packet.ingress_port,
-                   *[raw[off:end] for off, end in ctx.parse])
+                   *map(raw.__getitem__, ctx.parse))
             entry = ctx.cache.lookup(key, epoch)
             if entry is not None:
                 record.cache_hits += 1
@@ -543,7 +520,8 @@ class BatchEngine:
 
         # Level 3: the scalar pipeline walk (the differential oracle).
         before = self._stateful_ops()
-        merged, phv = pipeline.execute(packet, ctx.vid, buffer_slot=slot)
+        merged, phv = self.pipeline.execute(packet, ctx.vid,
+                                            buffer_slot=slot)
         if self._stateful_ops() != before:
             record.uncacheable += 1
             ctx.stateful = True

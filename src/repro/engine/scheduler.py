@@ -429,24 +429,56 @@ class EgressScheduler:
             raise ConfigError(
                 f"port {port} out of range [0, {self.num_ports})")
 
-    # The per-packet paths below (_enqueue_one, enqueue, _serve, start)
-    # keep their books inline — idle-clock catch-up, scan forget,
+    # The per-packet paths below (enqueue, _serve, start) keep their
+    # books inline — idle-clock catch-up, scan forget, STFQ rank and
     # virtual-time advance, transmission time and the tenant record —
-    # with the same arithmetic as the helpers (clock_of, forget_scan,
-    # StfqRanker.on_dequeue, _tx_seconds, tenant), which serve the cold
-    # paths.
+    # with the same arithmetic as the helpers the cold paths call
+    # (clock_of, forget_scan, _tx_seconds, tenant) and as
+    # StfqRanker.rank / on_dequeue, the rank computer's own statement of
+    # the STFQ rules.
 
-    def _enqueue_one(self, packet: Packet, port: int, vid: int) -> bool:
+    def enqueue(self, packet: Packet, port: int, mcast_group: int = 0,
+                module_id: int = 0,
+                record: Optional[TenantRecord] = None) -> int:
+        """Queue a packet for transmission; returns copies enqueued.
+
+        Same contract as the FIFO traffic manager; ``module_id`` names
+        the owning tenant for ranking, rate limiting, and telemetry,
+        and ``record`` is its tenant record when the caller holds it
+        (:meth:`~repro.core.pipeline.MenshenPipeline.commit` does). A
+        unicast packet is one PIFO push — its STFQ rank, its place in
+        its tenant's FIFO, the books — or, on a full queue, a counted
+        drop; a multicast group pushes a copy per port.
+        """
+        if mcast_group:
+            record = record or self.tenant(module_id)
+            ports = self._groups.get(mcast_group)
+            if not ports:
+                record.dropped += 1
+                return 0
+            return sum([self.enqueue(packet.copy(), p, 0, module_id, record)
+                        for p in ports])
+        if not 0 <= port < self.num_ports:
+            self._check_port(port)
+        if record is None:
+            record = self.tenant(module_id)
         state = self._ports[port]
         queued = state.queued
         if self.queue_capacity is not None and queued >= self.queue_capacity:
-            self.tenant(vid).dropped += 1
-            return False
-        rank = state.ranker.rank(vid, len(packet.buf))
+            record.dropped += 1
+            return 0
+        ranker = state.ranker
+        last_finish = ranker._last_finish
+        rank = ranker.virtual_time
+        last = last_finish.get(module_id, 0.0)
+        if last > rank:
+            rank = last
+        last_finish[module_id] = rank + len(packet.buf) / ranker.weights.get(
+            module_id, ranker.default_weight)
         fifos = state.fifos
-        fifo = fifos.get(vid)
+        fifo = fifos.get(module_id)
         if fifo is None:
-            fifo = fifos[vid] = deque()
+            fifo = fifos[module_id] = deque()
         fifo.append((rank, state.seq, packet))
         state.seq += 1
         if not queued:
@@ -458,31 +490,9 @@ class EgressScheduler:
         state.queued = queued + 1
         if not state.started:
             state.chosen = None
-        record = self._stats.tenants.get(vid) or self._stats.tenant(vid)
         record.enqueued += 1
         record.queue_depth += 1
-        return True
-
-    def enqueue(self, packet: Packet, port: int, mcast_group: int = 0,
-                module_id: int = 0) -> int:
-        """Queue a packet for transmission; returns copies enqueued.
-
-        Same contract as the FIFO traffic manager; ``module_id`` names
-        the owning tenant for ranking, rate limiting, and telemetry.
-        """
-        if mcast_group:
-            ports = self._groups.get(mcast_group)
-            if not ports:
-                self.tenant(module_id).dropped += 1
-                return 0
-            count = 0
-            for p in ports:
-                if self._enqueue_one(packet.copy(), p, module_id):
-                    count += 1
-            return count
-        if not 0 <= port < self.num_ports:
-            self._check_port(port)
-        return 1 if self._enqueue_one(packet, port, module_id) else 0
+        return 1
 
     # -- scheduling decisions -----------------------------------------------------
 
@@ -666,7 +676,12 @@ class EgressScheduler:
         nothing done, when there is backlog to advance instead."""
         if self._backlogged:
             return False
-        self._tick(now)
+        # _tick, inline: this runs once per arrival
+        self._advances += 1
+        if now > self._now:
+            self._now = now
+        for bucket in self._buckets.values():
+            bucket.refill(now)
         return True
 
     def _tick(self, now: float) -> None:

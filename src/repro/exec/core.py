@@ -18,8 +18,30 @@ This holds only while nothing can change the outcome before the
 finish: the port held nothing, no token bucket is configured, the link
 is up, and no *control event* — the only kind that changes a fabric
 during a run, scheduled through :meth:`ExecutionCore.schedule_control`
-— is due first. A port with a backlog is served exactly and
-event-driven instead, from
+— is due first.
+
+Such a hop crosses each layer boundary in one call, like a chain of
+NS-2 connectors, each doing its own work and handing the packet to its
+one target::
+
+    inject ─ scheduler.idle_to(t)           the member's clock follows t
+      └─ engine.process_batch([packet])     one filter look, then the
+           │                                tenant's record, context,
+           │                                buffer slot and epoch, once
+           └─ pipeline.commit(..., record)  port check, then
+                └─ scheduler.enqueue(...)   one PIFO push: STFQ rank,
+                                            the tenant's books
+    inject ─ scheduler.start(...)           the lone packet is served
+    inject ─ route(...)                     deliver, or schedule the
+                                            neighbour's arrival
+
+The rare paths stay calls: a reconfiguration packet or an early drop
+(``MenshenPipeline._early``), a multicast group, a backlogged port, a
+downed link, a token bucket. :meth:`ExecutionCore.route` is the one
+routing function of this start path and of the service path, and
+holds the forwarding-loop guard.
+
+A port with a backlog is served exactly and event-driven instead, from
 :meth:`~repro.engine.scheduler.EgressScheduler.next_departures`, and an
 arrival polls its member's scheduler only when that has backlog.
 Frontends (:class:`repro.sim.fabric_timeline.FabricTimelineExperiment`)
@@ -32,9 +54,9 @@ on the same timeline.
 A *member* is anything with the fabric-switch surface: ``name``,
 ``engine`` (``process_batch``), ``scheduler`` (``idle_to`` /
 ``advance_to`` / ``next_departures`` / ``start`` / ``service_at``),
-``links`` (port -> link; absent ports face hosts), ``num_ports``. A
-*link* needs ``up``, ``name``, ``delay_s``, ``record(vid, nbytes)``,
-and ``other_end(name)``.
+``links`` (port -> link; absent ports face hosts), ``num_ports``, and
+optionally ``up`` (absent: always serving). A *link* needs ``up``,
+``name``, ``delay_s``, ``record(vid, nbytes)``, and ``other_end(name)``.
 
 A forwarding loop cannot spin the event list forever: a loop-free route
 visits each member once, so it crosses at most ``members − 1`` links.
@@ -50,7 +72,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from math import inf
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from ..core.packet_filter import tagged_vid
 from ..errors import FabricError
@@ -140,12 +162,6 @@ class ExecutionCore:
         return sum(member.scheduler.total_queued()
                    for member in self._members)
 
-    @staticmethod
-    def member_up(member) -> bool:
-        """Whether a member is serving (members without an ``up`` flag
-        always are)."""
-        return bool(getattr(member, "up", True))
-
     # -- fault accounting ---------------------------------------------------------
 
     def report_fault_losses(self, member, dropped, time: float) -> int:
@@ -172,33 +188,58 @@ class ExecutionCore:
     # -- departure routing ---------------------------------------------------------
 
     def route(self, member, port: int, packet: Packet, vid: int,
-              time: float) -> Optional[Tuple[str, Packet, float]]:
-        """Route one packet that departed at ``time``.
+              time: float, ahead: bool = False) -> None:
+        """Route one packet whose transmission on ``port`` finishes at
+        ``time`` — the one routing function of the service path
+        (:meth:`route_departures`, at or after the finish) and the
+        start path (:meth:`inject`, ``ahead`` of it, when the
+        transmission starts).
 
-        * no link on ``port`` → host exit: ``sink.on_deliver``, returns
-          ``None``;
+        * no link on ``port`` → host exit: ``sink.on_deliver`` — by one
+          event at ``time`` when routed ahead, else at once;
         * downed link → the packet is lost as on real hardware, but
           never silently: ``sink.on_lost`` (with the link name, the
-          typed :class:`~repro.exec.records.LostRecord` key), returns
-          ``None``;
-        * up link → per-tenant link bytes are recorded, the packet's
-          ingress port is rewritten to the remote end, and
-          ``(next member name, packet, arrival time)`` is returned for
-          :meth:`route_departures` to schedule after the propagation
-          delay.
+          typed :class:`~repro.exec.records.LostRecord` key);
+        * up link → a crossing. A crossing past ``(members − 1) ×`` the
+          packets injected from outside is a forwarding loop:
+          :class:`~repro.errors.FabricError`, naming the tenant and the
+          switch it was leaving, and nothing is scheduled. Otherwise
+          per-tenant link bytes are recorded, the packet's ingress port
+          is rewritten to the remote end, and its arrival there is
+          scheduled after the propagation delay.
         """
         link = member.links.get(port)
+        sim = self.sim
+        # delays below are clamped at 0 by comparison: min/max cost
+        # about as much as a Python call
         if link is None:
-            self.sink.on_deliver(member.name, port, vid, packet, time)
-            return None
+            if ahead:
+                delay = time - sim.now
+                sim.schedule(delay if delay > 0.0 else 0.0,
+                             self.sink.on_deliver, member.name, port, vid,
+                             packet, time)
+            else:
+                self.sink.on_deliver(member.name, port, vid, packet, time)
+            return
         if not link.up:
             self.sink.on_lost(member.name, port, vid, packet, link.name,
                               time)
-            return None
-        link.record(vid, len(packet))
+            return
         remote = link.other_end(member.name)
+        self._crossings += 1
+        if self._crossings > self._span * self._sources:
+            raise FabricError(
+                f"forwarding loop: tenant {vid}'s packet leaving "
+                f"{member.name!r} toward {remote.switch!r} is link "
+                f"crossing {self._crossings}, but a loop-free route "
+                f"crosses at most {self._span} links per injected "
+                f"packet ({self._sources} injected)")
+        link.record(vid, len(packet.buf))
         packet.ingress_port = remote.port
-        return (remote.switch, packet, time + link.delay_s)
+        arrive_at = time + link.delay_s
+        delay = arrive_at - sim.now
+        sim.schedule(delay if delay > 0.0 else 0.0, self._arrive,
+                     remote.switch, packet, arrive_at)
 
     # -- event-driven service on the simulation kernel -----------------------------
 
@@ -246,56 +287,42 @@ class ExecutionCore:
         self.schedule_services(member, scheduler)
 
     def route_departures(self, member, departures) -> None:
-        """Route :class:`~repro.engine.scheduler.Departure` records —
-        host exits deliver, downed links lose, up links schedule the
-        arrival at the neighbor after the propagation delay.
-
-        A crossing past ``(members − 1) ×`` the injected packets is a
-        forwarding loop: :class:`~repro.errors.FabricError`, naming the
-        tenant and the switch it was leaving."""
+        """Route :class:`~repro.engine.scheduler.Departure` records,
+        each through :meth:`route`."""
         for dep in departures:
-            target = self.route(member, dep.port, dep.packet,
-                                dep.module_id, dep.time)
-            if target is None:
-                continue
-            self._crossings += 1
-            if self._crossings > self._span * self._sources:
-                raise FabricError(
-                    f"forwarding loop: tenant {dep.module_id}'s packet "
-                    f"leaving {member.name!r} toward {target[0]!r} is "
-                    f"link crossing {self._crossings}, but a loop-free "
-                    f"route crosses at most {self._span} links per "
-                    f"injected packet ({self._sources} injected)")
-            name, packet, arrive_at = target
-            self.sim.schedule(max(0.0, arrive_at - self.sim.now),
-                              self._arrive, name, packet, arrive_at)
+            self.route(member, dep.port, dep.packet, dep.module_id,
+                       dep.time)
 
     def _arrive(self, name: str, packet: Packet, t: float) -> None:
         """A routed packet reaches the far end of its link; the member
         is looked up now, not when the packet left."""
         # A relayed packet is no new source: undo the count inject makes.
         self._sources -= 1
-        self.inject(self.member(name), packet, t)
+        self.inject(self._by_name.get(name) or self.member(name), packet, t)
 
     def inject(self, member, packet: Packet, t: float) -> None:
         """One packet arrives at a member at virtual time ``t``: serve
         transmissions that complete before the arrival (a member with
         no backlog has none — its scheduler is only told the time), run
-        the batched engine, then start the packet or (re)schedule the
-        member's service events.
+        the batched engine, then start and route the packet or
+        (re)schedule the member's service events.
 
         A unicast packet enqueued on an idle port of an up link or a
-        host port starts at once when it finishes before the next
-        control event (:meth:`_start`). Then no service event is
-        scheduled: without token buckets nothing on the member's other
-        ports changed, and they keep the events they hold. Anything
-        else waits for a service event.
+        host port starts at once
+        (:meth:`~repro.engine.scheduler.EgressScheduler.start`) when it
+        finishes strictly before the first control event at or after
+        now, and is routed there and then (:meth:`route`). Then no
+        service event is scheduled: without token buckets nothing on
+        the member's other ports changed, and they keep the events they
+        hold. Anything else — a drop, a multicast group, a backlogged
+        port, a downed link (so its losses stay in event order), a
+        token bucket — waits for a service event.
 
         An arrival at a crashed member (the packet was in flight on the
         wire when the far end died) is lost at the member's
         ``switch:<name>`` pseudo-link — counted, never silently."""
         self._sources += 1
-        if not self.member_up(member):
+        if not getattr(member, "up", True):
             self.sink.on_lost(member.name, packet.ingress_port or 0,
                               vid_of(packet), packet,
                               f"switch:{member.name}", t)
@@ -308,35 +335,17 @@ class ExecutionCore:
         (outcome,) = member.engine.process_batch([packet])
         if outcome.dropped:
             self.sink.on_drop(outcome.module_id)
-        elif not outcome.mcast_group \
-                and self._start(member, scheduler, outcome):
-            return
+        elif not outcome.mcast_group:
+            port = outcome.egress_port
+            link = member.links.get(port)
+            if link is None or link.up:
+                controls = self._controls
+                due = bisect_left(controls, self.sim.now)
+                departure = scheduler.start(
+                    port, outcome.packet,
+                    controls[due] if due < len(controls) else inf)
+                if departure is not None:
+                    self.route(member, port, departure.packet,
+                               departure.module_id, departure.time, True)
+                    return
         self.schedule_services(member, scheduler)
-
-    def _start(self, member, scheduler, outcome) -> bool:
-        """Transmit a just-enqueued packet now, if nothing can change
-        its outcome before it finishes; ``True`` if it started.
-
-        A link hop is routed at once (link bytes, ingress rewrite, the
-        neighbour's arrival at finish + delay). A host exit gets one
-        event, at the finish, that delivers it. A downed link keeps the
-        service path, so its losses stay in event order."""
-        port = outcome.egress_port
-        link = member.links.get(port)
-        if link is not None and not link.up:
-            return False
-        controls, sim = self._controls, self.sim
-        due = bisect_left(controls, sim.now)
-        departure = scheduler.start(
-            port, outcome.packet,
-            controls[due] if due < len(controls) else inf)
-        if departure is None:
-            return False
-        if link is None:
-            sim.schedule(max(0.0, departure.time - sim.now),
-                         self.sink.on_deliver, member.name, port,
-                         departure.module_id, departure.packet,
-                         departure.time)
-        else:
-            self.route_departures(member, (departure,))
-        return True

@@ -72,7 +72,8 @@ class ContainerRef:
     __slots__ = ("ctype", "index", "flat_index")
 
     def __init__(self, ctype: ContainerType, index: int):
-        ctype = ContainerType(ctype)
+        if type(ctype) is not ContainerType:
+            ctype = ContainerType(ctype)  # an int code; two Python calls
         limit = 1 if ctype == ContainerType.META else 8
         if not 0 <= index < limit:
             raise FieldRangeError(

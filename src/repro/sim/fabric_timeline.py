@@ -168,7 +168,7 @@ class _TimelineSink(ExecutionSink):
         self.latencies.setdefault(vid, []).append(
             time - packet.arrival_time)
         self.delivered[vid] = self.delivered.get(vid, 0) + 1
-        self.deliveries.append((vid, time, len(packet) * 8 * self.scale))
+        self.deliveries.append((vid, time, len(packet.buf) * 8 * self.scale))
 
     def on_drop(self, vid: int) -> None:
         self.drops[vid] = self.drops.get(vid, 0) + 1
@@ -301,15 +301,18 @@ class FabricTimelineExperiment:
         carried_before = {link.name: link.bytes_carried
                           for link in fabric.links()}
 
-        def arrival(demand: Demand, t: float) -> None:
+        def arrival(demand: Demand, source, t: float) -> None:
             packet = demand.make_packet()
             packet.arrival_time = t
             packet.ingress_port = demand.src.port
-            core.inject(fabric.switch(demand.src.switch), packet, t)
+            core.inject(source, packet, t)
 
+        # each demand's source switch, looked up once per run
+        sources = {id(demand): fabric.switch(demand.src.switch)
+                   for demand in self.matrix.demands}
         for t, demand in self.matrix.arrivals(self.duration_s,
                                               scale=self.scale):
-            sim.schedule_at(t, arrival, demand, t)
+            sim.schedule_at(t, arrival, demand, sources[id(demand)], t)
         for event in self.reconfigs:
             core.schedule_control(event.start_s, self._open_window, event)
             if event.duration_s > 0:

@@ -24,8 +24,9 @@ from ..errors import ReproError
 
 
 class SimulationError(ReproError):
-    """Scheduling into the past or at a non-finite time, or a run whose
-    event list emptied with packets still queued."""
+    """Scheduling into the past or at a non-finite time, running to a
+    time before the clock or to a non-finite one, or a run whose event
+    list emptied with packets still queued."""
 
 
 class Simulator:
@@ -58,7 +59,17 @@ class Simulator:
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Process events until the queue empties, ``until`` passes, or
-        ``max_events`` fire. Returns the final clock value."""
+        ``max_events`` fire. Returns the final clock value.
+
+        An ``until`` before the clock, NaN or infinite is a
+        :class:`SimulationError`: the clock never runs backwards, so no
+        later event can fire before one already processed, and never
+        leaves the finite times every event is scheduled at."""
+        if until is not None and not self.now <= until < inf:
+            raise SimulationError(
+                f"cannot run backwards: until={until} is before "
+                f"now={self.now}" if until < self.now
+                else f"until must be a finite time, got {until}")
         processed = 0
         queue = self._queue
         while queue:

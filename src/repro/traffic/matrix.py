@@ -20,6 +20,7 @@ experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import ConfigError
@@ -118,5 +119,5 @@ class TrafficMatrix:
             while t < duration_s:
                 arrivals.append((t, demand))
                 t += gap
-        arrivals.sort(key=lambda item: item[0])
+        arrivals.sort(key=itemgetter(0))
         return arrivals

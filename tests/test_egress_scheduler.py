@@ -849,15 +849,20 @@ class _AllPortsReference(EgressScheduler):
     def queue_depth(self, vid):
         return sum(len(state.fifos.get(vid, ())) for state in self._ports)
 
-    def _enqueue_one(self, packet, port, vid):
+    def enqueue(self, packet, port, mcast_group=0, module_id=0,
+                record=None):
+        if mcast_group:  # each copy comes back here as a unicast
+            return super().enqueue(packet, port, mcast_group, module_id,
+                                   record)
+        self._check_port(port)
         if (self.queue_capacity is not None
                 and self._queued(port) >= self.queue_capacity):
-            self.tenant(vid).dropped += 1
-            return False
+            (record or self.tenant(module_id)).dropped += 1
+            return 0
         # capacity decided here; the shared tail only appends
         capacity, self.queue_capacity = self.queue_capacity, None
         try:
-            return super()._enqueue_one(packet, port, vid)
+            return super().enqueue(packet, port, 0, module_id, record)
         finally:
             self.queue_capacity = capacity
 

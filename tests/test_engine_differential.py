@@ -200,6 +200,45 @@ def test_two_tenants_interleaved():
     assert engine.counters.tenant(2).cache_hits > 0
 
 
+@pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
+def test_unknown_egress_port_is_a_counted_drop(mode):
+    """A tenant whose entries steer to a port the switch does not have
+    (``calc`` on port 40 of an 8-port switch) loses each packet as a
+    counted ``unknown_port`` drop, on every engine level, in batches of
+    one and of many, exactly as on the scalar path; its neighbour's
+    packets are forwarded."""
+    from repro.modules import calc
+
+    def build():
+        switch = Switch.build().create()
+        calc.install(switch.admit("lost", calc.P4_SOURCE, vid=1), port=40)
+        calc.install(switch.admit("kept", calc.P4_SOURCE, vid=2), port=3)
+        return switch
+
+    scalar, batched = build(), build()
+    engine = batched.engine(**ENGINE_MODES[mode])
+    # two flows per tenant, repeated: warm hops hit the exact-match level
+    packets = [calc.make_packet(vid, calc.OP_ADD, i % 2, 1)
+               for i in range(8) for vid in (1, 2)]
+    scalar_results = [scalar.process(p.copy()) for p in packets]
+    engine_results = [engine.process_batch([p.copy()])[0]
+                      for p in packets[:8]]
+    engine_results += engine.process_batch([p.copy() for p in packets[8:]])
+    assert_equivalent(scalar_results, engine_results, mode)
+    assert_same_observable_state(scalar, batched)
+    assert [(r.dropped, r.drop_reason, r.egress_port)
+            for r in scalar_results[:2]] == [(True, "unknown_port", 40),
+                                             (False, "", 3)]
+    for switch in (scalar, batched):
+        stats = switch.pipeline.stats
+        assert stats.drop_reasons["unknown_port"] == 8
+        lost, kept = stats.tenants[1], stats.tenants[2]
+        assert (lost.packets_in, lost.packets_dropped, lost.packets_out,
+                lost.enqueued) == (8, 8, 0, 0)
+        assert (kept.packets_in, kept.packets_out) == (8, 8)
+    assert engine.counters.drops == 8
+
+
 # ---------------------------------------------------------------------------
 # mid-stream reconfiguration through the repro.api facade
 # ---------------------------------------------------------------------------

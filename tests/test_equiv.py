@@ -135,6 +135,8 @@ MUTATION_CASES = [
     ("exact-calc", "flipped-key-slot", "key-recipe", True),
     ("intervals", "shifted-compaction-segment", "partition-structure",
      True),
+    ("intervals", "ragged-interval-arrays", "partition-structure", True),
+    ("residual", "flattened-residual-stage", "partition-structure", True),
     ("exact-firewall", "extra-miss-write", "miss-default", True),
 ]
 
@@ -310,6 +312,26 @@ class TestMutationHarness:
         provenance and have direct tests above)."""
         guarded = {obligation for _f, _m, obligation, _o in MUTATION_CASES}
         assert guarded == set(OBLIGATIONS) - {"epoch", "refusal-reason"}
+
+    @pytest.mark.parametrize("fixture,mutation,fact", [
+        ("intervals", "shifted-compaction-segment",
+         "!= runs of the installed extractor mask"),
+        ("intervals", "ragged-interval-arrays",
+         "starts/ends/leaves lengths disagree"),
+        ("residual", "flattened-residual-stage",
+         "non-contiguous wildcard bits"),
+    ])
+    def test_each_partition_structure_fact_has_a_mutant(
+            self, fixture, mutation, fact):
+        """``partition-structure`` states three facts (segments,
+        contiguity, one length); each is the one a mutant breaks."""
+        pipeline, vid = FIXTURES[fixture]()
+        mutant, _description = apply_mutation(_compile(pipeline, vid),
+                                              mutation)
+        (violation,) = certify_classifier(pipeline, mutant,
+                                          vid=vid).violations()
+        assert violation.name == "partition-structure"
+        assert fact in violation.detail, violation.detail
 
     def test_unknown_mutation_rejected(self):
         pipeline, vid = FIXTURES["exact-firewall"]()

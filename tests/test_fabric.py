@@ -457,6 +457,35 @@ class TestFabricTimeline:
         assert result.delivered_gbps(1) == pytest.approx(
             result.offered_gbps[1], rel=0.1)
 
+    def test_unknown_egress_port_drops_only_its_tenant(self):
+        """A tenant whose entries steer to a port the switch does not
+        have (port 40 on an 8-port leaf) loses every packet as a
+        counted ``unknown_port`` drop at its first switch; the run
+        goes on, and its neighbour delivers every packet."""
+        fabric = make_fabric(link_delay_s=1e-6)
+        fabric.tenant("lost", calc.P4_SOURCE, vid=1,
+                      installer=lambda t, port: calc.install(t, port=40)
+                      ).place(("leaf0", 0), ("leaf1", 0))
+        place_calc(fabric, 2, ("leaf0", 1), ("leaf1", 1))
+        matrix = TrafficMatrix()
+        for vid in (1, 2):
+            matrix.add(vid, ("leaf0", vid - 1), ("leaf1", vid - 1),
+                       offered_bps=1e9, packet_size=1000,
+                       make_packet=lambda vid=vid: calc.make_packet(
+                           vid, calc.OP_ADD, 1, 2, pad_to=1000))
+        result = FabricTimelineExperiment(fabric, matrix,
+                                          duration_s=0.0005).run()
+        arrivals = {1: 0, 2: 0}
+        for _t, demand in matrix.arrivals(0.0005):
+            arrivals[demand.vid] += 1
+        assert arrivals[1] > 0 and arrivals[2] > 0
+        assert result.drops == {1: arrivals[1]}
+        assert result.delivered == {2: arrivals[2]}
+        assert result.lost == {}
+        stats = fabric.switch("leaf0").switch.pipeline.stats
+        assert stats.drop_reasons["unknown_port"] == arrivals[1]
+        assert stats.tenants[1].enqueued == 0
+
     def test_latency_includes_propagation_delay(self):
         _t, fast = self._run(link_delay_s=1e-6)
         _t, slow = self._run(link_delay_s=100e-6)

@@ -134,6 +134,30 @@ class TestRunUntil:
         sim.schedule(1.0, lambda: None)
         assert sim.run(until=10.0) == 10.0
 
+    def test_until_before_the_clock_is_refused(self):
+        # The clock reached 10: running "until 5" must not rewind it,
+        # or an event scheduled next would fire before ones already
+        # processed.
+        sim = Simulator()
+        sim.schedule(10.0, lambda: None)
+        sim.run()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="before now=10.0"):
+            sim.run(until=5.0)
+        assert sim.now == 10.0 and sim.pending() == 1
+        assert sim.run(until=10.0) == 10.0  # the clock itself is fine
+        assert sim.run() == 11.0
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_non_finite_until_is_refused(self, until):
+        # NaN used to become the clock; so did infinity on an empty
+        # queue, after which every event fired "at inf".
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="finite time, got"):
+            sim.run(until=until)
+        assert sim.now == 0.0 and sim.pending() == 1
+
 
 class TestMaxEvents:
     def test_guard_stops_after_n_events(self):

@@ -18,14 +18,21 @@ def pkt(size=100, vid=1):
             .payload(b"\x00" * (size - 46)).build())
 
 
+def _record_out(stats, vid, nbytes):
+    """One forwarded packet, booked as ``MenshenPipeline.commit`` does."""
+    record = stats.tenant(vid)
+    record.packets_out += 1
+    record.bytes_out += nbytes
+
+
 class TestPipelineStats:
     def test_per_module_accounting(self):
         stats = PipelineStats()
         stats.record_in(1)
         stats.record_in(1)
         stats.record_in(2)
-        stats.record_out(1, 100)
-        stats.record_out(1, 200)
+        _record_out(stats, 1, 100)
+        _record_out(stats, 1, 200)
         stats.record_drop(2, "discard")
         assert stats.per_module_in == {1: 2, 2: 1}
         assert stats.per_module_out[1] == 2
@@ -36,7 +43,7 @@ class TestPipelineStats:
     def test_summary(self):
         stats = PipelineStats()
         stats.record_in(1)
-        stats.record_out(1, 64)
+        _record_out(stats, 1, 64)
         stats.record_reconfig()
         assert stats.summary() == {
             "packets_in": 1, "packets_out": 1, "packets_dropped": 0,
@@ -65,7 +72,7 @@ class TestCounterAlgebra:
         the merge code — the introspection satellite's contract."""
         src = _ExtendedStats()
         src.record_in(7)
-        src.record_out(7, 128)
+        _record_out(src, 7, 128)
         src.record_drop(7, "window")
         src.tenant(7).transmitted_bytes += 64
         src.brand_new_counter = 5
