@@ -274,7 +274,7 @@ def certify_classifier(pipeline: MenshenPipeline,
                        vid: Optional[int] = None) -> Certificate:
     """Certify one tenant's compiled classifier against the pipeline.
 
-    Pass an existing ``classifier`` (e.g. the engine's lazily-rebuilt
+    Pass an existing ``classifier`` (e.g. the one the engine compiles
     artifact) or just a ``vid`` to compile-and-certify at the current
     epoch. Purely read-only: never executes a packet, never touches
     stateful memory or statistics.

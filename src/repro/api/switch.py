@@ -315,8 +315,8 @@ class Switch:
         transactional reconfiguration through the facade (transactions,
         ``tenant.update``, ``tenant.evict``) flushes the affected
         tenant's flow-cache shard — and its compiled classifier — the
-        moment it commits, on top of the epoch check that already
-        invalidates stale entries.
+        moment it commits; without it, the tenant's next packet finds
+        its epoch moved, recompiles and empties the shard.
 
         ``check_compiled="enforce"`` certifies every classifier rebuild
         against the installed tables (:mod:`repro.analysis.equiv`) and

@@ -108,7 +108,6 @@ class TenantRecord:
     cache_hits: int = 0
     compiled_hits: int = 0
     cache_misses: int = 0
-    uncacheable: int = 0
     compile_rebuilds: int = 0
     # by the egress scheduler; ``dropped``: refused by its queues,
     # ``queue_depth``: the live §3.3 queue-length gauge

@@ -8,7 +8,8 @@ the serving layer a production deployment needs:
   execution over an existing :class:`~repro.core.pipeline.MenshenPipeline`,
   packet-for-packet identical to the scalar path;
 * :class:`~repro.engine.flow_cache.FlowCache` — exact-match memoization
-  of pure flow transformations, epoch-validated against reconfiguration;
+  of the compiled classifier's results, emptied when the tenant's
+  configuration epoch moves;
 * :class:`~repro.engine.classifier.CompiledClassifier` — flow cache v2:
   each tenant's installed tables compiled into flat interval/hash match
   structures with pre-decoded actions, so exact-match *misses* (and

@@ -14,21 +14,24 @@ per-packet costs:
   order is exactly the scalar path's, and no path depends on the batch
   size.
 * **One serving context per tenant.** What the engine knows about a VID
-  — parse/deparse byte spans, compiled classifier, certificate,
-  exact-match cache — is one slotted record, found with one
-  dict lookup per packet and re-derived when the tenant's configuration
-  epoch, ``pipeline.epoch_of(vid)``, has moved. Every configuration
-  write that lands through the daisy chain bumps the epoch of exactly
-  the tenants whose data path can observe it, so their stale cache
-  entries, layout and classifier die before the next packet can see
-  them; a neighbour's churn leaves a tenant's context untouched. The
-  context proves one bound per packet (its furthest parsed or deparsed
-  byte fits the parse window); under it the hot path slices and splices
+  — compiled classifier, certificate, cache-key slices, exact-match
+  cache — is one slotted record, found with one dict lookup per packet
+  and rebound when the tenant's configuration epoch,
+  ``pipeline.epoch_of(vid)``, has moved. Every configuration write that
+  lands through the daisy chain bumps the epoch of exactly the tenants
+  whose data path can observe it; binding compiles the tenant's
+  classifier anew and empties its cache shard, so nothing derived from
+  an older configuration reaches the next packet, and a neighbour's
+  churn leaves a tenant's context untouched. The classifier is the one
+  artifact a binding derives: the cache key, the deparse write-back
+  spans and the window bound are read off its parse and deparse plans.
+  One bound is proved per packet (the furthest parsed or deparsed byte
+  fits the parse window); under it the hot path slices and splices
   ``packet.buf`` directly.
 * **Flow caching.** The context's :class:`~repro.engine.flow_cache.
-  FlowCache` memoizes pure flow transformations, keyed on the bytes the
-  module's parse program reads and stamped with the tenant's epoch.
-  A flow is stored as one flat tuple of atomic values — epoch,
+  FlowCache` memoizes compiled results only — pure by construction —
+  keyed on the bytes the classifier's parse plan reads. A flow is
+  stored as one flat tuple of atomic values —
   :meth:`~repro.rmt.phv.PHV.snapshot`, deparser writes, drop flag —
   which the garbage collector stops tracking, so a full cache adds no
   work to any collection. A hit builds a fresh PHV from the snapshot:
@@ -42,30 +45,31 @@ per-packet costs:
   walk would, seeds the exact-match cache (when enabled), and skips the
   interpreted pipeline entirely, so cache-hostile traffic does not
   degrade to the scalar walk. This level is always on: the scalar walk
-  is reached only through the five :data:`FALLBACK_REASONS`. A
-  classifier is compiled when the first packet of an epoch reaches this
-  level, and dropped with the rest of the context's derived state by
-  :meth:`BatchEngine.invalidate`.
-* **Certification (``check_compiled``).** Every lazy classifier rebuild
-  can be statically certified equivalent to the installed tables by
-  :func:`repro.analysis.equiv.certify_classifier` — ``enforce`` refuses
-  an uncertified compiled path (packets take the scalar oracle, counted
-  under the ``uncertified`` fallback reason), ``off`` (default) skips
-  the check. :attr:`BatchEngine.certificates` reads them per VID.
-* **Stateful bypass.** A packet whose execution touches stateful memory
-  is never memoized, and its module stops probing the cache until the
-  next reconfiguration (state-carrying modules like NetCache/NetChain
-  take the full pipeline every time, as they must); compiled leaves that
-  would touch stateful memory bail to the scalar walk per flow. This is
-  also why register writes (``tenant.register(...).write``), which
-  bypass the daisy chain, need no invalidation: no cached flow ever
-  consulted a register, and no compiled leaf replays a stateful op.
+  is reached only through the five :data:`FALLBACK_REASONS`, and what
+  it returns is never memoized. A tenant whose classifier is refused
+  (``uncompilable`` or ``uncertified``) therefore takes the scalar walk
+  for every packet, with its cache left empty.
+* **Certification (``check_compiled``).** Every classifier a binding
+  compiles can be statically certified equivalent to the installed
+  tables by :func:`repro.analysis.equiv.certify_classifier` —
+  ``enforce`` refuses an uncertified compiled path (packets take the
+  scalar oracle, counted under the ``uncertified`` fallback reason),
+  ``off`` (default) skips the check. :attr:`BatchEngine.certificates`
+  reads them per VID.
+* **Stateful flows.** A compiled leaf that would touch stateful memory
+  bails to the scalar walk per flow, and only compiled results are
+  learned, so a module's stateful flows are never cache hits while its
+  pure flows still are (NetCache/NetChain take the full pipeline for
+  every packet that touches a register, as they must). This is also why
+  register writes (``tenant.register(...).write``), which bypass the
+  daisy chain, need no invalidation: no cached flow ever consulted a
+  register, and no compiled leaf replays a stateful op.
 
 The hot path is therefore three-level — exact-match cache hit →
 compiled classification → scalar pipeline fallback — with
 :class:`EngineCounters` attributing every packet to one level
 (``cache_hits`` / ``compiled_hits`` / ``classifier_fallbacks`` by
-reason) and ``compile_rebuilds`` counting epoch-driven recompiles.
+reason) and ``compile_rebuilds`` counting bindings.
 The engine writes those per-tenant counts once per packet into the
 switch's :class:`~repro.core.stats.TenantRecord`; it stores only
 engine-wide events, and :attr:`BatchEngine.counters` sums the rest.
@@ -111,7 +115,7 @@ from .classifier import (
     Fallback,
     compile_classifier,
 )
-from .flow_cache import FlowCache, FlowCacheStats
+from .flow_cache import FlowCache
 
 if TYPE_CHECKING:  # pragma: no cover — type-only; engine never imports
     from ..analysis.equiv import Certificate  # analysis eagerly
@@ -135,7 +139,6 @@ class EngineTenantCounters:
     cache_hits: int = 0
     compiled_hits: int = 0
     cache_misses: int = 0
-    uncacheable: int = 0
     drops: int = 0
     bytes_out: int = 0
     compile_rebuilds: int = 0
@@ -170,7 +173,6 @@ class EngineCounters:
     cache_hits: int = 0
     compiled_hits: int = 0
     cache_misses: int = 0
-    uncacheable: int = 0
     early_drops: int = 0
     drops: int = 0
     reconfig_flushes: int = 0
@@ -209,7 +211,7 @@ class EngineCounters:
 
 #: The per-tenant counts the engine writes into each tenant record,
 #: under the same names in :class:`EngineCounters`.
-_LEVELS = ("cache_hits", "compiled_hits", "cache_misses", "uncacheable",
+_LEVELS = ("cache_hits", "compiled_hits", "cache_misses",
            "compile_rebuilds")
 
 
@@ -217,31 +219,24 @@ class _TenantContext:
     """Everything the engine holds to serve one tenant.
 
     ``cache`` lives as long as the engine, so its statistics survive
-    :meth:`BatchEngine.invalidate`. The rest is
-    derived by :meth:`BatchEngine._bind` from the configuration at
-    ``epoch`` (``None`` until bound — never current): ``parse`` are
-    slices of the byte spans the module's parse program reads — the
-    complete packet-derived input of its execution (besides length and
-    ingress port, which the key carries separately), cut from the
-    packet's bytes in C when the flow key is built; ``deparse`` the
-    ``(offset, end)`` spans its deparse program writes back;
-    ``max_end`` the furthest byte either reaches. ``stateful`` flips
-    once a packet of this module touches stateful memory; the tenant
-    then bypasses the cache until the epoch moves. ``classifier`` is
-    compiled when the first packet reaches that level; ``certificate``
-    is what certification last said of it.
+    :meth:`BatchEngine.invalidate`. The rest is bound by
+    :meth:`BatchEngine._bind` from the configuration at ``epoch``
+    (``None`` until bound — never current): ``classifier`` is compiled
+    from it; ``key`` are slices of the byte spans its parse plan reads
+    — the complete packet-derived input of the module's execution
+    (besides length and ingress port, which the flow key carries
+    separately), cut from the packet's bytes in C when the flow key is
+    built; ``certificate`` is what certification said of the
+    classifier; ``refusal`` the fallback reason every packet takes
+    instead of the compiled level (``None``: the classifier serves).
     """
 
-    __slots__ = ("vid", "cache", "epoch", "parse", "deparse",
-                 "max_end", "stateful", "classifier", "certificate")
+    __slots__ = ("vid", "cache", "epoch", "classifier", "key",
+                 "certificate", "refusal")
 
     def __init__(self, vid: int, cache: FlowCache):
         self.vid = vid
         self.cache = cache
-        self.parse: Tuple[slice, ...] = ()
-        self.deparse: Tuple[Tuple[int, int], ...] = ()
-        self.max_end = 0
-        self.stateful = False
         self.purge()
 
     def purge(self) -> int:
@@ -261,8 +256,8 @@ class BatchEngine:
                  enable_cache: bool = True,
                  check_compiled: str = "off"):
         """``check_compiled`` selects the certification mode for the
-        compiled-classification level: every lazy rebuild is certified
-        against the installed tables by
+        compiled-classification level: every classifier a binding
+        compiles is certified against the installed tables by
         :func:`repro.analysis.equiv.certify_classifier`. ``enforce``
         refuses the compiled path on a violated certificate (packets
         fall back to the scalar oracle, counted under ``uncertified``);
@@ -281,10 +276,6 @@ class BatchEngine:
                 f"expected one of {CERTIFY_MODES}")
         self.check_compiled = check_compiled
         self._parse_window = pipeline.params.parse_window_bytes
-        #: The stateful memories the pipeline was built with, sampled
-        #: around each scalar walk.
-        self._memories = tuple(stage.stateful_memory
-                               for stage in pipeline.stages)
         #: Engine-wide events; the per-level fields stay zero here.
         self._events = EngineCounters()
         self._contexts: Dict[int, _TenantContext] = {}
@@ -317,10 +308,6 @@ class BatchEngine:
         """The flow-cache shard for one tenant VID (created on demand)."""
         return self._context(vid).cache
 
-    def cache_stats(self) -> Dict[int, FlowCacheStats]:
-        """Per-VID cache statistics."""
-        return {vid: ctx.cache.stats for vid, ctx in self._contexts.items()}
-
     def classifier_stats(self) -> Dict[int, ClassifierStats]:
         """Shape summaries of the currently compiled classifiers."""
         return {vid: ctx.classifier.stats()
@@ -339,10 +326,9 @@ class BatchEngine:
 
         ``repro.api`` calls this when a tenant commits a transaction, is
         updated, or is evicted — making invalidation transactional at the
-        API layer. The epoch check makes stale entries unreachable even
-        without this call; flushing additionally frees their memory and
-        the tenant's layout, compiled classifier and certificate
-        immediately.
+        API layer. A moved epoch empties the shard at the next binding
+        even without this call; flushing additionally frees the entries,
+        the compiled classifier and the certificate immediately.
 
         ``counters.invalidations`` grows by the number of entries
         actually flushed (matching ``FlowCacheStats.invalidations``);
@@ -357,50 +343,32 @@ class BatchEngine:
         self._events.invalidations += flushed
         return flushed
 
-    def _bind(self, ctx: _TenantContext, epoch: int) -> None:
-        """Re-derive ``ctx`` from the configuration installed at
-        ``epoch``; the classifier is left for the first packet that
-        needs it (:meth:`_compile`)."""
-        vid = ctx.vid
-        parse = self.pipeline.parser.read_program(vid)
-        deparse = self.pipeline.deparser.read_program(vid)
-        spans = sorted({
-            (a.bytes_from_head, a.bytes_from_head + a.container.size_bytes)
-            for a in parse})
-        ctx.parse = tuple(slice(off, end) for off, end in spans)
-        ctx.deparse = tuple(
-            (a.bytes_from_head, a.bytes_from_head + a.container.size_bytes)
-            for a in deparse)
-        ctx.max_end = max([end for _off, end in spans + list(ctx.deparse)],
-                          default=0)
-        ctx.stateful = False
-        ctx.classifier = None
-        ctx.epoch = epoch
-
-    def _compile(self, ctx: _TenantContext,
-                 record: TenantRecord) -> CompiledClassifier:
-        clf = ctx.classifier = compile_classifier(self.pipeline, ctx.vid)
+    def _bind(self, ctx: _TenantContext, record: TenantRecord,
+              epoch: int) -> None:
+        """Derive ``ctx`` from the configuration installed at ``epoch``:
+        compile (and, unless ``check_compiled`` is off, certify) the
+        classifier, read the cache key off its parse plan, and empty the
+        shard of everything learned under an older configuration."""
+        clf = compile_classifier(self.pipeline, ctx.vid)
         record.compile_rebuilds += 1
+        ctx.classifier = clf
+        ctx.key = tuple(slice(off, end) for off, end in
+                        sorted({(off, end) for off, end, _flat
+                                in clf._parse}))
+        ctx.refusal = None if clf.ok else "uncompilable"
         if self.check_compiled != "off":
             self._certify(ctx)
-        return clf
+        ctx.cache.clear()
+        ctx.epoch = epoch
 
     def _certify(self, ctx: _TenantContext) -> None:
         # Lazy import: the engine must stay importable without dragging
         # the analysis layer in — only certifying engines pay for it.
         from ..analysis.equiv import certify_classifier
 
-        ctx.certificate = certify_classifier(
-            self.pipeline, ctx.classifier, vid=ctx.vid)
-
-    def _stateful_ops(self) -> int:
-        """Reads plus writes so far over the stages' stateful memories
-        (each one's :attr:`~repro.rmt.stateful.StatefulMemory.op_count`,
-        summed in a plain loop)."""
-        ops = 0
-        for memory in self._memories:
-            ops += memory.read_count + memory.write_count
-        return ops
+        ctx.certificate = certify_classifier(self.pipeline, ctx.classifier)
+        if not ctx.certificate.ok:
+            ctx.refusal = "uncertified"
 
     # -- data plane ---------------------------------------------------------------
 
@@ -459,86 +427,62 @@ class BatchEngine:
         Returns ``(merged, phv, cache_hit)``.
         """
         if ctx.epoch != epoch:
-            self._bind(ctx, epoch)
+            self._bind(ctx, record, epoch)
+        clf = ctx.classifier
         # The one bound every raw slice and splice below relies on.
         length = len(packet.buf)
-        max_end = ctx.max_end
-        fits_window = max_end <= length and max_end <= self._parse_window
-        key = None
-
-        # Level 1: exact-match flow-cache hit.
-        if self.enable_cache and fits_window and not ctx.stateful:
-            raw = bytes(packet.buf)
-            key = (length, packet.ingress_port,
-                   *map(raw.__getitem__, ctx.parse))
-            entry = ctx.cache.lookup(key, epoch)
-            if entry is not None:
-                record.cache_hits += 1
-                _epoch, snap, writes, dropped = entry
-                phv = PHV.from_snapshot(snap)
-                phv.metadata.buf[1] = 1 << slot  # buffer_tag
-                if dropped:
-                    return None, phv, True
-                # ``raw`` is already a copy of the bytes: no second one
-                merged = Packet(raw, packet.ingress_port,
-                                packet.arrival_time)
-                out = merged.buf
-                for off, data in writes:
-                    out[off:off + len(data)] = data
-                return merged, phv, True
-
-        # Level 2: compiled classification.
-        if not fits_window:
+        max_end = clf.max_end
+        if max_end > length or max_end > self._parse_window:
             reason = "parse-window"
+        elif ctx.refusal is not None:
+            reason = ctx.refusal
         else:
-            clf = ctx.classifier
-            if clf is None:
-                clf = self._compile(ctx, record)
-            certificate = ctx.certificate
-            if (certificate is not None and not certificate.ok
-                    and self.check_compiled == "enforce"):
-                # Certification (enforce mode) found the compiled
-                # artifact inequivalent: refuse the compiled path
-                # entirely and let the scalar oracle serve.
-                reason = "uncertified"
-            elif not clf.ok:
-                reason = "uncompilable"
-            else:
-                outcome = clf.classify(packet, slot)
-                if type(outcome) is not Fallback:
-                    merged, phv = outcome
-                    record.compiled_hits += 1
-                    if key is not None:
-                        # Seed the exact-match level: the compiled
-                        # result is pure by construction, exactly
-                        # what the scalar miss path would memoize.
-                        self._learn(ctx, record, key, merged, phv)
-                    return merged, phv, False
-                reason = outcome.reason
+            key = None
+            # Level 1: exact-match flow-cache hit.
+            if self.enable_cache:
+                raw = bytes(packet.buf)
+                key = (length, packet.ingress_port,
+                       *map(raw.__getitem__, ctx.key))
+                entry = ctx.cache.lookup(key)
+                if entry is not None:
+                    record.cache_hits += 1
+                    snap, writes, dropped = entry
+                    phv = PHV.from_snapshot(snap)
+                    phv.metadata.buf[1] = 1 << slot  # buffer_tag
+                    if dropped:
+                        return None, phv, True
+                    # ``raw`` is already a copy of the bytes: no second
+                    merged = Packet(raw, packet.ingress_port,
+                                    packet.arrival_time)
+                    out = merged.buf
+                    for off, data in writes:
+                        out[off:off + len(data)] = data
+                    return merged, phv, True
+
+            # Level 2: compiled classification.
+            outcome = clf.classify(packet, slot)
+            if type(outcome) is not Fallback:
+                merged, phv = outcome
+                record.compiled_hits += 1
+                if key is not None:
+                    # Learn it: the window bound holds for ``merged``
+                    # too — the deparser never resizes.
+                    record.cache_misses += 1
+                    writes = ()
+                    if merged is not None:
+                        out = merged.buf
+                        writes = tuple([(off, bytes(out[off:end]))
+                                        for off, end, _flat, _size
+                                        in clf._deparse])
+                    ctx.cache.insert(key, (phv.snapshot(), writes,
+                                           merged is None))
+                return merged, phv, False
+            reason = outcome.reason
         fallbacks = self._events.classifier_fallbacks
         fallbacks[reason] = fallbacks.get(reason, 0) + 1
 
-        # Level 3: the scalar pipeline walk (the differential oracle).
-        before = self._stateful_ops()
+        # Level 3: the scalar pipeline walk (the differential oracle),
+        # never memoized.
         merged, phv = self.pipeline.execute(packet, ctx.vid,
                                             buffer_slot=slot)
-        if self._stateful_ops() != before:
-            record.uncacheable += 1
-            ctx.stateful = True
-        elif key is not None:
-            self._learn(ctx, record, key, merged, phv)
         return merged, phv, False
-
-    def _learn(self, ctx: _TenantContext, record: TenantRecord, key: Tuple,
-               merged: Optional[Packet], phv) -> None:
-        """Memoize one pure result at the exact-match level (``key``
-        exists, so the window bound holds for ``merged`` too — the
-        deparser never resizes)."""
-        record.cache_misses += 1
-        writes: Tuple[Tuple[int, bytes], ...] = ()
-        if merged is not None:
-            out = merged.buf
-            writes = tuple([(off, bytes(out[off:end]))
-                            for off, end in ctx.deparse])
-        ctx.cache.insert(key, (ctx.epoch, phv.snapshot(), writes,
-                               merged is None))

@@ -45,9 +45,11 @@ packet takes the interpreted walk, exactly as before. Compilation never
 widens behavior; ``tests/test_engine_differential.py`` pins the
 compiled path packet-for-packet against the oracle.
 
-Classifiers are rebuilt lazily when ``pipeline.epoch_of(vid)`` moves —
-a neighbour's reconfiguration does not move it — and purged by
-:meth:`BatchEngine.invalidate` alongside the flow-cache shards.
+A classifier is the one artifact the engine derives from a tenant's
+configuration: it is compiled when the engine binds the tenant at a new
+``pipeline.epoch_of(vid)`` — a neighbour's reconfiguration does not
+move it — and the engine's flow-cache key, deparse write-back spans and
+window bound are read off its parse and deparse plans.
 """
 
 from __future__ import annotations
@@ -404,59 +406,45 @@ def compile_classifier(pipeline: MenshenPipeline,
     """Compile ``vid``'s installed configuration, stamped with the
     tenant's current epoch (``pipeline.epoch_of(vid)``).
 
-    Never raises: a configuration that cannot be compiled faithfully
-    (undecodable words, metadata-addressing operands — everything the
-    scalar path would fault on per packet) yields ``ok=False`` and the
-    engine routes those packets to the scalar oracle, which reproduces
-    the original behavior — faults included — exactly.
+    The parse/deparse layout — both plans and the furthest byte either
+    reaches — is read first, from the installed programs: a row that
+    does not decode raises here, the error the scalar parser or deparser
+    raises on every packet. Past the layout it never raises: a
+    configuration that cannot be compiled faithfully (a plan targeting
+    metadata, undecodable stage words, metadata-addressing operands —
+    everything the scalar path would fault on per packet) yields
+    ``ok=False`` with the layout still set, and the engine routes those
+    packets to the scalar oracle, which reproduces the original
+    behavior — faults included — exactly.
     """
-    epoch = pipeline.epoch_of(vid)
+    clf = CompiledClassifier(vid, pipeline.epoch_of(vid), ok=True)
+    parse = pipeline.parser.read_program(vid)
+    deparse = pipeline.deparser.read_program(vid)
+    clf._parse = tuple(
+        (a.bytes_from_head, a.bytes_from_head + a.container.size_bytes,
+         a.container.flat_index) for a in parse)
+    clf._deparse = tuple(
+        (a.bytes_from_head, a.bytes_from_head + a.container.size_bytes,
+         a.container.flat_index, a.container.size_bytes) for a in deparse)
+    clf.max_end = max([plan[1] for plan in clf._parse + clf._deparse],
+                      default=0)
     try:
-        return _compile(pipeline, vid, epoch)
-    except _Uncompilable as exc:
-        return CompiledClassifier(vid, epoch, ok=False, reason=str(exc))
-    except Exception as exc:  # decode faults the scalar path replays
-        return CompiledClassifier(vid, epoch, ok=False,
-                                  reason=f"{type(exc).__name__}: {exc}")
-
-
-def _compile(pipeline: MenshenPipeline, vid: int,
-             epoch: int) -> CompiledClassifier:
-    clf = CompiledClassifier(vid, epoch, ok=True)
-
-    parse_plan = []
-    max_end = 0
-    for action in pipeline.parser.read_program(vid):
-        if action.container.ctype == ContainerType.META:
+        if any(a.container.ctype == ContainerType.META for a in parse):
             raise _Uncompilable("parse targets metadata")
-        size = action.container.size_bytes
-        end = action.bytes_from_head + size
-        max_end = max(max_end, end)
-        parse_plan.append((action.bytes_from_head, end,
-                           action.container.flat_index))
-
-    deparse_plan = []
-    for action in pipeline.deparser.read_program(vid):
-        if action.container.ctype == ContainerType.META:
+        if any(a.container.ctype == ContainerType.META for a in deparse):
             raise _Uncompilable("deparse targets metadata")
-        size = action.container.size_bytes
-        end = action.bytes_from_head + size
-        max_end = max(max_end, end)
-        deparse_plan.append((action.bytes_from_head, end,
-                             action.container.flat_index, size))
-
-    stages = []
-    for index, stage in enumerate(pipeline.stages):
-        module = (SYSTEM_MODULE_ID if index in pipeline.system_stages
-                  else vid)
-        plan = _compile_stage(stage, module)
-        if plan is not None:
-            stages.append(plan)
-
-    clf.max_end = max_end
-    clf._parse = tuple(parse_plan)
-    clf._deparse = tuple(deparse_plan)
-    clf._stages = tuple(stages)
+        stages = []
+        for index, stage in enumerate(pipeline.stages):
+            module = (SYSTEM_MODULE_ID if index in pipeline.system_stages
+                      else vid)
+            plan = _compile_stage(stage, module)
+            if plan is not None:
+                stages.append(plan)
+        clf._stages = tuple(stages)
+    except _Uncompilable as exc:
+        clf.ok, clf.reason = False, str(exc)
+    except Exception as exc:  # decode faults the scalar path replays
+        clf.ok, clf.reason = False, f"{type(exc).__name__}: {exc}"
     return clf
 
 

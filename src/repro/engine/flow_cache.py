@@ -4,14 +4,16 @@ A :class:`FlowCache` memoizes the *transformation* a module applies to a
 flow: the final PHV and the exact byte rewrites the deparser performed.
 Entries are keyed on the bytes the module's parse program actually reads
 (plus packet length and ingress port — the only other packet inputs the
-pipeline consumes) and stamped with the tenant's configuration epoch
-(``pipeline.epoch_of(vid)``); an entry learned under an older
-configuration of *that tenant* never hits.
+pipeline consumes). One shard holds one tenant's flows learned under
+one configuration: the engine empties it whenever it rebinds the tenant
+at a new ``pipeline.epoch_of(vid)``, so an entry carries no epoch.
 
-Only *pure* results are admitted: a packet whose execution touched
-stateful memory (``LOAD``/``STORE``/``LOADD``) is not memoizable, because
-replaying it would skip side effects and read stale state. The engine
-detects this with :attr:`repro.rmt.stateful.StatefulMemory.op_count`.
+Only results of the tenant's
+:class:`~repro.engine.classifier.CompiledClassifier` are admitted, and
+those are pure by construction: a flow that would touch stateful memory
+(``LOAD``/``STORE``/``LOADD``) bails out of the compiled level to the
+scalar walk, whose results are never memoized — replaying them would
+skip side effects and read stale state.
 
 Eviction is LRU with a fixed capacity, so one heavy tenant's flow churn
 cannot grow the cache without bound.
@@ -38,7 +40,7 @@ from ..rmt.phv import PhvSnapshot
 #: Cache key: (packet length, ingress port, bytes of each parsed region).
 FlowKey = Tuple
 
-#: One memoized flow result, ``(epoch, phv, writes, dropped)``. A plain
+#: One memoized flow result, ``(phv, writes, dropped)``. A plain
 #: tuple of atomic values, so the garbage collector never walks it (see
 #: the module docstring). ``phv`` is the final PHV's
 #: :meth:`~repro.rmt.phv.PHV.snapshot`: its 24 containers as one int
@@ -47,7 +49,7 @@ FlowKey = Tuple
 #: buffer tag, so the snapshot's own tag never leaks. ``writes``
 #: replays the deparser: ``(offset, data)`` pairs applied to a copy of
 #: the input packet reproduce the merged output byte-for-byte.
-FlowEntry = Tuple[int, PhvSnapshot, Tuple[Tuple[int, bytes], ...], bool]
+FlowEntry = Tuple[PhvSnapshot, Tuple[Tuple[int, bytes], ...], bool]
 
 
 @dataclass
@@ -87,20 +89,10 @@ class FlowCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: FlowKey, epoch: int) -> Optional[FlowEntry]:
-        """Return the live entry for ``key``, or ``None``.
-
-        An entry stamped with a different epoch is stale: it is removed
-        and counted as a miss (the caller re-learns under the current
-        configuration).
-        """
+    def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
+        """Return the entry for ``key``, or ``None``."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
-            return None
-        if entry[0] != epoch:
-            del self._entries[key]
-            self.stats.invalidations += 1
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
@@ -109,10 +101,9 @@ class FlowCache:
 
     def insert(self, key: FlowKey, entry: FlowEntry) -> None:
         if key in self._entries:
-            # Overwriting a live entry (e.g. re-learned under a new
-            # epoch before any lookup purged the stale one) replaces
-            # rather than grows: count it so ``insertions - evictions -
-            # replacements - invalidations`` keeps tracking occupancy.
+            # Overwriting an entry replaces rather than grows: count it
+            # so ``insertions - evictions - replacements -
+            # invalidations`` keeps tracking occupancy.
             self._entries.move_to_end(key)
             self.stats.replacements += 1
         elif len(self._entries) >= self.capacity:

@@ -114,10 +114,6 @@ class Departure:
         self.module_id = module_id
         self.time = time
 
-    @property
-    def latency(self) -> float:
-        return self.time - self.packet.arrival_time
-
 
 class _PortState:
     """One output port: a ranker plus per-tenant FIFOs of tagged packets.

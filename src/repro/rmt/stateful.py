@@ -30,14 +30,8 @@ class StatefulMemory:
 
     @property
     def op_count(self) -> int:
-        """Total reads + writes ever performed on this memory.
-
-        A packet whose processing moved it has a stateful side effect
-        and is not memoizable. The batched executor
-        (:class:`repro.engine.BatchEngine`) detects that by sampling
-        the memories it was built with around each scalar walk, summing
-        ``read_count + write_count`` over them in a plain loop.
-        """
+        """Total reads + writes ever performed on this memory: a packet
+        whose processing moved it had a stateful side effect."""
         return self.read_count + self.write_count
 
     def _check_addr(self, addr: int) -> None:

@@ -199,25 +199,43 @@ class TestThreeLevelHotPath:
         packets = [workload("netcache").flow_packet(4, i) for i in range(20)]
         engine.process_batch(packets)
         counters = engine.counters
-        assert counters.compiled_hits == 0
+        assert counters.compiled_hits == counters.cache_hits == 0
         assert counters.classifier_fallbacks.get("stateful") == 20
-        assert counters.uncacheable == 20
 
     def test_uncompilable_module_falls_back_and_oracle_faults(self):
+        """Repeated flows of a refused classifier all take the oracle —
+        nothing it returns is learned — and a packet too short for the
+        parse window is still counted under ``parse-window``: the
+        layout is read even when the rest does not compile."""
+        scalar, _ = _firewall_switch()
         switch, engine = _firewall_switch()
-        pipeline = switch.pipeline
         stage = switch.controller._loaded(3).compiled.stages_used()[0]
         entry = KeyExtractEntry(
             cmp_op=CmpOp.EQ,
             cmp_a=ContainerRef(ContainerType.META, 0), cmp_b=0)
-        pipeline.inject_reconfig(build_reconfig_packet(
-            ResourceId(ResourceType.KEY_EXTRACTOR, stage), index=3,
-            entry=entry.encode(), params=switch.params))
+        for twin in (scalar, switch):
+            twin.pipeline.inject_reconfig(build_reconfig_packet(
+                ResourceId(ResourceType.KEY_EXTRACTOR, stage), index=3,
+                entry=entry.encode(), params=switch.params))
+        short = workload("firewall").flow_packet(3, 1)
+        short.truncate(18)
+        packets = [workload("firewall").flow_packet(3, fid)
+                   for fid in (1, 2, 3) * 3] + [short]
         # The classifier refuses the config; the scalar oracle then
         # reproduces the per-packet fault the config always caused.
-        with pytest.raises(ConfigError, match="metadata"):
-            engine.process(workload("firewall").flow_packet(3, 1))
-        assert engine.counters.classifier_fallbacks.get("uncompilable") == 1
+        for packet in packets:
+            faults = []
+            for serve in (scalar.process, engine.process):
+                with pytest.raises((ConfigError, PacketError)) as caught:
+                    serve(packet.copy())
+                faults.append((type(caught.value), str(caught.value)))
+            assert faults[0] == faults[1]
+            assert packet is short or "metadata" in faults[0][1]
+        counters = engine.counters
+        assert counters.cache_hits == counters.compiled_hits == 0
+        assert counters.classifier_fallbacks == {"uncompilable": 9,
+                                                 "parse-window": 1}
+        assert len(engine.shard(3)) == 0
 
     def test_short_packet_falls_back_parse_window(self):
         _switch, engine = _firewall_switch()
@@ -255,6 +273,64 @@ class TestRebuildAndPurge:
         assert not engine.classifier_stats()
         engine.process(workload("firewall").flow_packet(3, 1))
         assert engine.counters.compile_rebuilds == 2
+
+    def test_a_placed_tenant_binds_once_and_a_rebind_empties_its_shard(
+            self, monkeypatch):
+        """A freshly placed tenant's first hop reads its parse and
+        deparse programs once each: the compiled classifier is the one
+        artifact its binding derives, and the cache key, write-back
+        spans and window bound are read off its plans (deriving them
+        apart read each program twice). An epoch move empties that
+        tenant's shard when its next packet rebinds it; a neighbour's
+        shard keeps its entries."""
+        from fabric_serve import serve
+        from repro.fabric import Fabric
+        from repro.modules import calc
+        from repro.rmt.deparser import Deparser
+        from repro.rmt.parser import ProgrammableParser
+
+        fabric = Fabric()
+        member = fabric.add_switch("sw0")
+        for vid in (1, 2):
+            fabric.tenant(
+                f"calc{vid}", calc.P4_SOURCE, vid=vid,
+                installer=lambda t, port: calc.install(t, port=port)
+            ).place(("sw0", 0), ("sw0", 2))
+        reads = {}
+        for cls, name in ((ProgrammableParser, "parse"),
+                          (Deparser, "deparse")):
+            def counted(self, vid, _inner=cls.read_program, _name=name):
+                reads[_name, vid] = reads.get((_name, vid), 0) + 1
+                return _inner(self, vid)
+            monkeypatch.setattr(cls, "read_program", counted)
+
+        def hop(vid, *operands):
+            return serve(fabric, [("sw0", calc.make_packet(
+                vid, calc.OP_ADD, a, 1)) for a in operands])
+
+        assert hop(1, 7).delivered_for(1)
+        assert reads == {("parse", 1): 1, ("deparse", 1): 1}
+        hop(1, 1, 2, 3)
+        hop(2, 1, 2)
+        engine = member.engine
+        assert (len(engine.shard(1)), len(engine.shard(2))) == (4, 2)
+
+        pipeline = member.switch.pipeline
+        epochs = pipeline.epoch_of(1), pipeline.epoch_of(2)
+        member.switch.tenant(1).table("calc_table").insert(
+            match={"hdr.calc.op": 9}, action="op_echo")
+        assert pipeline.epoch_of(1) != epochs[0]
+        assert pipeline.epoch_of(2) == epochs[1]
+        assert len(engine.shard(1)) == 4          # not yet rebound
+        hits = engine.counters.cache_hits
+        hop(1, 1)
+        assert engine.counters.cache_hits == hits  # re-learned, not hit
+        assert len(engine.shard(1)) == 1
+        assert engine.shard(1).stats.invalidations == 4
+        assert len(engine.shard(2)) == 2
+        assert engine.shard(2).stats.invalidations == 0
+        hop(2, 1, 2)
+        assert engine.counters.cache_hits == hits + 2
 
     def test_invalidate_all_purges_everything(self):
         _switch, engine = _firewall_switch()
@@ -296,7 +372,7 @@ class TestInvalidationAccounting:
         _switch, engine = _firewall_switch(enable_cache=False)
         engine.process(workload("firewall").flow_packet(3, 1))
         context = engine._contexts[3]
-        assert context.epoch is not None and context.parse
+        assert context.epoch is not None and context.key
         shard = engine.shard(3)
         assert len(shard) == 0
         assert engine.invalidate(3) == 0
@@ -311,8 +387,8 @@ class TestInvalidationAccounting:
 # satellite 2: flow-cache replace accounting; satellite 4: edge cases
 # ---------------------------------------------------------------------------
 
-def _entry(epoch):
-    return (epoch, PHV().snapshot(), (), False)
+def _entry(tag=0):
+    return (PHV().snapshot(), ((0, bytes([tag])),), False)
 
 
 def _occupancy_holds(cache):
@@ -326,6 +402,7 @@ class TestFlowCacheEdges:
         cache = FlowCache(4)
         cache.insert(("k",), _entry(1))
         cache.insert(("k",), _entry(2))     # same key: replacement
+        assert cache.lookup(("k",)) == _entry(2)
         assert cache.stats.insertions == 2
         assert cache.stats.replacements == 1
         assert cache.stats.evictions == 0
@@ -333,34 +410,28 @@ class TestFlowCacheEdges:
 
     def test_capacity_one_lru_churn(self):
         cache = FlowCache(1)
-        cache.insert(("a",), _entry(0))
-        cache.insert(("b",), _entry(0))     # evicts a
-        assert cache.lookup(("a",), 0) is None
-        assert cache.lookup(("b",), 0) is not None
-        cache.insert(("a",), _entry(0))     # evicts b
-        assert cache.lookup(("b",), 0) is None
+        cache.insert(("a",), _entry())
+        cache.insert(("b",), _entry())      # evicts a
+        assert cache.lookup(("a",)) is None
+        assert cache.lookup(("b",)) is not None
+        cache.insert(("a",), _entry())      # evicts b
+        assert cache.lookup(("b",)) is None
         assert len(cache) == 1
         assert cache.stats.evictions == 2
         assert cache.stats.replacements == 0
         assert _occupancy_holds(cache)
 
-    def test_stale_entry_overwritten_before_lookup(self):
-        # A stale-epoch entry replaced by insert() before any lookup
-        # purges it: counted as a replacement, not an invalidation.
+    def test_clear_is_the_only_invalidation(self):
+        # Entries carry no epoch: a shard is emptied as a whole when
+        # its tenant is rebound, and only that counts as invalidation.
         cache = FlowCache(4)
         cache.insert(("k",), _entry(1))
-        cache.insert(("k",), _entry(2))     # re-learned under new epoch
-        hit = cache.lookup(("k",), 2)
-        assert hit is not None and hit[0] == 2
+        cache.insert(("j",), _entry(2))
+        assert cache.lookup(("k",)) == _entry(1)
         assert cache.stats.invalidations == 0
-        assert cache.stats.replacements == 1
-        assert _occupancy_holds(cache)
-
-    def test_stale_entry_purged_by_lookup(self):
-        cache = FlowCache(4)
-        cache.insert(("k",), _entry(1))
-        assert cache.lookup(("k",), 2) is None
-        assert cache.stats.invalidations == 1
+        assert cache.clear() == 2
+        assert cache.lookup(("k",)) is None
+        assert cache.stats.invalidations == 2
         assert len(cache) == 0 and _occupancy_holds(cache)
 
     def test_hit_rate_with_zero_traffic(self):
@@ -396,7 +467,7 @@ class TestFlowCacheRecords:
         learned.phv.data[0:8] = [0xFFFF] * 8  # every B2 container
         learned.phv.metadata.buf[:] = b"\xff" * len(learned.phv.metadata.buf)
         (record,) = engine.shard(3)._entries.values()
-        assert record[1] == twins[0].phv.snapshot()
+        assert record[0] == twins[0].phv.snapshot()
 
         first = engine.process(packets[1].copy())
         assert first.cache_hit
@@ -506,7 +577,7 @@ class TestMidBatchLayoutStaleness:
         # the one cached when the batch started.
         layout = engine._contexts[3]
         assert layout.epoch == batched.pipeline.epoch_of(3)
-        assert len(layout.parse) == 1
+        assert len(layout.key) == len(layout.classifier._parse) == 1
         # And the rewrite is observable: some flow that appears on both
         # sides of the barrier changed its scalar verdict, so the
         # equivalence above really did exercise a stale-layout hazard.

@@ -21,6 +21,7 @@ from repro.api import Switch
 from repro.core.reconfig import ResourceId, ResourceType, build_reconfig_packet
 from repro.engine import BatchEngine
 from repro.errors import FieldRangeError
+from repro.modules.base import COMMON_HEADER_DECLS, common_packet, parser_chain
 from repro.traffic import TraceReplayer, ZipfFlows, all_workloads, flow_stream, workload
 from seeds import rng as make_rng
 
@@ -163,7 +164,6 @@ def test_batched_equals_scalar(spec, mode):
         # and takes the scalar walk.
         assert counters.cache_hits == 0
         assert counters.compiled_hits == 0
-        assert counters.uncacheable == ROUNDS
         assert counters.classifier_fallbacks.get("stateful") == ROUNDS
     elif not ENGINE_MODES[mode]["enable_cache"]:
         # With the exact-match level off, every pure packet must be a
@@ -179,6 +179,76 @@ def test_batched_equals_scalar(spec, mode):
         assert counters.cache_hits > WARMUP
         assert any(r.cache_hit for r in engine_results[WARMUP:])
         assert counters.cache_hits + counters.compiled_hits == ROUNDS
+
+
+#: One table, one stateful action and one pure one: ``op`` 1 counts the
+#: packet into a register, ``op`` 2 only copies its tag and steers it.
+MIXED_SOURCE = COMMON_HEADER_DECLS + """
+header tally_t { bit<16> op; bit<32> tag; bit<32> stat; }
+struct headers_t {
+    ethernet_t ethernet; vlan_t vlan; ipv4_t ipv4; udp_t udp; tally_t tally;
+}
+""" + parser_chain("""
+    state parse_tally { packet.extract(hdr.tally); transition accept; }
+""", first_module_state="parse_tally", parser_name="TallyParser") + """
+control TallyIngress(inout headers_t hdr) {
+    register<bit<32>>(4) seen;
+    action count() { seen.loadd(hdr.tally.stat, 0); }
+    action steer(bit<16> port) {
+        hdr.tally.stat = hdr.tally.tag;
+        standard_metadata.egress_spec = port;
+    }
+    table tally {
+        key = { hdr.tally.op: exact; }
+        actions = { count; steer; }
+        size = 4;
+    }
+    apply { tally.apply(); }
+}
+"""
+
+
+def _mixed_packet(op, tag):
+    return common_packet(1, op.to_bytes(2, "big") + tag.to_bytes(4, "big")
+                         + bytes(4))
+
+
+@pytest.mark.parametrize("mode", sorted(
+    m for m, kw in ENGINE_MODES.items() if kw["enable_cache"]))
+def test_a_stateful_flow_leaves_its_tenants_pure_flows_cached(mode):
+    """After a stateful packet, the same tenant's pure flows are still
+    exact-match hits and its stateful flows never are: only compiled
+    results are learned, and a stateful leaf bails to the scalar walk.
+    Outputs, statistics and the register are pinned to a scalar twin.
+    (When the scalar walk's pure results were learned too, the first
+    stateful packet switched the tenant's cache off.)"""
+    def build():
+        switch = Switch.build().create()
+        tenant = switch.admit("mixed", MIXED_SOURCE, vid=1)
+        tenant.table("tally").insert(match={"hdr.tally.op": 1},
+                                     action="count")
+        tenant.table("tally").insert(match={"hdr.tally.op": 2},
+                                     action="steer", params={"port": 2})
+        return switch
+
+    scalar, batched = build(), build()
+    engine = batched.engine(**ENGINE_MODES[mode])
+    rounds = [[_mixed_packet(op, tag) for op in (1, 2) for tag in (5, 6)]
+              for _ in range(3)]
+    for number, packets in enumerate(rounds):
+        before = engine.counters
+        assert_equivalent([scalar.process(p.copy()) for p in packets],
+                          engine.process_batch([p.copy() for p in packets]),
+                          f"{mode} round {number}")
+        served = engine.counters.delta_since(before)
+        # two pure flows: compiled and learned once, hits from then on
+        assert served.cache_hits == (2 if number else 0)
+        assert served.compiled_hits == (0 if number else 2)
+        assert served.classifier_fallbacks == {"stateful": 2}
+    assert_same_observable_state(scalar, batched)
+    assert scalar.tenant(1).register("seen").read(0) == \
+        batched.tenant(1).register("seen").read(0) == 6
+    assert len(engine.shard(1)) == 2
 
 
 def test_two_tenants_interleaved():
@@ -500,7 +570,7 @@ def test_every_batch_size_equals_scalar(mode):
         totals[size] = dataclasses.replace(counters, batches=0)
     assert totals[1] == totals[7] == totals[64]
     # Every level served something, so the sizes agree on all of them.
-    assert totals[1].uncacheable == 60          # netcache, every packet
+    assert totals[1].classifier_fallbacks["stateful"] == 60  # netcache
     assert totals[1].compiled_hits > 0
     if ENGINE_MODES[mode]["enable_cache"]:
         assert totals[1].cache_hits > 0

@@ -177,8 +177,8 @@ class TestInvalidationSoundness:
 # FlowCache unit properties
 # ---------------------------------------------------------------------------
 
-def _entry(epoch):
-    return (epoch, PHV().snapshot(), (), False)
+def _entry(tag):
+    return (PHV().snapshot(), ((0, bytes([tag])),), False)
 
 
 class TestFlowCacheProperties:
@@ -186,18 +186,17 @@ class TestFlowCacheProperties:
            st.lists(st.tuples(st.integers(0, 20), st.integers(0, 3)),
                     min_size=1, max_size=80))
     @settings(derandomize=True)
-    def test_capacity_is_a_hard_bound_and_stale_never_hits(self, capacity,
-                                                           ops):
+    def test_capacity_is_a_hard_bound_and_hits_serve_the_last_insert(
+            self, capacity, ops):
         cache = FlowCache(capacity)
         shadow = {}
-        for key, epoch in ops:
-            hit = cache.lookup((key,), epoch)
+        for key, tag in ops:
+            hit = cache.lookup((key,))
             if hit is not None:
-                # Anything served must be live and epoch-correct.
-                assert hit[0] == epoch
-                assert shadow.get(key) == epoch
-            cache.insert((key,), _entry(epoch))
-            shadow[key] = epoch
+                # Anything served is what was last stored for its key.
+                assert hit == _entry(shadow[key])
+            cache.insert((key,), _entry(tag))
+            shadow[key] = tag
             assert len(cache) <= capacity
             # Occupancy invariant: every removal path has exactly one
             # counter, and a same-key overwrite counts as a replacement.
@@ -210,10 +209,10 @@ class TestFlowCacheProperties:
         cache = FlowCache(2)
         cache.insert(("hot",), _entry(0))
         cache.insert(("warm",), _entry(0))
-        assert cache.lookup(("hot",), 0) is not None   # refresh hot
-        cache.insert(("cold",), _entry(0))             # evicts warm
-        assert cache.lookup(("hot",), 0) is not None
-        assert cache.lookup(("warm",), 0) is None
+        assert cache.lookup(("hot",)) is not None   # refresh hot
+        cache.insert(("cold",), _entry(0))          # evicts warm
+        assert cache.lookup(("hot",)) is not None
+        assert cache.lookup(("warm",)) is None
         assert cache.stats.evictions == 1
 
     def test_seed_constant_documented(self):
