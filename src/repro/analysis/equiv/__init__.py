@@ -3,9 +3,9 @@
 ``repro.analysis.equiv`` statically certifies that a
 :class:`~repro.engine.classifier.CompiledClassifier` (flow cache v2) is
 equivalent to the scalar pipeline walk over the *installed* tables at
-the same tenant epoch (``pipeline.epoch_of(vid)``) — partition
-soundness, priority soundness, symbolic action equivalence, and
-counterexample synthesis — with zero traffic. See :mod:`.certify` for
+the same tenant epoch (``pipeline.epoch_of(vid)``) — exact keys and
+first-match order re-derived from the entries, symbolic action
+equivalence, and counterexample synthesis — with zero traffic. See :mod:`.certify` for
 the obligation catalog, :mod:`.symbolic` for the abstract replay, and
 :mod:`.mutate` for the seeded corruption harness that keeps the
 certifier honest.

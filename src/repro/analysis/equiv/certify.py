@@ -26,53 +26,31 @@ the compiler's own intermediate claims:
 ``key-recipe``
     each stage's key slots, flag constant and predicate re-derive from
     the installed extractor entry and key mask;
-``partition-structure``
-    an interval stage's compaction segments are the runs of the
-    extractor mask, every live entry is contiguous in the compacted key
-    space, and ``starts``/``ends``/``leaves`` have one length — the
-    facts ``priority-actions`` relies on;
-``priority-actions``
-    at one representative point of **every elementary interval** of the
-    compacted key space, the compiled lookup resolves to the effect of
-    the highest-priority (lowest CAM address) matching entry — matching
-    is evaluated with ``TernaryEntry.matches`` over the real table, and
-    effects are compared by symbolic replay (:mod:`.symbolic`);
 ``residual-order``
-    a residual stage preserves the live entries' (mask, pattern) pairs
-    in CAM address order with equivalent leaves — first-match over the
-    residual *is* the reference semantics;
+    a ternary stage's first-match list holds the live entries' (mask,
+    pattern) pairs in CAM address order with equivalent leaves —
+    first-match over that list *is* the reference semantics;
 ``exact-keys``
     an exact stage's hash equals the address-order CAM contents
     (lowest address wins duplicate keys) with equivalent leaves;
 ``miss-default``
-    an exact or residual stage's miss leaf replays the module's default
-    VLIW word (no-op when the default word is zero); an interval
-    stage's miss leaf is judged by ``priority-actions`` wherever a key
-    reaches it;
+    every stage's miss leaf replays the module's default VLIW word
+    (no-op when the default word is zero);
 ``fallback-reason``
     every ``Fallback`` leaf carries the reason the scalar semantics
     actually force (stateful memory, metadata faults), re-derived from
     the decoded instruction.
 
-The elementary-interval argument makes ``priority-actions`` a complete
-proof, not a sample, whatever shape the interval arrays have:
-``bisect_right`` compares the key only against start values and the
-hit test only against ``end + 1``, so with every start, every end + 1
-and every re-derived entry bound as breakpoints, both the compiled
-lookup and the reference winner are constant between adjacent
-breakpoints — one point per segment of ``[0, full]`` decides it. An
-unsorted or overlapping array is refused exactly when some key
-resolves wrongly, with that key as its counterexample. Together with
-``key-recipe``, ``stage-alignment`` and the plan obligations, per-stage
-pointwise equality composes inductively over the pipeline into
+With ``key-recipe``, ``stage-alignment`` and the plan obligations,
+per-stage equality composes inductively over the pipeline into
 whole-datapath equivalence.
 
 A violated obligation yields a :class:`Counterexample`; when the
 violating key is reachable, a concrete admissible packet is synthesized
-by inverting the key through the compaction segments, key slots and
-parse plan, then *validated* by replaying the compiled prefix stages —
-a synthesized packet is only attached if it provably drives the
-divergent stage to the violating key. Certificates serialize to JSON
+by inverting the key through the key slots and parse plan, then
+*validated* by replaying the compiled prefix stages — a synthesized
+packet is only attached if it provably drives the divergent stage to
+the violating key. Certificates serialize to JSON
 (``schema_version`` :data:`CERTIFICATE_SCHEMA_VERSION`) so violations
 can be fed back into the differential suite as regression seeds.
 """
@@ -80,18 +58,20 @@ can be fed back into the differential suite as regression seeds.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...core.pipeline import SYSTEM_MODULE_ID, MenshenPipeline
 from ...engine.classifier import (
+    _ADD,
+    _ADDI,
     _KEY_SLOTS,
+    _SET,
+    _SUB,
+    _SUBI,
     _WRAP,
     CompiledClassifier,
     Fallback,
-    _compact,
-    _mask_segments,
     _StagePlan,
     compile_classifier,
 )
@@ -118,8 +98,6 @@ OBLIGATIONS: Tuple[str, ...] = (
     "deparse-plan",
     "stage-alignment",
     "key-recipe",
-    "partition-structure",
-    "priority-actions",
     "residual-order",
     "exact-keys",
     "miss-default",
@@ -285,15 +263,6 @@ def certify_classifier(pipeline: MenshenPipeline,
                 "certify_classifier needs a classifier or a vid")
         classifier = compile_classifier(pipeline, vid)
     return _Certifier(pipeline, classifier).run()
-
-
-def _scatter(compact: int,
-             segments: Tuple[Tuple[int, int, int], ...]) -> int:
-    """Inverse of :func:`repro.engine.classifier._compact`."""
-    key = 0
-    for shift, run_mask, out_shift in segments:
-        key |= ((compact >> out_shift) & run_mask) << shift
-    return key
 
 
 class _Certifier:
@@ -482,6 +451,8 @@ class _Certifier:
         if not self._check_key_recipe(index, entry, mask, plan):
             return  # a wrong key recipe makes every deeper proof unsound
 
+        table = stage.match_table
+        exact = isinstance(table, ExactMatchTable)
         try:
             leaves_ref = {addr: stage.vliw_table.read_decoded(addr)
                           for addr in addresses}
@@ -489,37 +460,24 @@ class _Certifier:
                              or VliwInstruction())
         except Exception as exc:
             self._violated(
-                "priority-actions",
+                "exact-keys" if exact else "residual-order",
                 f"stage {index}: installed VLIW word undecodable "
                 f"({type(exc).__name__}: {exc}) but the classifier "
                 f"compiled ok", stage=index)
             return
 
-        if plan.kind != 1:  # an interval miss is judged point by point
-            self._check_miss_default(index, plan, default_word,
-                                     default_instr)
-
-        table = stage.match_table
-        if isinstance(table, ExactMatchTable):
-            if plan.kind != 0:
-                self._violated(
-                    "exact-keys",
-                    f"stage {index}: exact-match stage compiled as "
-                    f"kind {plan.kind}", stage=index)
-                return
+        self._check_miss_default(index, plan, default_word, default_instr)
+        if exact != (plan.kind == 0):
+            self._violated(
+                "exact-keys",
+                f"stage {index}: {'exact-match' if exact else 'ternary'} "
+                f"stage compiled as kind {plan.kind}", stage=index)
+        elif exact:
             self._check_exact(index, plan, table, addresses, leaves_ref,
                               mask)
-        elif plan.kind == 1:
-            self._check_intervals(index, plan, table, addresses,
-                                  leaves_ref, default_instr, mask)
-        elif plan.kind == 2:
+        else:
             self._check_residual(index, plan, table, addresses,
                                  leaves_ref, mask)
-        else:
-            self._violated(
-                "partition-structure",
-                f"stage {index}: ternary stage compiled as exact hash",
-                stage=index)
 
     def _check_key_recipe(self, index: int, entry: KeyExtractEntry,
                           mask: int, plan: _StagePlan) -> bool:
@@ -668,94 +626,7 @@ class _Certifier:
         self._proved("exact-keys", stage=index,
                      detail=f"{len(expected)} keys")
 
-    # -- ternary interval stages -------------------------------------------------
-
-    def _check_intervals(self, index: int, plan: _StagePlan, table: Any,
-                         addresses: List[int],
-                         leaves_ref: Dict[int, VliwInstruction],
-                         default_instr: VliwInstruction,
-                         mask: int) -> None:
-        plan_index = self._plan_index(plan)
-        segments = _mask_segments(mask)
-        full = (1 << sum(run.bit_length()
-                         for _s, run, _o in segments)) - 1
-
-        # Re-derive each live entry's compacted match range.
-        ranges: List[Tuple[int, int, int]] = []  # (addr, lo, hi) closed
-        problem = ""
-        if plan.segments != segments:
-            problem = (f"compiled compaction segments {plan.segments} != "
-                       f"runs of the installed extractor mask {segments}")
-        elif not len(plan.starts) == len(plan.ends) == len(plan.leaves):
-            problem = "starts/ends/leaves lengths disagree"
-        else:
-            for addr in addresses:
-                tentry = table.read(addr)
-                pattern = tentry.key & tentry.mask
-                if pattern & ~mask:
-                    continue  # dead: demands a bit outside the key space
-                c_mask = _compact(tentry.mask & mask, segments)
-                c_pattern = _compact(pattern, segments)
-                wild = full ^ c_mask
-                if wild & (wild + 1):
-                    problem = (f"CAM row {addr} has non-contiguous "
-                               f"wildcard bits under the extractor mask; "
-                               f"interval arrays cannot represent it")
-                    break
-                ranges.append((addr, c_pattern, c_pattern | wild))
-        if problem:
-            self._violated("partition-structure",
-                           f"stage {index}: {problem}", stage=index)
-            return
-        self._proved("partition-structure", stage=index,
-                     detail=f"{len(plan.starts)} intervals from "
-                            f"{len(ranges)} live entries")
-
-        # Pointwise proof over elementary intervals: between adjacent
-        # breakpoints both sides are constant, so one point decides all.
-        bounds = {0}
-        for lo, hi in [(lo, hi) for _addr, lo, hi in ranges] + \
-                list(zip(plan.starts, plan.ends)):
-            bounds.update((lo, hi + 1))
-        points = [p for p in sorted(bounds) if 0 <= p <= full]
-        for point in points:
-            full_key = _scatter(point, segments)
-            ref_addr = next(
-                (addr for addr in addresses
-                 if table.read(addr).matches(full_key)), None)
-            i = bisect_right(plan.starts, point) - 1
-            hit = i >= 0 and point <= plan.ends[i]
-            leaf = plan.leaves[i] if hit else None
-            compiled_leaf = plan.miss_ops if leaf is None else leaf
-            ref_instr = (leaves_ref[ref_addr] if ref_addr is not None
-                         else default_instr)
-            mismatch = self._compare_leaf(compiled_leaf, ref_instr)
-            if mismatch is None:
-                continue
-            kind, want, got = mismatch
-            name = "fallback-reason" if kind == "fallback-reason" \
-                else "priority-actions"
-            winner = (f"CAM row {ref_addr}" if ref_addr is not None
-                      else "the default action")
-            where = (f"interval {i}" if hit else "the miss leaf")
-            ce = self._counterexample(
-                name, index, plan_index, mask, full_key,
-                description=f"stage {index}: at compact key {point:#x} "
-                            f"the highest-priority match is {winner} "
-                            f"but the compiled lookup resolves "
-                            f"{where} differently",
-                expected=want, actual=got)
-            self._violated(
-                name,
-                f"stage {index}: compact key {point:#x} resolves to "
-                f"{winner}, whose effect is {want}; the compiled "
-                f"lookup ({where}) yields {got}",
-                stage=index, counterexample=ce)
-            return
-        self._proved("priority-actions", stage=index,
-                     detail=f"{len(points)} elementary intervals replayed")
-
-    # -- ternary residual stages -------------------------------------------------
+    # -- ternary first-match stages ----------------------------------------------
 
     def _check_residual(self, index: int, plan: _StagePlan, table: Any,
                         addresses: List[int],
@@ -1043,12 +914,6 @@ def _stage_key(sp: _StagePlan, vals: List[int]) -> int:
 def _stage_lookup(sp: _StagePlan, key: int) -> Optional[_Leaf]:
     if sp.kind == 0:
         return sp.exact.get(key)
-    if sp.kind == 1:
-        compact = _compact(key, sp.segments)
-        i = bisect_right(sp.starts, compact) - 1
-        if i >= 0 and compact <= sp.ends[i]:
-            return sp.leaves[i]
-        return None
     for mask, pattern, candidate in sp.residual:
         if key & mask == pattern:
             return candidate
@@ -1061,23 +926,23 @@ def _apply_leaf(leaf: Any, vals: List[int]) -> None:
     pending: List[Tuple[int, int]] = []
     for op_tuple in leaf:
         code = op_tuple[0]
-        if code == 0:    # _ADD
+        if code == _ADD:
             pending.append((op_tuple[1],
                             (vals[op_tuple[2]] + vals[op_tuple[3]])
                             & op_tuple[4]))
-        elif code == 1:  # _SUB
+        elif code == _SUB:
             pending.append((op_tuple[1],
                             (vals[op_tuple[2]] - vals[op_tuple[3]])
                             & op_tuple[4]))
-        elif code == 2:  # _ADDI
+        elif code == _ADDI:
             pending.append((op_tuple[1],
                             (vals[op_tuple[2]] + op_tuple[3])
                             & op_tuple[4]))
-        elif code == 3:  # _SUBI
+        elif code == _SUBI:
             pending.append((op_tuple[1],
                             (vals[op_tuple[2]] - op_tuple[3])
                             & op_tuple[4]))
-        elif code == 4:  # _SET
+        elif code == _SET:
             pending.append((op_tuple[1], op_tuple[3] & op_tuple[4]))
     for slot, value in pending:
         vals[slot] = value

@@ -2,13 +2,11 @@
 
 Each mutator clones a :class:`~repro.engine.classifier.CompiledClassifier`
 and injects one *known* corruption of a kind a buggy compiler could
-plausibly produce. Leaf corruptions: an off-by-one interval bound,
-swapped priorities, a dropped residual entry, an op tuple writing the
-wrong container, swapped exact-match leaves, a ``Fallback`` carrying
-the wrong reason. Plan corruptions: a parse offset one byte late, a
-dropped deparse write, a dropped stage plan, a key slot reading the
-wrong container, a shifted compaction segment, interval arrays of
-different lengths, a residual stage flattened to interval arrays, an
+plausibly produce. Leaf corruptions: swapped first-match priorities, a
+dropped first-match entry, an op tuple writing the wrong container,
+swapped exact-match leaves, a ``Fallback`` carrying the wrong reason.
+Plan corruptions: a parse offset one byte late, a dropped deparse
+write, a dropped stage plan, a key slot reading the wrong container, an
 extra write in an exact stage's miss leaf. The mutation harness
 (``tests/test_equiv.py``) asserts that
 :func:`~repro.analysis.equiv.certify.certify_classifier` catches every
@@ -29,7 +27,7 @@ classifier has no applicable site.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ...engine.classifier import (
     _ADD,
@@ -40,10 +38,8 @@ from ...engine.classifier import (
     _WRAP,
     CompiledClassifier,
     Fallback,
-    _mask_segments,
     _StagePlan,
 )
-from .symbolic import compiled_effect
 
 _Mutator = Callable[[CompiledClassifier], Optional[str]]
 
@@ -57,10 +53,6 @@ def _clone_stage(sp: _StagePlan) -> _StagePlan:
     dup.flag_const = sp.flag_const
     dup.pred = sp.pred
     dup.exact = dict(sp.exact)
-    dup.segments = sp.segments
-    dup.starts = list(sp.starts)
-    dup.ends = list(sp.ends)
-    dup.leaves = list(sp.leaves)
     dup.residual = sp.residual
     dup.miss_ops = sp.miss_ops
     return dup
@@ -77,55 +69,11 @@ def clone_classifier(clf: CompiledClassifier) -> CompiledClassifier:
     return dup
 
 
-def _full_compact(sp: _StagePlan) -> int:
-    return (1 << sum(run.bit_length()
-                     for _s, run, _o in sp.segments)) - 1
-
-
-def _effect(leaf: Any) -> Any:
-    """What a leaf does to a packet; every ``Fallback`` bails alike."""
-    if isinstance(leaf, Fallback):
-        return Fallback
-    return compiled_effect(leaf or ())
-
-
-def mutate_interval_bound(clf: CompiledClassifier) -> Optional[str]:
-    """Off-by-one interval bound: extend an interval's end into a miss
-    gap (so a key the CAM misses now hits the interval's leaf), or — if
-    the partition has no gaps — shrink an interval instead. Only an
-    interval whose leaf acts unlike the miss leaf is touched."""
-    for si, sp in enumerate(clf._stages):
-        if sp.kind != 1 or not sp.starts:
-            continue
-        full = _full_compact(sp)
-        miss = _effect(sp.miss_ops)
-        for i in range(len(sp.ends)):
-            nxt = sp.starts[i + 1] if i + 1 < len(sp.starts) else full + 1
-            if sp.ends[i] + 1 < nxt and _effect(sp.leaves[i]) != miss:
-                sp.ends[i] += 1
-                return (f"stage plan {si}: interval {i} end extended "
-                        f"from {sp.ends[i] - 1:#x} to {sp.ends[i]:#x}")
-        for i in range(len(sp.ends)):
-            if sp.ends[i] > sp.starts[i] and _effect(sp.leaves[i]) != miss:
-                sp.ends[i] -= 1
-                return (f"stage plan {si}: interval {i} end shrunk "
-                        f"from {sp.ends[i] + 1:#x} to {sp.ends[i]:#x}")
-    return None
-
-
 def mutate_swap_priorities(clf: CompiledClassifier) -> Optional[str]:
-    """Swap the resolved leaves of two intervals (or two overlapping
-    residual entries) — the classic priority-inversion compiler bug."""
+    """Swap two overlapping first-match entries with different leaves —
+    the classic priority-inversion compiler bug."""
     for si, sp in enumerate(clf._stages):
-        if sp.kind == 1:
-            for i in range(len(sp.leaves) - 1):
-                a, b = sp.leaves[i], sp.leaves[i + 1]
-                if a != b and not isinstance(a, Fallback) and \
-                        not isinstance(b, Fallback):
-                    sp.leaves[i], sp.leaves[i + 1] = b, a
-                    return (f"stage plan {si}: leaves of intervals "
-                            f"{i} and {i + 1} swapped")
-        if sp.kind == 2 and len(sp.residual) >= 2:
+        if len(sp.residual) >= 2:
             residual = list(sp.residual)
             for i in range(len(residual) - 1):
                 m1, p1, l1 = residual[i]
@@ -144,7 +92,7 @@ def mutate_drop_residual(clf: CompiledClassifier) -> Optional[str]:
     """Drop a residual entry that its own pattern would select (i.e.
     not shadowed by a higher-priority entry), so first-match changes."""
     for si, sp in enumerate(clf._stages):
-        if sp.kind != 2 or not sp.residual:
+        if not sp.residual:
             continue
         residual = list(sp.residual)
         for j, (mask, pattern, leaf) in enumerate(residual):
@@ -181,13 +129,6 @@ def mutate_op_target(clf: CompiledClassifier) -> Optional[str]:
     """Point a compiled write at the wrong container — the symbolic
     replay must notice the PHV divergence."""
     for si, sp in enumerate(clf._stages):
-        for i, leaf in enumerate(sp.leaves):
-            if isinstance(leaf, Fallback):
-                continue
-            hit = _retarget(leaf)
-            if hit is not None:
-                sp.leaves[i] = hit[0]
-                return f"stage plan {si}: interval {i} leaf, {hit[1]}"
         for key in sorted(sp.exact):
             leaf = sp.exact[key]
             if isinstance(leaf, Fallback):
@@ -245,12 +186,6 @@ def mutate_fallback_reason(clf: CompiledClassifier) -> Optional[str]:
         return None
 
     for si, sp in enumerate(clf._stages):
-        for i, leaf in enumerate(sp.leaves):
-            new = rewrite(leaf)
-            if new is not None:
-                sp.leaves[i] = new
-                return (f"stage plan {si}: interval {i} Fallback "
-                        f"reason swapped to {new.reason!r}")
         for key in sorted(sp.exact):
             new = rewrite(sp.exact[key])
             if new is not None:
@@ -313,51 +248,6 @@ def mutate_key_slot(clf: CompiledClassifier) -> Optional[str]:
     return None
 
 
-def mutate_segment_shift(clf: CompiledClassifier) -> Optional[str]:
-    """Shift an interval stage's top compaction segment one key bit
-    up, so the compacted key is read from the wrong bits."""
-    for si, sp in enumerate(clf._stages):
-        if sp.kind == 1 and sp.segments:
-            shift, run_mask, out_shift = sp.segments[-1]
-            sp.segments = sp.segments[:-1] + \
-                ((shift + 1, run_mask, out_shift),)
-            return (f"stage plan {si}: compaction segment at key bit "
-                    f"{shift} shifted to {shift + 1}")
-    return None
-
-
-def mutate_ragged_intervals(clf: CompiledClassifier) -> Optional[str]:
-    """Drop an interval stage's first start, leaving its end and leaf:
-    ``starts`` is one shorter than ``ends`` and ``leaves``, so each
-    later start pairs with the end before its own and every key
-    misses."""
-    for si, sp in enumerate(clf._stages):
-        if sp.kind == 1 and sp.starts:
-            start = sp.starts.pop(0)
-            return (f"stage plan {si}: start {start:#x} of the first of "
-                    f"{len(sp.ends)} intervals dropped")
-    return None
-
-
-def mutate_flatten_residual(clf: CompiledClassifier) -> Optional[str]:
-    """Compile a residual stage as interval arrays: compaction segments
-    from its key recipe, no intervals. Its entries' wildcard bits are
-    not contiguous in the compacted key space — why the compiler kept
-    them residual — so interval arrays cannot represent them."""
-    for si, sp in enumerate(clf._stages):
-        if sp.kind == 2 and sp.residual:
-            mask = 0
-            for shift, slot_mask, _flat in sp.key_slots:
-                mask |= slot_mask << shift
-            if sp.flag_const or sp.pred is not None:
-                mask |= 1
-            sp.kind, sp.segments, sp.residual = 1, _mask_segments(mask), ()
-            sp.starts, sp.ends, sp.leaves = [], [], []
-            return (f"stage plan {si}: residual stage compiled as "
-                    f"empty interval arrays")
-    return None
-
-
 def mutate_miss_write(clf: CompiledClassifier) -> Optional[str]:
     """Append a write to an exact stage's miss leaf: every key the CAM
     misses now sets container 0 to all ones."""
@@ -371,7 +261,6 @@ def mutate_miss_write(clf: CompiledClassifier) -> Optional[str]:
 
 #: Known corruptions, by name; iteration order is the harness order.
 MUTATIONS: Dict[str, _Mutator] = {
-    "interval-bound-off-by-one": mutate_interval_bound,
     "swapped-priorities": mutate_swap_priorities,
     "dropped-residual-entry": mutate_drop_residual,
     "wrong-op-target": mutate_op_target,
@@ -381,9 +270,6 @@ MUTATIONS: Dict[str, _Mutator] = {
     "dropped-deparse-write": mutate_drop_deparse,
     "dropped-stage-plan": mutate_drop_stage,
     "flipped-key-slot": mutate_key_slot,
-    "shifted-compaction-segment": mutate_segment_shift,
-    "ragged-interval-arrays": mutate_ragged_intervals,
-    "flattened-residual-stage": mutate_flatten_residual,
     "extra-miss-write": mutate_miss_write,
 }
 

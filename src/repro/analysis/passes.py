@@ -45,7 +45,6 @@ from ..compiler.backend import CompiledModule
 from ..compiler.ir import ModuleIR
 from ..compiler.static_checker import VID_BYTE_RANGE
 from ..compiler.target import TargetDescription
-from ..core.intervals import overlap as _ranges_overlap
 from ..core.resources import ModuleAllocation
 from ..rmt.params import DEFAULT_PARAMS, HardwareParams
 from .findings import Finding, Severity
@@ -389,6 +388,11 @@ class WriteSetDisjointnessPass(ConfigPass):
 _MATCH, _STATEFUL = 0, 1
 
 
+def overlap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> bool:
+    """True when half-open ``[a_lo, a_hi)`` and ``[b_lo, b_hi)`` intersect."""
+    return a_lo < b_hi and b_lo < a_hi
+
+
 def _partition_ranges(tenants: Sequence[TenantConfig]
                       ) -> Dict[Tuple[int, int], List[Tuple[int, int, int]]]:
     """``(stage, space) -> [(start, end, tenant index)]`` for every
@@ -416,7 +420,7 @@ def _overlapping_pairs(ranges: List[Tuple[int, int, int]]
         # A range that ends by this start cannot meet it or any later one.
         open_ranges = [r for r in open_ranges if r[1] > start]
         for o_start, o_end, o_index in open_ranges:
-            if _ranges_overlap(o_start, o_end, start, end):
+            if overlap(o_start, o_end, start, end):
                 yield min(o_index, index), max(o_index, index)
         open_ranges.append((start, end, index))
 
@@ -457,7 +461,7 @@ class IdentityWritePass(ConfigPass):
                 end = start + action.container.size_bytes
                 if start in shared_offsets:
                     continue   # a system-owned write-back, not the tenant's
-                if _ranges_overlap(start, end, lo, hi):
+                if overlap(start, end, lo, hi):
                     yield self.finding(
                         "identity-write", Severity.ERROR,
                         f"VID {tenant.vid} deparses bytes [{start}, {end}), "

@@ -11,9 +11,10 @@ the serving layer a production deployment needs:
   of the compiled classifier's results, emptied when the tenant's
   configuration epoch moves;
 * :class:`~repro.engine.classifier.CompiledClassifier` — flow cache v2:
-  each tenant's installed tables compiled into flat interval/hash match
-  structures with pre-decoded actions, so exact-match *misses* (and
-  ternary matches) also skip the interpreted pipeline walk;
+  each tenant's installed tables compiled into a hash (exact stages) or
+  a first-match list (ternary stages) per stage, with pre-decoded
+  actions, so exact-match *misses* (and ternary matches) also skip the
+  interpreted pipeline walk;
 * :class:`~repro.engine.scheduler.EgressScheduler` — weighted-fair
   (PIFO/STFQ) egress with per-tenant token-bucket rate limiting, the
   traffic manager every Menshen pipeline is built with (§3.5 bandwidth

@@ -40,15 +40,16 @@ per-packet costs:
   exact-match level off), the packet is run through the tenant's
   :class:`~repro.engine.classifier.CompiledClassifier` — the installed
   configuration flattened at the tenant's current epoch into parse-plan
-  copies, per-stage interval/hash match structures, and pre-decoded ALU
-  op tuples. A compiled hit produces the same ``(merged, phv)`` the scalar
-  walk would, seeds the exact-match cache (when enabled), and skips the
-  interpreted pipeline entirely, so cache-hostile traffic does not
-  degrade to the scalar walk. This level is always on: the scalar walk
-  is reached only through the five :data:`FALLBACK_REASONS`, and what
-  it returns is never memoized. A tenant whose classifier is refused
-  (``uncompilable`` or ``uncertified``) therefore takes the scalar walk
-  for every packet, with its cache left empty.
+  copies, one hash (exact) or first-match list (ternary) per stage, and
+  pre-decoded ALU op tuples. A compiled hit produces the same
+  ``(merged, phv)`` the scalar walk would, seeds the exact-match cache
+  (when enabled), and skips the interpreted pipeline entirely, so
+  cache-hostile traffic does not degrade to the scalar walk. This level
+  is always on: the scalar walk is reached only through the five
+  :data:`FALLBACK_REASONS`, and what it returns is never memoized. A
+  tenant whose classifier is refused (``uncompilable`` or
+  ``uncertified``) therefore takes the scalar walk for every packet,
+  with its cache left empty.
 * **Certification (``check_compiled``).** Every classifier a binding
   compiles can be statically certified equivalent to the installed
   tables by :func:`repro.analysis.equiv.certify_classifier` —

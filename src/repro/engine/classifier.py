@@ -18,17 +18,11 @@ flattened over the parsed key-byte regions:
   pre-masked key recipe (only the key slots the module's 193-bit key
   mask enables are read) plus a flattened match structure:
 
-  - exact-match stages compile to a hash over stored CAM keys (each
-    entry is a degenerate ``[key, key]`` interval, so a dict is the
-    exact-match special case of the range structure);
-  - ternary stages compile to sorted, non-overlapping **interval/range
-    arrays** over the key space *compacted onto the extractor mask's
-    set bits*: every prefix-style entry becomes ``[base, base | wild]``,
-    address-order priority is resolved at compile time by interval
-    subtraction, and classification is one :func:`bisect.bisect_right`.
-    Entries whose masks are not contiguous in the compacted space fall
-    back to a *residual* linear value/mask array — still compiled, still
-    priority-ordered, never wrong;
+  - exact-match stages compile to a hash over stored CAM keys;
+  - ternary stages compile to a **first-match list** of live
+    ``(mask, pattern, leaf)`` entries in CAM address order — the
+    ternary CAM's own semantics (Appendix B): the first entry whose
+    masked key equals its pattern wins;
 
 * a **resolved action per leaf** — the matched entry's VLIW instruction
   pre-decoded into flat ALU op tuples executed with read-before-write
@@ -54,12 +48,9 @@ window bound are read off its parse and deparse plans.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.intervals import merge as _merge_claim
-from ..core.intervals import subtract as _subtract
 from ..core.pipeline import SYSTEM_MODULE_ID, MenshenPipeline
 from ..net.packet import Packet
 from ..rmt.action import AluOp, VliwInstruction
@@ -120,8 +111,7 @@ class ClassifierStats:
     reason: str           #: empty when ``ok``; why compilation bailed otherwise
     stages: int           #: stage plans kept (stages with entries/defaults)
     exact_keys: int       #: hash-compiled exact-match entries
-    intervals: int        #: compiled ranges across all ternary stages
-    residual_entries: int #: linear value/mask entries (non-contiguous masks)
+    residual_entries: int #: first-match value/mask entries (ternary stages)
     stateful_leaves: int  #: leaves that bail to the oracle
 
 
@@ -129,10 +119,9 @@ class _StagePlan:
     """One stage's compiled key recipe + flattened match structure."""
 
     __slots__ = ("kind", "key_slots", "flag_const", "pred", "exact",
-                 "segments", "starts", "ends", "leaves", "residual",
-                 "miss_ops")
+                 "residual", "miss_ops")
 
-    # kind: 0 = exact hash, 1 = interval arrays, 2 = residual linear
+    # kind: 0 = exact hash, 1 = first-match list (ternary)
     def __init__(self) -> None:
         self.kind = 0
         self.key_slots: Tuple[Tuple[int, int, int], ...] = ()
@@ -140,10 +129,6 @@ class _StagePlan:
         self.pred: Optional[Tuple[int, Optional[int], int,
                                   Optional[int], int]] = None
         self.exact: Dict[int, _Leaf] = {}
-        self.segments: Tuple[Tuple[int, int, int], ...] = ()
-        self.starts: List[int] = []
-        self.ends: List[int] = []
-        self.leaves: List[_Leaf] = []
         self.residual: Tuple[Tuple[int, int, _Leaf], ...] = ()
         self.miss_ops: Optional[_Leaf] = None
 
@@ -194,37 +179,6 @@ def _compile_ops(instruction: VliwInstruction) -> _Leaf:
     return tuple(ops)
 
 
-def _mask_segments(mask: int) -> Tuple[Tuple[int, int, int], ...]:
-    """Runs of set bits in ``mask`` as (shift, run_mask, out_shift).
-
-    Compacting a key onto these segments (a software PEXT) maps the
-    sparse 193-bit key space onto a dense integer space in which
-    prefix-style ternary entries become contiguous ranges.
-    """
-    segments = []
-    out = 0
-    bit = 0
-    while mask >> bit:
-        if (mask >> bit) & 1:
-            width = 0
-            while (mask >> (bit + width)) & 1:
-                width += 1
-            segments.append((bit, (1 << width) - 1, out))
-            out += width
-            bit += width
-        else:
-            bit += 1
-    return tuple(segments)
-
-
-def _compact(key: int, segments: Tuple[Tuple[int, int, int], ...]) -> int:
-    """Project ``key`` onto the compact space of :func:`_mask_segments`."""
-    out = 0
-    for shift, run_mask, out_shift in segments:
-        out |= ((key >> shift) & run_mask) << out_shift
-    return out
-
-
 class CompiledClassifier:
     """One tenant's data path, compiled at one ``pipeline.epoch_of(vid)``.
 
@@ -251,11 +205,10 @@ class CompiledClassifier:
 
     def stats(self) -> ClassifierStats:
         exact_keys = sum(len(sp.exact) for sp in self._stages)
-        intervals = sum(len(sp.starts) for sp in self._stages)
         residual = sum(len(sp.residual) for sp in self._stages)
         stateful = 0
         for sp in self._stages:
-            leaves: List[_Leaf] = list(sp.exact.values()) + sp.leaves
+            leaves: List[_Leaf] = list(sp.exact.values())
             leaves += [leaf for _m, _p, leaf in sp.residual]
             if sp.miss_ops is not None:
                 leaves.append(sp.miss_ops)
@@ -263,7 +216,7 @@ class CompiledClassifier:
                             if leaf is FALLBACK_STATEFUL)
         return ClassifierStats(vid=self.vid, epoch=self.epoch, ok=self.ok,
                                reason=self.reason, stages=len(self._stages),
-                               exact_keys=exact_keys, intervals=intervals,
+                               exact_keys=exact_keys,
                                residual_entries=residual,
                                stateful_leaves=stateful)
 
@@ -314,14 +267,8 @@ class CompiledClassifier:
             for shift, slot_mask, flat in sp.key_slots:
                 key |= (vals[flat] & slot_mask) << shift
 
-            kind = sp.kind
-            if kind == 0:
+            if sp.kind == 0:
                 leaf = sp.exact.get(key)
-            elif kind == 1:
-                compact = _compact(key, sp.segments)
-                i = bisect_right(sp.starts, compact) - 1
-                leaf = (sp.leaves[i]
-                        if i >= 0 and compact <= sp.ends[i] else None)
             else:
                 leaf = None
                 for mask, pattern, candidate in sp.residual:
@@ -505,50 +452,15 @@ def _compile_stage(stage, module: int) -> Optional[_StagePlan]:
             plan.exact.setdefault(table.read(addr).key, leaves[addr])
         return plan
 
-    # Ternary: flatten to interval arrays over the compacted key space.
-    # The lookup key is always a subset of the extractor mask, so the
-    # compaction is lossless; prefix-style entry masks become contiguous
-    # ranges there. Priority (lowest address wins) is resolved by
-    # subtracting already-claimed ranges, so the final intervals are
-    # disjoint and bisect gives the unique answer.
-    segments = _mask_segments(mask)
-    compact_bits = sum(run_mask.bit_length()
-                       for _s, run_mask, _o in segments)
-    full = (1 << compact_bits) - 1
-    compiled_entries = []
-    intervalizable = True
+    # Ternary: the CAM's own first match, in address order. An entry
+    # whose pattern demands a bit outside the extractor mask can never
+    # match (the lookup key is always a subset of the mask): dropped.
+    plan.kind = 1
+    residual = []
     for addr in addresses:
         tentry = table.read(addr)
         pattern = tentry.key & tentry.mask
-        if pattern & ~mask:
-            continue  # pattern bit outside the key space: never matches
-        eff_mask = tentry.mask & mask
-        c_mask = _compact(eff_mask, segments)
-        c_pattern = _compact(pattern, segments)
-        wild = full ^ c_mask
-        if wild & (wild + 1):
-            intervalizable = False  # wildcard bits not contiguous-low
-        compiled_entries.append(
-            (tentry.mask, tentry.key & tentry.mask, c_pattern, wild,
-             leaves[addr]))
-
-    if intervalizable:
-        plan.kind = 1
-        plan.segments = segments
-        claimed: List[Tuple[int, int]] = []
-        pieces = []
-        for _mask, _pattern, c_pattern, wild, leaf in compiled_entries:
-            lo, hi = c_pattern, c_pattern | wild
-            for p_lo, p_hi in _subtract((lo, hi), claimed):
-                pieces.append((p_lo, p_hi, leaf))
-            _merge_claim(claimed, (lo, hi))
-        pieces.sort(key=lambda p: p[0])
-        plan.starts = [p[0] for p in pieces]
-        plan.ends = [p[1] for p in pieces]
-        plan.leaves = [p[2] for p in pieces]
-    else:
-        plan.kind = 2
-        plan.residual = tuple((mask_, pattern, leaf)
-                              for mask_, pattern, _cp, _w, leaf
-                              in compiled_entries)
+        if not pattern & ~mask:
+            residual.append((tentry.mask, pattern, leaves[addr]))
+    plan.residual = tuple(residual)
     return plan

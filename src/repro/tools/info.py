@@ -57,7 +57,7 @@ def _engine_info() -> dict:
              "description": "exact-match hit on the tenant's LRU shard"},
             {"level": 2, "name": "compiled_classifier",
              "counter": "compiled_hits",
-             "description": "compiled interval/hash classification of "
+             "description": "compiled hash/first-match classification of "
                             "the installed tables (flow cache v2)"},
             {"level": 3, "name": "scalar_pipeline",
              "counter": "classifier_fallbacks",

@@ -23,10 +23,10 @@ from repro.analysis import (
     find_loop,
     loop_findings,
 )
+from repro.analysis.passes import overlap
 from repro.api import Switch
 from repro.compiler import compile_module
 from repro.core import MenshenPipeline
-from repro.core.intervals import overlap
 from repro.core.resources import ModuleAllocation, StageAllocation
 from repro.errors import (
     AdmissionError,

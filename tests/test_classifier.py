@@ -1,11 +1,12 @@
 """Compiled flow classification (flow cache v2) and the PR 7 accounting
 fixes.
 
-Covers the compiler's structure (exact hash, ternary intervals, linear
-residual, stateful/uncompilable bails), the engine's three-level hot
-path and its counters, epoch-driven rebuild/purge, the invalidation
-counter-unit fix, flow-cache replace accounting, the mid-batch layout
-staleness regression, and flow-cache edge cases.
+Covers the compiler's structure (exact hash, ternary first-match list,
+stateful/uncompilable bails), a seeded property pinning random ternary
+CAM contents to the scalar path, the engine's three-level hot path and
+its counters, epoch-driven rebuild/purge, the invalidation counter-unit
+fix, flow-cache replace accounting, the mid-batch layout staleness
+regression, and flow-cache edge cases.
 """
 
 import gc
@@ -18,6 +19,8 @@ from repro.core.reconfig import ResourceId, ResourceType, build_reconfig_packet
 from repro.engine import BatchEngine, FlowCache, compile_classifier
 from repro.errors import ConfigError, PacketError
 from repro.modules import firewall
+from repro.modules.base import COMMON_HEADER_DECLS, parser_chain
+from repro.net import Ipv4Address
 from repro.rmt.encodings import encode_parser_entry
 from repro.rmt.key_extractor import CmpOp, KeyExtractEntry
 from repro.rmt.phv import PHV, ContainerRef, ContainerType
@@ -84,31 +87,35 @@ class TestCompilerStructure:
         assert stats.ok and stats.reason == ""
         assert stats.stages >= 1
         assert stats.exact_keys >= 4       # blocked + 3 allowed rules
-        assert stats.intervals == 0
         assert stats.residual_entries == 0
         assert stats.stateful_leaves == 0
 
-    def test_ternary_prefixes_compile_to_intervals(self):
+    def test_ternary_prefixes_compile_to_a_first_match_list(self):
+        """A ternary stage is the CAM's own first match: one
+        ``(mask, pattern)`` per live row, in address order."""
         def install(ctl):
             firewall.install_prefix(
                 Tenant.attach(ctl, 2),
-                blocked_prefixes=[("10.66.0.0", 16)], default_port=3)
+                blocked_prefixes=[("10.66.0.0", 16), ("10.0.0.0", 8)],
+                default_port=3)
 
-        _scalar, batched, _ctl, engine = _ternary_pair(install)
+        _scalar, batched, _ctl, _engine = _ternary_pair(install)
         clf = compile_classifier(batched, 2)
         stats = clf.stats()
-        assert stats.ok
-        assert stats.intervals >= 2        # blocked range + default pieces
-        assert stats.residual_entries == 0
-        del engine
+        assert stats.ok and stats.exact_keys == 0
+        (stage,) = [stage for stage in batched.stages
+                    if stage.match_table.entries_of(2)]
+        rows = [stage.match_table.read(addr)
+                for addr in sorted(stage.match_table.entries_of(2))]
+        (plan,) = clf._stages
+        assert [(mask, pattern) for mask, pattern, _leaf in plan.residual] \
+            == [(row.mask, row.key & row.mask) for row in rows]
+        assert stats.residual_entries == len(rows) == 3
 
-    def test_non_contiguous_mask_falls_back_to_residual(self):
-        from repro.net import Ipv4Address
-
+    def test_non_contiguous_mask_compiles_to_first_match(self):
         def install(ctl):
-            # Wildcard bits interleaved with match bits: no contiguous
-            # range in the compacted key space, so the stage compiles to
-            # the linear value/mask residual instead.
+            # Wildcard bits interleaved with match bits: the first-match
+            # list takes any mask, contiguous or not.
             ctl.insert_entry(2, "acl", TableEntry.of(
                 {"hdr.ipv4.srcAddr": Ternary(
                     int(Ipv4Address("10.0.10.0")), 0xFF00FF00),
@@ -121,10 +128,9 @@ class TestCompilerStructure:
         stats = clf.stats()
         assert stats.ok
         assert stats.residual_entries >= 2
-        assert stats.intervals == 0
         _assert_differential(scalar, engine,
                              _random_fw_packets(make_rng(710), 300),
-                             "residual")
+                             "non-contiguous")
         assert engine.counters.compiled_hits > 0
 
     def test_ternary_priority_matches_scalar_on_overlaps(self):
@@ -163,6 +169,134 @@ class TestCompilerStructure:
         clf = compile_classifier(pipeline, 3)
         assert not clf.ok
         assert "metadata" in clf.reason
+
+
+# ---------------------------------------------------------------------------
+# seeded property: random ternary CAM contents, compiled == scalar
+# ---------------------------------------------------------------------------
+
+#: A ternary ACL whose every action is visible: a drop, a forward, a
+#: header rewrite, and — the default on a miss — a header sum.
+_TERNARY_ACL = COMMON_HEADER_DECLS + """
+struct headers_t {
+    ethernet_t ethernet; vlan_t vlan; ipv4_t ipv4; udp_t udp;
+}
+""" + parser_chain(parser_name="AclParser") + """
+control AclIngress(inout headers_t hdr) {
+    action block() { mark_to_drop(); }
+    action allow(bit<16> port) { standard_metadata.egress_spec = port; }
+    action tag(bit<16> value) { hdr.udp.srcPort = value; }
+    action sum() { hdr.udp.length = hdr.udp.srcPort + hdr.udp.dstPort; }
+    table acl {
+        key = { hdr.ipv4.srcAddr: ternary; hdr.udp.dstPort: ternary; }
+        actions = { block; allow; tag; sum; }
+        size = ROWS;
+        default_action = sum();
+    }
+    apply { acl.apply(); }
+}
+"""
+
+#: Addresses and ports the rows are drawn around, so rows overlap.
+_SRC_POOL = (0x0A000001, 0x0A420A07, 0x0A4200FF, 0xC0A80101, 0x0AFF0010)
+_PORT_POOL = (53, 80, 443)
+
+_CAM_DEPTH = 16  #: rows per stage (HardwareParams.match_entries_per_stage)
+
+
+def _random_mask(rng):
+    """Mostly a prefix or a non-contiguous mask; now and then all or
+    none of the bits."""
+    shape = rng.randrange(8)
+    if shape < 3:
+        return firewall.prefix_mask(rng.randrange(8, 33))
+    if shape < 6:
+        return rng.getrandbits(32) & rng.getrandbits(32)
+    return (0, 0xFFFFFFFF)[shape - 6]
+
+
+def _random_rows(rng, count):
+    """``count`` ternary rows ``((value, mask), (value, mask), action)``:
+    fresh prefixes and non-contiguous masks, rows overlapping an earlier
+    one, and exact duplicates of one."""
+    rows = []
+    for _ in range(count):
+        action = rng.choice((
+            ("block", {}), ("allow", {"port": 1 + rng.randrange(7)}),
+            ("tag", {"value": rng.randrange(1 << 16)})))
+        if rows and rng.random() < 0.2:
+            src, port = rows[rng.randrange(len(rows))][:2]  # duplicate
+        elif rows and rng.random() < 0.3:
+            (value, mask), port = rows[rng.randrange(len(rows))][:2]
+            src = (value, mask & rng.getrandbits(32))        # overlaps it
+        else:
+            src = (rng.choice(_SRC_POOL), _random_mask(rng))
+            port = (rng.choice(_PORT_POOL), rng.choice((0, 0, 0xFFFF)))
+        rows.append((src, port, action))
+    return rows
+
+
+def _probe_packets(rng, rows, count):
+    """The tenants' packets interleaved: most aimed at one of the
+    tenant's rows (a higher row may claim it first), some one bit off
+    a row, the rest random."""
+    packets = []
+    for _ in range(count):
+        vid = rng.choice(sorted(rows))
+        src, port = rng.getrandbits(32), rng.getrandbits(16)
+        if rows[vid] and rng.random() < 0.8:
+            (value, mask), (p_value, p_mask), _action = rng.choice(rows[vid])
+            src = value & mask | src & ~mask
+            port = p_value & p_mask | port & ~p_mask
+            if rng.random() < 0.2:
+                src ^= 1 << rng.randrange(32)
+        packets.append(firewall.make_packet(vid, str(Ipv4Address(src)),
+                                            port))
+    return packets
+
+
+class TestTernaryFirstMatchProperty:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_cam_contents_match_the_scalar_path(self, seed):
+        """Two ternary tenants split 16 CAM rows; each gets a random row
+        set (prefixes, non-contiguous masks, overlapping and duplicate
+        ``(mask, pattern)`` pairs) and a default action, and their
+        packets interleave. With certification enforced and the cache
+        off, every packet is served compiled, equal to the scalar walk,
+        PHV included, and every certificate is ``ok``."""
+        rng = make_rng(720 + seed)
+        first = rng.randrange(1, _CAM_DEPTH)
+        sizes = {2: first, 5: _CAM_DEPTH - first}
+        rows = {vid: _random_rows(rng, rng.randint(size // 2, size))
+                for vid, size in sizes.items()}
+
+        def build():
+            switch = Switch.build().ternary().default_actions().create()
+            for vid, size in sizes.items():
+                tenant = switch.admit(
+                    f"acl{vid}", _TERNARY_ACL.replace("ROWS", str(size)),
+                    vid=vid)
+                for (src, port, (action, params)) in rows[vid]:
+                    tenant.table("acl").insert(
+                        match={"hdr.ipv4.srcAddr": Ternary(*src),
+                               "hdr.udp.dstPort": Ternary(*port)},
+                        action=action, params=params)
+            return switch
+
+        scalar, batched = build(), build()
+        engine = batched.engine(enable_cache=False,
+                                check_compiled="enforce")
+        packets = _probe_packets(rng, rows, 200)
+        _assert_differential(scalar.pipeline, engine, packets,
+                             f"seed {seed}")
+        counters = engine.counters
+        assert counters.compiled_hits == len(packets)
+        assert not counters.classifier_fallbacks
+        for vid in sizes:
+            assert engine.certificates[vid].ok, \
+                engine.certificates[vid].render()
+            stats = compile_classifier(batched.pipeline, vid).stats()
+            assert stats.exact_keys == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,31 +6,27 @@ Four layers of guarantees:
   equivalent (or correctly-reasoned fallback) with zero traffic: the
   certifier has no false positives on the honest compiler.
 * **The mutation harness** — every seeded corruption a buggy compiler
-  could plausibly produce (off-by-one interval bounds, swapped
-  priorities, dropped residual entries, wrong op targets, swapped exact
-  leaves, mislabelled fallback reasons, and one plan corruption per
-  structural obligation) is caught by exactly the obligation it
-  targets; every obligation but ``epoch`` and ``refusal-reason`` has
-  such a guard. For every behaviorally observable corruption the mutant
-  *actually disagrees* with the scalar oracle: on the synthesized
-  counterexample packet, or — for a structural violation, which names
-  no key — on a packet of the module's seeded flow stream. A seeded
-  fuzz of interval-array corruptions pins the verdict to the oracle
-  both ways.
+  could plausibly produce (swapped first-match priorities, dropped
+  first-match entries, wrong op targets, swapped exact leaves,
+  mislabelled fallback reasons, and one plan corruption per structural
+  obligation) is caught by exactly the obligation it targets; every
+  obligation but ``epoch`` and ``refusal-reason`` has such a guard.
+  For every behaviorally observable corruption the mutant *actually
+  disagrees* with the scalar oracle: on the synthesized counterexample
+  packet, or — for a structural violation, which names no key — on a
+  packet of the module's seeded flow stream.
 * **Engine integration** — ``BatchEngine(check_compiled=...)``
   certifies on every lazy rebuild: ``enforce`` refuses the compiled
   path (counted under the ``uncertified`` fallback reason) and
   ``invalidate`` clears the stored certificates.
-* **Property coverage** — Hypothesis pins the interval utilities the
-  compiler and certifier both build on (``_mask_segments`` compaction
-  round-trip, ``subtract``/``merge`` partition algebra).
+* **Surfaces** — ``Switch.analyze()`` and ``repro-verify --classifier``
+  report certificates.
 """
 
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.api import Switch, TableEntry, Tenant, Ternary
 from repro.analysis.equiv import (
@@ -40,21 +36,15 @@ from repro.analysis.equiv import (
     Certificate,
     apply_mutation,
     certify_classifier,
-    clone_classifier,
 )
-from repro.analysis.equiv.certify import _Certifier, _scatter
 from repro.core import MenshenPipeline
-from repro.core.intervals import merge, subtract
 from repro.engine import BatchEngine, Fallback, compile_classifier
 from repro.engine.batch import CERTIFY_MODES, FALLBACK_REASONS
-from repro.engine.classifier import _compact, _mask_segments
 from repro.modules import firewall
 from repro.net.packet import Packet
 from repro.runtime import MenshenController
 from repro.traffic import flow_stream, workload
 from test_engine_differential import ENGINE_MODES
-
-PROP_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
 STOCK_MODULES = ("calc", "firewall", "load_balancer", "qos",
                  "source_routing", "netcache", "netchain", "multicast")
@@ -78,14 +68,14 @@ def _ternary_pipeline(install, vid=2):
     return pipe, vid
 
 
-def _install_intervals(ctl, vid):
+def _install_prefixes(ctl, vid):
     firewall.install_prefix(
         Tenant.attach(ctl, vid),
         blocked_prefixes=[("10.66.0.0", 16), ("10.0.0.0", 8)],
         default_port=3)
 
 
-def _install_residual(ctl, vid):
+def _install_interleaved(ctl, vid):
     from repro.net import Ipv4Address
     ctl.insert_entry(vid, "acl", TableEntry.of(
         {"hdr.ipv4.srcAddr": Ternary(int(Ipv4Address("10.0.10.0")),
@@ -99,8 +89,8 @@ def _install_residual(ctl, vid):
 FIXTURES = {
     "exact-firewall": lambda: _workload_pipeline("firewall", 3),
     "exact-calc": lambda: _workload_pipeline("calc", 5),
-    "intervals": lambda: _ternary_pipeline(_install_intervals),
-    "residual": lambda: _ternary_pipeline(_install_residual),
+    "ternary-prefixes": lambda: _ternary_pipeline(_install_prefixes),
+    "ternary-interleaved": lambda: _ternary_pipeline(_install_interleaved),
     "stateful-netcache": lambda: _workload_pipeline("netcache", 4),
 }
 
@@ -108,8 +98,8 @@ FIXTURES = {
 FIXTURE_WORKLOADS = {
     "exact-firewall": "firewall",
     "exact-calc": "calc",
-    "intervals": "firewall",
-    "residual": "firewall",
+    "ternary-prefixes": "firewall",
+    "ternary-interleaved": "firewall",
     "stateful-netcache": "netcache",
 }
 
@@ -123,27 +113,23 @@ MUTATION_CASES = [
     ("exact-firewall", "swapped-exact-leaves", "exact-keys", True),
     ("exact-calc", "swapped-exact-leaves", "exact-keys", True),
     ("exact-calc", "wrong-op-target", "exact-keys", True),
-    ("intervals", "interval-bound-off-by-one", "priority-actions", True),
-    ("intervals", "swapped-priorities", "priority-actions", True),
-    ("residual", "swapped-priorities", "residual-order", True),
-    ("residual", "dropped-residual-entry", "residual-order", True),
+    ("ternary-prefixes", "swapped-priorities", "residual-order", True),
+    ("ternary-interleaved", "swapped-priorities", "residual-order", True),
+    ("ternary-interleaved", "dropped-residual-entry", "residual-order",
+     True),
     ("stateful-netcache", "wrong-fallback-reason", "fallback-reason",
      False),
     ("exact-calc", "parse-offset-off-by-one", "parse-plan", True),
     ("exact-calc", "dropped-deparse-write", "deparse-plan", True),
     ("exact-calc", "dropped-stage-plan", "stage-alignment", True),
     ("exact-calc", "flipped-key-slot", "key-recipe", True),
-    ("intervals", "shifted-compaction-segment", "partition-structure",
-     True),
-    ("intervals", "ragged-interval-arrays", "partition-structure", True),
-    ("residual", "flattened-residual-stage", "partition-structure", True),
     ("exact-firewall", "extra-miss-write", "miss-default", True),
 ]
 
 #: Obligations judged on the artifact's plans rather than on one key:
 #: a violation names no key, so it carries no counterexample packet.
 STRUCTURAL = {"parse-plan", "deparse-plan", "stage-alignment",
-              "key-recipe", "partition-structure", "miss-default"}
+              "key-recipe", "miss-default"}
 
 
 def _compile(pipeline, vid):
@@ -192,7 +178,7 @@ class TestStockModulesCertify:
         assert certificate.ok, certificate.render()
 
     def test_obligations_are_exhaustive_and_ordered(self):
-        pipeline, vid = FIXTURES["intervals"]()
+        pipeline, vid = FIXTURES["ternary-prefixes"]()
         certificate = certify_classifier(pipeline, vid=vid)
         names = [o.name for o in certificate.obligations]
         # Every catalog obligation appears (proved or skipped) ...
@@ -313,26 +299,6 @@ class TestMutationHarness:
         guarded = {obligation for _f, _m, obligation, _o in MUTATION_CASES}
         assert guarded == set(OBLIGATIONS) - {"epoch", "refusal-reason"}
 
-    @pytest.mark.parametrize("fixture,mutation,fact", [
-        ("intervals", "shifted-compaction-segment",
-         "!= runs of the installed extractor mask"),
-        ("intervals", "ragged-interval-arrays",
-         "starts/ends/leaves lengths disagree"),
-        ("residual", "flattened-residual-stage",
-         "non-contiguous wildcard bits"),
-    ])
-    def test_each_partition_structure_fact_has_a_mutant(
-            self, fixture, mutation, fact):
-        """``partition-structure`` states three facts (segments,
-        contiguity, one length); each is the one a mutant breaks."""
-        pipeline, vid = FIXTURES[fixture]()
-        mutant, _description = apply_mutation(_compile(pipeline, vid),
-                                              mutation)
-        (violation,) = certify_classifier(pipeline, mutant,
-                                          vid=vid).violations()
-        assert violation.name == "partition-structure"
-        assert fact in violation.detail, violation.detail
-
     def test_unknown_mutation_rejected(self):
         pipeline, vid = FIXTURES["exact-firewall"]()
         clf = _compile(pipeline, vid)
@@ -348,73 +314,13 @@ class TestMutationHarness:
         assert certify_classifier(pipeline, clf, vid=vid).ok
 
 
-def _corrupt_intervals(sp, rng):
-    """One seeded interval-array corruption of stage plan ``sp``:
-    swapped starts, a bound moved by ±1 or ±5, or swapped leaves."""
-    n = len(sp.starts)
-    kind = rng.choice(("swap-starts", "move-bound", "swap-leaves"))
-    if kind == "move-bound":
-        bounds = rng.choice((sp.starts, sp.ends))
-        bounds[rng.randrange(n)] += rng.choice((-5, -1, 1, 5))
-    else:
-        i, j = rng.sample(range(n), 2)
-        array = sp.starts if kind == "swap-starts" else sp.leaves
-        array[i], array[j] = array[j], array[i]
-
-
-class TestIntervalCorruptionFuzz:
-    """The certifier's verdict on a corrupted interval array is the
-    oracle's: it accepts exactly the corruptions no packet can tell
-    apart from the tables, and refuses the rest with a
-    ``priority-actions`` counterexample packet the oracle confirms."""
-
-    def test_verdict_agrees_with_the_oracle(self):
-        pipeline, vid = FIXTURES["intervals"]()
-        clf = _compile(pipeline, vid)
-        (plan,) = clf._stages
-        full = (1 << _segment_width(plan.segments)) - 1
-        mask = _scatter(full, plan.segments)  # the stage's key mask
-        certifier = _Certifier(pipeline, clf)
-        rng = random.Random(11)
-        verdicts = {True: 0, False: 0}
-        for _ in range(600):
-            mutant = clone_classifier(clf)
-            _corrupt_intervals(mutant._stages[0], rng)
-            certificate = certify_classifier(pipeline, mutant, vid=vid)
-            verdicts[certificate.ok] += 1
-            if not certificate.ok:
-                assert {o.name for o in certificate.violations()} == \
-                    {"priority-actions"}, certificate.render()
-                (ce,) = certificate.counterexamples
-                assert ce.packet_hex, certificate.render()
-                assert _oracle_disagrees(
-                    pipeline, mutant, vid,
-                    Packet(bytes.fromhex(ce.packet_hex)))
-                continue
-            breakpoints = set()
-            for sp in (plan, mutant._stages[0]):
-                for lo, hi in zip(sp.starts, sp.ends):
-                    breakpoints.update((lo, hi + 1))
-            for point in sorted(breakpoints):
-                for probe in (point - 1, point, point + 1):
-                    if not 0 <= probe <= full:
-                        continue
-                    packet = certifier._packet_for_key(
-                        0, mask, _scatter(probe, plan.segments))
-                    assert packet is not None
-                    assert not _oracle_disagrees(pipeline, mutant, vid,
-                                                 Packet(packet)), \
-                        f"accepted mutant disagrees at {probe:#x}"
-        assert verdicts[True] and verdicts[False], verdicts
-
-
 # ---------------------------------------------------------------------------
 # Certificate model: findings + JSON round-trip
 # ---------------------------------------------------------------------------
 
 class TestCertificateModel:
     def _violated_certificate(self):
-        pipeline, vid = FIXTURES["intervals"]()
+        pipeline, vid = FIXTURES["ternary-prefixes"]()
         clf = _compile(pipeline, vid)
         mutant, _ = apply_mutation(clf, "swapped-priorities")
         return certify_classifier(pipeline, mutant, vid=vid)
@@ -573,86 +479,3 @@ class TestSurfaces:
         assert main(["--builtin", "calc", "--classifier"]) == 0
         out = capsys.readouterr().out
         assert "calc:classifier: ok" in out
-
-
-# ---------------------------------------------------------------------------
-# Property coverage: the interval substrate (satellite)
-# ---------------------------------------------------------------------------
-
-masks = st.integers(1, (1 << 64) - 1)
-keys = st.integers(0, (1 << 64) - 1)
-
-
-def _segment_width(segments):
-    return sum(run.bit_length() for _s, run, _o in segments)
-
-
-class TestIntervalProperties:
-    @PROP_SETTINGS
-    @given(mask=masks, key=keys)
-    def test_compact_scatter_round_trip(self, mask, key):
-        segments = _mask_segments(mask)
-        compact = _compact(key, segments)
-        assert 0 <= compact < (1 << _segment_width(segments))
-        # Scatter inverts compaction on the masked bits.
-        assert _scatter(compact, segments) == key & mask
-        # And compaction inverts scattering on the compact domain.
-        assert _compact(_scatter(compact, segments), segments) == compact
-
-    @PROP_SETTINGS
-    @given(mask=masks)
-    def test_segments_partition_the_mask(self, mask):
-        segments = _mask_segments(mask)
-        rebuilt = 0
-        out_positions = set()
-        for shift, run, out in segments:
-            seg_bits = run << shift
-            assert rebuilt & seg_bits == 0, "segments must be disjoint"
-            rebuilt |= seg_bits
-            outs = {out + i for i in range(run.bit_length())}
-            assert out_positions.isdisjoint(outs)
-            out_positions |= outs
-        assert rebuilt == mask
-        assert out_positions == set(range(_segment_width(segments)))
-
-    @PROP_SETTINGS
-    @given(lo=st.integers(0, 1000), width=st.integers(0, 1000),
-           claims=st.lists(
-               st.tuples(st.integers(0, 2000), st.integers(0, 50)),
-               max_size=8))
-    def test_subtract_is_set_difference(self, lo, width, claims):
-        hi = lo + width
-        claimed = []
-        for c_lo, c_width in claims:
-            merge(claimed, (c_lo, c_lo + c_width))
-        # merge() invariant: sorted, disjoint, non-adjacent.
-        for (a_lo, a_hi), (b_lo, b_hi) in zip(claimed, claimed[1:]):
-            assert a_hi + 1 < b_lo
-        pieces = subtract((lo, hi), claimed)
-        covered = set()
-        for p_lo, p_hi in pieces:
-            assert lo <= p_lo <= p_hi <= hi
-            piece = set(range(p_lo, p_hi + 1))
-            assert covered.isdisjoint(piece)
-            covered |= piece
-        claimed_points = set()
-        for c_lo, c_hi in claimed:
-            claimed_points |= set(range(c_lo, c_hi + 1))
-        assert covered == set(range(lo, hi + 1)) - claimed_points
-
-    @PROP_SETTINGS
-    @given(intervals=st.lists(
-        st.tuples(st.integers(0, 300), st.integers(0, 30)), min_size=1,
-        max_size=10))
-    def test_merge_preserves_union(self, intervals):
-        claimed = []
-        expected = set()
-        for lo, width in intervals:
-            merge(claimed, (lo, lo + width))
-            expected |= set(range(lo, lo + width + 1))
-        actual = set()
-        for lo, hi in claimed:
-            assert lo <= hi
-            actual |= set(range(lo, hi + 1))
-        assert actual == expected
-        assert claimed == sorted(claimed)
