@@ -37,8 +37,11 @@ from repro.analysis.equiv import (
     apply_mutation,
     certify_classifier,
 )
+from repro.analysis.equiv.certify import _apply_leaf
 from repro.core import MenshenPipeline
 from repro.engine import BatchEngine, Fallback, compile_classifier
+from repro.engine.classifier import (
+    _ADD, _ADDI, _DISCARD, _MCAST, _PORT, _SET, _SUB, _SUBI)
 from repro.engine.batch import CERTIFY_MODES, FALLBACK_REASONS
 from repro.modules import firewall
 from repro.net.packet import Packet
@@ -241,6 +244,98 @@ class TestStockModulesCertify:
         assert certificate.reason == clf.reason
         by_name = {o.name: o for o in certificate.obligations}
         assert by_name["refusal-reason"].status == "proved"
+
+
+def _first_installed_vliw(pipeline):
+    """``(stage, address)`` of the first non-zero VLIW word."""
+    for stage in pipeline.stages:
+        for address in range(stage.vliw_table.depth):
+            if stage.vliw_table.read(address):
+                return stage, address
+    raise AssertionError("no VLIW word installed")
+
+
+class TestStageViolationsByKind:
+    """A stage-level fault is filed under the obligation of the stage's
+    match kind: ``exact-keys`` for an exact-match table,
+    ``residual-order`` for a ternary one."""
+
+    @pytest.mark.parametrize("fixture,obligation", [
+        ("ternary-prefixes", "residual-order"),
+        ("exact-firewall", "exact-keys"),
+    ])
+    def test_undecodable_vliw_word_is_filed_by_stage_kind(self, fixture,
+                                                          obligation):
+        from repro.rmt.action import _OPS_BY_CODE, _SLOT_SHIFTS
+
+        pipeline, vid = FIXTURES[fixture]()
+        clf = _compile(pipeline, vid)
+        epoch = pipeline.epoch_of(vid)
+        unknown = next(code for code, op in enumerate(_OPS_BY_CODE)
+                       if op is None)
+        stage, address = _first_installed_vliw(pipeline)
+        # A raw table write, behind the epoch: the artifact stays current
+        # while the word it was compiled from no longer decodes.
+        stage.vliw_table.write(address, unknown << 21 << _SLOT_SHIFTS[0])
+        assert pipeline.epoch_of(vid) == epoch
+        certificate = certify_classifier(pipeline, clf, vid=vid)
+        violated = [o for o in certificate.obligations
+                    if o.status == "violated"]
+        assert [o.name for o in violated] == [obligation]
+        assert "undecodable" in violated[0].detail
+
+    @pytest.mark.parametrize("fixture,kind", [
+        ("ternary-prefixes", 0),   # ternary stage as an exact hash
+        ("exact-firewall", 1),     # exact stage as a first-match list
+    ])
+    def test_stage_compiled_as_the_other_kind_violates_exact_keys(
+            self, fixture, kind):
+        pipeline, vid = FIXTURES[fixture]()
+        clf = _compile(pipeline, vid)
+        clf._stages[0].kind = kind
+        certificate = certify_classifier(pipeline, clf, vid=vid)
+        violated = [o for o in certificate.obligations
+                    if o.status == "violated"]
+        assert [o.name for o in violated] == ["exact-keys"]
+        assert f"compiled as kind {kind}" in violated[0].detail
+
+
+class TestCounterexampleReplay:
+    """The certifier replays a leaf's container writes when it carries a
+    counterexample key across stages; each op code must compute what
+    ``classify`` computes for it."""
+
+    WRAP = 0xFFFF
+
+    @staticmethod
+    def _vals():
+        return [10 * i + 3 for i in range(24)]
+
+    @pytest.mark.parametrize("code,b,expected", [
+        (_ADD, 3, (23 + 33) & WRAP),
+        (_SUB, 3, (23 - 33) & WRAP),
+        (_ADDI, 70000, (23 + 70000) & WRAP),
+        (_SUBI, 50, (23 - 50) & WRAP),
+        (_SET, 0x12345, 0x12345 & WRAP),
+    ], ids=["add", "sub", "addi", "subi", "set"])
+    def test_each_write_op_code(self, code, b, expected):
+        vals = self._vals()
+        _apply_leaf(((code, 1, 2, b, self.WRAP),), vals)
+        want = self._vals()
+        want[1] = expected
+        assert vals == want
+
+    def test_writes_read_the_incoming_phv(self):
+        vals = self._vals()
+        _apply_leaf(((_SET, 0, 0, 99, self.WRAP),
+                     (_ADDI, 1, 0, 1, self.WRAP)), vals)
+        assert vals[:2] == [99, 3 + 1]
+
+    def test_egress_ops_leave_containers_alone(self):
+        vals = self._vals()
+        _apply_leaf(((_PORT, 0, 2, 1, 0), (_MCAST, 0, 2, 1, 0),
+                     (_DISCARD, 0, 0, 0, 0)), vals)
+        assert vals == self._vals()
 
 
 # ---------------------------------------------------------------------------
