@@ -31,11 +31,14 @@ per-packet costs:
 * **Flow caching.** The context's :class:`~repro.engine.flow_cache.
   FlowCache` memoizes compiled results only — pure by construction —
   keyed on the bytes the classifier's parse plan reads. A flow is
-  stored as one flat tuple of atomic values —
-  :meth:`~repro.rmt.phv.PHV.snapshot`, deparser writes, drop flag —
-  which the garbage collector stops tracking, so a full cache adds no
-  work to any collection. A hit builds a fresh PHV from the snapshot:
-  no result shares anything mutable with the cache.
+  stored as one flat tuple of atomic values — the 24 container ints
+  and the metadata bytes of :meth:`~repro.rmt.phv.PHV.snapshot`, the
+  drop flag, then the bytes of each deparser write-back in plan order,
+  whose offsets are the bound classifier's deparse spans — which the
+  first collection after it is learned stops tracking, so a full cache
+  adds no work to any collection. A hit builds a fresh PHV from the
+  record's snapshot prefix: no result shares anything mutable with the
+  cache.
 * **Compiled classification.** On an exact-match miss (or with the
   exact-match level off), the packet is run through the tenant's
   :class:`~repro.engine.classifier.CompiledClassifier` — the installed
@@ -447,17 +450,18 @@ class BatchEngine:
                 entry = ctx.cache.lookup(key)
                 if entry is not None:
                     record.cache_hits += 1
-                    snap, writes, dropped = entry
-                    phv = PHV.from_snapshot(snap)
+                    phv = PHV.from_snapshot(entry)
                     phv.metadata.buf[1] = 1 << slot  # buffer_tag
-                    if dropped:
+                    if entry[25]:
                         return None, phv, True
                     # ``raw`` is already a copy of the bytes: no second
                     merged = Packet(raw, packet.ingress_port,
                                     packet.arrival_time)
                     out = merged.buf
-                    for off, data in writes:
-                        out[off:off + len(data)] = data
+                    i = 26  # the write-backs follow the drop flag
+                    for off, end, _flat, _size in clf._deparse:
+                        out[off:end] = entry[i]
+                        i += 1
                     return merged, phv, True
 
             # Level 2: compiled classification.
@@ -469,14 +473,13 @@ class BatchEngine:
                     # Learn it: the window bound holds for ``merged``
                     # too — the deparser never resizes.
                     record.cache_misses += 1
-                    writes = ()
+                    writes = []
                     if merged is not None:
-                        out = merged.buf
-                        writes = tuple([(off, bytes(out[off:end]))
-                                        for off, end, _flat, _size
-                                        in clf._deparse])
-                    ctx.cache.insert(key, (phv.snapshot(), writes,
-                                           merged is None))
+                        out = bytes(merged.buf)
+                        writes = [out[off:end] for off, end, _flat, _size
+                                  in clf._deparse]
+                    ctx.cache.insert(key, (*phv.snapshot(), merged is None,
+                                           *writes))
                 return merged, phv, False
             reason = outcome.reason
         fallbacks = self._events.classifier_fallbacks

@@ -18,15 +18,17 @@ skip side effects and read stale state.
 Eviction is LRU with a fixed capacity, so one heavy tenant's flow churn
 cannot grow the cache without bound.
 
-Each record (:data:`FlowEntry`) is one plain tuple of atomic values —
-ints, ``bytes``, a bool and a :meth:`~repro.rmt.phv.PHV.snapshot`,
-which is one int tuple and ``bytes`` — not an object graph. A
-collection stops tracking an exact tuple whose items are all untracked,
-so a record leaves the collector's lists for good within three
-collections (one per nesting level), and a full cache adds nothing to
-any later garbage-collector pass. A record of objects (a dataclass
-holding a ``PHV``, or a ``NamedTuple``) stays tracked: ≈ 7 tracked
-objects per flow, which every full collection walks.
+Each record (:data:`FlowEntry`) is one flat tuple of atomic values —
+ints, ``bytes`` and a bool — not an object graph. A collection stops
+tracking an exact tuple whose items are all untracked, and every
+collection, the youngest generation's included, examines the objects
+made since the last one: a record leaves the collector's lists at the
+first collection after it is learned, before it can be promoted, and a
+full cache adds nothing to any later garbage-collector pass. A record
+that nests tuples is untracked one nesting level per collection, by
+which time it has reached an older generation; a record of objects (a
+dataclass holding a ``PHV``, or a ``NamedTuple``) stays tracked, ≈ 7
+tracked objects per flow, which every full collection walks.
 """
 
 from __future__ import annotations
@@ -35,21 +37,21 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..rmt.phv import PhvSnapshot
-
 #: Cache key: (packet length, ingress port, bytes of each parsed region).
 FlowKey = Tuple
 
-#: One memoized flow result, ``(phv, writes, dropped)``. A plain
+#: One memoized flow result, ``(*phv, dropped, *writes)``: one flat
 #: tuple of atomic values, so the garbage collector never walks it (see
-#: the module docstring). ``phv`` is the final PHV's
-#: :meth:`~repro.rmt.phv.PHV.snapshot`: its 24 containers as one int
-#: tuple in flat order, then its metadata bytes. A hit rebuilds a fresh
-#: PHV, one list of its own, from it and overwrites the per-packet
-#: buffer tag, so the snapshot's own tag never leaks. ``writes``
-#: replays the deparser: ``(offset, data)`` pairs applied to a copy of
-#: the input packet reproduce the merged output byte-for-byte.
-FlowEntry = Tuple[PhvSnapshot, Tuple[Tuple[int, bytes], ...], bool]
+#: the module docstring). Its first 25 items are the final PHV's
+#: :meth:`~repro.rmt.phv.PHV.snapshot` — the 24 containers in flat
+#: order, then the metadata bytes — from which a hit rebuilds a fresh
+#: PHV, one list of its own, and overwrites the per-packet buffer tag,
+#: so the snapshot's own tag never leaks. Item 25 is the drop flag. The
+#: rest replay the deparser: the bytes each write-back left, in
+#: deparse-plan order. Their offsets are not stored: they are the
+#: spans of the classifier the shard was learned under, and the shard
+#: is emptied whenever the tenant is bound to another one.
+FlowEntry = Tuple[object, ...]
 
 
 @dataclass

@@ -34,6 +34,14 @@ This module closes it:
 * :meth:`EgressScheduler.start` transmits a packet the moment it is
   enqueued on an idle port, so an event-driven caller can route it
   without holding a service event for a port with nothing to decide.
+* Bulk service costs one sort, not one scan per packet:
+  :meth:`~EgressScheduler.drain` and :meth:`~EgressScheduler.drain_bytes`
+  serve a port none of whose queued tenants has a token bucket as one
+  merge of its FIFOs by ``(rank, seq)`` (a committed choice first) —
+  the order successive PIFO pops give, since every head is eligible —
+  with the books of serving it packet by packet. A rate-limited
+  tenant's eligibility moves with the clock, so while one is queued
+  the port is served one decision at a time.
 
 The scheduler writes its per-tenant books, queue-depth gauge included,
 once per packet into the switch's tenant records
@@ -48,7 +56,7 @@ so both run on weighted-fair egress; ``Tenant.set_weight`` /
 from __future__ import annotations
 
 from collections import deque
-from math import isfinite
+from math import inf, isfinite
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.stats import PipelineStats, TenantRecord
@@ -589,12 +597,7 @@ class EgressScheduler:
 
     def drain(self, port: int) -> List[Packet]:
         """Dequeue everything waiting on ``port``, in service order."""
-        out = []
-        while True:
-            pkt = self.dequeue(port)
-            if pkt is None:
-                return out
-            out.append(pkt)
+        return self._serve_port(port, inf)[0]
 
     def drain_all(self) -> Dict[int, List[Packet]]:
         return {port: self.drain(port) for port in range(self.num_ports)}
@@ -602,16 +605,103 @@ class EgressScheduler:
     def drain_bytes(self, port: int, budget_bytes: int) -> Dict[int, int]:
         """Serve up to ``budget_bytes`` from a port; returns per-tenant
         bytes served — the measurement the fairness assertions use."""
+        return self._serve_port(port, budget_bytes)[1]
+
+    def _serve_port(self, port: int, budget: float
+                    ) -> Tuple[List[Packet], Dict[int, int]]:
+        """Serve ``port`` while it is backlogged and ``budget`` bytes
+        remain, each packet as :meth:`dequeue` would; returns the packets
+        in service order and per-tenant bytes, in first-service order.
+
+        A committed choice goes first. Then, while a tenant queued here
+        has a token bucket, one packet at a time: its eligibility moves
+        with the clock. Once none has, the order is fixed and the rest
+        is served in one merge (:meth:`_merge`)."""
         self._check_port(port)
-        served: Dict[int, int] = {}
         state = self._ports[port]
-        while budget_bytes > 0 and state.queued:
-            departure = self._serve(self._next_choice(port, state), port)
-            size = len(departure.packet)
-            served[departure.module_id] = (
-                served.get(departure.module_id, 0) + size)
-            budget_bytes -= size
-        return served
+        packets: List[Packet] = []
+        served: Dict[int, int] = {}
+        buckets = self._buckets
+        while state.queued and budget > 0:
+            if state.started and state.chosen is not None:
+                choice = state.chosen[0]
+            elif buckets and not buckets.keys().isdisjoint(state.fifos):
+                choice = self._choose(port, self.port_clock[port])
+            else:
+                self._merge(port, state, budget, packets, served)
+                break
+            departure = self._serve(choice, port)
+            vid, size = departure.module_id, len(departure.packet.buf)
+            packets.append(departure.packet)
+            served[vid] = served.get(vid, 0) + size
+            budget -= size
+        return packets, served
+
+    def _merge(self, port: int, state: _PortState, budget: float,
+               packets: List[Packet], served: Dict[int, int]) -> None:
+        """Serve ``port``, whose queued tenants have no token bucket and
+        no committed choice, while ``budget`` bytes remain.
+
+        Every head is eligible, so each pop takes the smallest ``(rank,
+        seq)`` head; ranks do not decrease within a FIFO and ``seq`` is
+        unique, so the pops are the sorted merge of the FIFOs, and each
+        FIFO is served a prefix. The books are :meth:`_serve`'s, summed;
+        the clock takes the same additions in service order."""
+        fifos = state.fifos
+        entries: List[Tuple[float, int, Packet]] = []
+        for fifo in fifos.values():
+            entries += fifo
+        if len(fifos) > 1:
+            entries.sort()
+        if budget < inf:
+            cut = 0
+            for _rank, _seq, packet in entries:
+                if budget <= 0:
+                    break
+                budget -= len(packet.buf)
+                cut += 1
+            del entries[cut:]
+        last = entries[-1]
+        rate = self.port_rate_bps.get(port, self._line_rate_bps)
+        if rate is not None:
+            clock = self.port_clock[port]
+            for _rank, _seq, packet in entries:
+                clock = clock + len(packet.buf) * 8.0 / rate
+            self.port_clock[port] = clock
+        stats, marks = self._stats, self._throttle_marks
+        total = 0
+        # tenants in first-service order: by their heads
+        for vid in sorted(fifos, key=lambda vid: fifos[vid][0]):
+            fifo = fifos[vid]
+            if fifo[-1] <= last:
+                count, nbytes = len(fifo), sum([len(packet.buf)
+                                                for _r, _s, packet in fifo])
+                del fifos[vid]
+            elif fifo[0] <= last:
+                count = nbytes = 0
+                while fifo[0] <= last:
+                    nbytes += len(fifo.popleft()[2].buf)
+                    count += 1
+            else:
+                continue
+            record = stats.tenants.get(vid) or stats.tenant(vid)
+            record.transmitted += count
+            record.transmitted_bytes += nbytes
+            record.queue_depth -= count
+            served[vid] = served.get(vid, 0) + nbytes
+            total += nbytes
+            if marks:
+                marks.pop((port, vid), None)
+        queued = state.queued = state.queued - len(entries)
+        state.chosen, state.started = None, False
+        if not queued:
+            self._backlogged.discard(port)
+            state.idle_since = self._advances
+        ranker = state.ranker
+        if last[0] > ranker.virtual_time:
+            ranker.virtual_time = last[0]
+        self.bytes_out[port] += total
+        packets += [packet for _rank, _seq, packet in entries]
 
     def _next_choice(self, port: int, state: _PortState) -> _Choice:
         """The port's committed choice, or a fresh one at its clock."""

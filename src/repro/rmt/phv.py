@@ -12,7 +12,7 @@ packet** so no container contents can leak between modules (§4.1).
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from ..errors import ConfigError, FieldRangeError
 from .params import HardwareParams
@@ -56,8 +56,8 @@ def check_phv_geometry(params: HardwareParams) -> None:
 
 
 #: :meth:`PHV.snapshot`'s value: the 24 data containers in flat order,
-#: then the metadata bytes.
-PhvSnapshot = Tuple[Tuple[int, ...], bytes]
+#: then the metadata bytes, as one flat tuple.
+PhvSnapshot = Tuple[Union[int, bytes], ...]
 
 
 class ContainerRef:
@@ -330,23 +330,24 @@ class PHV:
 
     def snapshot(self) -> PhvSnapshot:
         """Every container and metadata byte as one immutable value,
-        ``(data, metadata)``: one int tuple and ``bytes``.
+        ``(*data, metadata)``: 24 ints, then ``bytes``.
 
-        It holds atomic values only, so the garbage collector untracks
-        it, and a store of many snapshots costs later collections
-        nothing.
+        It holds atomic values only, so the first collection that sees
+        it untracks it, and a store of many snapshots costs later
+        collections nothing.
         """
-        return (tuple(self.data), bytes(self.metadata.buf))
+        return (*self.data, bytes(self.metadata.buf))
 
     @classmethod
     def from_snapshot(cls, snap: PhvSnapshot) -> "PHV":
         """A fresh, independently mutable PHV equal to the one
-        :meth:`snapshot` was taken of."""
-        data, meta = snap
+        :meth:`snapshot` was taken of. Only the snapshot's first 25
+        items are read, so a longer tuple that starts with one (a flow
+        cache record) serves as well."""
         phv = cls.__new__(cls)  # every field is set below
-        phv.data = list(data)
+        phv.data = list(snap[:24])
         metadata = phv.metadata = Metadata.__new__(Metadata)
-        metadata.buf = bytearray(meta)
+        metadata.buf = bytearray(snap[24])
         return phv
 
     def containers(self) -> List[Tuple[ContainerRef, int]]:

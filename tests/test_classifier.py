@@ -522,7 +522,7 @@ class TestInvalidationAccounting:
 # ---------------------------------------------------------------------------
 
 def _entry(tag=0):
-    return (PHV().snapshot(), ((0, bytes([tag])),), False)
+    return (*PHV().snapshot(), False, bytes([tag]))
 
 
 def _occupancy_holds(cache):
@@ -601,7 +601,7 @@ class TestFlowCacheRecords:
         learned.phv.data[0:8] = [0xFFFF] * 8  # every B2 container
         learned.phv.metadata.buf[:] = b"\xff" * len(learned.phv.metadata.buf)
         (record,) = engine.shard(3)._entries.values()
-        assert record[0] == twins[0].phv.snapshot()
+        assert record[:25] == twins[0].phv.snapshot()
 
         first = engine.process(packets[1].copy())
         assert first.cache_hit
@@ -663,6 +663,22 @@ class TestFlowCacheRecords:
         assert len(records) == capacity
         assert not any(gc.is_tracked(record) for record in records)
         assert after - before < 0.1 * capacity
+
+    def test_one_young_collection_untracks_every_record(self):
+        """A record is one flat tuple of atomic values, so the first
+        collection after it is learned, the youngest generation's,
+        untracks it: none reaches an older generation, where only a
+        full collection would untrack it."""
+        switch, engine = _firewall_switch()
+        spec = workload("firewall")
+        capacity = engine.cache_capacity
+        engine.process_batch([spec.flow_packet(3, f)
+                              for f in range(capacity)])
+        switch.egress_scheduler.drain_all()
+        gc.collect(0)
+        records = list(engine.shard(3)._entries.values())
+        assert len(records) == capacity
+        assert sum(map(gc.is_tracked, records)) == 0
 
 
 # ---------------------------------------------------------------------------

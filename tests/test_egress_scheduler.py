@@ -9,6 +9,7 @@ timeline — plus the PIFO-layer edges the scheduler depends on.
 """
 
 import random
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1189,3 +1190,181 @@ class TestBooksConsistency:
                 for vid, nbytes in self._apply(sched, op, now):
                     tx[vid] += nbytes
             self._check_books(sched, stats, tx, retired, scrubbed)
+
+
+# ------------------------------------------- bulk drain vs one at a time
+
+_TWIN_PACKETS = {}
+
+
+def _twin_packet(size, vid):
+    """A shared template per (size, vid): building a packet is slow."""
+    if (size, vid) not in _TWIN_PACKETS:
+        _TWIN_PACKETS[(size, vid)] = pkt(size, vid)
+    return _TWIN_PACKETS[(size, vid)].copy()
+
+
+@st.composite
+def _twin_run(draw):
+    """A scheduler shape and what happens on it before one drain: 2–6
+    tenants with unequal weights on 1–4 ports, a multicast group, maybe
+    a queue bound, maybe one or two rate-limited tenants, maybe an
+    advance that puts a transmission on the wire, maybe the rate limits
+    lifted after it (throttle marks outlive them), then more
+    arrivals."""
+    num_ports = draw(st.integers(1, 4))
+    tenants = draw(st.integers(2, 6))
+    weights = draw(st.lists(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0, 5.0,
+                                             8.0)),
+                            min_size=tenants, max_size=tenants, unique=True))
+    limits = draw(st.lists(
+        st.tuples(st.integers(1, tenants), st.sampled_from((2e4, 1e6)),
+                  st.sampled_from((None, 100.0, 3000.0))),
+        max_size=2, unique_by=lambda limit: limit[0]))
+    arrival = st.tuples(st.integers(0, num_ports - 1),
+                        st.integers(1, tenants), st.integers(64, 1500),
+                        st.sampled_from((0, 0, 0, 1)))
+    return (num_ports, dict(enumerate(weights, 1)),
+            draw(st.sampled_from((None, None, 3, 8))),
+            draw(st.sampled_from((None, 1e6, 1e8))), limits,
+            draw(st.lists(arrival, min_size=1, max_size=40)),
+            draw(st.sampled_from((None, None, 1e-4, 3e-3))),
+            draw(st.booleans()), draw(st.lists(arrival, max_size=6)),
+            draw(st.lists(st.sampled_from((None, 1, 700, 5000)),
+                          min_size=num_ports, max_size=num_ports)))
+
+
+# Two packets of tenant 1 queued; an advance sends the first and puts
+# the second on the wire; tenant 2's arrival outranks it but must wait.
+_TWIN_STARTED = (1, {1: 1.0, 2: 2.0}, None, 1e6, [],
+                 [(0, 1, 1000, 0), (0, 1, 1000, 0)], 9e-3, False,
+                 [(0, 2, 64, 0)], [None])
+# Tenant 1's bucket holds one packet: it is overtaken, then the port
+# idles forward to its eligibility.
+_TWIN_BUCKET = (1, {1: 1.0, 2: 2.0}, None, 1e6, [(1, 2e4, 100.0)],
+                [(0, 1, 64, 0), (0, 1, 64, 0), (0, 2, 200, 0),
+                 (0, 2, 200, 0)], None, False, [], [None])
+# No bucket, nothing on the wire: the merge serves it all, and a budget
+# cuts a prefix.
+_TWIN_MERGE = (2, {1: 1.0, 2: 3.0, 3: 0.5}, None, 1e8, [],
+               [(0, 1, 1500, 0), (0, 2, 64, 1), (1, 3, 700, 0),
+                (0, 3, 200, 0), (0, 1, 64, 0), (0, 2, 1000, 0)], None,
+               False, [], [None, 900])
+# Tenant 1's second packet is throttled when the advance scans; its
+# limit is then lifted, and the merge that serves it clears the mark.
+_TWIN_LIFTED = (1, {1: 1.0, 2: 2.0}, None, 1e6, [(1, 2e4, 100.0)],
+                [(0, 1, 64, 0), (0, 1, 64, 0), (0, 2, 1000, 0)], 3e-3,
+                True, [], [None])
+
+
+def _twin_books(sched):
+    """Everything a drain may change, packets as their arrival tags."""
+    def tags(entries):
+        return [(rank, seq, packet.arrival_time)
+                for rank, seq, packet in entries]
+
+    def choice(chosen):
+        if chosen is None:
+            return None
+        (vid, rank, packet, at), finish = chosen
+        return vid, rank, packet.arrival_time, at, finish
+
+    return {
+        "clock": list(sched.port_clock),  # exact floats
+        "bytes_out": list(sched.bytes_out),
+        "tenants": {vid: record.snapshot()
+                    for vid, record in sched.per_tenant.items()},
+        "rankers": [(state.ranker.virtual_time,
+                     dict(state.ranker._last_finish))
+                    for state in sched._ports],
+        "queues": [(state.queued, state.seq, state.idle_since,
+                    {vid: tags(fifo) for vid, fifo in state.fifos.items()})
+                   for state in sched._ports],
+        "backlogged": set(sched._backlogged),
+        "chosen": [(state.started, choice(state.chosen))
+                   for state in sched._ports],
+        "marks": dict(sched._throttle_marks),
+        "buckets": {vid: (bucket.tokens, bucket._last)
+                    for vid, bucket in sched._buckets.items()},
+    }
+
+
+class TestBulkDrainEquivalence:
+    """``drain`` / ``drain_bytes`` serve an unthrottled port in one
+    merge, a rate-limited one packet at a time, and a committed choice
+    first: whichever way, the packets, their order and every book equal
+    a twin served by repeated ``dequeue``."""
+
+    @staticmethod
+    def _one_at_a_time(sched, port, budget):
+        packets = []
+        while budget is None or budget > 0:
+            packet = sched.dequeue(port)
+            if packet is None:
+                break
+            packets.append(packet)
+            if budget is not None:
+                budget -= len(packet)
+        return packets
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_twin_run())
+    @example(_TWIN_STARTED)
+    @example(_TWIN_BUCKET)
+    @example(_TWIN_MERGE)
+    @example(_TWIN_LIFTED)
+    def test_drain_equals_repeated_dequeue(self, run):
+        (num_ports, weights, capacity, line_rate, limits, arrivals,
+         advance, lift, late, budgets) = run
+        twins = []
+        for _ in range(2):
+            sched = EgressScheduler(num_ports=num_ports, weights=weights,
+                                    queue_capacity=capacity,
+                                    line_rate_bps=line_rate,
+                                    stats=PipelineStats())
+            sched.set_mcast_group(1, sorted({0, num_ports - 1}))
+            for vid, rate, burst in limits:
+                sched.set_rate_limit(vid, rate, burst)
+            twins.append(sched)
+        bulk, single = twins
+        tags = count()
+        unicast = set()  # tags of packets both twins hold as one object
+
+        def arrive(batch):
+            for port, vid, size, group in batch:
+                packet = _twin_packet(size, vid)
+                packet.arrival_time = float(next(tags))
+                if not group:
+                    unicast.add(packet.arrival_time)
+                for sched in twins:
+                    sched.enqueue(packet, port, group, module_id=vid)
+
+        arrive(arrivals)
+        if advance is not None:
+            for sched in twins:
+                sched.advance_to(advance)
+        if lift:
+            for sched in twins:
+                for vid, _rate, _burst in limits:
+                    sched.clear_rate_limit(vid)
+        arrive(late)
+        for port, budget in enumerate(budgets):
+            want = self._one_at_a_time(single, port, budget)
+            if budget is None:
+                got = bulk.drain(port)
+                assert [p.arrival_time for p in got] \
+                    == [p.arrival_time for p in want]
+                assert all(a is b for a, b in zip(got, want)
+                           if a.arrival_time in unicast)
+            else:
+                expected = {}
+                for packet in want:
+                    vid = vid_of(packet)
+                    expected[vid] = expected.get(vid, 0) + len(packet)
+                served = bulk.drain_bytes(port, budget)
+                assert list(served.items()) == list(expected.items())
+            assert _twin_books(bulk) == _twin_books(single), port
+        # what the drains left decides the ranks the next arrivals get
+        arrive([(port, vid, 64, 0) for port in range(num_ports)
+                for vid in weights])
+        assert _twin_books(bulk) == _twin_books(single)

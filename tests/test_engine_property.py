@@ -178,7 +178,7 @@ class TestInvalidationSoundness:
 # ---------------------------------------------------------------------------
 
 def _entry(tag):
-    return (PHV().snapshot(), ((0, bytes([tag])),), False)
+    return (*PHV().snapshot(), False, bytes([tag]))
 
 
 class TestFlowCacheProperties:
