@@ -629,8 +629,8 @@ class RegisterHandle:
     def size(self) -> int:
         """Words in this register (valid addresses are
         ``0..size-1``) — what a full state snapshot iterates
-        (:meth:`repro.chaos.RecoveryController` carries registers
-        across a re-placement this way)."""
+        (:meth:`repro.fabric.FabricTenant.migrate` carries registers
+        to a tenant's new route this way)."""
         return self._tenant._loaded().compiled.registers[self.name].size
 
     def read(self, addr: int = 0) -> int:

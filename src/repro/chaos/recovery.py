@@ -1,27 +1,22 @@
-"""Stranded-tenant recovery: detect, drain, re-place, carry state.
+"""Stranded-tenant recovery: detect, drain, re-place.
 
 A :class:`RecoveryController` is the control-plane reaction to a
 fault: after its ``detection_delay_s`` it sweeps the fabric for
 tenants whose placed route crosses a down link or a crashed switch
 (:meth:`~repro.fabric.tenant.FabricTenant.is_stranded`) and re-places
-each onto a surviving route with the existing
-:meth:`~repro.fabric.tenant.FabricTenant.migrate` machinery. Around
-the migration it does the two things a real controller must:
+each onto a surviving route. Before the move it **drains**: the
+tenant's stale queued packets on the dead egress port of each
+surviving switch are scrubbed
+(:meth:`~repro.engine.scheduler.EgressScheduler.drop_queued`, scoped
+to that tenant and port) and reported on the unified lost-record path
+(they were in flight toward the dead link; they must reconcile with
+the per-tenant counters, not vanish). The tenant stays live: its
+counters, weight, rate bucket and other ports' queues are untouched.
 
-* **drain** — the tenant's stale queued packets on the dead egress
-  port of each surviving switch are scrubbed
-  (:meth:`~repro.engine.scheduler.EgressScheduler.drop_queued`, scoped
-  to that tenant and port) and reported on the unified lost-record path
-  (they were in flight toward the dead link; they must reconcile with
-  the per-tenant counters, not vanish). The tenant stays live: its
-  counters, weight, rate bucket and other ports' queues are untouched;
-* **carry** — stateful-module registers (NetChain sequencers, NetCache
-  values) are snapshotted from every readable old-route switch and
-  restored after the move: a re-steered shared switch gets its own
-  state back (the §4.1 update wiped it), and each fresh switch
-  inherits an abandoned donor's state positionally in route order.
-  Registers on a *crashed* switch are gone — those switches are
-  reported as ``state_lost``, never silently zeroed.
+The move itself is :meth:`~repro.fabric.tenant.FabricTenant.migrate`,
+which carries stateful-module registers (NetChain sequencers, NetCache
+values) along and reports what it carried and which crashed switches'
+state it could not read; the controller records that report.
 
 Every outcome is a typed
 :class:`~repro.chaos.postmortem.ReplacedTenant`; a tenant that cannot
@@ -32,7 +27,7 @@ left no worse than the fault already made it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, FabricError, LinkDownError, PlacementError
 from .postmortem import ReplacedTenant
@@ -93,25 +88,16 @@ class RecoveryController:
                            f"recovery needs exactly one placed route, "
                            f"found {len(tenant.routes)}")
         egress = tenant.egress_ports()
-        # Snapshot registers on every old-route switch still readable;
-        # a crashed switch's state is lost with it.
-        snapshots: Dict[str, Dict[str, List[int]]] = {}
-        state_lost: List[str] = []
-        for name in old_route:
-            if self.fabric.switch(name).up:
-                snapshots[name] = self._snapshot(tenant.handle(name))
-            else:
-                state_lost.append(name)
         drained = self._drain(tenant, old_route, egress, now, core)
         try:
-            new_route = tuple(tenant.migrate(
-                (old_route[-1], egress[old_route[-1]])))
+            new_route, carried, state_lost = tenant._move(
+                (old_route[-1], egress[old_route[-1]]))
         except (LinkDownError, PlacementError, FabricError) as err:
-            return outcome((), drained, (), tuple(state_lost), False,
-                           str(err))
-        carried = self._carry(tenant, old_route, new_route, egress,
-                              snapshots)
-        return outcome(new_route, drained, carried, tuple(state_lost),
+            # Nothing moved; a crashed hop's state is still unreadable.
+            down = tuple(name for name in old_route
+                         if not self.fabric.switch(name).up)
+            return outcome((), drained, (), down, False, str(err))
+        return outcome(tuple(new_route), drained, carried, state_lost,
                        True)
 
     def _drain(self, tenant, old_route, egress, now: float,
@@ -132,42 +118,3 @@ class RecoveryController:
             if core is not None and scrubbed:
                 core.report_fault_losses(member, scrubbed, time=now)
         return drained
-
-    def _carry(self, tenant, old_route, new_route, egress,
-               snapshots) -> Tuple[Tuple[str, str], ...]:
-        """Restore register state after the migration."""
-        carried: List[Tuple[str, str]] = []
-        post_egress = tenant.egress_ports()
-        for name in new_route:
-            if name not in old_route or name not in snapshots:
-                continue
-            if post_egress.get(name) != egress.get(name):
-                # Re-steered shared switch: the §4.1 update wiped its
-                # registers; it gets its own snapshot back.
-                self._restore(tenant.handle(name), snapshots[name])
-        donors = [name for name in old_route
-                  if name not in new_route and name in snapshots
-                  and snapshots[name]]
-        heirs = [name for name in new_route if name not in old_route]
-        for donor, heir in zip(donors, heirs):
-            self._restore(tenant.handle(heir), snapshots[donor])
-            carried.append((donor, heir))
-        return tuple(carried)
-
-    @staticmethod
-    def _snapshot(handle) -> Dict[str, List[int]]:
-        """Every register's full contents, via the tenant facade."""
-        out: Dict[str, List[int]] = {}
-        for name in handle.registers():
-            register = handle.register(name)
-            out[name] = [register.read(addr)
-                         for addr in range(register.size)]
-        return out
-
-    @staticmethod
-    def _restore(handle, snapshot: Dict[str, List[int]]) -> None:
-        for name in sorted(snapshot):
-            register = handle.register(name)
-            for addr, value in enumerate(snapshot[name]):
-                if value != register.read(addr):
-                    register.write(addr, value)

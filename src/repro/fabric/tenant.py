@@ -24,8 +24,8 @@ on every placed switch (hitless for neighbors),
 :meth:`~FabricTenant.unload` evicts it everywhere and releases the VID
 fabric-wide, and :meth:`~FabricTenant.migrate` moves the route to a
 new destination, admitting on new switches, re-steering shared ones,
-and evicting the abandoned tail. All three compose with the
-event-driven timeline's
+evicting the abandoned tail, and carrying the tenant's registers
+along. All three compose with the event-driven timeline's
 :class:`~repro.sim.fabric_timeline.FabricReconfigEvent`, so churn can
 fire inside a running experiment.
 
@@ -49,7 +49,7 @@ from ..compiler import ModuleIR, SourceOrIR, analyse
 from ..engine.scheduler import check_positive
 from ..errors import PlacementError
 from .placement import choose_path, validate_host_port
-from .topology import Fabric, Link, PortRef
+from .topology import Fabric, PortRef
 
 Installer = Callable[[Tenant, int], None]
 
@@ -92,28 +92,20 @@ class FabricTenant:
 
         Placement never half-lands: route viability, next-hop ports,
         and egress conflicts are all checked *before* any admission or
-        install. A second placement may share switches with an earlier
-        one as long as it steers them the same way (the installer is
-        not re-run there); a shared switch that would need a
-        *different* egress port raises
+        install, and the new switches are admitted as a group — if one
+        rejects the program (fragmented CAM despite a free VID slot),
+        the ones this call already admitted are evicted again. A second
+        placement may share switches with an earlier one as long as it
+        steers them the same way (the installer is not re-run there); a
+        shared switch that would need a *different* egress port raises
         :class:`~repro.errors.PlacementError` — one program instance
         cannot steer the same packets two ways, so such demands need
         an installer that discriminates (or separate tenants).
         """
-        src_ref, dst_ref = PortRef(*src), PortRef(*dst)
+        src_ref = PortRef(*src)
         validate_host_port(self.fabric, src_ref.switch, src_ref.port,
                            "source")
-        validate_host_port(self.fabric, dst_ref.switch, dst_ref.port,
-                           "destination")
-        path = choose_path(self.fabric, src_ref.switch, dst_ref.switch,
-                           self.vid, via=via)
-        # Plan every switch's egress first (next_hop_port may raise
-        # LinkDownError), then check conflicts — nothing has been
-        # admitted or installed yet if any of this fails.
-        plan = {
-            name: (dst_ref.port if i == len(path) - 1
-                   else self.fabric.next_hop_port(name, path[i + 1]))
-            for i, name in enumerate(path)}
+        path, plan = self._plan(src_ref.switch, dst, via)
         for name, egress in plan.items():
             prev = self._egress.get(name)
             if prev is not None and prev != egress:
@@ -124,13 +116,47 @@ class FabricTenant:
                     f"agree, or use an installer that discriminates")
         self._prove_loop_free({**self._egress, **plan})
         program = analyse(self.source, self.name)
-        for name in path:
-            handle = self._admit_on(name, program)
-            if name not in self._egress:
-                self.installer(handle, plan[name])
-                self._egress[name] = plan[name]
+        self._admit_group(plan, program)
         self.routes.append(path)
         return path
+
+    def _plan(self, src: str, dst: Tuple[str, int],
+              via: Optional[Sequence[str]]
+              ) -> Tuple[List[str], Dict[str, int]]:
+        """Choose the ``src -> dst`` route and each switch's egress port
+        on it. Only reads the fabric, so a failure here (no viable
+        route, or ``next_hop_port``'s LinkDownError) changes nothing."""
+        dst_ref = PortRef(*dst)
+        validate_host_port(self.fabric, dst_ref.switch, dst_ref.port,
+                           "destination")
+        path = choose_path(self.fabric, src, dst_ref.switch, self.vid,
+                           via=via)
+        plan = {
+            name: (dst_ref.port if i == len(path) - 1
+                   else self.fabric.next_hop_port(name, path[i + 1]))
+            for i, name in enumerate(path)}
+        return path, plan
+
+    def _admit_group(self, plan: Dict[str, int], program: ModuleIR) -> None:
+        """Admit the program on every switch of ``plan`` that does not
+        host it yet and steer it to its planned egress port. A free VID
+        slot does not guarantee admission (fragmented CAM can still
+        reject the program), so if one admission or install fails, the
+        switches this call admitted are evicted again and the tenant is
+        left as it was."""
+        admitted: List[str] = []
+        try:
+            for name, egress in plan.items():
+                if name not in self._handles:
+                    handle = self._admit_on(name, program)
+                    admitted.append(name)
+                    self.installer(handle, egress)
+                    self._egress[name] = egress
+        except BaseException:
+            for name in admitted:
+                self._handles.pop(name).evict()
+                self._egress.pop(name, None)
+            raise
 
     def _prove_loop_free(self, steering: Dict[str, int]) -> None:
         """Machine-check that the tenant's fabric-wide steering stays
@@ -265,78 +291,85 @@ class FabricTenant:
         * **abandoned** switches — unload: evict, zero partitions,
           purge queued egress.
 
-        Viability (route, next-hop ports, free slots on new switches)
-        is checked before anything mutates, and the load phase admits
-        all new switches as a group — if one rejects the program
-        (fragmented CAM despite a free VID slot), the already-admitted
-        ones are evicted again — so a failed migration leaves the old
-        placement intact. Returns the new route.
+        The program's registers move with it. Before anything
+        mutates, every old-route switch that is up is snapshotted; a
+        re-steered shared switch gets its own snapshot back (the §4.1
+        update wiped it), and each new switch inherits an abandoned
+        switch's snapshot, matched by position in route order. A
+        switch that is down cannot be read: its state is lost (the
+        ``state_lost`` of a recovery's
+        :class:`~repro.chaos.postmortem.ReplacedTenant`).
+
+        Viability (route, next-hop ports) is checked before anything
+        mutates, and new switches are admitted as a group, as in
+        :meth:`place`, so a failed migration leaves the old placement
+        intact. Returns the new route.
         """
+        return self._move(dst, via)[0]
+
+    def _move(self, dst: Tuple[str, int],
+              via: Optional[Sequence[str]] = None
+              ) -> Tuple[List[str], Tuple[Tuple[str, str], ...],
+                         Tuple[str, ...]]:
+        """:meth:`migrate`, also reporting the carry: returns the new
+        route, the ``(donor, heir)`` pairs whose registers moved, and
+        the old-route switches whose state was lost because they were
+        down."""
         if len(self.routes) != 1:
             raise PlacementError(
                 f"tenant VID {self.vid}: migrate() needs exactly one "
                 f"placed route, found {len(self.routes)} — re-place "
                 f"multi-demand tenants explicitly")
         old_path = self.routes[0]
-        dst_ref = PortRef(*dst)
-        validate_host_port(self.fabric, dst_ref.switch, dst_ref.port,
-                           "destination")
-        path = choose_path(self.fabric, old_path[0], dst_ref.switch,
-                           self.vid, via=via)
-        # Plan first (next_hop_port may raise LinkDownError), check
-        # capacity on the switches to be admitted — nothing has
-        # changed yet if any of this fails.
-        plan = {
-            name: (dst_ref.port if i == len(path) - 1
-                   else self.fabric.next_hop_port(name, path[i + 1]))
-            for i, name in enumerate(path)}
-        for name in path:
-            if name not in self._handles and \
-                    self.fabric.switch(name).free_module_slots() <= 0:
-                raise PlacementError(
-                    f"tenant VID {self.vid}: cannot migrate — switch "
-                    f"{name!r} has no free module slot")
+        path, plan = self._plan(old_path[0], dst, via)
         # The post-migration steering is exactly the new plan (shared
         # switches are re-steered, the abandoned tail is unloaded).
         self._prove_loop_free(dict(plan))
-        # Load phase: admit on every new switch before any steering
-        # changes, rolling the admissions back as a group if a later
-        # one fails (a free VID slot does not guarantee admission —
-        # fragmented CAM can still reject the program), so a failed
-        # migration leaves the old placement intact.
+        lost = tuple(name for name in old_path
+                     if not self.fabric.switch(name).up)
+        snapshots = {name: self._snapshot(name) for name in old_path
+                     if name not in lost}
         program = analyse(self.source, self.name)
-        admitted: List[str] = []
-        try:
-            for name in path:
-                if name not in self._handles:
-                    self._admit_on(name, program)
-                    admitted.append(name)
-        except BaseException:
-            for name in admitted:
-                self._handles.pop(name).evict()
-            raise
-        # Steer phase: install on the new switches, re-steer shared
-        # ones whose next hop changed.
-        for name in path:
-            handle = self._handles[name]
-            want = plan[name]
-            prev = self._egress.get(name)
-            if prev is None:
-                self.installer(handle, want)
-                self._egress[name] = want
-            elif prev != want:
-                # Re-steer: §4.1 update clears the module's entries,
-                # then the installer points them at the new next hop.
-                handle.update(program)
-                self.installer(handle, want)
-                self._egress[name] = want
-        # Unload phase: evict the abandoned tail of the old route.
-        for name in [n for n in old_path if n not in path]:
-            handle = self._handles.pop(name)
-            handle.evict()
+        self._admit_group(plan, program)
+        for name, egress in plan.items():
+            if self._egress[name] != egress:
+                # Re-steer: §4.1 update clears the module's entries and
+                # registers; the installer points it at the new next
+                # hop and the switch gets its own state back.
+                self._handles[name].update(program)
+                self.installer(self._handles[name], egress)
+                self._egress[name] = egress
+                self._restore(name, snapshots.get(name, {}))
+        abandoned = [name for name in old_path if name not in plan]
+        for name in abandoned:
+            self._handles.pop(name).evict()
             self._egress.pop(name, None)
         self.routes = [path]
-        return path
+        donors = [name for name in abandoned if snapshots.get(name)]
+        heirs = [name for name in path if name not in old_path]
+        carried = tuple(zip(donors, heirs))
+        for donor, heir in carried:
+            self._restore(heir, snapshots[donor])
+        return path, carried, lost
+
+    def _snapshot(self, name: str) -> Dict[str, List[int]]:
+        """Every register's full contents on one placed switch."""
+        handle = self._handles[name]
+        out: Dict[str, List[int]] = {}
+        for reg in handle.registers():
+            register = handle.register(reg)
+            out[reg] = [register.read(addr)
+                        for addr in range(register.size)]
+        return out
+
+    def _restore(self, name: str, snapshot: Dict[str, List[int]]) -> None:
+        """Write a :meth:`_snapshot` back, word by word where it differs."""
+        handle = self._handles[name]
+        for reg in sorted(snapshot):
+            register = handle.register(reg)
+            for addr, value in enumerate(snapshot[reg]):
+                if value != register.read(addr):
+                    register.write(addr, value)
 
     def handles(self) -> Dict[str, Tenant]:
         """Per-switch tenant handles, keyed by switch name."""
@@ -362,37 +395,17 @@ class FabricTenant:
 
     # -- fault surface (read by repro.chaos) -------------------------------------
 
-    def route_links(self, route: Optional[Sequence[str]] = None
-                    ) -> List[Link]:
-        """The fabric links one placed route crosses, in hop order,
-        resolved through the recorded egress steering (defaults to the
-        only placed route)."""
-        if route is None:
-            if len(self.routes) != 1:
-                raise PlacementError(
-                    f"tenant VID {self.vid}: route_links() needs "
-                    f"route= when {len(self.routes)} routes are placed")
-            route = self.routes[0]
-        links: List[Link] = []
-        for name in route[:-1]:
-            egress = self._egress.get(name)
-            if egress is None:
-                continue
-            link = self.fabric.switch(name).links.get(egress)
-            if link is not None:
-                links.append(link)
-        return links
-
     def is_stranded(self) -> bool:
         """True when any placed route crosses a down link or a crashed
         switch — the detection predicate
         :class:`repro.chaos.recovery.RecoveryController` sweeps with.
         An unplaced tenant is never stranded."""
         for route in self.routes:
-            if any(not self.fabric.switch(name).up for name in route):
-                return True
-            if any(not link.up for link in self.route_links(route)):
-                return True
+            for name in route:
+                member = self.fabric.switch(name)
+                link = member.links.get(self._egress.get(name))
+                if not member.up or (link is not None and not link.up):
+                    return True
         return False
 
     # -- egress scheduling (fabric-wide fan-out) ---------------------------------

@@ -14,6 +14,7 @@ import pytest
 from fabric_serve import serve
 from repro.api import Switch
 from repro.errors import (
+    AdmissionError,
     ConfigError,
     FabricError,
     LinkDownError,
@@ -21,7 +22,7 @@ from repro.errors import (
     TopologyError,
 )
 from repro.fabric import Fabric, leaf_spine
-from repro.modules import calc
+from repro.modules import calc, netcache
 from repro.sim import FabricTimelineExperiment
 from repro.traffic import TrafficMatrix
 
@@ -208,6 +209,35 @@ class TestPlacement:
         after = {m.name: m.free_module_slots()
                  for m in fabric.switches()}
         assert before == after
+
+    def test_failed_admission_leaves_nothing_behind(self):
+        # spine0 keeps free VID slots (passing the slot check) but its
+        # CAM cannot take one more netcache, so admission fails *after*
+        # leaf0 was already admitted. The placement must evict leaf0
+        # again, record no steering, and let a retry elsewhere land.
+        fabric = make_fabric(leaves=2, spines=2)
+        spine0 = fabric.switch("spine0")
+        for vid in range(1, 32):
+            try:
+                spine0.switch.admit(f"filler{vid}", netcache.P4_SOURCE,
+                                    vid=vid)
+            except AdmissionError:
+                break  # CAM-bound before the VID slots run out
+        assert spine0.free_module_slots() >= 20
+        leaf0_slots = fabric.switch("leaf0").free_module_slots()
+        tenant = fabric.tenant(
+            "kv", netcache.P4_SOURCE, vid=30,
+            installer=lambda t, port: netcache.install(t))
+        with pytest.raises(AdmissionError):
+            tenant.place(("leaf0", 0), ("leaf1", 0), via=("spine0",))
+        assert 30 not in fabric.switch("leaf0").switch.controller.modules
+        assert fabric.switch("leaf0").free_module_slots() == leaf0_slots
+        assert tenant.switches() == []
+        assert tenant.egress_ports() == {}
+        assert tenant.routes == []
+        assert tenant.place(("leaf0", 0), ("leaf1", 0),
+                            via=("spine1",)) == \
+            ["leaf0", "spine1", "leaf1"]
 
     def test_fabric_port_is_not_an_attachment_point(self):
         fabric = make_fabric()

@@ -20,7 +20,7 @@ from repro.compiler import analyse
 from repro.errors import AdmissionError, CompilerError, ConfigError, \
     PlacementError
 from repro.fabric import Fabric, leaf_spine
-from repro.modules import calc, netcache
+from repro.modules import calc, netcache, netchain
 from repro.sim import FabricTimelineExperiment
 from repro.traffic import ChurnSchedule, TrafficMatrix
 
@@ -51,6 +51,30 @@ def _packet(vid, i=0):
 def _delivers(fabric, vid, n=3):
     result = serve(fabric, [("leaf0", _packet(vid, i)) for i in range(n)])
     return len(result.delivered_for(vid)) == n and not result.lost
+
+
+
+def _placed_chain():
+    """NetChain (VID 5) on leaf0 -> spine0 -> leaf1, sequenced to 3."""
+    fabric = make_fabric(spines=2)
+    tenant = fabric.tenant(
+        "chain", netchain.P4_SOURCE, vid=5,
+        installer=lambda t, port: netchain.install(t, port=port))
+    tenant.place(("leaf0", 0), ("leaf1", 1), via=("spine0",))
+    assert _next_seq(fabric, n=3) == 3
+    return fabric, tenant
+
+
+def _sequencers(tenant):
+    return {name: handle.register("sequencer").read(0)
+            for name, handle in tenant.handles().items()}
+
+
+def _next_seq(fabric, n=1):
+    """Send ``n`` NetChain packets; the sequence the last one carries."""
+    result = serve(fabric, [("leaf0", netchain.make_packet(5))
+                            for _ in range(n)])
+    return max(netchain.read_seq(p) for p in result.delivered_for(5))
 
 
 # ------------------------------------------------------------------ update
@@ -428,6 +452,24 @@ class TestMigrate:
         assert sorted(tenant.switches()) == ["leaf0", "leaf1", "spine0"]
         assert _delivers(fabric, 30)
 
+    def test_migrate_carries_the_netchain_sequence(self):
+        # Same route, new host port: leaf1 is re-steered by a §4.1
+        # update (which wipes its registers) and gets them back.
+        fabric, tenant = _placed_chain()
+        tenant.migrate(("leaf1", 2))
+        assert _sequencers(tenant) == \
+            {"leaf0": 3, "spine0": 3, "leaf1": 3}
+        assert _next_seq(fabric) == 4
+
+    def test_migrate_hands_an_abandoned_switch_state_to_its_heir(self):
+        # New spine: leaf0 is re-steered, spine1 inherits spine0's
+        # registers, leaf1 keeps its steering and its state.
+        fabric, tenant = _placed_chain()
+        tenant.migrate(("leaf1", 1), via=("spine1",))
+        assert _sequencers(tenant) == \
+            {"leaf0": 3, "spine1": 3, "leaf1": 3}
+        assert _next_seq(fabric) == 4
+
     def test_migrate_requires_exactly_one_route(self):
         fabric = make_fabric()
         tenant = fabric.tenant("calc", calc.P4_SOURCE, vid=1,
@@ -569,6 +611,39 @@ class TestChurnScheduleBinding:
             schedule, apply=lambda ev: log.append((ev.kind, ev.time_s)))
         experiment.run()
         assert log == [("update", 3e-4), ("depart", 8e-4)]
+
+
+    def test_churn_migrate_continues_the_netchain_sequence(self):
+        # A migrate fired mid-run moves leaf1's sequencer to leaf2 and
+        # gives re-steered spine0 its own back: every hop ends at the
+        # count of delivered packets, as if the route never changed.
+        fabric = make_fabric(leaves=3)
+        tenant = fabric.tenant(
+            "chain", netchain.P4_SOURCE, vid=5,
+            installer=lambda t, port: netchain.install(t, port=port))
+        tenant.place(("leaf0", 0), ("leaf1", 1))
+        matrix = TrafficMatrix()
+        matrix.add(5, ("leaf0", 0), ("leaf1", 1),
+                   offered_bps=1e5 * (PACKET_SIZE + 24) * 8,
+                   packet_size=PACKET_SIZE,
+                   make_packet=lambda: netchain.make_packet(
+                       5, pad_to=PACKET_SIZE))
+        schedule = ChurnSchedule()
+        schedule.migrate(5, at_s=1e-3, duration_s=1e-4)
+        at_migrate = []
+
+        def apply(event):
+            at_migrate.append(_sequencers(tenant)["leaf1"])
+            tenant.migrate(("leaf2", 1))
+
+        experiment = FabricTimelineExperiment(
+            fabric, matrix, duration_s=2e-3, bin_s=1e-4)
+        experiment.schedule_churn(schedule, apply=apply)
+        result = experiment.run()
+        assert result.drops[5] > 0          # the window did drop
+        assert 0 < at_migrate[0] < result.delivered[5]
+        assert _sequencers(tenant) == dict.fromkeys(
+            ["leaf0", "spine0", "leaf2"], result.delivered[5])
 
 
 class TestChurnSchedule:
