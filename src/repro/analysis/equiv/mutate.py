@@ -2,7 +2,10 @@
 
 Each mutator clones a :class:`~repro.engine.classifier.CompiledClassifier`
 and injects one *known* corruption of a kind a buggy compiler could
-plausibly produce. Leaf corruptions: swapped first-match priorities, a
+plausibly produce. Corruptions are applied to the plans, before
+generation: :func:`apply_mutation` regenerates the clone's classify
+function from its corrupted plans, so the mutant serves what they
+say. Leaf corruptions: swapped first-match priorities, a
 dropped first-match entry, an op tuple writing the wrong container,
 swapped exact-match leaves, a ``Fallback`` carrying the wrong reason.
 Plan corruptions: a parse offset one byte late, a dropped deparse
@@ -66,6 +69,7 @@ def clone_classifier(clf: CompiledClassifier) -> CompiledClassifier:
     dup._parse = clf._parse
     dup._deparse = clf._deparse
     dup._stages = tuple(_clone_stage(sp) for sp in clf._stages)
+    dup._run = clf._run  # equal plans: the same function serves both
     return dup
 
 
@@ -285,6 +289,7 @@ def apply_mutation(clf: CompiledClassifier, name: str
                          f"{', '.join(MUTATIONS)}")
     dup = clone_classifier(clf)
     description = mutator(dup)
+    dup.generate()  # serve the corrupted plans, not the original's
     return dup, description
 
 

@@ -20,16 +20,23 @@ state it could not read; the controller records that report.
 
 Every outcome is a typed
 :class:`~repro.chaos.postmortem.ReplacedTenant`; a tenant that cannot
-be re-placed (no surviving route, no free slots) is recorded with
-``recovered=False`` and the typed error's message, and the fabric is
-left no worse than the fault already made it.
+be re-placed (no surviving route, no free slots, no stage window
+free on the heir) is recorded with ``recovered=False`` and the typed
+error's message, the fabric is left no worse than the fault already
+made it, and the sweep goes on to the next stranded tenant.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..errors import ConfigError, FabricError, LinkDownError, PlacementError
+from ..errors import (
+    AdmissionError,
+    ConfigError,
+    FabricError,
+    LinkDownError,
+    PlacementError,
+)
 from .postmortem import ReplacedTenant
 
 
@@ -92,7 +99,8 @@ class RecoveryController:
         try:
             new_route, carried, state_lost = tenant._move(
                 (old_route[-1], egress[old_route[-1]]))
-        except (LinkDownError, PlacementError, FabricError) as err:
+        except (LinkDownError, PlacementError, FabricError,
+                AdmissionError) as err:
             # Nothing moved; a crashed hop's state is still unreadable.
             down = tuple(name for name in old_route
                          if not self.fabric.switch(name).up)

@@ -32,19 +32,24 @@ per-packet costs:
   FlowCache` memoizes compiled results only — pure by construction —
   keyed on the bytes the classifier's parse plan reads. A flow is
   stored as one flat tuple of atomic values — the 24 container ints
-  and the metadata bytes of :meth:`~repro.rmt.phv.PHV.snapshot`, the
-  drop flag, then the bytes of each deparser write-back in plan order,
-  whose offsets are the bound classifier's deparse spans — which the
-  first collection after it is learned stops tracking, so a full cache
-  adds no work to any collection. A hit builds a fresh PHV from the
-  record's snapshot prefix: no result shares anything mutable with the
-  cache.
+  and the metadata bytes (the layout of
+  :meth:`~repro.rmt.phv.PHV.snapshot`), the drop flag, then the bytes
+  of each deparser write-back in plan order, whose offsets are the
+  bound classifier's deparse spans — which the first collection after
+  it is learned stops tracking, so a full cache adds no work to any
+  collection. A compiled miss learns it straight from the classified
+  PHV's container list and metadata buffer, with each write-back
+  computed from its container as the deparse computes it. A hit
+  builds a fresh PHV from the record's snapshot prefix: no result
+  shares anything mutable with the cache.
 * **Compiled classification.** On an exact-match miss (or with the
   exact-match level off), the packet is run through the tenant's
   :class:`~repro.engine.classifier.CompiledClassifier` — the installed
-  configuration flattened at the tenant's current epoch into parse-plan
-  copies, one hash (exact) or first-match list (ternary) per stage, and
-  pre-decoded ALU op tuples. A compiled hit produces the same
+  configuration flattened at the tenant's current epoch into plans —
+  parse-plan copies, one hash (exact) or first-match list (ternary) per
+  stage, pre-decoded ALU op tuples — from which one Python function per
+  plan shape is generated and bound to the epoch's tables (see
+  :mod:`repro.engine.classifier`). A compiled hit produces the same
   ``(merged, phv)`` the scalar walk would, seeds the exact-match cache
   (when enabled), and skips the interpreted pipeline entirely, so
   cache-hostile traffic does not degrade to the scalar walk. This level
@@ -470,16 +475,15 @@ class BatchEngine:
                 merged, phv = outcome
                 record.compiled_hits += 1
                 if key is not None:
-                    # Learn it: the window bound holds for ``merged``
-                    # too — the deparser never resizes.
+                    # Learn it from the final containers and metadata,
+                    # and each write-back as the deparse computed it.
                     record.cache_misses += 1
-                    writes = []
+                    data = phv.data
+                    entry = [*data, bytes(phv.metadata.buf), merged is None]
                     if merged is not None:
-                        out = bytes(merged.buf)
-                        writes = [out[off:end] for off, end, _flat, _size
-                                  in clf._deparse]
-                    ctx.cache.insert(key, (*phv.snapshot(), merged is None,
-                                           *writes))
+                        for _off, _end, flat, size in clf._deparse:
+                            entry.append(data[flat].to_bytes(size, "big"))
+                    ctx.cache.insert(key, tuple(entry))
                 return merged, phv, False
             reason = outcome.reason
         fallbacks = self._events.classifier_fallbacks

@@ -25,11 +25,26 @@ flattened over the parsed key-byte regions:
     masked key equals its pattern wins;
 
 * a **resolved action per leaf** — the matched entry's VLIW instruction
-  pre-decoded into flat ALU op tuples executed with read-before-write
-  (true VLIW) semantics over plain container ints;
+  pre-decoded into flat ALU op tuples;
 * a **deparse plan** — the resolved write-back effect applied to a copy
   of the input packet, plus the final metadata (egress port, multicast
   group, discard).
+
+The plans are data: the certifier (``repro.analysis.equiv``) proves
+them and ``equiv.mutate`` corrupts them. What runs is **one generated
+Python function** derived from them
+(:meth:`CompiledClassifier.generate`). It reads the parse spans straight
+into the container list, computes each stage's key and predicate
+inline, looks the key up with ``dict.get`` (exact) or one first-match
+loop (ternary), and calls the matched leaf's own generated function,
+which applies its ops with VLIW read-before-write over the incoming
+values. It then writes the metadata into a bare buffer and splices the
+deparse write-backs. Its source depends only on the plans' *shape* —
+tables, immediates and the VID are bound to it as arguments — so
+sources are compiled once per shape, in two bounded
+``functools.lru_cache`` memos (one for plan shapes, one for leaf
+shapes): a rebind, a tenant at another VID, or an update of the same
+program builds no source.
 
 The scalar pipeline stays the **differential oracle**: anything the
 compiler cannot prove pure and decodable — stateful leaves
@@ -48,6 +63,7 @@ window bound are read off its parse and deparse plans.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -56,7 +72,7 @@ from ..net.packet import Packet
 from ..rmt.action import AluOp, VliwInstruction
 from ..rmt.key_extractor import CmpOp
 from ..rmt.match_table import ExactMatchTable
-from ..rmt.phv import PHV, ContainerRef, ContainerType
+from ..rmt.phv import PHV, ContainerRef, ContainerType, Metadata
 
 
 class Fallback:
@@ -77,6 +93,8 @@ FALLBACK_STATEFUL = Fallback("stateful")
 #: The matched action is one the scalar path faults on (e.g. a
 #: container-writing op on the metadata ALU slot); the oracle must raise.
 FALLBACK_UNSUPPORTED = Fallback("unsupported-action")
+#: The configuration did not compile: every packet takes the oracle.
+FALLBACK_UNCOMPILABLE = Fallback("uncompilable")
 
 #: Compiled ALU op codes (first element of each op tuple).
 _ADD, _SUB, _ADDI, _SUBI, _SET, _PORT, _MCAST, _DISCARD = range(8)
@@ -189,7 +207,7 @@ class CompiledClassifier:
     """
 
     __slots__ = ("vid", "epoch", "ok", "reason", "max_end", "_parse",
-                 "_deparse", "_stages")
+                 "_deparse", "_stages", "_run")
 
     def __init__(self, vid: int, epoch: int, ok: bool, reason: str = ""):
         self.vid = vid
@@ -200,6 +218,7 @@ class CompiledClassifier:
         self._parse: Tuple[Tuple[int, int, int], ...] = ()
         self._deparse: Tuple[Tuple[int, int, int, int], ...] = ()
         self._stages: Tuple[_StagePlan, ...] = ()
+        self._run = _refuse  # until :meth:`generate` derives it
 
     # -- introspection -----------------------------------------------------------
 
@@ -229,123 +248,234 @@ class CompiledClassifier:
 
         Returns ``(merged, phv)`` exactly as ``pipeline.execute`` would,
         or a :class:`Fallback` when the matched leaf must take the
-        scalar oracle. An ingress port the 16-bit ``src_port`` field
-        cannot hold raises the parser's own
+        scalar oracle (every packet of a classifier that is not ``ok``
+        gets ``uncompilable``). An ingress port the 16-bit ``src_port``
+        field cannot hold raises the parser's own
         :class:`~repro.errors.FieldRangeError`. The caller guarantees
         the parse/deparse window fits (same precondition as the
         exact-match cache probe).
         """
-        buf = packet.buf
-        vals = [0] * 24
-        for off, end, flat in self._parse:
-            vals[flat] = int.from_bytes(buf[off:end], "big")
-        dst_port = 0
-        mcast = 0
-        discard = False
+        return self._run(packet, buffer_slot)
 
-        for sp in self._stages:
-            key = sp.flag_const
-            pred = sp.pred
-            if pred is not None:
-                op, a_flat, a_imm, b_flat, b_imm = pred
-                a = vals[a_flat] if a_flat is not None else a_imm
-                b = vals[b_flat] if b_flat is not None else b_imm
-                if op == 1:
-                    hit = a == b
-                elif op == 2:
-                    hit = a != b
-                elif op == 3:
-                    hit = a > b
-                elif op == 4:
-                    hit = a < b
-                elif op == 5:
-                    hit = a >= b
+    def generate(self) -> None:
+        """Derive the function :meth:`classify` runs from the plans.
+
+        The function's source depends only on the plans' shape; the
+        stage tables, immediates and VID are bound to it as arguments.
+        Whoever edits a plan (``repro.analysis.equiv.mutate``) calls
+        this again to serve the edited plans."""
+        if not self.ok:
+            self._run = _refuse
+            return
+        shape, args = _classify_shape(self)
+        self._run = _classify_factory(shape)(*args)
+
+
+def _refuse(packet: Packet, buffer_slot: int) -> Fallback:
+    return FALLBACK_UNCOMPILABLE
+
+
+# -- generation ------------------------------------------------------------------
+#
+# A classifier's function is built in two memoized steps, each keyed on
+# a shape tuple and bounded: the source of one function per plan shape
+# (parse spans, each stage's kind, key recipe, predicate operands and
+# whether it has a miss leaf, deparse spans) and of one function per
+# leaf shape (each op with its immediate taken out). A memo hit builds
+# no source; binding a shape's factory to an epoch's tables and
+# immediates is one call.
+
+#: Python comparison of each predicate op code (``CmpOp`` 1-5); any
+#: other code compares with ``<=``, as the predicate decoder leaves
+#: only ``LE`` (6) past these.
+_CMP_SOURCE = {1: "==", 2: "!=", 3: ">", 4: "<", 5: ">="}
+
+#: Op codes whose fourth field is an immediate rather than a container.
+_IMMEDIATE_CODES = frozenset((_ADDI, _SUBI, _SET, _PORT, _MCAST))
+
+
+def _generated(source: str, name: str):
+    """Compile ``source`` and return its ``_make`` factory."""
+    namespace = {"_fb": int.from_bytes, "_new": object.__new__,
+                 "Metadata": Metadata, "PHV": PHV, "Packet": Packet}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["_make"]
+
+
+@functools.lru_cache(maxsize=1024)
+def _leaf_factory(shape: Tuple[Tuple[int, int, int, Optional[int], int],
+                               ...]):
+    """The factory of one leaf shape: ``_make(*immediates)`` returns a
+    function ``leaf(v, m)`` that applies the leaf's ops to the container
+    list ``v`` and the metadata buffer ``m`` with VLIW read-before-write
+    semantics — every operand is read before any container is
+    written."""
+    params: List[str] = []
+    lines: List[str] = []
+    targets: List[str] = []
+    values: List[str] = []
+    for code, slot, a, b, wrap in shape:
+        imm = ""
+        if code in _IMMEDIATE_CODES:
+            imm = f"i{len(params)}"
+            params.append(imm)
+        if code == _ADD:
+            value = f"(v[{a}] + v[{b}]) & {wrap}"
+        elif code == _SUB:
+            value = f"(v[{a}] - v[{b}]) & {wrap}"
+        elif code == _ADDI:
+            value = f"(v[{a}] + {imm}) & {wrap}"
+        elif code == _SUBI:
+            value = f"(v[{a}] - {imm}) & {wrap}"
+        elif code == _SET:
+            value = f"{imm} & {wrap}"
+        else:
+            # Egress ops read the incoming values too, so they run
+            # before the container writes; the last one of a kind wins.
+            if code == _PORT:
+                lines += [f"p = (v[{a}] + {imm}) & 65535",
+                          "m[2] = p >> 8", "m[3] = p & 255"]
+            elif code == _MCAST:
+                lines += [f"g = (v[{a}] + {imm}) & 65535",
+                          "m[8] = g >> 8", "m[9] = g & 255"]
+            else:  # _DISCARD
+                lines.append("m[0] = 1")
+            continue
+        targets.append(f"v[{slot}]")
+        values.append(value)
+    if targets:
+        # One assignment: the right side is evaluated whole before any
+        # target is stored, and targets are stored in op order.
+        lines.append(f"{', '.join(targets)} = {', '.join(values)}")
+    body = "\n".join(f"        {line}" for line in lines or ["pass"])
+    source = (f"def _make({', '.join(params)}):\n"
+              f"    def leaf(v, m):\n{body}\n"
+              f"    return leaf\n")
+    return _generated(source, "<classifier leaf>")
+
+
+def _bind_leaf(leaf: _Leaf):
+    """The function that runs ``leaf``: its ops, or for a
+    :class:`Fallback` leaf one that hands the fallback back."""
+    if type(leaf) is Fallback:
+        return lambda v, m: leaf
+    shape = []
+    immediates = []
+    for code, slot, a, b, wrap in leaf:
+        if code in _IMMEDIATE_CODES:
+            immediates.append(b)
+            b = None
+        shape.append((code, slot, a, b, wrap))
+    return _leaf_factory(tuple(shape))(*immediates)
+
+
+def _classify_shape(clf: CompiledClassifier) -> Tuple[tuple, list]:
+    """The plans' shape (what the generated source depends on) and the
+    arguments that bind it to this classifier: the metadata template
+    holding the VID, then per stage its table of leaf functions, its
+    miss leaf (if any) and its predicate's immediate operands."""
+    bound: Dict[_Leaf, object] = {}  # one function per distinct leaf
+
+    def leaf_fn(leaf: _Leaf):
+        fn = bound.get(leaf)
+        if fn is None:
+            fn = bound[leaf] = _bind_leaf(leaf)
+        return fn
+
+    # The metadata template: zero but for the module ID at bytes 18-19.
+    args: list = [bytes(18) + clf.vid.to_bytes(2, "big") + bytes(12)]
+    stages = []
+    for sp in clf._stages:
+        if sp.kind == 0:
+            args.append({key: leaf_fn(leaf)
+                         for key, leaf in sp.exact.items()})
+        else:
+            args.append(tuple((mask, pattern, leaf_fn(leaf))
+                              for mask, pattern, leaf in sp.residual))
+        if sp.miss_ops is not None:
+            args.append(leaf_fn(sp.miss_ops))
+        pred = None
+        if sp.pred is not None:
+            op, a_flat, a_imm, b_flat, b_imm = sp.pred
+            pred = (op, a_flat, b_flat)
+            if a_flat is None:
+                args.append(a_imm)
+            if b_flat is None:
+                args.append(b_imm)
+        stages.append((sp.kind == 0, sp.key_slots, sp.flag_const, pred,
+                       sp.miss_ops is not None))
+    return (clf._parse, tuple(stages), clf._deparse), args
+
+
+@functools.lru_cache(maxsize=256)
+def _classify_factory(shape: tuple):
+    """The factory of one plan shape: ``_make(*args)`` (see
+    :func:`_classify_shape`) returns the function
+    :meth:`CompiledClassifier.classify` runs."""
+    parse, stages, deparse = shape
+    params = ["meta"]
+    cells = ["0"] * 24
+    for off, end, flat in parse:  # a later copy into a container wins
+        cells[flat] = f'_fb(buf[{off}:{end}], "big")'
+    lines = ["buf = packet.buf", f"v = [{', '.join(cells)}]",
+             "m = bytearray(meta)"]
+    for i, (exact, key_slots, flag_const, pred, has_miss) in \
+            enumerate(stages):
+        params.append(f"t{i}")
+        miss = "None"
+        if has_miss:
+            miss = f"d{i}"
+            params.append(miss)
+        terms = [f"(v[{flat}] & {slot_mask}) << {shift}"
+                 for shift, slot_mask, flat in key_slots]
+        if flag_const:
+            terms.append(str(flag_const))
+        lines.append(f"k = {' | '.join(terms) or '0'}")
+        if pred is not None:
+            op, a_flat, b_flat = pred
+            operands = []
+            for side, flat in (("a", a_flat), ("b", b_flat)):
+                if flat is None:
+                    params.append(f"{side}{i}")
+                    operands.append(f"{side}{i}")
                 else:
-                    hit = a <= b
-                if hit:
-                    key |= 1
-            for shift, slot_mask, flat in sp.key_slots:
-                key |= (vals[flat] & slot_mask) << shift
-
-            if sp.kind == 0:
-                leaf = sp.exact.get(key)
-            else:
-                leaf = None
-                for mask, pattern, candidate in sp.residual:
-                    if key & mask == pattern:
-                        leaf = candidate
-                        break
-            if leaf is None:
-                leaf = sp.miss_ops
-                if leaf is None:
-                    continue
-            if type(leaf) is Fallback:
-                return leaf
-
-            # VLIW semantics: all operand reads observe the incoming
-            # PHV, so container writes are buffered and applied after.
-            pending = None
-            for op_tuple in leaf:
-                code = op_tuple[0]
-                if code == _ADD:
-                    value = (vals[op_tuple[2]] + vals[op_tuple[3]]) \
-                        & op_tuple[4]
-                elif code == _SUB:
-                    value = (vals[op_tuple[2]] - vals[op_tuple[3]]) \
-                        & op_tuple[4]
-                elif code == _ADDI:
-                    value = (vals[op_tuple[2]] + op_tuple[3]) & op_tuple[4]
-                elif code == _SUBI:
-                    value = (vals[op_tuple[2]] - op_tuple[3]) & op_tuple[4]
-                elif code == _SET:
-                    value = op_tuple[3] & op_tuple[4]
-                elif code == _PORT:
-                    dst_port = (vals[op_tuple[2]] + op_tuple[3]) & 0xFFFF
-                    continue
-                elif code == _MCAST:
-                    mcast = (vals[op_tuple[2]] + op_tuple[3]) & 0xFFFF
-                    continue
-                else:  # _DISCARD
-                    discard = True
-                    continue
-                if pending is None:
-                    pending = [(op_tuple[1], value)]
-                else:
-                    pending.append((op_tuple[1], value))
-            if pending is not None:
-                for slot, value in pending:
-                    vals[slot] = value
-
-        phv = PHV.from_container_values(vals)
-        meta = phv.metadata.buf
-        if discard:
-            meta[0] = 1  # FLAG_DISCARD
-        meta[1] = 1 << buffer_slot
-        meta[2] = dst_port >> 8
-        meta[3] = dst_port & 0xFF
-        src_port = packet.ingress_port
-        if not 0 <= src_port <= 0xFFFF:
-            phv.metadata.src_port = src_port  # the parser's own error
-        meta[4] = src_port >> 8
-        meta[5] = src_port & 0xFF
-        pkt_len = len(buf)
-        if pkt_len > 0xFFFF:
-            pkt_len = 0xFFFF
-        meta[6] = pkt_len >> 8
-        meta[7] = pkt_len & 0xFF
-        meta[8] = mcast >> 8
-        meta[9] = mcast & 0xFF
-        meta[18] = self.vid >> 8
-        meta[19] = self.vid & 0xFF
-
-        if discard:
-            return None, phv
-        merged = Packet(buf, packet.ingress_port,
-                        packet.arrival_time)
-        out = merged.buf
-        for off, end, flat, size in self._deparse:
-            out[off:end] = vals[flat].to_bytes(size, "big")
-        return merged, phv
+                    operands.append(f"v[{flat}]")
+            lines += [f"if {operands[0]} {_CMP_SOURCE.get(op, '<=')} "
+                      f"{operands[1]}:", "    k |= 1"]
+        if exact:
+            lines.append(f"f = t{i}.get(k, {miss})" if has_miss
+                         else f"f = t{i}.get(k)")
+        else:  # the CAM's first match, in address order
+            lines += [f"for mk, pt, f in t{i}:", "    if k & mk == pt:",
+                      "        break", "else:", f"    f = {miss}"]
+        run = ["r = f(v, m)", "if r is not None:", "    return r"]
+        if has_miss:
+            lines += run
+        else:
+            lines += ["if f is not None:"] + [f"    {line}" for line in run]
+    lines += [
+        "m[1] = 1 << buffer_slot",
+        "p = packet.ingress_port",
+        "if not 0 <= p <= 65535:",
+        "    Metadata().src_port = p  # the parser's own error",
+        "m[4] = p >> 8", "m[5] = p & 255",
+        "n = len(buf)",
+        "if n > 65535:", "    n = 65535",
+        "m[6] = n >> 8", "m[7] = n & 255",
+        "md = _new(Metadata)", "md.buf = m",
+        "phv = _new(PHV)", "phv.data = v", "phv.metadata = md",
+        "if m[0]:", "    return None, phv",
+        "merged = Packet(buf, p, packet.arrival_time)"]
+    if deparse:
+        lines.append("out = merged.buf")
+    lines += [f'out[{off}:{end}] = v[{flat}].to_bytes({size}, "big")'
+              for off, end, flat, size in deparse]
+    lines.append("return merged, phv")
+    body = "\n".join(f"        {line}" for line in lines)
+    source = (f"def _make({', '.join(params)}):\n"
+              f"    def classify(packet, buffer_slot):\n{body}\n"
+              f"    return classify\n")
+    return _generated(source, "<classifier>")
 
 
 def compile_classifier(pipeline: MenshenPipeline,
@@ -392,6 +522,7 @@ def compile_classifier(pipeline: MenshenPipeline,
         clf.ok, clf.reason = False, str(exc)
     except Exception as exc:  # decode faults the scalar path replays
         clf.ok, clf.reason = False, f"{type(exc).__name__}: {exc}"
+    clf.generate()
     return clf
 
 

@@ -513,6 +513,36 @@ class TestRecovery:
         assert tenant.routes == [["leaf0", "spine0", "leaf1"]]
         assert tenant.is_stranded()
 
+    def test_fragmented_heir_is_reported_and_the_sweep_goes_on(self):
+        """An heir with free VID slots but no stage window for the
+        program refuses the move with an ``AdmissionError``: the tenant
+        is recorded unrecovered with that reason, and the next stranded
+        VID is still re-placed."""
+        fabric = _fabric()
+        kv = fabric.tenant("kv", netcache.P4_SOURCE, vid=2,
+                           installer=lambda t, port: netcache.install(t))
+        kv.place(("leaf0", 0), ("leaf1", 1), via=("spine0",))
+        _calc_tenant(fabric, 3, via=("spine0",))
+        controller = fabric.switch("spine1").switch.controller
+        for vid in range(10, 30):           # four fillers per stage
+            controller.load_module(vid, calc.P4_SOURCE)
+        for vid in (10, 15, 12, 17):        # free rows in stages 0, 2
+            controller.unload_module(vid)
+        ledger = controller.pipeline.ledger
+        assert [ledger.free_match_rows(stage) for stage in range(5)] == \
+            [8, 0, 8, 0, 0]
+        assert len(controller.modules) == 16
+        fabric.crash_switch("spine0")
+
+        stuck, moved = RecoveryController(fabric).recover(now=1e-3)
+        assert (stuck.vid, stuck.recovered) == (2, False)
+        assert "does not fit in any stage window" in stuck.reason
+        assert stuck.new_route == ()
+        assert kv.routes == [["leaf0", "spine0", "leaf1"]]
+        assert kv.is_stranded()
+        assert (moved.vid, moved.recovered) == (3, True)
+        assert moved.new_route == ("leaf0", "spine1", "leaf1")
+
     def test_register_handle_size(self):
         """The snapshot surface: ``RegisterHandle.size`` reports the
         compiled word count."""
